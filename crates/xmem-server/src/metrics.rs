@@ -619,6 +619,12 @@ impl ServerMetrics {
         );
         counter(
             &mut out,
+            "xmem_persist_journal_errors_total",
+            "Journal appends that failed to encode or write (entries not durable until the next snapshot)",
+            persist.journal_errors,
+        );
+        counter(
+            &mut out,
             "xmem_persist_recovered_entries_total",
             "Cache entries recovered from the state dir at boot",
             persist.recovered_entries,

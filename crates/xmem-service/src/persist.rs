@@ -136,6 +136,11 @@ pub struct PersistStats {
     pub snapshot_writes: u64,
     /// Journal records appended by this process.
     pub journal_records: u64,
+    /// Journal appends that failed — the record did not encode, or the
+    /// write itself failed (a full or read-only disk). The lost entry
+    /// stays served from memory and becomes durable only with the next
+    /// successful snapshot.
+    pub journal_errors: u64,
     /// Journal records appended since the last snapshot (compaction debt).
     pub pending_records: u64,
     /// Cache entries recovered (snapshot + journal replay) at boot.
@@ -167,6 +172,7 @@ pub(crate) struct Persister {
     journal: Mutex<JournalHandle>,
     snapshot_writes: AtomicU64,
     journal_records: AtomicU64,
+    journal_errors: AtomicU64,
     recovered: AtomicU64,
     truncated: AtomicU64,
     skipped: AtomicU64,
@@ -295,6 +301,7 @@ impl Persister {
             journal: Mutex::new(JournalHandle { file, pending: 0 }),
             snapshot_writes: AtomicU64::new(0),
             journal_records: AtomicU64::new(0),
+            journal_errors: AtomicU64::new(0),
             recovered: AtomicU64::new(0),
             truncated: AtomicU64::new(truncated),
             skipped: AtomicU64::new(0),
@@ -304,12 +311,14 @@ impl Persister {
         Ok((persister, LoadedState { records }))
     }
 
-    /// Appends one record to the journal. Write errors are swallowed
-    /// (persistence is best-effort between snapshots; the torn-tail
-    /// reader absorbs a partial frame).
+    /// Appends one record to the journal. Persistence is best-effort
+    /// between snapshots, so a failure never reaches the caller: it is
+    /// counted in [`PersistStats::journal_errors`] and the first one is
+    /// logged (the torn-tail reader absorbs a partial frame).
     pub(crate) fn append(&self, record: &StateRecord) {
-        let Ok(json) = serde_json::to_string(record) else {
-            return;
+        let json = match serde_json::to_string(record) {
+            Ok(json) => json,
+            Err(e) => return self.journal_error(&e),
         };
         let mut frame = Vec::with_capacity(12 + json.len());
         push_frame(&mut frame, json.as_bytes());
@@ -317,11 +326,28 @@ impl Persister {
             .journal
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if guard.file.write_all(&frame).is_ok() {
-            guard.pending += 1;
-            self.journal_records.fetch_add(1, Ordering::Relaxed);
-            self.journal_bytes
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        match guard.file.write_all(&frame) {
+            Ok(()) => {
+                guard.pending += 1;
+                self.journal_records.fetch_add(1, Ordering::Relaxed);
+                self.journal_bytes
+                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+            }
+            Err(e) => {
+                drop(guard);
+                self.journal_error(&e);
+            }
+        }
+    }
+
+    /// Counts one failed append, logging only the first: a full disk
+    /// fails every append, and the counter carries the rest.
+    fn journal_error(&self, error: &dyn std::fmt::Display) {
+        if self.journal_errors.fetch_add(1, Ordering::Relaxed) == 0 {
+            eprintln!(
+                "xmem-service: warn: journal append in {} failed ({error}); entries are not durable until the next snapshot, further failures are counted in xmem_persist_journal_errors_total",
+                self.dir.display()
+            );
         }
     }
 
@@ -398,6 +424,7 @@ impl Persister {
             enabled: true,
             snapshot_writes: self.snapshot_writes.load(Ordering::Relaxed),
             journal_records: self.journal_records.load(Ordering::Relaxed),
+            journal_errors: self.journal_errors.load(Ordering::Relaxed),
             pending_records: self.pending(),
             recovered_entries: self.recovered.load(Ordering::Relaxed),
             recovery_truncated: self.truncated.load(Ordering::Relaxed),
@@ -545,5 +572,28 @@ mod tests {
         let (frames, torn) = read_frames(Path::new("/nonexistent/xmem-no-such-file"));
         assert!(frames.is_empty());
         assert!(!torn);
+    }
+
+    #[test]
+    fn failed_journal_writes_are_counted_not_swallowed() {
+        let dir = std::env::temp_dir().join(format!("xmem-full-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (persister, _) = Persister::open(&dir).unwrap();
+        let record = StateRecord::Tuner {
+            cache: "stage".to_owned(),
+            frac_permille: 500,
+            decay_epoch: 0,
+        };
+        persister.append(&record);
+        // Every write to /dev/full fails with ENOSPC: a full disk.
+        persister.journal.lock().unwrap().file =
+            OpenOptions::new().write(true).open("/dev/full").unwrap();
+        persister.append(&record);
+        persister.append(&record);
+        let stats = persister.stats();
+        assert_eq!(stats.journal_errors, 2);
+        assert_eq!(stats.journal_records, 1);
+        assert_eq!(stats.pending_records, 1);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -90,6 +90,9 @@ const PARAM_CACHE_CAPACITY: usize = 32;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Estimator settings (target device, allocator, orchestrator knobs).
+    /// The paper-default [`EstimatorConfig::for_device`] makes the
+    /// default-device route a cached sim cell; any customization keeps
+    /// that route uncached (see [`EstimationService::estimate`]).
     pub estimator: EstimatorConfig,
     /// Total cached `(job key → profiled stages)` entries.
     pub cache_capacity: usize,
@@ -298,6 +301,13 @@ impl ServiceConfig {
 pub struct EstimationService {
     config: ServiceConfig,
     estimator: Estimator,
+    /// The primary device when `estimator` is its paper-default
+    /// [`EstimatorConfig::for_device`] configuration — the device whose
+    /// sim shard the default-device route reads and fills. `None` for a
+    /// customized estimator (ablation knobs, timeline recording): its
+    /// estimates are not bit-identical to a paper-default cell, so that
+    /// route stays uncached.
+    primary_cell: Option<GpuDevice>,
     cache: ShardedLruCache<JobKey, Arc<ProfiledStages>>,
     /// In-flight dedup: concurrent misses for one key coalesce onto a
     /// single profile/analyze run.
@@ -305,7 +315,8 @@ pub struct EstimationService {
     /// TTL'd memory of Analyzer failures for degenerate jobs.
     negative: NegativeCache<JobKey, EstimateError>,
     /// Per-device simulation shards: one LRU of `(job key → estimate)`
-    /// per device configuration, fed by the matrix / replay paths. The
+    /// per device configuration, fed by every single-estimate, matrix,
+    /// placement, sweep and admission path. The
     /// registry naming the devices lives in `config.registry` (there is
     /// exactly one copy: `registry()` and `config()` agree by
     /// construction).
@@ -340,6 +351,12 @@ impl EstimationService {
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
         let estimator = Estimator::new(config.estimator.clone());
+        let default = EstimatorConfig::for_device(config.estimator.device);
+        let primary_cell = (!config.estimator.record_timeline
+            && config.estimator.orchestrator == default.orchestrator
+            && config.estimator.allocator == default.allocator
+            && config.estimator.context_allowance == default.context_allowance)
+            .then_some(config.estimator.device);
         let tiering = config.tiering;
         let mut cache =
             ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(tiering);
@@ -355,6 +372,7 @@ impl EstimationService {
         let mut service = EstimationService {
             config,
             estimator,
+            primary_cell,
             cache,
             flights: SingleFlight::new(),
             negative,
@@ -715,7 +733,9 @@ impl EstimationService {
     }
 
     /// How many allocator simulations actually executed on the cached
-    /// (matrix / placement / per-device) paths — shorthand for
+    /// sim-cell paths — every single-estimate, matrix, placement, sweep
+    /// and admission query except the uncached default route of a
+    /// customized [`ServiceConfig::estimator`]. Shorthand for
     /// [`sim_stats`](Self::sim_stats)`.sim_runs`.
     #[must_use]
     pub fn sim_runs(&self) -> u64 {
@@ -816,13 +836,23 @@ impl EstimationService {
     /// analysis are deterministic in the job key, and the simulation
     /// stages run identically on both paths.
     ///
+    /// Under a paper-default [`ServiceConfig::estimator`] the answer is
+    /// the primary device's sim cell — the same cell
+    /// [`estimate_on`](Self::estimate_on) reads for that device — so a
+    /// warm repeat is a cell hit with no allocator replay. A miss fills
+    /// the cell but never seeds the unbounded-replay cache (a one-off
+    /// job pays one replay, as before). A customized estimator (ablation
+    /// knobs, timeline recording) is the uncached exception: it replays
+    /// on every call and never reads or writes a sim cell.
+    ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs.
     pub fn estimate(&self, spec: &TrainJobSpec) -> Result<Estimate, EstimateError> {
         self.estimate_traced(spec, &TraceContext::disabled())
     }
 
-    /// [`estimate`](Self::estimate) under a request trace.
+    /// [`estimate`](Self::estimate) under a request trace: a cell hit
+    /// records a `cache.sim` `hit` event.
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs.
@@ -831,8 +861,32 @@ impl EstimationService {
         spec: &TrainJobSpec,
         ctx: &TraceContext,
     ) -> Result<Estimate, EstimateError> {
+        self.estimate_at(spec, None, ctx)
+    }
+
+    /// The single-estimate path behind [`estimate`](Self::estimate) and
+    /// [`estimate_on`](Self::estimate_on); they differ only in how the
+    /// device resolves (see [`cell_device`](Self::cell_device)). Named
+    /// devices seed the unbounded-replay cache, since a fleet query for
+    /// the same job usually follows; the default route does not.
+    fn estimate_at(
+        &self,
+        spec: &TrainJobSpec,
+        device_name: Option<&str>,
+        ctx: &TraceContext,
+    ) -> Result<Estimate, EstimateError> {
+        let device = match (self.cell_device(device_name), device_name) {
+            (None, Some(name)) => return Err(EstimateError::UnknownDevice(name.to_string())),
+            (device, _) => device,
+        };
         let stages = self.stages_traced(spec, ctx)?;
-        Ok(self.estimator.estimate_analyzed(&stages.analyzed))
+        Ok(match device {
+            Some(device) => {
+                let seed = device_name.is_some();
+                self.simulate_on_with(&JobKey::of(spec), &stages, device, seed, ctx)
+            }
+            None => self.estimator.estimate_analyzed(&stages.analyzed),
+        })
     }
 
     /// Like [`estimate`](Self::estimate) but against an alternative
@@ -1240,13 +1294,16 @@ impl EstimationService {
     /// [`estimate_matrix`](Self::estimate_matrix) call computed is a pure
     /// cache hit — no profiling, no simulation.
     ///
-    /// Like every named-device path (the matrix and placement queries),
-    /// the simulation uses the paper-default
-    /// [`EstimatorConfig::for_device`] for the named device — a
-    /// customized [`ServiceConfig::estimator`] (ablation knobs, timeline
-    /// recording) applies only to [`estimate`](Self::estimate) /
-    /// [`sweep`](Self::sweep); pair a custom configuration with
-    /// [`estimate_with`](Self::estimate_with) instead.
+    /// Every sim cell — this route's, the matrix and placement queries',
+    /// and the default route's [`estimate`](Self::estimate) under a
+    /// paper-default estimator — simulates with the paper-default
+    /// [`EstimatorConfig::for_device`] of its device, so
+    /// `estimate_on(spec, <primary name>)` after `estimate(spec)` hits
+    /// the same cell. A customized [`ServiceConfig::estimator`]
+    /// (ablation knobs, timeline recording) applies only to the uncached
+    /// [`estimate`](Self::estimate) / [`sweep`](Self::sweep); pair a
+    /// custom configuration with [`estimate_with`](Self::estimate_with)
+    /// instead.
     ///
     /// # Errors
     /// [`EstimateError::UnknownDevice`] for an unregistered name;
@@ -1270,16 +1327,11 @@ impl EstimationService {
         device_name: &str,
         ctx: &TraceContext,
     ) -> Result<Estimate, EstimateError> {
-        let device = self
-            .registry()
-            .get(device_name)
-            .ok_or_else(|| EstimateError::UnknownDevice(device_name.to_string()))?;
-        let stages = self.stages_traced(spec, ctx)?;
-        Ok(self.simulate_on(&JobKey::of(spec), &stages, device, ctx))
+        self.estimate_at(spec, Some(device_name), ctx)
     }
 
-    /// The device a cluster sim-cell exchange resolves to: a registered
-    /// name, or — for the plain-estimate route — the primary device
+    /// The device whose sim cell answers a single-estimate query: a
+    /// registered name, or — for the default route — the primary device
     /// *when* the service estimator is its paper-default configuration
     /// ([`EstimatorConfig::for_device`]). A customized primary estimator
     /// (ablation knobs, timeline recording) is not shard-representable:
@@ -1288,15 +1340,7 @@ impl EstimationService {
     fn cell_device(&self, device_name: Option<&str>) -> Option<GpuDevice> {
         match device_name {
             Some(name) => self.registry().get(name),
-            None => {
-                let config = self.estimator.config();
-                let default = EstimatorConfig::for_device(config.device);
-                (!config.record_timeline
-                    && config.orchestrator == default.orchestrator
-                    && config.allocator == default.allocator
-                    && config.context_allowance == default.context_allowance)
-                    .then_some(config.device)
-            }
+            None => self.primary_cell,
         }
     }
 
@@ -2008,10 +2052,7 @@ impl AsyncEstimationService {
         self.dispatch(deadline, move |service| {
             drop(queue);
             let mut call = ctx.span("service.call");
-            let result = match &device_name {
-                Some(name) => service.estimate_on_traced(&spec, name, &ctx),
-                None => service.estimate_traced(&spec, &ctx),
-            };
+            let result = service.estimate_at(&spec, device_name.as_deref(), &ctx);
             call.set_outcome(if result.is_ok() { "ok" } else { "error" });
             result
         })

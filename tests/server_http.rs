@@ -1043,3 +1043,98 @@ fn prometheus_exposition_is_lint_clean() {
     let report = server.shutdown();
     assert!(report.clean);
 }
+
+/// A body nested deeper than the JSON parser's recursion limit is a
+/// clean `400`, not a stack overflow that aborts the server: a 1 MiB
+/// bracket bomb (the largest body the wire accepts) is refused, and the
+/// next request on a new connection is answered.
+#[test]
+fn deeply_nested_json_is_a_400_not_a_crash() {
+    let (server, _service) = start_server(ServerConfig::default().with_workers(2));
+    let addr = server.local_addr();
+    let bomb = "[".repeat(WireLimits::default().max_body_bytes);
+    {
+        let mut client = HttpClient::connect(addr).expect("connect");
+        let response = client.post_json("/v1/estimate", &bomb).expect("400 answer");
+        assert_eq!(response.status, 400, "{}", response.text());
+        assert!(response.text().contains("recursion limit exceeded"));
+    }
+    let mut client = HttpClient::connect(addr).expect("connect");
+    let response = client
+        .post_json("/v1/estimate", &job_json(&small_spec(4)))
+        .expect("estimate after the bomb");
+    assert_eq!(response.status, 200);
+    let report = server.shutdown();
+    assert!(report.clean);
+}
+
+/// The default-device route is a sim cell: a repeated `POST
+/// /v1/estimate` records a `cache.sim` `hit` in its trace and moves the
+/// sim-cache hit counter on `/metrics` by exactly one.
+#[test]
+fn repeated_default_estimates_hit_the_sim_cell() {
+    let (server, _service) = start_server(ServerConfig::default());
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let sim_hits = |client: &mut HttpClient| -> u64 {
+        let metrics = client.get("/metrics").expect("metrics").text().to_string();
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix("xmem_sim_cache_events_total{event=\"hit\"} "))
+            .and_then(|value| value.parse().ok())
+            .expect("the sim-cache hit counter is exported")
+    };
+    let body = job_json(&small_spec(4));
+    let first = client.post_json("/v1/estimate", &body).expect("estimate");
+    assert_eq!(first.status, 200);
+    let hits_before = sim_hits(&mut client);
+    let warm_id = "0000000000000000000000000000beef";
+    let second = client
+        .request(
+            "POST",
+            "/v1/estimate",
+            &[
+                ("content-type", "application/json"),
+                ("x-xmem-trace-id", warm_id),
+            ],
+            body.as_bytes(),
+        )
+        .expect("warm estimate");
+    assert_eq!(second.status, 200);
+    assert_eq!(second.text(), first.text());
+    assert_eq!(sim_hits(&mut client), hits_before + 1);
+
+    let traces = client.get("/v1/debug/traces?n=20").expect("traces");
+    let value: serde::Value = serde_json::from_str(&traces.text()).expect("traces JSON");
+    let warm = value
+        .as_object()
+        .and_then(|o| serde::obj_get(o, "traces"))
+        .and_then(serde::Value::as_array)
+        .expect("a `traces` array")
+        .iter()
+        .find(|trace| {
+            trace
+                .as_object()
+                .and_then(|o| serde::obj_get(o, "trace_id"))
+                .and_then(serde::Value::as_str)
+                == Some(warm_id)
+        })
+        .expect("the warm estimate's trace is recorded");
+    let sim_hit = warm
+        .as_object()
+        .and_then(|o| serde::obj_get(o, "spans"))
+        .and_then(serde::Value::as_array)
+        .expect("spans array")
+        .iter()
+        .any(|span| {
+            let entries = span.as_object().expect("span object");
+            serde::obj_get(entries, "name").and_then(serde::Value::as_str) == Some("cache.sim")
+                && serde::obj_get(entries, "outcome").and_then(serde::Value::as_str) == Some("hit")
+        });
+    assert!(
+        sim_hit,
+        "warm trace lacks a cache.sim hit: {}",
+        traces.text()
+    );
+    let report = server.shutdown();
+    assert!(report.clean);
+}

@@ -129,3 +129,114 @@ fn sweep_matches_a_sequential_estimator_loop() {
         assert_eq!(e1.as_ref().unwrap(), e2.as_ref().unwrap());
     }
 }
+
+/// Under a paper-default estimator the default route *is* the primary
+/// device's sim cell: bit-identical to the sequential estimator, a pure
+/// cell hit on repeat, and the same cell `estimate_on` reads for the
+/// primary device's registry name — for a roomy job and for one that
+/// overflows the card.
+#[test]
+fn default_estimate_is_served_from_the_primary_device_sim_cell() {
+    let device = GpuDevice::rtx3060();
+    let roomy =
+        TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
+    // DistilGPT-2 + AdamW at batch 128 does not fit in 12 GiB: its cell
+    // pays a full bounded replay that predicts the OOM.
+    let pressured =
+        TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 128).with_iterations(2);
+    let sequential = Estimator::new(EstimatorConfig::for_device(device));
+    let service = EstimationService::new(ServiceConfig::for_device(device));
+    for spec in [&roomy, &pressured] {
+        let expected = sequential.estimate_job(spec).expect("sequential estimate");
+        assert_eq!(
+            service.estimate(spec).expect("cold estimate"),
+            expected,
+            "cold default route diverged for {}",
+            spec.label()
+        );
+        let profiles = service.profile_runs();
+        let sims = service.sim_runs();
+        let hits = service.sim_stats().cache.hits;
+
+        let warm = service.estimate(spec).expect("warm estimate");
+        assert_eq!(warm, expected, "warm default route diverged");
+        assert_eq!(
+            service.profile_runs(),
+            profiles,
+            "a repeat must not profile"
+        );
+        assert_eq!(service.sim_runs(), sims, "a repeat must not replay");
+        assert_eq!(service.sim_stats().cache.hits, hits + 1);
+
+        let named = service
+            .estimate_on(spec, "rtx3060")
+            .expect("named estimate");
+        assert_eq!(named, expected);
+        assert_eq!(service.sim_runs(), sims, "the named cell is the same cell");
+        assert_eq!(service.sim_stats().cache.hits, hits + 2);
+    }
+    assert!(
+        sequential.estimate_job(&pressured).unwrap().oom_predicted,
+        "the pressured job must overflow the card"
+    );
+    let stats = service.sim_stats();
+    assert_eq!(stats.sim_runs, 2, "one replay per job");
+    assert_eq!(stats.full_replays, 2);
+    assert_eq!(
+        stats.unbounded_replays, 0,
+        "a default miss must not seed the unbounded-replay cache"
+    );
+}
+
+/// A customized estimator (here: timeline recording) is not
+/// representable as a paper-default cell, so its default route stays
+/// uncached: it never reads or writes a sim cell, and every answer —
+/// usage curve included — equals `estimate_with` under that estimator.
+#[test]
+fn customized_estimator_keeps_the_uncached_default_route() {
+    let device = GpuDevice::rtx3060();
+    let mut config = ServiceConfig::for_device(device);
+    config.estimator = EstimatorConfig::for_device(device).with_timeline();
+    let custom = config.estimator.clone();
+    let service = EstimationService::new(config);
+    for spec in specs_under_test() {
+        let expected = service
+            .estimate_with(&spec, &custom)
+            .expect("estimate_with");
+        assert!(!expected.curve.is_empty(), "the timeline is recorded");
+        for _ in 0..2 {
+            assert_eq!(service.estimate(&spec).expect("estimate"), expected);
+        }
+    }
+    let stats = service.sim_stats();
+    assert_eq!(stats.sim_runs, 0);
+    assert_eq!(
+        stats.cache.hits + stats.cache.misses + stats.cache.insertions,
+        0
+    );
+}
+
+/// A default estimate is journaled as a sim cell, so after a restart the
+/// same request is a cell hit: bit-identical, with zero profile runs and
+/// zero sim runs.
+#[test]
+fn default_estimate_cells_survive_a_restart() {
+    let dir = std::env::temp_dir().join(format!("xmem-default-cell-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServiceConfig::for_device(GpuDevice::rtx3060()).with_state_dir(&dir);
+    let spec = &specs_under_test()[0];
+
+    let first = EstimationService::new(config());
+    let before = first.estimate(spec).expect("cold estimate");
+    assert_eq!(first.sim_runs(), 1);
+    drop(first);
+
+    let reopened = EstimationService::new(config());
+    let after = reopened.estimate(spec).expect("warm estimate");
+    assert_eq!(after, before, "the recovered cell diverged");
+    assert_eq!(reopened.profile_runs(), 0);
+    assert_eq!(reopened.sim_runs(), 0);
+    assert_eq!(reopened.sim_stats().cache.hits, 1);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
