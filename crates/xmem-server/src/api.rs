@@ -11,22 +11,23 @@
 //! `{"error":{"kind":"...","message":"..."}}` with a status code per
 //! [`EstimateError`] variant (see [`estimate_error_response`]).
 
-use crate::wire::{json_string, Request, Response};
+use crate::wire::{push_json_string, Request, Response};
 use serde::Value;
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use xmem_core::{AnalysisStats, DeviceMatrix, DevicePlacement, Estimate, EstimateError};
-use xmem_runtime::TrainJobSpec;
+use xmem_runtime::{Precision, TrainJobSpec, ZeroGradPos};
 use xmem_service::jobspec::{self, job_from_value, usize_field};
 use xmem_service::{AsyncEstimationService, SubmitError, TraceContext};
 
 /// Renders a stable JSON error body.
 #[must_use]
 pub fn error_body(kind: &str, message: &str) -> String {
-    format!(
-        "{{\"error\":{{\"kind\":{},\"message\":{}}}}}",
-        json_string(kind),
-        json_string(message)
-    )
+    let mut out = String::with_capacity(32 + kind.len() + message.len());
+    out.push_str("{\"error\":");
+    push_error(&mut out, kind, message);
+    out.push('}');
+    out
 }
 
 /// A `400` with a `bad_request` error body.
@@ -81,59 +82,7 @@ pub fn estimate_error_response(error: &EstimateError) -> Response {
     Response::json(status, error_body(kind, &error.to_string()))
 }
 
-/// The JSON value an [`Estimate`] serializes to on the wire: the peak
-/// numbers, the OOM verdict, and the analysis diagnostics (the usage
-/// curve is omitted — timeline recording is off on the serving path).
-#[must_use]
-pub fn estimate_value(estimate: &Estimate) -> Value {
-    let stats = &estimate.stats;
-    let categories = stats
-        .categories
-        .iter()
-        .map(|(name, blocks, bytes)| {
-            Value::Array(vec![
-                Value::Str(name.clone()),
-                Value::U64(*blocks as u64),
-                Value::U64(*bytes),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("peak_bytes".to_string(), Value::U64(estimate.peak_bytes)),
-        (
-            "job_peak_bytes".to_string(),
-            Value::U64(estimate.job_peak_bytes),
-        ),
-        (
-            "tensor_peak_bytes".to_string(),
-            Value::U64(estimate.tensor_peak_bytes),
-        ),
-        (
-            "oom_predicted".to_string(),
-            Value::Bool(estimate.oom_predicted),
-        ),
-        (
-            "stats".to_string(),
-            Value::Object(vec![
-                ("categories".to_string(), Value::Array(categories)),
-                (
-                    "filtered_blocks".to_string(),
-                    Value::U64(stats.filtered_blocks as u64),
-                ),
-                (
-                    "adjusted_blocks".to_string(),
-                    Value::U64(stats.adjusted_blocks as u64),
-                ),
-                (
-                    "unmatched_frees".to_string(),
-                    Value::U64(stats.unmatched_frees as u64),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Parses the JSON value [`estimate_value`] renders back into an
+/// Parses the `estimate` object [`estimate_body`] renders back into an
 /// [`Estimate`] — the inverse the cluster tier uses to fill a local sim
 /// cell from a forwarded node's `200` response. The usage curve is not on
 /// the wire (timeline recording is off on every serving path), so it
@@ -182,123 +131,211 @@ pub fn estimate_from_value(value: &Value) -> Option<Estimate> {
     })
 }
 
-fn render(value: &Value) -> String {
-    serde_json::to_string(value).expect("value rendering is infallible")
+// ---------------------------------------------------------------------------
+// Response bodies
+//
+// Every body is written straight into one pre-sized `String`: no
+// intermediate value tree, no per-number allocation. Field order and
+// formatting are the wire contract — compact JSON, keys in the order
+// written here, strings escaped by `wire::push_json_string`.
+// ---------------------------------------------------------------------------
+
+/// Rendered bytes per estimate, give or take its category names — sizes
+/// a body's buffer up front so a large matrix renders without regrowth.
+const ESTIMATE_BYTES: usize = 384;
+
+fn push_u64(out: &mut String, n: u64) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
+fn push_usize(out: &mut String, n: usize) {
+    push_u64(out, n as u64);
+}
+
+/// `{"kind":...,"message":...}` — the error object of an error body, a
+/// matrix cell, and a sweep entry.
+fn push_error(out: &mut String, kind: &str, message: &str) {
+    out.push_str("{\"kind\":");
+    push_json_string(out, kind);
+    out.push_str(",\"message\":");
+    push_json_string(out, message);
+    out.push('}');
+}
+
+/// A matrix cell's or sweep entry's outcome member: `"estimate":{...}`,
+/// or `"error":{...}` for a per-cell failure (no leading comma).
+fn push_outcome(out: &mut String, outcome: &Result<Estimate, EstimateError>) {
+    match outcome {
+        Ok(estimate) => {
+            out.push_str("\"estimate\":");
+            push_estimate(out, estimate);
+        }
+        Err(error) => {
+            let (_, kind) = estimate_error_status(error);
+            out.push_str("\"error\":");
+            push_error(out, kind, &error.to_string());
+        }
+    }
+}
+
+/// An [`Estimate`] on the wire: the peak numbers, the OOM verdict, and
+/// the analysis diagnostics (the usage curve is omitted — timeline
+/// recording is off on the serving path).
+fn push_estimate(out: &mut String, estimate: &Estimate) {
+    let stats = &estimate.stats;
+    out.push_str("{\"peak_bytes\":");
+    push_u64(out, estimate.peak_bytes);
+    out.push_str(",\"job_peak_bytes\":");
+    push_u64(out, estimate.job_peak_bytes);
+    out.push_str(",\"tensor_peak_bytes\":");
+    push_u64(out, estimate.tensor_peak_bytes);
+    out.push_str(",\"oom_predicted\":");
+    out.push_str(if estimate.oom_predicted {
+        "true"
+    } else {
+        "false"
+    });
+    out.push_str(",\"stats\":{\"categories\":[");
+    for (i, (name, blocks, bytes)) in stats.categories.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        push_json_string(out, name);
+        out.push(',');
+        push_usize(out, *blocks);
+        out.push(',');
+        push_u64(out, *bytes);
+        out.push(']');
+    }
+    out.push_str("],\"filtered_blocks\":");
+    push_usize(out, stats.filtered_blocks);
+    out.push_str(",\"adjusted_blocks\":");
+    push_usize(out, stats.adjusted_blocks);
+    out.push_str(",\"unmatched_frees\":");
+    push_usize(out, stats.unmatched_frees);
+    out.push_str("}}");
+}
+
+/// A job object, in [`jobspec::job_to_value`]'s field order: optional
+/// fields appear only when they differ from the grammar's defaults.
+fn push_job(out: &mut String, spec: &TrainJobSpec) {
+    out.push_str("{\"model\":");
+    push_json_string(out, spec.model.info().name);
+    out.push_str(",\"optimizer\":");
+    push_json_string(out, spec.optimizer.name());
+    out.push_str(",\"batch\":");
+    push_usize(out, spec.batch);
+    if spec.seq != 0 {
+        out.push_str(",\"seq\":");
+        push_usize(out, spec.seq);
+    }
+    out.push_str(",\"iterations\":");
+    push_u64(out, u64::from(spec.iterations));
+    if spec.zero_grad_pos == ZeroGradPos::IterStart {
+        out.push_str(",\"pos1\":true");
+    }
+    if spec.precision == Precision::F16 {
+        out.push_str(",\"fp16\":true");
+    }
+    out.push('}');
 }
 
 /// The `POST /v1/estimate` success body.
 #[must_use]
 pub fn estimate_body(estimate: &Estimate) -> String {
-    render(&Value::Object(vec![(
-        "estimate".to_string(),
-        estimate_value(estimate),
-    )]))
-}
-
-/// A matrix cell's value: the estimate, or its per-cell error.
-fn cell_value(device: &str, outcome: &Result<Estimate, EstimateError>) -> Value {
-    let mut entries = vec![("device".to_string(), Value::Str(device.to_string()))];
-    match outcome {
-        Ok(estimate) => entries.push(("estimate".to_string(), estimate_value(estimate))),
-        Err(error) => {
-            let (_, kind) = estimate_error_status(error);
-            entries.push((
-                "error".to_string(),
-                Value::Object(vec![
-                    ("kind".to_string(), Value::Str(kind.to_string())),
-                    ("message".to_string(), Value::Str(error.to_string())),
-                ]),
-            ));
-        }
-    }
-    Value::Object(entries)
+    let mut out = String::with_capacity(ESTIMATE_BYTES);
+    out.push_str("{\"estimate\":");
+    push_estimate(&mut out, estimate);
+    out.push('}');
+    out
 }
 
 /// The `POST /v1/matrix` success body.
 #[must_use]
 pub fn matrix_body(matrix: &DeviceMatrix) -> String {
-    let devices = matrix
-        .devices
-        .iter()
-        .map(|d| Value::Str(d.clone()))
-        .collect();
-    let rows = matrix
-        .rows
-        .iter()
-        .map(|row| {
-            Value::Object(vec![
-                (
-                    "job".to_string(),
-                    xmem_service::jobspec::job_to_value(&row.spec),
-                ),
-                (
-                    "cells".to_string(),
-                    Value::Array(
-                        row.cells
-                            .iter()
-                            .map(|cell| cell_value(&cell.device, &cell.estimate))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    render(&Value::Object(vec![
-        ("devices".to_string(), Value::Array(devices)),
-        ("rows".to_string(), Value::Array(rows)),
-    ]))
+    let mut out = String::with_capacity(64 + matrix.num_cells() * ESTIMATE_BYTES);
+    out.push_str("{\"devices\":[");
+    for (i, device) in matrix.devices.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_string(&mut out, device);
+    }
+    out.push_str("],\"rows\":[");
+    for (i, row) in matrix.rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"job\":");
+        push_job(&mut out, &row.spec);
+        out.push_str(",\"cells\":[");
+        for (j, cell) in row.cells.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"device\":");
+            push_json_string(&mut out, &cell.device);
+            out.push(',');
+            push_outcome(&mut out, &cell.estimate);
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
+    out
 }
 
 /// The `POST /v1/sweep` success body.
 #[must_use]
 pub fn sweep_body(results: &[(usize, Result<Estimate, EstimateError>)]) -> String {
-    let entries = results
-        .iter()
-        .map(|(batch, outcome)| {
-            let mut entry = vec![("batch".to_string(), Value::U64(*batch as u64))];
-            match outcome {
-                Ok(estimate) => entry.push(("estimate".to_string(), estimate_value(estimate))),
-                Err(error) => {
-                    let (_, kind) = estimate_error_status(error);
-                    entry.push((
-                        "error".to_string(),
-                        Value::Object(vec![
-                            ("kind".to_string(), Value::Str(kind.to_string())),
-                            ("message".to_string(), Value::Str(error.to_string())),
-                        ]),
-                    ));
-                }
-            }
-            Value::Object(entry)
-        })
-        .collect();
-    render(&Value::Object(vec![(
-        "results".to_string(),
-        Value::Array(entries),
-    )]))
+    let mut out = String::with_capacity(16 + results.len() * ESTIMATE_BYTES);
+    out.push_str("{\"results\":[");
+    for (i, (batch, outcome)) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"batch\":");
+        push_usize(&mut out, *batch);
+        out.push(',');
+        push_outcome(&mut out, outcome);
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
 }
 
 /// The `POST /v1/plan` success body.
 #[must_use]
 pub fn plan_body(max_batch: Option<usize>) -> String {
-    let value = match max_batch {
-        Some(batch) => Value::U64(batch as u64),
-        None => Value::Null,
-    };
-    render(&Value::Object(vec![("max_batch".to_string(), value)]))
+    let mut out = String::with_capacity(32);
+    out.push_str("{\"max_batch\":");
+    match max_batch {
+        Some(batch) => push_usize(&mut out, batch),
+        None => out.push_str("null"),
+    }
+    out.push('}');
+    out
 }
 
 /// The `POST /v1/best-device` success body.
 #[must_use]
 pub fn placement_body(placement: Option<&DevicePlacement>) -> String {
-    let value = match placement {
-        Some(p) => Value::Object(vec![
-            ("device".to_string(), Value::Str(p.device.clone())),
-            ("estimate".to_string(), estimate_value(&p.estimate)),
-        ]),
-        None => Value::Null,
-    };
-    render(&Value::Object(vec![("placement".to_string(), value)]))
+    let mut out = String::with_capacity(ESTIMATE_BYTES + 64);
+    out.push_str("{\"placement\":");
+    match placement {
+        Some(p) => {
+            out.push_str("{\"device\":");
+            push_json_string(&mut out, &p.device);
+            out.push_str(",\"estimate\":");
+            push_estimate(&mut out, &p.estimate);
+            out.push('}');
+        }
+        None => out.push_str("null"),
+    }
+    out.push('}');
+    out
 }
 
 /// The header carrying a per-request deadline budget in milliseconds.

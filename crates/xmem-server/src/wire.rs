@@ -426,24 +426,46 @@ pub fn error_response(error: &WireError) -> Response {
     Response::json(status, body)
 }
 
-/// Minimal JSON string escaping for hand-assembled error bodies.
+/// `s` as a quoted JSON string literal (see [`push_json_string`]).
 #[must_use]
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a quoted JSON string literal — the one
+/// escaper behind every hand-written response body. Escapes `"`, `\`,
+/// `\n`, `\r`, `\t` by name and every other control character as
+/// `\u00XX` (lowercase hex); everything else, non-ASCII included, is
+/// copied verbatim. The output is byte-identical to `serde_json`'s.
+pub fn push_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut clean = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(byte >> 4)]));
+            out.push(char::from(HEX[usize::from(byte & 0xf)]));
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
@@ -55,12 +56,20 @@ impl<V: Clone + Send> LateOutcome for Result<V, EstimateError> {
 struct Shared<T> {
     state: Mutex<State<T>>,
     condvar: Condvar,
+    /// Live [`PoolFuture`] handles. The last one may move the output
+    /// out instead of cloning it.
+    handles: AtomicUsize,
 }
 
 #[derive(Debug)]
 struct State<T> {
-    /// The settled output; `Some` exactly once, never unset.
+    /// The settled output; `Some` once settled. Only the last
+    /// [`PoolFuture`] handle may take it (see `settled`), after which no
+    /// handle is left to observe the settlement.
     result: Option<T>,
+    /// Set on settlement and never unset: a taken result still counts as
+    /// settled, so later completions stay no-ops.
+    settled: bool,
     /// Wakers of pollers parked since the last completion check.
     wakers: Vec<Waker>,
     /// Set once a worker has started computing (used to report whether a
@@ -78,11 +87,12 @@ impl<T: LateOutcome> Shared<T> {
     /// slip between the observation and the settlement.
     fn settle_reporting_started(&self, value: T) -> (bool, bool) {
         let mut state = self.state.lock().expect("future state poisoned");
-        if state.result.is_some() {
+        if state.settled {
             return (false, state.started);
         }
         let started = state.started;
         state.result = Some(value);
+        state.settled = true;
         let wakers = std::mem::take(&mut state.wakers);
         drop(state);
         self.condvar.notify_all();
@@ -102,10 +112,12 @@ pub fn promise_pair<T: LateOutcome>(deadline: Option<Instant>) -> (Promise<T>, P
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             result: None,
+            settled: false,
             wakers: Vec::new(),
             started: false,
         }),
         condvar: Condvar::new(),
+        handles: AtomicUsize::new(1),
     });
     (
         Promise {
@@ -133,7 +145,7 @@ impl<T: LateOutcome> Promise<T> {
             return false;
         }
         let mut state = self.shared.state.lock().expect("future state poisoned");
-        if state.result.is_some() {
+        if state.settled {
             return false;
         }
         state.started = true;
@@ -167,10 +179,26 @@ impl<T: LateOutcome> Promise<T> {
 ///
 /// Cloning is cheap and shares the same completion state; all clones
 /// resolve to the same output.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PoolFuture<T: LateOutcome> {
     shared: Arc<Shared<T>>,
     deadline: Option<Instant>,
+}
+
+impl<T: LateOutcome> Clone for PoolFuture<T> {
+    fn clone(&self) -> Self {
+        self.shared.handles.fetch_add(1, Ordering::Relaxed);
+        PoolFuture {
+            shared: Arc::clone(&self.shared),
+            deadline: self.deadline,
+        }
+    }
+}
+
+impl<T: LateOutcome> Drop for PoolFuture<T> {
+    fn drop(&mut self) {
+        self.shared.handles.fetch_sub(1, Ordering::Release);
+    }
 }
 
 impl<T: LateOutcome> PoolFuture<T> {
@@ -194,8 +222,7 @@ impl<T: LateOutcome> PoolFuture<T> {
             .state
             .lock()
             .expect("future state poisoned")
-            .result
-            .is_some()
+            .settled
     }
 
     /// The query deadline, if one was set at submission.
@@ -216,12 +243,26 @@ impl<T: LateOutcome> PoolFuture<T> {
     /// Blocks the calling thread until the future settles and returns the
     /// output. Honors the deadline: an unsettled future resolves to
     /// [`LateOutcome::deadline_exceeded`] the moment it passes.
+    ///
+    /// Consumes the handle: the last live handle moves the output out of
+    /// the shared state, any other clones it. Keep a
+    /// [`clone`](Clone::clone) to observe the future after waiting.
     #[must_use]
-    pub fn wait(&self) -> T {
+    pub fn wait(self) -> T {
         let mut state = self.shared.state.lock().expect("future state poisoned");
         loop {
-            if let Some(result) = &state.result {
-                return result.clone();
+            if state.settled {
+                // Only the last handle takes the result, and it is
+                // consumed doing so, so a live handle always finds it. A
+                // count of one cannot be stale: no other handle is left
+                // to clone this one.
+                let last = self.shared.handles.load(Ordering::Acquire) == 1;
+                let result = if last {
+                    state.result.take()
+                } else {
+                    state.result.clone()
+                };
+                return result.expect("a live handle finds the settled result");
             }
             match self.deadline {
                 Some(deadline) => {
@@ -229,14 +270,8 @@ impl<T: LateOutcome> PoolFuture<T> {
                     if now >= deadline {
                         drop(state);
                         self.shared.settle(T::deadline_exceeded());
-                        return self
-                            .shared
-                            .state
-                            .lock()
-                            .expect("future state poisoned")
-                            .result
-                            .clone()
-                            .expect("settle leaves a result");
+                        state = self.shared.state.lock().expect("future state poisoned");
+                        continue;
                     }
                     let (next, _) = self
                         .shared
@@ -319,8 +354,8 @@ mod tests {
         let (promise, future) = pair(None);
         assert!(promise.claim());
         assert!(promise.complete(Ok(42)));
-        assert_eq!(future.wait(), Ok(42));
         assert!(future.is_settled());
+        assert_eq!(future.wait(), Ok(42));
     }
 
     #[test]
@@ -384,5 +419,27 @@ mod tests {
         promise.complete(Ok(5));
         assert_eq!(future.wait(), Ok(5));
         assert_eq!(other.wait(), Ok(5));
+    }
+
+    #[test]
+    fn the_last_handle_moves_the_output_out() {
+        let value = Arc::new(9u64);
+        let (promise, future) = promise_pair::<Result<Arc<u64>, EstimateError>>(None);
+        let other = future.clone();
+        assert!(promise.complete(Ok(Arc::clone(&value))));
+        // Two live handles: the first wait clones, the last one moves.
+        let first = future.wait().expect("completed");
+        assert_eq!(Arc::strong_count(&value), 3);
+        let last = other.wait().expect("completed");
+        assert!(Arc::ptr_eq(&first, &last));
+        assert_eq!(
+            Arc::strong_count(&value),
+            3,
+            "the shared state no longer holds a copy"
+        );
+        // A settled-and-taken future stays settled: later completions
+        // are still no-ops, and the promise side sees that.
+        assert!(!promise.complete(Ok(Arc::new(0))));
+        assert!(!promise.claim());
     }
 }

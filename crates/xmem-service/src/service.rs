@@ -775,21 +775,33 @@ impl EstimationService {
             ctx.event("cache.stage", "hit");
             return Ok(hit);
         }
-        if let Some(error) = self.negative.get(&key) {
+        self.load_stages(spec, &key, ctx)
+    }
+
+    /// The miss half of [`stages_traced`](Self::stages_traced), for a
+    /// key whose stage-cache read already missed (and counted): the
+    /// negative cache, then a single-flighted profile + analysis.
+    fn load_stages(
+        &self,
+        spec: &TrainJobSpec,
+        key: &JobKey,
+        ctx: &TraceContext,
+    ) -> Result<Arc<ProfiledStages>, EstimateError> {
+        if let Some(error) = self.negative.get(key) {
             ctx.event("cache.negative", "hit");
             return Err(error);
         }
         ctx.event("cache.stage", "miss");
         let mut leader = false;
-        let result = self.flights.run(&key, || {
+        let result = self.flights.run(key, || {
             leader = true;
             // Winning leadership races a just-retired flight for the same
             // key: its leader published before retiring, so re-check both
             // caches before paying for a profile run.
-            if let Some(hit) = self.cache.peek(&key) {
+            if let Some(hit) = self.cache.peek(key) {
                 return Ok(hit);
             }
-            if let Some(error) = self.negative.get(&key) {
+            if let Some(error) = self.negative.get(key) {
                 return Err(error);
             }
             self.profiles.fetch_add(1, Ordering::Relaxed);
@@ -952,6 +964,22 @@ impl EstimationService {
             ctx.event("cache.sim", "hit");
             return hit;
         }
+        self.simulate_cell(key, stages, device, seed, ctx)
+    }
+
+    /// The miss half of [`simulate_on_with`](Self::simulate_on_with):
+    /// computes and inserts a cell whose shard probe already missed (the
+    /// probe counted the miss; this half only peeks).
+    /// [`estimate_matrix`](Self::estimate_matrix), which probes its cells
+    /// in bulk, enters here.
+    fn simulate_cell(
+        &self,
+        key: &JobKey,
+        stages: &ProfiledStages,
+        device: GpuDevice,
+        seed: bool,
+        ctx: &TraceContext,
+    ) -> Estimate {
         let sim_key = (key.clone(), DeviceFingerprint::of(&device));
         let mut leader = false;
         let estimate = self.sim_flights.run(&sim_key, || {
@@ -1394,7 +1422,11 @@ impl EstimationService {
     ///
     /// Cells land in the per-device simulation shards, so a later
     /// single-device query ([`estimate_on`](Self::estimate_on)) for any
-    /// cell is a cache hit. Every cell is bit-identical to a sequential
+    /// cell is a cache hit — and so is a repeated matrix: every cell is
+    /// probed first, on the calling thread, and only misses are
+    /// computed (a warm matrix reads one stage entry per row and one
+    /// cell per device, and does nothing else). Every cell is
+    /// bit-identical to a sequential
     /// [`Estimator::estimate_job`] against
     /// [`EstimatorConfig::for_device`] of its device — a customized
     /// [`ServiceConfig::estimator`] does not apply here (see
@@ -1442,20 +1474,70 @@ impl EstimationService {
     ) -> Result<DeviceMatrix, EstimateError> {
         let resolved = self.registry().resolve(devices)?;
         let jobs = specs.len();
-        // Column-major issue order: the first `jobs` work items cover
-        // every job once, so distinct analyses profile in parallel;
-        // later columns replay them from cache.
-        let mut columns: Vec<Option<Result<Estimate, EstimateError>>> = self
-            .parallel_fill(jobs * resolved.len(), |c| {
-                let (device_index, job_index) = (c / jobs.max(1), c % jobs.max(1));
-                let spec = &specs[job_index];
-                self.stages_traced(spec, ctx).map(|stages| {
-                    self.simulate_on(&JobKey::of(spec), &stages, resolved[device_index], ctx)
-                })
-            })
-            .into_iter()
-            .map(Some)
+        let keys: Vec<JobKey> = specs.iter().map(JobKey::of).collect();
+        // One stage-cache read per row, whatever the cells hold: the
+        // stage tier's access stream (its counters, its adaptive tuning)
+        // follows the query alone, never another tier's residency. A
+        // miss loads below, and only when one of the row's cells needs
+        // the analysis.
+        let resident: Vec<Option<Arc<ProfiledStages>>> =
+            keys.iter().map(|key| self.cache.get(key)).collect();
+        // Hit-first: probe every cell on the calling thread, column-major
+        // (cell `c` is device `c / jobs`, job `c % jobs`). A warm matrix
+        // ends here, with no fan-out. Hits are recorded as one event per
+        // tier, not one per cell, so a large matrix cannot crowd its own
+        // spans out of the trace.
+        let mut columns: Vec<Option<Result<Estimate, EstimateError>>> =
+            Vec::with_capacity(jobs * resolved.len());
+        for device in &resolved {
+            let shard = self.sims.shard(device);
+            columns.extend(keys.iter().map(|key| shard.get(key).map(Ok)));
+        }
+        let misses: Vec<usize> = (0..columns.len())
+            .filter(|&c| columns[c].is_none())
             .collect();
+        if resident.iter().any(Option::is_some) {
+            ctx.event("cache.stage", "hit");
+        }
+        if misses.len() < columns.len() {
+            ctx.event("cache.sim", "hit");
+        }
+        if !misses.is_empty() {
+            // Rows a missed cell needs but the stage cache lacks load
+            // once each, in parallel (distinct jobs profile side by
+            // side); then only the missed cells replay.
+            let mut cold: Vec<usize> = misses
+                .iter()
+                .map(|&c| c % jobs)
+                .filter(|&j| resident[j].is_none())
+                .collect();
+            cold.sort_unstable();
+            cold.dedup();
+            let loaded = self.parallel_fill(cold.len(), |i| {
+                self.load_stages(&specs[cold[i]], &keys[cold[i]], ctx)
+            });
+            let mut stages: Vec<Option<Result<Arc<ProfiledStages>, EstimateError>>> =
+                resident.into_iter().map(|hit| hit.map(Ok)).collect();
+            for (j, outcome) in cold.into_iter().zip(loaded) {
+                stages[j] = Some(outcome);
+            }
+            let filled = self.parallel_fill(misses.len(), |i| {
+                let (device_index, job_index) = (misses[i] / jobs, misses[i] % jobs);
+                match stages[job_index].as_ref().expect("read or loaded above") {
+                    Ok(stages) => Ok(self.simulate_cell(
+                        &keys[job_index],
+                        stages,
+                        resolved[device_index],
+                        true,
+                        ctx,
+                    )),
+                    Err(error) => Err(error.clone()),
+                }
+            });
+            for (c, outcome) in misses.into_iter().zip(filled) {
+                columns[c] = Some(outcome);
+            }
+        }
 
         let device_names: Vec<String> = devices.iter().map(|&d| d.to_string()).collect();
         let rows = specs
@@ -1617,11 +1699,16 @@ impl EstimationService {
     /// Fans `count` independent work items out across the service's
     /// worker threads (the shared scaffold under [`sweep`](Self::sweep)
     /// and [`estimate_matrix`](Self::estimate_matrix)): `work(i)` runs
-    /// once per index, and outputs come back in index order.
+    /// once per index, and outputs come back in index order. One worker
+    /// — zero or one item, or a single-threaded service — runs inline on
+    /// the calling thread, so an all-hit query never spawns.
     fn parallel_fill<T: Send>(&self, count: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let workers = self.worker_count(count);
+        if workers == 1 {
+            return (0..count).map(work).collect();
+        }
         let results: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let workers = self.worker_count(count);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -2687,5 +2774,28 @@ mod tests {
         let g = coarse_grid(1, 128, 6);
         assert_eq!(*g.first().unwrap(), 1);
         assert_eq!(*g.last().unwrap(), 128);
+    }
+
+    #[test]
+    fn single_worker_fills_run_on_the_calling_thread() {
+        let service =
+            EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()).with_threads(4));
+        let caller = std::thread::current().id();
+        assert_eq!(
+            service.parallel_fill(1, |_| std::thread::current().id()),
+            vec![caller]
+        );
+        assert!(service.parallel_fill(0, |i| i).is_empty());
+        let fanned = service.parallel_fill(8, |_| std::thread::current().id());
+        assert!(
+            fanned.iter().all(|&id| id != caller),
+            "two or more items fan out"
+        );
+        let single =
+            EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()).with_threads(1));
+        assert_eq!(
+            single.parallel_fill(3, |i| (i, std::thread::current().id())),
+            vec![(0, caller), (1, caller), (2, caller)]
+        );
     }
 }

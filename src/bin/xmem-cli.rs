@@ -342,7 +342,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                     }
                     match futures.get(first_pending) {
                         Some(pending) => {
-                            let _ = pending.wait();
+                            let _ = pending.clone().wait();
                         }
                         None => std::thread::yield_now(),
                     }
