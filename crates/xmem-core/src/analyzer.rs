@@ -2,7 +2,7 @@
 //! time-based attribution + block classification.
 
 use crate::lifecycle::{reconstruct_lifecycles, LifecycleStats, MemoryBlock};
-use crate::windows::WindowIndex;
+use crate::windows::{AnnotationIndex, WindowIndex, WindowLookup};
 use crate::EstimateError;
 use serde::{Deserialize, Serialize};
 use xmem_trace::Trace;
@@ -35,6 +35,19 @@ pub enum BlockCategory {
 }
 
 impl BlockCategory {
+    /// Every category, in declaration order (`ALL[c as usize] == c`).
+    pub const ALL: [BlockCategory; 9] = [
+        BlockCategory::Parameter,
+        BlockCategory::BatchData,
+        BlockCategory::Activation,
+        BlockCategory::Gradient,
+        BlockCategory::BackwardTemp,
+        BlockCategory::OptimizerState,
+        BlockCategory::OptimizerScratch,
+        BlockCategory::Workspace,
+        BlockCategory::Script,
+    ];
+
     /// Whether the Orchestrator forwards blocks of this category into the
     /// simulation.
     #[must_use]
@@ -147,9 +160,10 @@ impl Analyzer {
         if windows.annotations.iterations.is_empty() {
             return Err(EstimateError::MissingIterations);
         }
+        let lookup = windows.lookup();
         let analyzed = blocks
             .into_iter()
-            .map(|b| self.classify(b, &windows))
+            .map(|b| self.classify(b, &windows.annotations, &lookup))
             .collect();
         Ok(AnalyzedTrace {
             blocks: analyzed,
@@ -160,8 +174,12 @@ impl Analyzer {
 
     /// Attribution (paper's two rules, extended hierarchically) and
     /// classification of one block.
-    fn classify(&self, block: MemoryBlock, windows: &WindowIndex) -> AnalyzedBlock {
-        let ann = &windows.annotations;
+    fn classify(
+        &self,
+        block: MemoryBlock,
+        ann: &AnnotationIndex,
+        windows: &WindowLookup<'_>,
+    ) -> AnalyzedBlock {
         let alloc_ts = block.alloc_ts;
         let component = windows.component_at(alloc_ts).map(|c| c.name.clone());
         let op = windows.op_at(alloc_ts);
@@ -321,6 +339,13 @@ mod tests {
         // 2 iterations profiled, POS0 placement: iteration 1 grads freed at
         // iteration 2's zero_grad; iteration 2 grads persist.
         assert_eq!(a.count(BlockCategory::Gradient), 2 * trainable);
+    }
+
+    #[test]
+    fn category_list_is_in_declaration_order() {
+        for (i, category) in BlockCategory::ALL.into_iter().enumerate() {
+            assert_eq!(category as usize, i);
+        }
     }
 
     #[test]

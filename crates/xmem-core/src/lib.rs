@@ -65,4 +65,4 @@ pub use param::{EventBuffer, ParamRejection, ParamReplay};
 pub use pipeline::{AnalysisStats, Estimate, Estimator, EstimatorConfig, UnboundedReplay};
 pub use report::render_report;
 pub use simulator::{SimulationResult, Simulator};
-pub use windows::{AnnotationIndex, OpWindow, WindowIndex};
+pub use windows::{AnnotationIndex, OpWindow, WindowIndex, WindowLookup};

@@ -86,7 +86,7 @@ impl Orchestrator {
             .unwrap_or(0)
             + 1;
 
-        let mut events: Vec<(u64, u64, OrchestratedEvent)> = Vec::new();
+        let mut events: Vec<OrchestratedEvent> = Vec::with_capacity(2 * analyzed.blocks.len());
         let mut filtered = 0usize;
         let mut adjusted = 0usize;
 
@@ -121,37 +121,29 @@ impl Orchestrator {
                 free_ts = new_free;
             }
 
-            // Order keys: primary = timestamp; secondary = block id so that
-            // same-instant events replay in original allocation order.
-            events.push((
-                b.alloc_ts,
-                b.id as u64 * 2,
-                OrchestratedEvent {
-                    ts_us: b.alloc_ts,
-                    block: b.id,
-                    bytes: b.bytes,
-                    is_alloc: true,
-                },
-            ));
-            let f = free_ts.unwrap_or(horizon);
-            // Frees at the same instant as allocs replay after them
-            // (matches trace emission order: a block is never freed before
-            // a same-tick allocation that preceded it in the stream).
-            events.push((
-                f,
-                b.id as u64 * 2 + 1,
-                OrchestratedEvent {
-                    ts_us: f,
-                    block: b.id,
-                    bytes: b.bytes,
-                    is_alloc: false,
-                },
-            ));
+            events.push(OrchestratedEvent {
+                ts_us: b.alloc_ts,
+                block: b.id,
+                bytes: b.bytes,
+                is_alloc: true,
+            });
+            events.push(OrchestratedEvent {
+                ts_us: free_ts.unwrap_or(horizon),
+                block: b.id,
+                bytes: b.bytes,
+                is_alloc: false,
+            });
         }
 
-        events.sort_by_key(|&(ts, order, _)| (ts, order));
+        // Replay order: primary = timestamp; secondary = block id so that
+        // same-instant events replay in original allocation order; a
+        // block's free at the same instant as its alloc replays after it
+        // (matches trace emission order: a block is never freed before a
+        // same-tick allocation that preceded it in the stream). Every key
+        // is unique, so the unstable sort is deterministic.
+        events.sort_unstable_by_key(|e| (e.ts_us, e.block, !e.is_alloc));
         OrchestratedSequence {
-            events: events.into_iter().map(|(_, _, e)| e).collect(),
+            events,
             filtered_blocks: filtered,
             adjusted_blocks: adjusted,
         }

@@ -71,16 +71,34 @@ impl EventBuffer {
             is_alloc: Vec::with_capacity(n),
             num_blocks: 0,
         };
-        let mut dense: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
+        // Analyzer block ids are already `0..blocks`, only thinned by the
+        // script filter, so a flat table indexed by id does the renumbering.
+        // Ids past twice the event count (never produced by the Analyzer)
+        // spill to a map, so no input can size the table.
+        const UNSEEN: u32 = u32::MAX;
+        let table_len = sequence
+            .events
+            .iter()
+            .map(|e| e.block.saturating_add(1))
+            .max()
+            .unwrap_or(0)
+            .min(2 * n);
+        let mut table = vec![UNSEEN; table_len];
+        let mut spill: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
         for event in &sequence.events {
-            let next = dense.len() as u32;
-            let id = *dense.entry(event.block).or_insert(next);
+            let slot = match table.get_mut(event.block) {
+                Some(slot) => slot,
+                None => spill.entry(event.block).or_insert(UNSEEN),
+            };
+            if *slot == UNSEEN {
+                *slot = buffer.num_blocks as u32;
+                buffer.num_blocks += 1;
+            }
             buffer.ts_us.push(event.ts_us);
-            buffer.block.push(id);
+            buffer.block.push(*slot);
             buffer.bytes.push(event.bytes);
             buffer.is_alloc.push(event.is_alloc);
         }
-        buffer.num_blocks = dense.len();
         buffer
     }
 
@@ -372,6 +390,7 @@ impl ParamReplay {
 mod tests {
     use super::*;
     use crate::analyzer::Analyzer;
+    use crate::orchestrator::OrchestratedEvent;
     use xmem_models::ModelId;
     use xmem_optim::OptimizerKind;
     use xmem_runtime::{profile_on_cpu, TrainJobSpec};
@@ -381,6 +400,79 @@ mod tests {
             .with_iterations(2);
         let trace = profile_on_cpu(&spec);
         Analyzer::default().analyze(&trace).expect("analyze")
+    }
+
+    /// First-appearance renumbering through a map: the reference the
+    /// table-based [`EventBuffer::from_sequence`] must reproduce.
+    fn naive_dense_ids(sequence: &OrchestratedSequence) -> (Vec<u32>, usize) {
+        let mut dense: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
+        let ids = sequence
+            .events
+            .iter()
+            .map(|e| {
+                let next = dense.len() as u32;
+                *dense.entry(e.block).or_insert(next)
+            })
+            .collect();
+        (ids, dense.len())
+    }
+
+    fn assert_dense_ids_match(sequence: &OrchestratedSequence) {
+        let buffer = EventBuffer::from_sequence(sequence);
+        let (ids, blocks) = naive_dense_ids(sequence);
+        assert_eq!(buffer.block, ids);
+        assert_eq!(buffer.num_blocks, blocks);
+        assert_eq!(buffer.len(), sequence.events.len());
+    }
+
+    #[test]
+    fn dense_ids_match_the_naive_numbering() {
+        // Script-filtered real streams: ids are sparse and out of order.
+        let a = analyzed(2);
+        for orchestrator in [
+            Orchestrator::default(),
+            Orchestrator {
+                retime: false,
+                filter_script: true,
+            },
+            Orchestrator {
+                retime: true,
+                filter_script: false,
+            },
+        ] {
+            let sequence = orchestrator.orchestrate(&a);
+            assert!(sequence.events.len() > 1000);
+            assert_dense_ids_match(&sequence);
+        }
+
+        // Synthetic sparse ids, including ids far beyond the event count
+        // (they take the spill map) and the empty stream.
+        let mut state = 0x9e37_79b9_97f4_a7c1u64;
+        for len in [0usize, 1, 5, 300] {
+            let events = (0..len)
+                .map(|i| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let r = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+                    let block = match r % 3 {
+                        0 => (r >> 8) as usize % 16,
+                        1 => (r >> 8) as usize % 4096,
+                        _ => usize::MAX - (r >> 8) as usize % 4,
+                    };
+                    OrchestratedEvent {
+                        ts_us: i as u64,
+                        block,
+                        bytes: 512,
+                        is_alloc: r & 1 == 0,
+                    }
+                })
+                .collect();
+            assert_dense_ids_match(&OrchestratedSequence {
+                events,
+                ..OrchestratedSequence::default()
+            });
+        }
     }
 
     #[test]

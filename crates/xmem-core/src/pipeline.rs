@@ -363,20 +363,19 @@ pub(crate) fn analysis_stats(
     analyzed: &AnalyzedTrace,
     sequence: &OrchestratedSequence,
 ) -> AnalysisStats {
-    let mut categories: Vec<(String, usize, u64)> = Vec::new();
-    for cat in [
-        BlockCategory::Parameter,
-        BlockCategory::BatchData,
-        BlockCategory::Activation,
-        BlockCategory::Gradient,
-        BlockCategory::BackwardTemp,
-        BlockCategory::OptimizerState,
-        BlockCategory::OptimizerScratch,
-        BlockCategory::Workspace,
-        BlockCategory::Script,
-    ] {
-        categories.push((format!("{cat:?}"), analyzed.count(cat), analyzed.bytes(cat)));
+    // One pass over the blocks; the report lists categories in
+    // declaration order.
+    let mut totals = [(0usize, 0u64); BlockCategory::ALL.len()];
+    for b in &analyzed.blocks {
+        let total = &mut totals[b.category as usize];
+        total.0 += 1;
+        total.1 += b.block.bytes;
     }
+    let categories = BlockCategory::ALL
+        .iter()
+        .zip(totals)
+        .map(|(cat, (count, bytes))| (format!("{cat:?}"), count, bytes))
+        .collect();
     AnalysisStats {
         categories,
         filtered_blocks: sequence.filtered_blocks,

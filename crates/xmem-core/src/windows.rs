@@ -198,6 +198,9 @@ impl WindowIndex {
     /// The operator window containing `ts`. Operator windows do not nest
     /// (kernels execute sequentially on one thread), so the rightmost
     /// window starting at or before `ts` decides.
+    ///
+    /// A linear scan back from `ts`; callers with many queries build a
+    /// [`WindowLookup`] once instead.
     #[must_use]
     pub fn op_at(&self, ts: u64) -> Option<&OpWindow> {
         let idx = self.ops.partition_point(|w| w.start <= ts);
@@ -207,10 +210,81 @@ impl WindowIndex {
     /// The innermost component window containing `ts` (module spans nest:
     /// the whole-model span contains per-component spans; the one with the
     /// latest start is innermost).
+    ///
+    /// A linear scan back from `ts`; callers with many queries build a
+    /// [`WindowLookup`] once instead.
     #[must_use]
     pub fn component_at(&self, ts: u64) -> Option<&ComponentWindow> {
         let idx = self.components.partition_point(|w| w.start <= ts);
         self.components[..idx].iter().rev().find(|w| ts < w.end)
+    }
+
+    /// A query view answering [`op_at`](Self::op_at) and
+    /// [`component_at`](Self::component_at) identically, without walking
+    /// every earlier window when none covers `ts`.
+    ///
+    /// The view holds one running maximum of window ends per window. It
+    /// lives only as long as the borrow, so the index itself (what
+    /// analyses cache and persist) carries no extra bytes.
+    #[must_use]
+    pub fn lookup(&self) -> WindowLookup<'_> {
+        WindowLookup {
+            index: self,
+            op_reach: running_max(self.ops.iter().map(|w| w.end)),
+            component_reach: running_max(self.components.iter().map(|w| w.end)),
+        }
+    }
+}
+
+/// `reach[j]` is the largest end among windows `0..=j`.
+fn running_max(ends: impl Iterator<Item = u64>) -> Vec<u64> {
+    ends.scan(0, |max, end| {
+        *max = end.max(*max);
+        Some(*max)
+    })
+    .collect()
+}
+
+/// The rightmost of `windows[..idx]` whose end lies past `ts`. The
+/// backward scan stops at the first window whose reach is at or before
+/// `ts`: no window up to it can cover `ts`.
+fn rightmost_covering<'a, W>(
+    windows: &'a [W],
+    reach: &[u64],
+    idx: usize,
+    ts: u64,
+    end: impl Fn(&W) -> u64,
+) -> Option<&'a W> {
+    (0..idx)
+        .rev()
+        .take_while(|&j| reach[j] > ts)
+        .map(|j| &windows[j])
+        .find(|w| ts < end(w))
+}
+
+/// Many-query view of a [`WindowIndex`] (see [`WindowIndex::lookup`]).
+#[derive(Debug)]
+pub struct WindowLookup<'a> {
+    index: &'a WindowIndex,
+    op_reach: Vec<u64>,
+    component_reach: Vec<u64>,
+}
+
+impl<'a> WindowLookup<'a> {
+    /// Same answer as [`WindowIndex::op_at`].
+    #[must_use]
+    pub fn op_at(&self, ts: u64) -> Option<&'a OpWindow> {
+        let ops = &self.index.ops;
+        let idx = ops.partition_point(|w| w.start <= ts);
+        rightmost_covering(ops, &self.op_reach, idx, ts, |w| w.end)
+    }
+
+    /// Same answer as [`WindowIndex::component_at`].
+    #[must_use]
+    pub fn component_at(&self, ts: u64) -> Option<&'a ComponentWindow> {
+        let components = &self.index.components;
+        let idx = components.partition_point(|w| w.start <= ts);
+        rightmost_covering(components, &self.component_reach, idx, ts, |w| w.end)
     }
 }
 
@@ -291,6 +365,100 @@ mod tests {
         assert_eq!(idx.annotations.next_zero_grad_end(71), None);
         assert_eq!(idx.annotations.iteration_end(50), Some(100));
         assert_eq!(idx.annotations.iteration_end(150), None);
+    }
+
+    /// xorshift64*: a deterministic stream for the differential tests.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+        }
+    }
+
+    /// Random windows sorted by start: nested, equal-start, zero-length
+    /// and disjoint ones all occur.
+    fn random_spans(rng: &mut XorShift, n: usize) -> Vec<(u64, u64)> {
+        let mut spans: Vec<(u64, u64)> = (0..n)
+            .map(|_| {
+                let start = rng.below(200);
+                let len = match rng.below(4) {
+                    0 => 0,
+                    1 => rng.below(3),
+                    2 => rng.below(20),
+                    _ => rng.below(150),
+                };
+                (start, start + len)
+            })
+            .collect();
+        spans.sort_by_key(|s| s.0);
+        spans
+    }
+
+    #[test]
+    fn lookup_matches_the_linear_scan() {
+        let mut rng = XorShift(0x9e37_79b9_97f4_a7c1);
+        for case in 0..300 {
+            let n = rng.below(40) as usize;
+            let index = WindowIndex {
+                ops: random_spans(&mut rng, n)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (start, end))| OpWindow {
+                        name: format!("op{i}"),
+                        start,
+                        end,
+                        seq: None,
+                        is_backward: false,
+                        is_accumulate_grad: false,
+                    })
+                    .collect(),
+                components: random_spans(&mut rng, n)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (start, end))| ComponentWindow {
+                        name: format!("c{i}"),
+                        start,
+                        end,
+                    })
+                    .collect(),
+                annotations: AnnotationIndex::default(),
+            };
+            let lookup = index.lookup();
+            for ts in 0..400 {
+                // Window names are unique, so equal names mean the same
+                // window.
+                assert_eq!(
+                    lookup.op_at(ts).map(|w| &w.name),
+                    index.op_at(ts).map(|w| &w.name),
+                    "case {case}: op_at({ts})"
+                );
+                assert_eq!(
+                    lookup.component_at(ts).map(|w| &w.name),
+                    index.component_at(ts).map(|w| &w.name),
+                    "case {case}: component_at({ts})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_matches_the_linear_scan_on_a_real_trace() {
+        use xmem_models::ModelId;
+        use xmem_optim::OptimizerKind;
+        use xmem_runtime::{profile_on_cpu, TrainJobSpec};
+        let spec =
+            TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 2).with_iterations(2);
+        let trace = profile_on_cpu(&spec);
+        let index = WindowIndex::build(&trace);
+        let lookup = index.lookup();
+        for e in trace.memory_instants() {
+            assert_eq!(lookup.op_at(e.ts_us), index.op_at(e.ts_us));
+            assert_eq!(lookup.component_at(e.ts_us), index.component_at(e.ts_us));
+        }
     }
 
     #[test]

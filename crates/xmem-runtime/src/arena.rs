@@ -9,7 +9,8 @@
 //!   virtual-time grid, reproducing the paper's ground-truth methodology
 //!   (§4.1.1).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use xmem_alloc::{AllocatorSnapshot, CachingAllocator, MemoryCounters, OomError, TimelinePoint};
 
 /// A place the engine can allocate from, stamped with a virtual clock.
@@ -39,11 +40,43 @@ pub struct CpuHeap {
     next_addr: u64,
     /// Freed blocks by size: realistic allocators hand back a recently
     /// freed block of the same size class, so addresses are reused.
-    free_by_size: BTreeMap<usize, Vec<u64>>,
-    live: BTreeMap<u64, usize>,
+    free_by_size: HashMap<usize, Vec<u64>, MixHash>,
+    live: HashMap<u64, usize, MixHash>,
     peak_live_bytes: u64,
     live_bytes: u64,
 }
+
+/// Hashes the heap's integer keys (addresses and sizes) with the
+/// SplitMix64 finalizer: every bit of the key reaches the bucket bits,
+/// which matters for 64-byte-aligned addresses. The keys are the heap's
+/// own, never input, so no per-map random seed is needed.
+#[derive(Debug, Default)]
+struct Mix64(u64);
+
+impl Hasher for Mix64 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64((self.0 << 8) | u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn write_usize(&mut self, key: usize) {
+        self.write_u64(key as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type MixHash = BuildHasherDefault<Mix64>;
 
 impl CpuHeap {
     /// Creates an empty heap.
@@ -271,6 +304,76 @@ mod tests {
         assert_eq!(a, b, "same size class reuses the freed address");
         let c = h.alloc(3, 4096).unwrap();
         assert_ne!(b, c);
+    }
+
+    #[test]
+    fn cpu_heap_address_sequence_matches_an_ordered_map_heap() {
+        use std::collections::BTreeMap;
+        use xmem_alloc::OomError;
+
+        /// The heap's policy over ordered maps: the reference its hashed
+        /// maps must reproduce address for address.
+        struct Reference {
+            next_addr: u64,
+            free_by_size: BTreeMap<usize, Vec<u64>>,
+            live: BTreeMap<u64, usize>,
+        }
+
+        impl MemoryArena for Reference {
+            fn alloc(&mut self, _: u64, bytes: usize) -> Result<u64, OomError> {
+                let bytes = bytes.max(1);
+                let addr = self
+                    .free_by_size
+                    .get_mut(&bytes)
+                    .and_then(Vec::pop)
+                    .unwrap_or_else(|| {
+                        let addr = self.next_addr;
+                        self.next_addr += (bytes as u64).div_ceil(64) * 64;
+                        addr
+                    });
+                self.live.insert(addr, bytes);
+                Ok(addr)
+            }
+            fn free(&mut self, _: u64, addr: u64) {
+                let bytes = self.live.remove(&addr).expect("live");
+                self.free_by_size.entry(bytes).or_default().push(addr);
+            }
+            fn advance_clock(&mut self, _: u64) {}
+            fn device_id(&self) -> i32 {
+                -1
+            }
+        }
+
+        let mut heap = CpuHeap::new();
+        let mut reference = Reference {
+            next_addr: 0x5600_0000_0000,
+            free_by_size: BTreeMap::new(),
+            live: BTreeMap::new(),
+        };
+        // xorshift64*: a few size classes so addresses are reused often.
+        let mut state = 0x9e37_79b9_97f4_a7c1u64;
+        let mut live: Vec<u64> = Vec::new();
+        for step in 0..20_000u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let r = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            if live.is_empty() || r % 5 < 3 {
+                let bytes =
+                    [0, 1, 64, 100, 4096, 1 << 20][(r >> 8) as usize % 6] + (r >> 32) as usize % 3;
+                let addr = heap.alloc(step, bytes).unwrap();
+                assert_eq!(
+                    addr,
+                    reference.alloc(step, bytes).unwrap(),
+                    "alloc at step {step}"
+                );
+                live.push(addr);
+            } else {
+                let addr = live.swap_remove((r >> 8) as usize % live.len());
+                heap.free(step, addr);
+                reference.free(step, addr);
+            }
+        }
     }
 
     #[test]

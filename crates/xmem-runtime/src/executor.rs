@@ -22,7 +22,7 @@
 use crate::arena::MemoryArena;
 use crate::backend::{BackendKind, Phase};
 use crate::jobs::{Precision, ZeroGradPos};
-use crate::memmodel::{is_differentiable, is_inplace, saved_plan};
+use crate::memmodel::{is_differentiable, is_inplace, saved_plan, SavedPlan};
 use crate::profiler::Sink;
 use std::error::Error;
 use std::fmt;
@@ -72,6 +72,21 @@ struct Handle {
     is_batch: bool,
 }
 
+/// What executing one node costs and keeps alive. A pure function of the
+/// graph and the run configuration, so it is computed once per run rather
+/// than once per node execution.
+#[derive(Debug, Default)]
+struct NodePlan {
+    /// Forward kernel duration; backward kernels cost roughly 2x this.
+    dur: u64,
+    fwd_ws: usize,
+    bwd_ws: usize,
+    saved: SavedPlan,
+    /// Profiler name of the node's backward kernel (empty when the sink
+    /// records nothing).
+    bwd_name: String,
+}
+
 /// The engine. Generic over arena (CPU heap / GPU allocator) and sink
 /// (profiler / null).
 pub struct Engine<'g, A, S> {
@@ -89,7 +104,7 @@ pub struct Engine<'g, A, S> {
     sink: S,
     clock: u64,
 
-    shapes: Vec<TensorSpec>,
+    plans: Vec<NodePlan>,
     /// Node index → handle index.
     node_handle: Vec<usize>,
     handles: Vec<Handle>,
@@ -175,6 +190,30 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
                 fwd_uses_template[node_handle[input.index()]] += 1;
             }
         }
+        let plans = graph
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                if node.is_input() {
+                    return NodePlan::default();
+                }
+                let inputs: Vec<&TensorSpec> =
+                    node.inputs.iter().map(|id| &shapes[id.index()]).collect();
+                let (op, out) = (&node.op, &shapes[i]);
+                NodePlan {
+                    dur: backend.op_duration_us(op, &inputs, out),
+                    fwd_ws: backend.workspace_bytes(op, &inputs, out, Phase::Forward),
+                    bwd_ws: backend.workspace_bytes(op, &inputs, out, Phase::Backward),
+                    saved: saved_plan(op, &inputs, out),
+                    bwd_name: if sink.records() {
+                        names::autograd_node(&names::backward_node_for(op.aten_name()))
+                    } else {
+                        String::new()
+                    },
+                }
+            })
+            .collect();
         let loss_node = graph.nodes().len() - 1;
         let saved_extra = vec![Vec::new(); graph.nodes().len()];
         Engine {
@@ -190,7 +229,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
             arena,
             sink,
             clock: 0,
-            shapes,
+            plans,
             node_handle,
             handles,
             fwd_uses_template,
@@ -300,7 +339,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
             if !p.trainable {
                 continue;
             }
-            let specs = self.optimizer.state_specs(&self.param_specs[i].clone());
+            let specs = self.optimizer.state_specs(&self.param_specs[i]);
             for spec in specs {
                 let addr = self.alloc(spec.size_bytes())?;
                 self.state_addrs[i].push(addr);
@@ -449,21 +488,19 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         for (h, uses) in self.fwd_uses_template.iter().enumerate() {
             self.handles[h].fwd_uses = *uses;
         }
-        let mut component_open: Option<(String, u64)> = None;
-        for i in 0..self.graph.nodes().len() {
-            let node = &self.graph.nodes()[i];
+        let graph = self.graph;
+        let mut component_open: Option<(&str, u64)> = None;
+        for (i, node) in graph.nodes().iter().enumerate() {
             // Component (python_function) span bookkeeping.
-            let comp = node.component.clone();
+            let comp = node.component.as_str();
             let is_input = node.is_input();
-            match &mut component_open {
-                Some((open, start)) if *open != comp => {
-                    let (name, start) = (open.clone(), *start);
-                    self.close_component(&name, start);
-                    component_open =
-                        (!comp.is_empty() && !is_input).then(|| (comp.clone(), self.clock));
+            match component_open {
+                Some((open, start)) if open != comp => {
+                    self.close_component(open, start);
+                    component_open = (!comp.is_empty() && !is_input).then_some((comp, self.clock));
                 }
                 None if !comp.is_empty() && !is_input => {
-                    component_open = Some((comp.clone(), self.clock));
+                    component_open = Some((comp, self.clock));
                 }
                 _ => {}
             }
@@ -473,7 +510,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
             self.execute_forward_node(i)?;
         }
         if let Some((name, start)) = component_open {
-            self.close_component(&name, start);
+            self.close_component(name, start);
         }
         let dur = self.clock - fwd_start;
         self.sink.span(
@@ -497,51 +534,35 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
 
     fn execute_forward_node(&mut self, i: usize) -> Result<(), RunError> {
         self.profiler_bookkeeping()?;
-        let node = &self.graph.nodes()[i];
-        let op = node.op.clone();
+        let graph = self.graph;
+        let node = &graph.nodes()[i];
+        let op = &node.op;
         let t0 = self.clock;
-        let input_specs: Vec<TensorSpec> = node
-            .inputs
-            .iter()
-            .map(|id| self.shapes[id.index()].clone())
-            .collect();
-        let input_handles: Vec<usize> = node
-            .inputs
-            .iter()
-            .map(|id| self.node_handle[id.index()])
-            .collect();
-        let out_spec = self.shapes[i].clone();
-        let in_refs: Vec<&TensorSpec> = input_specs.iter().collect();
-        let dur = self.backend.op_duration_us(&op, &in_refs, &out_spec);
+        let (dur, ws) = (self.plans[i].dur, self.plans[i].fwd_ws);
 
         // Output materialization.
         let h = self.node_handle[i];
-        if !op.is_view() && !is_inplace(&op) {
+        if !op.is_view() && !is_inplace(op) {
             let bytes = self.handles[h].bytes;
             let addr = self.alloc(bytes)?;
             self.handles[h].addr = Some(addr);
         }
         // Transient workspace.
-        let ws = self
-            .backend
-            .workspace_bytes(&op, &in_refs, &out_spec, Phase::Forward);
         let ws_addr = if ws > 0 { Some(self.alloc(ws)?) } else { None };
         // Saved-for-backward bookkeeping.
-        let plan = saved_plan(&op, &in_refs, &out_spec);
-        for &idx in &plan.save_inputs {
-            let ih = input_handles[idx];
+        for &idx in &self.plans[i].saved.save_inputs {
+            let ih = self.node_handle[node.inputs[idx].index()];
             self.handles[ih].saved_refs += 1;
         }
-        if plan.save_output {
+        if self.plans[i].saved.save_output {
             self.handles[h].saved_refs += 1;
         }
-        let mut extras = Vec::new();
-        for (_label, bytes) in &plan.extra {
-            let addr = self.alloc(*bytes)?;
-            extras.push((*bytes, addr));
+        for k in 0..self.plans[i].saved.extra.len() {
+            let bytes = self.plans[i].saved.extra[k].1;
+            let addr = self.alloc(bytes)?;
+            self.saved_extra[i].push((bytes, addr));
             self.tick(1);
         }
-        self.saved_extra[i] = extras;
 
         // Compute.
         let elapsed = self.clock - t0;
@@ -556,11 +577,12 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         self.sink.span_seq(op.aten_name(), t0, total, i as u64);
 
         // Release inputs whose last use this was.
-        for &ih in &input_handles {
+        for id in &node.inputs {
+            let ih = self.node_handle[id.index()];
             self.handles[ih].fwd_uses = self.handles[ih].fwd_uses.saturating_sub(1);
         }
-        for &ih in &input_handles {
-            self.try_free_data(ih);
+        for id in &node.inputs {
+            self.try_free_data(self.node_handle[id.index()]);
         }
         Ok(())
     }
@@ -575,8 +597,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
 
         for i in (0..self.graph.nodes().len()).rev() {
             let node = &self.graph.nodes()[i];
-            let op = node.op.clone();
-            if node.is_input() || op.is_view() {
+            if node.is_input() || node.op.is_view() {
                 continue;
             }
             self.execute_backward_node(i)?;
@@ -599,29 +620,18 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
 
     fn execute_backward_node(&mut self, i: usize) -> Result<(), RunError> {
         self.profiler_bookkeeping()?;
-        let node = &self.graph.nodes()[i];
-        let op = node.op.clone();
+        let graph = self.graph;
+        let node = &graph.nodes()[i];
+        let op = &node.op;
         let t0 = self.clock;
-        let input_specs: Vec<TensorSpec> = node
-            .inputs
-            .iter()
-            .map(|id| self.shapes[id.index()].clone())
-            .collect();
-        let input_handles: Vec<usize> = node
-            .inputs
-            .iter()
-            .map(|id| self.node_handle[id.index()])
-            .collect();
-        let out_spec = self.shapes[i].clone();
-        let in_refs: Vec<&TensorSpec> = input_specs.iter().collect();
         // Backward kernels cost roughly 2x forward.
-        let dur = 2 * self.backend.op_duration_us(&op, &in_refs, &out_spec);
-        let inplace = is_inplace(&op);
+        let (dur, ws) = (2 * self.plans[i].dur, self.plans[i].bwd_ws);
 
         // Allocate gradient buffers for differentiable inputs (first
         // contribution allocates; later consumers accumulate in place).
-        if !inplace && is_differentiable(&op) {
-            for &ih in &input_handles {
+        if !is_inplace(op) && is_differentiable(op) {
+            for id in &node.inputs {
+                let ih = self.node_handle[id.index()];
                 let handle = &self.handles[ih];
                 if handle.wants_grad && handle.grad_addr.is_none() {
                     let bytes = handle.bytes;
@@ -632,9 +642,6 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
             }
         }
         // Transient backward workspace.
-        let ws = self
-            .backend
-            .workspace_bytes(&op, &in_refs, &out_spec, Phase::Backward);
         let ws_addr = if ws > 0 { Some(self.alloc(ws)?) } else { None };
 
         let elapsed = self.clock - t0;
@@ -646,25 +653,25 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         }
 
         // Release saved tensors and extra buffers.
-        let plan = saved_plan(&op, &in_refs, &out_spec);
-        for &idx in &plan.save_inputs {
-            let ih = input_handles[idx];
+        for k in 0..self.plans[i].saved.save_inputs.len() {
+            let ih = self.node_handle[node.inputs[self.plans[i].saved.save_inputs[k]].index()];
             self.handles[ih].saved_refs -= 1;
             self.try_free_data(ih);
         }
         let h = self.node_handle[i];
-        if plan.save_output {
+        if self.plans[i].saved.save_output {
             self.handles[h].saved_refs -= 1;
             self.try_free_data(h);
         }
-        let extras = std::mem::take(&mut self.saved_extra[i]);
-        for (bytes, addr) in extras {
+        for k in 0..self.saved_extra[i].len() {
+            let (bytes, addr) = self.saved_extra[i][k];
             self.free(addr, bytes);
         }
+        self.saved_extra[i].clear();
         self.tick(1);
         let total = self.clock - t0;
-        let bwd_name = names::autograd_node(&names::backward_node_for(op.aten_name()));
-        self.sink.span_seq(&bwd_name, t0, total, i as u64);
+        self.sink
+            .span_seq(&self.plans[i].bwd_name, t0, total, i as u64);
 
         // The output gradient is consumed by this node's backward: free it
         // if this node materialized the handle (views/in-place share).
@@ -676,22 +683,21 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         }
 
         // AccumulateGrad: parameter gradients materialize on first touch.
-        let trainable: Vec<usize> = node
-            .params
-            .iter()
-            .map(|p| p.index())
-            .filter(|&p| self.graph.params()[p].trainable)
-            .collect();
-        if !trainable.is_empty() {
-            let ta = self.clock;
-            for p in trainable {
-                if self.param_grads[p].is_none() {
-                    let bytes = self.param_specs[p].size_bytes();
-                    let addr = self.alloc(bytes)?;
-                    self.param_grads[p] = Some(addr);
-                }
-                self.tick(1);
+        let ta = self.clock;
+        let mut accumulated = false;
+        for p in node.params.iter().map(|p| p.index()) {
+            if !graph.params()[p].trainable {
+                continue;
             }
+            accumulated = true;
+            if self.param_grads[p].is_none() {
+                let bytes = self.param_specs[p].size_bytes();
+                let addr = self.alloc(bytes)?;
+                self.param_grads[p] = Some(addr);
+            }
+            self.tick(1);
+        }
+        if accumulated {
             self.tick(1);
             let dur = self.clock - ta;
             self.sink
@@ -710,11 +716,10 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
             if !self.graph.params()[i].trainable {
                 continue;
             }
-            let spec = self.param_specs[i].clone();
-            let scratch = self.optimizer.step_scratch_bytes(&spec);
+            let scratch = self.optimizer.step_scratch_bytes(&self.param_specs[i]);
             if scratch > 0 {
                 let addr = self.alloc(scratch)?;
-                self.tick(1 + spec.numel() as u64 / 100_000);
+                self.tick(1 + self.param_specs[i].numel() as u64 / 100_000);
                 self.free(addr, scratch);
             }
             self.tick(1);

@@ -7,7 +7,9 @@ use crate::profiler::{NullSink, Profiler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use xmem_alloc::{AllocatorConfig, CachingAllocator, DeviceAllocator};
+use xmem_graph::Graph;
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_trace::Trace;
@@ -206,6 +208,14 @@ impl TrainJobSpec {
     }
 }
 
+/// The graph of `model`. A graph is a pure function of its [`ModelId`], so
+/// every profiling and ground-truth run of a model shares one, built on
+/// first use and kept for the life of the process (at most one per model).
+fn shared_graph(model: ModelId) -> &'static Graph {
+    static GRAPHS: [OnceLock<Graph>; 25] = [const { OnceLock::new() }; 25];
+    GRAPHS[model as usize].get_or_init(|| model.build())
+}
+
 /// Profiles the first iterations of the job on the CPU backend, producing
 /// the PyTorch-profiler-style trace xMem consumes (paper §3.1: the job
 /// "does not need to proceed further" than these iterations).
@@ -214,10 +224,10 @@ impl TrainJobSpec {
 /// Panics only on internal engine invariants; CPU runs cannot OOM.
 #[must_use]
 pub fn profile_on_cpu(spec: &TrainJobSpec) -> Trace {
-    let graph = spec.model.build();
+    let graph = shared_graph(spec.model);
     let profiler = Profiler::new(&spec.label());
     let mut engine = Engine::new(
-        &graph,
+        graph,
         BackendKind::Cpu,
         spec.optimizer,
         spec.zero_grad_pos,
@@ -249,7 +259,7 @@ pub fn run_on_gpu(
     memory_cap: Option<u64>,
     record: bool,
 ) -> GroundTruth {
-    let graph = spec.model.build();
+    let graph = shared_graph(spec.model);
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x9e37_79b9_7f4a_7c15);
     // CUDA context size varies a little run to run (kernel modules,
     // fragmentation of the context heap).
@@ -267,7 +277,7 @@ pub fn run_on_gpu(
     let arena = GpuArena::new(caching, sampler_offset, record);
 
     let mut engine = Engine::new(
-        &graph,
+        graph,
         BackendKind::Gpu,
         spec.optimizer,
         spec.zero_grad_pos,
@@ -293,6 +303,16 @@ mod tests {
 
     fn small_spec() -> TrainJobSpec {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2)
+    }
+
+    #[test]
+    fn shared_graphs_are_one_per_model_and_match_a_fresh_build() {
+        for (i, model) in ModelId::all().into_iter().enumerate() {
+            assert_eq!(model as usize, i, "graph slots follow ModelId::all order");
+            let shared = shared_graph(model);
+            assert!(std::ptr::eq(shared, shared_graph(model)));
+            assert_eq!(format!("{shared:?}"), format!("{:?}", model.build()));
+        }
     }
 
     #[test]

@@ -20,6 +20,12 @@ pub trait Sink {
 
     /// A memory free instant.
     fn mem_free(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32);
+
+    /// Whether anything reported is kept; the engine skips building event
+    /// names for a sink that discards them.
+    fn records(&self) -> bool {
+        true
+    }
 }
 
 /// Discards everything (GPU ground-truth runs).
@@ -31,6 +37,9 @@ impl Sink for NullSink {
     fn span_seq(&mut self, _: &str, _: u64, _: u64, _: u64) {}
     fn mem_alloc(&mut self, _: u64, _: u64, _: usize, _: i32) {}
     fn mem_free(&mut self, _: u64, _: u64, _: usize, _: i32) {}
+    fn records(&self) -> bool {
+        false
+    }
 }
 
 /// Builds a profiler trace, PyTorch-style.

@@ -153,21 +153,24 @@ impl WorkerPool {
         T: LateOutcome + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.try_execute(Box::new(move || {
-            // A cancelled or expired query is settled here without ever
-            // touching the profiler.
-            if !promise.claim() {
-                return;
-            }
-            match catch_unwind(AssertUnwindSafe(work)) {
-                Ok(value) => {
-                    promise.complete(value);
-                }
-                Err(payload) => {
-                    promise.complete(T::internal(&panic_message(payload.as_ref())));
-                }
-            }
-        }))
+        self.try_execute(Box::new(move || settle_with(promise, work)))
+    }
+}
+
+/// Runs `work` for `promise` on the calling thread and settles it with the
+/// result, or with an internal error if `work` panics. A cancelled or
+/// expired query is settled without running `work` at all.
+pub(crate) fn settle_with<T: LateOutcome>(promise: Promise<T>, work: impl FnOnce() -> T) {
+    if !promise.claim() {
+        return;
+    }
+    match catch_unwind(AssertUnwindSafe(work)) {
+        Ok(value) => {
+            promise.complete(value);
+        }
+        Err(payload) => {
+            promise.complete(T::internal(&panic_message(payload.as_ref())));
+        }
     }
 }
 

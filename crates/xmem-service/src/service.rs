@@ -4,7 +4,7 @@
 //! batched replay, placement).
 
 use crate::cache::{CacheStats, ShardedLruCache};
-use crate::executor::{SubmitError, WorkerPool};
+use crate::executor::{settle_with, SubmitError, WorkerPool};
 use crate::future::{promise_pair, PoolFuture};
 use crate::key::{JobKey, SweepKey};
 use crate::negative::{NegativeCache, NegativeStats};
@@ -34,15 +34,12 @@ type SimKey = (JobKey, DeviceFingerprint);
 /// profiler trace and its analysis. Orchestration + simulation are cheap
 /// and device-dependent, so they re-run per query.
 ///
-/// The raw trace is retained alongside the analysis (unless
-/// [`ServiceConfig::with_trace_retention`] opts out) so
-/// [`EstimationService::stages`] callers can export or re-analyze a
-/// profiled job without re-profiling it; estimation itself only reads
-/// `analyzed`. Traces dominate an entry's footprint (hundreds of KB to
-/// MBs for large models) — size `ServiceConfig::cache_capacity` to the
-/// memory budget, pair it with
-/// [`ServiceConfig::with_cache_bytes_budget`], or drop traces entirely
-/// for estimate-only deployments.
+/// Estimation only reads `analyzed`, and no service path reads the raw
+/// trace, so by default it is dropped once analyzed. An embedder that wants
+/// [`EstimationService::stages`] to hand back the trace as well opts in
+/// with [`ServiceConfig::with_trace_retention`]; a retained trace then
+/// dominates the entry's footprint (hundreds of KB to MBs for large
+/// models), so pair it with [`ServiceConfig::with_cache_bytes_budget`].
 #[derive(Debug)]
 pub struct ProfiledStages {
     /// The raw CPU profiler trace, or `None` when the service was
@@ -114,9 +111,10 @@ pub struct ServiceConfig {
     /// [`ProfiledStages::approx_bytes`] and evicted LRU-first until the
     /// budget holds. `None` bounds the cache by entry count only.
     pub cache_bytes_budget: Option<u64>,
-    /// Whether cached stages keep the raw profiler trace. Estimate-only
-    /// deployments can drop it — traces dominate entry cost and only
-    /// export/re-analysis paths read them.
+    /// Whether cached stages keep the raw profiler trace (off by default).
+    /// No service path reads it; it is kept only for embedders that take
+    /// it from [`EstimationService::stages`], and it dominates an entry's
+    /// cost when kept.
     pub retain_traces: bool,
     /// Whether the pressure-aware replay fast path is enabled: roomy
     /// devices derive their cells from one cached unbounded replay per
@@ -167,7 +165,7 @@ impl ServiceConfig {
             negative_capacity: 256,
             registry: DeviceRegistry::builtin(),
             cache_bytes_budget: None,
-            retain_traces: true,
+            retain_traces: false,
             fast_path: true,
             max_device_shards: 64,
             tiering: TieringMode::default(),
@@ -1387,6 +1385,37 @@ impl EstimationService {
         self.sims.shard(&device).get(&JobKey::of(spec))
     }
 
+    /// [`estimate_at`](Self::estimate_at) as one `service.call` span: the
+    /// body of a submitted single-estimate query.
+    fn estimate_call(
+        &self,
+        spec: &TrainJobSpec,
+        device_name: Option<&str>,
+        ctx: &TraceContext,
+    ) -> Result<Estimate, EstimateError> {
+        let mut call = ctx.span("service.call");
+        let result = self.estimate_at(spec, device_name, ctx);
+        call.set_outcome(if result.is_ok() { "ok" } else { "error" });
+        result
+    }
+
+    /// Whether [`estimate_at`](Self::estimate_at) for `spec` only reads
+    /// caches: both its stage entry and its sim cell are resident. Counts
+    /// no hit or miss and refreshes no recency.
+    fn is_resident(&self, spec: &TrainJobSpec, device_name: Option<&str>) -> bool {
+        let Some(device) = self.cell_device(device_name) else {
+            return false;
+        };
+        let key = JobKey::of(spec);
+        self.cache.contains(&key) && self.sims.shard(&device).contains(&key)
+    }
+
+    /// Whether a stage load (profile + analysis) or a sim-cell replay is
+    /// in flight.
+    fn is_computing(&self) -> bool {
+        self.flights.inflight_len() > 0 || self.sim_flights.inflight_len() > 0
+    }
+
     /// Fills the local simulation cell for `spec` with an estimate
     /// computed elsewhere (a forwarded cluster response), journaling it
     /// like any locally computed cell. Returns whether the cell was
@@ -2123,8 +2152,21 @@ impl AsyncEstimationService {
     /// touches records under the same trace id. A disabled context makes
     /// this identical to the untraced submit paths.
     ///
+    /// A query whose stage entry and sim cell are both resident is a
+    /// cache read. It is answered on the calling thread (no `pool.queue`
+    /// span) while the service is computing — a profile, analysis or
+    /// replay in flight holds a worker and a CPU, and a pooled read would
+    /// wait for both — and when the queue is full, so a read never meets
+    /// `Busy`. Otherwise it goes through the pool like any query: all-hit
+    /// load then stays paced by the pool's bounded workers instead of
+    /// running on every connection's thread at once. The returned future
+    /// of a read on the calling thread is already settled. An eviction
+    /// racing the residency check turns the read into a miss computed on
+    /// the calling thread; the answer is the same either way.
+    ///
     /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
+    /// [`SubmitError::Busy`] when the bounded submission queue is full
+    /// and the query must compute.
     pub fn submit_traced(
         &self,
         spec: &TrainJobSpec,
@@ -2132,17 +2174,29 @@ impl AsyncEstimationService {
         deadline: Option<Instant>,
         ctx: &TraceContext,
     ) -> Result<EstimateFuture, SubmitError> {
-        let spec = spec.clone();
-        let device_name = device_name.map(str::to_string);
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
+        let read_here = || {
+            let (promise, future) = promise_pair(deadline);
+            settle_with(promise, || {
+                self.service.estimate_call(spec, device_name, ctx)
+            });
+            future
+        };
+        if self.service.is_computing() && self.service.is_resident(spec, device_name) {
+            return Ok(read_here());
+        }
+        let owned = spec.clone();
+        let device = device_name.map(str::to_string);
+        let traced = ctx.clone();
+        let queue = traced.span("pool.queue");
+        match self.dispatch(deadline, move |service| {
             drop(queue);
-            let mut call = ctx.span("service.call");
-            let result = service.estimate_at(&spec, device_name.as_deref(), &ctx);
-            call.set_outcome(if result.is_ok() { "ok" } else { "error" });
-            result
-        })
+            service.estimate_call(&owned, device.as_deref(), &traced)
+        }) {
+            Err(SubmitError::Busy) if self.service.is_resident(spec, device_name) => {
+                Ok(read_here())
+            }
+            submitted => submitted,
+        }
     }
 
     /// Submits one estimation query that must resolve by `deadline`. If
@@ -2733,10 +2787,10 @@ mod tests {
 
     #[test]
     fn trace_retention_opt_out_drops_traces_but_not_accuracy() {
-        let retaining = EstimationService::for_device(GpuDevice::rtx3060());
-        let dropping = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_trace_retention(false),
+        let retaining = EstimationService::new(
+            ServiceConfig::for_device(GpuDevice::rtx3060()).with_trace_retention(true),
         );
+        let dropping = EstimationService::for_device(GpuDevice::rtx3060());
         let spec = small_spec(8);
         let with_trace = retaining.stages(&spec).unwrap();
         let without_trace = dropping.stages(&spec).unwrap();

@@ -51,8 +51,26 @@ impl Trace {
 
     /// Stable-sorts events by start timestamp (ties keep emission order, so
     /// enclosing spans stay ahead of contained events emitted later).
+    ///
+    /// Sorts compact `(ts, index)` keys rather than the events themselves:
+    /// the index makes every key unique, so an unstable key sort yields the
+    /// stable order, and each event is then moved exactly once.
     pub fn sort_by_time(&mut self) {
-        self.events.sort_by_key(|e| e.ts_us);
+        let mut keys: Vec<(u64, usize)> = self
+            .events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.ts_us, i))
+            .collect();
+        keys.sort_unstable();
+        let mut slots: Vec<Option<TraceEvent>> = std::mem::take(&mut self.events)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.events = keys
+            .into_iter()
+            .map(|(_, i)| slots[i].take().expect("each index is taken once"))
+            .collect();
     }
 
     /// Iterates events of one category.
@@ -141,6 +159,35 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         assert_eq!(t.end_us(), 1);
+    }
+
+    #[test]
+    fn sort_by_time_matches_a_stable_sort_under_heavy_ties() {
+        // xorshift64*: timestamps from a handful of values, so most events
+        // tie with many others.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+        };
+        for len in [0, 1, 2, 7, 64, 1000] {
+            let mut t = Trace::new("t");
+            for i in 0..len {
+                let ts = below(5);
+                t.push(TraceEvent::span(
+                    EventCategory::CpuOp,
+                    format!("e{i}"),
+                    ts,
+                    i,
+                ));
+            }
+            let mut reference = t.events().to_vec();
+            reference.sort_by_key(|e| e.ts_us);
+            t.sort_by_time();
+            assert_eq!(t.events(), reference.as_slice(), "{len} events");
+        }
     }
 
     #[test]

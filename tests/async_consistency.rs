@@ -250,6 +250,89 @@ fn a_full_submission_queue_pushes_back_with_busy() {
 }
 
 #[test]
+fn a_resident_estimate_is_answered_without_the_pool() {
+    // One worker held by the heavy job and a depth-1 queue filled behind
+    // it: a cold query now gets Busy, but a query whose stage entry and sim
+    // cell are resident is a cache read answered on the calling thread
+    // (the service is computing, or else the queue is full).
+    let device = GpuDevice::rtx3060();
+    let service = AsyncEstimationService::new(
+        AsyncServiceConfig::for_device(device)
+            .with_workers(1)
+            .with_queue_depth(1),
+    );
+    let warm =
+        TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
+    let expected = service.submit(&warm).expect("idle pool").wait();
+    assert_eq!(
+        expected,
+        Estimator::new(EstimatorConfig::for_device(device)).estimate_job(&warm)
+    );
+
+    let blocker = service.submit(&heavy_spec()).expect("first submission");
+    let cold = |batch| {
+        TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, batch).with_iterations(2)
+    };
+    let mut queued = Vec::new();
+    let mut busy = false;
+    for batch in [8, 16, 32] {
+        match service.submit(&cold(batch)) {
+            Ok(future) => queued.push(future),
+            Err(SubmitError::Busy) => busy = true,
+        }
+    }
+    assert!(busy, "the pool is saturated");
+
+    let stage_hits = service.service().cache_stats().hits;
+    let hit = service
+        .submit(&warm)
+        .expect("a resident read needs no queue slot");
+    assert_eq!(hit.wait(), expected);
+    assert_eq!(
+        service.service().cache_stats().hits,
+        stage_hits + 1,
+        "the read counts one stage hit, like a pooled hit"
+    );
+
+    // An expired deadline still wins over a resident read.
+    let expired = service
+        .submit_with_deadline(&warm, Instant::now() - Duration::from_millis(1))
+        .expect("a resident read needs no queue slot");
+    assert_eq!(expired.wait(), Err(EstimateError::DeadlineExceeded));
+
+    assert!(blocker.wait().is_ok());
+    for future in queued {
+        assert!(future.wait().is_ok());
+    }
+}
+
+#[test]
+fn a_resident_estimate_on_an_idle_service_goes_through_the_pool() {
+    use xmem::service::{Telemetry, TelemetryConfig};
+    let device = GpuDevice::rtx3060();
+    let service = AsyncEstimationService::new(AsyncServiceConfig::for_device(device));
+    let warm =
+        TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
+    let expected = service.submit(&warm).expect("idle pool").wait();
+
+    // Nothing is computing and the queue has room: the read is pooled.
+    let telemetry = Telemetry::new(TelemetryConfig::default());
+    let ctx = telemetry.begin_trace(None);
+    let read = service
+        .submit_traced(&warm, None, None, &ctx)
+        .expect("queue has room");
+    assert_eq!(read.wait(), expected);
+    telemetry.finish(&ctx, "POST", "/v1/estimate", 200, false);
+    let traces = telemetry.recent_traces(1, None);
+    let names: Vec<&str> = traces[0].spans.iter().map(|s| s.name).collect();
+    assert_eq!(
+        names.iter().filter(|&&n| n == "pool.queue").count(),
+        1,
+        "{names:?}"
+    );
+}
+
+#[test]
 fn degenerate_jobs_are_answered_from_the_negative_cache() {
     let service = EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()));
     // Zero profiled iterations: the trace has no ProfilerStep markers and

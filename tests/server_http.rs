@@ -513,17 +513,21 @@ fn inline_and_worker_path_503s_are_byte_identical() {
             {
                 std::thread::yield_now();
             }
-            let body = job_json(&small_spec(2));
-            let request = format!(
-                "POST /v1/estimate HTTP/1.1\r\ncontent-type: application/json\r\n\
-                 content-length: {}\r\nconnection: close\r\n\r\n{body}",
-                body.len()
-            );
             let patience = std::time::Instant::now();
+            let mut probe = 0;
             let bytes = loop {
                 assert!(
                     patience.elapsed() < Duration::from_secs(30),
                     "no worker-path 503 surfaced against a saturated service"
+                );
+                // A job never asked before: a resident one is a cache
+                // read that never waits for the pool.
+                probe += 1;
+                let body = job_json(&small_spec(probe));
+                let request = format!(
+                    "POST /v1/estimate HTTP/1.1\r\ncontent-type: application/json\r\n\
+                     content-length: {}\r\nconnection: close\r\n\r\n{body}",
+                    body.len()
                 );
                 let mut stream = std::net::TcpStream::connect(addr).expect("connect probe");
                 stream.write_all(request.as_bytes()).expect("send probe");
