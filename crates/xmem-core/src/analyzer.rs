@@ -5,6 +5,7 @@ use crate::lifecycle::{reconstruct_lifecycles, LifecycleStats, MemoryBlock};
 use crate::windows::{AnnotationIndex, WindowIndex, WindowLookup};
 use crate::EstimateError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use xmem_trace::Trace;
 
 /// Semantic class of a memory block, inferred purely from trace structure
@@ -63,10 +64,12 @@ pub struct AnalyzedBlock {
     pub block: MemoryBlock,
     /// Inferred category.
     pub category: BlockCategory,
-    /// Name of the operator the block was attributed to, if any.
-    pub operator: Option<String>,
-    /// Component (module path) enclosing the allocation, if any.
-    pub component: Option<String>,
+    /// Name of the operator the block was attributed to, if any. Shared
+    /// with the window it was attributed to; serialized as a string.
+    pub operator: Option<Arc<str>>,
+    /// Component (module path) enclosing the allocation, if any. Shared
+    /// like `operator`.
+    pub component: Option<Arc<str>>,
 }
 
 /// Analyzer output: the temporally ordered block sequence plus the window
@@ -101,22 +104,14 @@ impl AnalyzedTrace {
             .sum()
     }
 
-    /// Approximate resident size of this analysis in bytes (block structs,
-    /// their attribution strings, and the window index). Bytes-budgeted
-    /// caches use it to price retained analyses; it is a stable,
-    /// monotone-in-size figure, not exact heap accounting.
+    /// Approximate resident size of this analysis in bytes (block structs
+    /// and the window index, which holds the names blocks share).
+    /// Bytes-budgeted caches use it to price retained analyses; it is a
+    /// stable, monotone-in-size figure, not exact heap accounting.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         let blocks = std::mem::size_of::<AnalyzedBlock>() as u64 * self.blocks.len() as u64;
-        let strings: u64 = self
-            .blocks
-            .iter()
-            .map(|b| {
-                b.operator.as_deref().map_or(0, str::len) as u64
-                    + b.component.as_deref().map_or(0, str::len) as u64
-            })
-            .sum();
-        blocks + strings + self.windows.approx_bytes()
+        blocks + self.windows.approx_bytes()
     }
 }
 
@@ -181,9 +176,9 @@ impl Analyzer {
         windows: &WindowLookup<'_>,
     ) -> AnalyzedBlock {
         let alloc_ts = block.alloc_ts;
-        let component = windows.component_at(alloc_ts).map(|c| c.name.clone());
+        let component = windows.component_at(alloc_ts).map(|c| Arc::clone(&c.name));
         let op = windows.op_at(alloc_ts);
-        let operator = op.map(|w| w.name.clone());
+        let operator = op.map(|w| Arc::clone(&w.name));
 
         // Phase-based classes take precedence: these are the blocks the
         // Orchestrator has dedicated lifecycle rules for (§3.3).
@@ -360,7 +355,8 @@ mod tests {
     #[test]
     fn missing_iterations_is_rejected() {
         let mut t = Trace::new("no-steps");
-        t.push(xmem_trace::TraceEvent::mem_alloc(0, 0xa, 64, -1));
+        let memory = t.intern(xmem_trace::names::MEMORY);
+        t.push(xmem_trace::TraceEvent::mem_alloc(memory, 0, 0xa, 64, -1));
         assert!(matches!(
             Analyzer::new().analyze(&t),
             Err(EstimateError::MissingIterations)

@@ -43,15 +43,12 @@ pub fn layer_report(analyzed: &AnalyzedTrace, orchestrator: &Orchestrator) -> Ve
         }
     }
 
-    let mut groups: BTreeMap<String, Vec<&crate::analyzer::AnalyzedBlock>> = BTreeMap::new();
+    let mut groups: BTreeMap<&str, Vec<&crate::analyzer::AnalyzedBlock>> = BTreeMap::new();
     for b in &analyzed.blocks {
         if !b.category.is_kept() {
             continue;
         }
-        let key = b
-            .component
-            .clone()
-            .unwrap_or_else(|| "<global>".to_string());
+        let key = b.component.as_deref().unwrap_or("<global>");
         groups.entry(key).or_default().push(b);
     }
 
@@ -86,7 +83,7 @@ pub fn layer_report(analyzed: &AnalyzedTrace, orchestrator: &Orchestrator) -> Ve
                 peak = peak.max(live);
             }
             LayerMemory {
-                component,
+                component: component.to_string(),
                 blocks: blocks.len(),
                 total_bytes,
                 persistent_bytes,

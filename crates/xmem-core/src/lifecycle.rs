@@ -60,14 +60,14 @@ pub fn reconstruct_lifecycles(trace: &Trace, device_id: i32) -> (Vec<MemoryBlock
     let mut stats = LifecycleStats::default();
 
     for e in trace.memory_instants() {
-        if e.args.device != Some(device_id) {
+        if e.args.device() != Some(device_id) {
             continue;
         }
-        let addr = match e.args.addr {
+        let addr = match e.args.addr() {
             Some(a) => a,
             None => continue,
         };
-        let bytes = e.args.bytes.unwrap_or(0);
+        let bytes = e.args.bytes().unwrap_or(0);
         if bytes > 0 {
             let id = blocks.len();
             blocks.push(MemoryBlock {
@@ -81,7 +81,7 @@ pub fn reconstruct_lifecycles(trace: &Trace, device_id: i32) -> (Vec<MemoryBlock
         } else if bytes < 0 {
             match open.get_mut(&addr).and_then(Vec::pop) {
                 Some(id) => {
-                    if blocks[id].bytes != (-bytes) as u64 {
+                    if blocks[id].bytes != bytes.unsigned_abs() {
                         stats.size_mismatches += 1;
                     }
                     blocks[id].free_ts = Some(e.ts_us);
@@ -97,22 +97,25 @@ pub fn reconstruct_lifecycles(trace: &Trace, device_id: i32) -> (Vec<MemoryBlock
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmem_trace::TraceEvent;
+    use xmem_trace::{names, TraceEvent};
 
-    fn trace(events: Vec<TraceEvent>) -> Trace {
+    /// A trace of memory instants: `(ts, addr, signed bytes, device)`.
+    fn trace(events: Vec<(u64, u64, i64, i32)>) -> Trace {
         let mut t = Trace::new("t");
-        for e in events {
-            t.push(e);
+        let memory = t.intern(names::MEMORY);
+        for (ts, addr, bytes, device) in events {
+            t.push(if bytes > 0 {
+                TraceEvent::mem_alloc(memory, ts, addr, bytes as u64, device)
+            } else {
+                TraceEvent::mem_free(memory, ts, addr, bytes.unsigned_abs(), device)
+            });
         }
         t
     }
 
     #[test]
     fn pairs_alloc_and_free() {
-        let t = trace(vec![
-            TraceEvent::mem_alloc(10, 0xa, 512, -1),
-            TraceEvent::mem_free(20, 0xa, 512, -1),
-        ]);
+        let t = trace(vec![(10, 0xa, 512, -1), (20, 0xa, -512, -1)]);
         let (blocks, stats) = reconstruct_lifecycles(&t, -1);
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].alloc_ts, 10);
@@ -124,10 +127,10 @@ mod tests {
     #[test]
     fn handles_address_reuse() {
         let t = trace(vec![
-            TraceEvent::mem_alloc(10, 0xa, 512, -1),
-            TraceEvent::mem_free(20, 0xa, 512, -1),
-            TraceEvent::mem_alloc(30, 0xa, 1024, -1),
-            TraceEvent::mem_free(40, 0xa, 1024, -1),
+            (10, 0xa, 512, -1),
+            (20, 0xa, -512, -1),
+            (30, 0xa, 1024, -1),
+            (40, 0xa, -1024, -1),
         ]);
         let (blocks, _) = reconstruct_lifecycles(&t, -1);
         assert_eq!(blocks.len(), 2);
@@ -141,9 +144,9 @@ mod tests {
         // Two live blocks at the same address (possible in torn traces):
         // the free matches the most recent allocation.
         let t = trace(vec![
-            TraceEvent::mem_alloc(10, 0xa, 512, -1),
-            TraceEvent::mem_alloc(20, 0xa, 256, -1),
-            TraceEvent::mem_free(30, 0xa, 256, -1),
+            (10, 0xa, 512, -1),
+            (20, 0xa, 256, -1),
+            (30, 0xa, -256, -1),
         ]);
         let (blocks, stats) = reconstruct_lifecycles(&t, -1);
         assert_eq!(blocks[1].free_ts, Some(30));
@@ -153,7 +156,7 @@ mod tests {
 
     #[test]
     fn unmatched_free_is_counted_not_fatal() {
-        let t = trace(vec![TraceEvent::mem_free(10, 0xdead, 64, -1)]);
+        let t = trace(vec![(10, 0xdead, -64, -1)]);
         let (blocks, stats) = reconstruct_lifecycles(&t, -1);
         assert!(blocks.is_empty());
         assert_eq!(stats.unmatched_frees, 1);
@@ -161,10 +164,7 @@ mod tests {
 
     #[test]
     fn size_mismatch_is_tolerated() {
-        let t = trace(vec![
-            TraceEvent::mem_alloc(10, 0xa, 512, -1),
-            TraceEvent::mem_free(20, 0xa, 256, -1),
-        ]);
+        let t = trace(vec![(10, 0xa, 512, -1), (20, 0xa, -256, -1)]);
         let (blocks, stats) = reconstruct_lifecycles(&t, -1);
         assert_eq!(blocks[0].bytes, 512);
         assert_eq!(blocks[0].free_ts, Some(20));
@@ -174,8 +174,8 @@ mod tests {
     #[test]
     fn filters_by_device() {
         let t = trace(vec![
-            TraceEvent::mem_alloc(10, 0xa, 512, -1),
-            TraceEvent::mem_alloc(10, 0xb, 512, 0), // GPU event, ignored
+            (10, 0xa, 512, -1),
+            (10, 0xb, 512, 0), // GPU event, ignored
         ]);
         let (blocks, _) = reconstruct_lifecycles(&t, -1);
         assert_eq!(blocks.len(), 1);

@@ -84,7 +84,7 @@ impl Orchestrator {
             .flatten()
             .max()
             .unwrap_or(0)
-            + 1;
+            .saturating_add(1);
 
         let mut events: Vec<OrchestratedEvent> = Vec::with_capacity(2 * analyzed.blocks.len());
         let mut filtered = 0usize;

@@ -3,15 +3,21 @@
 //! Rebuilds, from span events, the structures the attribution pass queries:
 //! operator windows (`cpu_op`), component windows (`python_function`) and
 //! the training-phase annotation windows (`user_annotation`).
+//!
+//! Names are classified once per distinct name of the trace, not once per
+//! event, and window names are shared with the trace's name table: every
+//! window (and every block attributed to it) of one kernel or module holds
+//! the same `Arc<str>`. They serialize as plain strings.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use xmem_trace::{names, EventCategory, Trace};
 
 /// One operator execution window.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpWindow {
     /// Kernel name (`aten::…` or autograd node).
-    pub name: String,
+    pub name: Arc<str>,
     /// Start timestamp (µs).
     pub start: u64,
     /// End timestamp (exclusive).
@@ -28,7 +34,7 @@ pub struct OpWindow {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ComponentWindow {
     /// Module path (e.g. `transformer.h.0`).
-    pub name: String,
+    pub name: Arc<str>,
     /// Start timestamp.
     pub start: u64,
     /// End timestamp (exclusive).
@@ -135,51 +141,54 @@ impl WindowIndex {
         ops + components + annotations
     }
 
-    /// Builds the index from a trace.
+    /// Builds the index from a trace in one pass over its events. Each
+    /// distinct name of the trace's table is classified once (kernel
+    /// flags, module path, annotation kind); events look their class up by
+    /// [`NameId`](xmem_trace::NameId).
     #[must_use]
     pub fn build(trace: &Trace) -> Self {
-        let mut ops: Vec<OpWindow> = trace
-            .of_category(EventCategory::CpuOp)
-            .map(|e| OpWindow {
-                name: e.name.clone(),
-                start: e.ts_us,
-                end: e.end_us().max(e.ts_us + 1),
-                seq: e.args.seq,
-                is_backward: names::is_backward_op(&e.name),
-                is_accumulate_grad: e.name == names::ACCUMULATE_GRAD,
-            })
-            .collect();
-        ops.sort_by_key(|w| w.start);
-
-        let mut components: Vec<ComponentWindow> = trace
-            .of_category(EventCategory::PythonFunction)
-            .filter_map(|e| {
-                names::parse_nn_module(&e.name).map(|path| ComponentWindow {
-                    name: path.to_string(),
-                    start: e.ts_us,
-                    end: e.end_us().max(e.ts_us + 1),
-                })
-            })
-            .collect();
-        components.sort_by_key(|w| w.start);
-
+        let classes: Vec<NameClass> = trace.names().iter().map(NameClass::of).collect();
+        let mut ops: Vec<OpWindow> = Vec::new();
+        let mut components: Vec<ComponentWindow> = Vec::new();
         let mut annotations = AnnotationIndex::default();
-        for e in trace.of_category(EventCategory::UserAnnotation) {
-            let span = (e.ts_us, e.end_us().max(e.ts_us + 1));
-            if let Some(k) = names::parse_profiler_step(&e.name) {
-                annotations.iterations.push((k, span.0, span.1));
-            } else if names::is_optimizer_zero_grad(&e.name) {
-                annotations.zero_grads.push(span);
-            } else if names::is_optimizer_step(&e.name) {
-                annotations.optimizer_steps.push(span);
-            } else if e.name == names::DATALOADER_NEXT {
-                annotations.dataloads.push(span);
-            } else if e.name == names::BACKWARD_CALL {
-                annotations.backwards.push(span);
-            } else if e.name == names::MODEL_TO_DEVICE {
-                annotations.model_load = Some(span);
+        for e in trace.events() {
+            let class = &classes[e.name.index()];
+            // Zero-length spans still cover their start instant.
+            let (start, end) = (e.ts_us, e.end_us().max(e.ts_us.saturating_add(1)));
+            match e.category {
+                EventCategory::CpuOp => ops.push(OpWindow {
+                    name: Arc::clone(&class.name),
+                    start,
+                    end,
+                    seq: e.args.seq(),
+                    is_backward: class.is_backward,
+                    is_accumulate_grad: class.is_accumulate_grad,
+                }),
+                EventCategory::PythonFunction => {
+                    if let Some(path) = &class.module {
+                        components.push(ComponentWindow {
+                            name: Arc::clone(path),
+                            start,
+                            end,
+                        });
+                    }
+                }
+                EventCategory::UserAnnotation => match class.annotation {
+                    Some(Annotation::Step(k)) => annotations.iterations.push((k, start, end)),
+                    Some(Annotation::ZeroGrad) => annotations.zero_grads.push((start, end)),
+                    Some(Annotation::OptimizerStep) => {
+                        annotations.optimizer_steps.push((start, end));
+                    }
+                    Some(Annotation::Dataload) => annotations.dataloads.push((start, end)),
+                    Some(Annotation::Backward) => annotations.backwards.push((start, end)),
+                    Some(Annotation::ModelLoad) => annotations.model_load = Some((start, end)),
+                    None => {}
+                },
+                EventCategory::CpuInstantEvent => {}
             }
         }
+        ops.sort_by_key(|w| w.start);
+        components.sort_by_key(|w| w.start);
         annotations.iterations.sort_by_key(|w| w.1);
 
         WindowIndex {
@@ -232,6 +241,60 @@ impl WindowIndex {
             index: self,
             op_reach: running_max(self.ops.iter().map(|w| w.end)),
             component_reach: running_max(self.components.iter().map(|w| w.end)),
+        }
+    }
+}
+
+/// A training-phase annotation a `user_annotation` name marks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Annotation {
+    /// `ProfilerStep#k`.
+    Step(u32),
+    ZeroGrad,
+    OptimizerStep,
+    Dataload,
+    Backward,
+    ModelLoad,
+}
+
+/// What the index makes of one distinct event name, worked out once per
+/// name with the [`names`] predicates. Which fields apply depends on the
+/// event's category: an op window reads the kernel flags, a module span
+/// its path, an annotation its kind.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct NameClass {
+    /// The name itself, shared with the trace's table.
+    name: Arc<str>,
+    is_backward: bool,
+    is_accumulate_grad: bool,
+    /// The module path of an `nn.Module: <path>` name.
+    module: Option<Arc<str>>,
+    annotation: Option<Annotation>,
+}
+
+impl NameClass {
+    fn of(name: &Arc<str>) -> Self {
+        let annotation = if let Some(k) = names::parse_profiler_step(name) {
+            Some(Annotation::Step(k))
+        } else if names::is_optimizer_zero_grad(name) {
+            Some(Annotation::ZeroGrad)
+        } else if names::is_optimizer_step(name) {
+            Some(Annotation::OptimizerStep)
+        } else if **name == *names::DATALOADER_NEXT {
+            Some(Annotation::Dataload)
+        } else if **name == *names::BACKWARD_CALL {
+            Some(Annotation::Backward)
+        } else if **name == *names::MODEL_TO_DEVICE {
+            Some(Annotation::ModelLoad)
+        } else {
+            None
+        };
+        NameClass {
+            name: Arc::clone(name),
+            is_backward: names::is_backward_op(name),
+            is_accumulate_grad: **name == *names::ACCUMULATE_GRAD,
+            module: names::parse_nn_module(name).map(Arc::from),
+            annotation,
         }
     }
 }
@@ -293,45 +356,56 @@ mod tests {
     use super::*;
     use xmem_trace::TraceEvent;
 
+    fn span(t: &mut Trace, category: EventCategory, name: &str, ts: u64, dur: u64) {
+        let id = t.intern(name);
+        t.push(TraceEvent::span(category, id, ts, dur));
+    }
+
     fn demo_trace() -> Trace {
         let mut t = Trace::new("t");
-        t.push(TraceEvent::span(
+        span(
+            &mut t,
             EventCategory::UserAnnotation,
-            names::profiler_step(1),
+            &names::profiler_step(1),
             0,
             100,
-        ));
-        t.push(TraceEvent::span(
+        );
+        span(
+            &mut t,
             EventCategory::PythonFunction,
-            names::nn_module("model"),
+            &names::nn_module("model"),
             5,
             60,
-        ));
-        t.push(TraceEvent::span(
+        );
+        span(
+            &mut t,
             EventCategory::PythonFunction,
-            names::nn_module("model.layer1"),
+            &names::nn_module("model.layer1"),
             10,
             20,
-        ));
+        );
+        let linear = t.intern("aten::linear");
         t.push(TraceEvent::span_with_seq(
             EventCategory::CpuOp,
-            "aten::linear",
+            linear,
             12,
             6,
             7,
         ));
-        t.push(TraceEvent::span(
+        span(
+            &mut t,
             EventCategory::UserAnnotation,
-            names::optimizer_zero_grad("AdamW"),
+            &names::optimizer_zero_grad("AdamW"),
             70,
             5,
-        ));
-        t.push(TraceEvent::span(
+        );
+        span(
+            &mut t,
             EventCategory::UserAnnotation,
-            names::optimizer_step("AdamW"),
+            &names::optimizer_step("AdamW"),
             80,
             10,
-        ));
+        );
         t.sort_by_time();
         t
     }
@@ -340,7 +414,7 @@ mod tests {
     fn op_lookup_finds_containing_window() {
         let idx = WindowIndex::build(&demo_trace());
         let w = idx.op_at(14).expect("inside aten::linear");
-        assert_eq!(w.name, "aten::linear");
+        assert_eq!(&*w.name, "aten::linear");
         assert_eq!(w.seq, Some(7));
         assert!(idx.op_at(40).is_none());
         assert!(idx.op_at(11).is_none());
@@ -350,8 +424,8 @@ mod tests {
     #[test]
     fn component_lookup_prefers_innermost() {
         let idx = WindowIndex::build(&demo_trace());
-        assert_eq!(idx.component_at(15).unwrap().name, "model.layer1");
-        assert_eq!(idx.component_at(40).unwrap().name, "model");
+        assert_eq!(&*idx.component_at(15).unwrap().name, "model.layer1");
+        assert_eq!(&*idx.component_at(40).unwrap().name, "model");
         assert!(idx.component_at(90).is_none());
     }
 
@@ -408,7 +482,7 @@ mod tests {
                     .into_iter()
                     .enumerate()
                     .map(|(i, (start, end))| OpWindow {
-                        name: format!("op{i}"),
+                        name: Arc::from(format!("op{i}")),
                         start,
                         end,
                         seq: None,
@@ -420,7 +494,7 @@ mod tests {
                     .into_iter()
                     .enumerate()
                     .map(|(i, (start, end))| ComponentWindow {
-                        name: format!("c{i}"),
+                        name: Arc::from(format!("c{i}")),
                         start,
                         end,
                     })
@@ -461,21 +535,215 @@ mod tests {
         }
     }
 
+    /// The index as it was built before names were classified per name:
+    /// every event's name parsed with the [`names`] predicates.
+    fn per_event_reference(trace: &Trace) -> WindowIndex {
+        let window = |e: &TraceEvent| (e.ts_us, e.end_us().max(e.ts_us.saturating_add(1)));
+        let mut ops: Vec<OpWindow> = trace
+            .of_category(EventCategory::CpuOp)
+            .map(|e| {
+                let name = trace.name_of(e);
+                OpWindow {
+                    name: Arc::from(name),
+                    start: window(e).0,
+                    end: window(e).1,
+                    seq: e.args.seq(),
+                    is_backward: names::is_backward_op(name),
+                    is_accumulate_grad: name == names::ACCUMULATE_GRAD,
+                }
+            })
+            .collect();
+        ops.sort_by_key(|w| w.start);
+        let mut components: Vec<ComponentWindow> = trace
+            .of_category(EventCategory::PythonFunction)
+            .filter_map(|e| {
+                names::parse_nn_module(trace.name_of(e)).map(|path| ComponentWindow {
+                    name: Arc::from(path),
+                    start: window(e).0,
+                    end: window(e).1,
+                })
+            })
+            .collect();
+        components.sort_by_key(|w| w.start);
+        let mut annotations = AnnotationIndex::default();
+        for e in trace.of_category(EventCategory::UserAnnotation) {
+            let (name, span) = (trace.name_of(e), window(e));
+            if let Some(k) = names::parse_profiler_step(name) {
+                annotations.iterations.push((k, span.0, span.1));
+            } else if names::is_optimizer_zero_grad(name) {
+                annotations.zero_grads.push(span);
+            } else if names::is_optimizer_step(name) {
+                annotations.optimizer_steps.push(span);
+            } else if name == names::DATALOADER_NEXT {
+                annotations.dataloads.push(span);
+            } else if name == names::BACKWARD_CALL {
+                annotations.backwards.push(span);
+            } else if name == names::MODEL_TO_DEVICE {
+                annotations.model_load = Some(span);
+            }
+        }
+        annotations.iterations.sort_by_key(|w| w.1);
+        WindowIndex {
+            ops,
+            components,
+            annotations,
+        }
+    }
+
+    /// Every distinct name of the golden fixture, plus edge cases around
+    /// each prefix and constant the classification tests for.
+    fn classification_corpus() -> Vec<String> {
+        let fixture = Trace::from_json_str(include_str!(
+            "../tests/fixtures/mobilenet_v3_small_adam_b2.trace.json"
+        ))
+        .expect("fixture parses");
+        let mut corpus: Vec<String> = fixture.names().iter().map(|n| n.to_string()).collect();
+        for edge in [
+            "nn.Module: ",
+            "nn.Module:",
+            "ProfilerStep#",
+            "ProfilerStep#x",
+            "ProfilerStep#-1",
+            "ProfilerStep#+7",
+            "ProfilerStep#4294967295",
+            "ProfilerStep#4294967296",
+            "",
+            "torch::autograd::AccumulateGrad ",
+        ] {
+            corpus.push(edge.to_string());
+        }
+        for constant in [
+            names::PROFILER_STEP_PREFIX,
+            names::OPTIMIZER_STEP_PREFIX,
+            names::OPTIMIZER_ZERO_GRAD_PREFIX,
+            names::DATALOADER_NEXT,
+            names::MODEL_TO_DEVICE,
+            names::BACKWARD_CALL,
+            names::NN_MODULE_PREFIX,
+            names::AUTOGRAD_NODE_PREFIX,
+            names::ACCUMULATE_GRAD,
+            names::MEMORY,
+        ] {
+            // One byte short, one byte long, and each end flipped.
+            corpus.push(constant[..constant.len() - 1].to_string());
+            corpus.push(format!("{constant}x"));
+            corpus.push(format!("{constant}7"));
+            corpus.push(format!("x{}", &constant[1..]));
+            corpus.push(format!("{}x", &constant[..constant.len() - 1]));
+        }
+        corpus
+    }
+
+    #[test]
+    fn per_name_classification_matches_the_string_predicates() {
+        let corpus = classification_corpus();
+        for name in &corpus {
+            let class = NameClass::of(&Arc::from(name.as_str()));
+            assert_eq!(&*class.name, name.as_str());
+            assert_eq!(class.is_backward, names::is_backward_op(name), "{name:?}");
+            assert_eq!(
+                class.is_accumulate_grad,
+                name == names::ACCUMULATE_GRAD,
+                "{name:?}"
+            );
+            assert_eq!(
+                class.module.as_deref(),
+                names::parse_nn_module(name),
+                "{name:?}"
+            );
+            let step = names::parse_profiler_step(name);
+            let expected = if let Some(k) = step {
+                Some(Annotation::Step(k))
+            } else if names::is_optimizer_zero_grad(name) {
+                Some(Annotation::ZeroGrad)
+            } else if names::is_optimizer_step(name) {
+                Some(Annotation::OptimizerStep)
+            } else if name == names::DATALOADER_NEXT {
+                Some(Annotation::Dataload)
+            } else if name == names::BACKWARD_CALL {
+                Some(Annotation::Backward)
+            } else if name == names::MODEL_TO_DEVICE {
+                Some(Annotation::ModelLoad)
+            } else {
+                None
+            };
+            assert_eq!(class.annotation, expected, "{name:?}");
+        }
+        // The edge cases do exercise both sides of every test.
+        let classes: Vec<NameClass> = corpus
+            .iter()
+            .map(|n| NameClass::of(&Arc::from(n.as_str())))
+            .collect();
+        assert!(classes.iter().any(|c| c.module.as_deref() == Some("")));
+        assert!(classes
+            .iter()
+            .any(|c| c.annotation == Some(Annotation::Step(u32::MAX))));
+        assert!(classes.iter().any(|c| c.is_accumulate_grad));
+    }
+
+    #[test]
+    fn the_index_matches_per_event_classification() {
+        // Every name of the corpus in every category, at staggered times.
+        let mut t = Trace::new("corpus");
+        let categories = [
+            EventCategory::CpuOp,
+            EventCategory::PythonFunction,
+            EventCategory::UserAnnotation,
+            EventCategory::CpuInstantEvent,
+        ];
+        for (i, name) in classification_corpus().iter().enumerate() {
+            let id = t.intern(name);
+            for (c, &category) in categories.iter().enumerate() {
+                let ts = (i * 7 + c * 3) as u64 % 97;
+                t.push(TraceEvent::span_with_seq(
+                    category,
+                    id,
+                    ts,
+                    (i % 5) as u64,
+                    i as u64,
+                ));
+            }
+        }
+        t.sort_by_time();
+        assert_eq!(WindowIndex::build(&t), per_event_reference(&t));
+
+        let fixture = Trace::from_json_str(include_str!(
+            "../tests/fixtures/mobilenet_v3_small_adam_b2.trace.json"
+        ))
+        .expect("fixture parses");
+        assert_eq!(WindowIndex::build(&fixture), per_event_reference(&fixture));
+    }
+
+    #[test]
+    fn windows_of_one_name_share_one_string() {
+        let fixture = Trace::from_json_str(include_str!(
+            "../tests/fixtures/mobilenet_v3_small_adam_b2.trace.json"
+        ))
+        .expect("fixture parses");
+        let index = WindowIndex::build(&fixture);
+        for pair in index.ops().windows(2) {
+            if pair[0].name == pair[1].name {
+                assert!(Arc::ptr_eq(&pair[0].name, &pair[1].name));
+            }
+        }
+        let table = fixture.names();
+        assert!(index
+            .ops()
+            .iter()
+            .all(|w| table.iter().any(|n| Arc::ptr_eq(n, &w.name))));
+    }
+
     #[test]
     fn backward_ops_are_flagged() {
         let mut t = Trace::new("t");
-        t.push(TraceEvent::span(
+        span(
+            &mut t,
             EventCategory::CpuOp,
-            names::autograd_node("LinearBackward0"),
+            &names::autograd_node("LinearBackward0"),
             0,
             4,
-        ));
-        t.push(TraceEvent::span(
-            EventCategory::CpuOp,
-            names::ACCUMULATE_GRAD,
-            5,
-            2,
-        ));
+        );
+        span(&mut t, EventCategory::CpuOp, names::ACCUMULATE_GRAD, 5, 2);
         let idx = WindowIndex::build(&t);
         assert!(idx.ops()[0].is_backward);
         assert!(idx.ops()[1].is_accumulate_grad);

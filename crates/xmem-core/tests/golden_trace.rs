@@ -68,3 +68,23 @@ fn fixture_roundtrips_through_the_json_writer() {
     let back = Trace::from_json_str(&rewritten).expect("rewritten fixture parses");
     assert_eq!(back.events(), trace.events());
 }
+
+#[test]
+fn fixture_is_rewritten_byte_for_byte() {
+    let trace = Trace::from_json_str(FIXTURE).expect("fixture parses");
+    let rewritten = trace.to_json_string().expect("fixture serializes");
+    assert_eq!(rewritten.len(), FIXTURE.len(), "rewritten length drifted");
+    assert!(
+        rewritten == FIXTURE,
+        "the writer no longer reproduces the fixture"
+    );
+}
+
+#[test]
+fn fixture_stores_each_distinct_name_once() {
+    let trace = Trace::from_json_str(FIXTURE).expect("fixture parses");
+    let distinct: std::collections::BTreeSet<&str> =
+        trace.events().iter().map(|e| trace.name_of(e)).collect();
+    assert_eq!(trace.names().len(), distinct.len());
+    assert!(trace.names().len() * 50 < trace.len(), "a small vocabulary");
+}

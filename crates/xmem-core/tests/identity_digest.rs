@@ -65,16 +65,16 @@ impl Fnv {
         self.u64(trace.len() as u64);
         for e in trace.events() {
             self.str(e.category.as_str());
-            self.str(&e.name);
+            self.str(trace.name_of(e));
             self.u64(e.ts_us);
             self.u64(e.dur_us);
             let a = &e.args;
-            self.opt_u64(a.addr);
-            self.opt_u64(a.bytes.map(|b| b as u64));
-            self.opt_u64(a.device.map(|d| i64::from(d) as u64));
-            self.opt_u64(a.total_allocated);
-            self.opt_u64(a.total_reserved);
-            self.opt_u64(a.seq);
+            self.opt_u64(a.addr());
+            self.opt_u64(a.bytes().map(|b| b as u64));
+            self.opt_u64(a.device().map(|d| i64::from(d) as u64));
+            self.opt_u64(a.total_allocated());
+            self.opt_u64(a.total_reserved());
+            self.opt_u64(a.seq());
         }
     }
 

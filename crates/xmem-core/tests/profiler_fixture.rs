@@ -30,3 +30,18 @@ fn profile_on_cpu_serializes_to_the_committed_fixture() {
         );
     }
 }
+
+/// The profiler interns each name once per run and only names some event
+/// carries.
+#[test]
+fn profile_on_cpu_stores_each_distinct_name_once() {
+    for model in [ModelId::MobileNetV3Small, ModelId::DistilGpt2] {
+        let spec = TrainJobSpec::new(model, OptimizerKind::Adam, 2).with_iterations(2);
+        let trace = profile_on_cpu(&spec);
+        let distinct: std::collections::BTreeSet<&str> =
+            trace.events().iter().map(|e| trace.name_of(e)).collect();
+        let table: std::collections::BTreeSet<&str> = trace.names().iter().map(|n| &**n).collect();
+        assert_eq!(table.len(), trace.names().len(), "{model:?}: no name twice");
+        assert_eq!(table, distinct, "{model:?}: no unused name");
+    }
+}

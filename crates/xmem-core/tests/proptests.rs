@@ -20,15 +20,16 @@ proptest! {
     #[test]
     fn lifecycle_pairing_is_sound(events in proptest::collection::vec(mem_event_strategy(), 0..200)) {
         let mut trace = Trace::new("prop");
+        let memory = trace.intern(names::MEMORY);
         let mut live: [Vec<u32>; 8] = Default::default();
         for (i, (slot, size, is_alloc)) in events.iter().enumerate() {
             let ts = i as u64;
             let addr = 0x1000 + u64::from(*slot) * 0x100;
             if *is_alloc {
-                trace.push(TraceEvent::mem_alloc(ts, addr, u64::from(*size), -1));
+                trace.push(TraceEvent::mem_alloc(memory, ts, addr, u64::from(*size), -1));
                 live[*slot as usize].push(*size);
             } else if let Some(size) = live[*slot as usize].pop() {
-                trace.push(TraceEvent::mem_free(ts, addr, u64::from(size), -1));
+                trace.push(TraceEvent::mem_free(memory, ts, addr, u64::from(size), -1));
             }
         }
         let (blocks, stats) = reconstruct_lifecycles(&trace, -1);
@@ -52,22 +53,25 @@ proptest! {
         let mut trace = Trace::new("prop");
         // A synthetic op window covering everything keeps blocks attributable.
         let horizon = events.len() as u64 + 2;
+        let step = trace.intern(&names::profiler_step(1));
+        let mix = trace.intern("aten::mix");
+        let memory = trace.intern(names::MEMORY);
         trace.push(TraceEvent::span(
             EventCategory::UserAnnotation,
-            names::profiler_step(1),
+            step,
             0,
             horizon.max(iter_len),
         ));
-        trace.push(TraceEvent::span(EventCategory::CpuOp, "aten::mix", 0, horizon));
+        trace.push(TraceEvent::span(EventCategory::CpuOp, mix, 0, horizon));
         let mut live: [Vec<u32>; 8] = Default::default();
         for (i, (slot, size, is_alloc)) in events.iter().enumerate() {
             let ts = i as u64 + 1;
             let addr = 0x1000 + u64::from(*slot) * 0x100;
             if *is_alloc {
-                trace.push(TraceEvent::mem_alloc(ts, addr, u64::from(*size), -1));
+                trace.push(TraceEvent::mem_alloc(memory, ts, addr, u64::from(*size), -1));
                 live[*slot as usize].push(*size);
             } else if let Some(size) = live[*slot as usize].pop() {
-                trace.push(TraceEvent::mem_free(ts, addr, u64::from(size), -1));
+                trace.push(TraceEvent::mem_free(memory, ts, addr, u64::from(size), -1));
             }
         }
         trace.sort_by_time();

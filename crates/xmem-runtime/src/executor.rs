@@ -24,13 +24,13 @@ use crate::backend::{BackendKind, Phase};
 use crate::jobs::{Precision, ZeroGradPos};
 use crate::memmodel::{is_differentiable, is_inplace, saved_plan, SavedPlan};
 use crate::profiler::Sink;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use xmem_alloc::OomError;
 use xmem_graph::{DType, Graph, TensorSpec};
 use xmem_optim::OptimizerKind;
-use xmem_trace::names;
-use xmem_trace::EventCategory;
+use xmem_trace::{names, EventCategory, NameId};
 
 /// A failed run.
 #[derive(Debug)]
@@ -82,9 +82,36 @@ struct NodePlan {
     fwd_ws: usize,
     bwd_ws: usize,
     saved: SavedPlan,
-    /// Profiler name of the node's backward kernel (empty when the sink
-    /// records nothing).
-    bwd_name: String,
+    /// Profiler names of the node's forward and backward kernels.
+    fwd_name: NameId,
+    bwd_name: NameId,
+    /// The `nn.Module: <path>` span name of the node's component; `None`
+    /// when the node belongs to no component.
+    component: Option<NameId>,
+}
+
+/// The fixed names a run reports, interned once per run.
+struct RunNames {
+    model_to_device: NameId,
+    dataloader_next: NameId,
+    zero_grad: NameId,
+    optimizer_step: NameId,
+    backward_call: NameId,
+    accumulate_grad: NameId,
+    /// `nn.Module: <model>`, the whole-forward span.
+    model: NameId,
+    /// `ProfilerStep#k` at index `k - 1`.
+    steps: Vec<NameId>,
+}
+
+/// The id of `name()` in `sink`, or a placeholder for a sink that records
+/// nothing, so a discarding sink never has names built for it.
+fn intern<S: Sink, N: AsRef<str>>(sink: &mut S, name: impl FnOnce() -> N) -> NameId {
+    if sink.records() {
+        sink.intern(name().as_ref())
+    } else {
+        NameId::default()
+    }
 }
 
 /// The engine. Generic over arena (CPU heap / GPU allocator) and sink
@@ -104,6 +131,7 @@ pub struct Engine<'g, A, S> {
     sink: S,
     clock: u64,
 
+    names: RunNames,
     plans: Vec<NodePlan>,
     /// Node index → handle index.
     node_handle: Vec<usize>,
@@ -138,7 +166,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         batch: usize,
         seq: usize,
         arena: A,
-        sink: S,
+        mut sink: S,
     ) -> Self {
         // Precision mapping: float tensors change element width, integer
         // tensors (token ids, indices) are untouched.
@@ -190,30 +218,72 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
                 fwd_uses_template[node_handle[input.index()]] += 1;
             }
         }
+        // Kernel names are built once per op kind, component names once
+        // per run of consecutive nodes (the sink merges repeats).
+        let mut kernels: HashMap<&'static str, NameId> = HashMap::new();
+        let mut backward_kernels: HashMap<&'static str, NameId> = HashMap::new();
+        let mut last_component: Option<(&str, NameId)> = None;
         let plans = graph
             .nodes()
             .iter()
             .enumerate()
             .map(|(i, node)| {
+                let path = node.component.as_str();
+                let component = match last_component {
+                    _ if path.is_empty() => None,
+                    Some((last, id)) if last == path => Some(id),
+                    _ => {
+                        let id = intern(&mut sink, || names::nn_module(path));
+                        last_component = Some((path, id));
+                        Some(id)
+                    }
+                };
                 if node.is_input() {
-                    return NodePlan::default();
+                    return NodePlan {
+                        component,
+                        ..NodePlan::default()
+                    };
                 }
                 let inputs: Vec<&TensorSpec> =
                     node.inputs.iter().map(|id| &shapes[id.index()]).collect();
                 let (op, out) = (&node.op, &shapes[i]);
+                let aten = op.aten_name();
+                let fwd_name = *kernels
+                    .entry(aten)
+                    .or_insert_with(|| intern(&mut sink, || aten));
+                // View nodes run no backward kernel.
+                let bwd_name = if op.is_view() {
+                    NameId::default()
+                } else {
+                    *backward_kernels.entry(aten).or_insert_with(|| {
+                        intern(&mut sink, || {
+                            names::autograd_node(&names::backward_node_for(aten))
+                        })
+                    })
+                };
                 NodePlan {
                     dur: backend.op_duration_us(op, &inputs, out),
                     fwd_ws: backend.workspace_bytes(op, &inputs, out, Phase::Forward),
                     bwd_ws: backend.workspace_bytes(op, &inputs, out, Phase::Backward),
                     saved: saved_plan(op, &inputs, out),
-                    bwd_name: if sink.records() {
-                        names::autograd_node(&names::backward_node_for(op.aten_name()))
-                    } else {
-                        String::new()
-                    },
+                    fwd_name,
+                    bwd_name,
+                    component,
                 }
             })
             .collect();
+        let run_names = RunNames {
+            model_to_device: intern(&mut sink, || names::MODEL_TO_DEVICE),
+            dataloader_next: intern(&mut sink, || names::DATALOADER_NEXT),
+            zero_grad: intern(&mut sink, || names::optimizer_zero_grad(optimizer.name())),
+            optimizer_step: intern(&mut sink, || names::optimizer_step(optimizer.name())),
+            backward_call: intern(&mut sink, || names::BACKWARD_CALL),
+            accumulate_grad: intern(&mut sink, || names::ACCUMULATE_GRAD),
+            model: intern(&mut sink, || names::nn_module(graph.name())),
+            steps: (1..=iterations)
+                .map(|k| intern(&mut sink, || names::profiler_step(k)))
+                .collect(),
+        };
         let loss_node = graph.nodes().len() - 1;
         let saved_extra = vec![Vec::new(); graph.nodes().len()];
         Engine {
@@ -229,6 +299,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
             arena,
             sink,
             clock: 0,
+            names: run_names,
             plans,
             node_handle,
             handles,
@@ -326,7 +397,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         let dur = self.clock - t0;
         self.sink.span(
             EventCategory::UserAnnotation,
-            names::MODEL_TO_DEVICE,
+            self.names.model_to_device,
             t0,
             dur.max(1),
         );
@@ -366,7 +437,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         let dur = self.clock - iter_start;
         self.sink.span(
             EventCategory::UserAnnotation,
-            &names::profiler_step(k),
+            self.names.steps[k as usize - 1],
             iter_start,
             dur.max(1),
         );
@@ -455,7 +526,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         let dur = self.clock - t0;
         self.sink.span(
             EventCategory::UserAnnotation,
-            names::DATALOADER_NEXT,
+            self.names.dataloader_next,
             t0,
             dur.max(1),
         );
@@ -476,7 +547,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         let dur = self.clock - t0;
         self.sink.span(
             EventCategory::UserAnnotation,
-            &names::optimizer_zero_grad(self.optimizer.name()),
+            self.names.zero_grad,
             t0,
             dur.max(1),
         );
@@ -489,18 +560,18 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
             self.handles[h].fwd_uses = *uses;
         }
         let graph = self.graph;
-        let mut component_open: Option<(&str, u64)> = None;
+        let mut component_open: Option<(NameId, u64)> = None;
         for (i, node) in graph.nodes().iter().enumerate() {
             // Component (python_function) span bookkeeping.
-            let comp = node.component.as_str();
+            let comp = self.plans[i].component;
             let is_input = node.is_input();
             match component_open {
-                Some((open, start)) if open != comp => {
+                Some((open, start)) if Some(open) != comp => {
                     self.close_component(open, start);
-                    component_open = (!comp.is_empty() && !is_input).then_some((comp, self.clock));
+                    component_open = comp.filter(|_| !is_input).map(|c| (c, self.clock));
                 }
-                None if !comp.is_empty() && !is_input => {
-                    component_open = Some((comp, self.clock));
+                None if !is_input => {
+                    component_open = comp.map(|c| (c, self.clock));
                 }
                 _ => {}
             }
@@ -515,21 +586,17 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         let dur = self.clock - fwd_start;
         self.sink.span(
             EventCategory::PythonFunction,
-            &names::nn_module(self.graph.name()),
+            self.names.model,
             fwd_start,
             dur.max(1),
         );
         Ok(())
     }
 
-    fn close_component(&mut self, name: &str, start: u64) {
+    fn close_component(&mut self, name: NameId, start: u64) {
         let dur = self.clock - start;
-        self.sink.span(
-            EventCategory::PythonFunction,
-            &names::nn_module(name),
-            start,
-            dur.max(1),
-        );
+        self.sink
+            .span(EventCategory::PythonFunction, name, start, dur.max(1));
     }
 
     fn execute_forward_node(&mut self, i: usize) -> Result<(), RunError> {
@@ -574,7 +641,8 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         }
         self.tick(1);
         let total = self.clock - t0;
-        self.sink.span_seq(op.aten_name(), t0, total, i as u64);
+        self.sink
+            .span_seq(self.plans[i].fwd_name, t0, total, i as u64);
 
         // Release inputs whose last use this was.
         for id in &node.inputs {
@@ -611,7 +679,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         let dur = self.clock - t0b;
         self.sink.span(
             EventCategory::UserAnnotation,
-            names::BACKWARD_CALL,
+            self.names.backward_call,
             t0b,
             dur.max(1),
         );
@@ -671,7 +739,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         self.tick(1);
         let total = self.clock - t0;
         self.sink
-            .span_seq(&self.plans[i].bwd_name, t0, total, i as u64);
+            .span_seq(self.plans[i].bwd_name, t0, total, i as u64);
 
         // The output gradient is consumed by this node's backward: free it
         // if this node materialized the handle (views/in-place share).
@@ -700,8 +768,12 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         if accumulated {
             self.tick(1);
             let dur = self.clock - ta;
-            self.sink
-                .span(EventCategory::CpuOp, names::ACCUMULATE_GRAD, ta, dur.max(1));
+            self.sink.span(
+                EventCategory::CpuOp,
+                self.names.accumulate_grad,
+                ta,
+                dur.max(1),
+            );
         }
         Ok(())
     }
@@ -727,7 +799,7 @@ impl<'g, A: MemoryArena, S: Sink> Engine<'g, A, S> {
         let dur = self.clock - t0;
         self.sink.span(
             EventCategory::UserAnnotation,
-            &names::optimizer_step(self.optimizer.name()),
+            self.names.optimizer_step,
             t0,
             dur.max(1),
         );

@@ -337,13 +337,13 @@ mod tests {
         let trace = profile_on_cpu(&small_spec());
         assert!(trace
             .of_category(EventCategory::UserAnnotation)
-            .any(|e| names::is_optimizer_step(&e.name)));
+            .any(|e| names::is_optimizer_step(trace.name_of(e))));
         assert!(trace
             .of_category(EventCategory::UserAnnotation)
-            .any(|e| names::is_optimizer_zero_grad(&e.name)));
+            .any(|e| names::is_optimizer_zero_grad(trace.name_of(e))));
         assert!(trace
             .of_category(EventCategory::UserAnnotation)
-            .any(|e| e.name == names::MODEL_TO_DEVICE));
+            .any(|e| trace.name_of(e) == names::MODEL_TO_DEVICE));
     }
 
     #[test]
@@ -352,8 +352,8 @@ mod tests {
         use std::collections::HashMap;
         let mut live: HashMap<u64, i64> = HashMap::new();
         for e in trace.memory_instants() {
-            let addr = e.args.addr.unwrap();
-            let bytes = e.args.bytes.unwrap();
+            let addr = e.args.addr().unwrap();
+            let bytes = e.args.bytes().unwrap();
             let entry = live.entry(addr).or_insert(0);
             if bytes > 0 {
                 assert_eq!(*entry, 0, "allocation into a live address");

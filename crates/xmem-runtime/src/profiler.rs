@@ -5,15 +5,22 @@
 //! GPU backend attaches a [`NullSink`] (ground truth needs only the arena's
 //! sampler).
 
-use xmem_trace::{EventCategory, Trace, TraceEvent};
+use xmem_trace::{names, EventCategory, NameId, Trace, TraceEvent};
 
 /// Receives execution structure from the engine.
+///
+/// Names travel as ids: the engine resolves each distinct name with
+/// [`intern`](Sink::intern) once per run, ahead of the events that carry
+/// it, so reporting an event hashes, formats and allocates no string.
 pub trait Sink {
+    /// The id events named `name` carry.
+    fn intern(&mut self, name: &str) -> NameId;
+
     /// A completed span (module call, annotation or kernel).
-    fn span(&mut self, category: EventCategory, name: &str, ts_us: u64, dur_us: u64);
+    fn span(&mut self, category: EventCategory, name: NameId, ts_us: u64, dur_us: u64);
 
     /// A completed kernel span carrying a forward/backward sequence number.
-    fn span_seq(&mut self, name: &str, ts_us: u64, dur_us: u64, seq: u64);
+    fn span_seq(&mut self, name: NameId, ts_us: u64, dur_us: u64, seq: u64);
 
     /// A memory allocation instant.
     fn mem_alloc(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32);
@@ -21,8 +28,8 @@ pub trait Sink {
     /// A memory free instant.
     fn mem_free(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32);
 
-    /// Whether anything reported is kept; the engine skips building event
-    /// names for a sink that discards them.
+    /// Whether anything reported is kept; the engine skips building and
+    /// interning event names for a sink that discards them.
     fn records(&self) -> bool {
         true
     }
@@ -33,8 +40,11 @@ pub trait Sink {
 pub struct NullSink;
 
 impl Sink for NullSink {
-    fn span(&mut self, _: EventCategory, _: &str, _: u64, _: u64) {}
-    fn span_seq(&mut self, _: &str, _: u64, _: u64, _: u64) {}
+    fn intern(&mut self, _: &str) -> NameId {
+        NameId::default()
+    }
+    fn span(&mut self, _: EventCategory, _: NameId, _: u64, _: u64) {}
+    fn span_seq(&mut self, _: NameId, _: u64, _: u64, _: u64) {}
     fn mem_alloc(&mut self, _: u64, _: u64, _: usize, _: i32) {}
     fn mem_free(&mut self, _: u64, _: u64, _: usize, _: i32) {}
     fn records(&self) -> bool {
@@ -46,6 +56,8 @@ impl Sink for NullSink {
 #[derive(Debug)]
 pub struct Profiler {
     trace: Trace,
+    /// The id of [`names::MEMORY`], interned with the first instant.
+    memory: Option<NameId>,
 }
 
 impl Profiler {
@@ -54,6 +66,7 @@ impl Profiler {
     pub fn new(name: &str) -> Self {
         Profiler {
             trace: Trace::new(name),
+            memory: None,
         }
     }
 
@@ -63,15 +76,26 @@ impl Profiler {
         self.trace.sort_by_time();
         self.trace
     }
+
+    fn memory(&mut self) -> NameId {
+        match self.memory {
+            Some(id) => id,
+            None => *self.memory.insert(self.trace.intern(names::MEMORY)),
+        }
+    }
 }
 
 impl Sink for Profiler {
-    fn span(&mut self, category: EventCategory, name: &str, ts_us: u64, dur_us: u64) {
+    fn intern(&mut self, name: &str) -> NameId {
+        self.trace.intern(name)
+    }
+
+    fn span(&mut self, category: EventCategory, name: NameId, ts_us: u64, dur_us: u64) {
         self.trace
             .push(TraceEvent::span(category, name, ts_us, dur_us));
     }
 
-    fn span_seq(&mut self, name: &str, ts_us: u64, dur_us: u64, seq: u64) {
+    fn span_seq(&mut self, name: NameId, ts_us: u64, dur_us: u64, seq: u64) {
         self.trace.push(TraceEvent::span_with_seq(
             EventCategory::CpuOp,
             name,
@@ -82,13 +106,25 @@ impl Sink for Profiler {
     }
 
     fn mem_alloc(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32) {
-        self.trace
-            .push(TraceEvent::mem_alloc(ts_us, addr, bytes as u64, device));
+        let name = self.memory();
+        self.trace.push(TraceEvent::mem_alloc(
+            name,
+            ts_us,
+            addr,
+            bytes as u64,
+            device,
+        ));
     }
 
     fn mem_free(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32) {
-        self.trace
-            .push(TraceEvent::mem_free(ts_us, addr, bytes as u64, device));
+        let name = self.memory();
+        self.trace.push(TraceEvent::mem_free(
+            name,
+            ts_us,
+            addr,
+            bytes as u64,
+            device,
+        ));
     }
 }
 
@@ -99,20 +135,27 @@ mod tests {
     #[test]
     fn profiler_collects_and_sorts() {
         let mut p = Profiler::new("job");
-        p.span(EventCategory::UserAnnotation, "ProfilerStep#1", 50, 100);
+        let step = p.intern("ProfilerStep#1");
+        let linear = p.intern("aten::linear");
+        p.span(EventCategory::UserAnnotation, step, 50, 100);
         p.mem_alloc(10, 0xa, 512, -1);
-        p.span_seq("aten::linear", 20, 5, 3);
+        p.span_seq(linear, 20, 5, 3);
+        p.mem_free(30, 0xa, 512, -1);
         let t = p.into_trace();
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.len(), 4);
         assert_eq!(t.events()[0].ts_us, 10);
-        assert_eq!(t.events()[1].args.seq, Some(3));
+        assert_eq!(t.name_of(&t.events()[0]), names::MEMORY);
+        assert_eq!(t.events()[1].args.seq(), Some(3));
+        assert_eq!(t.name_of(&t.events()[1]), "aten::linear");
         assert_eq!(t.name(), "job");
+        assert_eq!(t.names().len(), 3, "each name is stored once");
     }
 
     #[test]
     fn null_sink_is_inert() {
         let mut s = NullSink;
         s.mem_alloc(0, 1, 2, -1);
-        s.span(EventCategory::CpuOp, "x", 0, 1);
+        let x = s.intern("x");
+        s.span(EventCategory::CpuOp, x, 0, 1);
     }
 }

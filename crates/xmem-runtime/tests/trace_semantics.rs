@@ -17,8 +17,8 @@ fn persistent_bytes_in(trace: &Trace, start: u64, end: u64) -> u64 {
     let mut open: HashMap<u64, Vec<(u64, u64)>> = HashMap::new(); // addr -> (ts, size)
     let mut freed: Vec<(u64, u64)> = Vec::new();
     for e in trace.memory_instants() {
-        let addr = e.args.addr.unwrap();
-        let bytes = e.args.bytes.unwrap();
+        let addr = e.args.addr().unwrap();
+        let bytes = e.args.bytes().unwrap();
         if bytes > 0 {
             open.entry(addr).or_default().push((e.ts_us, bytes as u64));
         } else if let Some(stack) = open.get_mut(&addr) {
@@ -43,7 +43,7 @@ fn adagrad_state_is_eager_adam_state_is_lazy() {
         let trace = profile_on_cpu(&spec(ModelId::MobileNetV3Small, opt));
         let load = trace
             .of_category(EventCategory::UserAnnotation)
-            .find(|e| e.name == names::MODEL_TO_DEVICE)
+            .find(|e| trace.name_of(e) == names::MODEL_TO_DEVICE)
             .expect("model load window");
         let persistent_in_load = persistent_bytes_in(&trace, load.ts_us, load.end_us());
         let graph = ModelId::MobileNetV3Small.build();
@@ -67,12 +67,12 @@ fn pos0_zero_grad_sits_between_forward_and_backward() {
     let trace = profile_on_cpu(&spec(ModelId::DistilGpt2, OptimizerKind::AdamW));
     let zero_grads: Vec<u64> = trace
         .of_category(EventCategory::UserAnnotation)
-        .filter(|e| names::is_optimizer_zero_grad(&e.name))
+        .filter(|e| names::is_optimizer_zero_grad(trace.name_of(e)))
         .map(|e| e.ts_us)
         .collect();
     let backwards: Vec<u64> = trace
         .of_category(EventCategory::UserAnnotation)
-        .filter(|e| e.name == names::BACKWARD_CALL)
+        .filter(|e| trace.name_of(e) == names::BACKWARD_CALL)
         .map(|e| e.ts_us)
         .collect();
     assert_eq!(zero_grads.len(), 3);
@@ -83,7 +83,7 @@ fn pos0_zero_grad_sits_between_forward_and_backward() {
     // And each zero_grad comes after the iteration's dataloader fetch.
     let dataloads: Vec<u64> = trace
         .of_category(EventCategory::UserAnnotation)
-        .filter(|e| e.name == names::DATALOADER_NEXT)
+        .filter(|e| trace.name_of(e) == names::DATALOADER_NEXT)
         .map(|e| e.ts_us)
         .collect();
     for (dl, zg) in dataloads.iter().zip(&zero_grads) {
@@ -98,14 +98,14 @@ fn pos1_zero_grad_precedes_the_forward_pass() {
     );
     let zero_grads: Vec<u64> = trace
         .of_category(EventCategory::UserAnnotation)
-        .filter(|e| names::is_optimizer_zero_grad(&e.name))
+        .filter(|e| names::is_optimizer_zero_grad(trace.name_of(e)))
         .map(|e| e.ts_us)
         .collect();
     // The model-forward python_function span starts after zero_grad in
     // every iteration.
     let forwards: Vec<u64> = trace
         .of_category(EventCategory::PythonFunction)
-        .filter(|e| e.name == names::nn_module("distilgpt2"))
+        .filter(|e| trace.name_of(e) == names::nn_module("distilgpt2"))
         .map(|e| e.ts_us)
         .collect();
     assert_eq!(forwards.len(), 3);
@@ -125,7 +125,7 @@ fn inplace_relu_allocations_never_outlive_the_op() {
     ));
     let relu_windows: Vec<(u64, u64)> = trace
         .of_category(EventCategory::CpuOp)
-        .filter(|e| e.name == "aten::relu")
+        .filter(|e| trace.name_of(e) == "aten::relu")
         .map(|e| (e.ts_us, e.end_us()))
         .collect();
     assert!(!relu_windows.is_empty());
@@ -136,7 +136,7 @@ fn inplace_relu_allocations_never_outlive_the_op() {
             .memory_instants()
             .filter(|e| (s..t).contains(&e.ts_us))
         {
-            *live.entry(e.args.addr.unwrap()).or_insert(0) += e.args.bytes.unwrap();
+            *live.entry(e.args.addr().unwrap()).or_insert(0) += e.args.bytes().unwrap();
             checked += 1;
         }
         assert!(
@@ -153,11 +153,11 @@ fn t5_dataloader_provides_three_tensors() {
     let trace = profile_on_cpu(&spec(ModelId::T5Small, OptimizerKind::Adafactor));
     let first_load = trace
         .of_category(EventCategory::UserAnnotation)
-        .find(|e| e.name == names::DATALOADER_NEXT)
+        .find(|e| trace.name_of(e) == names::DATALOADER_NEXT)
         .expect("dataloader window");
     let allocs = trace
         .memory_instants()
-        .filter(|e| e.args.bytes.unwrap_or(0) > 0)
+        .filter(|e| e.args.bytes().unwrap_or(0) > 0)
         .filter(|e| (first_load.ts_us..first_load.end_us()).contains(&e.ts_us))
         .count();
     assert_eq!(allocs, 3);
@@ -171,13 +171,13 @@ fn fp16_traces_carry_half_sized_parameters() {
     let load_bytes = |trace: &Trace| -> u64 {
         let load = trace
             .of_category(EventCategory::UserAnnotation)
-            .find(|e| e.name == names::MODEL_TO_DEVICE)
+            .find(|e| trace.name_of(e) == names::MODEL_TO_DEVICE)
             .expect("model load window");
         trace
             .memory_instants()
-            .filter(|e| e.args.bytes.unwrap_or(0) > 0)
+            .filter(|e| e.args.bytes().unwrap_or(0) > 0)
             .filter(|e| (load.ts_us..load.end_us()).contains(&e.ts_us))
-            .map(|e| e.args.bytes.unwrap() as u64)
+            .map(|e| e.args.bytes().unwrap() as u64)
             .sum()
     };
     assert_eq!(load_bytes(&f32_trace), 2 * load_bytes(&f16_trace));
@@ -194,7 +194,7 @@ fn every_iteration_has_the_full_annotation_set() {
     ] {
         let count = trace
             .of_category(EventCategory::UserAnnotation)
-            .filter(|e| e.name == name_check)
+            .filter(|e| trace.name_of(e) == name_check)
             .count();
         assert_eq!(count, 3, "{name_check} once per iteration");
     }

@@ -574,6 +574,46 @@ mod tests {
         assert!(!torn);
     }
 
+    /// The journal and snapshot bytes of a stage record are a persisted
+    /// format: a state directory written by one build must recover in the
+    /// next. This pins the exact payload the golden fixture's analysis
+    /// encodes to, so a change to how analyses hold their names in memory
+    /// cannot move what goes to disk.
+    #[test]
+    fn stage_record_bytes_are_pinned() {
+        const FIXTURE: &str =
+            include_str!("../../xmem-core/tests/fixtures/mobilenet_v3_small_adam_b2.trace.json");
+        const EXPECTED: u64 = 0x7630_d5af_2eab_5f60;
+        let trace = xmem_trace::Trace::from_json_str(FIXTURE).expect("fixture parses");
+        let analyzed = xmem_core::Analyzer::new()
+            .analyze(&trace)
+            .expect("fixture analyzes");
+        let spec = xmem_runtime::TrainJobSpec::new(
+            xmem_models::ModelId::MobileNetV3Small,
+            xmem_optim::OptimizerKind::Adam,
+            2,
+        )
+        .with_iterations(2);
+        let record = StateRecord::Stage {
+            job: JobKey::of(&spec),
+            analyzed,
+        };
+        let json = serde_json::to_string(&record).expect("stage record encodes");
+        assert_eq!(
+            fnv1a64(json.as_bytes()),
+            EXPECTED,
+            "stage record bytes moved: 0x{:016x} over {} bytes",
+            fnv1a64(json.as_bytes()),
+            json.len()
+        );
+        let back: StateRecord = serde_json::from_str(&json).expect("stage record decodes");
+        assert_eq!(
+            serde_json::to_string(&back).expect("re-encodes"),
+            json,
+            "a decoded stage record re-encodes to the same bytes"
+        );
+    }
+
     #[test]
     fn failed_journal_writes_are_counted_not_swallowed() {
         let dir = std::env::temp_dir().join(format!("xmem-full-test-{}", std::process::id()));

@@ -20,6 +20,14 @@ pub enum TraceParseError {
     Json(serde_json::Error),
     /// Underlying I/O failure.
     Io(std::io::Error),
+    /// The event at `index` of `traceEvents` holds values no trace can
+    /// represent.
+    InvalidEvent {
+        /// Position of the event in the document's `traceEvents` array.
+        index: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for TraceParseError {
@@ -27,6 +35,9 @@ impl fmt::Display for TraceParseError {
         match self {
             TraceParseError::Json(e) => write!(f, "invalid trace json: {e}"),
             TraceParseError::Io(e) => write!(f, "trace io failure: {e}"),
+            TraceParseError::InvalidEvent { index, reason } => {
+                write!(f, "invalid trace event {index}: {reason}")
+            }
         }
     }
 }
@@ -36,6 +47,7 @@ impl Error for TraceParseError {
         match self {
             TraceParseError::Json(e) => Some(e),
             TraceParseError::Io(e) => Some(e),
+            TraceParseError::InvalidEvent { .. } => None,
         }
     }
 }
@@ -94,19 +106,16 @@ struct RawTrace {
     trace_events: Vec<RawEvent>,
 }
 
-fn to_raw(event: &TraceEvent) -> RawEvent {
-    let args = if event.args.is_empty() {
-        None
-    } else {
-        Some(RawArgs {
-            addr: event.args.addr,
-            bytes: event.args.bytes,
-            device: event.args.device,
-            total_allocated: event.args.total_allocated,
-            total_reserved: event.args.total_reserved,
-            seq: event.args.seq,
-        })
-    };
+fn to_raw(trace: &Trace, event: &TraceEvent) -> RawEvent {
+    let a = &event.args;
+    let args = (!a.is_empty()).then(|| RawArgs {
+        addr: a.addr(),
+        bytes: a.bytes(),
+        device: a.device(),
+        total_allocated: a.total_allocated(),
+        total_reserved: a.total_reserved(),
+        seq: a.seq(),
+    });
     RawEvent {
         ph: if event.dur_us == 0 && event.category == EventCategory::CpuInstantEvent {
             "i".to_string()
@@ -114,7 +123,7 @@ fn to_raw(event: &TraceEvent) -> RawEvent {
             "X".to_string()
         },
         cat: event.category.as_str().to_string(),
-        name: event.name.clone(),
+        name: trace.name_of(event).to_string(),
         pid: 1,
         tid: 1,
         ts: event.ts_us,
@@ -127,26 +136,44 @@ fn to_raw(event: &TraceEvent) -> RawEvent {
     }
 }
 
-fn from_raw(raw: RawEvent) -> Option<TraceEvent> {
-    let category = EventCategory::parse(&raw.cat)?;
-    let args = raw
-        .args
-        .map(|a| EventArgs {
-            addr: a.addr,
-            bytes: a.bytes,
-            device: a.device,
-            total_allocated: a.total_allocated,
-            total_reserved: a.total_reserved,
-            seq: a.seq,
-        })
-        .unwrap_or_default();
-    Some(TraceEvent {
+/// Adds `raw` (event `index` of the document) to `trace`, interning its
+/// name. Events of unknown categories are skipped.
+fn push_raw(trace: &mut Trace, index: usize, raw: RawEvent) -> Result<(), TraceParseError> {
+    let Some(category) = EventCategory::parse(&raw.cat) else {
+        return Ok(());
+    };
+    let invalid = |reason| TraceParseError::InvalidEvent { index, reason };
+    let dur_us = raw.dur.unwrap_or(0);
+    if raw.ts.checked_add(dur_us).is_none() {
+        return Err(invalid("span ends past the largest timestamp"));
+    }
+    let args = match raw.args {
+        Some(a) => {
+            if a.bytes == Some(i64::MIN) {
+                return Err(invalid("byte count out of range"));
+            }
+            EventArgs::pack(
+                [
+                    a.addr,
+                    a.bytes.map(|b| b as u64),
+                    a.total_allocated,
+                    a.total_reserved,
+                    a.seq,
+                ],
+                a.device,
+            )
+        }
+        None => EventArgs::default(),
+    };
+    let name = trace.intern(&raw.name);
+    trace.push(TraceEvent {
         category,
-        name: raw.name,
+        name,
         ts_us: raw.ts,
-        dur_us: raw.dur.unwrap_or(0),
+        dur_us,
         args,
-    })
+    });
+    Ok(())
 }
 
 impl Trace {
@@ -160,7 +187,7 @@ impl Trace {
             schema_version: 1,
             display_time_unit: Some("us".to_string()),
             trace_name: Some(self.name().to_string()),
-            trace_events: self.events().iter().map(to_raw).collect(),
+            trace_events: self.events().iter().map(|e| to_raw(self, e)).collect(),
         };
         Ok(serde_json::to_string(&raw)?)
     }
@@ -177,17 +204,19 @@ impl Trace {
 
     /// Parses a JSON document. Events with unknown categories are skipped
     /// (PyTorch traces contain many more categories than xMem consumes);
-    /// events are re-sorted by timestamp.
+    /// each distinct name is interned once; events are re-sorted by
+    /// timestamp.
     ///
     /// # Errors
-    /// Returns [`TraceParseError::Json`] for malformed documents.
+    /// Returns [`TraceParseError::Json`] for malformed documents and
+    /// [`TraceParseError::InvalidEvent`] for an event whose span ends past
+    /// `u64::MAX` or whose byte count is `i64::MIN` (its size has no
+    /// positive counterpart).
     pub fn from_json_str(s: &str) -> Result<Self, TraceParseError> {
         let raw: RawTrace = serde_json::from_str(s)?;
         let mut trace = Trace::new(raw.trace_name.unwrap_or_default());
-        for event in raw.trace_events {
-            if let Some(e) = from_raw(event) {
-                trace.push(e);
-            }
+        for (index, event) in raw.trace_events.into_iter().enumerate() {
+            push_raw(&mut trace, index, event)?;
         }
         trace.sort_by_time();
         Ok(trace)
@@ -211,27 +240,31 @@ mod tests {
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new("job");
+        let step = t.intern(&names::profiler_step(1));
+        let module = t.intern(&names::nn_module("encoder.0"));
+        let linear = t.intern("aten::linear");
+        let memory = t.intern(names::MEMORY);
         t.push(TraceEvent::span(
             EventCategory::UserAnnotation,
-            names::profiler_step(1),
+            step,
             0,
             100,
         ));
         t.push(TraceEvent::span(
             EventCategory::PythonFunction,
-            names::nn_module("encoder.0"),
+            module,
             5,
             40,
         ));
         t.push(TraceEvent::span_with_seq(
             EventCategory::CpuOp,
-            "aten::linear",
+            linear,
             6,
             30,
             7,
         ));
-        t.push(TraceEvent::mem_alloc(8, 0xabc, 4096, -1));
-        t.push(TraceEvent::mem_free(90, 0xabc, 4096, -1));
+        t.push(TraceEvent::mem_alloc(memory, 8, 0xabc, 4096, -1));
+        t.push(TraceEvent::mem_free(memory, 90, 0xabc, 4096, -1));
         t
     }
 
@@ -240,7 +273,7 @@ mod tests {
         let t = sample_trace();
         let json = t.to_json_string().unwrap();
         let back = Trace::from_json_str(&json).unwrap();
-        assert_eq!(back.events(), t.events());
+        assert_eq!(back, t);
         assert_eq!(back.name(), "job");
     }
 
@@ -267,7 +300,8 @@ mod tests {
         }"#;
         let t = Trace::from_json_str(json).unwrap();
         assert_eq!(t.len(), 1);
-        assert_eq!(t.events()[0].name, "aten::add");
+        assert_eq!(t.name_of(&t.events()[0]), "aten::add");
+        assert_eq!(t.names().len(), 1, "skipped events intern nothing");
     }
 
     #[test]
@@ -286,7 +320,52 @@ mod tests {
             ]
         }"#;
         let t = Trace::from_json_str(json).unwrap();
-        assert_eq!(t.events()[0].name, "early");
+        assert_eq!(t.name_of(&t.events()[0]), "early");
+    }
+
+    #[test]
+    fn every_argument_survives_a_round_trip() {
+        let json = r#"{"schemaVersion":1,"displayTimeUnit":"us","traceName":"gauges","traceEvents":[{"ph":"i","cat":"cpu_instant_event","name":"[memory]","pid":1,"tid":1,"ts":3,"args":{"Addr":18446744073709551615,"Bytes":-9223372036854775807,"Device Id":-2147483648,"Total Allocated":1,"Total Reserved":2,"Sequence number":3}},{"ph":"X","cat":"cpu_op","name":"aten::mm","pid":1,"tid":1,"ts":4,"dur":0,"args":{"Total Reserved":9}}]}"#;
+        let t = Trace::from_json_str(json).unwrap();
+        let a = &t.events()[0].args;
+        assert_eq!(a.addr(), Some(u64::MAX));
+        assert_eq!(a.bytes(), Some(-i64::MAX));
+        assert_eq!(a.device(), Some(i32::MIN));
+        assert_eq!(a.total_allocated(), Some(1));
+        assert_eq!(a.total_reserved(), Some(2));
+        assert_eq!(a.seq(), Some(3));
+        assert_eq!(t.events()[1].args.total_reserved(), Some(9));
+        assert_eq!(t.to_json_string().unwrap(), json);
+    }
+
+    #[test]
+    fn unrepresentable_events_are_typed_errors() {
+        let doc = |event: &str| {
+            format!(
+                r#"{{"schemaVersion":1,"traceEvents":[{{"ph":"X","cat":"cpu_op","name":"a","pid":1,"tid":1,"ts":0,"dur":1}},{event}]}}"#
+            )
+        };
+        let overflowing_span = doc(
+            r#"{"ph":"X","cat":"cpu_op","name":"b","pid":1,"tid":1,"ts":18446744073709551610,"dur":100}"#,
+        );
+        assert!(matches!(
+            Trace::from_json_str(&overflowing_span),
+            Err(TraceParseError::InvalidEvent { index: 1, .. })
+        ));
+        let unnegatable = doc(
+            r#"{"ph":"i","cat":"cpu_instant_event","name":"[memory]","pid":1,"tid":1,"ts":0,"args":{"Addr":1,"Bytes":-9223372036854775808,"Device Id":-1}}"#,
+        );
+        let err = Trace::from_json_str(&unnegatable).unwrap_err();
+        assert!(matches!(
+            err,
+            TraceParseError::InvalidEvent { index: 1, .. }
+        ));
+        assert!(err.to_string().contains("event 1"), "{err}");
+        // The largest representable span end is accepted.
+        let last = doc(
+            r#"{"ph":"X","cat":"cpu_op","name":"b","pid":1,"tid":1,"ts":18446744073709551610,"dur":5}"#,
+        );
+        assert_eq!(Trace::from_json_str(&last).unwrap().end_us(), u64::MAX);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! needs: prefix tests and step-number parsing, not privileged access to
 //! runtime internals.
 
+/// Name of every memory alloc/free instant.
+pub const MEMORY: &str = "[memory]";
 /// Iteration boundary marker: `ProfilerStep#<k>`.
 pub const PROFILER_STEP_PREFIX: &str = "ProfilerStep#";
 /// Optimizer step annotation: `Optimizer.step#<Name>.step`.

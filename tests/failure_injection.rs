@@ -3,12 +3,23 @@
 
 use xmem::core::{Analyzer, EstimateError};
 use xmem::prelude::*;
-use xmem::trace::{names, EventCategory, Trace, TraceEvent};
+use xmem::trace::{names, EventCategory, Trace, TraceEvent, TraceParseError};
 
 fn healthy_trace() -> Trace {
     let spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
     profile_on_cpu(&spec)
+}
+
+/// A trace under `source`'s label holding `events` of it, names
+/// re-interned into the new trace's table.
+fn subset<'a>(source: &Trace, events: impl Iterator<Item = &'a TraceEvent>) -> Trace {
+    let mut trace = Trace::new(source.name());
+    for e in events {
+        let name = trace.intern(source.name_of(e));
+        trace.push(TraceEvent { name, ..e.clone() });
+    }
+    trace
 }
 
 #[test]
@@ -17,16 +28,14 @@ fn truncated_trace_still_estimates() {
     // past iteration 1).
     let full = healthy_trace();
     let keep = full.events().len() / 2;
-    let mut truncated = Trace::new(full.name());
-    for e in full.events().iter().take(keep) {
-        truncated.push(e.clone());
-    }
+    let mut truncated = subset(&full, full.events().iter().take(keep));
     // Iteration-1 markers may be gone; re-add a synthetic one spanning the
     // kept window so phases remain delimited.
     if truncated.iteration_windows().is_empty() {
+        let step = truncated.intern(&names::profiler_step(1));
         truncated.push(TraceEvent::span(
             EventCategory::UserAnnotation,
-            names::profiler_step(1),
+            step,
             0,
             truncated.end_us() + 1,
         ));
@@ -44,12 +53,12 @@ fn missing_zero_grad_annotations_fall_back_gracefully() {
     // Strip all zero_grad markers: gradient lifecycles fall back to
     // persistent (conservative), estimation still succeeds.
     let full = healthy_trace();
-    let mut stripped = Trace::new(full.name());
-    for e in full.events() {
-        if !names::is_optimizer_zero_grad(&e.name) {
-            stripped.push(e.clone());
-        }
-    }
+    let stripped = subset(
+        &full,
+        full.events()
+            .iter()
+            .filter(|e| !names::is_optimizer_zero_grad(full.name_of(e))),
+    );
     let estimator = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
     let with_markers = estimator.estimate_trace(&full).expect("baseline");
     let without = estimator.estimate_trace(&stripped).expect("degraded");
@@ -62,8 +71,15 @@ fn missing_zero_grad_annotations_fall_back_gracefully() {
 #[test]
 fn unmatched_frees_are_tolerated_and_counted() {
     let mut trace = healthy_trace();
+    let memory = trace.intern(names::MEMORY);
     for i in 0..5 {
-        trace.push(TraceEvent::mem_free(10 + i, 0xdead_0000 + i, 64, -1));
+        trace.push(TraceEvent::mem_free(
+            memory,
+            10 + i,
+            0xdead_0000 + i,
+            64,
+            -1,
+        ));
     }
     trace.sort_by_time();
     let analyzed = Analyzer::new().analyze(&trace).expect("tolerant analysis");
@@ -80,11 +96,59 @@ fn empty_and_markerless_traces_error_cleanly() {
     ));
 
     let mut markerless = Trace::new("markerless");
-    markerless.push(TraceEvent::mem_alloc(0, 0x10, 512, -1));
+    let memory = markerless.intern(names::MEMORY);
+    markerless.push(TraceEvent::mem_alloc(memory, 0, 0x10, 512, -1));
     assert!(matches!(
         estimator.estimate_trace(&markerless),
         Err(EstimateError::MissingIterations)
     ));
+}
+
+/// Traces whose values no trace can represent: a span ending past
+/// `u64::MAX`, and a free of `i64::MIN` bytes (its size has no positive
+/// counterpart). Each used to panic a debug build (an add and a negate
+/// overflowing) and to wrap silently in a release build; the reader now
+/// rejects the offending event.
+#[test]
+fn unrepresentable_events_are_typed_parse_errors() {
+    for (fixture, json) in [
+        (
+            "hostile_span_overflow",
+            include_str!("fixtures/hostile_span_overflow.trace.json"),
+        ),
+        (
+            "hostile_bytes_min",
+            include_str!("fixtures/hostile_bytes_min.trace.json"),
+        ),
+    ] {
+        match Trace::from_json_str(json) {
+            Err(TraceParseError::InvalidEvent { index, reason }) => {
+                assert_eq!(index, 3, "{fixture}: the fourth event is the bad one");
+                assert!(!reason.is_empty());
+            }
+            other => panic!("{fixture}: expected InvalidEvent, got {other:?}"),
+        }
+    }
+}
+
+/// Spans at the very end of the timestamp range are representable and
+/// must analyze without overflowing any `ts + 1`.
+#[test]
+fn spans_at_the_last_timestamp_analyze_without_overflow() {
+    let last = u64::MAX;
+    let json = format!(
+        r#"{{"schemaVersion":1,"traceName":"edge","traceEvents":[
+{{"ph":"X","cat":"user_annotation","name":"ProfilerStep#1","pid":1,"tid":1,"ts":0,"dur":{last}}},
+{{"ph":"X","cat":"python_function","name":"nn.Module: m","pid":1,"tid":1,"ts":{last},"dur":0}},
+{{"ph":"X","cat":"user_annotation","name":"Optimizer.step#Adam.step","pid":1,"tid":1,"ts":{last},"dur":0}},
+{{"ph":"X","cat":"cpu_op","name":"aten::add","pid":1,"tid":1,"ts":{last},"dur":0}},
+{{"ph":"i","cat":"cpu_instant_event","name":"[memory]","pid":1,"tid":1,"ts":{last},"args":{{"Addr":4096,"Bytes":512,"Device Id":-1}}}}
+]}}"#
+    );
+    let trace = Trace::from_json_str(&json).expect("representable");
+    let estimator = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
+    let estimate = estimator.estimate_trace(&trace).expect("estimates");
+    assert!(estimate.peak_bytes > 0);
 }
 
 #[test]
@@ -92,12 +156,16 @@ fn gpu_device_events_are_ignored_by_the_cpu_analyzer() {
     // Mixed-device traces (CUDA memory instants interleaved) must not
     // perturb the CPU-side analysis.
     let base = healthy_trace();
-    let mut mixed = Trace::new(base.name());
-    for e in base.events() {
-        mixed.push(e.clone());
-    }
+    let mut mixed = base.clone();
+    let memory = mixed.intern(names::MEMORY);
     for i in 0..50 {
-        mixed.push(TraceEvent::mem_alloc(i * 3, 0xccc0_0000 + i, 1 << 20, 0));
+        mixed.push(TraceEvent::mem_alloc(
+            memory,
+            i * 3,
+            0xccc0_0000 + i,
+            1 << 20,
+            0,
+        ));
     }
     mixed.sort_by_time();
     let estimator = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
