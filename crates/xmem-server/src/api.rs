@@ -140,9 +140,13 @@ pub fn estimate_from_value(value: &Value) -> Option<Estimate> {
 // written here, strings escaped by `wire::push_json_string`.
 // ---------------------------------------------------------------------------
 
-/// Rendered bytes per estimate, give or take its category names — sizes
-/// a body's buffer up front so a large matrix renders without regrowth.
-const ESTIMATE_BYTES: usize = 384;
+/// Rendered bytes of one estimate body. Served bodies run 450-490 B
+/// across the model zoo (the widest, Qwen3-4B, is 487 B); sizing every
+/// body's buffer from this lets it render without regrowth.
+const ESTIMATE_BYTES: usize = 512;
+
+/// Rendered bytes of one matrix row's job object.
+const JOB_BYTES: usize = 128;
 
 fn push_u64(out: &mut String, n: u64) {
     // Writing into a `String` cannot fail.
@@ -255,7 +259,11 @@ pub fn estimate_body(estimate: &Estimate) -> String {
 /// The `POST /v1/matrix` success body.
 #[must_use]
 pub fn matrix_body(matrix: &DeviceMatrix) -> String {
-    let mut out = String::with_capacity(64 + matrix.num_cells() * ESTIMATE_BYTES);
+    // A cell is `{"device":<name>,` around an estimate's members.
+    let name_bytes = matrix.devices.iter().map(String::len).max().unwrap_or(0);
+    let mut out = String::with_capacity(
+        64 + matrix.rows.len() * JOB_BYTES + matrix.num_cells() * (ESTIMATE_BYTES + name_bytes),
+    );
     out.push_str("{\"devices\":[");
     for (i, device) in matrix.devices.iter().enumerate() {
         if i > 0 {
@@ -594,4 +602,49 @@ pub fn handle_best_device(
     };
     let submitted = service.placement_traced(&spec, deadline, ctx);
     settle(submitted, |placement| placement_body(placement.as_ref()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xmem_core::{Estimator, EstimatorConfig, MatrixCell, MatrixRow};
+    use xmem_models::ModelId;
+    use xmem_optim::OptimizerKind;
+    use xmem_runtime::GpuDevice;
+
+    #[test]
+    fn a_large_jobs_bodies_fit_their_presized_buffers() {
+        // The zoo's widest estimate body: every figure has 11 digits.
+        let spec = TrainJobSpec::new(ModelId::Qwen3_4B, OptimizerKind::AdamW, 1);
+        let estimate = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()))
+            .estimate_job(&spec)
+            .expect("the job analyzes");
+        let body = estimate_body(&estimate);
+        assert!(body.len() > 480, "{} B: {body}", body.len());
+        assert!(body.len() <= ESTIMATE_BYTES, "{} B: {body}", body.len());
+        assert_eq!(body.capacity(), ESTIMATE_BYTES, "the body never regrew");
+
+        // A 16 x 8 matrix of it, with fleet-style device names.
+        let devices: Vec<String> = (0..8).map(|i| format!("fleet-{}g", 16 * (i + 1))).collect();
+        let matrix = DeviceMatrix {
+            rows: (0..16)
+                .map(|_| MatrixRow {
+                    spec: spec.clone(),
+                    cells: devices
+                        .iter()
+                        .map(|device| MatrixCell {
+                            device: device.clone(),
+                            estimate: Ok(estimate.clone()),
+                        })
+                        .collect(),
+                })
+                .collect(),
+            devices,
+        };
+        let body = matrix_body(&matrix);
+        let presized =
+            64 + 16 * JOB_BYTES + matrix.num_cells() * (ESTIMATE_BYTES + "fleet-128g".len());
+        assert!(body.len() <= presized, "{} B > {presized} B", body.len());
+        assert_eq!(body.capacity(), presized, "the body never regrew");
+    }
 }

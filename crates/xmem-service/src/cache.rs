@@ -807,18 +807,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             .peek(key)
     }
 
-    /// Whether `key` is resident, without refreshing recency or touching
-    /// the hit/miss counters.
-    #[must_use]
-    pub fn contains(&self, key: &K) -> bool {
-        let hash = key_hash(key);
-        self.shards[self.shard_index_of(hash)]
-            .lock()
-            .expect("cache shard poisoned")
-            .map
-            .contains_key(key)
-    }
-
     /// Clones every resident entry, least- to most-recently-used within
     /// each shard (probation before protected, each walked LRU → MRU),
     /// so re-inserting the sequence into an empty cache approximately

@@ -174,6 +174,58 @@ pub(crate) fn settle_with<T: LateOutcome>(promise: Promise<T>, work: impl FnOnce
     }
 }
 
+/// The calling-thread half of a query: the whole answer, read from the
+/// caches, or what the reads found, handed on to the half that computes.
+pub(crate) enum Probe<T, F> {
+    /// The reads hold the whole answer.
+    Done(T),
+    /// Something must be computed from this state.
+    Fill(F),
+}
+
+impl<T, F> Probe<T, F> {
+    /// The answer, computing it with `fill` when the reads did not hold
+    /// it — both halves on the calling thread.
+    pub(crate) fn or_fill(self, fill: impl FnOnce(F) -> T) -> T {
+        match self {
+            Probe::Done(value) => value,
+            Probe::Fill(state) => fill(state),
+        }
+    }
+
+    /// The same probe with its fill state mapped by `f`.
+    pub(crate) fn map_fill<G>(self, f: impl FnOnce(F) -> G) -> Probe<T, G> {
+        match self {
+            Probe::Done(value) => Probe::Done(value),
+            Probe::Fill(state) => Probe::Fill(f(state)),
+        }
+    }
+}
+
+/// Runs `probe` for `promise` on the calling thread. A `Done` answer (or
+/// a panic, as an internal error) settles the promise here; a `Fill`
+/// hands the promise back with the state to compute from. A query whose
+/// deadline has passed is settled without probing.
+pub(crate) fn settle_or_defer<T: LateOutcome, F>(
+    promise: Promise<T>,
+    probe: impl FnOnce() -> Probe<T, F>,
+) -> Option<(Promise<T>, F)> {
+    if promise.expire_if_past_deadline() {
+        return None;
+    }
+    match catch_unwind(AssertUnwindSafe(probe)) {
+        Ok(Probe::Done(value)) => {
+            promise.complete(value);
+            None
+        }
+        Ok(Probe::Fill(state)) => Some((promise, state)),
+        Err(payload) => {
+            promise.complete(T::internal(&panic_message(payload.as_ref())));
+            None
+        }
+    }
+}
+
 /// Best-effort extraction of a printable panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {

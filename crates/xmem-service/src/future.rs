@@ -159,7 +159,9 @@ impl<T: LateOutcome> Promise<T> {
         self.shared.settle(value)
     }
 
-    fn expire_if_past_deadline(&self) -> bool {
+    /// Settles the future with [`LateOutcome::deadline_exceeded`] when its
+    /// deadline has passed, reporting whether it did.
+    pub(crate) fn expire_if_past_deadline(&self) -> bool {
         match self.deadline {
             Some(deadline) if Instant::now() >= deadline => {
                 self.shared.settle(T::deadline_exceeded())

@@ -4,7 +4,7 @@
 //! batched replay, placement).
 
 use crate::cache::{CacheStats, ShardedLruCache};
-use crate::executor::{settle_with, SubmitError, WorkerPool};
+use crate::executor::{settle_or_defer, Probe, SubmitError, WorkerPool};
 use crate::future::{promise_pair, PoolFuture};
 use crate::key::{JobKey, SweepKey};
 use crate::negative::{NegativeCache, NegativeStats};
@@ -29,6 +29,38 @@ use xmem_trace::Trace;
 /// Identity of one simulation cell: which analysis, replayed against
 /// which device configuration.
 type SimKey = (JobKey, DeviceFingerprint);
+
+/// What a single-estimate probe read and could not answer from: the
+/// stage entry (`None` when it missed) and the cell to fill.
+#[derive(Debug)]
+struct EstimateFill {
+    key: JobKey,
+    stages: Option<Arc<ProfiledStages>>,
+    /// The cell's device and whether its replay seeds the
+    /// unbounded-replay cache; `None` on the uncached default route.
+    cell: Option<(GpuDevice, bool)>,
+}
+
+/// What a matrix probe read: every row's stage entry and every cell,
+/// column-major (cell `c` is device `c / jobs`, job `c % jobs`), with
+/// `None` for each one that missed.
+#[derive(Debug)]
+struct MatrixFill {
+    devices: Vec<GpuDevice>,
+    keys: Vec<JobKey>,
+    stages: Vec<Option<Arc<ProfiledStages>>>,
+    cells: Vec<Option<Result<Estimate, EstimateError>>>,
+}
+
+/// What a placement probe read: the stage entry (`None` when it missed)
+/// and the fleet in capacity order from the first device whose cell
+/// missed, a read already counted.
+#[derive(Debug)]
+struct PlacementFill {
+    key: JobKey,
+    stages: Option<Arc<ProfiledStages>>,
+    fleet: Vec<(String, GpuDevice)>,
+}
 
 /// The memoized (device-independent) front half of the pipeline: the CPU
 /// profiler trace and its analysis. Orchestration + simulation are cheap
@@ -769,26 +801,42 @@ impl EstimationService {
         ctx: &TraceContext,
     ) -> Result<Arc<ProfiledStages>, EstimateError> {
         let key = JobKey::of(spec);
-        if let Some(hit) = self.cache.get(&key) {
-            ctx.event("cache.stage", "hit");
-            return Ok(hit);
+        match self.read_stages(&key, ctx)? {
+            Some(hit) => Ok(hit),
+            None => self.load_stages(spec, &key, ctx),
         }
-        self.load_stages(spec, &key, ctx)
+    }
+
+    /// One counted stage-cache read and, on a miss, the negative cache:
+    /// the resident entry, `None` for a miss, or the remembered failure.
+    fn read_stages(
+        &self,
+        key: &JobKey,
+        ctx: &TraceContext,
+    ) -> Result<Option<Arc<ProfiledStages>>, EstimateError> {
+        if let Some(hit) = self.cache.get(key) {
+            ctx.event("cache.stage", "hit");
+            return Ok(Some(hit));
+        }
+        self.remembered_failure(key, ctx).map_or(Ok(None), Err)
+    }
+
+    /// The negative cache's answer for `key`, if it remembers a failure.
+    fn remembered_failure(&self, key: &JobKey, ctx: &TraceContext) -> Option<EstimateError> {
+        let error = self.negative.get(key)?;
+        ctx.event("cache.negative", "hit");
+        Some(error)
     }
 
     /// The miss half of [`stages_traced`](Self::stages_traced), for a
-    /// key whose stage-cache read already missed (and counted): the
-    /// negative cache, then a single-flighted profile + analysis.
+    /// key whose stage-cache and negative-cache reads already missed
+    /// (and counted): a single-flighted profile + analysis.
     fn load_stages(
         &self,
         spec: &TrainJobSpec,
         key: &JobKey,
         ctx: &TraceContext,
     ) -> Result<Arc<ProfiledStages>, EstimateError> {
-        if let Some(error) = self.negative.get(key) {
-            ctx.event("cache.negative", "hit");
-            return Err(error);
-        }
         ctx.event("cache.stage", "miss");
         let mut leader = false;
         let result = self.flights.run(key, || {
@@ -875,26 +923,80 @@ impl EstimationService {
     }
 
     /// The single-estimate path behind [`estimate`](Self::estimate) and
-    /// [`estimate_on`](Self::estimate_on); they differ only in how the
-    /// device resolves (see [`cell_device`](Self::cell_device)). Named
-    /// devices seed the unbounded-replay cache, since a fleet query for
-    /// the same job usually follows; the default route does not.
+    /// [`estimate_on`](Self::estimate_on): the probe, then the fill when
+    /// the probe did not hold the answer.
     fn estimate_at(
         &self,
         spec: &TrainJobSpec,
         device_name: Option<&str>,
         ctx: &TraceContext,
     ) -> Result<Estimate, EstimateError> {
-        let device = match (self.cell_device(device_name), device_name) {
-            (None, Some(name)) => return Err(EstimateError::UnknownDevice(name.to_string())),
-            (device, _) => device,
-        };
-        let stages = self.stages_traced(spec, ctx)?;
-        Ok(match device {
-            Some(device) => {
-                let seed = device_name.is_some();
-                self.simulate_on_with(&JobKey::of(spec), &stages, device, seed, ctx)
+        self.probe_estimate_at(spec, device_name, ctx)
+            .or_fill(|fill| self.fill_estimate(spec, fill, ctx))
+    }
+
+    /// [`probe_estimate`](Self::probe_estimate) for a device named as
+    /// [`estimate_at`](Self::estimate_at) names it (see
+    /// [`cell_device`](Self::cell_device)); an unknown name is the whole
+    /// answer. Named devices seed the unbounded-replay cache, since a
+    /// fleet query for the same job usually follows; the default route
+    /// does not.
+    fn probe_estimate_at(
+        &self,
+        spec: &TrainJobSpec,
+        device_name: Option<&str>,
+        ctx: &TraceContext,
+    ) -> Probe<Result<Estimate, EstimateError>, EstimateFill> {
+        let cell = match (self.cell_device(device_name), device_name) {
+            (None, Some(name)) => {
+                return Probe::Done(Err(EstimateError::UnknownDevice(name.to_string())))
             }
+            (device, name) => device.map(|device| (device, name.is_some())),
+        };
+        self.probe_estimate(spec, cell, ctx)
+    }
+
+    /// The read half of a single estimate: one counted stage read (on a
+    /// miss, the negative cache), then one counted read of the cell
+    /// `(device, seed)` names. A cell hit or a remembered failure is the
+    /// whole answer, and a missing stage entry is not loaded for it;
+    /// anything else is left to [`fill_estimate`](Self::fill_estimate).
+    /// `cell = None` is the uncached default route of a customized
+    /// estimator, which always computes.
+    fn probe_estimate(
+        &self,
+        spec: &TrainJobSpec,
+        cell: Option<(GpuDevice, bool)>,
+        ctx: &TraceContext,
+    ) -> Probe<Result<Estimate, EstimateError>, EstimateFill> {
+        let key = JobKey::of(spec);
+        let stages = match self.read_stages(&key, ctx) {
+            Ok(stages) => stages,
+            Err(error) => return Probe::Done(Err(error)),
+        };
+        if let Some((device, _)) = cell {
+            if let Some(hit) = self.sims.shard(&device).get(&key) {
+                ctx.event("cache.sim", "hit");
+                return Probe::Done(Ok(hit));
+            }
+        }
+        Probe::Fill(EstimateFill { key, stages, cell })
+    }
+
+    /// The compute half of a single estimate: loads the stages the probe
+    /// missed, then replays the missed cell (or, on the uncached default
+    /// route, the service estimator). Reads nothing the probe counted.
+    fn fill_estimate(
+        &self,
+        spec: &TrainJobSpec,
+        fill: EstimateFill,
+        ctx: &TraceContext,
+    ) -> Result<Estimate, EstimateError> {
+        let stages = fill
+            .stages
+            .map_or_else(|| self.load_stages(spec, &fill.key, ctx), Ok)?;
+        Ok(match fill.cell {
+            Some((device, seed)) => self.simulate_cell(&fill.key, &stages, device, seed, ctx),
             None => self.estimator.estimate_analyzed(&stages.analyzed),
         })
     }
@@ -1310,8 +1412,8 @@ impl EstimationService {
         device: GpuDevice,
     ) -> Result<Estimate, EstimateError> {
         let ctx = TraceContext::disabled();
-        let stages = self.stages_traced(spec, &ctx)?;
-        Ok(self.simulate_on(&JobKey::of(spec), &stages, device, &ctx))
+        self.probe_estimate(spec, Some((device, true)), &ctx)
+            .or_fill(|fill| self.fill_estimate(spec, fill, &ctx))
     }
 
     /// Estimates `spec` on the registered device `device_name`, sharing
@@ -1383,37 +1485,6 @@ impl EstimationService {
     ) -> Option<Estimate> {
         let device = self.cell_device(device_name)?;
         self.sims.shard(&device).get(&JobKey::of(spec))
-    }
-
-    /// [`estimate_at`](Self::estimate_at) as one `service.call` span: the
-    /// body of a submitted single-estimate query.
-    fn estimate_call(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: Option<&str>,
-        ctx: &TraceContext,
-    ) -> Result<Estimate, EstimateError> {
-        let mut call = ctx.span("service.call");
-        let result = self.estimate_at(spec, device_name, ctx);
-        call.set_outcome(if result.is_ok() { "ok" } else { "error" });
-        result
-    }
-
-    /// Whether [`estimate_at`](Self::estimate_at) for `spec` only reads
-    /// caches: both its stage entry and its sim cell are resident. Counts
-    /// no hit or miss and refreshes no recency.
-    fn is_resident(&self, spec: &TrainJobSpec, device_name: Option<&str>) -> bool {
-        let Some(device) = self.cell_device(device_name) else {
-            return false;
-        };
-        let key = JobKey::of(spec);
-        self.cache.contains(&key) && self.sims.shard(&device).contains(&key)
-    }
-
-    /// Whether a stage load (profile + analysis) or a sim-cell replay is
-    /// in flight.
-    fn is_computing(&self) -> bool {
-        self.flights.inflight_len() > 0 || self.sim_flights.inflight_len() > 0
     }
 
     /// Fills the local simulation cell for `spec` with an estimate
@@ -1501,95 +1572,115 @@ impl EstimationService {
         devices: &[&str],
         ctx: &TraceContext,
     ) -> Result<DeviceMatrix, EstimateError> {
-        let resolved = self.registry().resolve(devices)?;
-        let jobs = specs.len();
+        self.probe_matrix(specs, devices, ctx)
+            .or_fill(|fill| self.fill_matrix(specs, devices, fill, ctx))
+    }
+
+    /// The read half of a matrix: one counted stage read per row,
+    /// whatever the cells hold, so the stage tier's access stream (its
+    /// counters, its adaptive tuning) follows the query alone; then every
+    /// cell, column-major; then, for each row that missed both its stage
+    /// entry and a cell, the negative cache. A warm matrix ends here.
+    /// Hits are recorded as one event per tier, not one per cell, so a
+    /// large matrix cannot crowd its own spans out of the trace.
+    fn probe_matrix(
+        &self,
+        specs: &[TrainJobSpec],
+        devices: &[&str],
+        ctx: &TraceContext,
+    ) -> Probe<Result<DeviceMatrix, EstimateError>, MatrixFill> {
+        let resolved = match self.registry().resolve(devices) {
+            Ok(resolved) => resolved,
+            Err(error) => return Probe::Done(Err(error)),
+        };
         let keys: Vec<JobKey> = specs.iter().map(JobKey::of).collect();
-        // One stage-cache read per row, whatever the cells hold: the
-        // stage tier's access stream (its counters, its adaptive tuning)
-        // follows the query alone, never another tier's residency. A
-        // miss loads below, and only when one of the row's cells needs
-        // the analysis.
-        let resident: Vec<Option<Arc<ProfiledStages>>> =
+        let stages: Vec<Option<Arc<ProfiledStages>>> =
             keys.iter().map(|key| self.cache.get(key)).collect();
-        // Hit-first: probe every cell on the calling thread, column-major
-        // (cell `c` is device `c / jobs`, job `c % jobs`). A warm matrix
-        // ends here, with no fan-out. Hits are recorded as one event per
-        // tier, not one per cell, so a large matrix cannot crowd its own
-        // spans out of the trace.
-        let mut columns: Vec<Option<Result<Estimate, EstimateError>>> =
-            Vec::with_capacity(jobs * resolved.len());
+        let mut cells: Vec<Option<Result<Estimate, EstimateError>>> =
+            Vec::with_capacity(keys.len() * resolved.len());
         for device in &resolved {
             let shard = self.sims.shard(device);
-            columns.extend(keys.iter().map(|key| shard.get(key).map(Ok)));
+            cells.extend(keys.iter().map(|key| shard.get(key).map(Ok)));
         }
-        let misses: Vec<usize> = (0..columns.len())
-            .filter(|&c| columns[c].is_none())
-            .collect();
-        if resident.iter().any(Option::is_some) {
+        if stages.iter().any(Option::is_some) {
             ctx.event("cache.stage", "hit");
         }
-        if misses.len() < columns.len() {
+        if cells.iter().any(Option::is_some) {
             ctx.event("cache.sim", "hit");
         }
-        if !misses.is_empty() {
-            // Rows a missed cell needs but the stage cache lacks load
-            // once each, in parallel (distinct jobs profile side by
-            // side); then only the missed cells replay.
-            let mut cold: Vec<usize> = misses
-                .iter()
-                .map(|&c| c % jobs)
-                .filter(|&j| resident[j].is_none())
-                .collect();
-            cold.sort_unstable();
-            cold.dedup();
-            let loaded = self.parallel_fill(cold.len(), |i| {
-                self.load_stages(&specs[cold[i]], &keys[cold[i]], ctx)
-            });
-            let mut stages: Vec<Option<Result<Arc<ProfiledStages>, EstimateError>>> =
-                resident.into_iter().map(|hit| hit.map(Ok)).collect();
-            for (j, outcome) in cold.into_iter().zip(loaded) {
-                stages[j] = Some(outcome);
+        let jobs = keys.len();
+        for (j, key) in keys.iter().enumerate() {
+            let row = (j..cells.len()).step_by(jobs);
+            if stages[j].is_some() || row.clone().all(|c| cells[c].is_some()) {
+                continue;
             }
-            let filled = self.parallel_fill(misses.len(), |i| {
-                let (device_index, job_index) = (misses[i] / jobs, misses[i] % jobs);
-                match stages[job_index].as_ref().expect("read or loaded above") {
-                    Ok(stages) => Ok(self.simulate_cell(
-                        &keys[job_index],
-                        stages,
-                        resolved[device_index],
-                        true,
-                        ctx,
-                    )),
-                    Err(error) => Err(error.clone()),
+            if let Some(error) = self.remembered_failure(key, ctx) {
+                for c in row {
+                    cells[c] = Some(Err(error.clone()));
                 }
-            });
-            for (c, outcome) in misses.into_iter().zip(filled) {
-                columns[c] = Some(outcome);
             }
         }
-
-        let device_names: Vec<String> = devices.iter().map(|&d| d.to_string()).collect();
-        let rows = specs
-            .iter()
-            .enumerate()
-            .map(|(job_index, spec)| MatrixRow {
-                spec: spec.clone(),
-                cells: device_names
-                    .iter()
-                    .enumerate()
-                    .map(|(device_index, name)| MatrixCell {
-                        device: name.clone(),
-                        estimate: columns[device_index * jobs + job_index]
-                            .take()
-                            .expect("one output per cell"),
-                    })
-                    .collect(),
-            })
-            .collect();
-        Ok(DeviceMatrix {
-            devices: device_names,
-            rows,
+        if cells.iter().all(Option::is_some) {
+            return Probe::Done(Ok(assemble_matrix(specs, devices, cells)));
+        }
+        Probe::Fill(MatrixFill {
+            devices: resolved,
+            keys,
+            stages,
+            cells,
         })
+    }
+
+    /// The compute half of a matrix: rows a missed cell needs but the
+    /// stage cache lacks profile once each, in parallel (distinct jobs
+    /// profile side by side); then only the missed cells replay.
+    fn fill_matrix(
+        &self,
+        specs: &[TrainJobSpec],
+        devices: &[&str],
+        fill: MatrixFill,
+        ctx: &TraceContext,
+    ) -> Result<DeviceMatrix, EstimateError> {
+        let MatrixFill {
+            devices: resolved,
+            keys,
+            stages: resident,
+            mut cells,
+        } = fill;
+        let jobs = keys.len();
+        let misses: Vec<usize> = (0..cells.len()).filter(|&c| cells[c].is_none()).collect();
+        let mut cold: Vec<usize> = misses
+            .iter()
+            .map(|&c| c % jobs)
+            .filter(|&j| resident[j].is_none())
+            .collect();
+        cold.sort_unstable();
+        cold.dedup();
+        let loaded = self.parallel_fill(cold.len(), |i| {
+            self.load_stages(&specs[cold[i]], &keys[cold[i]], ctx)
+        });
+        let mut stages: Vec<Option<Result<Arc<ProfiledStages>, EstimateError>>> =
+            resident.into_iter().map(|hit| hit.map(Ok)).collect();
+        for (j, outcome) in cold.into_iter().zip(loaded) {
+            stages[j] = Some(outcome);
+        }
+        let filled = self.parallel_fill(misses.len(), |i| {
+            let (device_index, job_index) = (misses[i] / jobs, misses[i] % jobs);
+            match stages[job_index].as_ref().expect("read or loaded above") {
+                Ok(stages) => Ok(self.simulate_cell(
+                    &keys[job_index],
+                    stages,
+                    resolved[device_index],
+                    true,
+                    ctx,
+                )),
+                Err(error) => Err(error.clone()),
+            }
+        });
+        for (c, outcome) in misses.into_iter().zip(filled) {
+            cells[c] = Some(outcome);
+        }
+        Ok(assemble_matrix(specs, devices, cells))
     }
 
     /// Batch-size sweep across a device fleet: one matrix whose rows are
@@ -1691,19 +1782,62 @@ impl EstimationService {
         spec: &TrainJobSpec,
         ctx: &TraceContext,
     ) -> Result<Option<DevicePlacement>, EstimateError> {
+        self.probe_placement(spec, ctx)
+            .or_fill(|fill| self.fill_placement(spec, fill, ctx))
+    }
+
+    /// The read half of a placement: one counted stage read (on a miss,
+    /// the negative cache), then the cells in capacity order up to the
+    /// first fit or the first miss. Smallest capacity first (the stable
+    /// sort keeps the snapshot's name order within equal capacities,
+    /// preserving the tie-break), so the first fit is the answer — a
+    /// small job on a large fleet reads one cell, not one per device.
+    fn probe_placement(
+        &self,
+        spec: &TrainJobSpec,
+        ctx: &TraceContext,
+    ) -> Probe<Result<Option<DevicePlacement>, EstimateError>, PlacementFill> {
         let mut fleet = self.registry().snapshot();
         if fleet.is_empty() {
-            return Ok(None);
+            return Probe::Done(Ok(None));
         }
-        let stages = self.stages_traced(spec, ctx)?;
         let key = JobKey::of(spec);
-        // Smallest capacity first (the stable sort keeps the snapshot's
-        // name order within equal capacities, preserving the tie-break),
-        // so the first fit is the answer — a small job on a large fleet
-        // costs one simulation, not one per device.
+        let stages = match self.read_stages(&key, ctx) {
+            Ok(stages) => stages,
+            Err(error) => return Probe::Done(Err(error)),
+        };
         fleet.sort_by_key(|&(_, device)| device.capacity);
-        for (name, device) in fleet {
-            let estimate = self.simulate_on(&key, &stages, device, ctx);
+        for i in 0..fleet.len() {
+            let Some(estimate) = self.sims.shard(&fleet[i].1).get(&key) else {
+                fleet.drain(..i);
+                return Probe::Fill(PlacementFill { key, stages, fleet });
+            };
+            ctx.event("cache.sim", "hit");
+            if !estimate.oom_predicted {
+                let device = fleet.swap_remove(i).0;
+                return Probe::Done(Ok(Some(DevicePlacement { device, estimate })));
+            }
+        }
+        Probe::Done(Ok(None))
+    }
+
+    /// The compute half of a placement: loads the stages the probe
+    /// missed, replays the missed cell, then walks on through the rest
+    /// of the fleet (reading before replaying) to the first fit.
+    fn fill_placement(
+        &self,
+        spec: &TrainJobSpec,
+        fill: PlacementFill,
+        ctx: &TraceContext,
+    ) -> Result<Option<DevicePlacement>, EstimateError> {
+        let PlacementFill { key, stages, fleet } = fill;
+        let stages = stages.map_or_else(|| self.load_stages(spec, &key, ctx), Ok)?;
+        for (i, (name, device)) in fleet.into_iter().enumerate() {
+            let estimate = if i == 0 {
+                self.simulate_cell(&key, &stages, device, true, ctx)
+            } else {
+                self.simulate_on(&key, &stages, device, ctx)
+            };
             if !estimate.oom_predicted {
                 return Ok(Some(DevicePlacement {
                     device: name,
@@ -2013,9 +2147,11 @@ impl AsyncServiceConfig {
 /// queries and receives [`PoolFuture`]s, instead of burning a blocked
 /// thread per in-flight question.
 ///
-/// Queries are answered by a fixed, channel-fed worker pool over a shared
-/// [`EstimationService`], so everything the blocking service guarantees
-/// carries over: estimates are bit-identical to the sequential
+/// A query's cache reads run on the submitting thread, and a query they
+/// answer comes back already settled; only a query that must compute is
+/// answered by a fixed, channel-fed worker pool. Both halves run over a
+/// shared [`EstimationService`], so everything the blocking service
+/// guarantees carries over: estimates are bit-identical to the sequential
 /// [`Estimator`](xmem_core::Estimator), concurrent identical queries
 /// single-flight onto one profile run, and degenerate jobs are answered
 /// from the negative cache.
@@ -2114,23 +2250,55 @@ impl AsyncEstimationService {
         self.pool.threads()
     }
 
-    /// Enqueues `work` against the shared service, returning the matching
-    /// future. The pool settles the promise even if `work` panics (the
-    /// future resolves to [`EstimateError::Internal`]) and the worker
-    /// thread survives, so the pool stays at full strength.
-    fn dispatch<T, F>(
+    /// The one dispatch rule of every route: `probe` makes the route's
+    /// counted cache reads on the calling thread, and when they hold the
+    /// whole answer the returned future is already settled, with a
+    /// `service.call` span and no `pool.queue` span — a resident read
+    /// never meets [`SubmitError::Busy`]. Otherwise what the probe read
+    /// goes to the pool, where `fill` computes only what is missing. A
+    /// query whose deadline has passed settles with
+    /// [`EstimateError::DeadlineExceeded`] before it reads anything.
+    ///
+    /// The pool settles the promise even if `fill` panics (the future
+    /// resolves to [`EstimateError::Internal`]) and the worker thread
+    /// survives, so the pool stays at full strength.
+    fn dispatch<V, P>(
         &self,
         deadline: Option<Instant>,
-        work: F,
-    ) -> Result<PoolFuture<T>, SubmitError>
+        ctx: &TraceContext,
+        probe: impl FnOnce(&EstimationService) -> Probe<Result<V, EstimateError>, P>,
+        fill: impl FnOnce(&EstimationService, P, &TraceContext) -> Result<V, EstimateError>
+            + Send
+            + 'static,
+    ) -> Result<PoolFuture<Result<V, EstimateError>>, SubmitError>
     where
-        T: crate::future::LateOutcome + 'static,
-        F: FnOnce(&EstimationService) -> T + Send + 'static,
+        V: Clone + Send + 'static,
+        P: Send + 'static,
     {
         let (promise, future) = promise_pair(deadline);
+        let deferred = settle_or_defer(promise, || {
+            let mut call = ctx.span("service.call");
+            let probed = probe(&self.service);
+            match &probed {
+                Probe::Done(result) => call.set_outcome(outcome_of(result)),
+                // The pool's `service.call` span times the fill.
+                Probe::Fill(_) => call.discard(),
+            }
+            probed
+        });
+        let Some((promise, state)) = deferred else {
+            return Ok(future);
+        };
         let service = Arc::clone(&self.service);
-        self.pool
-            .try_execute_settling(promise, move || work(&service))?;
+        let ctx = ctx.clone();
+        let queue = ctx.span("pool.queue");
+        self.pool.try_execute_settling(promise, move || {
+            drop(queue);
+            let mut call = ctx.span("service.call");
+            let result = fill(&service, state, &ctx);
+            call.set_outcome(outcome_of(&result));
+            result
+        })?;
         // Only accepted, deadline-carrying submissions are watched.
         self.timer.watch(&future);
         Ok(future)
@@ -2147,22 +2315,17 @@ impl AsyncEstimationService {
 
     /// Submits one estimation query under a request trace — against the
     /// primary device, or a *named* registered device when `device_name`
-    /// is given. Queue wait records as a `pool.queue` span, worker
-    /// execution as `service.call`, and every pipeline stage the query
-    /// touches records under the same trace id. A disabled context makes
-    /// this identical to the untraced submit paths.
+    /// is given. Every pipeline stage the query touches records under the
+    /// same trace id; a disabled context makes this identical to the
+    /// untraced submit paths.
     ///
-    /// A query whose stage entry and sim cell are both resident is a
-    /// cache read. It is answered on the calling thread (no `pool.queue`
-    /// span) while the service is computing — a profile, analysis or
-    /// replay in flight holds a worker and a CPU, and a pooled read would
-    /// wait for both — and when the queue is full, so a read never meets
-    /// `Busy`. Otherwise it goes through the pool like any query: all-hit
-    /// load then stays paced by the pool's bounded workers instead of
-    /// running on every connection's thread at once. The returned future
-    /// of a read on the calling thread is already settled. An eviction
-    /// racing the residency check turns the read into a miss computed on
-    /// the calling thread; the answer is the same either way.
+    /// The stage and cell reads happen on the calling thread. A cell hit
+    /// (or an unknown device, or a remembered failure) is the whole
+    /// answer: the returned future is already settled, the trace has a
+    /// `service.call` span and no `pool.queue` span, and the submit never
+    /// meets `Busy`. Only a query that must compute goes through the
+    /// pool: queue wait records as `pool.queue`, the computation as
+    /// `service.call`.
     ///
     /// # Errors
     /// [`SubmitError::Busy`] when the bounded submission queue is full
@@ -2174,29 +2337,16 @@ impl AsyncEstimationService {
         deadline: Option<Instant>,
         ctx: &TraceContext,
     ) -> Result<EstimateFuture, SubmitError> {
-        let read_here = || {
-            let (promise, future) = promise_pair(deadline);
-            settle_with(promise, || {
-                self.service.estimate_call(spec, device_name, ctx)
-            });
-            future
-        };
-        if self.service.is_computing() && self.service.is_resident(spec, device_name) {
-            return Ok(read_here());
-        }
-        let owned = spec.clone();
-        let device = device_name.map(str::to_string);
-        let traced = ctx.clone();
-        let queue = traced.span("pool.queue");
-        match self.dispatch(deadline, move |service| {
-            drop(queue);
-            service.estimate_call(&owned, device.as_deref(), &traced)
-        }) {
-            Err(SubmitError::Busy) if self.service.is_resident(spec, device_name) => {
-                Ok(read_here())
-            }
-            submitted => submitted,
-        }
+        self.dispatch(
+            deadline,
+            ctx,
+            |service| {
+                service
+                    .probe_estimate_at(spec, device_name, ctx)
+                    .map_fill(|fill| (spec.clone(), fill))
+            },
+            |service, (spec, fill), ctx| service.fill_estimate(&spec, fill, ctx),
+        )
     }
 
     /// Submits one estimation query that must resolve by `deadline`. If
@@ -2265,17 +2415,12 @@ impl AsyncEstimationService {
         deadline: Option<Instant>,
         ctx: &TraceContext,
     ) -> Result<SweepFuture, SubmitError> {
-        let base = base.clone();
-        let batches = batches.to_vec();
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
-            drop(queue);
-            let mut call = ctx.span("service.call");
-            let result = service.sweep_traced(&base, &batches, &ctx);
-            call.set_outcome("ok");
-            Ok(result)
-        })
+        self.dispatch(
+            deadline,
+            ctx,
+            |_| Probe::Fill((base.clone(), batches.to_vec())),
+            |service, (base, batches), ctx| Ok(service.sweep_traced(&base, &batches, ctx)),
+        )
     }
 
     /// Submits an admission-control query: the largest batch in
@@ -2347,16 +2492,14 @@ impl AsyncEstimationService {
         ctx: &TraceContext,
     ) -> Result<PlanFuture, SubmitError> {
         assert!(lo >= 1 && lo <= hi, "invalid batch range [{lo}, {hi}]");
-        let base = base.clone();
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
-            drop(queue);
-            let mut call = ctx.span("service.call");
-            let result = service.max_batch_for_device_traced(&base, device, lo, hi, &ctx);
-            call.set_outcome(if result.is_ok() { "ok" } else { "error" });
-            result
-        })
+        self.dispatch(
+            deadline,
+            ctx,
+            |_| Probe::Fill(base.clone()),
+            move |service, base, ctx| {
+                service.max_batch_for_device_traced(&base, device, lo, hi, ctx)
+            },
+        )
     }
 
     /// Submits one estimation query against a *named* registered device
@@ -2398,7 +2541,7 @@ impl AsyncEstimationService {
         self.submit_traced(spec, Some(device_name), deadline, &TraceContext::disabled())
     }
 
-    /// Submits a whole device matrix as one pooled query: every job in
+    /// Submits a whole device matrix as one query: every job in
     /// `specs` × every named device, with one analysis per distinct job
     /// fanned out to per-device simulations (see
     /// [`EstimationService::estimate_matrix`]).
@@ -2437,10 +2580,16 @@ impl AsyncEstimationService {
         self.matrix_traced(specs, devices, deadline, &TraceContext::disabled())
     }
 
-    /// [`submit_matrix`](Self::submit_matrix) under a request trace.
+    /// [`submit_matrix`](Self::submit_matrix) under a request trace. The
+    /// cells are read on the calling thread; a matrix whose cells all
+    /// hit (or that names an unknown device) is answered there, already
+    /// settled and without a `pool.queue` span. A matrix with a missing
+    /// cell goes to the pool, which computes only the missing cells (see
+    /// [`submit_traced`](Self::submit_traced)).
     ///
     /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
+    /// [`SubmitError::Busy`] when the bounded submission queue is full
+    /// and a cell must be computed.
     pub fn matrix_traced(
         &self,
         specs: &[TrainJobSpec],
@@ -2448,18 +2597,20 @@ impl AsyncEstimationService {
         deadline: Option<Instant>,
         ctx: &TraceContext,
     ) -> Result<MatrixFuture, SubmitError> {
-        let specs = specs.to_vec();
-        let devices: Vec<String> = devices.iter().map(|&d| d.to_string()).collect();
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
-            drop(queue);
-            let mut call = ctx.span("service.call");
-            let names: Vec<&str> = devices.iter().map(String::as_str).collect();
-            let result = service.estimate_matrix_traced(&specs, &names, &ctx);
-            call.set_outcome(if result.is_ok() { "ok" } else { "error" });
-            result
-        })
+        self.dispatch(
+            deadline,
+            ctx,
+            |service| {
+                service.probe_matrix(specs, devices, ctx).map_fill(|fill| {
+                    let names: Vec<String> = devices.iter().map(|&d| d.to_string()).collect();
+                    (specs.to_vec(), names, fill)
+                })
+            },
+            |service, (specs, names, fill), ctx| {
+                let devices: Vec<&str> = names.iter().map(String::as_str).collect();
+                service.fill_matrix(&specs, &devices, fill, ctx)
+            },
+        )
     }
 
     /// Submits a placement query: the best registered device for `spec`
@@ -2497,26 +2648,31 @@ impl AsyncEstimationService {
     }
 
     /// [`best_device_for_job_async`](Self::best_device_for_job_async)
-    /// under a request trace.
+    /// under a request trace. The cells up to the first fit are read on
+    /// the calling thread; a placement they decide is answered there,
+    /// already settled and without a `pool.queue` span. Otherwise the
+    /// pool computes from the first missing cell on (see
+    /// [`submit_traced`](Self::submit_traced)).
     ///
     /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
+    /// [`SubmitError::Busy`] when the bounded submission queue is full
+    /// and a cell must be computed.
     pub fn placement_traced(
         &self,
         spec: &TrainJobSpec,
         deadline: Option<Instant>,
         ctx: &TraceContext,
     ) -> Result<PlacementFuture, SubmitError> {
-        let spec = spec.clone();
-        let ctx = ctx.clone();
-        let queue = ctx.span("pool.queue");
-        self.dispatch(deadline, move |service| {
-            drop(queue);
-            let mut call = ctx.span("service.call");
-            let result = service.best_device_for_job_traced(&spec, &ctx);
-            call.set_outcome(if result.is_ok() { "ok" } else { "error" });
-            result
-        })
+        self.dispatch(
+            deadline,
+            ctx,
+            |service| {
+                service
+                    .probe_placement(spec, ctx)
+                    .map_fill(|fill| (spec.clone(), fill))
+            },
+            |service, (spec, fill), ctx| service.fill_placement(&spec, fill, ctx),
+        )
     }
 
     /// Panics that escaped a raw pool job and were caught by the worker
@@ -2529,9 +2685,50 @@ impl AsyncEstimationService {
     }
 }
 
+/// A matrix from its cells, column-major (cell `c` is device `c / jobs`,
+/// job `c % jobs`), every one present.
+fn assemble_matrix(
+    specs: &[TrainJobSpec],
+    devices: &[&str],
+    mut cells: Vec<Option<Result<Estimate, EstimateError>>>,
+) -> DeviceMatrix {
+    let jobs = specs.len();
+    let device_names: Vec<String> = devices.iter().map(|&d| d.to_string()).collect();
+    let rows = specs
+        .iter()
+        .enumerate()
+        .map(|(job_index, spec)| MatrixRow {
+            spec: spec.clone(),
+            cells: device_names
+                .iter()
+                .enumerate()
+                .map(|(device_index, name)| MatrixCell {
+                    device: name.clone(),
+                    estimate: cells[device_index * jobs + job_index]
+                        .take()
+                        .expect("one output per cell"),
+                })
+                .collect(),
+        })
+        .collect();
+    DeviceMatrix {
+        devices: device_names,
+        rows,
+    }
+}
+
 /// Upper bound on coarse-bracket probes in
 /// [`EstimationService::max_batch_for_device`].
 const MAX_BRACKET_POINTS: usize = 16;
+
+/// The `service.call` outcome tag of a query's result.
+fn outcome_of<V>(result: &Result<V, EstimateError>) -> &'static str {
+    if result.is_ok() {
+        "ok"
+    } else {
+        "error"
+    }
+}
 
 fn with_batch(base: &TrainJobSpec, batch: usize) -> TrainJobSpec {
     let mut spec = base.clone();
@@ -2809,7 +3006,8 @@ mod tests {
     #[test]
     fn cache_bytes_budget_is_wired_through() {
         // A 1-byte budget rejects every (large) stage entry: queries still
-        // succeed, but nothing is retained and repeats re-profile.
+        // succeed, but no analysis is retained, so a repeat that needs one
+        // (a cell not yet simulated) re-profiles.
         let service = EstimationService::new(
             ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_bytes_budget(1),
         );
@@ -2817,7 +3015,9 @@ mod tests {
         let first = service.estimate(&spec).unwrap();
         let second = service.estimate(&spec).unwrap();
         assert_eq!(first, second);
-        assert_eq!(service.profile_runs(), 2, "nothing could be cached");
+        assert_eq!(service.profile_runs(), 1, "the resident cell answered");
+        service.estimate_on(&spec, "a100").unwrap();
+        assert_eq!(service.profile_runs(), 2, "no analysis could be cached");
         assert!(service.cache_stats().rejected >= 2);
     }
 

@@ -231,6 +231,12 @@ impl Span {
 
     /// Ends the span now (sugar for dropping it).
     pub fn finish(self) {}
+
+    /// Drops the span without recording it: the work it was opened for
+    /// turned out to belong to another span.
+    pub(crate) fn discard(mut self) {
+        self.start_ns = None;
+    }
 }
 
 impl Drop for Span {

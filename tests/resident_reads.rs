@@ -1,0 +1,488 @@
+//! One dispatch rule for the estimate, matrix and best-device routes:
+//! every cache read happens on the calling thread, and only a query that
+//! must compute enters the worker pool. Answers read on the calling
+//! thread and answers computed on the pool are bit-identical to the
+//! sequential `Estimator` and move every counter by the same amount as
+//! the blocking service; a resident query answers while the pool is
+//! saturated; an expired deadline still wins; and a resident cell is
+//! never re-profiled, whether or not its stage entry is still cached.
+
+use std::fmt::Debug;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use xmem::core::EstimateError;
+use xmem::prelude::*;
+use xmem::service::{AsyncServiceConfig, Telemetry, TelemetryConfig, TraceContext};
+
+const DEVICES: [&str; 3] = ["rtx3060", "rtx4060", "a100"];
+
+fn job(model: ModelId, optimizer: OptimizerKind, batch: usize) -> TrainJobSpec {
+    TrainJobSpec::new(model, optimizer, batch).with_iterations(2)
+}
+
+fn sequential_cell(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
+    Estimator::new(EstimatorConfig::for_device(device))
+        .estimate_job(spec)
+        .expect("sequential estimate succeeds")
+}
+
+fn builtin(name: &str) -> GpuDevice {
+    DeviceRegistry::builtin()
+        .get(name)
+        .expect("a built-in device")
+}
+
+/// Every counter the dispatch rule must leave alone: stage-cache and
+/// sim-cell reads, profile runs and sim runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counters {
+    stage_hits: u64,
+    stage_misses: u64,
+    sim_hits: u64,
+    sim_misses: u64,
+    profile_runs: u64,
+    sim_runs: u64,
+}
+
+impl Counters {
+    fn of(service: &EstimationService) -> Self {
+        let (stage, sims) = (service.cache_stats(), service.sim_stats());
+        Counters {
+            stage_hits: stage.hits,
+            stage_misses: stage.misses,
+            sim_hits: sims.cache.hits,
+            sim_misses: sims.cache.misses,
+            profile_runs: service.profile_runs(),
+            sim_runs: sims.sim_runs,
+        }
+    }
+
+    fn since(self, before: Counters) -> Counters {
+        Counters {
+            stage_hits: self.stage_hits - before.stage_hits,
+            stage_misses: self.stage_misses - before.stage_misses,
+            sim_hits: self.sim_hits - before.sim_hits,
+            sim_misses: self.sim_misses - before.sim_misses,
+            profile_runs: self.profile_runs - before.profile_runs,
+            sim_runs: self.sim_runs - before.sim_runs,
+        }
+    }
+}
+
+/// Which path an async query took, read from its trace.
+#[derive(Debug, PartialEq, Eq)]
+enum Path {
+    /// Answered by the probe on the calling thread.
+    Read,
+    /// Computed on the pool.
+    Pooled,
+}
+
+/// Twin services fed the same query stream: a blocking one and an async
+/// front end over a service of its own.
+struct Twins {
+    blocking: EstimationService,
+    front: AsyncEstimationService,
+    telemetry: Telemetry,
+}
+
+impl Twins {
+    fn new(workers: usize) -> Self {
+        let device = GpuDevice::rtx3060();
+        Twins {
+            blocking: EstimationService::for_device(device),
+            front: AsyncEstimationService::new(
+                AsyncServiceConfig::for_device(device).with_workers(workers),
+            ),
+            telemetry: Telemetry::new(TelemetryConfig::default()),
+        }
+    }
+
+    /// Runs one query on both services and asserts equal answers and
+    /// equal counter deltas; returns the answer and the async path.
+    fn ask<T: PartialEq + Debug>(
+        &self,
+        blocking: impl Fn(&EstimationService) -> T,
+        submit: impl Fn(&AsyncEstimationService, &TraceContext) -> T,
+    ) -> (T, Path) {
+        let before = Counters::of(&self.blocking);
+        let expected = blocking(&self.blocking);
+        let blocking_delta = Counters::of(&self.blocking).since(before);
+
+        let before = Counters::of(self.front.service());
+        let ctx = self.telemetry.begin_trace(None);
+        let answer = submit(&self.front, &ctx);
+        self.telemetry.finish(&ctx, "POST", "/test", 200, false);
+        let async_delta = Counters::of(self.front.service()).since(before);
+
+        assert_eq!(answer, expected);
+        assert_eq!(async_delta, blocking_delta, "counter deltas differ");
+        let trace = &self.telemetry.recent_traces(1, None)[0];
+        let count = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(count("service.call"), 1, "{:?}", trace.spans);
+        let path = match count("pool.queue") {
+            0 => Path::Read,
+            1 => Path::Pooled,
+            n => panic!("{n} pool.queue spans"),
+        };
+        (answer, path)
+    }
+}
+
+#[test]
+fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
+    let twins = Twins::new(2);
+    let a = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
+    let b = job(ModelId::DistilGpt2, OptimizerKind::AdamW, 2);
+    let c = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8);
+    let degenerate = a.clone().with_iterations(0);
+
+    let estimate = |spec: &TrainJobSpec, device: Option<&'static str>| {
+        let spec = spec.clone();
+        let blocking_spec = spec.clone();
+        twins.ask(
+            move |service| match device {
+                Some(name) => service.estimate_on(&blocking_spec, name),
+                None => service.estimate(&blocking_spec),
+            },
+            move |front, ctx| {
+                front
+                    .submit_traced(&spec, device, None, ctx)
+                    .expect("queue has room")
+                    .wait()
+            },
+        )
+    };
+    for (device, name) in [(None, "rtx3060"), (Some("a100"), "a100")] {
+        let (cold, path) = estimate(&a, device);
+        assert_eq!(path, Path::Pooled, "{name}: a missing cell computes");
+        assert_eq!(cold, Ok(sequential_cell(&a, builtin(name))));
+        let (warm, path) = estimate(&a, device);
+        assert_eq!(path, Path::Read, "{name}: a resident cell is read");
+        assert_eq!(warm, cold);
+    }
+    let (unknown, path) = estimate(&a, Some("no-such-device"));
+    assert_eq!(
+        unknown,
+        Err(EstimateError::UnknownDevice("no-such-device".into()))
+    );
+    assert_eq!(path, Path::Read);
+    for (round, path) in [(0, Path::Pooled), (1, Path::Read)] {
+        let (failed, taken) = estimate(&degenerate, None);
+        assert_eq!(failed, Err(EstimateError::MissingIterations));
+        assert_eq!(taken, path, "degenerate round {round}");
+    }
+
+    let matrix = |jobs: &[TrainJobSpec]| {
+        let jobs = jobs.to_vec();
+        let blocking_jobs = jobs.clone();
+        twins.ask(
+            move |service| service.estimate_matrix(&blocking_jobs, &DEVICES),
+            move |front, ctx| {
+                front
+                    .matrix_traced(&jobs, &DEVICES, None, ctx)
+                    .expect("queue has room")
+                    .wait()
+            },
+        )
+    };
+    let rows = [a.clone(), b.clone(), degenerate.clone()];
+    // Two of a's cells are resident already; the rest must compute.
+    let (cold, path) = matrix(&rows);
+    assert_eq!(path, Path::Pooled);
+    let (warm, path) = matrix(&rows);
+    assert_eq!(path, Path::Read);
+    assert_eq!(warm, cold);
+    let cold = cold.expect("devices resolve");
+    for (row, spec) in cold.rows.iter().zip(&rows[..2]) {
+        for device in DEVICES {
+            assert_eq!(
+                row.cell(device).expect("a cell").estimate,
+                Ok(sequential_cell(spec, builtin(device)))
+            );
+        }
+    }
+    let (unknown, path) = twins.ask(
+        |service| service.estimate_matrix(&rows, &["no-such-device"]),
+        |front, ctx| {
+            front
+                .matrix_traced(&rows, &["no-such-device"], None, ctx)
+                .expect("an unknown device needs no queue slot")
+                .wait()
+        },
+    );
+    assert!(matches!(unknown, Err(EstimateError::UnknownDevice(_))));
+    assert_eq!(path, Path::Read);
+
+    let place = |spec: &TrainJobSpec| {
+        let spec = spec.clone();
+        let blocking_spec = spec.clone();
+        twins.ask(
+            move |service| service.best_device_for_job(&blocking_spec),
+            move |front, ctx| {
+                front
+                    .placement_traced(&spec, None, ctx)
+                    .expect("queue has room")
+                    .wait()
+            },
+        )
+    };
+    let (cold, path) = place(&c);
+    assert_eq!(path, Path::Pooled);
+    let placed = cold.clone().expect("estimates").expect("a device fits");
+    assert_eq!(
+        placed.estimate,
+        sequential_cell(&c, builtin(&placed.device))
+    );
+    let (warm, path) = place(&c);
+    assert_eq!(path, Path::Read);
+    assert_eq!(warm, cold);
+    // The matrix left every one of b's cells resident.
+    let (from_matrix, path) = place(&b);
+    assert_eq!(path, Path::Read);
+    let placed = from_matrix.expect("estimates").expect("a device fits");
+    assert_eq!(
+        placed.estimate,
+        sequential_cell(&b, builtin(&placed.device))
+    );
+}
+
+/// Holds a one-worker pool busy for a while: a sweep that profiles every
+/// one of 48 batch sizes, one after another.
+fn blocker_service() -> Arc<EstimationService> {
+    Arc::new(EstimationService::new(
+        ServiceConfig::for_device(GpuDevice::rtx3060())
+            .with_incremental_sweep(false)
+            .with_threads(1),
+    ))
+}
+
+#[test]
+fn resident_queries_answer_while_the_pool_is_saturated() {
+    let service = blocker_service();
+    let front = AsyncEstimationService::from_service(Arc::clone(&service), 1, 1);
+    let warm = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
+    let estimate = front.submit(&warm).expect("idle pool").wait();
+    let on_a100 = front.submit_on(&warm, "a100").expect("idle pool").wait();
+    let matrix = front
+        .submit_matrix(std::slice::from_ref(&warm), &DEVICES)
+        .expect("idle pool")
+        .wait();
+    let placement = front
+        .best_device_for_job_async(&warm)
+        .expect("idle pool")
+        .wait();
+
+    // One worker held by the sweep, the depth-1 queue filled behind it.
+    let sweep = front
+        .sweep_async(
+            &job(ModelId::DistilGpt2, OptimizerKind::AdamW, 1),
+            &(1..=48).collect::<Vec<_>>(),
+        )
+        .expect("idle pool");
+    let cold = |batch| job(ModelId::MobileNetV3Small, OptimizerKind::Adam, batch);
+    let mut queued = Vec::new();
+    let mut busy = false;
+    for batch in [8, 16, 32] {
+        match front.submit(&cold(batch)) {
+            Ok(future) => queued.push(future),
+            Err(SubmitError::Busy) => busy = true,
+        }
+    }
+    assert!(busy, "the pool is saturated");
+
+    // The sweep profiles on the same service meanwhile, so only the
+    // counters it never touches are compared: stage hits (its batches
+    // are all new) and sim-cell traffic (it replays no cell).
+    let reads = || {
+        let counters = Counters::of(&service);
+        (
+            counters.stage_hits,
+            counters.sim_hits,
+            counters.sim_misses,
+            counters.sim_runs,
+        )
+    };
+    let before = reads();
+    assert_eq!(front.submit(&warm).expect("a read").wait(), estimate);
+    assert_eq!(
+        front.submit_on(&warm, "a100").expect("a read").wait(),
+        on_a100
+    );
+    assert_eq!(
+        front
+            .submit_matrix(std::slice::from_ref(&warm), &DEVICES)
+            .expect("a read")
+            .wait(),
+        matrix
+    );
+    assert_eq!(
+        front
+            .best_device_for_job_async(&warm)
+            .expect("a read")
+            .wait(),
+        placement
+    );
+    let (stage_hits, sim_hits, sim_misses, sim_runs) = reads();
+    assert_eq!(stage_hits - before.0, 4, "one stage read per query");
+    assert_eq!(sim_hits - before.1, 1 + 1 + 3 + 1, "one cell read per cell");
+    assert_eq!((sim_misses, sim_runs), (before.2, before.3));
+
+    // An expired deadline wins over a resident read, and reads nothing.
+    let past = Instant::now() - Duration::from_millis(1);
+    let before = reads();
+    assert_eq!(
+        front
+            .submit_with_deadline(&warm, past)
+            .expect("settled")
+            .wait(),
+        Err(EstimateError::DeadlineExceeded)
+    );
+    assert_eq!(
+        front
+            .submit_on_with_deadline(&warm, "a100", past)
+            .expect("settled")
+            .wait(),
+        Err(EstimateError::DeadlineExceeded)
+    );
+    assert_eq!(
+        front
+            .submit_matrix_with_deadline(std::slice::from_ref(&warm), &DEVICES, past)
+            .expect("settled")
+            .wait(),
+        Err(EstimateError::DeadlineExceeded)
+    );
+    assert_eq!(
+        front
+            .best_device_for_job_async_with_deadline(&warm, past)
+            .expect("settled")
+            .wait(),
+        Err(EstimateError::DeadlineExceeded)
+    );
+    assert_eq!(reads(), before);
+
+    // The pool was saturated throughout: a query that must compute is
+    // still refused.
+    assert_eq!(front.submit(&cold(64)).err(), Some(SubmitError::Busy));
+
+    assert!(sweep.wait().is_ok());
+    for future in queued {
+        assert!(future.wait().is_ok());
+    }
+}
+
+#[test]
+fn a_matrix_with_one_evicted_cell_is_pooled_and_replays_only_that_cell() {
+    let solo = |gib: u64| GpuDevice {
+        name: "solo",
+        capacity: gib << 30,
+        framework_bytes: 512 << 20,
+        init_bytes: 0,
+    };
+    let registry = DeviceRegistry::builtin();
+    registry.register("solo", solo(24));
+    let service = Arc::new(EstimationService::new(
+        ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry),
+    ));
+    let front = AsyncEstimationService::from_service(Arc::clone(&service), 2, 16);
+    let jobs = [job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4)];
+    let devices = ["rtx3060", "rtx4060", "a100", "solo"];
+    front
+        .submit_matrix(&jobs, &devices)
+        .expect("queue has room")
+        .wait()
+        .expect("devices resolve");
+
+    // Reconfiguring `solo` evicts its one cell; the other three stay.
+    service.register_device("solo", solo(32));
+    let before = Counters::of(&service);
+    let telemetry = Telemetry::new(TelemetryConfig::default());
+    let ctx = telemetry.begin_trace(None);
+    let matrix = front
+        .matrix_traced(&jobs, &devices, None, &ctx)
+        .expect("queue has room")
+        .wait()
+        .expect("devices resolve");
+    telemetry.finish(&ctx, "POST", "/v1/matrix", 200, false);
+
+    for device in devices {
+        let config = service.registry().get(device).expect("registered");
+        assert_eq!(
+            matrix.cell(0, device).expect("a cell").estimate,
+            Ok(sequential_cell(&jobs[0], config))
+        );
+    }
+    let delta = Counters::of(&service).since(before);
+    assert_eq!(
+        delta,
+        Counters {
+            stage_hits: 1,
+            stage_misses: 0,
+            sim_hits: 3,
+            sim_misses: 1,
+            profile_runs: 0,
+            sim_runs: 1,
+        },
+        "each lookup counted once, one cell replayed"
+    );
+    let names: Vec<&str> = telemetry.recent_traces(1, None)[0]
+        .spans
+        .iter()
+        .map(|s| s.name)
+        .collect();
+    let count = |name: &str| names.iter().filter(|&&n| n == name).count();
+    assert_eq!(count("pool.queue"), 1, "{names:?}");
+    assert_eq!(count("service.call"), 1, "{names:?}");
+    assert_eq!(count("sim.replay"), 1, "{names:?}");
+}
+
+/// A service whose stage tier keeps nothing: a 1-byte budget rejects
+/// every stage entry, so no analysis stays resident, but every cell does.
+fn stageless_service() -> EstimationService {
+    EstimationService::new(
+        ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_bytes_budget(1),
+    )
+}
+
+#[test]
+fn a_resident_cell_answers_an_estimate_without_re_profiling() {
+    let service = stageless_service();
+    let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
+    let cold = service.estimate(&spec).expect("estimates");
+    let before = Counters::of(&service);
+    assert_eq!(service.estimate(&spec), Ok(cold));
+    let delta = Counters::of(&service).since(before);
+    assert_eq!(delta.profile_runs, 0, "the cell answered");
+    assert_eq!((delta.stage_misses, delta.sim_hits), (1, 1));
+}
+
+#[test]
+fn a_resident_cell_answers_estimate_on_without_re_profiling() {
+    let service = stageless_service();
+    let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
+    let cold = service.estimate(&spec).expect("estimates");
+    let before = Counters::of(&service);
+    // The primary device's registered name reads the same cell.
+    assert_eq!(service.estimate_on(&spec, "rtx3060"), Ok(cold.clone()));
+    assert_eq!(
+        service.estimate_for_device(&spec, GpuDevice::rtx3060()),
+        Ok(cold)
+    );
+    let delta = Counters::of(&service).since(before);
+    assert_eq!(delta.profile_runs, 0, "the cell answered");
+    assert_eq!((delta.stage_misses, delta.sim_hits), (2, 2));
+}
+
+#[test]
+fn a_resident_placement_is_not_re_profiled() {
+    let service = stageless_service();
+    let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
+    let cold = service.best_device_for_job(&spec).expect("estimates");
+    assert_eq!(service.profile_runs(), 1);
+    let before = Counters::of(&service);
+    assert_eq!(service.best_device_for_job(&spec), Ok(cold.clone()));
+    assert_eq!(service.best_device_for_job(&spec), Ok(cold));
+    let delta = Counters::of(&service).since(before);
+    assert_eq!(delta.profile_runs, 0, "the cells answered");
+    assert_eq!(delta.sim_runs, 0);
+}
