@@ -1,10 +1,11 @@
 use crate::slab::Slab;
 use crate::snapshot::{AllocatorSnapshot, BlockSnapshot, BlockState, SegmentSnapshot};
 use crate::{AllocatorConfig, DeviceAllocator, MemoryCounters, OomError, PoolKind, TimelinePoint};
-use std::collections::{BTreeSet, HashMap};
 
-type BlockKey = u32;
-type SegmentKey = u32;
+type BlockId = u32;
+
+/// The absent `prev`/`next` link: the block starts or ends its segment.
+const NIL: BlockId = BlockId::MAX;
 
 #[derive(Debug, Clone)]
 struct Block {
@@ -12,18 +13,124 @@ struct Block {
     size: usize,
     /// Caller-requested size; 0 while the block is free.
     requested: usize,
-    segment: SegmentKey,
-    prev: Option<BlockKey>,
-    next: Option<BlockKey>,
+    prev: BlockId,
+    next: BlockId,
+    /// Links of the free block's size-bin list; stale while allocated.
+    free_prev: BlockId,
+    free_next: BlockId,
+    /// The pool of the block's segment.
+    pool: PoolKind,
     allocated: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Segment {
+impl Block {
+    /// A block with no neighbours and no bin links.
+    fn new(addr: u64, size: usize, pool: PoolKind) -> Self {
+        Block {
+            addr,
+            size,
+            requested: 0,
+            prev: NIL,
+            next: NIL,
+            free_prev: NIL,
+            free_next: NIL,
+            pool,
+            allocated: false,
+        }
+    }
+
+    /// Whether the block is its segment's only block.
+    fn is_whole_segment(&self) -> bool {
+        self.prev == NIL && self.next == NIL
+    }
+
+    /// `(size << 64) | addr`: keys order blocks by size, then address,
+    /// which is best-fit order.
+    fn key(&self) -> u128 {
+        ((self.size as u128) << 64) | u128::from(self.addr)
+    }
+}
+
+/// A live allocation returned by [`CachingAllocator::alloc`]: the block it
+/// occupies and that block's device address. [`CachingAllocator::free`]
+/// takes it back, so freeing needs no address lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BlockHandle {
+    id: BlockId,
     addr: u64,
-    size: usize,
-    pool: PoolKind,
-    first_block: BlockKey,
+}
+
+impl BlockHandle {
+    /// The block's device address.
+    #[must_use]
+    pub fn addr(self) -> u64 {
+        self.addr
+    }
+}
+
+/// Size bins per power of two (as a shift).
+const SUB_BITS: u32 = 3;
+
+/// Bins a free list needs to cover every `usize` size.
+const BINS: usize = ((usize::BITS - SUB_BITS + 1) as usize) << SUB_BITS;
+
+/// The size bin of `size` bytes: sizes below `2^SUB_BITS` have a bin each,
+/// larger ones share `2^SUB_BITS` bins per power of two. Non-decreasing in
+/// `size`, so every block in a higher bin is larger than every block in a
+/// lower one.
+fn bin_of(size: usize) -> usize {
+    let log = size.max(1).ilog2();
+    if log < SUB_BITS {
+        size
+    } else {
+        let sub = (size >> (log - SUB_BITS)) & ((1 << SUB_BITS) - 1);
+        (((log - SUB_BITS + 1) as usize) << SUB_BITS) | sub
+    }
+}
+
+/// One pool's free blocks, segregated by size bin. Each bin is a list
+/// linked through the blocks and kept in best-fit order (size, then
+/// address); a bitmap marks the bins that hold blocks. The best fit for a
+/// request is the first sufficient block in the request's own bin, else the
+/// head of the next non-empty bin. A bin holds only the blocks of one
+/// narrow size range, so every operation is a short walk, not a search
+/// over the whole pool.
+#[derive(Debug, Clone)]
+struct FreeBins {
+    heads: Vec<BlockId>,
+    nonempty: Vec<u64>,
+}
+
+impl FreeBins {
+    fn new() -> Self {
+        FreeBins {
+            heads: vec![NIL; BINS],
+            nonempty: vec![0; BINS.div_ceil(64)],
+        }
+    }
+
+    /// The first non-empty bin at or after `from`.
+    fn next_nonempty(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.nonempty.get(word)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(word * 64 + bits.trailing_zeros() as usize);
+            }
+            word += 1;
+            bits = *self.nonempty.get(word)?;
+        }
+    }
+
+    fn set_head(&mut self, bin: usize, head: BlockId) {
+        self.heads[bin] = head;
+        let bit = 1u64 << (bin % 64);
+        if head == NIL {
+            self.nonempty[bin / 64] &= !bit;
+        } else {
+            self.nonempty[bin / 64] |= bit;
+        }
+    }
 }
 
 /// Best-fit-with-coalescing caching allocator — the framework level of the
@@ -33,13 +140,17 @@ struct Segment {
 /// 1. requests are rounded up to 512-byte multiples (*Round up*);
 /// 2. memory is obtained from the device in *Segments* (2 MiB small
 ///    buffers, 20 MiB large buffers, 2 MiB-rounded huge allocations);
-/// 3. free blocks are kept in per-pool ordered sets and served best-fit,
-///    splitting when the remainder is worth keeping (*Algorithm*, BFC);
+/// 3. free blocks are kept per pool in size bins ordered by size, then
+///    address, and served best-fit, splitting when the remainder is worth
+///    keeping (*Algorithm*, BFC);
 /// 4. freed blocks are cached and coalesced with free neighbours
 ///    (*Caching Behaviour*);
 /// 5. on device OOM, cached segments are released and the request retried;
 ///    only if that fails is [`OomError`] reported (*OOM*, two-level
 ///    semantics).
+///
+/// A segment is the chain of blocks that tile it, from the block with no
+/// `prev` link; the allocator keeps no other record of it.
 ///
 /// Streams are not modeled (the evaluation workloads are single-stream
 /// training loops); this is the only simplification relative to the real
@@ -49,11 +160,8 @@ pub struct CachingAllocator {
     config: AllocatorConfig,
     device: DeviceAllocator,
     blocks: Slab<Block>,
-    segments: Slab<Segment>,
-    /// Free blocks keyed by (size, addr) — best-fit = first in range.
-    free_small: BTreeSet<(usize, u64, BlockKey)>,
-    free_large: BTreeSet<(usize, u64, BlockKey)>,
-    by_addr: HashMap<u64, BlockKey>,
+    /// Free blocks per pool, indexed by `PoolKind as usize`.
+    free: [FreeBins; 2],
     counters: MemoryCounters,
     clock_us: u64,
     timeline: Option<Vec<TimelinePoint>>,
@@ -67,10 +175,7 @@ impl CachingAllocator {
             config,
             device,
             blocks: Slab::new(),
-            segments: Slab::new(),
-            free_small: BTreeSet::new(),
-            free_large: BTreeSet::new(),
-            by_addr: HashMap::new(),
+            free: [FreeBins::new(), FreeBins::new()],
             counters: MemoryCounters::default(),
             clock_us: 0,
             timeline: None,
@@ -148,73 +253,104 @@ impl CachingAllocator {
         }
     }
 
-    fn free_set(&mut self, pool: PoolKind) -> &mut BTreeSet<(usize, u64, BlockKey)> {
-        match pool {
-            PoolKind::Small => &mut self.free_small,
-            PoolKind::Large => &mut self.free_large,
+    /// Puts free block `id` in its size bin, after every block with a
+    /// smaller key.
+    fn cache_block(&mut self, id: BlockId) {
+        let b = self.blocks.get(id);
+        let (key, pool, bin) = (b.key(), b.pool as usize, bin_of(b.size));
+        let mut prev = NIL;
+        let mut next = self.free[pool].heads[bin];
+        while next != NIL {
+            let n = self.blocks.get(next);
+            if n.key() > key {
+                break;
+            }
+            prev = next;
+            next = n.free_next;
+        }
+        let b = self.blocks.get_mut(id);
+        b.free_prev = prev;
+        b.free_next = next;
+        if next != NIL {
+            self.blocks.get_mut(next).free_prev = id;
+        }
+        if prev == NIL {
+            self.free[pool].set_head(bin, id);
+        } else {
+            self.blocks.get_mut(prev).free_next = id;
         }
     }
 
-    /// Allocates `size` bytes, returning the block's device address.
+    /// Takes free block `id` out of its size bin.
+    fn uncache_block(&mut self, id: BlockId) {
+        let b = self.blocks.get(id);
+        let (prev, next, pool, bin) = (b.free_prev, b.free_next, b.pool as usize, bin_of(b.size));
+        if next != NIL {
+            self.blocks.get_mut(next).free_prev = prev;
+        }
+        if prev == NIL {
+            self.free[pool].set_head(bin, next);
+        } else {
+            self.blocks.get_mut(prev).free_next = next;
+        }
+    }
+
+    /// Allocates `size` bytes, returning the block's handle (its device
+    /// address is [`BlockHandle::addr`]).
     ///
     /// # Errors
     /// Returns [`OomError`] when the request cannot be satisfied at either
     /// level even after cached-segment reclamation.
-    pub fn alloc(&mut self, size: usize) -> Result<u64, OomError> {
+    pub fn alloc(&mut self, size: usize) -> Result<BlockHandle, OomError> {
         let rounded = self.config.round_size(size);
         let pool = self.pool_of(rounded);
 
-        let key = match self.find_free_block(pool, rounded) {
-            Some(key) => key,
+        let id = match self.take_best_fit(pool, rounded) {
+            Some(id) => id,
             None => self.alloc_segment_block(pool, rounded, size)?,
         };
 
-        let key = self.maybe_split(pool, key, rounded);
-        let block = self.blocks.get_mut(key);
+        self.maybe_split(pool, id, rounded);
+        let block = self.blocks.get_mut(id);
         block.allocated = true;
         block.requested = size;
         let addr = block.addr;
         // `active` tracks real block sizes: when the remainder was too small
         // to split off, the block is larger than the rounded request.
         let block_size = block.size as u64;
-        self.by_addr.insert(addr, key);
         self.counters.on_alloc(size as u64, block_size);
         self.note_timeline();
-        Ok(addr)
+        Ok(BlockHandle { id, addr })
     }
 
-    /// Frees the block at `addr`, caching and coalescing it.
+    /// Frees the block behind `handle`, caching and coalescing it.
     ///
     /// # Panics
-    /// Panics if `addr` is not a live allocation (a simulation bug).
-    pub fn free(&mut self, addr: u64) {
-        let key = self.by_addr.remove(&addr).expect("free of unknown address");
-        let block = self.blocks.get_mut(key);
+    /// Panics if no allocated block of this allocator has the handle's id
+    /// and address (a simulation bug): a handle freed before, whose block
+    /// merged into a neighbour or was reused at another address, or one
+    /// from another allocator. A freed handle whose id and address were
+    /// both handed out again frees that newer allocation, as freeing the
+    /// address always did.
+    pub fn free(&mut self, handle: BlockHandle) {
+        let block = self
+            .blocks
+            .try_get_mut(handle.id)
+            .filter(|b| b.addr == handle.addr)
+            .expect("free of unknown address");
         assert!(block.allocated, "double free");
         block.allocated = false;
         let requested = std::mem::take(&mut block.requested);
-        let rounded = block.size;
-        let segment_key = block.segment;
-        let pool = self.segments.get(segment_key).pool;
+        let size = block.size as u64;
+        self.counters.on_free(requested as u64, size);
+        let merged = self.coalesce(handle.id);
 
-        self.counters.on_free(requested as u64, rounded as u64);
-        let merged = self.coalesce(pool, key);
-
-        if self.config.caching_enabled {
-            let b = self.blocks.get(merged);
-            let entry = (b.size, b.addr, merged);
-            self.free_set(pool).insert(entry);
-        } else {
+        if !self.config.caching_enabled && self.blocks.get(merged).is_whole_segment() {
             // Non-caching ablation: return whole-segment blocks to the
             // device immediately; partial blocks must stay.
-            let b = self.blocks.get(merged);
-            let seg = self.segments.get(segment_key);
-            if b.size == seg.size {
-                self.release_segment_with_block(segment_key, merged);
-            } else {
-                let entry = (b.size, b.addr, merged);
-                self.free_set(pool).insert(entry);
-            }
+            self.release_segment(merged);
+        } else {
+            self.cache_block(merged);
         }
         self.note_timeline();
     }
@@ -228,14 +364,18 @@ impl CachingAllocator {
     /// Captures the full segment/block state.
     #[must_use]
     pub fn snapshot(&self) -> AllocatorSnapshot {
-        let mut segments: Vec<SegmentSnapshot> = Vec::with_capacity(self.segments.len());
-        for (_, seg) in self.segments.iter() {
+        let mut segments = Vec::new();
+        for (id, first) in self.blocks.iter() {
+            if first.prev != NIL {
+                continue;
+            }
             let mut blocks = Vec::new();
-            let mut cur = Some(seg.first_block);
-            while let Some(k) = cur {
-                let b = self.blocks.get(k);
+            let mut size = 0u64;
+            let mut cur = id;
+            while cur != NIL {
+                let b = self.blocks.get(cur);
                 blocks.push(BlockSnapshot {
-                    offset: b.addr - seg.addr,
+                    offset: b.addr - first.addr,
                     size: b.size as u64,
                     requested: b.requested as u64,
                     state: if b.allocated {
@@ -244,12 +384,13 @@ impl CachingAllocator {
                         BlockState::Free
                     },
                 });
+                size += b.size as u64;
                 cur = b.next;
             }
             segments.push(SegmentSnapshot {
-                addr: seg.addr,
-                size: seg.size as u64,
-                pool: seg.pool,
+                addr: first.addr,
+                size,
+                pool: first.pool,
                 blocks,
             });
         }
@@ -263,23 +404,28 @@ impl CachingAllocator {
 
     // ---- internals -------------------------------------------------------
 
-    fn find_free_block(&mut self, pool: PoolKind, rounded: usize) -> Option<BlockKey> {
-        let max_split = self.config.max_split_size;
-        let set = self.free_set(pool);
-        let mut chosen = None;
-        for &(size, addr, key) in set.range((rounded, 0, 0)..) {
-            if let Some(mss) = max_split {
-                // Oversize blocks are preserved for oversize requests.
-                if size >= mss && rounded < mss {
-                    continue;
-                }
-            }
-            chosen = Some((size, addr, key));
-            break;
+    /// Takes the best-fit free block for `rounded` out of `pool`'s bins:
+    /// the smallest sufficient size, then the lowest address.
+    fn take_best_fit(&mut self, pool: PoolKind, rounded: usize) -> Option<BlockId> {
+        let bins = &self.free[pool as usize];
+        let bin = bin_of(rounded);
+        let mut best = bins.heads[bin];
+        while best != NIL && self.blocks.get(best).size < rounded {
+            best = self.blocks.get(best).free_next;
         }
-        let (size, addr, key) = chosen?;
-        set.remove(&(size, addr, key));
-        Some(key)
+        if best == NIL {
+            best = bins.heads[bins.next_nonempty(bin + 1)?];
+        }
+        if let Some(mss) = self.config.max_split_size {
+            // Oversize blocks are preserved for oversize requests. Every
+            // other sufficient block is larger than the best fit, so it is
+            // oversize too.
+            if self.blocks.get(best).size >= mss && rounded < mss {
+                return None;
+            }
+        }
+        self.uncache_block(best);
+        Some(best)
     }
 
     fn alloc_segment_block(
@@ -287,7 +433,7 @@ impl CachingAllocator {
         pool: PoolKind,
         rounded: usize,
         requested: usize,
-    ) -> Result<BlockKey, OomError> {
+    ) -> Result<BlockId, OomError> {
         let alloc_size = self.config.allocation_size(rounded);
         let mut reclaim_attempted = false;
 
@@ -330,24 +476,9 @@ impl CachingAllocator {
             self.counters.num_reclaims += 1;
         }
 
-        let segment_key = self.segments.insert(Segment {
-            addr,
-            size: alloc_size,
-            pool,
-            first_block: 0, // patched below
-        });
-        let block_key = self.blocks.insert(Block {
-            addr,
-            size: alloc_size,
-            requested: 0,
-            segment: segment_key,
-            prev: None,
-            next: None,
-            allocated: false,
-        });
-        self.segments.get_mut(segment_key).first_block = block_key;
+        let id = self.blocks.insert(Block::new(addr, alloc_size, pool));
         self.counters.on_segment_alloc(alloc_size as u64);
-        Ok(block_key)
+        Ok(id)
     }
 
     fn oom_error(
@@ -371,91 +502,61 @@ impl CachingAllocator {
         }
     }
 
-    /// Splits `key` if worthwhile, returning the key of the block that will
-    /// serve the request (the leading part).
-    fn maybe_split(&mut self, pool: PoolKind, key: BlockKey, rounded: usize) -> BlockKey {
-        let (block_size, block_addr, segment, next) = {
-            let b = self.blocks.get(key);
-            (b.size, b.addr, b.segment, b.next)
-        };
-        debug_assert!(block_size >= rounded);
+    /// Splits block `id` down to `rounded` bytes if worthwhile, caching the
+    /// remainder as a free block right after it.
+    fn maybe_split(&mut self, pool: PoolKind, id: BlockId, rounded: usize) {
+        let b = self.blocks.get(id);
+        debug_assert!(b.size >= rounded);
         if !self
             .config
-            .should_split(pool == PoolKind::Small, block_size, rounded)
+            .should_split(pool == PoolKind::Small, b.size, rounded)
         {
-            return key;
+            return;
         }
-        let remainder_key = self.blocks.insert(Block {
-            addr: block_addr + rounded as u64,
-            size: block_size - rounded,
-            requested: 0,
-            segment,
-            prev: Some(key),
+        let next = b.next;
+        let remainder_id = self.blocks.insert(Block {
+            prev: id,
             next,
-            allocated: false,
+            ..Block::new(b.addr + rounded as u64, b.size - rounded, pool)
         });
-        if let Some(next_key) = next {
-            self.blocks.get_mut(next_key).prev = Some(remainder_key);
+        if next != NIL {
+            self.blocks.get_mut(next).prev = remainder_id;
         }
-        {
-            let b = self.blocks.get_mut(key);
-            b.size = rounded;
-            b.next = Some(remainder_key);
-        }
-        let r = self.blocks.get(remainder_key);
-        let entry = (r.size, r.addr, remainder_key);
-        self.free_set(pool).insert(entry);
-        key
+        let b = self.blocks.get_mut(id);
+        b.size = rounded;
+        b.next = remainder_id;
+        self.cache_block(remainder_id);
     }
 
-    /// Merges `key` with free neighbours; returns the surviving block key.
-    /// The surviving block is *not* inserted into the free set.
-    fn coalesce(&mut self, pool: PoolKind, key: BlockKey) -> BlockKey {
-        let mut key = key;
-        // Merge with previous while free.
-        loop {
-            let prev = self.blocks.get(key).prev;
-            match prev {
-                Some(p) if !self.blocks.get(p).allocated => {
-                    let entry = {
-                        let b = self.blocks.get(p);
-                        (b.size, b.addr, p)
-                    };
-                    self.free_set(pool).remove(&entry);
-                    let removed = self.blocks.remove(key);
-                    let p_block = self.blocks.get_mut(p);
-                    p_block.size += removed.size;
-                    p_block.next = removed.next;
-                    if let Some(n) = removed.next {
-                        self.blocks.get_mut(n).prev = Some(p);
-                    }
-                    key = p;
-                }
-                _ => break,
-            }
+    /// Merges block `id` with its free neighbours; returns the surviving
+    /// block. Free blocks are never adjacent, so each side merges at most
+    /// once. The survivor is *not* put on the free list.
+    fn coalesce(&mut self, id: BlockId) -> BlockId {
+        let mut id = id;
+        let prev = self.blocks.get(id).prev;
+        if prev != NIL && !self.blocks.get(prev).allocated {
+            self.uncache_block(prev);
+            self.absorb_next(prev);
+            id = prev;
         }
-        // Merge with next while free.
-        loop {
-            let next = self.blocks.get(key).next;
-            match next {
-                Some(n) if !self.blocks.get(n).allocated => {
-                    let entry = {
-                        let b = self.blocks.get(n);
-                        (b.size, b.addr, n)
-                    };
-                    self.free_set(pool).remove(&entry);
-                    let removed = self.blocks.remove(n);
-                    let b = self.blocks.get_mut(key);
-                    b.size += removed.size;
-                    b.next = removed.next;
-                    if let Some(nn) = removed.next {
-                        self.blocks.get_mut(nn).prev = Some(key);
-                    }
-                }
-                _ => break,
-            }
+        let next = self.blocks.get(id).next;
+        if next != NIL && !self.blocks.get(next).allocated {
+            self.uncache_block(next);
+            self.absorb_next(id);
         }
-        key
+        id
+    }
+
+    /// Folds the block after `id` into `id` and drops it.
+    fn absorb_next(&mut self, id: BlockId) {
+        let next = self.blocks.get(id).next;
+        let removed = self.blocks.remove(next);
+        if removed.next != NIL {
+            self.blocks.get_mut(removed.next).prev = id;
+        }
+        let b = self.blocks.get_mut(id);
+        b.size += removed.size;
+        b.next = removed.next;
     }
 
     /// Releases cached whole-segment free blocks back to the device.
@@ -465,36 +566,36 @@ impl CachingAllocator {
     /// `release_available_cached_blocks`); with `None`, everything
     /// releasable goes (`release_cached_blocks`).
     fn release_cached_segments(&mut self, filter: Option<(PoolKind, usize)>) {
-        // Single scan over the segments: everything the release loop
-        // needs — including the free-set entry, which is fully determined
-        // by the (whole-segment) block — is captured here, so no slab
-        // lookups happen while mutating. The buffer is sized up front; a
-        // reclaim never reallocates it mid-collection.
-        let mut to_release: Vec<(SegmentKey, BlockKey, PoolKind, usize, u64)> =
-            Vec::with_capacity(self.segments.len());
-        for (seg_key, seg) in self.segments.iter() {
-            if let Some((pool, min_size)) = filter {
-                if seg.pool != pool || seg.size < min_size {
-                    continue;
+        for pool in [PoolKind::Small, PoolKind::Large] {
+            let min_size = match filter {
+                None => 0,
+                Some((only, min_size)) if only == pool => min_size,
+                Some(_) => continue,
+            };
+            // A releasable segment is one free block, so it sits in a bin
+            // at or past `min_size`'s.
+            let mut bin = bin_of(min_size);
+            while let Some(found) = self.free[pool as usize].next_nonempty(bin) {
+                let mut cur = self.free[pool as usize].heads[found];
+                while cur != NIL {
+                    let b = self.blocks.get(cur);
+                    let next = b.free_next;
+                    if b.size >= min_size && b.is_whole_segment() {
+                        self.uncache_block(cur);
+                        self.release_segment(cur);
+                    }
+                    cur = next;
                 }
+                bin = found + 1;
             }
-            let first = self.blocks.get(seg.first_block);
-            // Releasable iff the segment is one free block.
-            if !first.allocated && first.next.is_none() && first.prev.is_none() {
-                to_release.push((seg_key, seg.first_block, seg.pool, first.size, first.addr));
-            }
-        }
-        for (seg_key, block_key, pool, size, addr) in to_release {
-            self.free_set(pool).remove(&(size, addr, block_key));
-            self.release_segment_with_block(seg_key, block_key);
         }
     }
 
-    fn release_segment_with_block(&mut self, seg_key: SegmentKey, block_key: BlockKey) {
-        let seg = self.segments.remove(seg_key);
-        self.blocks.remove(block_key);
-        self.device.free(seg.addr);
-        self.counters.on_segment_release(seg.size as u64);
+    /// Returns the whole-segment block `id` to the device.
+    fn release_segment(&mut self, id: BlockId) {
+        let block = self.blocks.remove(id);
+        self.device.free(block.addr);
+        self.counters.on_segment_release(block.size as u64);
     }
 
     /// Exhaustive structural self-check used by tests and property tests.
@@ -506,46 +607,67 @@ impl CachingAllocator {
         let mut active = 0u64;
         let mut allocated = 0u64;
         let mut free_seen = 0usize;
-        for (seg_key, seg) in self.segments.iter() {
-            reserved += seg.size as u64;
+        let mut segments = 0usize;
+        let mut reached = 0usize;
+        for (first_id, first) in self.blocks.iter() {
+            if first.prev != NIL {
+                continue;
+            }
+            segments += 1;
             let mut offset = 0u64;
-            let mut cur = Some(seg.first_block);
-            let mut prev: Option<BlockKey> = None;
+            let mut cur = first_id;
+            let mut prev = NIL;
             let mut last_free = false;
-            while let Some(k) = cur {
-                let b = self.blocks.get(k);
-                assert_eq!(b.segment, seg_key, "block points at wrong segment");
-                assert_eq!(b.addr, seg.addr + offset, "blocks must tile the segment");
+            while cur != NIL {
+                let b = self.blocks.get(cur);
+                reached += 1;
+                assert_eq!(b.pool, first.pool, "block in the wrong pool");
+                assert_eq!(b.addr, first.addr + offset, "blocks must tile the segment");
                 assert_eq!(b.prev, prev, "prev link broken");
                 if b.allocated {
                     active += b.size as u64;
                     allocated += b.requested as u64;
-                    assert_eq!(
-                        self.by_addr.get(&b.addr),
-                        Some(&k),
-                        "allocated block missing from address index"
-                    );
                     last_free = false;
                 } else {
                     assert!(
                         !last_free,
                         "two adjacent free blocks must have been coalesced"
                     );
+                    assert_eq!(b.requested, 0, "free block keeps a request");
                     last_free = true;
                     free_seen += 1;
-                    let entry = (b.size, b.addr, k);
-                    let in_set = match seg.pool {
-                        PoolKind::Small => self.free_small.contains(&entry),
-                        PoolKind::Large => self.free_large.contains(&entry),
-                    };
-                    assert!(in_set, "free block missing from its pool set");
                 }
                 offset += b.size as u64;
-                prev = Some(k);
+                prev = cur;
                 cur = b.next;
             }
-            assert_eq!(offset, seg.size as u64, "blocks must cover the segment");
+            reserved += offset;
         }
+        assert_eq!(reached, self.blocks.len(), "block outside every segment");
+        let mut listed = 0usize;
+        for (pool, bins) in [PoolKind::Small, PoolKind::Large].iter().zip(&self.free) {
+            for (bin, &head) in bins.heads.iter().enumerate() {
+                let marked = bins.nonempty[bin / 64] & (1 << (bin % 64)) != 0;
+                assert_eq!(marked, head != NIL, "bin bitmap out of date");
+                let mut prev = NIL;
+                let mut cur = head;
+                while cur != NIL {
+                    let b = self.blocks.get(cur);
+                    assert!(!b.allocated, "allocated block in a free bin");
+                    assert_eq!(b.pool, *pool, "free block in the wrong pool");
+                    assert_eq!(bin_of(b.size), bin, "free block in the wrong bin");
+                    assert_eq!(b.free_prev, prev, "free link broken");
+                    if prev != NIL {
+                        assert!(self.blocks.get(prev).key() < b.key(), "bin out of order");
+                    }
+                    listed += 1;
+                    assert!(listed <= self.blocks.len(), "free bins form a cycle");
+                    prev = cur;
+                    cur = b.free_next;
+                }
+            }
+        }
+        assert_eq!(listed, free_seen, "free bins must hold every free block");
         assert_eq!(reserved, self.counters.reserved, "reserved counter drift");
         assert_eq!(active, self.counters.active, "active counter drift");
         assert_eq!(
@@ -553,13 +675,8 @@ impl CachingAllocator {
             "allocated counter drift"
         );
         assert_eq!(
-            free_seen,
-            self.free_small.len() + self.free_large.len(),
-            "free set size mismatch"
-        );
-        assert_eq!(
             self.device.live_allocs(),
-            self.segments.len(),
+            segments,
             "device allocations must equal segments"
         );
     }
@@ -613,7 +730,7 @@ mod tests {
         a.free(x);
         assert_eq!(a.counters().reserved, reserved, "segment stays cached");
         let y = a.alloc(MIB / 2).unwrap();
-        assert_eq!(x, y, "cached block is reused best-fit");
+        assert_eq!(x.addr(), y.addr(), "cached block is reused best-fit");
         a.check_invariants();
     }
 
@@ -660,7 +777,7 @@ mod tests {
         // Best fit for 8 MiB must pick the 10 MiB block despite its higher
         // address (first-fit-by-address would pick the 16 MiB one).
         let re = a.alloc(8 * MIB).unwrap();
-        assert_eq!(re, a2);
+        assert_eq!(re.addr(), a2.addr());
         assert_eq!(a.counters().reserved, 30 * MIB as u64, "no new segment");
         a.check_invariants();
     }
@@ -812,5 +929,40 @@ mod tests {
         );
         a.free(x);
         a.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_panics() {
+        let mut a = alloc();
+        let x = a.alloc(MIB).unwrap();
+        let _y = a.alloc(MIB).unwrap(); // keeps x's block from merging away
+        a.free(x);
+        a.free(x);
+    }
+
+    #[test]
+    #[should_panic(expected = "free of unknown address")]
+    fn stale_handle_panics() {
+        let mut a = alloc();
+        let x = a.alloc(512 * 1024).unwrap();
+        let y = a.alloc(512 * 1024).unwrap();
+        a.free(y);
+        a.free(x); // y's block merges into x's and its id is vacated...
+        let z = a.alloc(4 * MIB).unwrap(); // ...then reused at another address
+        assert_ne!(z.addr(), y.addr());
+        a.free(y);
+    }
+
+    #[test]
+    #[should_panic(expected = "free of unknown address")]
+    fn foreign_handle_panics() {
+        let mut a = alloc();
+        let mut b = alloc();
+        let _x = a.alloc(MIB).unwrap();
+        let _y = a.alloc(MIB).unwrap();
+        let z = a.alloc(MIB).unwrap();
+        b.alloc(MIB).unwrap();
+        b.free(z);
     }
 }

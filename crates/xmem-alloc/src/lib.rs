@@ -48,7 +48,7 @@ mod slab;
 mod snapshot;
 mod stats;
 
-pub use caching::CachingAllocator;
+pub use caching::{BlockHandle, CachingAllocator};
 pub use config::AllocatorConfig;
 pub use device::DeviceAllocator;
 pub use error::OomError;

@@ -7,7 +7,7 @@
 //! test-specific conservation properties.
 
 use proptest::prelude::*;
-use xmem_alloc::{AllocatorConfig, CachingAllocator, DeviceAllocator};
+use xmem_alloc::{AllocatorConfig, BlockHandle, CachingAllocator, DeviceAllocator};
 
 /// A randomized workload step.
 #[derive(Debug, Clone)]
@@ -26,22 +26,22 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 fn run_workload(alloc: &mut CachingAllocator, steps: &[Step]) -> (u64, u64) {
-    let mut live: Vec<(u64, usize)> = Vec::new();
+    let mut live: Vec<(BlockHandle, usize)> = Vec::new();
     let mut peak_live_requested: u64 = 0;
     let mut live_requested: u64 = 0;
     for step in steps {
         match step {
             Step::Alloc(size) => {
-                if let Ok(addr) = alloc.alloc(*size) {
-                    live.push((addr, *size));
+                if let Ok(handle) = alloc.alloc(*size) {
+                    live.push((handle, *size));
                     live_requested += *size as u64;
                     peak_live_requested = peak_live_requested.max(live_requested);
                 }
             }
             Step::Free(i) => {
                 if !live.is_empty() {
-                    let (addr, size) = live.swap_remove(i % live.len());
-                    alloc.free(addr);
+                    let (handle, size) = live.swap_remove(i % live.len());
+                    alloc.free(handle);
                     live_requested -= size as u64;
                 }
             }
@@ -49,8 +49,8 @@ fn run_workload(alloc: &mut CachingAllocator, steps: &[Step]) -> (u64, u64) {
         alloc.check_invariants();
     }
     // Drain the remainder so callers can check the empty end state.
-    for (addr, size) in live {
-        alloc.free(addr);
+    for (handle, size) in live {
+        alloc.free(handle);
         live_requested -= size as u64;
     }
     alloc.check_invariants();
@@ -142,12 +142,12 @@ proptest! {
             AllocatorConfig::pytorch_defaults(),
             DeviceAllocator::new(capacity, 2 << 20, 0),
         );
-        let mut live: Vec<u64> = Vec::new();
+        let mut live: Vec<BlockHandle> = Vec::new();
         for step in &steps {
             match step {
                 Step::Alloc(size) => {
-                    if let Ok(addr) = a.alloc(*size) {
-                        live.push(addr);
+                    if let Ok(handle) = a.alloc(*size) {
+                        live.push(handle);
                     }
                 }
                 Step::Free(i) => {
@@ -169,12 +169,12 @@ proptest! {
             AllocatorConfig::pytorch_defaults(),
             DeviceAllocator::unlimited(),
         );
-        let mut live: Vec<u64> = Vec::new();
+        let mut live: Vec<BlockHandle> = Vec::new();
         for step in &steps {
             match step {
                 Step::Alloc(size) => {
-                    if let Ok(addr) = a.alloc(*size) {
-                        live.push(addr);
+                    if let Ok(handle) = a.alloc(*size) {
+                        live.push(handle);
                     }
                 }
                 Step::Free(i) => {

@@ -20,7 +20,7 @@
 //!   overhead.
 
 use crate::traits::{EstimateOutcome, MemoryEstimator};
-use xmem_alloc::{AllocatorConfig, CachingAllocator, DeviceAllocator};
+use xmem_alloc::{AllocatorConfig, BlockHandle, CachingAllocator, DeviceAllocator};
 use xmem_graph::Graph;
 use xmem_models::ModelId;
 use xmem_runtime::{BackendKind, GpuDevice, Phase, TrainJobSpec};
@@ -89,7 +89,7 @@ impl DnnMem {
         // liveness over the training graph). DNNMem models cuDNN workspace
         // sizes per operator; it does not know about views or in-place
         // execution, so every operator output is a tensor.
-        let mut out_addrs: Vec<Option<u64>> = vec![None; graph.nodes().len()];
+        let mut out_addrs: Vec<Option<BlockHandle>> = vec![None; graph.nodes().len()];
         for (i, node) in graph.nodes().iter().enumerate() {
             if node.is_input() {
                 continue;
@@ -113,7 +113,7 @@ impl DnnMem {
         // Backward walk (reverse): gradient of each activation lives while
         // its producer's backward runs; activations are freed after their
         // backward consumes them.
-        let mut grad_addrs: Vec<Option<u64>> = vec![None; graph.nodes().len()];
+        let mut grad_addrs: Vec<Option<BlockHandle>> = vec![None; graph.nodes().len()];
         for i in (0..graph.nodes().len()).rev() {
             let node = &graph.nodes()[i];
             if node.is_input() || node.op.is_view() {

@@ -2,11 +2,11 @@
 //! both the ground-truth runtime and xMem's Simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use xmem_alloc::{AllocatorConfig, CachingAllocator, DeviceAllocator};
+use xmem_alloc::{AllocatorConfig, BlockHandle, CachingAllocator, DeviceAllocator};
 
 /// A deterministic mixed alloc/free workload of `n` operations.
 fn churn(alloc: &mut CachingAllocator, n: usize) {
-    let mut live: Vec<u64> = Vec::with_capacity(64);
+    let mut live: Vec<BlockHandle> = Vec::with_capacity(64);
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     for i in 0..n {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -14,12 +14,12 @@ fn churn(alloc: &mut CachingAllocator, n: usize) {
         if i % 3 == 2 && !live.is_empty() {
             let idx = (state >> 32) as usize % live.len();
             alloc.free(live.swap_remove(idx));
-        } else if let Ok(addr) = alloc.alloc(size) {
-            live.push(addr);
+        } else if let Ok(handle) = alloc.alloc(size) {
+            live.push(handle);
         }
     }
-    for addr in live {
-        alloc.free(addr);
+    for handle in live {
+        alloc.free(handle);
     }
 }
 
@@ -60,14 +60,14 @@ fn bench_snapshot(c: &mut Criterion) {
     );
     churn(&mut alloc, 5_000);
     // Re-populate a non-trivial live state.
-    let addrs: Vec<u64> = (0..512)
+    let handles: Vec<BlockHandle> = (0..512)
         .map(|i| alloc.alloc(4096 + i * 512).expect("unbounded"))
         .collect();
     c.bench_function("allocator_snapshot", |b| {
         b.iter(|| std::hint::black_box(alloc.snapshot()))
     });
-    for a in addrs {
-        alloc.free(a);
+    for handle in handles {
+        alloc.free(handle);
     }
 }
 

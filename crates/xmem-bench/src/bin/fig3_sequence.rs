@@ -14,12 +14,12 @@ fn run_sequence(order: &[(usize, bool)], sizes: &[usize]) -> u64 {
         AllocatorConfig::pytorch_defaults(),
         DeviceAllocator::unlimited(),
     );
-    let mut addrs = vec![None; sizes.len()];
+    let mut live = vec![None; sizes.len()];
     for &(tensor, is_alloc) in order {
         if is_alloc {
-            addrs[tensor] = Some(alloc.alloc(sizes[tensor]).expect("unbounded"));
-        } else if let Some(addr) = addrs[tensor].take() {
-            alloc.free(addr);
+            live[tensor] = Some(alloc.alloc(sizes[tensor]).expect("unbounded"));
+        } else if let Some(handle) = live[tensor].take() {
+            alloc.free(handle);
         }
     }
     alloc.counters().peak_reserved

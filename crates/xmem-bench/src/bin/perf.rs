@@ -233,6 +233,28 @@ fn main() {
     let warm_ns = warm.ns_per_op;
     benchmarks.push(warm);
 
+    // --- allocator replay throughput --------------------------------------
+    {
+        let spec =
+            TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 4).with_iterations(2);
+        let trace = profile_on_cpu(&spec);
+        let analyzed = Analyzer::new().analyze(&trace).expect("trace analyzes");
+        let sequence = Orchestrator::default().orchestrate(&analyzed);
+        let events = sequence.events.len() as u64;
+        let simulator = Simulator::unbounded();
+        let started = Instant::now();
+        for _ in 0..replay_reps {
+            std::hint::black_box(simulator.replay(&sequence));
+        }
+        let total_ns = started.elapsed().as_nanos() as u64;
+        benchmarks.push(finish(
+            "replay_throughput",
+            "event",
+            events * replay_reps,
+            total_ns,
+        ));
+    }
+
     // --- tracing overhead on the warm path ---------------------------------
     // The same warm estimate with the full request-telemetry envelope a
     // served request pays: trace begun, every pipeline span recorded,
@@ -318,28 +340,6 @@ fn main() {
             "sim_cell_hit_contended_8t",
             "lookup",
             done.load(Ordering::Relaxed),
-            total_ns,
-        ));
-    }
-
-    // --- allocator replay throughput --------------------------------------
-    {
-        let spec =
-            TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 4).with_iterations(2);
-        let trace = profile_on_cpu(&spec);
-        let analyzed = Analyzer::new().analyze(&trace).expect("trace analyzes");
-        let sequence = Orchestrator::default().orchestrate(&analyzed);
-        let events = sequence.events.len() as u64;
-        let simulator = Simulator::unbounded();
-        let started = Instant::now();
-        for _ in 0..replay_reps {
-            std::hint::black_box(simulator.replay(&sequence));
-        }
-        let total_ns = started.elapsed().as_nanos() as u64;
-        benchmarks.push(finish(
-            "replay_throughput",
-            "event",
-            events * replay_reps,
             total_ns,
         ));
     }

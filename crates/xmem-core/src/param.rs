@@ -181,7 +181,13 @@ struct CategoryFit {
 /// orchestration. The fit is conservative: see the module docs for the
 /// exactness proof obligations, and [`ParamRejection`] for the ways a
 /// stream can fail them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Deserializing checks what a fit guarantees and a replay relies on:
+/// equal column lengths, block ids below `num_blocks` (itself at most the
+/// event count), `batch_lo <= batch_hi`, and sizes and category totals
+/// that fit a `u64` at `batch_hi`. A record that fails is an error, never
+/// a replay that panics or wraps.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ParamReplay {
     ts_us: Vec<u64>,
     block: Vec<u32>,
@@ -195,6 +201,87 @@ pub struct ParamReplay {
     adjusted_blocks: usize,
     unmatched_frees: usize,
     categories: Vec<CategoryFit>,
+}
+
+/// The serialized fields of a [`ParamReplay`], before
+/// [`ParamReplayRecord::check`] vouches for them.
+#[derive(Deserialize)]
+struct ParamReplayRecord {
+    ts_us: Vec<u64>,
+    block: Vec<u32>,
+    is_alloc: Vec<bool>,
+    base: Vec<u64>,
+    slope: Vec<u64>,
+    num_blocks: usize,
+    batch_lo: usize,
+    batch_hi: usize,
+    filtered_blocks: usize,
+    adjusted_blocks: usize,
+    unmatched_frees: usize,
+    categories: Vec<CategoryFit>,
+}
+
+impl ParamReplayRecord {
+    /// The replay, or why the record cannot be one.
+    fn check(self) -> Result<ParamReplay, &'static str> {
+        let events = self.block.len();
+        if [
+            self.ts_us.len(),
+            self.is_alloc.len(),
+            self.base.len(),
+            self.slope.len(),
+        ]
+        .iter()
+        .any(|&len| len != events)
+        {
+            return Err("parameterized replay columns differ in length");
+        }
+        if self.num_blocks > events || self.block.iter().any(|&b| b as usize >= self.num_blocks) {
+            return Err("parameterized replay block id out of range");
+        }
+        if self.batch_lo > self.batch_hi {
+            return Err("parameterized replay batch range is empty");
+        }
+        // Sizes are non-decreasing in the batch, so the top of the range
+        // bounds them all.
+        let hi = self.batch_hi as u64;
+        let fits = |base: u64, slope: u64| {
+            slope
+                .checked_mul(hi)
+                .and_then(|scaled| scaled.checked_add(base))
+                .is_some()
+        };
+        if !self.base.iter().zip(&self.slope).all(|(&b, &s)| fits(b, s))
+            || !self
+                .categories
+                .iter()
+                .all(|c| fits(c.base_bytes, c.slope_bytes))
+        {
+            return Err("parameterized replay size overflows at the top batch");
+        }
+        Ok(ParamReplay {
+            ts_us: self.ts_us,
+            block: self.block,
+            is_alloc: self.is_alloc,
+            base: self.base,
+            slope: self.slope,
+            num_blocks: self.num_blocks,
+            batch_lo: self.batch_lo,
+            batch_hi: self.batch_hi,
+            filtered_blocks: self.filtered_blocks,
+            adjusted_blocks: self.adjusted_blocks,
+            unmatched_frees: self.unmatched_frees,
+            categories: self.categories,
+        })
+    }
+}
+
+impl Deserialize for ParamReplay {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        ParamReplayRecord::from_value(value)?
+            .check()
+            .map_err(serde::Error::custom)
+    }
 }
 
 /// Fits `(base, slope)` with `s(b) = base + slope·b` exact at both
@@ -569,6 +656,78 @@ mod tests {
         assert!(!param.covers(5));
         let result = std::panic::catch_unwind(|| param.materialize(5));
         assert!(result.is_err());
+    }
+
+    /// `value` with `field` of the top-level object changed by `edit`.
+    fn edited(
+        value: &serde::Value,
+        field: &str,
+        edit: impl FnOnce(&mut serde::Value),
+    ) -> serde::Value {
+        let mut value = value.clone();
+        let serde::Value::Object(entries) = &mut value else {
+            panic!("a replay serializes to an object");
+        };
+        let (_, slot) = entries
+            .iter_mut()
+            .find(|(name, _)| name == field)
+            .expect("field present");
+        edit(slot);
+        value
+    }
+
+    #[test]
+    fn deserializing_rejects_records_a_replay_cannot_run() {
+        use serde::{Deserialize, Serialize, Value};
+        let orchestrator = Orchestrator::default();
+        let traces: Vec<(usize, AnalyzedTrace)> =
+            [1, 2, 4].iter().map(|&b| (b, analyzed(b))).collect();
+        let anchors: Vec<(usize, &AnalyzedTrace)> = traces.iter().map(|(b, t)| (*b, t)).collect();
+        let param = ParamReplay::fit(&orchestrator, &anchors).expect("fit");
+        let value = param.to_value();
+        assert_eq!(ParamReplay::from_value(&value).expect("round-trips"), param);
+
+        let set = |v: u64| move |slot: &mut Value| *slot = Value::U64(v);
+        let first = |v: u64| {
+            move |slot: &mut Value| {
+                let Value::Array(items) = slot else {
+                    panic!("column")
+                };
+                items[0] = Value::U64(v);
+            }
+        };
+        let corrupt = [
+            edited(&value, "num_blocks", set(1)),
+            edited(&value, "num_blocks", set(1 << 50)),
+            edited(&value, "ts_us", |slot| {
+                let Value::Array(items) = slot else {
+                    panic!("column")
+                };
+                items.pop();
+            }),
+            edited(&value, "batch_lo", set(5)),
+            edited(&value, "slope", first(u64::MAX / 2)),
+            edited(&edited(&value, "slope", first(1)), "base", first(u64::MAX)),
+            edited(&value, "categories", |slot| {
+                let Value::Array(items) = slot else {
+                    panic!("categories")
+                };
+                let Value::Object(fields) = &mut items[0] else {
+                    panic!("category")
+                };
+                for (name, field) in fields.iter_mut() {
+                    if name == "slope_bytes" {
+                        *field = Value::U64(u64::MAX / 3);
+                    }
+                }
+            }),
+        ];
+        for (i, record) in corrupt.iter().enumerate() {
+            assert!(
+                ParamReplay::from_value(record).is_err(),
+                "corruption {i} accepted"
+            );
+        }
     }
 
     #[test]

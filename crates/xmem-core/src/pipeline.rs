@@ -153,6 +153,16 @@ impl Estimator {
     /// the device-dependent orchestration + simulation stages.
     #[must_use]
     pub fn estimate_analyzed(&self, analyzed: &AnalyzedTrace) -> Estimate {
+        self.estimate_analyzed_counted(analyzed).0
+    }
+
+    /// [`estimate_analyzed`](Self::estimate_analyzed), with the number of
+    /// events its replay walked ([`SimulationResult::events`]): the unit
+    /// serving layers count replay work in.
+    ///
+    /// [`SimulationResult::events`]: crate::SimulationResult::events
+    #[must_use]
+    pub fn estimate_analyzed_counted(&self, analyzed: &AnalyzedTrace) -> (Estimate, usize) {
         let sequence = self.config.orchestrator.orchestrate(analyzed);
 
         let device = &self.config.device;
@@ -171,14 +181,15 @@ impl Estimator {
         let peak_total = job_peak + device.framework_bytes + self.config.context_allowance;
         let oom_predicted = sim.oom || peak_total > device.capacity - device.init_bytes;
 
-        Estimate {
+        let estimate = Estimate {
             peak_bytes: peak_total,
             job_peak_bytes: job_peak,
             tensor_peak_bytes: sim.peak_allocated,
             oom_predicted,
             curve: sim.timeline,
             stats: analysis_stats(analyzed, &sequence),
-        }
+        };
+        (estimate, sim.events)
     }
 
     /// Replays `analyzed` once against an **unbounded** device, producing
@@ -200,7 +211,7 @@ impl Estimator {
         UnboundedReplay {
             peak_reserved: sim.peak_reserved,
             peak_allocated: sim.peak_allocated,
-            events: sequence.events.len(),
+            events: sim.events,
             stats: analysis_stats(analyzed, &sequence),
         }
     }
@@ -295,6 +306,18 @@ impl Estimator {
     /// curve is recorded.
     #[must_use]
     pub fn estimate_buffer(&self, buffer: &EventBuffer, stats: AnalysisStats) -> Estimate {
+        self.estimate_buffer_counted(buffer, stats).0
+    }
+
+    /// [`estimate_buffer`](Self::estimate_buffer), with the number of
+    /// events its replay walked (see
+    /// [`estimate_analyzed_counted`](Self::estimate_analyzed_counted)).
+    #[must_use]
+    pub fn estimate_buffer_counted(
+        &self,
+        buffer: &EventBuffer,
+        stats: AnalysisStats,
+    ) -> (Estimate, usize) {
         let device = &self.config.device;
         let sim = Simulator {
             allocator: self.config.allocator.clone(),
@@ -306,14 +329,15 @@ impl Estimator {
 
         let job_peak = sim.peak_reserved;
         let peak_total = job_peak + device.framework_bytes + self.config.context_allowance;
-        Estimate {
+        let estimate = Estimate {
             peak_bytes: peak_total,
             job_peak_bytes: job_peak,
             tensor_peak_bytes: sim.peak_allocated,
             oom_predicted: sim.oom || peak_total > device.capacity - device.init_bytes,
             curve: Vec::new(),
             stats,
-        }
+        };
+        (estimate, sim.events)
     }
 
     /// Replays a pre-orchestrated event buffer against an unbounded
@@ -338,7 +362,7 @@ impl Estimator {
         UnboundedReplay {
             peak_reserved: sim.peak_reserved,
             peak_allocated: sim.peak_allocated,
-            events: buffer.len(),
+            events: sim.events,
             stats,
         }
     }

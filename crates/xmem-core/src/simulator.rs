@@ -6,8 +6,8 @@
 use crate::orchestrator::OrchestratedSequence;
 use crate::param::EventBuffer;
 use xmem_alloc::{
-    AllocatorConfig, AllocatorSnapshot, CachingAllocator, DeviceAllocator, MemoryCounters,
-    OomError, TimelinePoint,
+    AllocatorConfig, AllocatorSnapshot, BlockHandle, CachingAllocator, DeviceAllocator,
+    MemoryCounters, OomError, TimelinePoint,
 };
 
 /// Outcome of a replay.
@@ -24,6 +24,9 @@ pub struct SimulationResult {
     pub oom_detail: Option<OomError>,
     /// Allocator counters at the end of the replay.
     pub counters: MemoryCounters,
+    /// Events the replay walked: all of them, or up to and including the
+    /// allocation that ran out of memory.
+    pub events: usize,
     /// Usage curve (`ts`, tensor bytes, segment bytes) when recording was
     /// requested.
     pub timeline: Vec<TimelinePoint>,
@@ -90,8 +93,8 @@ impl Simulator {
     }
 
     /// Replays a densified event buffer. Identical semantics to
-    /// [`Simulator::replay`]; the dense block ids let live addresses sit
-    /// in a flat table instead of a hash map.
+    /// [`Simulator::replay`]; the dense block ids let the live
+    /// allocations' handles sit in a flat table instead of a hash map.
     #[must_use]
     pub fn replay_buffer(&self, buffer: &EventBuffer) -> SimulationResult {
         let device = match self.capacity {
@@ -103,21 +106,29 @@ impl Simulator {
         let mut alloc = CachingAllocator::new(self.allocator.clone(), device);
         alloc.record_timeline(self.record_timeline);
 
-        let mut addr_of: Vec<Option<u64>> = vec![None; buffer.num_blocks];
+        let mut live: Vec<Option<BlockHandle>> = vec![None; buffer.num_blocks];
         let mut oom_detail = None;
-        for event in 0..buffer.len() {
-            alloc.advance_clock(buffer.ts_us[event]);
-            let block = buffer.block[event] as usize;
-            if buffer.is_alloc[event] {
-                match alloc.alloc(buffer.bytes[event] as usize) {
-                    Ok(addr) => addr_of[block] = Some(addr),
+        let mut walked = buffer.len();
+        let events = buffer
+            .ts_us
+            .iter()
+            .zip(&buffer.block)
+            .zip(&buffer.bytes)
+            .zip(&buffer.is_alloc);
+        for (event, (((&ts_us, &block), &bytes), &is_alloc)) in events.enumerate() {
+            alloc.advance_clock(ts_us);
+            let slot = &mut live[block as usize];
+            if is_alloc {
+                match alloc.alloc(bytes as usize) {
+                    Ok(handle) => *slot = Some(handle),
                     Err(err) => {
                         oom_detail = Some(err);
+                        walked = event + 1;
                         break;
                     }
                 }
-            } else if let Some(addr) = addr_of[block].take() {
-                alloc.free(addr);
+            } else if let Some(handle) = slot.take() {
+                alloc.free(handle);
             }
         }
         let counters = *alloc.counters();
@@ -127,6 +138,7 @@ impl Simulator {
             oom: oom_detail.is_some(),
             oom_detail,
             counters,
+            events: walked,
             timeline: alloc.timeline().to_vec(),
             snapshot: self.record_timeline.then(|| alloc.snapshot()),
         }
@@ -219,11 +231,15 @@ mod tests {
             (0, 0, 64 * MIB, true),
             (10, 1, 64 * MIB, true),
             (20, 2, 64 * MIB, true),
+            (30, 0, 64 * MIB, false),
         ]);
         let r = Simulator::new(128 * MIB, 16 * MIB).replay(&s);
         assert!(r.oom);
+        // The second allocation runs out; the events after it never run.
+        assert_eq!(r.events, 2);
         let detail = r.oom_detail.unwrap();
         assert!(detail.reclaim_attempted);
+        assert_eq!(Simulator::unbounded().replay(&s).events, 4);
     }
 
     #[test]

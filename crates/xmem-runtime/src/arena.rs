@@ -11,7 +11,9 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use xmem_alloc::{AllocatorSnapshot, CachingAllocator, MemoryCounters, OomError, TimelinePoint};
+use xmem_alloc::{
+    AllocatorSnapshot, BlockHandle, CachingAllocator, MemoryCounters, OomError, TimelinePoint,
+};
 
 /// A place the engine can allocate from, stamped with a virtual clock.
 pub trait MemoryArena {
@@ -212,6 +214,9 @@ pub struct GroundTruth {
 #[derive(Debug)]
 pub struct GpuArena {
     allocator: CachingAllocator,
+    /// The live allocations' handles by address: the engine frees by
+    /// address, the allocator by handle.
+    live: HashMap<u64, BlockHandle, MixHash>,
     sampler: NvmlSampler,
     now_us: u64,
 }
@@ -225,6 +230,7 @@ impl GpuArena {
         allocator.record_timeline(record);
         GpuArena {
             allocator,
+            live: HashMap::default(),
             sampler: NvmlSampler::new(sampler_offset_us, record),
             now_us: 0,
         }
@@ -267,13 +273,19 @@ impl MemoryArena for GpuArena {
     fn alloc(&mut self, ts_us: u64, bytes: usize) -> Result<u64, OomError> {
         self.advance_clock(ts_us);
         self.allocator.advance_clock(ts_us);
-        self.allocator.alloc(bytes)
+        let handle = self.allocator.alloc(bytes)?;
+        self.live.insert(handle.addr(), handle);
+        Ok(handle.addr())
     }
 
     fn free(&mut self, ts_us: u64, addr: u64) {
         self.advance_clock(ts_us);
         self.allocator.advance_clock(ts_us);
-        self.allocator.free(addr);
+        let handle = self
+            .live
+            .remove(&addr)
+            .expect("gpu arena free of unknown address");
+        self.allocator.free(handle);
     }
 
     fn advance_clock(&mut self, ts_us: u64) {

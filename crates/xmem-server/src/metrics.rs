@@ -580,6 +580,12 @@ impl ServerMetrics {
             "Unbounded seed replays executed",
             sims.unbounded_replays,
         );
+        counter(
+            &mut out,
+            "xmem_sim_replayed_events_total",
+            "Events fed to the allocator by full, unbounded and incremental replays",
+            sims.replayed_events,
+        );
         gauge(
             &mut out,
             "xmem_sim_device_shards",

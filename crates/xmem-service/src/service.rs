@@ -997,8 +997,27 @@ impl EstimationService {
             .map_or_else(|| self.load_stages(spec, &fill.key, ctx), Ok)?;
         Ok(match fill.cell {
             Some((device, seed)) => self.simulate_cell(&fill.key, &stages, device, seed, ctx),
-            None => self.estimator.estimate_analyzed(&stages.analyzed),
+            None => self.counted_replay(ctx, "full-replay", || {
+                self.estimator.estimate_analyzed_counted(&stages.analyzed)
+            }),
         })
+    }
+
+    /// Runs one allocator replay under a `sim.replay` span tagged
+    /// `outcome` and counts the events it walked, so the span time and
+    /// [`SimStats::replayed_events`] measure the same work. `replay`
+    /// returns its result with that event count.
+    fn counted_replay<T>(
+        &self,
+        ctx: &TraceContext,
+        outcome: &'static str,
+        replay: impl FnOnce() -> (T, usize),
+    ) -> T {
+        let mut span = ctx.span("sim.replay");
+        span.set_outcome(outcome);
+        let (result, events) = replay();
+        self.sims.count_replayed_events(events);
+        result
     }
 
     /// Like [`estimate`](Self::estimate) but against an alternative
@@ -1013,7 +1032,11 @@ impl EstimationService {
         config: &EstimatorConfig,
     ) -> Result<Estimate, EstimateError> {
         let stages = self.stages(spec)?;
-        Ok(Estimator::new(config.clone()).estimate_analyzed(&stages.analyzed))
+        // No request trace to time it in; the replay is still counted.
+        let (estimate, events) =
+            Estimator::new(config.clone()).estimate_analyzed_counted(&stages.analyzed);
+        self.sims.count_replayed_events(events);
+        Ok(estimate)
     }
 
     /// Replays already-analyzed stages against one device, through the
@@ -1114,7 +1137,9 @@ impl EstimationService {
                 None => {
                     self.sims.count_full_replay();
                     replay_span.set_outcome("full-replay");
-                    estimator.estimate_analyzed(&stages.analyzed)
+                    let (estimate, events) = estimator.estimate_analyzed_counted(&stages.analyzed);
+                    self.sims.count_replayed_events(events);
+                    estimate
                 }
             };
             drop(replay_span);
@@ -1176,6 +1201,7 @@ impl EstimationService {
             let _span = ctx.span("sim.unbounded");
             self.sims.count_unbounded();
             let replay = Arc::new(estimator.replay_unbounded(&stages.analyzed));
+            self.sims.count_replayed_events(replay.events);
             self.replays.insert(key.clone(), Arc::clone(&replay));
             if let Some(persister) = &self.persist {
                 persister.append(&StateRecord::Replay {
@@ -1307,8 +1333,10 @@ impl EstimationService {
         self.sims.count_run();
         self.sims.count_incremental();
         ctx.event("sim.incremental", "cell");
-        self.estimator
-            .estimate_buffer(&param.materialize(batch), param.stats_for(batch))
+        self.counted_replay(ctx, "incremental", || {
+            self.estimator
+                .estimate_buffer_counted(&param.materialize(batch), param.stats_for(batch))
+        })
     }
 
     /// Every device's cell for `base` at `batch`, served from the
@@ -1341,8 +1369,12 @@ impl EstimationService {
         // (it is not a replay-cache seed: probe batches rarely repeat,
         // and the buffer is cheaper to rebuild than to retain).
         let replay = self.config.fast_path.then(|| {
-            Estimator::new(EstimatorConfig::for_device(devices[0]))
-                .replay_buffer_unbounded(&buffer, stats.clone())
+            self.counted_replay(ctx, "incremental", || {
+                let replay = Estimator::new(EstimatorConfig::for_device(devices[0]))
+                    .replay_buffer_unbounded(&buffer, stats.clone());
+                let events = replay.events;
+                (replay, events)
+            })
         });
         for (slot, device) in cells.iter_mut().zip(devices) {
             if slot.is_some() {
@@ -1355,7 +1387,11 @@ impl EstimationService {
             let estimate = replay
                 .as_ref()
                 .and_then(|replay| estimator.derive_from_replay(replay))
-                .unwrap_or_else(|| estimator.estimate_buffer(&buffer, stats.clone()));
+                .unwrap_or_else(|| {
+                    self.counted_replay(ctx, "incremental", || {
+                        estimator.estimate_buffer_counted(&buffer, stats.clone())
+                    })
+                });
             self.sims
                 .shard(device)
                 .insert(key.clone(), estimate.clone());
@@ -1386,8 +1422,10 @@ impl EstimationService {
         self.sims.count_run();
         self.sims.count_incremental();
         ctx.event("sim.incremental", "cell");
-        let estimate = Estimator::new(EstimatorConfig::for_device(device))
-            .estimate_buffer(&param.materialize(batch), param.stats_for(batch));
+        let estimate = self.counted_replay(ctx, "incremental", || {
+            Estimator::new(EstimatorConfig::for_device(device))
+                .estimate_buffer_counted(&param.materialize(batch), param.stats_for(batch))
+        });
         self.sims
             .shard(&device)
             .insert(key.clone(), estimate.clone());
@@ -1927,7 +1965,9 @@ impl EstimationService {
             return batches.iter().copied().zip(estimates).collect();
         }
         self.sweep_fill(base, batches, ctx, |_, stages| {
-            self.estimator.estimate_analyzed(&stages.analyzed)
+            self.counted_replay(ctx, "full-replay", || {
+                self.estimator.estimate_analyzed_counted(&stages.analyzed)
+            })
         })
     }
 
@@ -2940,6 +2980,66 @@ mod tests {
         let stats = fast.sim_stats();
         assert_eq!(stats.fast_path_hits, stats.sim_runs);
         assert_eq!(stats.fast_path_hits + stats.full_replays, stats.sim_runs);
+    }
+
+    #[test]
+    fn replayed_events_count_the_events_each_replay_walked() {
+        let jobs = [small_spec(4), small_spec(8)];
+        let devices = ["rtx3060", "rtx4060"];
+        let roomy = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
+        let replays: Vec<UnboundedReplay> = jobs
+            .iter()
+            .map(|job| {
+                roomy.replay_unbounded(&Analyzer::new().analyze(&profile_on_cpu(job)).unwrap())
+            })
+            .collect();
+        let per_job: u64 = replays.iter().map(|r| r.events as u64).sum();
+        // Fast path: one unbounded replay per job, every cell derived.
+        let fast = EstimationService::for_device(GpuDevice::rtx3060());
+        fast.estimate_matrix(&jobs, &devices).unwrap();
+        assert_eq!(fast.sim_stats().replayed_events, per_job);
+        // No fast path: one full replay per cell.
+        let full = EstimationService::new(
+            ServiceConfig::for_device(GpuDevice::rtx3060()).with_fast_path(false),
+        );
+        full.estimate_matrix(&jobs, &devices).unwrap();
+        assert_eq!(
+            full.sim_stats().replayed_events,
+            per_job * devices.len() as u64
+        );
+        // A service estimator other than the paper default replays outside
+        // the sim cache, and still counts.
+        let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
+        config.estimator.record_timeline = true;
+        let curves = EstimationService::new(config);
+        curves.estimate(&jobs[0]).unwrap();
+        curves.sweep(&jobs[0], &[1, 2]);
+        let swept: u64 = [1, 2]
+            .iter()
+            .map(|&b| {
+                let analyzed = Analyzer::new()
+                    .analyze(&profile_on_cpu(&small_spec(b)))
+                    .unwrap();
+                roomy.replay_unbounded(&analyzed).events as u64
+            })
+            .sum();
+        assert_eq!(
+            curves.sim_stats().replayed_events,
+            replays[0].events as u64 + swept
+        );
+        // A device that runs out of memory stops the replay there.
+        let tight = GpuDevice {
+            name: "tight",
+            capacity: replays[0].peak_reserved / 2,
+            framework_bytes: 0,
+            init_bytes: 0,
+        };
+        let estimate = fast
+            .estimate_with(&jobs[0], &EstimatorConfig::for_device(tight))
+            .unwrap();
+        assert!(estimate.oom_predicted);
+        let walked = fast.sim_stats().replayed_events - per_job;
+        assert!(0 < walked && walked < replays[0].events as u64, "{walked}");
     }
 
     #[test]

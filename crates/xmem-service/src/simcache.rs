@@ -107,6 +107,10 @@ pub struct SimStats {
     /// Unbounded replays executed to seed the fast path (at most one per
     /// job key covered by the replay cache).
     pub unbounded_replays: u64,
+    /// Events fed to the allocator by full, unbounded and incremental
+    /// replays: the replay work the counters above stand for. Dividing
+    /// replay time by it gives the allocator's cost per event.
+    pub replayed_events: u64,
     /// Live device shards (distinct device configurations simulated so
     /// far).
     pub device_shards: usize,
@@ -159,6 +163,7 @@ pub struct SimShards {
     incremental: AtomicU64,
     param_fits: AtomicU64,
     unbounded: AtomicU64,
+    replayed_events: AtomicU64,
     invalidated: AtomicU64,
     evicted_shards: AtomicU64,
     /// Counter history of retired shards (invalidated or fleet-evicted),
@@ -188,6 +193,7 @@ impl SimShards {
             incremental: AtomicU64::new(0),
             param_fits: AtomicU64::new(0),
             unbounded: AtomicU64::new(0),
+            replayed_events: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
             evicted_shards: AtomicU64::new(0),
             retired: RwLock::new(CacheStats::default()),
@@ -397,6 +403,12 @@ impl SimShards {
         self.unbounded.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records `events` events fed to the allocator by one replay.
+    pub fn count_replayed_events(&self, events: usize) {
+        self.replayed_events
+            .fetch_add(events as u64, Ordering::Relaxed);
+    }
+
     /// Drops the shard for `fingerprint` (a replaced device
     /// configuration), returning how many cached estimates it held. Other
     /// devices' shards are untouched, and the dropped shard's counter
@@ -447,6 +459,7 @@ impl SimShards {
             incremental_cells: self.incremental.load(Ordering::Relaxed),
             param_replays: self.param_fits.load(Ordering::Relaxed),
             unbounded_replays: self.unbounded.load(Ordering::Relaxed),
+            replayed_events: self.replayed_events.load(Ordering::Relaxed),
             device_shards: shards.len(),
             invalidated_entries: self.invalidated.load(Ordering::Relaxed),
             evicted_shards: self.evicted_shards.load(Ordering::Relaxed),

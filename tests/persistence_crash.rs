@@ -560,3 +560,124 @@ fn sim_cells_for_unregistered_devices_are_skipped() {
     // The analysis was recovered, so serving still pays no profile run.
     assert_eq!(service.profile_runs(), 0);
 }
+
+/// Corruptions of a recovered `Param` record that keep it valid JSON of
+/// the right shape, each of which made the first sweep of the family panic
+/// or wrap before the record was checked on decode: `(name, field of the
+/// replay, edit)`.
+type ParamEdit = fn(&mut serde::Value);
+
+const PARAM_CORRUPTIONS: [(&str, &str, ParamEdit); 5] = [
+    // Every block id but 0 indexes past a one-entry block table.
+    ("one block", "num_blocks", |v| *v = serde::Value::U64(1)),
+    // A block table no replay could allocate.
+    ("huge block table", "num_blocks", |v| {
+        *v = serde::Value::U64(1 << 50)
+    }),
+    // One column shorter than the others.
+    ("short column", "ts_us", |v| {
+        let serde::Value::Array(items) = v else {
+            panic!("ts_us is a column")
+        };
+        items.pop();
+    }),
+    // An empty batch range.
+    ("inverted range", "batch_lo", |v| {
+        *v = serde::Value::U64(1 << 20)
+    }),
+    // `base + slope * batch_hi` past `u64::MAX`.
+    ("overflowing size", "slope", |v| {
+        let serde::Value::Array(items) = v else {
+            panic!("slope is a column")
+        };
+        items[0] = serde::Value::U64(u64::MAX / 2);
+    }),
+];
+
+/// A `Param` record that decodes as JSON but cannot be replayed is a torn
+/// record: recovery stops at it and counts it, and the family's next sweep
+/// refits and serves what a fresh service serves, instead of panicking.
+#[test]
+fn corrupt_param_record_is_torn_and_the_sweep_refits() {
+    let dir = StateDir::new("param-fields");
+    let sweep = |service: &EstimationService, batches: &[usize]| -> Vec<Estimate> {
+        service
+            .sweep(&spec(1), batches)
+            .into_iter()
+            .map(|(_, outcome)| outcome.expect("sweep estimates"))
+            .collect()
+    };
+    // The fit covers 1..=16; the later sweep asks for cells inside that
+    // range that no recovered cell answers, so only the fit can.
+    sweep(
+        &EstimationService::new(config(dir.path())),
+        &[1, 2, 4, 8, 16],
+    );
+    let interior = [3usize, 5, 6, 7, 12];
+    let fresh = EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()));
+    let expected = sweep(&fresh, &interior);
+    // One more boot compacts the fit into the snapshot.
+    drop(EstimationService::new(config(dir.path())));
+    let snapshot = fs::read(dir.path().join(SNAPSHOT_FILE)).expect("snapshot");
+    let (start, _) = record_frames(&snapshot)
+        .into_iter()
+        .find(|(_, variant)| variant == "Param")
+        .expect("the sweep must have produced a Param record");
+    let len = u32::from_le_bytes(snapshot[start..start + 4].try_into().expect("4 bytes")) as usize;
+    let end = start + 12 + len;
+    let payload = std::str::from_utf8(&snapshot[start + 12..end]).expect("JSON payload");
+    let record: serde::Value = serde_json::from_str(payload).expect("record decodes");
+
+    // Intact, the recovered fit serves the interior cells with no refit.
+    let service = EstimationService::new(config(dir.path()));
+    assert_eq!(sweep(&service, &interior), expected);
+    assert_eq!(service.sim_stats().param_replays, 0, "the fit is recovered");
+    drop(service);
+
+    for (name, field, edit) in PARAM_CORRUPTIONS {
+        let mut corrupt = record.clone();
+        let serde::Value::Object(variant) = &mut corrupt else {
+            panic!("records are objects")
+        };
+        let serde::Value::Object(param) = &mut variant[0].1 else {
+            panic!("a Param record is an object")
+        };
+        let (_, serde::Value::Object(replay)) = param
+            .iter_mut()
+            .find(|(key, _)| key == "replay")
+            .expect("the record carries its replay")
+        else {
+            panic!("a replay is an object")
+        };
+        let (_, value) = replay
+            .iter_mut()
+            .find(|(key, _)| key == field)
+            .expect("the replay has the field");
+        edit(value);
+
+        let mut state = snapshot[..start].to_vec();
+        let json = serde_json::to_string(&corrupt).expect("re-encodes");
+        push_frame(&mut state, json.as_bytes());
+        state.extend_from_slice(&snapshot[end..]);
+        let scratch = StateDir::new("param-fields-corrupt");
+        fs::create_dir_all(scratch.path()).expect("scratch dir");
+        fs::write(scratch.path().join(SNAPSHOT_FILE), &state).expect("corrupt snapshot");
+
+        let service = EstimationService::new(config(scratch.path()));
+        let stats = service.persist_stats();
+        assert!(
+            stats.recovery_truncated > 0,
+            "{name}: the record must count as torn: {stats:?}"
+        );
+        assert_eq!(
+            sweep(&service, &interior),
+            expected,
+            "{name}: the sweep diverged"
+        );
+        assert_eq!(
+            service.sim_stats().param_replays,
+            1,
+            "{name}: the family refits"
+        );
+    }
+}
