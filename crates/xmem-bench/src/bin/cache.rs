@@ -23,7 +23,7 @@ use std::time::Instant;
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::TrainJobSpec;
-use xmem_service::{JobKey, ShardedLruCache, TieringMode};
+use xmem_service::{JobKey, ShardedLruCache};
 
 /// One timed benchmark (same shape as the `perf` harness).
 #[derive(Debug, Serialize)]
@@ -336,15 +336,15 @@ fn main() {
     let mut benchmarks = Vec::new();
     let mut policies = Vec::new();
 
-    let build = |mode: TieringMode| -> ShardedLruCache<JobKey, u64> {
-        ShardedLruCache::new(capacity, shards)
-            .with_tiering(mode)
-            .with_bytes_budget(bytes_budget, weigher)
+    // Each policy is a plain cache with its tiering applied, then the
+    // shared bytes budget.
+    let build = |tier: &dyn Fn(ShardedLruCache<JobKey, u64>) -> ShardedLruCache<JobKey, u64>| {
+        tier(ShardedLruCache::new(capacity, shards)).with_bytes_budget(bytes_budget, weigher)
     };
 
     let plain = run_policy(
         "plain_lru",
-        &build(TieringMode::Off),
+        &build(&|plain| plain),
         &trace,
         &keys,
         bytes_budget,
@@ -354,7 +354,7 @@ fn main() {
     let static_fracs = [0.25, 0.5, 0.75];
     for &frac in &static_fracs {
         let name = format!("static_slru_{:02}", (frac * 100.0) as u32);
-        let cache = build(TieringMode::Static(frac));
+        let cache = build(&|plain| plain.with_segmented_admission(frac));
         policies.push(run_policy(
             &name,
             &cache,
@@ -365,7 +365,7 @@ fn main() {
         ));
     }
 
-    let adaptive_cache = build(TieringMode::adaptive());
+    let adaptive_cache = build(&|plain| plain.with_adaptive_tiering(0.5));
     let adaptive = run_policy(
         "adaptive",
         &adaptive_cache,

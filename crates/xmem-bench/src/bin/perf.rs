@@ -2,13 +2,14 @@
 //!
 //! Times the hot paths the service layers optimize — single estimates
 //! (cold, warm, and warm with the full request-tracing envelope on),
-//! N×D matrix replay with the pressure-aware fast path
-//! on and off, contended simulation-cell cache hits, raw allocator replay
-//! throughput, the O(1) LRU against a scan-based reference, the
-//! crash-consistent persistence layer (snapshot write cost, warm-boot
-//! recovery, and the first estimate after a restart), and a cold
-//! batch-size sweep with the incremental parameterized replay on and off
-//! — and emits a machine-readable `BENCH_estimator.json` so every PR has
+//! N×D matrix replay through the pressure-aware fast path against the
+//! sequential `Estimator` on the same grid, contended simulation-cell
+//! cache hits, raw allocator replay throughput, the O(1) LRU against a
+//! scan-based reference, the crash-consistent persistence layer
+//! (snapshot write cost, warm-boot recovery, and the first estimate
+//! after a restart), and a cold batch-size sweep through the incremental
+//! parameterized replay against sequential per-batch estimates — and
+//! emits a machine-readable `BENCH_estimator.json` so every PR has
 //! a measurable trajectory.
 //!
 //! Usage: `perf [--quick] [--out PATH]`
@@ -20,7 +21,9 @@
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use xmem_core::{Analyzer, Orchestrator, Simulator};
+use xmem_core::{
+    Analyzer, DeviceMatrix, Estimator, EstimatorConfig, EventBuffer, Orchestrator, Simulator,
+};
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
@@ -65,8 +68,9 @@ struct Counters {
 #[derive(Debug, Serialize)]
 struct Derived {
     /// `matrix_replay_full` time over `matrix_replay_fast` time: the
-    /// measured speedup of the pressure-aware fast path on an all-roomy
-    /// fleet (analyses prewarmed in both runs).
+    /// measured speedup of the pressure-aware fast path over one full
+    /// sequential replay per cell on an all-roomy fleet (analyses
+    /// prewarmed in both runs).
     matrix_fast_path_speedup: f64,
     /// Scan-based reference LRU insert latency over the intrusive-list
     /// cache's: the measured win of O(1) eviction at this capacity.
@@ -75,9 +79,10 @@ struct Derived {
     /// warm boot from a state dir: what crash-consistent persistence buys
     /// a restarted server on its first request.
     warm_restart_first_estimate_speedup: f64,
-    /// Full per-batch sweep time over the incremental (parameterized
-    /// replay) sweep time, both cold: the win of profiling 3 anchors and
-    /// deriving every other batch point instead of profiling all of them.
+    /// Sequential per-batch sweep time over the incremental
+    /// (parameterized replay) sweep time, both cold: the win of profiling
+    /// 3 anchors and deriving every other batch point instead of
+    /// profiling all of them.
     sweep_incremental_speedup: f64,
     /// Warm-estimate slowdown with request tracing on, in percent:
     /// `(estimate_warm_traced - estimate_warm) / estimate_warm * 100`.
@@ -141,23 +146,24 @@ const FLEET: [&str; 8] = ["d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7"];
 
 /// An all-roomy 8-device fleet (16–72 GiB): every cell qualifies for the
 /// fast path, so the fast/full pairing isolates the replay strategy.
+fn fleet_device(index: usize) -> GpuDevice {
+    GpuDevice {
+        name: "perf-fleet",
+        capacity: (16 + 8 * index as u64) << 30,
+        framework_bytes: 550 << 20,
+        init_bytes: 0,
+    }
+}
+
 fn register_fleet(service: &EstimationService) {
     for (i, name) in FLEET.iter().enumerate() {
-        service.register_device(
-            name,
-            GpuDevice {
-                name: "perf-fleet",
-                capacity: (16 + 8 * i as u64) << 30,
-                framework_bytes: 550 << 20,
-                init_bytes: 0,
-            },
-        );
+        service.register_device(name, fleet_device(i));
     }
 }
 
 /// Times one matrix replay over prewarmed analyses (profiling excluded),
 /// so fast vs full compares only the simulation fan-out.
-fn matrix_replay(service: &EstimationService, name: &str) -> Benchmark {
+fn matrix_replay_fast(service: &EstimationService) -> (Benchmark, DeviceMatrix) {
     let jobs = jobs();
     for job in &jobs {
         service.stages(job).expect("benchmark jobs analyze");
@@ -168,7 +174,57 @@ fn matrix_replay(service: &EstimationService, name: &str) -> Benchmark {
         .estimate_matrix(&jobs, &names)
         .expect("fleet is registered");
     let total_ns = started.elapsed().as_nanos() as u64;
-    finish(name, "cell", matrix.num_cells() as u64, total_ns)
+    let bench = finish(
+        "matrix_replay_fast",
+        "cell",
+        matrix.num_cells() as u64,
+        total_ns,
+    );
+    (bench, matrix)
+}
+
+/// Times the same grid as one full sequential replay per cell, over
+/// analyses computed before the clock starts, and holds every cell to
+/// the fast path's.
+fn matrix_replay_full(fast: &DeviceMatrix) -> Benchmark {
+    let jobs = jobs();
+    let analyses: Vec<_> = jobs
+        .iter()
+        .map(|job| {
+            Analyzer::new()
+                .analyze(&profile_on_cpu(job))
+                .expect("benchmark jobs analyze")
+        })
+        .collect();
+    let estimators: Vec<Estimator> = (0..FLEET.len())
+        .map(|i| Estimator::new(EstimatorConfig::for_device(fleet_device(i))))
+        .collect();
+    let started = Instant::now();
+    let cells: Vec<Vec<_>> = analyses
+        .iter()
+        .map(|analyzed| {
+            estimators
+                .iter()
+                .map(|estimator| estimator.estimate_analyzed(analyzed))
+                .collect()
+        })
+        .collect();
+    let total_ns = started.elapsed().as_nanos() as u64;
+    for (row, sequential) in fast.rows.iter().zip(&cells) {
+        for (cell, expected) in row.cells.iter().zip(sequential) {
+            assert_eq!(
+                cell.estimate.as_ref().expect("cell estimates"),
+                expected,
+                "fast-path cells must be bit-identical to full replays"
+            );
+        }
+    }
+    finish(
+        "matrix_replay_full",
+        "cell",
+        (jobs.len() * FLEET.len()) as u64,
+        total_ns,
+    )
 }
 
 /// The scan-based eviction reference the O(1) cache replaced: a
@@ -239,12 +295,14 @@ fn main() {
             TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 4).with_iterations(2);
         let trace = profile_on_cpu(&spec);
         let analyzed = Analyzer::new().analyze(&trace).expect("trace analyzes");
-        let sequence = Orchestrator::default().orchestrate(&analyzed);
-        let events = sequence.events.len() as u64;
+        // Densified once, outside the clock: the figure is the
+        // allocator's per-event cost alone.
+        let buffer = EventBuffer::from_sequence(&Orchestrator::default().orchestrate(&analyzed));
+        let events = buffer.len() as u64;
         let simulator = Simulator::unbounded();
         let started = Instant::now();
         for _ in 0..replay_reps {
-            std::hint::black_box(simulator.replay(&sequence));
+            std::hint::black_box(simulator.replay_buffer(&buffer));
         }
         let total_ns = started.elapsed().as_nanos() as u64;
         benchmarks.push(finish(
@@ -276,10 +334,10 @@ fn main() {
         pct
     };
 
-    // --- N x D matrix replay: fast path vs forced full replays -----------
+    // --- N x D matrix replay: fast path vs sequential full replays -------
     let fast_service = EstimationService::for_device(GpuDevice::rtx3060());
     register_fleet(&fast_service);
-    let fast = matrix_replay(&fast_service, "matrix_replay_fast");
+    let (fast, fast_matrix) = matrix_replay_fast(&fast_service);
     let stats = fast_service.sim_stats();
     assert_eq!(
         stats.full_replays, 0,
@@ -287,12 +345,7 @@ fn main() {
     );
     assert_eq!(stats.unbounded_replays, jobs().len() as u64);
 
-    let full_service = EstimationService::new(
-        ServiceConfig::for_device(GpuDevice::rtx3060()).with_fast_path(false),
-    );
-    register_fleet(&full_service);
-    let full = matrix_replay(&full_service, "matrix_replay_full");
-    assert_eq!(full_service.sim_stats().fast_path_hits, 0);
+    let full = matrix_replay_full(&fast_matrix);
     let matrix_fast_path_speedup = full.ns_per_op / fast.ns_per_op.max(1.0);
 
     // Warm matrix: every cell is a pure sim-shard hit.
@@ -420,10 +473,10 @@ fn main() {
         speedup
     };
 
-    // --- incremental sweep vs full per-batch sweep -------------------------
-    // Two fresh services, each timed cold over the same dense batch grid:
-    // one with the parameterized-replay sweep disabled (every batch point
-    // profiles + analyzes from scratch), one with it on (3 anchor profiles
+    // --- incremental sweep vs sequential per-batch estimates --------------
+    // The same dense batch grid, timed cold twice: as sequential
+    // `Estimator` runs (every batch point profiles + analyzes from
+    // scratch), and as one sweep on a fresh service (3 anchor profiles
     // fit an affine per-event model, every other cell is derived). Cells
     // must be bit-identical; only the work to produce them differs.
     let (sweep_incremental_speedup, sweep_counters) = {
@@ -431,11 +484,16 @@ fn main() {
         let base =
             TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 1).with_iterations(2);
 
-        let full_sweep = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_incremental_sweep(false),
-        );
+        let sequential = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
         let started = Instant::now();
-        let full_cells = full_sweep.sweep(&base, &batches);
+        let full_cells: Vec<_> = batches
+            .iter()
+            .map(|&batch| {
+                let mut spec = base.clone();
+                spec.batch = batch;
+                (batch, sequential.estimate_job(&spec))
+            })
+            .collect();
         let full = finish(
             "sweep_full",
             "cell",

@@ -439,7 +439,7 @@ pub fn handle_estimate(
         Ok(d) => d,
         Err(e) => return e,
     };
-    let submitted = service.submit_traced(&spec, device.as_deref(), deadline, ctx);
+    let submitted = service.submit(&spec, device.as_deref(), deadline, ctx);
     settle(submitted, estimate_body)
 }
 
@@ -488,7 +488,7 @@ pub fn handle_matrix(
         return bad_request("no devices to simulate against");
     }
     let names: Vec<&str> = devices.iter().map(String::as_str).collect();
-    let submitted = service.matrix_traced(&specs, &names, deadline, ctx);
+    let submitted = service.matrix(&specs, &names, deadline, ctx);
     settle(submitted, matrix_body)
 }
 
@@ -533,7 +533,7 @@ pub fn handle_sweep(
         Ok(spec) => spec,
         Err(e) => return e,
     };
-    let submitted = service.sweep_traced(&spec, &batches, deadline, ctx);
+    let submitted = service.sweep(&spec, &batches, deadline, ctx);
     match submitted {
         Err(SubmitError::Busy) => busy_response(),
         Ok(future) => match future.wait() {
@@ -580,7 +580,7 @@ pub fn handle_plan(
         Ok(spec) => spec,
         Err(e) => return e,
     };
-    let submitted = service.plan_traced(&spec, device, lo, hi, deadline, ctx);
+    let submitted = service.plan(&spec, device, lo, hi, deadline, ctx);
     settle(submitted, |max_batch| plan_body(*max_batch))
 }
 
@@ -600,7 +600,7 @@ pub fn handle_best_device(
         Ok(spec) => spec,
         Err(e) => return e,
     };
-    let submitted = service.placement_traced(&spec, deadline, ctx);
+    let submitted = service.placement(&spec, deadline, ctx);
     settle(submitted, |placement| placement_body(placement.as_ref()))
 }
 

@@ -33,8 +33,8 @@
 //! re-referenced entry. Both recency segments are threaded through the
 //! same slab, so every operation stays O(1).
 //!
-//! **Adaptive tiering** ([`ShardedLruCache::with_adaptive_tiering`], the
-//! service default via [`TieringMode::Adaptive`]): the segmented
+//! **Adaptive tiering** ([`ShardedLruCache::with_adaptive_tiering`],
+//! what every service cache tier runs): the segmented
 //! discipline, self-tuned. Each shard additionally keeps a TinyLFU-style
 //! frequency sketch, two bounded ghost lists (recent probation/protected
 //! evictions, key hashes only), and a hill-climbing tuner — see the
@@ -62,7 +62,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::tiering::{permille_from_frac, TierState, TierStats, TieringMode};
+use crate::tiering::{permille_from_frac, TierState, TierStats};
 
 /// Monotonic hit/miss/insert/evict counters for a [`ShardedLruCache`].
 ///
@@ -625,20 +625,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         }
     }
 
-    /// Applies a [`TieringMode`]: [`TieringMode::Off`] clears any
-    /// segmentation, [`TieringMode::Static`] pins a fraction (exactly
-    /// [`with_segmented_admission`](Self::with_segmented_admission)), and
-    /// [`TieringMode::Adaptive`] installs the self-tuning machinery
-    /// ([`with_adaptive_tiering`](Self::with_adaptive_tiering)).
-    #[must_use]
-    pub fn with_tiering(self, mode: TieringMode) -> Self {
-        match mode {
-            TieringMode::Off => self.clear_tiering(),
-            TieringMode::Static(frac) => self.with_segmented_admission(frac),
-            TieringMode::Adaptive { initial_frac } => self.with_adaptive_tiering(initial_frac),
-        }
-    }
-
     /// Enables segmented (probation/protected) admission at a pinned
     /// fraction: each shard reserves `protected_frac` of its capacity
     /// slice for entries that were hit at least once after insertion. New
@@ -671,7 +657,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     }
 
     /// Enables self-tuning segmented admission starting from
-    /// `initial_frac` (see the module docs and [`TieringMode::Adaptive`]):
+    /// `initial_frac` (clamped to the tuner's floor/ceiling; see the
+    /// module docs):
     /// sketch-gated admission, ghost-list feedback, and a hill-climbing
     /// tuner over the protected fraction and bytes-budget split.
     #[must_use]

@@ -20,7 +20,9 @@
 //!   by bracketing with a parallel coarse sweep and bisecting the
 //!   remainder over cached probes;
 //! * [`AsyncEstimationService`] is the future-based front end for
-//!   scheduler event loops: `submit` returns an [`EstimateFuture`]
+//!   scheduler event loops, one method per route (`submit`, `sweep`,
+//!   `plan`, `matrix`, `placement`), each taking an optional deadline
+//!   and a [`TraceContext`]: `submit` returns an [`EstimateFuture`]
 //!   answered by a bounded, channel-fed worker pool, with cancellation,
 //!   per-query deadlines, and [`SubmitError::Busy`] backpressure instead
 //!   of unbounded queues. Concurrent identical queries **single-flight**
@@ -32,7 +34,7 @@
 //!   [`GpuDevice`](xmem_runtime::GpuDevice) configs (loadable from a
 //!   JSON fleet file), per-device simulation shards ([`SimStats`]), and
 //!   batched replay — [`EstimationService::estimate_matrix`] /
-//!   [`AsyncEstimationService::submit_matrix`] answer an M-jobs ×
+//!   [`AsyncEstimationService::matrix`] answer an M-jobs ×
 //!   D-devices grid with exactly one profile/analyze per job fanned out
 //!   to concurrent per-device simulations, and
 //!   [`EstimationService::best_device_for_job`] turns the matrix into a
@@ -87,4 +89,4 @@ pub use telemetry::{
     CompletedTrace, LogLevel, Span, SpanRecord, Telemetry, TelemetryConfig, TraceContext,
     TRACE_HEADER,
 };
-pub use tiering::{TierStats, TieringMode};
+pub use tiering::TierStats;

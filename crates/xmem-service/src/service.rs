@@ -13,7 +13,7 @@ use crate::registry::DeviceRegistry;
 use crate::simcache::{DeviceFingerprint, SimShards, SimStats};
 use crate::singleflight::{FlightStats, SingleFlight};
 use crate::telemetry::TraceContext;
-use crate::tiering::{TierStats, TieringMode};
+use crate::tiering::{TierStats, INITIAL_PROTECTED_FRAC};
 use crate::timer::DeadlineTimer;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -24,7 +24,6 @@ use xmem_core::{
     EstimatorConfig, MatrixCell, MatrixRow, Orchestrator, ParamReplay, UnboundedReplay,
 };
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
-use xmem_trace::Trace;
 
 /// Identity of one simulation cell: which analysis, replayed against
 /// which device configuration.
@@ -62,22 +61,13 @@ struct PlacementFill {
     fleet: Vec<(String, GpuDevice)>,
 }
 
-/// The memoized (device-independent) front half of the pipeline: the CPU
-/// profiler trace and its analysis. Orchestration + simulation are cheap
-/// and device-dependent, so they re-run per query.
-///
-/// Estimation only reads `analyzed`, and no service path reads the raw
-/// trace, so by default it is dropped once analyzed. An embedder that wants
-/// [`EstimationService::stages`] to hand back the trace as well opts in
-/// with [`ServiceConfig::with_trace_retention`]; a retained trace then
-/// dominates the entry's footprint (hundreds of KB to MBs for large
-/// models), so pair it with [`ServiceConfig::with_cache_bytes_budget`].
+/// The memoized (device-independent) front half of the pipeline: the
+/// Analyzer's output over the job's CPU profiler trace. Orchestration +
+/// simulation are cheap and device-dependent, so they re-run per query.
+/// No service path reads the raw trace, so it is dropped once analyzed.
 #[derive(Debug)]
 pub struct ProfiledStages {
-    /// The raw CPU profiler trace, or `None` when the service was
-    /// configured not to retain traces.
-    pub trace: Option<Trace>,
-    /// The Analyzer's output over that trace.
+    /// The Analyzer's output over the job's CPU profiler trace.
     pub analyzed: AnalyzedTrace,
 }
 
@@ -86,7 +76,7 @@ impl ProfiledStages {
     /// stage cache charges for it.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
-        self.trace.as_ref().map_or(0, Trace::approx_bytes) + self.analyzed.approx_bytes()
+        self.analyzed.approx_bytes()
     }
 }
 
@@ -115,7 +105,20 @@ const MIN_INCREMENTAL_POINTS: usize = 4;
 /// hundred KiB, so a small LRU covers realistic scheduler workloads.
 const PARAM_CACHE_CAPACITY: usize = 32;
 
+/// Bound on remembered Analyzer failures (oldest evicted beyond it).
+const NEGATIVE_CAPACITY: usize = 256;
+
+/// Fleet cap on per-device simulation shards: past it, the
+/// least-recently-used device shard is retired (counter history
+/// preserved). Bounds memory for registries churned programmatically.
+const MAX_DEVICE_SHARDS: usize = 64;
+
 /// Configuration of an [`EstimationService`].
+///
+/// Every cache tier the service owns (stage, replay, param, and the
+/// per-device sim shards) runs adaptive tiering: a self-tuning
+/// segmented LRU with frequency-sketch admission (see
+/// [`ShardedLruCache::with_adaptive_tiering`]).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Estimator settings (target device, allocator, orchestrator knobs).
@@ -133,8 +136,6 @@ pub struct ServiceConfig {
     /// before the job is re-verified. `Duration::ZERO` disables negative
     /// caching.
     pub negative_ttl: Duration,
-    /// Bound on remembered failures (oldest evicted beyond it).
-    pub negative_capacity: usize,
     /// Named simulation targets for matrix / placement queries
     /// ([`EstimationService::estimate_matrix`],
     /// [`EstimationService::best_device_for_job`]).
@@ -143,43 +144,12 @@ pub struct ServiceConfig {
     /// [`ProfiledStages::approx_bytes`] and evicted LRU-first until the
     /// budget holds. `None` bounds the cache by entry count only.
     pub cache_bytes_budget: Option<u64>,
-    /// Whether cached stages keep the raw profiler trace (off by default).
-    /// No service path reads it; it is kept only for embedders that take
-    /// it from [`EstimationService::stages`], and it dominates an entry's
-    /// cost when kept.
-    pub retain_traces: bool,
-    /// Whether the pressure-aware replay fast path is enabled: roomy
-    /// devices derive their cells from one cached unbounded replay per
-    /// job instead of paying a full stateful replay each. Results are
-    /// bit-identical either way (differentially tested); disabling is for
-    /// benchmarking and defect isolation.
-    pub fast_path: bool,
-    /// Fleet cap on per-device simulation shards: past it, the
-    /// least-recently-used device shard is retired (counter history
-    /// preserved). Bounds memory for registries churned programmatically.
-    pub max_device_shards: usize,
-    /// Tiering policy applied to every cache tier the service owns
-    /// (stage, replay, param, and per-device sim shards): adaptive
-    /// self-tuning SLRU by default, a pinned static split via
-    /// [`with_segmented_admission`](Self::with_segmented_admission), or
-    /// [`TieringMode::Off`] for plain LRU (bit-compat baselines and
-    /// defect isolation). See [`ShardedLruCache::with_tiering`].
-    pub tiering: TieringMode,
     /// Optional state directory for crash-consistent persistence: cache
     /// inserts are journaled, snapshots compact the journal, and boot
     /// replays the on-disk state so restarts are warm (see the
     /// `persist` module docs for the on-disk format and recovery
     /// semantics). `None` (default) keeps the service purely in-memory.
     pub state_dir: Option<PathBuf>,
-    /// Whether the incremental sweep path is enabled: a qualifying
-    /// batch sweep fits **one** parameterized replay from three profiled
-    /// anchor batches and materializes every other cell from it instead
-    /// of profiling per batch. The fit is proven exact before use
-    /// (non-affine segments, ablated orchestrators, gc, and timeline
-    /// recording all fall back to full per-batch replays), so results
-    /// are bit-identical either way; disabling is for benchmarking and
-    /// defect isolation.
-    pub incremental_sweep: bool,
 }
 
 impl ServiceConfig {
@@ -194,34 +164,10 @@ impl ServiceConfig {
             shards: 16,
             threads: 0,
             negative_ttl: Duration::from_secs(30),
-            negative_capacity: 256,
             registry: DeviceRegistry::builtin(),
             cache_bytes_budget: None,
-            retain_traces: false,
-            fast_path: true,
-            max_device_shards: 64,
-            tiering: TieringMode::default(),
             state_dir: None,
-            incremental_sweep: true,
         }
-    }
-
-    /// Pins a *static* segmented (probation/protected) split on every
-    /// cache tier, disabling the online tuner (see
-    /// [`tiering`](Self::tiering)).
-    #[must_use]
-    pub fn with_segmented_admission(mut self, protected_frac: f64) -> Self {
-        self.tiering = TieringMode::Static(protected_frac);
-        self
-    }
-
-    /// Overrides the tiering policy for every cache tier (see
-    /// [`tiering`](Self::tiering)). `TieringMode::Off` restores plain
-    /// LRU; `TieringMode::adaptive()` is the default.
-    #[must_use]
-    pub fn with_tiering(mut self, mode: TieringMode) -> Self {
-        self.tiering = mode;
-        self
     }
 
     /// Overrides the device registry (the cluster's fleet description).
@@ -260,30 +206,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Controls raw-trace retention in the stage cache (see
-    /// [`retain_traces`](Self::retain_traces)).
-    #[must_use]
-    pub fn with_trace_retention(mut self, retain: bool) -> Self {
-        self.retain_traces = retain;
-        self
-    }
-
-    /// Enables or disables the pressure-aware replay fast path (on by
-    /// default; see [`fast_path`](Self::fast_path)).
-    #[must_use]
-    pub fn with_fast_path(mut self, enabled: bool) -> Self {
-        self.fast_path = enabled;
-        self
-    }
-
-    /// Overrides the fleet cap on per-device simulation shards (see
-    /// [`max_device_shards`](Self::max_device_shards)).
-    #[must_use]
-    pub fn with_max_device_shards(mut self, max: usize) -> Self {
-        self.max_device_shards = max;
-        self
-    }
-
     /// Enables crash-consistent persistence rooted at `dir` (see
     /// [`state_dir`](Self::state_dir)): the directory is created on
     /// service construction, existing state is recovered, and cache
@@ -291,14 +213,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.state_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables or disables the incremental sweep path (on by default;
-    /// see [`incremental_sweep`](Self::incremental_sweep)).
-    #[must_use]
-    pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
-        self.incremental_sweep = enabled;
         self
     }
 }
@@ -387,18 +301,16 @@ impl EstimationService {
             && config.estimator.allocator == default.allocator
             && config.estimator.context_allowance == default.context_allowance)
             .then_some(config.estimator.device);
-        let tiering = config.tiering;
-        let mut cache =
-            ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(tiering);
+        let mut cache = ShardedLruCache::new(config.cache_capacity, config.shards)
+            .with_adaptive_tiering(INITIAL_PROTECTED_FRAC);
         if let Some(budget) = config.cache_bytes_budget {
             cache = cache.with_bytes_budget(budget, stages_weight);
         }
-        let negative = NegativeCache::new(config.negative_ttl, config.negative_capacity);
+        let negative = NegativeCache::new(config.negative_ttl, NEGATIVE_CAPACITY);
         let sims = SimShards::new(config.cache_capacity, config.shards)
-            .with_max_devices(config.max_device_shards)
-            .with_tiering(tiering);
-        let replays =
-            ShardedLruCache::new(config.cache_capacity, config.shards).with_tiering(tiering);
+            .with_max_devices(MAX_DEVICE_SHARDS);
+        let replays = ShardedLruCache::new(config.cache_capacity, config.shards)
+            .with_adaptive_tiering(INITIAL_PROTECTED_FRAC);
         let mut service = EstimationService {
             config,
             estimator,
@@ -410,7 +322,8 @@ impl EstimationService {
             sim_flights: SingleFlight::new(),
             replays,
             replay_flights: SingleFlight::new(),
-            params: ShardedLruCache::new(PARAM_CACHE_CAPACITY, 4).with_tiering(tiering),
+            params: ShardedLruCache::new(PARAM_CACHE_CAPACITY, 4)
+                .with_adaptive_tiering(INITIAL_PROTECTED_FRAC),
             param_flights: SingleFlight::new(),
             profiles: AtomicU64::new(0),
             persist: None,
@@ -466,13 +379,8 @@ impl EstimationService {
         for record in records {
             match record {
                 StateRecord::Stage { job, analyzed } => {
-                    self.cache.insert(
-                        job,
-                        Arc::new(ProfiledStages {
-                            trace: None,
-                            analyzed,
-                        }),
-                    );
+                    self.cache
+                        .insert(job, Arc::new(ProfiledStages { analyzed }));
                     imported += 1;
                 }
                 StateRecord::Replay { job, replay } => {
@@ -595,7 +503,7 @@ impl EstimationService {
             ("stage", self.cache.learned_state()),
             ("replay", self.replays.learned_state()),
             ("param", self.params.learned_state()),
-            ("sim", self.sims.learned_state()),
+            ("sim", Some(self.sims.learned_state())),
         ];
         for (cache, state) in tuners {
             if let Some((frac_permille, decay_epoch)) = state {
@@ -762,10 +670,10 @@ impl EstimationService {
         self.sims.stats()
     }
 
-    /// How many allocator simulations actually executed on the cached
-    /// sim-cell paths — every single-estimate, matrix, placement, sweep
-    /// and admission query except the uncached default route of a
-    /// customized [`ServiceConfig::estimator`]. Shorthand for
+    /// How many allocator simulations actually executed, on every route:
+    /// cell fills, the uncached default route of a customized
+    /// [`ServiceConfig::estimator`], per-batch sweeps and
+    /// [`estimate_with`](Self::estimate_with). Shorthand for
     /// [`sim_stats`](Self::sim_stats)`.sim_runs`.
     #[must_use]
     pub fn sim_runs(&self) -> u64 {
@@ -860,10 +768,7 @@ impl EstimationService {
                 Ok(analyzed) => {
                     analyze.set_outcome("ok");
                     drop(analyze);
-                    let stages = Arc::new(ProfiledStages {
-                        trace: self.config.retain_traces.then_some(trace),
-                        analyzed,
-                    });
+                    let stages = Arc::new(ProfiledStages { analyzed });
                     self.cache.insert(key.clone(), Arc::clone(&stages));
                     if let Some(persister) = &self.persist {
                         persister.append(&StateRecord::Stage {
@@ -997,9 +902,7 @@ impl EstimationService {
             .map_or_else(|| self.load_stages(spec, &fill.key, ctx), Ok)?;
         Ok(match fill.cell {
             Some((device, seed)) => self.simulate_cell(&fill.key, &stages, device, seed, ctx),
-            None => self.counted_replay(ctx, "full-replay", || {
-                self.estimator.estimate_analyzed_counted(&stages.analyzed)
-            }),
+            None => self.full_replay(&self.estimator, &stages.analyzed, ctx),
         })
     }
 
@@ -1020,6 +923,24 @@ impl EstimationService {
         result
     }
 
+    /// A full stateful replay of `analyzed` under `estimator` that no
+    /// sim cell holds (the uncached default route, the per-batch sweep,
+    /// [`estimate_with`](Self::estimate_with)): counted as a sim run and
+    /// a full replay, like a cell's, and timed by
+    /// [`counted_replay`](Self::counted_replay).
+    fn full_replay(
+        &self,
+        estimator: &Estimator,
+        analyzed: &AnalyzedTrace,
+        ctx: &TraceContext,
+    ) -> Estimate {
+        self.sims.count_run();
+        self.sims.count_full_replay();
+        self.counted_replay(ctx, "full-replay", || {
+            estimator.estimate_analyzed_counted(analyzed)
+        })
+    }
+
     /// Like [`estimate`](Self::estimate) but against an alternative
     /// estimator configuration (e.g. another device), still sharing the
     /// stage cache — the cached stages are device-independent.
@@ -1031,12 +952,9 @@ impl EstimationService {
         spec: &TrainJobSpec,
         config: &EstimatorConfig,
     ) -> Result<Estimate, EstimateError> {
-        let stages = self.stages(spec)?;
-        // No request trace to time it in; the replay is still counted.
-        let (estimate, events) =
-            Estimator::new(config.clone()).estimate_analyzed_counted(&stages.analyzed);
-        self.sims.count_replayed_events(events);
-        Ok(estimate)
+        let ctx = TraceContext::disabled();
+        let stages = self.stages_traced(spec, &ctx)?;
+        Ok(self.full_replay(&Estimator::new(config.clone()), &stages.analyzed, &ctx))
     }
 
     /// Replays already-analyzed stages against one device, through the
@@ -1046,8 +964,7 @@ impl EstimationService {
     /// [`estimate_with`](Self::estimate_with)), so results are
     /// bit-identical to a sequential `Estimator` built the same way.
     ///
-    /// **Pressure-aware fast path** (unless
-    /// [`ServiceConfig::fast_path`] is off): the job replays *once* on an
+    /// **Pressure-aware fast path**: the job replays *once* on an
     /// unbounded simulator (cached per [`JobKey`]), and any device whose
     /// usable capacity covers that replay's segment peak derives its cell
     /// in O(1) — only capacity-pressured devices, where reclaim/OOM can
@@ -1058,24 +975,15 @@ impl EstimationService {
     ///
     /// Concurrent identical cells single-flight onto one simulation;
     /// repeats hit the device's shard.
+    ///
+    /// `seed` controls *seeding* the unbounded-replay cache. Single-device
+    /// probe loops whose keys never repeat (admission-control bisection:
+    /// every probe is a distinct batch) pass `seed = false` — paying an
+    /// unbounded replay that only a pressured bounded replay would follow
+    /// costs ~2× the pre-fast-path work, with no later cell to amortize
+    /// it. A seed some *other* path already cached is still used (peeked,
+    /// never created).
     fn simulate_on(
-        &self,
-        key: &JobKey,
-        stages: &ProfiledStages,
-        device: GpuDevice,
-        ctx: &TraceContext,
-    ) -> Estimate {
-        self.simulate_on_with(key, stages, device, true, ctx)
-    }
-
-    /// [`simulate_on`](Self::simulate_on) with control over *seeding* the
-    /// unbounded-replay cache. Single-device probe loops whose keys never
-    /// repeat (admission-control bisection: every probe is a distinct
-    /// batch) pass `seed = false` — paying an unbounded replay that only a
-    /// pressured bounded replay would follow costs ~2× the pre-fast-path
-    /// work, with no later cell to amortize it. A seed some *other* path
-    /// already cached is still used (peeked, never created).
-    fn simulate_on_with(
         &self,
         key: &JobKey,
         stages: &ProfiledStages,
@@ -1090,7 +998,7 @@ impl EstimationService {
         self.simulate_cell(key, stages, device, seed, ctx)
     }
 
-    /// The miss half of [`simulate_on_with`](Self::simulate_on_with):
+    /// The miss half of [`simulate_on`](Self::simulate_on):
     /// computes and inserts a cell whose shard probe already missed (the
     /// probe counted the miss; this half only peeks).
     /// [`estimate_matrix`](Self::estimate_matrix), which probes its cells
@@ -1115,18 +1023,12 @@ impl EstimationService {
             }
             let mut replay_span = ctx.span("sim.replay");
             let estimator = Estimator::new(EstimatorConfig::for_device(device));
-            let derived = self
-                .config
-                .fast_path
-                .then(|| {
-                    let replay = if seed {
-                        Some(self.unbounded_replay(key, stages, &estimator, ctx))
-                    } else {
-                        self.replays.peek(key)
-                    };
-                    replay.and_then(|replay| estimator.derive_from_replay(&replay))
-                })
-                .flatten();
+            let replay = if seed {
+                Some(self.unbounded_replay(key, stages, &estimator, ctx))
+            } else {
+                self.replays.peek(key)
+            };
+            let derived = replay.and_then(|replay| estimator.derive_from_replay(&replay));
             self.sims.count_run();
             let estimate = match derived {
                 Some(estimate) => {
@@ -1220,10 +1122,8 @@ impl EstimationService {
     /// orchestrator must be the default one — the fit cache is shared
     /// with the named-device paths, which always orchestrate under
     /// [`EstimatorConfig::for_device`] defaults.
-    fn incremental_eligible(&self, estimator: &Estimator) -> bool {
-        self.config.incremental_sweep
-            && estimator.incremental_exact()
-            && estimator.config().orchestrator == Orchestrator::default()
+    fn incremental_eligible(estimator: &Estimator) -> bool {
+        estimator.incremental_exact() && estimator.config().orchestrator == Orchestrator::default()
     }
 
     /// The parameterized replay proven over `[lo, hi]` for `base`'s job
@@ -1310,7 +1210,7 @@ impl EstimationService {
         estimator: &Estimator,
         ctx: &TraceContext,
     ) -> Option<Arc<ParamReplay>> {
-        if !self.incremental_eligible(estimator) {
+        if !Self::incremental_eligible(estimator) {
             return None;
         }
         let mut distinct: Vec<usize> = batches.to_vec();
@@ -1368,13 +1268,11 @@ impl EstimationService {
         // One unbounded buffer replay backs the whole row's derivations
         // (it is not a replay-cache seed: probe batches rarely repeat,
         // and the buffer is cheaper to rebuild than to retain).
-        let replay = self.config.fast_path.then(|| {
-            self.counted_replay(ctx, "incremental", || {
-                let replay = Estimator::new(EstimatorConfig::for_device(devices[0]))
-                    .replay_buffer_unbounded(&buffer, stats.clone());
-                let events = replay.events;
-                (replay, events)
-            })
+        let replay = self.counted_replay(ctx, "incremental", || {
+            let replay = Estimator::new(EstimatorConfig::for_device(devices[0]))
+                .replay_buffer_unbounded(&buffer, stats.clone());
+            let events = replay.events;
+            (replay, events)
         });
         for (slot, device) in cells.iter_mut().zip(devices) {
             if slot.is_some() {
@@ -1384,14 +1282,11 @@ impl EstimationService {
             self.sims.count_run();
             self.sims.count_incremental();
             ctx.event("sim.incremental", "cell");
-            let estimate = replay
-                .as_ref()
-                .and_then(|replay| estimator.derive_from_replay(replay))
-                .unwrap_or_else(|| {
-                    self.counted_replay(ctx, "incremental", || {
-                        estimator.estimate_buffer_counted(&buffer, stats.clone())
-                    })
-                });
+            let estimate = estimator.derive_from_replay(&replay).unwrap_or_else(|| {
+                self.counted_replay(ctx, "incremental", || {
+                    estimator.estimate_buffer_counted(&buffer, stats.clone())
+                })
+            });
             self.sims
                 .shard(device)
                 .insert(key.clone(), estimate.clone());
@@ -1874,7 +1769,7 @@ impl EstimationService {
             let estimate = if i == 0 {
                 self.simulate_cell(&key, &stages, device, true, ctx)
             } else {
-                self.simulate_on(&key, &stages, device, ctx)
+                self.simulate_on(&key, &stages, device, true, ctx)
             };
             if !estimate.oom_predicted {
                 return Ok(Some(DevicePlacement {
@@ -1934,9 +1829,9 @@ impl EstimationService {
     /// Estimates `base` at every batch size in `batches`, fanning the grid
     /// out across worker threads. Results are in `batches` order.
     ///
-    /// A qualifying sweep (≥ 4 distinct batches, eligible configuration —
-    /// see [`ServiceConfig::incremental_sweep`]) takes the **incremental
-    /// path**: three anchor batches profile and pin one parameterized
+    /// A qualifying sweep (≥ 4 distinct batches; an estimator with gc
+    /// off, no timeline recording and the default orchestrator) takes
+    /// the **incremental path**: three anchor batches profile and pin one parameterized
     /// replay, and every cell — anchors included — is materialized from
     /// it in ~O(events) with no further profiling. The fit is proven
     /// exact before use, so cells are bit-identical to the per-batch
@@ -1965,9 +1860,7 @@ impl EstimationService {
             return batches.iter().copied().zip(estimates).collect();
         }
         self.sweep_fill(base, batches, ctx, |_, stages| {
-            self.counted_replay(ctx, "full-replay", || {
-                self.estimator.estimate_analyzed_counted(&stages.analyzed)
-            })
+            self.full_replay(&self.estimator, &stages.analyzed, ctx)
         })
     }
 
@@ -2035,7 +1928,7 @@ impl EstimationService {
         // either way, so the bisection walks identical estimates and
         // lands on the identical answer.
         let param = if hi - lo + 1 >= MIN_INCREMENTAL_POINTS
-            && self.incremental_eligible(&Estimator::new(EstimatorConfig::for_device(device)))
+            && Self::incremental_eligible(&Estimator::new(EstimatorConfig::for_device(device)))
         {
             self.param_for(base, lo, hi, ctx)
         } else {
@@ -2051,7 +1944,7 @@ impl EstimationService {
         let grid = coarse_grid(lo, hi, points);
         let mut coarse = Vec::with_capacity(grid.len());
         // Probe batches are distinct keys on one device: never worth
-        // seeding the unbounded-replay cache (see `simulate_on_with`).
+        // seeding the unbounded-replay cache (see `simulate_on`).
         let probes = match &param {
             Some(param) => self.parallel_fill(grid.len(), |i| {
                 (
@@ -2060,7 +1953,7 @@ impl EstimationService {
                 )
             }),
             None => self.sweep_fill(base, &grid, ctx, |key, stages| {
-                self.simulate_on_with(key, stages, device, false, ctx)
+                self.simulate_on(key, stages, device, false, ctx)
             }),
         };
         for (batch, estimate) in probes {
@@ -2089,7 +1982,7 @@ impl EstimationService {
                 None => {
                     let spec = with_batch(base, mid);
                     let stages = self.stages_traced(&spec, ctx)?;
-                    self.simulate_on_with(&JobKey::of(&spec), &stages, device, false, ctx)
+                    self.simulate_on(&JobKey::of(&spec), &stages, device, false, ctx)
                 }
             };
             if !estimate.oom_predicted {
@@ -2106,26 +1999,26 @@ impl EstimationService {
 pub type EstimateFuture = PoolFuture<Result<Estimate, EstimateError>>;
 
 /// Future resolving to a whole batch-size sweep, in grid order
-/// ([`AsyncEstimationService::sweep_async`]). The outer `Result` carries
+/// ([`AsyncEstimationService::sweep`]). The outer `Result` carries
 /// only cancellation/deadline outcomes; per-batch estimation failures stay
 /// inside the vector.
 pub type SweepFuture = PoolFuture<SweepOutcome>;
 
-/// Output of [`AsyncEstimationService::sweep_async`].
+/// Output of [`AsyncEstimationService::sweep`].
 pub type SweepOutcome = Result<Vec<(usize, Result<Estimate, EstimateError>)>, EstimateError>;
 
 /// Future resolving to an admission-control answer
-/// ([`AsyncEstimationService::max_batch_for_device_async`]).
+/// ([`AsyncEstimationService::plan`]).
 pub type PlanFuture = PoolFuture<Result<Option<usize>, EstimateError>>;
 
 /// Future resolving to a whole device matrix
-/// ([`AsyncEstimationService::submit_matrix`]). The outer `Result`
+/// ([`AsyncEstimationService::matrix`]). The outer `Result`
 /// carries unknown-device / cancellation / deadline outcomes; per-cell
 /// estimation failures stay inside the matrix.
 pub type MatrixFuture = PoolFuture<Result<DeviceMatrix, EstimateError>>;
 
 /// Future resolving to a placement decision
-/// ([`AsyncEstimationService::best_device_for_job_async`]).
+/// ([`AsyncEstimationService::placement`]).
 pub type PlacementFuture = PoolFuture<Result<Option<DevicePlacement>, EstimateError>>;
 
 /// Configuration of an [`AsyncEstimationService`].
@@ -2196,6 +2089,13 @@ impl AsyncServiceConfig {
 /// single-flight onto one profile run, and degenerate jobs are answered
 /// from the negative cache.
 ///
+/// There is one method per route — [`submit`](Self::submit) (one
+/// estimate, on the primary or a named device), [`sweep`](Self::sweep),
+/// [`plan`](Self::plan), [`matrix`](Self::matrix) and
+/// [`placement`](Self::placement) — and each takes an optional deadline
+/// and a request trace; an untraced caller passes
+/// [`TraceContext::disabled`].
+///
 /// Three controls make it safe under scheduler-scale load:
 /// * **Backpressure** — the submission queue is bounded; a full queue
 ///   fails fast with [`SubmitError::Busy`] instead of queueing without
@@ -2203,15 +2103,16 @@ impl AsyncServiceConfig {
 /// * **Cancellation** — [`EstimateFuture::cancel`](PoolFuture::cancel)
 ///   resolves the future to [`EstimateError::Cancelled`]; a job cancelled
 ///   before a worker claims it never runs at all.
-/// * **Per-query deadlines** —
-///   [`submit_with_deadline`](Self::submit_with_deadline) bounds each
-///   query; an unclaimed job whose deadline passes resolves to
-///   [`EstimateError::DeadlineExceeded`] without running.
+/// * **Per-query deadlines** — a route's `deadline` bounds the query;
+///   a dedicated timer thread settles the future with
+///   [`EstimateError::DeadlineExceeded`] when it passes (`.await`-ing
+///   consumers are woken at the deadline, not at the next pool
+///   completion), and a job no worker has claimed by then never runs.
 ///
 /// # Example
 ///
 /// ```
-/// use xmem_service::{block_on, join_all, AsyncEstimationService};
+/// use xmem_service::{block_on, join_all, AsyncEstimationService, TraceContext};
 /// use xmem_runtime::{GpuDevice, TrainJobSpec};
 /// use xmem_models::ModelId;
 /// use xmem_optim::OptimizerKind;
@@ -2221,7 +2122,11 @@ impl AsyncServiceConfig {
 ///     .with_iterations(2);
 /// // Submit a herd of identical admission checks...
 /// let futures: Vec<_> = (0..16)
-///     .map(|_| service.submit(&spec).expect("queue has room"))
+///     .map(|_| {
+///         service
+///             .submit(&spec, None, None, &TraceContext::disabled())
+///             .expect("queue has room")
+///     })
 ///     .collect();
 /// // ...and drive them all from one thread.
 /// let estimates = block_on(join_all(futures));
@@ -2344,20 +2249,12 @@ impl AsyncEstimationService {
         Ok(future)
     }
 
-    /// Submits one estimation query.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full;
-    /// resolve some in-flight futures and retry.
-    pub fn submit(&self, spec: &TrainJobSpec) -> Result<EstimateFuture, SubmitError> {
-        self.submit_traced(spec, None, None, &TraceContext::disabled())
-    }
-
-    /// Submits one estimation query under a request trace — against the
-    /// primary device, or a *named* registered device when `device_name`
-    /// is given. Every pipeline stage the query touches records under the
-    /// same trace id; a disabled context makes this identical to the
-    /// untraced submit paths.
+    /// Submits one estimation query against the primary device, or a
+    /// *named* registered device when `device_name` is given (see
+    /// [`EstimationService::estimate_on`]; a named device's answer shares
+    /// the analysis cache and its simulation shard with every matrix
+    /// query). Every pipeline stage the query touches records under
+    /// `ctx`'s trace id.
     ///
     /// The stage and cell reads happen on the calling thread. A cell hit
     /// (or an unknown device, or a remembered failure) is the whole
@@ -2370,7 +2267,7 @@ impl AsyncEstimationService {
     /// # Errors
     /// [`SubmitError::Busy`] when the bounded submission queue is full
     /// and the query must compute.
-    pub fn submit_traced(
+    pub fn submit(
         &self,
         spec: &TrainJobSpec,
         device_name: Option<&str>,
@@ -2389,66 +2286,12 @@ impl AsyncEstimationService {
         )
     }
 
-    /// Submits one estimation query that must resolve by `deadline`. If
-    /// the deadline passes first, a dedicated timer thread settles the
-    /// future with [`EstimateError::DeadlineExceeded`] — `.await`-ing
-    /// consumers are woken at the deadline, not at the next pool
-    /// completion — and, when no worker had claimed the job yet, the
-    /// profile run is skipped entirely.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_with_deadline(
-        &self,
-        spec: &TrainJobSpec,
-        deadline: Instant,
-    ) -> Result<EstimateFuture, SubmitError> {
-        self.submit_traced(spec, None, Some(deadline), &TraceContext::disabled())
-    }
-
     /// Submits a whole batch-size sweep as one pooled query; the worker
     /// fans the grid out exactly like [`EstimationService::sweep`].
     ///
     /// # Errors
     /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn sweep_async(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-    ) -> Result<SweepFuture, SubmitError> {
-        self.sweep_inner(base, batches, None)
-    }
-
-    /// [`sweep_async`](Self::sweep_async) with a deadline on the whole
-    /// sweep: past it the future resolves to
-    /// [`EstimateError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn sweep_async_with_deadline(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        deadline: Instant,
-    ) -> Result<SweepFuture, SubmitError> {
-        self.sweep_inner(base, batches, Some(deadline))
-    }
-
-    fn sweep_inner(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        deadline: Option<Instant>,
-    ) -> Result<SweepFuture, SubmitError> {
-        self.sweep_traced(base, batches, deadline, &TraceContext::disabled())
-    }
-
-    /// [`sweep_async`](Self::sweep_async) under a request trace (see
-    /// [`submit_traced`](Self::submit_traced) for the span layout).
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn sweep_traced(
+    pub fn sweep(
         &self,
         base: &TrainJobSpec,
         batches: &[usize],
@@ -2473,56 +2316,7 @@ impl AsyncEstimationService {
     ///
     /// # Errors
     /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn max_batch_for_device_async(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
-    ) -> Result<PlanFuture, SubmitError> {
-        self.plan_inner(base, device, lo, hi, None)
-    }
-
-    /// [`max_batch_for_device_async`](Self::max_batch_for_device_async)
-    /// with a deadline: past it the future resolves to
-    /// [`EstimateError::DeadlineExceeded`].
-    ///
-    /// # Panics
-    /// Panics (before dispatch) unless `1 <= lo <= hi`.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn max_batch_for_device_async_with_deadline(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
-        deadline: Instant,
-    ) -> Result<PlanFuture, SubmitError> {
-        self.plan_inner(base, device, lo, hi, Some(deadline))
-    }
-
-    fn plan_inner(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
-        deadline: Option<Instant>,
-    ) -> Result<PlanFuture, SubmitError> {
-        self.plan_traced(base, device, lo, hi, deadline, &TraceContext::disabled())
-    }
-
-    /// [`max_batch_for_device_async`](Self::max_batch_for_device_async)
-    /// under a request trace.
-    ///
-    /// # Panics
-    /// Panics (before dispatch) unless `1 <= lo <= hi`.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn plan_traced(
+    pub fn plan(
         &self,
         base: &TrainJobSpec,
         device: GpuDevice,
@@ -2542,95 +2336,20 @@ impl AsyncEstimationService {
         )
     }
 
-    /// Submits one estimation query against a *named* registered device
-    /// (see [`EstimationService::estimate_on`]); the answer shares the
-    /// analysis cache and the device's simulation shard with every matrix
-    /// query in flight.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_on(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-    ) -> Result<EstimateFuture, SubmitError> {
-        self.submit_on_inner(spec, device_name, None)
-    }
-
-    /// [`submit_on`](Self::submit_on) with a deadline: past it the future
-    /// resolves to [`EstimateError::DeadlineExceeded`], and an unclaimed
-    /// job never runs.
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_on_with_deadline(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-        deadline: Instant,
-    ) -> Result<EstimateFuture, SubmitError> {
-        self.submit_on_inner(spec, device_name, Some(deadline))
-    }
-
-    fn submit_on_inner(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-        deadline: Option<Instant>,
-    ) -> Result<EstimateFuture, SubmitError> {
-        self.submit_traced(spec, Some(device_name), deadline, &TraceContext::disabled())
-    }
-
     /// Submits a whole device matrix as one query: every job in
     /// `specs` × every named device, with one analysis per distinct job
     /// fanned out to per-device simulations (see
-    /// [`EstimationService::estimate_matrix`]).
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_matrix(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-    ) -> Result<MatrixFuture, SubmitError> {
-        self.matrix_inner(specs, devices, None)
-    }
-
-    /// [`submit_matrix`](Self::submit_matrix) with a deadline on the whole
-    /// matrix: past it the future resolves to
-    /// [`EstimateError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn submit_matrix_with_deadline(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-        deadline: Instant,
-    ) -> Result<MatrixFuture, SubmitError> {
-        self.matrix_inner(specs, devices, Some(deadline))
-    }
-
-    fn matrix_inner(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-        deadline: Option<Instant>,
-    ) -> Result<MatrixFuture, SubmitError> {
-        self.matrix_traced(specs, devices, deadline, &TraceContext::disabled())
-    }
-
-    /// [`submit_matrix`](Self::submit_matrix) under a request trace. The
-    /// cells are read on the calling thread; a matrix whose cells all
-    /// hit (or that names an unknown device) is answered there, already
-    /// settled and without a `pool.queue` span. A matrix with a missing
-    /// cell goes to the pool, which computes only the missing cells (see
-    /// [`submit_traced`](Self::submit_traced)).
+    /// [`EstimationService::estimate_matrix`]). The cells are read on
+    /// the calling thread; a matrix whose cells all hit (or that names an
+    /// unknown device) is answered there, already settled and without a
+    /// `pool.queue` span. A matrix with a missing cell goes to the pool,
+    /// which computes only the missing cells (see
+    /// [`submit`](Self::submit)).
     ///
     /// # Errors
     /// [`SubmitError::Busy`] when the bounded submission queue is full
     /// and a cell must be computed.
-    pub fn matrix_traced(
+    pub fn matrix(
         &self,
         specs: &[TrainJobSpec],
         devices: &[&str],
@@ -2654,50 +2373,16 @@ impl AsyncEstimationService {
     }
 
     /// Submits a placement query: the best registered device for `spec`
-    /// (see [`EstimationService::best_device_for_job`]).
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn best_device_for_job_async(
-        &self,
-        spec: &TrainJobSpec,
-    ) -> Result<PlacementFuture, SubmitError> {
-        self.placement_inner(spec, None)
-    }
-
-    /// [`best_device_for_job_async`](Self::best_device_for_job_async)
-    /// with a deadline: past it the future resolves to
-    /// [`EstimateError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    /// [`SubmitError::Busy`] when the bounded submission queue is full.
-    pub fn best_device_for_job_async_with_deadline(
-        &self,
-        spec: &TrainJobSpec,
-        deadline: Instant,
-    ) -> Result<PlacementFuture, SubmitError> {
-        self.placement_inner(spec, Some(deadline))
-    }
-
-    fn placement_inner(
-        &self,
-        spec: &TrainJobSpec,
-        deadline: Option<Instant>,
-    ) -> Result<PlacementFuture, SubmitError> {
-        self.placement_traced(spec, deadline, &TraceContext::disabled())
-    }
-
-    /// [`best_device_for_job_async`](Self::best_device_for_job_async)
-    /// under a request trace. The cells up to the first fit are read on
-    /// the calling thread; a placement they decide is answered there,
-    /// already settled and without a `pool.queue` span. Otherwise the
-    /// pool computes from the first missing cell on (see
-    /// [`submit_traced`](Self::submit_traced)).
+    /// (see [`EstimationService::best_device_for_job`]). The cells up to
+    /// the first fit are read on the calling thread; a placement they
+    /// decide is answered there, already settled and without a
+    /// `pool.queue` span. Otherwise the pool computes from the first
+    /// missing cell on (see [`submit`](Self::submit)).
     ///
     /// # Errors
     /// [`SubmitError::Busy`] when the bounded submission queue is full
     /// and a cell must be computed.
-    pub fn placement_traced(
+    pub fn placement(
         &self,
         spec: &TrainJobSpec,
         deadline: Option<Instant>,
@@ -2883,19 +2568,23 @@ mod tests {
 
     #[test]
     fn disabled_incremental_sweep_is_bit_identical() {
+        // Sweeps too short for a fit take the per-batch path; over the
+        // same points they agree with the incremental sweep bit for bit.
         let incremental = EstimationService::for_device(GpuDevice::rtx3060());
-        let legacy = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_incremental_sweep(false),
-        );
+        let per_batch = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [1, 2, 4, 8, 12];
         let a = incremental.sweep(&small_spec(1), &batches);
-        let b = legacy.sweep(&small_spec(1), &batches);
+        let b: Vec<_> = batches
+            .chunks(3)
+            .flat_map(|short| per_batch.sweep(&small_spec(1), short))
+            .collect();
         for ((b1, e1), (b2, e2)) in a.iter().zip(&b) {
             assert_eq!(b1, b2);
             assert_eq!(e1.as_ref().unwrap(), e2.as_ref().unwrap());
         }
-        assert_eq!(legacy.sim_stats().param_replays, 0);
-        assert_eq!(legacy.profile_runs(), batches.len() as u64);
+        assert_eq!(incremental.sim_stats().param_replays, 1);
+        assert_eq!(per_batch.sim_stats().param_replays, 0);
+        assert_eq!(per_batch.profile_runs(), batches.len() as u64);
     }
 
     #[test]
@@ -2963,26 +2652,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_fast_path_pays_full_replays_and_stays_identical() {
-        let jobs = [small_spec(4), small_spec(8)];
-        let devices = ["rtx3060", "rtx4060"];
-        let fast = EstimationService::for_device(GpuDevice::rtx3060());
-        let full = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_fast_path(false),
-        );
-        let fast_matrix = fast.estimate_matrix(&jobs, &devices).unwrap();
-        let full_matrix = full.estimate_matrix(&jobs, &devices).unwrap();
-        assert_eq!(fast_matrix, full_matrix, "fast path must be bit-identical");
-        let stats = full.sim_stats();
-        assert_eq!(stats.fast_path_hits, 0);
-        assert_eq!(stats.unbounded_replays, 0);
-        assert_eq!(stats.full_replays, stats.sim_runs);
-        let stats = fast.sim_stats();
-        assert_eq!(stats.fast_path_hits, stats.sim_runs);
-        assert_eq!(stats.fast_path_hits + stats.full_replays, stats.sim_runs);
-    }
-
-    #[test]
     fn replayed_events_count_the_events_each_replay_walked() {
         let jobs = [small_spec(4), small_spec(8)];
         let devices = ["rtx3060", "rtx4060"];
@@ -2998,15 +2667,6 @@ mod tests {
         let fast = EstimationService::for_device(GpuDevice::rtx3060());
         fast.estimate_matrix(&jobs, &devices).unwrap();
         assert_eq!(fast.sim_stats().replayed_events, per_job);
-        // No fast path: one full replay per cell.
-        let full = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_fast_path(false),
-        );
-        full.estimate_matrix(&jobs, &devices).unwrap();
-        assert_eq!(
-            full.sim_stats().replayed_events,
-            per_job * devices.len() as u64
-        );
         // A service estimator other than the paper default replays outside
         // the sim cache, and still counts.
         let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
@@ -3040,6 +2700,51 @@ mod tests {
         assert!(estimate.oom_predicted);
         let walked = fast.sim_stats().replayed_events - per_job;
         assert!(0 < walked && walked < replays[0].events as u64, "{walked}");
+    }
+
+    #[test]
+    fn replays_outside_the_sim_cells_count_as_runs_and_full_replays() {
+        let runs = |service: &EstimationService| {
+            let stats = service.sim_stats();
+            assert_eq!(
+                stats.fast_path_hits + stats.full_replays + stats.incremental_cells,
+                stats.sim_runs
+            );
+            (stats.sim_runs, stats.full_replays)
+        };
+        // A customized estimator's default route replays every call.
+        let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
+        config.estimator.record_timeline = true;
+        let curves = EstimationService::new(config);
+        curves.estimate(&small_spec(4)).unwrap();
+        assert_eq!(runs(&curves), (1, 1));
+        curves.estimate(&small_spec(4)).unwrap();
+        assert_eq!(runs(&curves), (2, 2));
+        // A sweep too short for a fit replays once per batch.
+        let service = EstimationService::for_device(GpuDevice::rtx3060());
+        service.sweep(&small_spec(1), &[1, 2, 4]);
+        assert_eq!(runs(&service), (3, 3));
+        // `estimate_with` replays once, on a stage hit as on a miss.
+        let config = EstimatorConfig::for_device(GpuDevice::rtx4060());
+        service.estimate_with(&small_spec(2), &config).unwrap();
+        assert_eq!(runs(&service), (4, 4));
+        service.estimate_with(&small_spec(8), &config).unwrap();
+        assert_eq!(runs(&service), (5, 5));
+    }
+
+    #[test]
+    fn every_cache_tier_is_adaptive() {
+        let service = EstimationService::for_device(GpuDevice::rtx3060());
+        service.estimate_on(&small_spec(4), "a100").unwrap();
+        assert_eq!(service.sim_stats().device_shards, 1);
+        for (tier, stats) in [
+            ("stage", service.stage_tier_stats()),
+            ("replay", service.replay_tier_stats()),
+            ("param", service.param_tier_stats()),
+            ("sim", service.sim_tier_stats()),
+        ] {
+            assert!(stats.adaptive && stats.segmented, "{tier} tier: {stats:?}");
+        }
     }
 
     #[test]
@@ -3080,27 +2785,6 @@ mod tests {
         let stats = service.sim_stats();
         assert_eq!(stats.param_replays, 0, "range too narrow for a fit");
         assert_eq!(stats.full_replays, stats.sim_runs);
-    }
-
-    #[test]
-    fn trace_retention_opt_out_drops_traces_but_not_accuracy() {
-        let retaining = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_trace_retention(true),
-        );
-        let dropping = EstimationService::for_device(GpuDevice::rtx3060());
-        let spec = small_spec(8);
-        let with_trace = retaining.stages(&spec).unwrap();
-        let without_trace = dropping.stages(&spec).unwrap();
-        assert!(with_trace.trace.is_some());
-        assert!(without_trace.trace.is_none());
-        assert!(
-            without_trace.approx_bytes() < with_trace.approx_bytes(),
-            "dropping the trace must shrink the entry's cache cost"
-        );
-        assert_eq!(
-            retaining.estimate(&spec).unwrap(),
-            dropping.estimate(&spec).unwrap()
-        );
     }
 
     #[test]

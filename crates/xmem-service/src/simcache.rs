@@ -16,7 +16,9 @@
 //! (one fingerprint per reconfiguration) would otherwise grow the map
 //! without limit, so the least-recently-used device shard is retired once
 //! the cap is reached, its counter history folded into the monotonic
-//! [`stats`](SimShards::stats).
+//! [`stats`](SimShards::stats). Every per-device LRU runs adaptive
+//! tiering, like the service's other cache tiers, and a restored learned
+//! split seeds every shard created after the restore.
 //!
 //! The layer also carries the **pressure-aware replay counters**: how many
 //! cells were derived from a cached unbounded replay
@@ -26,7 +28,9 @@
 
 use crate::cache::{CacheStats, ShardedLruCache};
 use crate::key::JobKey;
-use crate::tiering::{TierStats, TieringMode};
+use crate::tiering::{
+    permille_from_frac, TierStats, FRAC_CEIL_PERMILLE, FRAC_FLOOR_PERMILLE, INITIAL_PROTECTED_FRAC,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -147,10 +151,6 @@ pub struct SimShards {
     lock_shards: usize,
     /// Maximum live device shards; the LRU shard is retired beyond it.
     max_devices: usize,
-    /// Tiering discipline applied to every per-device LRU (the service
-    /// threads its configured mode through, so sim shards share the
-    /// adaptive tuner machinery of the other cache tiers).
-    tiering: TieringMode,
     /// Learned tuner state restored from a persisted snapshot — also the
     /// seed for device shards created *after* the restore, so a warm
     /// boot's learned split applies to the whole fleet.
@@ -184,7 +184,6 @@ impl SimShards {
             capacity,
             lock_shards,
             max_devices: usize::MAX,
-            tiering: TieringMode::Off,
             restored: Mutex::new(None),
             clock: AtomicU64::new(0),
             runs: AtomicU64::new(0),
@@ -223,16 +222,6 @@ impl SimShards {
         self.max_devices
     }
 
-    /// Applies a [`TieringMode`] to every per-device LRU (existing and
-    /// future): the sim shards run the same plain/static/adaptive
-    /// discipline as the service's other cache tiers. Defaults to
-    /// [`TieringMode::Off`].
-    #[must_use]
-    pub fn with_tiering(mut self, mode: TieringMode) -> Self {
-        self.tiering = mode;
-        self
-    }
-
     /// The simulation LRU for `device`, created on first use (retiring
     /// the least-recently-used shard when the fleet cap is hit).
     #[must_use]
@@ -269,8 +258,8 @@ impl SimShards {
             }
         }
         let slot = shards.entry(fingerprint).or_insert_with(|| {
-            let cache =
-                ShardedLruCache::new(self.capacity, self.lock_shards).with_tiering(self.tiering);
+            let cache = ShardedLruCache::new(self.capacity, self.lock_shards)
+                .with_adaptive_tiering(INITIAL_PROTECTED_FRAC);
             // New shards join the fleet at the learned split, not the
             // initial fraction, once a restore has happened.
             if let Some((permille, epoch)) = *self.restored.lock().expect("restore seed poisoned") {
@@ -286,14 +275,11 @@ impl SimShards {
 
     /// The aggregated learned tuner state over the fleet — the mean
     /// learned protected fraction (permille) across live device shards
-    /// and the maximum sketch decay epoch — or `None` when the sim tier
-    /// is not adaptive. With no live shards, falls back to the restored
-    /// (or initial) state so the persisted record never regresses.
+    /// and the maximum sketch decay epoch. With no live shards, falls
+    /// back to the restored (or initial) state so the persisted record
+    /// never regresses.
     #[must_use]
-    pub fn learned_state(&self) -> Option<(u32, u64)> {
-        let TieringMode::Adaptive { initial_frac } = self.tiering else {
-            return None;
-        };
+    pub fn learned_state(&self) -> (u32, u64) {
         let shards = self.shards.read().expect("sim shard map poisoned");
         let mut permille_sum: u64 = 0;
         let mut counted: u64 = 0;
@@ -307,25 +293,19 @@ impl SimShards {
         }
         if let Some(mean) = permille_sum.checked_div(counted) {
             #[allow(clippy::cast_possible_truncation)]
-            return Some((mean as u32, epoch));
+            return (mean as u32, epoch);
         }
-        if let Some(state) = *self.restored.lock().expect("restore seed poisoned") {
-            return Some(state);
-        }
-        Some((crate::tiering::permille_from_frac(initial_frac, true), 0))
+        self.restored
+            .lock()
+            .expect("restore seed poisoned")
+            .unwrap_or((permille_from_frac(INITIAL_PROTECTED_FRAC, true), 0))
     }
 
     /// Seeds every live device shard — and, via the remembered seed,
     /// every future one — with a persisted learned fraction and sketch
-    /// decay epoch. A no-op unless the sim tier is adaptive.
+    /// decay epoch.
     pub fn restore_learned_state(&self, frac_permille: u32, decay_epoch: u64) {
-        if !matches!(self.tiering, TieringMode::Adaptive { .. }) {
-            return;
-        }
-        let clamped = frac_permille.clamp(
-            crate::tiering::FRAC_FLOOR_PERMILLE,
-            crate::tiering::FRAC_CEIL_PERMILLE,
-        );
+        let clamped = frac_permille.clamp(FRAC_FLOOR_PERMILLE, FRAC_CEIL_PERMILLE);
         *self.restored.lock().expect("restore seed poisoned") = Some((clamped, decay_epoch));
         let shards = self.shards.read().expect("sim shard map poisoned");
         for slot in shards.values() {
@@ -621,14 +601,14 @@ mod tests {
 
     #[test]
     fn shards_inherit_tiering_and_restored_state_seeds_new_shards() {
-        let sims = SimShards::new(8, 1).with_tiering(TieringMode::adaptive());
+        let sims = SimShards::new(8, 1);
         assert_eq!(
             sims.learned_state(),
-            Some((500, 0)),
+            (500, 0),
             "initial fraction reported before any shard exists"
         );
         let first = sims.shard(&device(1 << 30));
-        assert!(first.tier_stats().adaptive, "shards inherit the mode");
+        assert!(first.tier_stats().adaptive, "every shard is adaptive");
         sims.restore_learned_state(250, 3);
         assert_eq!(first.learned_state(), Some((250, 3)));
         let second = sims.shard(&device(2 << 30));
@@ -637,12 +617,8 @@ mod tests {
             Some((250, 3)),
             "new shards join the fleet at the learned split"
         );
-        assert_eq!(sims.learned_state(), Some((250, 3)));
+        assert_eq!(sims.learned_state(), (250, 3));
         assert!(sims.tier_stats().adaptive);
-        // A non-adaptive fleet has no learned state to persist.
-        let plain = SimShards::new(8, 1);
-        assert_eq!(plain.learned_state(), None);
-        assert!(!plain.tier_stats().segmented);
     }
 
     #[test]

@@ -47,38 +47,9 @@ pub(crate) const TUNER_WINDOW: u32 = 64;
 /// ghost-hitting miss itself).
 pub(crate) const HOT_GHOST_ESTIMATE: u32 = 3;
 
-/// How a [`ShardedLruCache`](crate::ShardedLruCache) manages its
-/// probation/protected split.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TieringMode {
-    /// Plain LRU: no segments, no admission gate, no tuner.
-    Off,
-    /// Classic SLRU at a pinned protected fraction (clamped to
-    /// `[0.0, 1.0]`), exactly the PR 5 opt-in behavior.
-    Static(f64),
-    /// Self-tuning SLRU: frequency-sketch admission, ghost lists, and a
-    /// hill-climbing tuner that learns the split online, starting from
-    /// `initial_frac`. The service default.
-    Adaptive {
-        /// Protected fraction the tuner starts from (clamped to the
-        /// tuner's floor/ceiling).
-        initial_frac: f64,
-    },
-}
-
-impl TieringMode {
-    /// The default adaptive mode: tuning enabled, starting half/half.
-    #[must_use]
-    pub const fn adaptive() -> Self {
-        TieringMode::Adaptive { initial_frac: 0.5 }
-    }
-}
-
-impl Default for TieringMode {
-    fn default() -> Self {
-        TieringMode::adaptive()
-    }
-}
+/// The protected fraction every service cache tier's tuner starts from:
+/// half/half.
+pub(crate) const INITIAL_PROTECTED_FRAC: f64 = 0.5;
 
 /// Converts a protected fraction to integer permille. When `clamp_to_band`
 /// is set (live tuning) the result is confined to the tuner's operating

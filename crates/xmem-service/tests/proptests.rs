@@ -600,25 +600,26 @@ proptest! {
 /// `peak_bytes` both times.
 #[test]
 fn eviction_and_recomputation_reproduce_identical_estimates() {
-    use xmem_runtime::GpuDevice;
-    use xmem_service::{EstimationService, ServiceConfig};
-
-    // Capacity 1 over 1 shard with plain LRU (the adaptive admission
-    // gate would deny the second key instead): the second spec always
-    // evicts the first.
-    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060())
-        .with_cache_capacity(1)
-        .with_tiering(xmem_service::TieringMode::Off);
+    // Capacity 1 over 1 shard. `estimate_with` reads the stages and
+    // replays every call, so no sim cell can answer in their place.
+    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_capacity(1);
     config.shards = 1;
     let service = EstimationService::new(config);
+    let estimator = EstimatorConfig::for_device(GpuDevice::rtx3060());
 
     let a = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
     let b = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
 
-    let first_a = service.estimate(&a).unwrap();
-    let _ = service.estimate(&b).unwrap(); // evicts a
-    let second_a = service.estimate(&a).unwrap(); // recomputed
+    let first_a = service.estimate_with(&a, &estimator).unwrap();
+    // The admission gate admits `b` over `a` once `b` is asked more
+    // often; asking past that point evicts `a`.
+    for _ in 0..4 {
+        service.estimate_with(&b, &estimator).unwrap();
+    }
+    assert!(service.cache_stats().evictions >= 1, "b displaced a");
+    let profiled = service.profile_runs();
+    let second_a = service.estimate_with(&a, &estimator).unwrap(); // recomputed
+    assert_eq!(service.profile_runs(), profiled + 1, "a was re-profiled");
     assert_eq!(first_a.peak_bytes, second_a.peak_bytes);
     assert_eq!(first_a, second_a);
-    assert!(service.cache_stats().evictions >= 1);
 }

@@ -42,7 +42,7 @@ fn main() {
                 .iter()
                 .map(|&(_, device)| {
                     service
-                        .max_batch_for_device_async(&base, device, lo, hi)
+                        .plan(&base, device, lo, hi, None, &TraceContext::disabled())
                         .expect("queue sized for the workload")
                 })
                 .collect()

@@ -77,7 +77,7 @@ fn main() {
     // The scheduler event loop: one matrix query answers every pending
     // job's demand on every device type it operates.
     let matrix_future = service
-        .submit_matrix(&queue, &DEVICE_TYPES)
+        .matrix(&queue, &DEVICE_TYPES, None, &TraceContext::disabled())
         .expect("queue sized for the workload");
     let matrix = block_on(matrix_future).expect("device types are registered");
 

@@ -323,13 +323,10 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // Monotonic cursor over the submission order: everything before it is
     // settled, so Busy-retries never rescan resolved futures.
     let mut first_pending = 0;
+    let untraced = TraceContext::disabled();
     for spec in &specs {
         loop {
-            let submitted = match deadline {
-                Some(deadline) => service.submit_with_deadline(spec, deadline),
-                None => service.submit(spec),
-            };
-            match submitted {
+            match service.submit(spec, None, deadline, &untraced) {
                 Ok(future) => {
                     futures.push(future);
                     break;

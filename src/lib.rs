@@ -62,5 +62,6 @@ pub mod prelude {
     pub use xmem_service::{
         block_on, join_all, AsyncEstimationService, AsyncServiceConfig, CacheStats, DeviceRegistry,
         EstimateFuture, EstimationService, Executor, MatrixFuture, ServiceConfig, SubmitError,
+        TraceContext,
     };
 }

@@ -56,7 +56,12 @@ fn a_thousand_concurrent_futures_match_the_sequential_estimator() {
     let futures: Vec<_> = (0..IN_FLIGHT)
         .map(|i| {
             service
-                .submit(&specs[i % specs.len()])
+                .submit(
+                    &specs[i % specs.len()],
+                    None,
+                    None,
+                    &TraceContext::disabled(),
+                )
                 .expect("queue sized for the whole load")
         })
         .collect();
@@ -96,7 +101,11 @@ fn a_thundering_herd_of_identical_queries_profiles_exactly_once() {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
 
     let futures: Vec<_> = (0..HERD)
-        .map(|_| service.submit(&spec).expect("queue sized for the herd"))
+        .map(|_| {
+            service
+                .submit(&spec, None, None, &TraceContext::disabled())
+                .expect("queue sized for the herd")
+        })
         .collect();
     let outputs = block_on(join_all(futures));
 
@@ -138,10 +147,14 @@ fn cancellation_reports_and_counters_agree() {
             .with_workers(1)
             .with_queue_depth(8),
     );
-    let blocker = service.submit(&heavy_spec()).expect("queue has room");
+    let blocker = service
+        .submit(&heavy_spec(), None, None, &TraceContext::disabled())
+        .expect("queue has room");
     let victim_spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
-    let victim = service.submit(&victim_spec).expect("queue has room");
+    let victim = service
+        .submit(&victim_spec, None, None, &TraceContext::disabled())
+        .expect("queue has room");
 
     let (took_effect, pre_empted) = victim.cancel();
     let victim_outcome = victim.wait();
@@ -151,7 +164,9 @@ fn cancellation_reports_and_counters_agree() {
     // slot has been fully processed (run or skipped).
     let sentinel_spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 16).with_iterations(2);
-    let sentinel = service.submit(&sentinel_spec).expect("queue has room");
+    let sentinel = service
+        .submit(&sentinel_spec, None, None, &TraceContext::disabled())
+        .expect("queue has room");
     assert!(sentinel.wait().is_ok());
     let runs = service.service().profile_runs();
 
@@ -183,7 +198,9 @@ fn a_missed_deadline_resolves_without_profiling() {
             .with_workers(1)
             .with_queue_depth(8),
     );
-    let blocker = service.submit(&heavy_spec()).expect("queue has room");
+    let blocker = service
+        .submit(&heavy_spec(), None, None, &TraceContext::disabled())
+        .expect("queue has room");
 
     // Already expired at submission: whichever side touches it first —
     // the polling caller, the timer thread, or the worker claiming it —
@@ -195,13 +212,23 @@ fn a_missed_deadline_resolves_without_profiling() {
     let victim_spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
     let expired = service
-        .submit_with_deadline(&victim_spec, Instant::now() - Duration::from_millis(1))
+        .submit(
+            &victim_spec,
+            None,
+            Some(Instant::now() - Duration::from_millis(1)),
+            &TraceContext::disabled(),
+        )
         .expect("queue has room");
     assert_eq!(block_on(expired), Err(EstimateError::DeadlineExceeded));
 
     // A generous deadline behaves like no deadline at all.
     let healthy = service
-        .submit_with_deadline(&victim_spec, Instant::now() + Duration::from_secs(600))
+        .submit(
+            &victim_spec,
+            None,
+            Some(Instant::now() + Duration::from_secs(600)),
+            &TraceContext::disabled(),
+        )
         .expect("queue has room");
     assert!(healthy.wait().is_ok());
 
@@ -223,14 +250,16 @@ fn a_full_submission_queue_pushes_back_with_busy() {
             .with_workers(1)
             .with_queue_depth(1),
     );
-    let blocker = service.submit(&heavy_spec()).expect("first submission");
+    let blocker = service
+        .submit(&heavy_spec(), None, None, &TraceContext::disabled())
+        .expect("first submission");
 
     let spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
     let mut accepted = Vec::new();
     let mut busy = 0;
     for _ in 0..4 {
-        match service.submit(&spec) {
+        match service.submit(&spec, None, None, &TraceContext::disabled()) {
             Ok(future) => accepted.push(future),
             Err(SubmitError::Busy) => busy += 1,
         }
@@ -245,7 +274,9 @@ fn a_full_submission_queue_pushes_back_with_busy() {
     for future in accepted {
         assert!(future.wait().is_ok());
     }
-    let retried = service.submit(&spec).expect("queue drained");
+    let retried = service
+        .submit(&spec, None, None, &TraceContext::disabled())
+        .expect("queue drained");
     assert!(retried.wait().is_ok());
 }
 
@@ -262,20 +293,25 @@ fn a_resident_estimate_is_answered_without_the_pool() {
     );
     let warm =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
-    let expected = service.submit(&warm).expect("idle pool").wait();
+    let expected = service
+        .submit(&warm, None, None, &TraceContext::disabled())
+        .expect("idle pool")
+        .wait();
     assert_eq!(
         expected,
         Estimator::new(EstimatorConfig::for_device(device)).estimate_job(&warm)
     );
 
-    let blocker = service.submit(&heavy_spec()).expect("first submission");
+    let blocker = service
+        .submit(&heavy_spec(), None, None, &TraceContext::disabled())
+        .expect("first submission");
     let cold = |batch| {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, batch).with_iterations(2)
     };
     let mut queued = Vec::new();
     let mut busy = false;
     for batch in [8, 16, 32] {
-        match service.submit(&cold(batch)) {
+        match service.submit(&cold(batch), None, None, &TraceContext::disabled()) {
             Ok(future) => queued.push(future),
             Err(SubmitError::Busy) => busy = true,
         }
@@ -284,7 +320,7 @@ fn a_resident_estimate_is_answered_without_the_pool() {
 
     let stage_hits = service.service().cache_stats().hits;
     let hit = service
-        .submit(&warm)
+        .submit(&warm, None, None, &TraceContext::disabled())
         .expect("a resident read needs no queue slot");
     assert_eq!(hit.wait(), expected);
     assert_eq!(
@@ -295,7 +331,12 @@ fn a_resident_estimate_is_answered_without_the_pool() {
 
     // An expired deadline still wins over a resident read.
     let expired = service
-        .submit_with_deadline(&warm, Instant::now() - Duration::from_millis(1))
+        .submit(
+            &warm,
+            None,
+            Some(Instant::now() - Duration::from_millis(1)),
+            &TraceContext::disabled(),
+        )
         .expect("a resident read needs no queue slot");
     assert_eq!(expired.wait(), Err(EstimateError::DeadlineExceeded));
 
@@ -312,14 +353,17 @@ fn a_resident_estimate_on_an_idle_service_is_read_on_the_calling_thread() {
     let service = AsyncEstimationService::new(AsyncServiceConfig::for_device(device));
     let warm =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
-    let expected = service.submit(&warm).expect("idle pool").wait();
+    let expected = service
+        .submit(&warm, None, None, &TraceContext::disabled())
+        .expect("idle pool")
+        .wait();
 
     // Nothing is computing and the queue has room: the read still never
     // crosses the pool.
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let ctx = telemetry.begin_trace(None);
     let read = service
-        .submit_traced(&warm, None, None, &ctx)
+        .submit(&warm, None, None, &ctx)
         .expect("a read needs no queue slot");
     assert_eq!(read.wait(), expected);
     telemetry.finish(&ctx, "POST", "/v1/estimate", 200, false);
@@ -391,10 +435,10 @@ fn async_sweep_and_plan_match_their_blocking_counterparts() {
 
     let service = AsyncEstimationService::for_device(device);
     let sweep = service
-        .sweep_async(&base, &batches)
+        .sweep(&base, &batches, None, &TraceContext::disabled())
         .expect("queue has room");
     let plan = service
-        .max_batch_for_device_async(&base, device, 1, 16)
+        .plan(&base, device, 1, 16, None, &TraceContext::disabled())
         .expect("queue has room");
 
     let swept = block_on(sweep).expect("sweep not cancelled");
@@ -424,7 +468,9 @@ fn the_executor_drives_interleaved_submissions_on_one_thread() {
     let results = std::sync::Arc::new(std::sync::Mutex::new(vec![None; specs.len()]));
     let executor = Executor::new();
     for (i, spec) in specs.iter().enumerate() {
-        let future = service.submit(spec).expect("queue has room");
+        let future = service
+            .submit(spec, None, None, &TraceContext::disabled())
+            .expect("queue has room");
         let results = std::sync::Arc::clone(&results);
         executor.spawn(async move {
             let estimate = future.await.expect("estimation succeeds");

@@ -118,12 +118,20 @@ fn concurrent_matrix_and_single_device_queries_never_disagree() {
     );
     // Two whole-matrix queries and a herd of single-device queries for
     // every cell, all in flight at once.
-    let matrix_a = service.submit_matrix(&jobs, &DEVICES).expect("queue room");
+    let matrix_a = service
+        .matrix(&jobs, &DEVICES, None, &TraceContext::disabled())
+        .expect("queue room");
     let mut singles: Vec<(usize, usize, xmem::service::EstimateFuture)> = Vec::new();
     for _ in 0..SINGLE_COPIES {
         for (j, spec) in jobs.iter().enumerate() {
             for (d, device) in DEVICES.iter().enumerate() {
-                singles.push((j, d, service.submit_on(spec, device).expect("queue room")));
+                singles.push((
+                    j,
+                    d,
+                    service
+                        .submit(spec, Some(device), None, &TraceContext::disabled())
+                        .expect("queue room"),
+                ));
             }
         }
     }
@@ -132,9 +140,15 @@ fn concurrent_matrix_and_single_device_queries_never_disagree() {
     // the same paper-default configuration).
     let own_device: Vec<_> = jobs
         .iter()
-        .map(|spec| service.submit(spec).expect("queue room"))
+        .map(|spec| {
+            service
+                .submit(spec, None, None, &TraceContext::disabled())
+                .expect("queue room")
+        })
         .collect();
-    let matrix_b = service.submit_matrix(&jobs, &DEVICES).expect("queue room");
+    let matrix_b = service
+        .matrix(&jobs, &DEVICES, None, &TraceContext::disabled())
+        .expect("queue room");
 
     let matrix_a = block_on(matrix_a).expect("devices resolve");
     let matrix_b = block_on(matrix_b).expect("devices resolve");
@@ -181,8 +195,12 @@ fn shared_service_front_ends_share_the_matrix_caches() {
     let jobs = job_grid();
     let blocking = Arc::new(EstimationService::for_device(GpuDevice::rtx3060()));
     let service = AsyncEstimationService::from_service(Arc::clone(&blocking), 4, 64);
-    let matrix = block_on(service.submit_matrix(&jobs, &DEVICES).expect("queue room"))
-        .expect("devices resolve");
+    let matrix = block_on(
+        service
+            .matrix(&jobs, &DEVICES, None, &TraceContext::disabled())
+            .expect("queue room"),
+    )
+    .expect("devices resolve");
     let runs = blocking.sim_runs();
     let direct = blocking
         .estimate_on(&jobs[0], "a100")

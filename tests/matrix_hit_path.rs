@@ -226,7 +226,7 @@ fn warm_matrix_trace_keeps_its_service_call_span() {
     ));
     let front = AsyncEstimationService::from_service(Arc::clone(&service), 2, 16);
     let cold = front
-        .matrix_traced(&jobs, &names, None, &TraceContext::disabled())
+        .matrix(&jobs, &names, None, &TraceContext::disabled())
         .expect("queue has room")
         .wait()
         .expect("devices resolve");
@@ -234,7 +234,7 @@ fn warm_matrix_trace_keeps_its_service_call_span() {
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let ctx = telemetry.begin_trace(None);
     let warm = front
-        .matrix_traced(&jobs, &names, None, &ctx)
+        .matrix(&jobs, &names, None, &ctx)
         .expect("queue has room")
         .wait()
         .expect("devices resolve");

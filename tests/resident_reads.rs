@@ -147,7 +147,7 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
             },
             move |front, ctx| {
                 front
-                    .submit_traced(&spec, device, None, ctx)
+                    .submit(&spec, device, None, ctx)
                     .expect("queue has room")
                     .wait()
             },
@@ -180,7 +180,7 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
             move |service| service.estimate_matrix(&blocking_jobs, &DEVICES),
             move |front, ctx| {
                 front
-                    .matrix_traced(&jobs, &DEVICES, None, ctx)
+                    .matrix(&jobs, &DEVICES, None, ctx)
                     .expect("queue has room")
                     .wait()
             },
@@ -206,7 +206,7 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
         |service| service.estimate_matrix(&rows, &["no-such-device"]),
         |front, ctx| {
             front
-                .matrix_traced(&rows, &["no-such-device"], None, ctx)
+                .matrix(&rows, &["no-such-device"], None, ctx)
                 .expect("an unknown device needs no queue slot")
                 .wait()
         },
@@ -221,7 +221,7 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
             move |service| service.best_device_for_job(&blocking_spec),
             move |front, ctx| {
                 front
-                    .placement_traced(&spec, None, ctx)
+                    .placement(&spec, None, ctx)
                     .expect("queue has room")
                     .wait()
             },
@@ -248,43 +248,46 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
 }
 
 /// Holds a one-worker pool busy for a while: a sweep that profiles every
-/// one of 48 batch sizes, one after another.
+/// one of 48 batch sizes, one after another. Its estimator records a
+/// timeline, which rules out the three-anchor fit by construction (and,
+/// because such estimates are not a cell's, the uncached default route
+/// with it: the queries below name their devices).
 fn blocker_service() -> Arc<EstimationService> {
-    Arc::new(EstimationService::new(
-        ServiceConfig::for_device(GpuDevice::rtx3060())
-            .with_incremental_sweep(false)
-            .with_threads(1),
-    ))
+    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060()).with_threads(1);
+    config.estimator.record_timeline = true;
+    Arc::new(EstimationService::new(config))
 }
 
 #[test]
 fn resident_queries_answer_while_the_pool_is_saturated() {
     let service = blocker_service();
     let front = AsyncEstimationService::from_service(Arc::clone(&service), 1, 1);
+    let untraced = TraceContext::disabled();
     let warm = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
-    let estimate = front.submit(&warm).expect("idle pool").wait();
-    let on_a100 = front.submit_on(&warm, "a100").expect("idle pool").wait();
-    let matrix = front
-        .submit_matrix(std::slice::from_ref(&warm), &DEVICES)
-        .expect("idle pool")
-        .wait();
+    let submit = |device| front.submit(&warm, Some(device), None, &untraced);
+    let estimate = submit("rtx3060").expect("idle pool").wait();
+    let on_a100 = submit("a100").expect("idle pool").wait();
+    let whole_matrix = || front.matrix(std::slice::from_ref(&warm), &DEVICES, None, &untraced);
+    let matrix = whole_matrix().expect("idle pool").wait();
     let placement = front
-        .best_device_for_job_async(&warm)
+        .placement(&warm, None, &untraced)
         .expect("idle pool")
         .wait();
 
     // One worker held by the sweep, the depth-1 queue filled behind it.
     let sweep = front
-        .sweep_async(
+        .sweep(
             &job(ModelId::DistilGpt2, OptimizerKind::AdamW, 1),
             &(1..=48).collect::<Vec<_>>(),
+            None,
+            &untraced,
         )
         .expect("idle pool");
     let cold = |batch| job(ModelId::MobileNetV3Small, OptimizerKind::Adam, batch);
     let mut queued = Vec::new();
     let mut busy = false;
     for batch in [8, 16, 32] {
-        match front.submit(&cold(batch)) {
+        match front.submit(&cold(batch), Some("rtx3060"), None, &untraced) {
             Ok(future) => queued.push(future),
             Err(SubmitError::Busy) => busy = true,
         }
@@ -293,68 +296,57 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
 
     // The sweep profiles on the same service meanwhile, so only the
     // counters it never touches are compared: stage hits (its batches
-    // are all new) and sim-cell traffic (it replays no cell).
+    // are all new) and sim-cell traffic (it fills no cell: its replays
+    // count as full replays, never as cell derivations).
     let reads = || {
-        let counters = Counters::of(&service);
+        let stage = service.cache_stats();
+        let sims = service.sim_stats();
         (
-            counters.stage_hits,
-            counters.sim_hits,
-            counters.sim_misses,
-            counters.sim_runs,
+            stage.hits,
+            sims.cache.hits,
+            sims.cache.misses,
+            sims.fast_path_hits,
         )
     };
     let before = reads();
-    assert_eq!(front.submit(&warm).expect("a read").wait(), estimate);
-    assert_eq!(
-        front.submit_on(&warm, "a100").expect("a read").wait(),
-        on_a100
-    );
+    assert_eq!(submit("rtx3060").expect("a read").wait(), estimate);
+    assert_eq!(submit("a100").expect("a read").wait(), on_a100);
+    assert_eq!(whole_matrix().expect("a read").wait(), matrix);
     assert_eq!(
         front
-            .submit_matrix(std::slice::from_ref(&warm), &DEVICES)
-            .expect("a read")
-            .wait(),
-        matrix
-    );
-    assert_eq!(
-        front
-            .best_device_for_job_async(&warm)
+            .placement(&warm, None, &untraced)
             .expect("a read")
             .wait(),
         placement
     );
-    let (stage_hits, sim_hits, sim_misses, sim_runs) = reads();
+    let (stage_hits, sim_hits, sim_misses, derived) = reads();
     assert_eq!(stage_hits - before.0, 4, "one stage read per query");
     assert_eq!(sim_hits - before.1, 1 + 1 + 3 + 1, "one cell read per cell");
-    assert_eq!((sim_misses, sim_runs), (before.2, before.3));
+    assert_eq!((sim_misses, derived), (before.2, before.3));
 
     // An expired deadline wins over a resident read, and reads nothing.
     let past = Instant::now() - Duration::from_millis(1);
     let before = reads();
+    let expired = Some(past);
+    for device in [None, Some("a100")] {
+        assert_eq!(
+            front
+                .submit(&warm, device, expired, &untraced)
+                .expect("settled")
+                .wait(),
+            Err(EstimateError::DeadlineExceeded)
+        );
+    }
     assert_eq!(
         front
-            .submit_with_deadline(&warm, past)
+            .matrix(std::slice::from_ref(&warm), &DEVICES, expired, &untraced)
             .expect("settled")
             .wait(),
         Err(EstimateError::DeadlineExceeded)
     );
     assert_eq!(
         front
-            .submit_on_with_deadline(&warm, "a100", past)
-            .expect("settled")
-            .wait(),
-        Err(EstimateError::DeadlineExceeded)
-    );
-    assert_eq!(
-        front
-            .submit_matrix_with_deadline(std::slice::from_ref(&warm), &DEVICES, past)
-            .expect("settled")
-            .wait(),
-        Err(EstimateError::DeadlineExceeded)
-    );
-    assert_eq!(
-        front
-            .best_device_for_job_async_with_deadline(&warm, past)
+            .placement(&warm, expired, &untraced)
             .expect("settled")
             .wait(),
         Err(EstimateError::DeadlineExceeded)
@@ -363,9 +355,15 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
 
     // The pool was saturated throughout: a query that must compute is
     // still refused.
-    assert_eq!(front.submit(&cold(64)).err(), Some(SubmitError::Busy));
+    assert_eq!(
+        front
+            .submit(&cold(64), Some("rtx3060"), None, &untraced)
+            .err(),
+        Some(SubmitError::Busy)
+    );
 
     assert!(sweep.wait().is_ok());
+    assert_eq!(service.sim_stats().param_replays, 0, "the sweep never fit");
     for future in queued {
         assert!(future.wait().is_ok());
     }
@@ -388,7 +386,7 @@ fn a_matrix_with_one_evicted_cell_is_pooled_and_replays_only_that_cell() {
     let jobs = [job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4)];
     let devices = ["rtx3060", "rtx4060", "a100", "solo"];
     front
-        .submit_matrix(&jobs, &devices)
+        .matrix(&jobs, &devices, None, &TraceContext::disabled())
         .expect("queue has room")
         .wait()
         .expect("devices resolve");
@@ -399,7 +397,7 @@ fn a_matrix_with_one_evicted_cell_is_pooled_and_replays_only_that_cell() {
     let telemetry = Telemetry::new(TelemetryConfig::default());
     let ctx = telemetry.begin_trace(None);
     let matrix = front
-        .matrix_traced(&jobs, &devices, None, &ctx)
+        .matrix(&jobs, &devices, None, &ctx)
         .expect("queue has room")
         .wait()
         .expect("devices resolve");

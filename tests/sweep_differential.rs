@@ -1,7 +1,6 @@
 //! The incremental-sweep differential suite: every cell an incremental
 //! (parameterized-replay) sweep produces must be **bit-identical** to the
-//! sequential per-batch `Estimator` and to a service with the incremental
-//! path forced off — across roomy devices (cells derived from one
+//! sequential per-batch `Estimator` — across roomy devices (cells derived from one
 //! unbounded buffer replay), pressured devices (cells replayed bounded
 //! from the materialized buffer), and deterministic pseudo-random fleets
 //! with page-unaligned capacities. The counters must prove the contract
@@ -9,6 +8,7 @@
 //! anchor profiles, every cell counts as `incremental_cells`, and
 //! `fast_path_hits + full_replays + incremental_cells == sim_runs`.
 
+use xmem::core::{AnalyzedTrace, Analyzer};
 use xmem::prelude::*;
 use xmem::service::ServiceConfig;
 
@@ -34,21 +34,49 @@ fn sequential_cell(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
         .expect("sequential estimate succeeds")
 }
 
-/// A pair of services over the same fleet: one with the incremental
-/// sweep (the default), one with it forced off.
-fn service_pair(fleet: &[(&str, GpuDevice)]) -> (EstimationService, EstimationService) {
-    let build = |incremental: bool| {
-        let registry = DeviceRegistry::empty();
+/// The sequential ground truth for a whole sweep matrix: each batch
+/// profiled and analyzed once, then replayed by a fresh per-device
+/// `Estimator` for every cell.
+fn assert_matches_sequential(
+    matrix: &DeviceMatrix,
+    base: &TrainJobSpec,
+    analyses: &[AnalyzedTrace],
+    fleet: &[(&str, GpuDevice)],
+) {
+    for ((row, &batch), analyzed) in matrix.rows.iter().zip(&BATCHES).zip(analyses) {
+        assert_eq!(
+            row.spec,
+            job_at(base, batch),
+            "rows keep the swept batch order"
+        );
         for &(name, device) in fleet {
-            registry.register(name, device);
+            assert_eq!(
+                row.cell(name).expect("cell").estimate.as_ref().unwrap(),
+                &Estimator::new(EstimatorConfig::for_device(device)).estimate_analyzed(analyzed),
+                "cell (batch {batch}, {name}) diverged from the sequential estimator"
+            );
         }
-        EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060())
-                .with_registry(registry)
-                .with_incremental_sweep(incremental),
-        )
-    };
-    (build(true), build(false))
+    }
+}
+
+fn analyses(base: &TrainJobSpec) -> Vec<AnalyzedTrace> {
+    BATCHES
+        .iter()
+        .map(|&batch| {
+            Analyzer::new()
+                .analyze(&profile_on_cpu(&job_at(base, batch)))
+                .expect("analysis succeeds")
+        })
+        .collect()
+}
+
+/// A service over `fleet`, with the primary device the default rtx3060.
+fn service_over(fleet: &[(&str, GpuDevice)]) -> EstimationService {
+    let registry = DeviceRegistry::empty();
+    for &(name, device) in fleet {
+        registry.register(name, device);
+    }
+    EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry))
 }
 
 #[test]
@@ -126,36 +154,14 @@ fn sweep_matrix_is_identical_across_roomy_and_pressured_devices() {
     ];
     let base = base_job();
     let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
-    let (incremental, full) = service_pair(&fleet);
-
+    let incremental = service_over(&fleet);
     let inc_matrix = incremental
         .sweep_matrix(&base, &BATCHES, &names)
         .expect("names resolve");
-    let full_matrix = full
-        .sweep_matrix(&base, &BATCHES, &names)
-        .expect("names resolve");
-    assert_eq!(
-        inc_matrix, full_matrix,
-        "incremental sweep matrix diverged from per-batch profiling"
-    );
+    assert_matches_sequential(&inc_matrix, &base, &analyses(&base), &fleet);
 
-    // Cell-level anchor against the sequential estimator.
-    for (row, &batch) in inc_matrix.rows.iter().zip(&BATCHES) {
-        let spec = job_at(&base, batch);
-        assert_eq!(row.spec, spec, "rows keep the swept batch order");
-        for &(name, device) in &fleet {
-            assert_eq!(
-                row.cell(name).expect("cell").estimate.as_ref().unwrap(),
-                &sequential_cell(&spec, device),
-                "cell (batch {batch}, {name}) diverged from the sequential estimator"
-            );
-        }
-    }
-
-    // Counters: the incremental service profiled only the anchors; the
-    // forced-off service profiled every batch.
+    // Counters: the service profiled only the anchors.
     assert_eq!(incremental.profile_runs(), 3);
-    assert_eq!(full.profile_runs(), BATCHES.len() as u64);
     let sims = incremental.sim_stats();
     assert_eq!(sims.param_replays, 1);
     assert_eq!(sims.incremental_cells, (BATCHES.len() * fleet.len()) as u64);
@@ -178,6 +184,7 @@ fn pseudo_random_fleets_agree_across_sweep_strategies() {
         state
     };
     let base = base_job();
+    let analyses = analyses(&base);
     for _round in 0..3 {
         let fleet: Vec<(&str, GpuDevice)> = NAMES
             .iter()
@@ -195,17 +202,12 @@ fn pseudo_random_fleets_agree_across_sweep_strategies() {
             })
             .collect();
         let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
-        let (incremental, full) = service_pair(&fleet);
-        assert_eq!(
-            incremental
-                .sweep_matrix(&base, &BATCHES, &names)
-                .expect("names resolve"),
-            full.sweep_matrix(&base, &BATCHES, &names)
-                .expect("names resolve"),
-            "sweep strategies diverged on a pseudo-random fleet"
-        );
+        let incremental = service_over(&fleet);
+        let matrix = incremental
+            .sweep_matrix(&base, &BATCHES, &names)
+            .expect("names resolve");
+        assert_matches_sequential(&matrix, &base, &analyses, &fleet);
         assert_eq!(incremental.profile_runs(), 3);
-        assert_eq!(full.profile_runs(), BATCHES.len() as u64);
     }
 }
 
@@ -215,15 +217,17 @@ fn admission_bisection_agrees_across_sweep_strategies() {
     // model actually pressures (the bisection brackets an interior OOM
     // boundary, so probes mix fitting and OOMing batches).
     let base = TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 1).with_iterations(2);
-    let (incremental, full) = service_pair(&[]);
+    let incremental = service_over(&[]);
     let device = GpuDevice::rtx4060();
-    let inc_answer = incremental
+    let answer = incremental
         .max_batch_for_device(&base, device, 1, 32)
-        .expect("estimates");
-    let full_answer = full
-        .max_batch_for_device(&base, device, 1, 32)
-        .expect("estimates");
-    assert_eq!(inc_answer, full_answer, "admission-control answer diverged");
+        .expect("estimates")
+        .expect("batch 1 fits");
+    // The sequential estimator agrees: the answer fits, one more does not.
+    assert!(!sequential_cell(&job_at(&base, answer), device).oom_predicted);
+    if answer < 32 {
+        assert!(sequential_cell(&job_at(&base, answer + 1), device).oom_predicted);
+    }
     assert_eq!(
         incremental.profile_runs(),
         3,
