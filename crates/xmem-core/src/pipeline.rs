@@ -11,7 +11,7 @@ use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
 use xmem_trace::Trace;
 
 /// Estimation configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorConfig {
     /// Target device (capacity + framework overhead model).
     pub device: GpuDevice,

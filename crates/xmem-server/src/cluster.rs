@@ -88,6 +88,7 @@ pub struct ClusterState {
     forward_failures: AtomicU64,
     forwarded_served: AtomicU64,
     cell_fills: AtomicU64,
+    cell_fill_rejections: AtomicU64,
     local_fallbacks: AtomicU64,
 }
 
@@ -128,6 +129,7 @@ impl ClusterState {
             forward_failures: AtomicU64::new(0),
             forwarded_served: AtomicU64::new(0),
             cell_fills: AtomicU64::new(0),
+            cell_fill_rejections: AtomicU64::new(0),
             local_fallbacks: AtomicU64::new(0),
         })
     }
@@ -170,6 +172,12 @@ impl ClusterState {
     /// Counts a local sim cell filled from a forwarded response.
     pub fn note_cell_fill(&self) {
         self.cell_fills.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a forwarded estimate refused as a local sim cell because
+    /// it breaks a cell's arithmetic (it is still relayed to the client).
+    pub fn note_cell_fill_rejection(&self) {
+        self.cell_fill_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Forwards `request` verbatim to the ring node at `owner` — same
@@ -299,6 +307,12 @@ impl ClusterState {
             "xmem_cluster_cell_fills_total",
             "Local sim cells filled from forwarded responses",
             &self.cell_fills,
+        );
+        counter(
+            &mut out,
+            "xmem_cluster_cell_fill_rejections_total",
+            "Forwarded estimates refused as local sim cells (broken cell arithmetic)",
+            &self.cell_fill_rejections,
         );
         counter(
             &mut out,

@@ -41,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xmem_service::{
-    AsyncEstimationService, Telemetry, TelemetryConfig, TraceContext, TRACE_HEADER,
+    AsyncEstimationService, CellFill, Telemetry, TelemetryConfig, TraceContext, TRACE_HEADER,
 };
 
 /// How often blocked reads wake up to re-check the drain flag and idle
@@ -653,12 +653,17 @@ fn cluster_route(
             .and_then(|o| serde::obj_get(o, "estimate"))
             .and_then(api::estimate_from_value)
         {
-            if shared
+            match shared
                 .service
                 .service()
                 .fill_sim_cell(&spec, device.as_deref(), estimate)
             {
-                cluster.note_cell_fill();
+                CellFill::Filled => cluster.note_cell_fill(),
+                CellFill::Rejected => {
+                    cluster.note_cell_fill_rejection();
+                    ctx.event("cache.sim", "fill-rejected");
+                }
+                CellFill::Kept => {}
             }
         }
     }

@@ -14,7 +14,8 @@
 //!   batch, iterations, `zero_grad` placement (plus sequence length and
 //!   precision, which also shape the trace);
 //! * [`EstimationService::sweep`] fans a batch-size grid out across
-//!   `std::thread` workers, sharing per-model work through the cache;
+//!   `std::thread` workers; each row is the primary device's sim cell
+//!   at that batch, the same cell [`EstimationService::estimate`] reads;
 //! * [`EstimationService::max_batch_for_device`] answers the
 //!   admission-control question — the largest batch that fits a device —
 //!   by bracketing with a parallel coarse sweep and bisecting the
@@ -46,9 +47,14 @@
 //! [`join_all`] are the minimal executor surface a scheduler needs to
 //! drive thousands of in-flight queries from a few threads.
 //!
-//! Estimates are **bit-identical** to the sequential
-//! [`Estimator`](xmem_core::Estimator) path: the memoized stages are pure
-//! functions of the job key, and the simulation stages run unchanged.
+//! A service runs one estimator: the paper default
+//! [`EstimatorConfig::for_device`](xmem_core::EstimatorConfig::for_device)
+//! of whichever device a cell is for ([`ServiceConfig::estimator`] only
+//! names the primary device). Ablations of the estimator call
+//! [`Estimator`](xmem_core::Estimator) directly. Estimates are
+//! **bit-identical** to that sequential path: the memoized stages are
+//! pure functions of the job key, and the simulation stages run
+//! unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,8 +86,9 @@ pub use persist::{
 pub use placement::{hash_family, hash_job, HashRing};
 pub use registry::{DeviceRegistry, RegistryParseError};
 pub use service::{
-    AsyncEstimationService, AsyncServiceConfig, EstimateFuture, EstimationService, MatrixFuture,
-    PlacementFuture, PlanFuture, ProfiledStages, ServiceConfig, SweepFuture, SweepOutcome,
+    AsyncEstimationService, AsyncServiceConfig, CellFill, EstimateFuture, EstimationService,
+    MatrixFuture, PlacementFuture, PlanFuture, ProfiledStages, ServiceConfig, SweepFuture,
+    SweepOutcome,
 };
 pub use simcache::{DeviceFingerprint, SimShards, SimStats};
 pub use singleflight::{FlightStats, SingleFlight};

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xmem_core::{
     AnalyzedTrace, Analyzer, DeviceMatrix, DevicePlacement, Estimate, EstimateError, Estimator,
-    EstimatorConfig, MatrixCell, MatrixRow, Orchestrator, ParamReplay, UnboundedReplay,
+    EstimatorConfig, MatrixCell, MatrixRow, ParamReplay, UnboundedReplay,
 };
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
 
@@ -36,8 +36,8 @@ struct EstimateFill {
     key: JobKey,
     stages: Option<Arc<ProfiledStages>>,
     /// The cell's device and whether its replay seeds the
-    /// unbounded-replay cache; `None` on the uncached default route.
-    cell: Option<(GpuDevice, bool)>,
+    /// unbounded-replay cache.
+    cell: (GpuDevice, bool),
 }
 
 /// What a matrix probe read: every row's stage entry and every cell,
@@ -98,7 +98,8 @@ struct ParamOutcome {
 
 /// Distinct batch points a sweep must span before the incremental path
 /// pays the three-anchor fit. Below it the fit cannot win (three anchors
-/// profile anyway) and the legacy per-batch path runs.
+/// profile anyway), so each batch is an ordinary cell: profiled, analyzed
+/// and replayed on its own.
 const MIN_INCREMENTAL_POINTS: usize = 4;
 
 /// Job families whose fit (or rejection) stays cached; a fit is a few
@@ -121,10 +122,12 @@ const MAX_DEVICE_SHARDS: usize = 64;
 /// [`ShardedLruCache::with_adaptive_tiering`]).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Estimator settings (target device, allocator, orchestrator knobs).
-    /// The paper-default [`EstimatorConfig::for_device`] makes the
-    /// default-device route a cached sim cell; any customization keeps
-    /// that route uncached (see [`EstimationService::estimate`]).
+    /// The service's estimator: the paper default
+    /// [`EstimatorConfig::for_device`] of the primary device, the device
+    /// whose sim cells [`EstimationService::estimate`] and
+    /// [`EstimationService::sweep`] answer from. Only `device` may vary;
+    /// [`EstimationService::new`] refuses any other setting (ablations
+    /// of the estimator run [`Estimator`] directly).
     pub estimator: EstimatorConfig,
     /// Total cached `(job key → profiled stages)` entries.
     pub cache_capacity: usize,
@@ -244,14 +247,6 @@ impl ServiceConfig {
 #[derive(Debug)]
 pub struct EstimationService {
     config: ServiceConfig,
-    estimator: Estimator,
-    /// The primary device when `estimator` is its paper-default
-    /// [`EstimatorConfig::for_device`] configuration — the device whose
-    /// sim shard the default-device route reads and fills. `None` for a
-    /// customized estimator (ablation knobs, timeline recording): its
-    /// estimates are not bit-identical to a paper-default cell, so that
-    /// route stays uncached.
-    primary_cell: Option<GpuDevice>,
     cache: ShardedLruCache<JobKey, Arc<ProfiledStages>>,
     /// In-flight dedup: concurrent misses for one key coalesce onto a
     /// single profile/analyze run.
@@ -292,15 +287,18 @@ pub struct EstimationService {
 
 impl EstimationService {
     /// Creates a service.
+    ///
+    /// # Panics
+    /// Panics unless `config.estimator` is the paper default
+    /// [`EstimatorConfig::for_device`] of its device: every answer the
+    /// service gives is a sim cell of that estimator.
     #[must_use]
     pub fn new(config: ServiceConfig) -> Self {
-        let estimator = Estimator::new(config.estimator.clone());
-        let default = EstimatorConfig::for_device(config.estimator.device);
-        let primary_cell = (!config.estimator.record_timeline
-            && config.estimator.orchestrator == default.orchestrator
-            && config.estimator.allocator == default.allocator
-            && config.estimator.context_allowance == default.context_allowance)
-            .then_some(config.estimator.device);
+        assert!(
+            config.estimator == EstimatorConfig::for_device(config.estimator.device),
+            "a service runs the paper-default estimator of its device, not {:?}",
+            config.estimator
+        );
         let mut cache = ShardedLruCache::new(config.cache_capacity, config.shards)
             .with_adaptive_tiering(INITIAL_PROTECTED_FRAC);
         if let Some(budget) = config.cache_bytes_budget {
@@ -313,8 +311,6 @@ impl EstimationService {
             .with_adaptive_tiering(INITIAL_PROTECTED_FRAC);
         let mut service = EstimationService {
             config,
-            estimator,
-            primary_cell,
             cache,
             flights: SingleFlight::new(),
             negative,
@@ -670,10 +666,8 @@ impl EstimationService {
         self.sims.stats()
     }
 
-    /// How many allocator simulations actually executed, on every route:
-    /// cell fills, the uncached default route of a customized
-    /// [`ServiceConfig::estimator`], per-batch sweeps and
-    /// [`estimate_with`](Self::estimate_with). Shorthand for
+    /// How many allocator simulations actually executed: one per cell
+    /// computed, on every route. Shorthand for
     /// [`sim_stats`](Self::sim_stats)`.sim_runs`.
     #[must_use]
     pub fn sim_runs(&self) -> u64 {
@@ -799,14 +793,12 @@ impl EstimationService {
     /// analysis are deterministic in the job key, and the simulation
     /// stages run identically on both paths.
     ///
-    /// Under a paper-default [`ServiceConfig::estimator`] the answer is
-    /// the primary device's sim cell — the same cell
-    /// [`estimate_on`](Self::estimate_on) reads for that device — so a
-    /// warm repeat is a cell hit with no allocator replay. A miss fills
-    /// the cell but never seeds the unbounded-replay cache (a one-off
-    /// job pays one replay, as before). A customized estimator (ablation
-    /// knobs, timeline recording) is the uncached exception: it replays
-    /// on every call and never reads or writes a sim cell.
+    /// The answer is the primary device's sim cell — the same cell
+    /// [`estimate_on`](Self::estimate_on) reads for that device and a
+    /// [`sweep`](Self::sweep) row at that batch holds — so a warm repeat
+    /// is a cell hit with no allocator replay. A miss fills the cell but
+    /// never seeds the unbounded-replay cache (a one-off job pays one
+    /// replay).
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs.
@@ -852,13 +844,12 @@ impl EstimationService {
         device_name: Option<&str>,
         ctx: &TraceContext,
     ) -> Probe<Result<Estimate, EstimateError>, EstimateFill> {
-        let cell = match (self.cell_device(device_name), device_name) {
-            (None, Some(name)) => {
-                return Probe::Done(Err(EstimateError::UnknownDevice(name.to_string())))
-            }
-            (device, name) => device.map(|device| (device, name.is_some())),
-        };
-        self.probe_estimate(spec, cell, ctx)
+        match self.cell_device(device_name) {
+            Some(device) => self.probe_estimate(spec, (device, device_name.is_some()), ctx),
+            None => Probe::Done(Err(EstimateError::UnknownDevice(
+                device_name.unwrap_or_default().to_string(),
+            ))),
+        }
     }
 
     /// The read half of a single estimate: one counted stage read (on a
@@ -866,12 +857,10 @@ impl EstimationService {
     /// `(device, seed)` names. A cell hit or a remembered failure is the
     /// whole answer, and a missing stage entry is not loaded for it;
     /// anything else is left to [`fill_estimate`](Self::fill_estimate).
-    /// `cell = None` is the uncached default route of a customized
-    /// estimator, which always computes.
     fn probe_estimate(
         &self,
         spec: &TrainJobSpec,
-        cell: Option<(GpuDevice, bool)>,
+        cell: (GpuDevice, bool),
         ctx: &TraceContext,
     ) -> Probe<Result<Estimate, EstimateError>, EstimateFill> {
         let key = JobKey::of(spec);
@@ -879,18 +868,16 @@ impl EstimationService {
             Ok(stages) => stages,
             Err(error) => return Probe::Done(Err(error)),
         };
-        if let Some((device, _)) = cell {
-            if let Some(hit) = self.sims.shard(&device).get(&key) {
-                ctx.event("cache.sim", "hit");
-                return Probe::Done(Ok(hit));
-            }
+        if let Some(hit) = self.sims.shard(&cell.0).get(&key) {
+            ctx.event("cache.sim", "hit");
+            return Probe::Done(Ok(hit));
         }
         Probe::Fill(EstimateFill { key, stages, cell })
     }
 
     /// The compute half of a single estimate: loads the stages the probe
-    /// missed, then replays the missed cell (or, on the uncached default
-    /// route, the service estimator). Reads nothing the probe counted.
+    /// missed, then replays the missed cell. Reads nothing the probe
+    /// counted.
     fn fill_estimate(
         &self,
         spec: &TrainJobSpec,
@@ -900,10 +887,32 @@ impl EstimationService {
         let stages = fill
             .stages
             .map_or_else(|| self.load_stages(spec, &fill.key, ctx), Ok)?;
-        Ok(match fill.cell {
-            Some((device, seed)) => self.simulate_cell(&fill.key, &stages, device, seed, ctx),
-            None => self.full_replay(&self.estimator, &stages.analyzed, ctx),
-        })
+        let (device, seed) = fill.cell;
+        Ok(self.simulate_cell(&fill.key, &stages, device, seed, ctx))
+    }
+
+    /// One row of a single-device batch grid ([`sweep`](Self::sweep) on
+    /// the primary device, every probe of
+    /// [`max_batch_for_device`](Self::max_batch_for_device)): `base` at
+    /// `batch` on `device`, a cell like any other. With a fit the cell is
+    /// materialized from it; without one it is exactly the
+    /// [`estimate_on`](Self::estimate_on) cell, except that its replay
+    /// never seeds the unbounded-replay cache (grid batches rarely
+    /// repeat).
+    fn batch_cell(
+        &self,
+        base: &TrainJobSpec,
+        batch: usize,
+        device: GpuDevice,
+        param: Option<&ParamReplay>,
+        ctx: &TraceContext,
+    ) -> Result<Estimate, EstimateError> {
+        if let Some(param) = param {
+            return Ok(self.incremental_cell_on(base, batch, param, device, ctx));
+        }
+        let spec = with_batch(base, batch);
+        self.probe_estimate(&spec, (device, false), ctx)
+            .or_fill(|fill| self.fill_estimate(&spec, fill, ctx))
     }
 
     /// Runs one allocator replay under a `sim.replay` span tagged
@@ -923,45 +932,9 @@ impl EstimationService {
         result
     }
 
-    /// A full stateful replay of `analyzed` under `estimator` that no
-    /// sim cell holds (the uncached default route, the per-batch sweep,
-    /// [`estimate_with`](Self::estimate_with)): counted as a sim run and
-    /// a full replay, like a cell's, and timed by
-    /// [`counted_replay`](Self::counted_replay).
-    fn full_replay(
-        &self,
-        estimator: &Estimator,
-        analyzed: &AnalyzedTrace,
-        ctx: &TraceContext,
-    ) -> Estimate {
-        self.sims.count_run();
-        self.sims.count_full_replay();
-        self.counted_replay(ctx, "full-replay", || {
-            estimator.estimate_analyzed_counted(analyzed)
-        })
-    }
-
-    /// Like [`estimate`](Self::estimate) but against an alternative
-    /// estimator configuration (e.g. another device), still sharing the
-    /// stage cache — the cached stages are device-independent.
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures for degenerate jobs.
-    pub fn estimate_with(
-        &self,
-        spec: &TrainJobSpec,
-        config: &EstimatorConfig,
-    ) -> Result<Estimate, EstimateError> {
-        let ctx = TraceContext::disabled();
-        let stages = self.stages_traced(spec, &ctx)?;
-        Ok(self.full_replay(&Estimator::new(config.clone()), &stages.analyzed, &ctx))
-    }
-
     /// Replays already-analyzed stages against one device, through the
     /// per-device simulation shard. The simulation uses the paper-default
-    /// [`EstimatorConfig::for_device`] for `device` (custom estimator
-    /// configurations go through the uncached
-    /// [`estimate_with`](Self::estimate_with)), so results are
+    /// [`EstimatorConfig::for_device`] for `device`, so results are
     /// bit-identical to a sequential `Estimator` built the same way.
     ///
     /// **Pressure-aware fast path**: the job replays *once* on an
@@ -1116,22 +1089,14 @@ impl EstimationService {
         })
     }
 
-    /// Whether `estimator`'s configuration admits the provably-exact
-    /// incremental sweep path. Beyond the core gate
-    /// ([`Estimator::incremental_exact`]: gc off, no timeline), the
-    /// orchestrator must be the default one — the fit cache is shared
-    /// with the named-device paths, which always orchestrate under
-    /// [`EstimatorConfig::for_device`] defaults.
-    fn incremental_eligible(estimator: &Estimator) -> bool {
-        estimator.incremental_exact() && estimator.config().orchestrator == Orchestrator::default()
-    }
-
     /// The parameterized replay proven over `[lo, hi]` for `base`'s job
-    /// family, fitting (and caching) it on first use. `None` means the
-    /// family is ineligible: the fit was rejected (the delta model could
-    /// not be proven exact) or an anchor failed to profile — callers
-    /// fall back to the full per-batch path, where errors surface
-    /// per-cell.
+    /// family, fitting (and caching) it on first use. Every cell the
+    /// service computes uses a paper-default [`EstimatorConfig`], which
+    /// admits the fit by construction ([`Estimator::incremental_exact`]
+    /// with the default orchestrator). `None` means the fit was rejected
+    /// (the delta model could not be proven exact) or an anchor failed
+    /// to profile — callers fall back to per-batch cells, where errors
+    /// surface per cell.
     fn param_for(
         &self,
         base: &TrainJobSpec,
@@ -1176,7 +1141,10 @@ impl EstimationService {
                 .iter()
                 .map(|(batch, stages)| (*batch, &stages.analyzed))
                 .collect();
-            let fit = self.estimator.fit_param_replay(&refs).ok().map(Arc::new);
+            let fit = Estimator::new(self.config.estimator.clone())
+                .fit_param_replay(&refs)
+                .ok()
+                .map(Arc::new);
             if fit.is_some() {
                 self.sims.count_param_replay();
                 fit_span.set_outcome("fit");
@@ -1202,17 +1170,13 @@ impl EstimationService {
 
     /// The fit for a sweep over `batches`, when the sweep qualifies for
     /// the incremental path: enough distinct points to beat the
-    /// three-anchor cost, valid batches, and an eligible `estimator`.
+    /// three-anchor cost, and valid batches.
     fn sweep_param(
         &self,
         base: &TrainJobSpec,
         batches: &[usize],
-        estimator: &Estimator,
         ctx: &TraceContext,
     ) -> Option<Arc<ParamReplay>> {
-        if !Self::incremental_eligible(estimator) {
-            return None;
-        }
         let mut distinct: Vec<usize> = batches.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
@@ -1220,23 +1184,6 @@ impl EstimationService {
             return None;
         }
         self.param_for(base, distinct[0], *distinct.last().expect("non-empty"), ctx)
-    }
-
-    /// One incremental sweep cell under the service's own estimator:
-    /// materialize the fitted buffer at `batch` and replay it bounded.
-    fn incremental_estimate(
-        &self,
-        param: &ParamReplay,
-        batch: usize,
-        ctx: &TraceContext,
-    ) -> Estimate {
-        self.sims.count_run();
-        self.sims.count_incremental();
-        ctx.event("sim.incremental", "cell");
-        self.counted_replay(ctx, "incremental", || {
-            self.estimator
-                .estimate_buffer_counted(&param.materialize(batch), param.stats_for(batch))
-        })
     }
 
     /// Every device's cell for `base` at `batch`, served from the
@@ -1296,10 +1243,10 @@ impl EstimationService {
         cells.into_iter().flatten().collect()
     }
 
-    /// One incremental admission probe on a single device. Probe batches
-    /// never repeat within a bisection, so the unbounded derivation leg
-    /// is skipped — one bounded buffer replay is the cheapest exact
-    /// answer on any device, roomy or pressured.
+    /// One incremental cell on a single device (a sweep row or an
+    /// admission probe). Grid batches rarely repeat, so the unbounded
+    /// derivation leg is skipped — one bounded buffer replay is the
+    /// cheapest exact answer on any device, roomy or pressured.
     fn incremental_cell_on(
         &self,
         base: &TrainJobSpec,
@@ -1345,7 +1292,7 @@ impl EstimationService {
         device: GpuDevice,
     ) -> Result<Estimate, EstimateError> {
         let ctx = TraceContext::disabled();
-        self.probe_estimate(spec, Some((device, true)), &ctx)
+        self.probe_estimate(spec, (device, true), &ctx)
             .or_fill(|fill| self.fill_estimate(spec, fill, &ctx))
     }
 
@@ -1355,16 +1302,12 @@ impl EstimationService {
     /// [`estimate_matrix`](Self::estimate_matrix) call computed is a pure
     /// cache hit — no profiling, no simulation.
     ///
-    /// Every sim cell — this route's, the matrix and placement queries',
-    /// and the default route's [`estimate`](Self::estimate) under a
-    /// paper-default estimator — simulates with the paper-default
+    /// Every sim cell — this route's, the matrix, placement, sweep and
+    /// admission queries', and the default route's
+    /// [`estimate`](Self::estimate) — simulates with the paper-default
     /// [`EstimatorConfig::for_device`] of its device, so
     /// `estimate_on(spec, <primary name>)` after `estimate(spec)` hits
-    /// the same cell. A customized [`ServiceConfig::estimator`]
-    /// (ablation knobs, timeline recording) applies only to the uncached
-    /// [`estimate`](Self::estimate) / [`sweep`](Self::sweep); pair a
-    /// custom configuration with [`estimate_with`](Self::estimate_with)
-    /// instead.
+    /// the same cell.
     ///
     /// # Errors
     /// [`EstimateError::UnknownDevice`] for an unregistered name;
@@ -1392,22 +1335,17 @@ impl EstimationService {
     }
 
     /// The device whose sim cell answers a single-estimate query: a
-    /// registered name, or — for the default route — the primary device
-    /// *when* the service estimator is its paper-default configuration
-    /// ([`EstimatorConfig::for_device`]). A customized primary estimator
-    /// (ablation knobs, timeline recording) is not shard-representable:
-    /// its estimates are not bit-identical to a paper-default cell, so
-    /// the cell paths refuse rather than cache a lying entry.
+    /// registered name, or the primary device for the default route.
+    /// `None` only for an unregistered name.
     fn cell_device(&self, device_name: Option<&str>) -> Option<GpuDevice> {
         match device_name {
             Some(name) => self.registry().get(name),
-            None => self.primary_cell,
+            None => Some(self.config.estimator.device),
         }
     }
 
     /// The locally cached simulation cell for `spec`, if present —
-    /// `device_name = None` resolves to the primary device (only under a
-    /// paper-default estimator, see the cell-device gate). Cluster nodes
+    /// `device_name = None` resolves to the primary device. Cluster nodes
     /// use this to serve a non-owned request locally when a forwarded
     /// result already filled the cell, without re-forwarding.
     #[must_use]
@@ -1422,28 +1360,46 @@ impl EstimationService {
 
     /// Fills the local simulation cell for `spec` with an estimate
     /// computed elsewhere (a forwarded cluster response), journaling it
-    /// like any locally computed cell. Returns whether the cell was
-    /// newly filled — `false` for unknown devices, a non-paper-default
-    /// primary estimator, or an already-present cell (which is never
-    /// overwritten: cells are deterministic, and the incumbent was
-    /// journaled first).
+    /// like any locally computed cell. An estimate that breaks the
+    /// arithmetic every cell of the device obeys (see
+    /// [`CellFill::Rejected`]) is refused and neither inserted nor
+    /// journaled. An unknown device or an already-present cell leaves
+    /// the cache as it was: cells are deterministic, and the incumbent
+    /// was journaled first.
     pub fn fill_sim_cell(
         &self,
         spec: &TrainJobSpec,
         device_name: Option<&str>,
         estimate: Estimate,
-    ) -> bool {
+    ) -> CellFill {
         let Some(device) = self.cell_device(device_name) else {
-            return false;
+            return CellFill::Kept;
         };
+        if !self.cell_arithmetic_holds(&device, &estimate) {
+            return CellFill::Rejected;
+        }
         let key = JobKey::of(spec);
         let shard = self.sims.shard(&device);
         if shard.peek(&key).is_some() {
-            return false;
+            return CellFill::Kept;
         }
         shard.insert(key.clone(), estimate.clone());
         self.journal_sim(&DeviceFingerprint::of(&device), &key, &estimate);
-        true
+        CellFill::Filled
+    }
+
+    /// Whether `estimate` obeys what the service's one estimator makes
+    /// of every cell of `device` (see [`CellFill::Rejected`]).
+    fn cell_arithmetic_holds(&self, device: &GpuDevice, estimate: &Estimate) -> bool {
+        let peak = estimate
+            .job_peak_bytes
+            .checked_add(device.framework_bytes)
+            .and_then(|bytes| bytes.checked_add(self.config.estimator.context_allowance));
+        let usable = device.capacity.saturating_sub(device.init_bytes);
+        peak == Some(estimate.peak_bytes)
+            && estimate.tensor_peak_bytes <= estimate.job_peak_bytes
+            && (estimate.oom_predicted || estimate.peak_bytes <= usable)
+            && estimate.curve.is_empty()
     }
 
     /// Batched replay: estimates every job in `specs` on every named
@@ -1461,9 +1417,7 @@ impl EstimationService {
     /// cell per device, and does nothing else). Every cell is
     /// bit-identical to a sequential
     /// [`Estimator::estimate_job`] against
-    /// [`EstimatorConfig::for_device`] of its device — a customized
-    /// [`ServiceConfig::estimator`] does not apply here (see
-    /// [`estimate_on`](Self::estimate_on)).
+    /// [`EstimatorConfig::for_device`] of its device.
     ///
     /// Per-job analysis failures are carried in the affected cells;
     /// matrix-level failure is reserved for unresolvable device names.
@@ -1651,11 +1605,10 @@ impl EstimationService {
         devices: &[&str],
         ctx: &TraceContext,
     ) -> Result<DeviceMatrix, EstimateError> {
-        // Named-device cells always simulate under the paper-default
-        // `EstimatorConfig::for_device`, which is incremental-eligible by
-        // construction; gate on the service knob and the sweep shape.
-        let probe = Estimator::new(EstimatorConfig::for_device(self.config.estimator.device));
-        if let Some(param) = self.sweep_param(base, batches, &probe, ctx) {
+        // Every cell simulates under the paper-default
+        // `EstimatorConfig::for_device`, which admits the fit by
+        // construction; only the sweep's shape decides.
+        if let Some(param) = self.sweep_param(base, batches, ctx) {
             let resolved = self.registry().resolve(devices)?;
             let rows_cells = self.parallel_fill(batches.len(), |i| {
                 self.incremental_cells(base, batches[i], &param, &resolved, ctx)
@@ -1826,18 +1779,20 @@ impl EstimationService {
             .collect()
     }
 
-    /// Estimates `base` at every batch size in `batches`, fanning the grid
-    /// out across worker threads. Results are in `batches` order.
+    /// Estimates `base` at every batch size in `batches` on the primary
+    /// device, fanning the grid out across worker threads. Results are
+    /// in `batches` order. Each row is the primary device's sim cell at
+    /// that batch — the cell [`estimate`](Self::estimate) reads — so it
+    /// is cached and journaled like any cell, and a repeated row is a
+    /// cell hit.
     ///
-    /// A qualifying sweep (≥ 4 distinct batches; an estimator with gc
-    /// off, no timeline recording and the default orchestrator) takes
-    /// the **incremental path**: three anchor batches profile and pin one parameterized
-    /// replay, and every cell — anchors included — is materialized from
-    /// it in ~O(events) with no further profiling. The fit is proven
-    /// exact before use, so cells are bit-identical to the per-batch
-    /// path, which everything else falls back to: per-model work
-    /// (profile + analysis of each distinct batch) is then shared
-    /// through the cache, so concurrent and repeated sweeps reuse it.
+    /// A qualifying sweep (≥ 4 distinct batches) takes the
+    /// **incremental path**: three anchor batches profile and pin one
+    /// parameterized replay, and every missing cell — anchors included —
+    /// is materialized from it in ~O(events) with no further profiling.
+    /// The fit is proven exact before use, so cells are bit-identical to
+    /// the per-batch cells everything else falls back to, whose profile
+    /// and analysis are shared through the stage cache.
     pub fn sweep(
         &self,
         base: &TrainJobSpec,
@@ -1853,28 +1808,10 @@ impl EstimationService {
         batches: &[usize],
         ctx: &TraceContext,
     ) -> Vec<(usize, Result<Estimate, EstimateError>)> {
-        if let Some(param) = self.sweep_param(base, batches, &self.estimator, ctx) {
-            let estimates = self.parallel_fill(batches.len(), |i| {
-                Ok(self.incremental_estimate(&param, batches[i], ctx))
-            });
-            return batches.iter().copied().zip(estimates).collect();
-        }
-        self.sweep_fill(base, batches, ctx, |_, stages| {
-            self.full_replay(&self.estimator, &stages.analyzed, ctx)
-        })
-    }
-
-    fn sweep_fill(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        ctx: &TraceContext,
-        eval: impl Fn(&JobKey, &ProfiledStages) -> Estimate + Sync,
-    ) -> Vec<(usize, Result<Estimate, EstimateError>)> {
+        let param = self.sweep_param(base, batches, ctx);
+        let device = self.config.estimator.device;
         let estimates = self.parallel_fill(batches.len(), |i| {
-            let spec = with_batch(base, batches[i]);
-            self.stages_traced(&spec, ctx)
-                .map(|stages| eval(&JobKey::of(&spec), &stages))
+            self.batch_cell(base, batches[i], device, param.as_deref(), ctx)
         });
         batches.iter().copied().zip(estimates).collect()
     }
@@ -1921,19 +1858,18 @@ impl EstimationService {
     ) -> Result<Option<usize>, EstimateError> {
         assert!(lo >= 1 && lo <= hi, "invalid batch range [{lo}, {hi}]");
 
-        // A wide-enough eligible range rides one parameterized replay:
-        // every probe — bracket and bisection alike — materializes from
-        // it, so the whole admission query costs three anchor profiles.
-        // Probes simulate under `EstimatorConfig::for_device(device)`
-        // either way, so the bisection walks identical estimates and
-        // lands on the identical answer.
-        let param = if hi - lo + 1 >= MIN_INCREMENTAL_POINTS
-            && Self::incremental_eligible(&Estimator::new(EstimatorConfig::for_device(device)))
-        {
+        // A wide-enough range rides one parameterized replay: every
+        // probe — bracket and bisection alike — materializes from it, so
+        // the whole admission query costs three anchor profiles. Probes
+        // are cells of `EstimatorConfig::for_device(device)` either way,
+        // so the bisection walks identical estimates and lands on the
+        // identical answer.
+        let param = if hi - lo + 1 >= MIN_INCREMENTAL_POINTS {
             self.param_for(base, lo, hi, ctx)
         } else {
             None
         };
+        let param = param.as_deref();
 
         // Coarse bracket: a parallel sweep over an evenly spaced grid
         // warms the cache and narrows the frontier. The grid is capped —
@@ -1943,20 +1879,10 @@ impl EstimationService {
         let points = self.worker_count(usize::MAX).min(MAX_BRACKET_POINTS);
         let grid = coarse_grid(lo, hi, points);
         let mut coarse = Vec::with_capacity(grid.len());
-        // Probe batches are distinct keys on one device: never worth
-        // seeding the unbounded-replay cache (see `simulate_on`).
-        let probes = match &param {
-            Some(param) => self.parallel_fill(grid.len(), |i| {
-                (
-                    grid[i],
-                    Ok(self.incremental_cell_on(base, grid[i], param, device, ctx)),
-                )
-            }),
-            None => self.sweep_fill(base, &grid, ctx, |key, stages| {
-                self.simulate_on(key, stages, device, false, ctx)
-            }),
-        };
-        for (batch, estimate) in probes {
+        let probes = self.parallel_fill(grid.len(), |i| {
+            self.batch_cell(base, grid[i], device, param, ctx)
+        });
+        for (&batch, estimate) in grid.iter().zip(probes) {
             coarse.push((batch, !estimate?.oom_predicted));
         }
         if !coarse.first().map(|&(_, fits)| fits).unwrap_or(false) {
@@ -1977,14 +1903,7 @@ impl EstimationService {
         // Bisect the remaining bracket; probes land in the shared caches.
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let estimate = match &param {
-                Some(param) => self.incremental_cell_on(base, mid, param, device, ctx),
-                None => {
-                    let spec = with_batch(base, mid);
-                    let stages = self.stages_traced(&spec, ctx)?;
-                    self.simulate_on(&JobKey::of(&spec), &stages, device, false, ctx)
-                }
-            };
+            let estimate = self.batch_cell(base, mid, device, param, ctx)?;
             if !estimate.oom_predicted {
                 lo = mid;
             } else {
@@ -1993,6 +1912,24 @@ impl EstimationService {
         }
         Ok(Some(lo))
     }
+}
+
+/// What [`EstimationService::fill_sim_cell`] did with an estimate
+/// computed elsewhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellFill {
+    /// The cell was empty and now holds the estimate, journaled.
+    Filled,
+    /// Nothing changed: the device is unknown, or the cell is already
+    /// present and is never overwritten.
+    Kept,
+    /// The estimate cannot be a cell of the service's estimator, and
+    /// nothing was stored. Every cell's `peak_bytes` is its
+    /// `job_peak_bytes` plus the device's framework bytes plus the
+    /// context allowance; its `tensor_peak_bytes` is at most its
+    /// `job_peak_bytes`; a peak past the device's usable capacity is
+    /// `oom_predicted`; and it carries no usage curve.
+    Rejected,
 }
 
 /// Future resolving to one estimate ([`AsyncEstimationService::submit`]).
@@ -2588,19 +2525,39 @@ mod tests {
     }
 
     #[test]
-    fn ineligible_configs_fall_back_to_full_sweeps() {
-        // Timeline recording reads the clock: the delta model cannot be
-        // proven exact, so the gate must refuse the incremental path.
+    fn every_builtin_default_estimator_admits_the_fit() {
+        for (name, device) in DeviceRegistry::builtin().snapshot() {
+            let estimator = Estimator::new(EstimatorConfig::for_device(device));
+            assert!(estimator.incremental_exact(), "{name}");
+            assert_eq!(
+                estimator.config().orchestrator,
+                xmem_core::Orchestrator::default(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "paper-default estimator")]
+    fn a_timeline_recording_estimator_is_refused() {
         let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
         config.estimator.record_timeline = true;
-        let service = EstimationService::new(config);
-        let batches = [1, 2, 4, 8];
-        let swept = service.sweep(&small_spec(1), &batches);
-        assert!(swept.iter().all(|(_, e)| e.is_ok()));
-        let stats = service.sim_stats();
-        assert_eq!(stats.param_replays, 0);
-        assert_eq!(stats.incremental_cells, 0);
-        assert_eq!(service.profile_runs(), batches.len() as u64);
+        let _ = EstimationService::new(config);
+    }
+
+    #[test]
+    fn a_sweep_row_is_the_estimate_cell_at_its_batch() {
+        let service = EstimationService::for_device(GpuDevice::rtx3060());
+        let swept = service.sweep(&small_spec(1), &[1, 2, 4, 8, 12]);
+        assert_eq!(service.sim_stats().param_replays, 1);
+        let (profiles, runs) = (service.profile_runs(), service.sim_runs());
+        let hits = service.sim_stats().cache.hits;
+        // Batch 2 is not one of the anchors (1, 6, 12).
+        let estimate = service.estimate(&small_spec(2)).unwrap();
+        assert_eq!(&estimate, swept[1].1.as_ref().unwrap());
+        assert_eq!(service.profile_runs(), profiles, "no new profile");
+        assert_eq!(service.sim_runs(), runs, "no new replay");
+        assert_eq!(service.sim_stats().cache.hits, hits + 1, "a cell hit");
     }
 
     #[test]
@@ -2667,13 +2624,8 @@ mod tests {
         let fast = EstimationService::for_device(GpuDevice::rtx3060());
         fast.estimate_matrix(&jobs, &devices).unwrap();
         assert_eq!(fast.sim_stats().replayed_events, per_job);
-        // A service estimator other than the paper default replays outside
-        // the sim cache, and still counts.
-        let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
-        config.estimator.record_timeline = true;
-        let curves = EstimationService::new(config);
-        curves.estimate(&jobs[0]).unwrap();
-        curves.sweep(&jobs[0], &[1, 2]);
+        // A sweep too short for a fit replays each new row in full.
+        fast.sweep(&jobs[0], &[1, 2]);
         let swept: u64 = [1, 2]
             .iter()
             .map(|&b| {
@@ -2683,10 +2635,7 @@ mod tests {
                 roomy.replay_unbounded(&analyzed).events as u64
             })
             .sum();
-        assert_eq!(
-            curves.sim_stats().replayed_events,
-            replays[0].events as u64 + swept
-        );
+        assert_eq!(fast.sim_stats().replayed_events, per_job + swept);
         // A device that runs out of memory stops the replay there.
         let tight = GpuDevice {
             name: "tight",
@@ -2694,42 +2643,136 @@ mod tests {
             framework_bytes: 0,
             init_bytes: 0,
         };
-        let estimate = fast
-            .estimate_with(&jobs[0], &EstimatorConfig::for_device(tight))
-            .unwrap();
+        fast.register_device("tight", tight);
+        let estimate = fast.estimate_on(&jobs[0], "tight").unwrap();
         assert!(estimate.oom_predicted);
-        let walked = fast.sim_stats().replayed_events - per_job;
+        let walked = fast.sim_stats().replayed_events - per_job - swept;
         assert!(0 < walked && walked < replays[0].events as u64, "{walked}");
     }
 
     #[test]
     fn replays_outside_the_sim_cells_count_as_runs_and_full_replays() {
-        let runs = |service: &EstimationService| {
-            let stats = service.sim_stats();
-            assert_eq!(
-                stats.fast_path_hits + stats.full_replays + stats.incremental_cells,
-                stats.sim_runs
-            );
-            (stats.sim_runs, stats.full_replays)
-        };
-        // A customized estimator's default route replays every call.
-        let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
-        config.estimator.record_timeline = true;
-        let curves = EstimationService::new(config);
-        curves.estimate(&small_spec(4)).unwrap();
-        assert_eq!(runs(&curves), (1, 1));
-        curves.estimate(&small_spec(4)).unwrap();
-        assert_eq!(runs(&curves), (2, 2));
         // A sweep too short for a fit replays once per batch.
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         service.sweep(&small_spec(1), &[1, 2, 4]);
-        assert_eq!(runs(&service), (3, 3));
-        // `estimate_with` replays once, on a stage hit as on a miss.
-        let config = EstimatorConfig::for_device(GpuDevice::rtx4060());
-        service.estimate_with(&small_spec(2), &config).unwrap();
-        assert_eq!(runs(&service), (4, 4));
-        service.estimate_with(&small_spec(8), &config).unwrap();
-        assert_eq!(runs(&service), (5, 5));
+        let stats = service.sim_stats();
+        assert_eq!(
+            stats.fast_path_hits + stats.full_replays + stats.incremental_cells,
+            stats.sim_runs
+        );
+        assert_eq!((stats.sim_runs, stats.full_replays), (3, 3));
+    }
+
+    /// Offers `broken` — a valid rtx4060 cell that `break_it` altered —
+    /// as a relayed estimate to a persisting service, which must refuse
+    /// it without inserting or journaling anything, then accept the
+    /// valid cell.
+    fn assert_relayed_cell_refused(tag: &str, break_it: impl FnOnce(&mut Estimate)) {
+        let spec = small_spec(4);
+        let valid = EstimationService::for_device(GpuDevice::rtx3060())
+            .estimate_on(&spec, "rtx4060")
+            .unwrap();
+        let mut broken = valid.clone();
+        break_it(&mut broken);
+        let dir = std::env::temp_dir().join(format!("xmem-cell-fill-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = EstimationService::new(
+            ServiceConfig::for_device(GpuDevice::rtx3060()).with_state_dir(&dir),
+        );
+        let journaled = service.persist_stats().journal_records;
+        assert_eq!(
+            service.fill_sim_cell(&spec, Some("rtx4060"), broken),
+            CellFill::Rejected
+        );
+        assert_eq!(service.cached_cell_estimate(&spec, Some("rtx4060")), None);
+        assert_eq!(service.persist_stats().journal_records, journaled);
+        assert_eq!(
+            service.fill_sim_cell(&spec, Some("rtx4060"), valid.clone()),
+            CellFill::Filled
+        );
+        assert_eq!(
+            service.cached_cell_estimate(&spec, Some("rtx4060")),
+            Some(valid)
+        );
+        assert_eq!(service.persist_stats().journal_records, journaled + 1);
+        drop(service);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_relayed_peak_that_is_not_the_sum_of_its_parts_is_refused() {
+        assert_relayed_cell_refused("peak", |estimate| estimate.peak_bytes += 1);
+    }
+
+    #[test]
+    fn a_relayed_tensor_peak_past_the_job_peak_is_refused() {
+        assert_relayed_cell_refused("tensor", |estimate| {
+            estimate.tensor_peak_bytes = estimate.job_peak_bytes + 1;
+        });
+    }
+
+    #[test]
+    fn a_relayed_peak_past_capacity_without_an_oom_is_refused() {
+        let device = GpuDevice::rtx4060();
+        let allowance = EstimatorConfig::for_device(device).context_allowance;
+        assert_relayed_cell_refused("oom", |estimate| {
+            estimate.job_peak_bytes = device.capacity - device.init_bytes;
+            estimate.peak_bytes = estimate.job_peak_bytes + device.framework_bytes + allowance;
+            estimate.oom_predicted = false;
+        });
+    }
+
+    #[test]
+    fn a_relayed_usage_curve_is_refused() {
+        let curve =
+            Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx4060()).with_timeline())
+                .estimate_job(&small_spec(4))
+                .unwrap()
+                .curve;
+        assert!(!curve.is_empty());
+        assert_relayed_cell_refused("curve", |estimate| estimate.curve = curve);
+    }
+
+    #[test]
+    fn a_relayed_peak_that_overflows_is_refused() {
+        let device = GpuDevice::rtx4060();
+        let allowance = EstimatorConfig::for_device(device).context_allowance;
+        assert_relayed_cell_refused("overflow", |estimate| {
+            estimate.job_peak_bytes = u64::MAX;
+            estimate.peak_bytes = u64::MAX
+                .wrapping_add(device.framework_bytes)
+                .wrapping_add(allowance);
+            estimate.oom_predicted = true;
+        });
+    }
+
+    #[test]
+    fn every_computed_cell_keeps_the_cell_arithmetic() {
+        let service = EstimationService::for_device(GpuDevice::rtx3060());
+        let tight = GpuDevice {
+            name: "tight",
+            capacity: 64 << 20,
+            framework_bytes: 0,
+            init_bytes: 0,
+        };
+        service.register_device("tight", tight);
+        let jobs = [small_spec(4), small_spec(32)];
+        let devices = ["rtx3060", "rtx4060", "a100", "tight"];
+        let matrix = service.estimate_matrix(&jobs, &devices).unwrap();
+        let mut ooms = 0;
+        for row in &matrix.rows {
+            for cell in &row.cells {
+                let estimate = cell.estimate.as_ref().unwrap();
+                let device = service.registry().get(&cell.device).unwrap();
+                assert!(
+                    service.cell_arithmetic_holds(&device, estimate),
+                    "{}",
+                    cell.device
+                );
+                ooms += usize::from(estimate.oom_predicted);
+            }
+        }
+        assert!(ooms > 0, "the tight device runs out of memory");
     }
 
     #[test]

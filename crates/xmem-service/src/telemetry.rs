@@ -140,18 +140,19 @@ impl TraceContext {
         self.trace_id().map(trace_id_hex)
     }
 
-    /// Starts a named span; dropping the returned guard records it.
+    /// Starts a named span; dropping the returned guard records it. On
+    /// a disabled context the span reads no clock.
     #[must_use]
     pub fn span(&self, name: &'static str) -> Span {
-        let start_ns = self
-            .inner
-            .as_ref()
-            .map(|inner| inner.started.elapsed().as_nanos() as u64);
+        let start = self.inner.as_ref().map(|inner| {
+            let started = Instant::now();
+            let start_ns = started.duration_since(inner.started).as_nanos() as u64;
+            (start_ns, started)
+        });
         Span {
             ctx: self.clone(),
             name,
-            start_ns,
-            started: Instant::now(),
+            start,
             // A span that never tags itself completed normally.
             outcome: "ok",
         }
@@ -217,9 +218,9 @@ const MAX_SPANS_PER_TRACE: usize = 256;
 pub struct Span {
     ctx: TraceContext,
     name: &'static str,
-    /// Start offset, `None` when the context is disabled.
-    start_ns: Option<u64>,
-    started: Instant,
+    /// Start offset from the trace's start and the instant it was read;
+    /// `None` when the context is disabled or the span was discarded.
+    start: Option<(u64, Instant)>,
     outcome: &'static str,
 }
 
@@ -235,14 +236,14 @@ impl Span {
     /// Drops the span without recording it: the work it was opened for
     /// turned out to belong to another span.
     pub(crate) fn discard(mut self) {
-        self.start_ns = None;
+        self.start = None;
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let (Some(inner), Some(start_ns)) = (&self.ctx.inner, self.start_ns) {
-            let duration_ns = self.started.elapsed().as_nanos() as u64;
+        if let (Some(inner), Some((start_ns, started))) = (&self.ctx.inner, self.start) {
+            let duration_ns = started.elapsed().as_nanos() as u64;
             inner.record(self.name, start_ns, duration_ns, self.outcome);
         }
     }
@@ -716,6 +717,7 @@ mod tests {
         assert!(!ctx.is_enabled());
         assert!(ctx.trace_id().is_none());
         let mut span = ctx.span("stage.profile");
+        assert!(span.start.is_none(), "a disabled span holds no instant");
         span.set_outcome("hit");
         drop(span);
         ctx.event("cache.stage", "hit");

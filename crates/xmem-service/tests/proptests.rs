@@ -600,25 +600,27 @@ proptest! {
 /// `peak_bytes` both times.
 #[test]
 fn eviction_and_recomputation_reproduce_identical_estimates() {
-    // Capacity 1 over 1 shard. `estimate_with` reads the stages and
-    // replays every call, so no sim cell can answer in their place.
+    // Capacity 1 over 1 shard. Each estimate reads the stages and
+    // replays them sequentially, so no sim cell can answer in their place.
     let mut config = ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_capacity(1);
     config.shards = 1;
     let service = EstimationService::new(config);
-    let estimator = EstimatorConfig::for_device(GpuDevice::rtx3060());
+    let estimator = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
+    let estimate =
+        |spec: &TrainJobSpec| estimator.estimate_analyzed(&service.stages(spec).unwrap().analyzed);
 
     let a = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
     let b = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
 
-    let first_a = service.estimate_with(&a, &estimator).unwrap();
+    let first_a = estimate(&a);
     // The admission gate admits `b` over `a` once `b` is asked more
     // often; asking past that point evicts `a`.
     for _ in 0..4 {
-        service.estimate_with(&b, &estimator).unwrap();
+        estimate(&b);
     }
     assert!(service.cache_stats().evictions >= 1, "b displaced a");
     let profiled = service.profile_runs();
-    let second_a = service.estimate_with(&a, &estimator).unwrap(); // recomputed
+    let second_a = estimate(&a); // recomputed
     assert_eq!(service.profile_runs(), profiled + 1, "a was re-profiled");
     assert_eq!(first_a.peak_bytes, second_a.peak_bytes);
     assert_eq!(first_a, second_a);

@@ -117,7 +117,13 @@ impl Twins {
 
         assert_eq!(answer, expected);
         assert_eq!(async_delta, blocking_delta, "counter deltas differ");
-        let trace = &self.telemetry.recent_traces(1, None)[0];
+        // Found by id: traces finished within one millisecond are not
+        // ordered by finish time.
+        let traces = self.telemetry.recent_traces(usize::MAX, None);
+        let trace = traces
+            .iter()
+            .find(|trace| Some(trace.trace_id) == ctx.trace_id())
+            .expect("the query's trace");
         let count = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
         assert_eq!(count("service.call"), 1, "{:?}", trace.spans);
         let path = match count("pool.queue") {
@@ -247,15 +253,35 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
     );
 }
 
-/// Holds a one-worker pool busy for a while: a sweep that profiles every
-/// one of 48 batch sizes, one after another. Its estimator records a
-/// timeline, which rules out the three-anchor fit by construction (and,
-/// because such estimates are not a cell's, the uncached default route
-/// with it: the queries below name their devices).
+/// A 1 GiB device: roomy for the small CNN jobs below, too small for
+/// DistilGPT-2 with AdamW at any batch.
+const TIGHT: GpuDevice = GpuDevice {
+    name: "tight",
+    capacity: 1 << 30,
+    framework_bytes: 0,
+    init_bytes: 0,
+};
+
+/// A one-thread service whose registry adds [`TIGHT`] to the built-in
+/// fleet, for [`blocker_matrix`].
 fn blocker_service() -> Arc<EstimationService> {
-    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060()).with_threads(1);
-    config.estimator.record_timeline = true;
+    let registry = DeviceRegistry::builtin();
+    registry.register("tight", TIGHT);
+    let config = ServiceConfig::for_device(GpuDevice::rtx3060())
+        .with_threads(1)
+        .with_registry(registry);
     Arc::new(EstimationService::new(config))
+}
+
+/// Work that holds a one-worker pool busy for a while and that no fit
+/// can shorten: a cold matrix of 48 distinct jobs, profiled one after
+/// another. Its cells are read when it is submitted; the pool then only
+/// profiles and replays, and reads no stage entry or cell. On [`TIGHT`]
+/// every cell is capacity-pressured, so none derives from the fast path.
+fn blocker_matrix() -> Vec<TrainJobSpec> {
+    (1..=48)
+        .map(|batch| job(ModelId::DistilGpt2, OptimizerKind::AdamW, batch))
+        .collect()
 }
 
 #[test]
@@ -274,14 +300,9 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
         .expect("idle pool")
         .wait();
 
-    // One worker held by the sweep, the depth-1 queue filled behind it.
-    let sweep = front
-        .sweep(
-            &job(ModelId::DistilGpt2, OptimizerKind::AdamW, 1),
-            &(1..=48).collect::<Vec<_>>(),
-            None,
-            &untraced,
-        )
+    // One worker held by the matrix, the depth-1 queue filled behind it.
+    let blocker = front
+        .matrix(&blocker_matrix(), &["tight"], None, &untraced)
         .expect("idle pool");
     let cold = |batch| job(ModelId::MobileNetV3Small, OptimizerKind::Adam, batch);
     let mut queued = Vec::new();
@@ -294,10 +315,10 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
     }
     assert!(busy, "the pool is saturated");
 
-    // The sweep profiles on the same service meanwhile, so only the
-    // counters it never touches are compared: stage hits (its batches
-    // are all new) and sim-cell traffic (it fills no cell: its replays
-    // count as full replays, never as cell derivations).
+    // The blocker computes on the same service meanwhile, so only the
+    // counters it never touches are compared: stage hits (its jobs are
+    // all new), sim-cell reads (it read its cells when submitted) and
+    // fast-path derivations (its device is pressured).
     let reads = || {
         let stage = service.cache_stats();
         let sims = service.sim_stats();
@@ -362,8 +383,11 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
         Some(SubmitError::Busy)
     );
 
-    assert!(sweep.wait().is_ok());
-    assert_eq!(service.sim_stats().param_replays, 0, "the sweep never fit");
+    let blocked = blocker.wait().expect("the matrix completes");
+    assert!(
+        blocked.rows.iter().all(|row| !row.cells[0].fits()),
+        "every blocker cell is pressured"
+    );
     for future in queued {
         assert!(future.wait().is_ok());
     }

@@ -188,36 +188,6 @@ fn default_estimate_is_served_from_the_primary_device_sim_cell() {
     );
 }
 
-/// A customized estimator (here: timeline recording) is not
-/// representable as a paper-default cell, so its default route stays
-/// uncached: it never reads or writes a sim cell, every answer — usage
-/// curve included — equals `estimate_with` under that estimator, and
-/// each of those replays counts as a sim run and a full replay.
-#[test]
-fn customized_estimator_keeps_the_uncached_default_route() {
-    let device = GpuDevice::rtx3060();
-    let mut config = ServiceConfig::for_device(device);
-    config.estimator = EstimatorConfig::for_device(device).with_timeline();
-    let custom = config.estimator.clone();
-    let service = EstimationService::new(config);
-    for spec in specs_under_test() {
-        let expected = service
-            .estimate_with(&spec, &custom)
-            .expect("estimate_with");
-        assert!(!expected.curve.is_empty(), "the timeline is recorded");
-        for _ in 0..2 {
-            assert_eq!(service.estimate(&spec).expect("estimate"), expected);
-        }
-    }
-    let stats = service.sim_stats();
-    let replays = 3 * specs_under_test().len() as u64;
-    assert_eq!((stats.sim_runs, stats.full_replays), (replays, replays));
-    assert_eq!(
-        stats.cache.hits + stats.cache.misses + stats.cache.insertions,
-        0
-    );
-}
-
 /// A default estimate is journaled as a sim cell, so after a restart the
 /// same request is a cell hit: bit-identical, with zero profile runs and
 /// zero sim runs.

@@ -241,26 +241,3 @@ fn admission_bisection_agrees_across_sweep_strategies() {
         sims.sim_runs
     );
 }
-
-#[test]
-fn ineligible_configs_produce_identical_cells_via_full_replay() {
-    // A timeline-recording estimator cannot use the parameterized path
-    // (the fit has no per-op timeline); the sweep must silently fall
-    // back and still agree cell-for-cell with the default service.
-    let base = base_job();
-    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060());
-    config.estimator.record_timeline = true;
-    let timeline = EstimationService::new(config);
-    let cells = timeline.sweep(&base, &BATCHES);
-    assert_eq!(timeline.sim_stats().param_replays, 0, "gate must reject");
-    assert_eq!(timeline.sim_stats().incremental_cells, 0);
-
-    let default = EstimationService::for_device(GpuDevice::rtx3060());
-    let default_cells = default.sweep(&base, &BATCHES);
-    for ((b1, e1), (b2, e2)) in cells.iter().zip(&default_cells) {
-        assert_eq!(b1, b2);
-        let (e1, e2) = (e1.as_ref().unwrap(), e2.as_ref().unwrap());
-        assert_eq!(e1.peak_bytes, e2.peak_bytes, "batch {b1}");
-        assert_eq!(e1.oom_predicted, e2.oom_predicted, "batch {b1}");
-    }
-}
