@@ -340,33 +340,6 @@ impl Estimator {
         (estimate, sim.events)
     }
 
-    /// Replays a pre-orchestrated event buffer against an unbounded
-    /// device — the buffer-sourced twin of
-    /// [`replay_unbounded`](Self::replay_unbounded), letting sweeps feed
-    /// one materialized buffer to
-    /// [`derive_from_replay`](Self::derive_from_replay) for every roomy
-    /// device in a fleet.
-    #[must_use]
-    pub fn replay_buffer_unbounded(
-        &self,
-        buffer: &EventBuffer,
-        stats: AnalysisStats,
-    ) -> UnboundedReplay {
-        let sim = Simulator {
-            allocator: self.config.allocator.clone(),
-            capacity: None,
-            framework_bytes: 0,
-            record_timeline: false,
-        }
-        .replay_buffer(buffer);
-        UnboundedReplay {
-            peak_reserved: sim.peak_reserved,
-            peak_allocated: sim.peak_allocated,
-            events: sim.events,
-            stats,
-        }
-    }
-
     /// Profiles the job on the CPU backend, then estimates — the
     /// end-to-end a-priori workflow of the paper's Fig. 4 — unchanged by
     /// the fast path, which serving layers opt into explicitly.

@@ -391,11 +391,6 @@ impl ServerMetrics {
         let tiers = [
             ("stage", service.cache_stats(), service.stage_tier_stats()),
             (
-                "replay",
-                service.replay_cache_stats(),
-                service.replay_tier_stats(),
-            ),
-            (
                 "param",
                 service.param_cache_stats(),
                 service.param_tier_stats(),
@@ -553,7 +548,7 @@ impl ServerMetrics {
         counter(
             &mut out,
             "xmem_sim_fast_path_hits_total",
-            "Cells derived from a cached unbounded replay",
+            "Cells derived from an unbounded replay their request shares",
             sims.fast_path_hits,
         );
         counter(
@@ -577,7 +572,7 @@ impl ServerMetrics {
         counter(
             &mut out,
             "xmem_sim_unbounded_replays_total",
-            "Unbounded seed replays executed",
+            "Unbounded replays executed, at most one per job per request",
             sims.unbounded_replays,
         );
         counter(

@@ -28,8 +28,8 @@
 //!   per-query deadlines, and [`SubmitError::Busy`] backpressure instead
 //!   of unbounded queues. Concurrent identical queries **single-flight**
 //!   onto one profile run ([`FlightStats`]), and Analyzer failures for
-//!   degenerate jobs are remembered in a TTL'd negative cache
-//!   ([`NegativeStats`]);
+//!   degenerate jobs are remembered in a negative cache
+//!   ([`EstimationService::negative_stats`]);
 //! * the **multi-device sharded simulation layer** makes one service
 //!   instance the per-cluster estimator: a [`DeviceRegistry`] of named
 //!   [`GpuDevice`](xmem_runtime::GpuDevice) configs (loadable from a
@@ -64,7 +64,6 @@ mod executor;
 mod future;
 pub mod jobspec;
 mod key;
-mod negative;
 mod persist;
 pub mod placement;
 mod registry;
@@ -79,7 +78,6 @@ pub use cache::{CacheStats, ShardedLruCache};
 pub use executor::{block_on, join_all, Executor, JoinAll, SubmitError, WorkerPool};
 pub use future::{promise_pair, LateOutcome, PoolFuture, Promise};
 pub use key::{JobKey, SweepKey};
-pub use negative::{NegativeCache, NegativeStats};
 pub use persist::{
     PersistStats, Snapshotter, JOURNAL_FILE, SNAPSHOT_FILE, SNAPSHOT_TMP_FILE, STATE_FORMAT_VERSION,
 };

@@ -93,7 +93,10 @@ pub(crate) enum StateRecord {
         job: JobKey,
         analyzed: AnalyzedTrace,
     },
-    /// An unbounded-replay cache insert.
+    /// An insert into the unbounded-replay cache of older binaries. No
+    /// service writes it any more; it stays decodable so their state
+    /// dirs boot (an undecodable frame would end recovery like a torn
+    /// tail), and it is dropped at import, counted as skipped.
     Replay {
         job: JobKey,
         replay: UnboundedReplay,
@@ -106,14 +109,14 @@ pub(crate) enum StateRecord {
     },
     /// A parameterized-replay (incremental sweep) fit for one job
     /// family. Exported after every other record kind so binaries that
-    /// predate the variant still recover the full Stage/Replay/Sim
-    /// prefix.
+    /// predate the variant still recover the full Stage/Sim prefix.
     Param {
         family: SweepKey,
         replay: ParamReplay,
     },
     /// The learned adaptive-tiering state of one cache tier (`"stage"`,
-    /// `"replay"`, `"param"`, or `"sim"`): the mean learned protected
+    /// `"param"`, or `"sim"`; any other name is skipped at import): the
+    /// mean learned protected
     /// fraction in permille and the frequency sketch's decay epoch.
     /// Integers only, so the record is bit-exact across round trips.
     /// Exported **last** — after `Param`, keeping the downgrade-tolerant
@@ -148,8 +151,9 @@ pub struct PersistStats {
     /// Torn or corrupt tails detected during recovery (per file; a
     /// checksum-invalid snapshot header also counts once).
     pub recovery_truncated: u64,
-    /// Valid records skipped at boot because their device fingerprint
-    /// matched no registered device.
+    /// Valid records skipped at boot: sim cells whose device fingerprint
+    /// matched no registered device, `Replay` records, and tuner state
+    /// of tiers this binary does not have.
     pub recovery_skipped: u64,
     /// Size of the current snapshot file in bytes.
     pub snapshot_bytes: u64,

@@ -7,7 +7,6 @@ use crate::cache::{CacheStats, ShardedLruCache};
 use crate::executor::{settle_or_defer, Probe, SubmitError, WorkerPool};
 use crate::future::{promise_pair, PoolFuture};
 use crate::key::{JobKey, SweepKey};
-use crate::negative::{NegativeCache, NegativeStats};
 use crate::persist::{PersistStats, PersistedDevice, Persister, StateRecord};
 use crate::registry::DeviceRegistry;
 use crate::simcache::{DeviceFingerprint, SimShards, SimStats};
@@ -17,8 +16,8 @@ use crate::tiering::{TierStats, INITIAL_PROTECTED_FRAC};
 use crate::timer::DeadlineTimer;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 use xmem_core::{
     AnalyzedTrace, Analyzer, DeviceMatrix, DevicePlacement, Estimate, EstimateError, Estimator,
     EstimatorConfig, MatrixCell, MatrixRow, ParamReplay, UnboundedReplay,
@@ -29,15 +28,18 @@ use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
 /// which device configuration.
 type SimKey = (JobKey, DeviceFingerprint);
 
+/// One job's unbounded replay, computed at most once for the cells of
+/// that job one request fills (see
+/// [`EstimationService::simulate_cell`]).
+type SharedReplay = OnceLock<UnboundedReplay>;
+
 /// What a single-estimate probe read and could not answer from: the
-/// stage entry (`None` when it missed) and the cell to fill.
+/// stage entry (`None` when it missed) and the device whose cell to fill.
 #[derive(Debug)]
 struct EstimateFill {
     key: JobKey,
     stages: Option<Arc<ProfiledStages>>,
-    /// The cell's device and whether its replay seeds the
-    /// unbounded-replay cache.
-    cell: (GpuDevice, bool),
+    device: GpuDevice,
 }
 
 /// What a matrix probe read: every row's stage entry and every cell,
@@ -116,8 +118,8 @@ const MAX_DEVICE_SHARDS: usize = 64;
 
 /// Configuration of an [`EstimationService`].
 ///
-/// Every cache tier the service owns (stage, replay, param, and the
-/// per-device sim shards) runs adaptive tiering: a self-tuning
+/// Every cache tier the service owns (stage, param, and the per-device
+/// sim shards) runs adaptive tiering: a self-tuning
 /// segmented LRU with frequency-sketch admission (see
 /// [`ShardedLruCache::with_adaptive_tiering`]).
 #[derive(Debug, Clone)]
@@ -135,10 +137,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Worker threads for [`EstimationService::sweep`] (0 = all cores).
     pub threads: usize,
-    /// How long an Analyzer failure for a degenerate job is remembered
-    /// before the job is re-verified. `Duration::ZERO` disables negative
-    /// caching.
-    pub negative_ttl: Duration,
     /// Named simulation targets for matrix / placement queries
     /// ([`EstimationService::estimate_matrix`],
     /// [`EstimationService::best_device_for_job`]).
@@ -157,8 +155,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Service defaults (16-way sharded 256-entry cache, all cores,
-    /// 30-second negative TTL, built-in device registry) for a target
-    /// device.
+    /// built-in device registry) for a target device.
     #[must_use]
     pub fn for_device(device: GpuDevice) -> Self {
         ServiceConfig {
@@ -166,7 +163,6 @@ impl ServiceConfig {
             cache_capacity: 256,
             shards: 16,
             threads: 0,
-            negative_ttl: Duration::from_secs(30),
             registry: DeviceRegistry::builtin(),
             cache_bytes_budget: None,
             state_dir: None,
@@ -191,13 +187,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the negative-caching TTL (`Duration::ZERO` disables it).
-    #[must_use]
-    pub fn with_negative_ttl(mut self, ttl: Duration) -> Self {
-        self.negative_ttl = ttl;
         self
     }
 
@@ -251,8 +240,10 @@ pub struct EstimationService {
     /// In-flight dedup: concurrent misses for one key coalesce onto a
     /// single profile/analyze run.
     flights: SingleFlight<JobKey, Result<Arc<ProfiledStages>, EstimateError>>,
-    /// TTL'd memory of Analyzer failures for degenerate jobs.
-    negative: NegativeCache<JobKey, EstimateError>,
+    /// Memory of Analyzer failures for degenerate jobs. A failure is a
+    /// pure function of the job key (profiling is deterministic), so an
+    /// entry never goes stale; the LRU only bounds how many are kept.
+    negative: ShardedLruCache<JobKey, EstimateError>,
     /// Per-device simulation shards: one LRU of `(job key → estimate)`
     /// per device configuration, fed by every single-estimate, matrix,
     /// placement, sweep and admission path. The
@@ -264,13 +255,6 @@ pub struct EstimationService {
     /// down: concurrent identical `(analysis, device)` replays coalesce
     /// onto one simulation.
     sim_flights: SingleFlight<SimKey, Estimate>,
-    /// The pressure-aware fast path's seed cache: one device-independent
-    /// unbounded replay per job key, from which every roomy device's cell
-    /// is derived in O(1).
-    replays: ShardedLruCache<JobKey, Arc<UnboundedReplay>>,
-    /// In-flight dedup of unbounded replays (concurrent cells of one job
-    /// on different devices coalesce onto a single replay).
-    replay_flights: SingleFlight<JobKey, Arc<UnboundedReplay>>,
     /// The incremental sweep's fit cache: one parameterized replay (or a
     /// remembered rejection) per batch-invariant job family.
     params: ShardedLruCache<SweepKey, Arc<ParamOutcome>>,
@@ -304,11 +288,9 @@ impl EstimationService {
         if let Some(budget) = config.cache_bytes_budget {
             cache = cache.with_bytes_budget(budget, stages_weight);
         }
-        let negative = NegativeCache::new(config.negative_ttl, NEGATIVE_CAPACITY);
+        let negative = ShardedLruCache::new(NEGATIVE_CAPACITY, config.shards);
         let sims = SimShards::new(config.cache_capacity, config.shards)
             .with_max_devices(MAX_DEVICE_SHARDS);
-        let replays = ShardedLruCache::new(config.cache_capacity, config.shards)
-            .with_adaptive_tiering(INITIAL_PROTECTED_FRAC);
         let mut service = EstimationService {
             config,
             cache,
@@ -316,8 +298,6 @@ impl EstimationService {
             negative,
             sims,
             sim_flights: SingleFlight::new(),
-            replays,
-            replay_flights: SingleFlight::new(),
             params: ShardedLruCache::new(PARAM_CACHE_CAPACITY, 4)
                 .with_adaptive_tiering(INITIAL_PROTECTED_FRAC),
             param_flights: SingleFlight::new(),
@@ -358,7 +338,9 @@ impl EstimationService {
     /// re-journaling them), returning `(imported, skipped)`. Sim cells
     /// are re-attached by matching their persisted device fingerprint
     /// field-for-field against the boot-time registry; cells for devices
-    /// no longer registered are skipped.
+    /// no longer registered are skipped. `Replay` records, which older
+    /// binaries wrote for a retired unbounded-replay cache, are skipped
+    /// too.
     fn import_records(&self, records: Vec<StateRecord>) -> (u64, u64) {
         let mut devices: Vec<GpuDevice> = self
             .config
@@ -379,10 +361,7 @@ impl EstimationService {
                         .insert(job, Arc::new(ProfiledStages { analyzed }));
                     imported += 1;
                 }
-                StateRecord::Replay { job, replay } => {
-                    self.replays.insert(job, Arc::new(replay));
-                    imported += 1;
-                }
+                StateRecord::Replay { .. } => skipped += 1,
                 StateRecord::Sim {
                     device,
                     job,
@@ -423,11 +402,6 @@ impl EstimationService {
                         self.cache.restore_learned_state(frac_permille, decay_epoch);
                         imported += 1;
                     }
-                    "replay" => {
-                        self.replays
-                            .restore_learned_state(frac_permille, decay_epoch);
-                        imported += 1;
-                    }
                     "param" => {
                         self.params
                             .restore_learned_state(frac_permille, decay_epoch);
@@ -447,9 +421,9 @@ impl EstimationService {
     }
 
     /// Every resident cache entry as persistence records, in snapshot
-    /// order: stage entries, unbounded replays, sim cells,
-    /// parameterized-replay fits, then learned tuner state (each cache
-    /// layer LRU-first, so replaying the sequence restores recency).
+    /// order: stage entries, sim cells, parameterized-replay fits, then
+    /// learned tuner state (each cache layer LRU-first, so replaying the
+    /// sequence restores recency).
     /// Newer record variants sort after older ones so binaries that
     /// predate them still recover the whole preceding prefix.
     fn export_records(&self) -> Vec<StateRecord> {
@@ -458,12 +432,6 @@ impl EstimationService {
             records.push(StateRecord::Stage {
                 job,
                 analyzed: stages.analyzed.clone(),
-            });
-        }
-        for (job, replay) in self.replays.export() {
-            records.push(StateRecord::Replay {
-                job,
-                replay: (*replay).clone(),
             });
         }
         for (fingerprint, cells) in self.sims.export() {
@@ -495,9 +463,8 @@ impl EstimationService {
         // Tuner records come last — newest variant, same downgrade
         // convention as `Param` above: older binaries recover the whole
         // preceding prefix and only lose the learned splits.
-        let tuners: [(&str, Option<(u32, u64)>); 4] = [
+        let tuners: [(&str, Option<(u32, u64)>); 3] = [
             ("stage", self.cache.learned_state()),
-            ("replay", self.replays.learned_state()),
             ("param", self.params.learned_state()),
             ("sim", Some(self.sims.learned_state())),
         ];
@@ -554,13 +521,6 @@ impl EstimationService {
         self.cache.stats()
     }
 
-    /// Counters of the unbounded-replay seed cache (the fast path's
-    /// device-independent tier).
-    #[must_use]
-    pub fn replay_cache_stats(&self) -> CacheStats {
-        self.replays.stats()
-    }
-
     /// Counters of the parameterized-replay fit cache (the incremental
     /// sweep's tier).
     #[must_use]
@@ -574,12 +534,6 @@ impl EstimationService {
     #[must_use]
     pub fn stage_tier_stats(&self) -> TierStats {
         self.cache.tier_stats()
-    }
-
-    /// Tier geometry and occupancy of the unbounded-replay cache.
-    #[must_use]
-    pub fn replay_tier_stats(&self) -> TierStats {
-        self.replays.tier_stats()
     }
 
     /// Tier geometry and occupancy of the parameterized-replay fit cache.
@@ -604,7 +558,7 @@ impl EstimationService {
     /// Negative-cache counters (hits/insertions/evictions), exposed
     /// alongside the positive [`cache_stats`](Self::cache_stats).
     #[must_use]
-    pub fn negative_stats(&self) -> NegativeStats {
+    pub fn negative_stats(&self) -> CacheStats {
         self.negative.stats()
     }
 
@@ -679,8 +633,8 @@ impl EstimationService {
     ///
     /// Concurrent misses for the same key are **single-flighted**: one
     /// caller profiles, the rest block on its result. Analyzer failures
-    /// land in a TTL'd negative cache so degenerate jobs are not
-    /// re-profiled on every query.
+    /// land in a negative cache so degenerate jobs are not re-profiled
+    /// on every query.
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs (possibly from
@@ -749,7 +703,7 @@ impl EstimationService {
             if let Some(hit) = self.cache.peek(key) {
                 return Ok(hit);
             }
-            if let Some(error) = self.negative.get(key) {
+            if let Some(error) = self.negative.peek(key) {
                 return Err(error);
             }
             self.profiles.fetch_add(1, Ordering::Relaxed);
@@ -796,9 +750,8 @@ impl EstimationService {
     /// The answer is the primary device's sim cell — the same cell
     /// [`estimate_on`](Self::estimate_on) reads for that device and a
     /// [`sweep`](Self::sweep) row at that batch holds — so a warm repeat
-    /// is a cell hit with no allocator replay. A miss fills the cell but
-    /// never seeds the unbounded-replay cache (a one-off job pays one
-    /// replay).
+    /// is a cell hit with no allocator replay. A miss fills the cell with
+    /// one bounded replay.
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs.
@@ -835,9 +788,7 @@ impl EstimationService {
     /// [`probe_estimate`](Self::probe_estimate) for a device named as
     /// [`estimate_at`](Self::estimate_at) names it (see
     /// [`cell_device`](Self::cell_device)); an unknown name is the whole
-    /// answer. Named devices seed the unbounded-replay cache, since a
-    /// fleet query for the same job usually follows; the default route
-    /// does not.
+    /// answer.
     fn probe_estimate_at(
         &self,
         spec: &TrainJobSpec,
@@ -845,7 +796,7 @@ impl EstimationService {
         ctx: &TraceContext,
     ) -> Probe<Result<Estimate, EstimateError>, EstimateFill> {
         match self.cell_device(device_name) {
-            Some(device) => self.probe_estimate(spec, (device, device_name.is_some()), ctx),
+            Some(device) => self.probe_estimate(spec, device, ctx),
             None => Probe::Done(Err(EstimateError::UnknownDevice(
                 device_name.unwrap_or_default().to_string(),
             ))),
@@ -853,14 +804,14 @@ impl EstimationService {
     }
 
     /// The read half of a single estimate: one counted stage read (on a
-    /// miss, the negative cache), then one counted read of the cell
-    /// `(device, seed)` names. A cell hit or a remembered failure is the
-    /// whole answer, and a missing stage entry is not loaded for it;
-    /// anything else is left to [`fill_estimate`](Self::fill_estimate).
+    /// miss, the negative cache), then one counted read of `device`'s
+    /// cell. A cell hit or a remembered failure is the whole answer, and
+    /// a missing stage entry is not loaded for it; anything else is left
+    /// to [`fill_estimate`](Self::fill_estimate).
     fn probe_estimate(
         &self,
         spec: &TrainJobSpec,
-        cell: (GpuDevice, bool),
+        device: GpuDevice,
         ctx: &TraceContext,
     ) -> Probe<Result<Estimate, EstimateError>, EstimateFill> {
         let key = JobKey::of(spec);
@@ -868,16 +819,21 @@ impl EstimationService {
             Ok(stages) => stages,
             Err(error) => return Probe::Done(Err(error)),
         };
-        if let Some(hit) = self.sims.shard(&cell.0).get(&key) {
+        if let Some(hit) = self.sims.shard(&device).get(&key) {
             ctx.event("cache.sim", "hit");
             return Probe::Done(Ok(hit));
         }
-        Probe::Fill(EstimateFill { key, stages, cell })
+        Probe::Fill(EstimateFill {
+            key,
+            stages,
+            device,
+        })
     }
 
     /// The compute half of a single estimate: loads the stages the probe
     /// missed, then replays the missed cell. Reads nothing the probe
-    /// counted.
+    /// counted. A lone cell has no other cell of its job to share an
+    /// unbounded replay with, so it pays one bounded replay.
     fn fill_estimate(
         &self,
         spec: &TrainJobSpec,
@@ -887,8 +843,7 @@ impl EstimationService {
         let stages = fill
             .stages
             .map_or_else(|| self.load_stages(spec, &fill.key, ctx), Ok)?;
-        let (device, seed) = fill.cell;
-        Ok(self.simulate_cell(&fill.key, &stages, device, seed, ctx))
+        Ok(self.simulate_cell(&fill.key, &stages, fill.device, None, ctx))
     }
 
     /// One row of a single-device batch grid ([`sweep`](Self::sweep) on
@@ -896,9 +851,7 @@ impl EstimationService {
     /// [`max_batch_for_device`](Self::max_batch_for_device)): `base` at
     /// `batch` on `device`, a cell like any other. With a fit the cell is
     /// materialized from it; without one it is exactly the
-    /// [`estimate_on`](Self::estimate_on) cell, except that its replay
-    /// never seeds the unbounded-replay cache (grid batches rarely
-    /// repeat).
+    /// [`estimate_on`](Self::estimate_on) cell.
     fn batch_cell(
         &self,
         base: &TrainJobSpec,
@@ -911,25 +864,8 @@ impl EstimationService {
             return Ok(self.incremental_cell_on(base, batch, param, device, ctx));
         }
         let spec = with_batch(base, batch);
-        self.probe_estimate(&spec, (device, false), ctx)
+        self.probe_estimate(&spec, device, ctx)
             .or_fill(|fill| self.fill_estimate(&spec, fill, ctx))
-    }
-
-    /// Runs one allocator replay under a `sim.replay` span tagged
-    /// `outcome` and counts the events it walked, so the span time and
-    /// [`SimStats::replayed_events`] measure the same work. `replay`
-    /// returns its result with that event count.
-    fn counted_replay<T>(
-        &self,
-        ctx: &TraceContext,
-        outcome: &'static str,
-        replay: impl FnOnce() -> (T, usize),
-    ) -> T {
-        let mut span = ctx.span("sim.replay");
-        span.set_outcome(outcome);
-        let (result, events) = replay();
-        self.sims.count_replayed_events(events);
-        result
     }
 
     /// Replays already-analyzed stages against one device, through the
@@ -937,38 +873,22 @@ impl EstimationService {
     /// [`EstimatorConfig::for_device`] for `device`, so results are
     /// bit-identical to a sequential `Estimator` built the same way.
     ///
-    /// **Pressure-aware fast path**: the job replays *once* on an
-    /// unbounded simulator (cached per [`JobKey`]), and any device whose
-    /// usable capacity covers that replay's segment peak derives its cell
-    /// in O(1) — only capacity-pressured devices, where reclaim/OOM can
-    /// diverge, pay a full stateful replay. Either way the cell is
-    /// bit-identical (see [`SimStats::fast_path_hits`] /
-    /// [`SimStats::full_replays`](crate::SimStats::full_replays) for the
-    /// split).
-    ///
     /// Concurrent identical cells single-flight onto one simulation;
-    /// repeats hit the device's shard.
-    ///
-    /// `seed` controls *seeding* the unbounded-replay cache. Single-device
-    /// probe loops whose keys never repeat (admission-control bisection:
-    /// every probe is a distinct batch) pass `seed = false` — paying an
-    /// unbounded replay that only a pressured bounded replay would follow
-    /// costs ~2× the pre-fast-path work, with no later cell to amortize
-    /// it. A seed some *other* path already cached is still used (peeked,
-    /// never created).
+    /// repeats hit the device's shard. See
+    /// [`simulate_cell`](Self::simulate_cell) for `shared`.
     fn simulate_on(
         &self,
         key: &JobKey,
         stages: &ProfiledStages,
         device: GpuDevice,
-        seed: bool,
+        shared: Option<&SharedReplay>,
         ctx: &TraceContext,
     ) -> Estimate {
         if let Some(hit) = self.sims.shard(&device).get(key) {
             ctx.event("cache.sim", "hit");
             return hit;
         }
-        self.simulate_cell(key, stages, device, seed, ctx)
+        self.simulate_cell(key, stages, device, shared, ctx)
     }
 
     /// The miss half of [`simulate_on`](Self::simulate_on):
@@ -976,12 +896,24 @@ impl EstimationService {
     /// probe counted the miss; this half only peeks).
     /// [`estimate_matrix`](Self::estimate_matrix), which probes its cells
     /// in bulk, enters here.
+    ///
+    /// **Pressure-aware fast path**: `shared` is the job's unbounded
+    /// replay for the cells of one request (a matrix row, a placement
+    /// walk). The first cell to lead a sim flight computes it, and any
+    /// device whose usable capacity covers that replay's segment peak
+    /// derives its cell in O(1); only capacity-pressured devices, where
+    /// reclaim/OOM can diverge, pay a full stateful replay. A lone cell
+    /// (`shared = None`) has no other cell to amortize an unbounded
+    /// replay over, so it pays one bounded replay. Either way the cell
+    /// is bit-identical (see [`SimStats::fast_path_hits`] /
+    /// [`SimStats::full_replays`](crate::SimStats::full_replays) for the
+    /// split).
     fn simulate_cell(
         &self,
         key: &JobKey,
         stages: &ProfiledStages,
         device: GpuDevice,
-        seed: bool,
+        shared: Option<&SharedReplay>,
         ctx: &TraceContext,
     ) -> Estimate {
         let sim_key = (key.clone(), DeviceFingerprint::of(&device));
@@ -996,12 +928,18 @@ impl EstimationService {
             }
             let mut replay_span = ctx.span("sim.replay");
             let estimator = Estimator::new(EstimatorConfig::for_device(device));
-            let replay = if seed {
-                Some(self.unbounded_replay(key, stages, &estimator, ctx))
-            } else {
-                self.replays.peek(key)
-            };
-            let derived = replay.and_then(|replay| estimator.derive_from_replay(&replay));
+            // Every cell's estimator shares the orchestrator and allocator
+            // configuration, so one unbounded replay serves every device.
+            let derived = shared.and_then(|shared| {
+                let replay = shared.get_or_init(|| {
+                    let _span = ctx.span("sim.unbounded");
+                    self.sims.count_unbounded();
+                    let replay = estimator.replay_unbounded(&stages.analyzed);
+                    self.sims.count_replayed_events(replay.events);
+                    replay
+                });
+                estimator.derive_from_replay(replay)
+            });
             self.sims.count_run();
             let estimate = match derived {
                 Some(estimate) => {
@@ -1052,41 +990,6 @@ impl EstimationService {
                 estimate: estimate.clone(),
             });
         }
-    }
-
-    /// The cached unbounded replay for `key`, computed (and
-    /// single-flighted) on first use. `estimator` only contributes its
-    /// orchestrator/allocator configuration, which is identical for every
-    /// named-device path ([`EstimatorConfig::for_device`]), so replays
-    /// are shared across devices.
-    fn unbounded_replay(
-        &self,
-        key: &JobKey,
-        stages: &ProfiledStages,
-        estimator: &Estimator,
-        ctx: &TraceContext,
-    ) -> Arc<UnboundedReplay> {
-        if let Some(hit) = self.replays.get(key) {
-            return hit;
-        }
-        self.replay_flights.run(key, || {
-            if let Some(hit) = self.replays.peek(key) {
-                return hit;
-            }
-            let _span = ctx.span("sim.unbounded");
-            self.sims.count_unbounded();
-            let replay = Arc::new(estimator.replay_unbounded(&stages.analyzed));
-            self.sims.count_replayed_events(replay.events);
-            self.replays.insert(key.clone(), Arc::clone(&replay));
-            if let Some(persister) = &self.persist {
-                persister.append(&StateRecord::Replay {
-                    job: key.clone(),
-                    replay: (*replay).clone(),
-                });
-                ctx.event("persist.journal", "replay");
-            }
-            replay
-        })
     }
 
     /// The parameterized replay proven over `[lo, hi]` for `base`'s job
@@ -1186,67 +1089,9 @@ impl EstimationService {
         self.param_for(base, distinct[0], *distinct.last().expect("non-empty"), ctx)
     }
 
-    /// Every device's cell for `base` at `batch`, served from the
-    /// parameterized replay: shard hits first; one buffer
-    /// materialization then backs every remaining device — roomy
-    /// devices derive in O(1) from a single unbounded buffer replay,
-    /// pressured ones replay the buffer against their bounded simulator.
-    /// Cells land in the sim shards and the journal exactly like the
-    /// full matrix path's.
-    fn incremental_cells(
-        &self,
-        base: &TrainJobSpec,
-        batch: usize,
-        param: &ParamReplay,
-        devices: &[GpuDevice],
-        ctx: &TraceContext,
-    ) -> Vec<Estimate> {
-        let spec = with_batch(base, batch);
-        let key = JobKey::of(&spec);
-        let mut cells: Vec<Option<Estimate>> = devices
-            .iter()
-            .map(|device| self.sims.shard(device).get(&key))
-            .collect();
-        if cells.iter().all(Option::is_some) {
-            return cells.into_iter().flatten().collect();
-        }
-        let buffer = param.materialize(batch);
-        let stats = param.stats_for(batch);
-        // One unbounded buffer replay backs the whole row's derivations
-        // (it is not a replay-cache seed: probe batches rarely repeat,
-        // and the buffer is cheaper to rebuild than to retain).
-        let replay = self.counted_replay(ctx, "incremental", || {
-            let replay = Estimator::new(EstimatorConfig::for_device(devices[0]))
-                .replay_buffer_unbounded(&buffer, stats.clone());
-            let events = replay.events;
-            (replay, events)
-        });
-        for (slot, device) in cells.iter_mut().zip(devices) {
-            if slot.is_some() {
-                continue;
-            }
-            let estimator = Estimator::new(EstimatorConfig::for_device(*device));
-            self.sims.count_run();
-            self.sims.count_incremental();
-            ctx.event("sim.incremental", "cell");
-            let estimate = estimator.derive_from_replay(&replay).unwrap_or_else(|| {
-                self.counted_replay(ctx, "incremental", || {
-                    estimator.estimate_buffer_counted(&buffer, stats.clone())
-                })
-            });
-            self.sims
-                .shard(device)
-                .insert(key.clone(), estimate.clone());
-            self.journal_sim(&DeviceFingerprint::of(device), &key, &estimate);
-            *slot = Some(estimate);
-        }
-        cells.into_iter().flatten().collect()
-    }
-
     /// One incremental cell on a single device (a sweep row or an
-    /// admission probe). Grid batches rarely repeat, so the unbounded
-    /// derivation leg is skipped — one bounded buffer replay is the
-    /// cheapest exact answer on any device, roomy or pressured.
+    /// admission probe): one bounded buffer replay, the cheapest exact
+    /// answer for a lone cell on any device, roomy or pressured.
     fn incremental_cell_on(
         &self,
         base: &TrainJobSpec,
@@ -1264,10 +1109,12 @@ impl EstimationService {
         self.sims.count_run();
         self.sims.count_incremental();
         ctx.event("sim.incremental", "cell");
-        let estimate = self.counted_replay(ctx, "incremental", || {
-            Estimator::new(EstimatorConfig::for_device(device))
-                .estimate_buffer_counted(&param.materialize(batch), param.stats_for(batch))
-        });
+        let mut span = ctx.span("sim.replay");
+        span.set_outcome("incremental");
+        let (estimate, events) = Estimator::new(EstimatorConfig::for_device(device))
+            .estimate_buffer_counted(&param.materialize(batch), param.stats_for(batch));
+        self.sims.count_replayed_events(events);
+        drop(span);
         self.sims
             .shard(&device)
             .insert(key.clone(), estimate.clone());
@@ -1276,12 +1123,12 @@ impl EstimationService {
     }
 
     /// Estimates `spec` on an explicit device configuration through the
-    /// shared cache layers — the analysis cache, the unbounded-replay
-    /// cache, and `device`'s simulation shard — without requiring the
-    /// device to be registered by name. This is the entry point batch
-    /// consumers (evaluation campaigns, benchmark harnesses) use to get
-    /// the same "one analysis, one replay, N derivations" collapse the
-    /// named matrix paths enjoy. Results are bit-identical to a
+    /// shared cache layers — the analysis cache and `device`'s simulation
+    /// shard — without requiring the device to be registered by name.
+    /// This is the entry point batch consumers (evaluation campaigns,
+    /// benchmark harnesses) use to share one analysis across devices; a
+    /// missed cell pays one bounded replay, like
+    /// [`estimate_on`](Self::estimate_on). Results are bit-identical to a
     /// sequential [`Estimator`] over [`EstimatorConfig::for_device`].
     ///
     /// # Errors
@@ -1292,7 +1139,7 @@ impl EstimationService {
         device: GpuDevice,
     ) -> Result<Estimate, EstimateError> {
         let ctx = TraceContext::disabled();
-        self.probe_estimate(spec, (device, true), &ctx)
+        self.probe_estimate(spec, device, &ctx)
             .or_fill(|fill| self.fill_estimate(spec, fill, &ctx))
     }
 
@@ -1520,7 +1367,10 @@ impl EstimationService {
 
     /// The compute half of a matrix: rows a missed cell needs but the
     /// stage cache lacks profile once each, in parallel (distinct jobs
-    /// profile side by side); then only the missed cells replay.
+    /// profile side by side); then only the missed cells replay. The
+    /// missed cells of one row share one unbounded replay, which the
+    /// first of them to lead a sim flight computes: a row whose cells all
+    /// coalesce onto other requests' flights computes none.
     fn fill_matrix(
         &self,
         specs: &[TrainJobSpec],
@@ -1551,6 +1401,7 @@ impl EstimationService {
         for (j, outcome) in cold.into_iter().zip(loaded) {
             stages[j] = Some(outcome);
         }
+        let row_replays: Vec<SharedReplay> = (0..jobs).map(|_| OnceLock::new()).collect();
         let filled = self.parallel_fill(misses.len(), |i| {
             let (device_index, job_index) = (misses[i] / jobs, misses[i] % jobs);
             match stages[job_index].as_ref().expect("read or loaded above") {
@@ -1558,7 +1409,7 @@ impl EstimationService {
                     &keys[job_index],
                     stages,
                     resolved[device_index],
-                    true,
+                    Some(&row_replays[job_index]),
                     ctx,
                 )),
                 Err(error) => Err(error.clone()),
@@ -1568,74 +1419,6 @@ impl EstimationService {
             cells[c] = Some(outcome);
         }
         Ok(assemble_matrix(specs, devices, cells))
-    }
-
-    /// Batch-size sweep across a device fleet: one matrix whose rows are
-    /// `base` at each batch in `batches` (in `batches` order) and whose
-    /// columns are the named devices.
-    ///
-    /// A qualifying sweep (see [`sweep`](Self::sweep)) profiles three
-    /// anchor batches, fits one parameterized replay, and materializes
-    /// every row from it — one unbounded buffer replay per row then
-    /// derives each roomy device's cell in O(1), so the whole matrix
-    /// costs 3 profiles + B replays instead of B profiles + B × D
-    /// replays. Otherwise each distinct batch profiles once and its
-    /// analysis replays against all devices. Cells are bit-identical
-    /// either way and land in the same per-device shards.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] naming the first unknown device.
-    pub fn sweep_matrix(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        devices: &[&str],
-    ) -> Result<DeviceMatrix, EstimateError> {
-        self.sweep_matrix_traced(base, batches, devices, &TraceContext::disabled())
-    }
-
-    /// [`sweep_matrix`](Self::sweep_matrix) under a request trace.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] naming the first unknown device.
-    pub fn sweep_matrix_traced(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        devices: &[&str],
-        ctx: &TraceContext,
-    ) -> Result<DeviceMatrix, EstimateError> {
-        // Every cell simulates under the paper-default
-        // `EstimatorConfig::for_device`, which admits the fit by
-        // construction; only the sweep's shape decides.
-        if let Some(param) = self.sweep_param(base, batches, ctx) {
-            let resolved = self.registry().resolve(devices)?;
-            let rows_cells = self.parallel_fill(batches.len(), |i| {
-                self.incremental_cells(base, batches[i], &param, &resolved, ctx)
-            });
-            let device_names: Vec<String> = devices.iter().map(|&d| d.to_string()).collect();
-            let rows = batches
-                .iter()
-                .zip(rows_cells)
-                .map(|(&batch, cells)| MatrixRow {
-                    spec: with_batch(base, batch),
-                    cells: device_names
-                        .iter()
-                        .zip(cells)
-                        .map(|(name, estimate)| MatrixCell {
-                            device: name.clone(),
-                            estimate: Ok(estimate),
-                        })
-                        .collect(),
-                })
-                .collect();
-            return Ok(DeviceMatrix {
-                devices: device_names,
-                rows,
-            });
-        }
-        let specs: Vec<TrainJobSpec> = batches.iter().map(|&b| with_batch(base, b)).collect();
-        self.estimate_matrix_traced(&specs, devices, ctx)
     }
 
     /// Placement: the best registered device for `spec` — the
@@ -1709,7 +1492,8 @@ impl EstimationService {
 
     /// The compute half of a placement: loads the stages the probe
     /// missed, replays the missed cell, then walks on through the rest
-    /// of the fleet (reading before replaying) to the first fit.
+    /// of the fleet (reading before replaying) to the first fit. The
+    /// cells the walk replays share one unbounded replay.
     fn fill_placement(
         &self,
         spec: &TrainJobSpec,
@@ -1718,11 +1502,12 @@ impl EstimationService {
     ) -> Result<Option<DevicePlacement>, EstimateError> {
         let PlacementFill { key, stages, fleet } = fill;
         let stages = stages.map_or_else(|| self.load_stages(spec, &key, ctx), Ok)?;
+        let replay = SharedReplay::new();
         for (i, (name, device)) in fleet.into_iter().enumerate() {
             let estimate = if i == 0 {
-                self.simulate_cell(&key, &stages, device, true, ctx)
+                self.simulate_cell(&key, &stages, device, Some(&replay), ctx)
             } else {
-                self.simulate_on(&key, &stages, device, true, ctx)
+                self.simulate_on(&key, &stages, device, Some(&replay), ctx)
             };
             if !estimate.oom_predicted {
                 return Ok(Some(DevicePlacement {
@@ -2604,8 +2389,23 @@ mod tests {
         assert_eq!(
             sims.unbounded_replays,
             jobs.len() as u64,
-            "one seed replay per job"
+            "one unbounded replay per job"
         );
+    }
+
+    #[test]
+    fn a_lone_named_cell_is_one_bounded_replay() {
+        let service = EstimationService::for_device(GpuDevice::rtx3060());
+        let counts = |service: &EstimationService| {
+            let sims = service.sim_stats();
+            (sims.sim_runs, sims.full_replays, sims.unbounded_replays)
+        };
+        service.estimate_on(&small_spec(4), "a100").unwrap();
+        assert_eq!(counts(&service), (1, 1, 0), "estimate_on");
+        service
+            .estimate_for_device(&small_spec(8), GpuDevice::rtx4060())
+            .unwrap();
+        assert_eq!(counts(&service), (2, 2, 0), "estimate_for_device");
     }
 
     #[test]
@@ -2782,7 +2582,6 @@ mod tests {
         assert_eq!(service.sim_stats().device_shards, 1);
         for (tier, stats) in [
             ("stage", service.stage_tier_stats()),
-            ("replay", service.replay_tier_stats()),
             ("param", service.param_tier_stats()),
             ("sim", service.sim_tier_stats()),
         ] {
@@ -2791,7 +2590,7 @@ mod tests {
     }
 
     #[test]
-    fn admission_probes_use_but_never_seed_the_replay_cache() {
+    fn admission_probes_pay_no_unbounded_replay() {
         let device = GpuDevice::rtx3060();
         let service = EstimationService::for_device(device);
         let base = small_spec(1);
@@ -2801,7 +2600,7 @@ mod tests {
         let stats = service.sim_stats();
         assert_eq!(
             stats.unbounded_replays, 0,
-            "probe keys never repeat, so seeding would be pure overhead"
+            "each probe is a lone cell: an unbounded replay would be pure overhead"
         );
         // The whole admission query rides one parameterized replay:
         // every probe is an incremental cell, none pays a full replay.
@@ -2810,7 +2609,7 @@ mod tests {
         assert_eq!(stats.full_replays, 0);
         assert_eq!(service.profile_runs(), 3, "three anchors");
 
-        // Matrix cells (a batch no probe touched) still seed as before.
+        // A matrix row (a batch no probe touched) shares one.
         service
             .estimate_matrix(&[small_spec(24)], &["rtx4060"])
             .expect("devices resolve");

@@ -21,10 +21,10 @@
 //! split seeds every shard created after the restore.
 //!
 //! The layer also carries the **pressure-aware replay counters**: how many
-//! cells were derived from a cached unbounded replay
+//! cells were derived from an unbounded replay their request shares
 //! ([`SimStats::fast_path_hits`]) versus paid for with a full stateful
 //! replay ([`SimStats::full_replays`]), and how many unbounded replays
-//! were executed to seed the fast path.
+//! were executed for the fast path.
 
 use crate::cache::{CacheStats, ShardedLruCache};
 use crate::key::JobKey;
@@ -92,8 +92,9 @@ pub struct SimStats {
     /// (`full_replays`), or by the incremental sweep
     /// (`incremental_cells`); the three always sum to `sim_runs`.
     pub sim_runs: u64,
-    /// Cells derived in O(1) from a cached unbounded replay (the
-    /// pressure-aware fast path) — no event sequence was re-walked.
+    /// Cells derived in O(1) from an unbounded replay the cells of their
+    /// job share within one request (the pressure-aware fast path) — no
+    /// event sequence was re-walked for the cell.
     pub fast_path_hits: u64,
     /// Cells that paid a full stateful replay: the device was
     /// capacity-pressured (reclaim/OOM could diverge), the configuration
@@ -108,8 +109,8 @@ pub struct SimStats {
     /// range; each costs the three anchor profiles counted by
     /// `profile_runs`).
     pub param_replays: u64,
-    /// Unbounded replays executed to seed the fast path (at most one per
-    /// job key covered by the replay cache).
+    /// Unbounded replays executed for the fast path (at most one per job
+    /// per matrix or placement request; a lone cell computes none).
     pub unbounded_replays: u64,
     /// Events fed to the allocator by full, unbounded and incremental
     /// replays: the replay work the counters above stand for. Dividing
@@ -378,7 +379,7 @@ impl SimShards {
         self.param_fits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one unbounded replay executed to seed the fast path.
+    /// Records one unbounded replay executed for the fast path.
     pub fn count_unbounded(&self) {
         self.unbounded.fetch_add(1, Ordering::Relaxed);
     }

@@ -400,9 +400,12 @@ impl StageHistogram {
 
 #[derive(Debug)]
 struct TelemetryInner {
-    shards: Vec<Mutex<VecDeque<CompletedTrace>>>,
+    /// Each ring holds its traces with the sequence number `finish` drew
+    /// for them, which orders traces by completion across rings.
+    shards: Vec<Mutex<VecDeque<(usize, CompletedTrace)>>>,
     per_shard_cap: usize,
-    next_shard: AtomicUsize,
+    /// The next trace's sequence number; it also picks the trace's ring.
+    next_seq: AtomicUsize,
     histograms: Vec<StageHistogram>,
     log_level: LogLevel,
     slow_ms: u64,
@@ -426,7 +429,7 @@ impl Telemetry {
             inner: Some(Arc::new(TelemetryInner {
                 shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
                 per_shard_cap,
-                next_shard: AtomicUsize::new(0),
+                next_seq: AtomicUsize::new(0),
                 histograms: STAGE_NAMES.iter().map(|_| StageHistogram::new()).collect(),
                 log_level: config.log_level,
                 slow_ms: config.slow_ms,
@@ -495,38 +498,37 @@ impl Telemetry {
             spans,
         };
         inner.log(&trace);
-        let shard = inner.next_shard.fetch_add(1, Ordering::Relaxed) % inner.shards.len();
-        let mut ring = inner.shards[shard].lock().expect("trace ring poisoned");
+        let seq = inner.next_seq.fetch_add(1, Ordering::Relaxed);
+        let mut ring = inner.shards[seq % inner.shards.len()]
+            .lock()
+            .expect("trace ring poisoned");
         if ring.len() >= inner.per_shard_cap {
             ring.pop_front();
         }
-        ring.push_back(trace);
+        ring.push_back((seq, trace));
     }
 
-    /// The most recent completed traces, newest first: at most `n`,
+    /// The most recently finished traces, newest first: at most `n`,
     /// filtered to those slower than `slow_ms` when given.
     #[must_use]
     pub fn recent_traces(&self, n: usize, slow_ms: Option<u64>) -> Vec<CompletedTrace> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let mut traces: Vec<CompletedTrace> = Vec::new();
+        let mut traces: Vec<(usize, CompletedTrace)> = Vec::new();
         for shard in &inner.shards {
             let ring = shard.lock().expect("trace ring poisoned");
             traces.extend(ring.iter().cloned());
         }
         if let Some(slow_ms) = slow_ms {
-            traces.retain(|t| t.duration_ns >= slow_ms.saturating_mul(1_000_000));
+            traces.retain(|(_, t)| t.duration_ns >= slow_ms.saturating_mul(1_000_000));
         }
-        // Newest first; `start_unix_ms` ties broken by trace id so the
-        // order is stable.
-        traces.sort_by(|a, b| {
-            b.start_unix_ms
-                .cmp(&a.start_unix_ms)
-                .then(b.trace_id.cmp(&a.trace_id))
-        });
+        // Newest first by finish order: `start_unix_ms` has millisecond
+        // resolution, so it cannot order traces finished in one
+        // millisecond.
+        traces.sort_unstable_by_key(|&(seq, _)| std::cmp::Reverse(seq));
         traces.truncate(n);
-        traces
+        traces.into_iter().map(|(_, trace)| trace).collect()
     }
 
     /// Renders [`recent_traces`](Self::recent_traces) as the
@@ -795,6 +797,32 @@ mod tests {
         // Everything here completed in well under a minute.
         assert!(telemetry.recent_traces(100, Some(60_000)).is_empty());
         assert_eq!(telemetry.recent_traces(2, None).len(), 2, "last-N caps");
+    }
+
+    #[test]
+    fn the_newest_of_two_traces_finished_in_one_millisecond_comes_first() {
+        let telemetry = Telemetry::new(TelemetryConfig::default());
+        // The older trace gets the larger id, so an order that falls back
+        // to the id on a millisecond tie puts it first.
+        let (older, newer) = loop {
+            let older = TraceContext::with_trace_id(2);
+            let newer = TraceContext::with_trace_id(1);
+            let start_ms = |ctx: &TraceContext| ctx.inner.as_ref().map(|inner| inner.start_unix_ms);
+            if start_ms(&older) == start_ms(&newer) {
+                break (older, newer);
+            }
+        };
+        telemetry.finish(&older, "GET", "/older", 200, false);
+        telemetry.finish(&newer, "GET", "/newer", 200, false);
+        let newest = telemetry.recent_traces(1, None);
+        assert_eq!(newest.len(), 1);
+        assert_eq!(newest[0].path, "/newer");
+        let both: Vec<u128> = telemetry
+            .recent_traces(2, None)
+            .iter()
+            .map(|trace| trace.trace_id)
+            .collect();
+        assert_eq!(both, [1, 2], "newest first");
     }
 
     #[test]

@@ -401,26 +401,6 @@ fn degenerate_jobs_are_answered_from_the_negative_cache() {
 }
 
 #[test]
-fn zero_negative_ttl_reverifies_every_query() {
-    let config = ServiceConfig::for_device(GpuDevice::rtx3060()).with_negative_ttl(Duration::ZERO);
-    let service = EstimationService::new(config);
-    let degenerate =
-        TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(0);
-
-    for _ in 0..2 {
-        assert_eq!(
-            service.estimate(&degenerate),
-            Err(EstimateError::MissingIterations)
-        );
-    }
-    assert_eq!(
-        service.profile_runs(),
-        2,
-        "TTL zero disables negative caching"
-    );
-}
-
-#[test]
 fn async_sweep_and_plan_match_their_blocking_counterparts() {
     let device = GpuDevice::rtx3060();
     let base =

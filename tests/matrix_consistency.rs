@@ -365,29 +365,6 @@ fn degenerate_rows_fail_per_cell_without_poisoning_the_matrix() {
     assert_eq!(service.sim_runs(), 2);
 }
 
-#[test]
-fn sweep_matrix_follows_the_batch_grid_and_matches_single_cells() {
-    let base =
-        TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 1).with_iterations(2);
-    let batches = [8, 2, 4];
-    let service = EstimationService::for_device(GpuDevice::rtx3060());
-    let matrix = service
-        .sweep_matrix(&base, &batches, &["rtx3060", "rtx4060"])
-        .expect("devices resolve");
-    assert_eq!(matrix.rows.len(), batches.len());
-    for (row, &batch) in matrix.rows.iter().zip(&batches) {
-        assert_eq!(row.spec.batch, batch, "rows keep the grid's order");
-        for device in ["rtx3060", "rtx4060"] {
-            assert_eq!(
-                row.cell(device).unwrap().estimate.as_ref().unwrap(),
-                &sequential_cell(&row.spec, device)
-            );
-        }
-    }
-    assert_eq!(service.profile_runs(), batches.len() as u64);
-    assert_eq!(service.sim_runs(), (batches.len() * 2) as u64);
-}
-
 // ---------------------------------------------------------------------------
 // Golden fixture: one matrix result, pinned byte-for-byte.
 // ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ fn spec(batch: usize) -> TrainJobSpec {
 
 /// Populates a fresh service on `dir` and returns the expected
 /// estimates. Uses both the primary-device path (`estimate`) and a
-/// named-device path (`estimate_on`) so all three record kinds — stage,
-/// replay, sim cell — hit the journal.
+/// named-device path (`estimate_on`) so stage records and the sim cells
+/// of two devices hit the journal.
 fn populate(dir: &Path, batches: &[usize]) -> Vec<Estimate> {
     let service = EstimationService::new(config(dir));
     assert!(service.persist_stats().enabled, "persistence must engage");
@@ -533,6 +533,117 @@ fn tuner_records_for_unknown_tiers_are_skipped() {
     assert_eq!(service.profile_runs(), 0);
 }
 
+/// A state dir written by a binary that still kept an unbounded-replay
+/// cache: its snapshot holds `Replay` frames (written before every `Sim`
+/// and `Param` frame) and a `replay` tuner record. The service boots from
+/// it, drops those two frames (counted as skipped, not torn), recovers
+/// every other record, and serves a recovered cell with no profile run
+/// and no replay.
+#[test]
+fn a_state_dir_with_replay_records_boots_and_drops_them() {
+    let dir = StateDir::new("upgrade");
+    let batches = [4usize];
+    let expected = populate(dir.path(), &batches);
+    {
+        // A `Param` record, from a sweep long enough to fit.
+        let service = EstimationService::new(config(dir.path()));
+        for (_, outcome) in service.sweep(&spec(1), &[1, 2, 4, 8, 16]) {
+            outcome.expect("sweep estimates");
+        }
+    }
+    // One more boot compacts everything into the snapshot.
+    drop(EstimationService::new(config(dir.path())));
+    let snapshot = fs::read(dir.path().join(SNAPSHOT_FILE)).expect("snapshot");
+    let frames = record_frames(&snapshot);
+    let payload = |start: usize| {
+        let len =
+            u32::from_le_bytes(snapshot[start..start + 4].try_into().expect("4 bytes")) as usize;
+        serde_json::from_str::<serde::Value>(
+            std::str::from_utf8(&snapshot[start + 12..start + 12 + len]).expect("JSON"),
+        )
+        .expect("record decodes")
+    };
+    let first_sim = frames
+        .iter()
+        .find(|(_, variant)| variant == "Sim")
+        .map(|&(start, _)| start)
+        .expect("populate journals sim cells");
+    for variant in ["Stage", "Param", "Tuner"] {
+        assert!(
+            frames.iter().any(|(_, v)| v == variant),
+            "no {variant} frame"
+        );
+    }
+
+    // The old binary's Replay record for the first stage entry's job.
+    let (stage_start, _) = frames
+        .iter()
+        .find(|(_, variant)| variant == "Stage")
+        .expect("a Stage frame");
+    let serde::Value::Object(stage) = payload(*stage_start) else {
+        panic!("records are objects")
+    };
+    let serde::Value::Object(fields) = &stage[0].1 else {
+        panic!("a Stage record is an object")
+    };
+    let (_, job) = fields
+        .iter()
+        .find(|(key, _)| key == "job")
+        .expect("the record names its job");
+    let analyzed = xmem::core::Analyzer::new()
+        .analyze(&profile_on_cpu(&spec(batches[0])))
+        .expect("analysis succeeds");
+    let replay = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()))
+        .replay_unbounded(&analyzed);
+    let replay: serde::Value =
+        serde_json::from_str(&serde_json::to_string(&replay).expect("encodes")).expect("decodes");
+    let record = serde::Value::Object(vec![(
+        "Replay".to_string(),
+        serde::Value::Object(vec![
+            ("job".to_string(), job.clone()),
+            ("replay".to_string(), replay),
+        ]),
+    )]);
+    let mut state = snapshot[..first_sim].to_vec();
+    push_frame(
+        &mut state,
+        serde_json::to_string(&record).expect("encodes").as_bytes(),
+    );
+    state.extend_from_slice(&snapshot[first_sim..]);
+    push_frame(
+        &mut state,
+        br#"{"Tuner":{"cache":"replay","frac_permille":700,"decay_epoch":1}}"#,
+    );
+    let old = StateDir::new("upgrade-old");
+    fs::create_dir_all(old.path()).expect("state dir");
+    fs::write(old.path().join(SNAPSHOT_FILE), &state).expect("old snapshot");
+
+    let service = EstimationService::new(config(old.path()));
+    let stats = service.persist_stats();
+    assert_eq!(stats.recovery_truncated, 0, "{stats:?}");
+    assert_eq!(
+        stats.recovery_skipped, 2,
+        "the two dropped frames: {stats:?}"
+    );
+    assert_eq!(
+        stats.recovered_entries,
+        frames.len() as u64,
+        "every Stage, Sim, Param and Tuner record: {stats:?}"
+    );
+    for (&b, want) in batches.iter().zip(&expected) {
+        let got = service.estimate(&spec(b)).expect("warm estimate");
+        assert_eq!(&got, want, "batch {b} diverged after the upgrade");
+    }
+    assert_eq!(service.profile_runs(), 0);
+    assert_eq!(service.sim_runs(), 0, "a recovered cell is not replayed");
+    drop(service);
+    // The boot compaction writes no Replay frame back.
+    let compacted = fs::read(old.path().join(SNAPSHOT_FILE)).expect("snapshot");
+    assert!(record_frames(&compacted)
+        .iter()
+        .all(|(_, variant)| variant != "Replay"));
+}
+
 /// Sim cells whose device fingerprint matches no registered device are
 /// skipped (counted), not resurrected against the wrong hardware.
 #[test]
@@ -553,7 +664,7 @@ fn sim_cells_for_unregistered_devices_are_skipped() {
         stats.recovery_skipped > 0,
         "orphaned sim cells must be counted: {stats:?}"
     );
-    // Stage + replay records are device-independent and still recover.
+    // Stage records are device-independent and still recover.
     assert!(stats.recovered_entries > 0, "{stats:?}");
     assert_eq!(service.profile_runs(), 0);
     let _ = service.estimate(&spec(4)).expect("warm estimate");

@@ -646,7 +646,7 @@ fn health_and_metrics_expose_the_counter_surface() {
         "xmem_cache_entries{cache=\"stage\",segment=\"probation\"} 1",
         "xmem_cache_entries{cache=\"stage\",segment=\"protected\"} 0",
         "xmem_cache_adaptive{cache=\"stage\"} 1",
-        "xmem_cache_segmented{cache=\"replay\"} 1",
+        "xmem_cache_segmented{cache=\"param\"} 1",
         "xmem_cache_protected_frac_permille{cache=\"stage\"} 500",
         "xmem_cache_bytes_budget{cache=\"stage\"}",
         "xmem_cache_capacity{cache=\"param\"}",
@@ -663,6 +663,10 @@ fn health_and_metrics_expose_the_counter_surface() {
     ] {
         assert!(text.contains(needle), "metrics missing `{needle}`:\n{text}");
     }
+    assert!(
+        !text.contains("cache=\"replay\""),
+        "the service has no replay tier:\n{text}"
+    );
 
     // Shutdown over the wire: the SIGTERM-equivalent for the CLI.
     let bye = client.post_json("/v1/shutdown", "{}").expect("shutdown");

@@ -184,7 +184,7 @@ fn default_estimate_is_served_from_the_primary_device_sim_cell() {
     assert_eq!(stats.full_replays, 2);
     assert_eq!(
         stats.unbounded_replays, 0,
-        "a default miss must not seed the unbounded-replay cache"
+        "a lone default cell pays no unbounded replay"
     );
 }
 

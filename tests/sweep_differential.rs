@@ -1,16 +1,15 @@
 //! The incremental-sweep differential suite: every cell an incremental
 //! (parameterized-replay) sweep produces must be **bit-identical** to the
-//! sequential per-batch `Estimator` — across roomy devices (cells derived from one
-//! unbounded buffer replay), pressured devices (cells replayed bounded
-//! from the materialized buffer), and deterministic pseudo-random fleets
-//! with page-unaligned capacities. The counters must prove the contract
-//! exactly: a B-point sweep performs **one** parameterized fit from three
-//! anchor profiles, every cell counts as `incremental_cells`, and
+//! sequential per-batch `Estimator` — on roomy and pressured primary
+//! devices (each cell a bounded replay of the materialized buffer), and
+//! on deterministic pseudo-random devices with page-unaligned
+//! capacities. The counters must prove the contract exactly: a B-point
+//! sweep performs **one** parameterized fit from three anchor profiles,
+//! every cell counts as `incremental_cells`, and
 //! `fast_path_hits + full_replays + incremental_cells == sim_runs`.
 
 use xmem::core::{AnalyzedTrace, Analyzer};
 use xmem::prelude::*;
-use xmem::service::ServiceConfig;
 
 /// The swept batch grid: dense enough to clear the incremental
 /// eligibility floor, with interior points the anchors never profile.
@@ -34,28 +33,40 @@ fn sequential_cell(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
         .expect("sequential estimate succeeds")
 }
 
-/// The sequential ground truth for a whole sweep matrix: each batch
-/// profiled and analyzed once, then replayed by a fresh per-device
-/// `Estimator` for every cell.
+/// The sequential ground truth for a fleet's sweeps over [`BATCHES`]:
+/// each batch profiled and analyzed once, then replayed by a fresh
+/// per-device `Estimator` for every cell. Each device's sweep comes from
+/// its own service, that device being the primary, which profiles only
+/// the three anchors.
 fn assert_matches_sequential(
-    matrix: &DeviceMatrix,
     base: &TrainJobSpec,
     analyses: &[AnalyzedTrace],
     fleet: &[(&str, GpuDevice)],
 ) {
-    for ((row, &batch), analyzed) in matrix.rows.iter().zip(&BATCHES).zip(analyses) {
-        assert_eq!(
-            row.spec,
-            job_at(base, batch),
-            "rows keep the swept batch order"
-        );
-        for &(name, device) in fleet {
+    for &(name, device) in fleet {
+        let service = EstimationService::for_device(device);
+        let swept = service.sweep(base, &BATCHES);
+        for (((batch, estimate), &want), analyzed) in swept.iter().zip(&BATCHES).zip(analyses) {
+            assert_eq!(*batch, want, "rows keep the swept batch order");
             assert_eq!(
-                row.cell(name).expect("cell").estimate.as_ref().unwrap(),
+                estimate.as_ref().unwrap(),
                 &Estimator::new(EstimatorConfig::for_device(device)).estimate_analyzed(analyzed),
                 "cell (batch {batch}, {name}) diverged from the sequential estimator"
             );
         }
+        assert_eq!(
+            service.profile_runs(),
+            3,
+            "{name}: a sweep profiles 3 anchors"
+        );
+        let sims = service.sim_stats();
+        assert_eq!(sims.param_replays, 1, "{name}");
+        assert_eq!(sims.incremental_cells, BATCHES.len() as u64, "{name}");
+        assert_eq!(
+            sims.fast_path_hits + sims.full_replays + sims.incremental_cells,
+            sims.sim_runs,
+            "{name}"
+        );
     }
 }
 
@@ -68,15 +79,6 @@ fn analyses(base: &TrainJobSpec) -> Vec<AnalyzedTrace> {
                 .expect("analysis succeeds")
         })
         .collect()
-}
-
-/// A service over `fleet`, with the primary device the default rtx3060.
-fn service_over(fleet: &[(&str, GpuDevice)]) -> EstimationService {
-    let registry = DeviceRegistry::empty();
-    for &(name, device) in fleet {
-        registry.register(name, device);
-    }
-    EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry))
 }
 
 #[test]
@@ -127,10 +129,8 @@ fn repeated_sweeps_reuse_one_parameterized_fit() {
 }
 
 #[test]
-fn sweep_matrix_is_identical_across_roomy_and_pressured_devices() {
-    // One roomy column (derived from an unbounded buffer replay) and two
-    // pressured columns (bounded replays of the same materialized
-    // buffer), byte-granular capacities.
+fn sweep_is_identical_across_roomy_and_pressured_primary_devices() {
+    // One roomy device and two pressured ones, byte-granular capacities.
     let fleet = [
         ("roomy", GpuDevice::a100_40g()),
         (
@@ -153,22 +153,7 @@ fn sweep_matrix_is_identical_across_roomy_and_pressured_devices() {
         ),
     ];
     let base = base_job();
-    let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
-    let incremental = service_over(&fleet);
-    let inc_matrix = incremental
-        .sweep_matrix(&base, &BATCHES, &names)
-        .expect("names resolve");
-    assert_matches_sequential(&inc_matrix, &base, &analyses(&base), &fleet);
-
-    // Counters: the service profiled only the anchors.
-    assert_eq!(incremental.profile_runs(), 3);
-    let sims = incremental.sim_stats();
-    assert_eq!(sims.param_replays, 1);
-    assert_eq!(sims.incremental_cells, (BATCHES.len() * fleet.len()) as u64);
-    assert_eq!(
-        sims.fast_path_hits + sims.full_replays + sims.incremental_cells,
-        sims.sim_runs
-    );
+    assert_matches_sequential(&base, &analyses(&base), &fleet);
 }
 
 #[test]
@@ -201,13 +186,7 @@ fn pseudo_random_fleets_agree_across_sweep_strategies() {
                 )
             })
             .collect();
-        let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
-        let incremental = service_over(&fleet);
-        let matrix = incremental
-            .sweep_matrix(&base, &BATCHES, &names)
-            .expect("names resolve");
-        assert_matches_sequential(&matrix, &base, &analyses, &fleet);
-        assert_eq!(incremental.profile_runs(), 3);
+        assert_matches_sequential(&base, &analyses, &fleet);
     }
 }
 
@@ -217,7 +196,7 @@ fn admission_bisection_agrees_across_sweep_strategies() {
     // model actually pressures (the bisection brackets an interior OOM
     // boundary, so probes mix fitting and OOMing batches).
     let base = TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 1).with_iterations(2);
-    let incremental = service_over(&[]);
+    let incremental = EstimationService::for_device(GpuDevice::rtx3060());
     let device = GpuDevice::rtx4060();
     let answer = incremental
         .max_batch_for_device(&base, device, 1, 32)
