@@ -44,34 +44,34 @@ pub fn layer_report(analyzed: &AnalyzedTrace, orchestrator: &Orchestrator) -> Ve
     }
 
     let mut groups: BTreeMap<&str, Vec<&crate::analyzer::AnalyzedBlock>> = BTreeMap::new();
-    for b in &analyzed.blocks {
-        if !b.category.is_kept() {
+    for b in analyzed.blocks() {
+        if !b.category().is_kept() {
             continue;
         }
-        let key = b.component.as_deref().unwrap_or("<global>");
+        let key = analyzed.component_of(b).unwrap_or("<global>");
         groups.entry(key).or_default().push(b);
     }
 
     let mut report: Vec<LayerMemory> = groups
         .into_iter()
         .map(|(component, blocks)| {
-            let total_bytes = blocks.iter().map(|b| b.block.bytes).sum();
+            let total_bytes = blocks.iter().map(|b| b.bytes()).sum();
             let persistent_bytes = blocks
                 .iter()
                 .filter(|b| {
                     matches!(
-                        b.category,
+                        b.category(),
                         BlockCategory::Parameter | BlockCategory::OptimizerState
-                    ) || b.block.is_persistent()
+                    ) || b.is_persistent()
                 })
-                .map(|b| b.block.bytes)
+                .map(|b| b.bytes())
                 .sum();
             // Sweep-line peak over this component's orchestrated lifetimes.
             let mut events: Vec<(u64, i64)> = Vec::with_capacity(blocks.len() * 2);
             for b in &blocks {
-                if let Some(&(alloc, free)) = lifetime.get(&b.block.id) {
-                    events.push((alloc, b.block.bytes as i64));
-                    events.push((free, -(b.block.bytes as i64)));
+                if let Some(&(alloc, free)) = lifetime.get(&b.id()) {
+                    events.push((alloc, b.bytes() as i64));
+                    events.push((free, -(b.bytes() as i64)));
                 }
             }
             // Frees before allocs at equal timestamps keep the peak tight.

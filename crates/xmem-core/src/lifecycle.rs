@@ -7,7 +7,9 @@
 //! Blocks lacking a deallocation are persistent for the trace duration.
 
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use xmem_runtime::MixHash;
 use xmem_trace::Trace;
 
 /// One reconstructed memory block ("memory block" in the paper always
@@ -47,16 +49,28 @@ pub struct LifecycleStats {
     pub persistent_blocks: usize,
 }
 
+/// Marks "no block" in the address stacks of [`reconstruct_lifecycles`].
+const NO_BLOCK: u32 = u32::MAX;
+
 /// Reconstructs block lifecycles from a trace's memory instants for one
 /// device (`device_id` = -1 for CPU traces).
 ///
 /// The instants are processed in time order; simultaneous events keep
 /// trace order, which is emission order — exactly the information a real
-/// profiler export preserves.
+/// profiler export preserves. A free matches the most recent open
+/// allocation at its address (LIFO). The open blocks of one address form
+/// a stack threaded through the blocks: a map holds each address's top
+/// block and `below[id]` the block it covers, so pairing allocates
+/// nothing per address.
+///
+/// # Panics
+/// When the device has `u32::MAX` or more allocations — far more than a
+/// trace that fits in memory holds.
 #[must_use]
 pub fn reconstruct_lifecycles(trace: &Trace, device_id: i32) -> (Vec<MemoryBlock>, LifecycleStats) {
     let mut blocks: Vec<MemoryBlock> = Vec::new();
-    let mut open: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut top: HashMap<u64, u32, MixHash> = HashMap::default();
+    let mut below: Vec<u32> = Vec::new();
     let mut stats = LifecycleStats::default();
 
     for e in trace.memory_instants() {
@@ -69,24 +83,35 @@ pub fn reconstruct_lifecycles(trace: &Trace, device_id: i32) -> (Vec<MemoryBlock
         };
         let bytes = e.args.bytes().unwrap_or(0);
         if bytes > 0 {
-            let id = blocks.len();
+            assert!(
+                blocks.len() < NO_BLOCK as usize,
+                "fewer than u32::MAX allocations"
+            );
+            let id = blocks.len() as u32;
             blocks.push(MemoryBlock {
-                id,
+                id: id as usize,
                 addr,
                 bytes: bytes as u64,
                 alloc_ts: e.ts_us,
                 free_ts: None,
             });
-            open.entry(addr).or_default().push(id);
+            below.push(top.insert(addr, id).unwrap_or(NO_BLOCK));
         } else if bytes < 0 {
-            match open.get_mut(&addr).and_then(Vec::pop) {
-                Some(id) => {
+            match top.entry(addr) {
+                Entry::Occupied(mut slot) => {
+                    let id = *slot.get() as usize;
+                    match below[id] {
+                        NO_BLOCK => {
+                            slot.remove();
+                        }
+                        under => *slot.get_mut() = under,
+                    }
                     if blocks[id].bytes != bytes.unsigned_abs() {
                         stats.size_mismatches += 1;
                     }
                     blocks[id].free_ts = Some(e.ts_us);
                 }
-                None => stats.unmatched_frees += 1,
+                Entry::Vacant(_) => stats.unmatched_frees += 1,
             }
         }
     }
@@ -169,6 +194,74 @@ mod tests {
         assert_eq!(blocks[0].bytes, 512);
         assert_eq!(blocks[0].free_ts, Some(20));
         assert_eq!(stats.size_mismatches, 1);
+    }
+
+    /// Pairing as it was done with one `Vec` of open block ids per
+    /// address.
+    fn per_address_reference(trace: &Trace) -> (Vec<MemoryBlock>, LifecycleStats) {
+        let mut blocks: Vec<MemoryBlock> = Vec::new();
+        let mut open: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut stats = LifecycleStats::default();
+        for e in trace.memory_instants() {
+            let (Some(addr), Some(bytes)) = (e.args.addr(), e.args.bytes()) else {
+                continue;
+            };
+            if e.args.device() != Some(-1) {
+                continue;
+            }
+            if bytes > 0 {
+                open.entry(addr).or_default().push(blocks.len());
+                blocks.push(MemoryBlock {
+                    id: blocks.len(),
+                    addr,
+                    bytes: bytes as u64,
+                    alloc_ts: e.ts_us,
+                    free_ts: None,
+                });
+            } else if bytes < 0 {
+                match open.get_mut(&addr).and_then(Vec::pop) {
+                    Some(id) => {
+                        if blocks[id].bytes != bytes.unsigned_abs() {
+                            stats.size_mismatches += 1;
+                        }
+                        blocks[id].free_ts = Some(e.ts_us);
+                    }
+                    None => stats.unmatched_frees += 1,
+                }
+            }
+        }
+        stats.persistent_blocks = blocks.iter().filter(|b| b.is_persistent()).count();
+        (blocks, stats)
+    }
+
+    #[test]
+    fn threaded_stacks_pair_like_per_address_vectors() {
+        // Few addresses and sizes, so reuse, nesting, unmatched frees and
+        // size mismatches all occur.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..200 {
+            let events = (0..next(300))
+                .map(|ts| {
+                    let addr = 0x1000 + 64 * next(6);
+                    let bytes = 64 * (1 + next(3) as i64);
+                    let sign = if next(5) < 2 { -1 } else { 1 };
+                    let device = if next(20) == 0 { 0 } else { -1 };
+                    (ts, addr, sign * bytes, device)
+                })
+                .collect();
+            let t = trace(events);
+            assert_eq!(
+                reconstruct_lifecycles(&t, -1),
+                per_address_reference(&t),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

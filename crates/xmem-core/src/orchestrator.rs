@@ -76,34 +76,33 @@ impl Orchestrator {
     /// Produces the orchestrated sequence from an analyzed trace.
     #[must_use]
     pub fn orchestrate(&self, analyzed: &AnalyzedTrace) -> OrchestratedSequence {
-        let ann = &analyzed.windows.annotations;
-        let horizon = analyzed
-            .blocks
+        let ann = &analyzed.windows().annotations;
+        let blocks = analyzed.blocks();
+        let horizon = blocks
             .iter()
-            .flat_map(|b| [Some(b.block.alloc_ts), b.block.free_ts])
+            .flat_map(|b| [Some(b.alloc_ts()), b.free_ts()])
             .flatten()
             .max()
             .unwrap_or(0)
             .saturating_add(1);
 
-        let mut events: Vec<OrchestratedEvent> = Vec::with_capacity(2 * analyzed.blocks.len());
+        let mut events: Vec<OrchestratedEvent> = Vec::with_capacity(2 * blocks.len());
         let mut filtered = 0usize;
         let mut adjusted = 0usize;
 
-        for ab in &analyzed.blocks {
-            if self.filter_script && !ab.category.is_kept() {
+        for b in blocks {
+            if self.filter_script && !b.category().is_kept() {
                 filtered += 1;
                 continue;
             }
-            let b = &ab.block;
-            let mut free_ts = b.free_ts;
+            let mut free_ts = b.free_ts();
             if self.retime {
-                let new_free = match ab.category {
+                let new_free = match b.category() {
                     // Rule 1 & 5: persistent for the analysis horizon.
                     BlockCategory::Parameter | BlockCategory::OptimizerState => None,
                     // Rule 2: die at the iteration boundary at the latest.
                     BlockCategory::BatchData => {
-                        let boundary = ann.iteration_end(b.alloc_ts);
+                        let boundary = ann.iteration_end(b.alloc_ts());
                         match (free_ts, boundary) {
                             (Some(f), Some(e)) => Some(f.min(e)),
                             (None, Some(e)) => Some(e),
@@ -111,7 +110,7 @@ impl Orchestrator {
                         }
                     }
                     // Rule 4: snap to the next zero_grad end.
-                    BlockCategory::Gradient => ann.next_zero_grad_end(b.alloc_ts),
+                    BlockCategory::Gradient => ann.next_zero_grad_end(b.alloc_ts()),
                     // Rule 3 and everything transient: keep CPU timing.
                     _ => free_ts,
                 };
@@ -122,15 +121,15 @@ impl Orchestrator {
             }
 
             events.push(OrchestratedEvent {
-                ts_us: b.alloc_ts,
-                block: b.id,
-                bytes: b.bytes,
+                ts_us: b.alloc_ts(),
+                block: b.id(),
+                bytes: b.bytes(),
                 is_alloc: true,
             });
             events.push(OrchestratedEvent {
                 ts_us: free_ts.unwrap_or(horizon),
-                block: b.id,
-                bytes: b.bytes,
+                block: b.id(),
+                bytes: b.bytes(),
                 is_alloc: false,
             });
         }

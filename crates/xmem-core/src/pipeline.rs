@@ -363,10 +363,10 @@ pub(crate) fn analysis_stats(
     // One pass over the blocks; the report lists categories in
     // declaration order.
     let mut totals = [(0usize, 0u64); BlockCategory::ALL.len()];
-    for b in &analyzed.blocks {
-        let total = &mut totals[b.category as usize];
+    for b in analyzed.blocks() {
+        let total = &mut totals[b.category() as usize];
         total.0 += 1;
-        total.1 += b.block.bytes;
+        total.1 += b.bytes();
     }
     let categories = BlockCategory::ALL
         .iter()

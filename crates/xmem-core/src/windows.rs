@@ -6,10 +6,11 @@
 //!
 //! Names are classified once per distinct name of the trace, not once per
 //! event, and window names are shared with the trace's name table: every
-//! window (and every block attributed to it) of one kernel or module holds
-//! the same `Arc<str>`. They serialize as plain strings.
+//! window of one kernel or module holds the same `Arc<str>`. Analyzed
+//! blocks name their windows by index. Names serialize as plain strings.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::sync::Arc;
 use xmem_trace::{names, EventCategory, Trace};
 
@@ -118,27 +119,47 @@ pub struct WindowIndex {
 }
 
 impl WindowIndex {
-    /// Approximate resident size of the index in bytes (window structs
-    /// plus their heap-owned names) — the window share of an analyzed
-    /// trace's cache cost.
+    /// Approximate resident size of the index in bytes: the window
+    /// structs plus each distinct name allocation once, however many
+    /// windows share it — the window share of an analyzed trace's cache
+    /// cost.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
-        let ops = std::mem::size_of::<OpWindow>() as u64 * self.ops.len() as u64
-            + self.ops.iter().map(|w| w.name.len() as u64).sum::<u64>();
-        let components = std::mem::size_of::<ComponentWindow>() as u64
-            * self.components.len() as u64
-            + self
-                .components
-                .iter()
-                .map(|w| w.name.len() as u64)
-                .sum::<u64>();
-        let annotations = std::mem::size_of::<AnnotationIndex>() as u64
-            + 24 * (self.annotations.iterations.len()
-                + self.annotations.zero_grads.len()
-                + self.annotations.optimizer_steps.len()
-                + self.annotations.dataloads.len()
-                + self.annotations.backwards.len()) as u64;
-        ops + components + annotations
+        let mut names: Vec<(*const u8, usize)> = self
+            .ops
+            .iter()
+            .map(|w| &w.name)
+            .chain(self.components.iter().map(|w| &w.name))
+            .map(|name| (name.as_ptr(), name.len()))
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        // An `Arc<str>` allocation holds two counters before the bytes.
+        let name_bytes: usize = names.iter().map(|&(_, len)| 16 + len).sum();
+        let a = &self.annotations;
+        let spans =
+            a.zero_grads.len() + a.optimizer_steps.len() + a.dataloads.len() + a.backwards.len();
+        let windows = std::mem::size_of::<OpWindow>() * self.ops.len()
+            + std::mem::size_of::<ComponentWindow>() * self.components.len()
+            + std::mem::size_of::<(u32, u64, u64)>() * a.iterations.len()
+            + std::mem::size_of::<(u64, u64)>() * spans;
+        (name_bytes + windows) as u64
+    }
+
+    /// Makes the windows of one name share one string, as
+    /// [`build`](Self::build) leaves them; a decoded index holds a copy
+    /// per window.
+    pub(crate) fn share_names(&mut self) {
+        let mut names: HashSet<Arc<str>> = HashSet::new();
+        let windows = self.ops.iter_mut().map(|w| &mut w.name);
+        for name in windows.chain(self.components.iter_mut().map(|w| &mut w.name)) {
+            match names.get(&**name) {
+                Some(shared) => *name = Arc::clone(shared),
+                None => {
+                    names.insert(Arc::clone(name));
+                }
+            }
+        }
     }
 
     /// Builds the index from a trace in one pass over its events. Each
@@ -187,8 +208,11 @@ impl WindowIndex {
                 EventCategory::CpuInstantEvent => {}
             }
         }
+        // Analyses retain the index, so it keeps no spare capacity.
         ops.sort_by_key(|w| w.start);
+        ops.shrink_to_fit();
         components.sort_by_key(|w| w.start);
+        components.shrink_to_fit();
         annotations.iterations.sort_by_key(|w| w.1);
 
         WindowIndex {
@@ -202,6 +226,12 @@ impl WindowIndex {
     #[must_use]
     pub fn ops(&self) -> &[OpWindow] {
         &self.ops
+    }
+
+    /// All component windows (sorted by start).
+    #[must_use]
+    pub fn components(&self) -> &[ComponentWindow] {
+        &self.components
     }
 
     /// The operator window containing `ts`. Operator windows do not nest
@@ -308,21 +338,20 @@ fn running_max(ends: impl Iterator<Item = u64>) -> Vec<u64> {
     .collect()
 }
 
-/// The rightmost of `windows[..idx]` whose end lies past `ts`. The
-/// backward scan stops at the first window whose reach is at or before
-/// `ts`: no window up to it can cover `ts`.
-fn rightmost_covering<'a, W>(
-    windows: &'a [W],
+/// The index of the rightmost of `windows[..idx]` whose end lies past
+/// `ts`. The backward scan stops at the first window whose reach is at or
+/// before `ts`: no window up to it can cover `ts`.
+fn rightmost_covering<W>(
+    windows: &[W],
     reach: &[u64],
     idx: usize,
     ts: u64,
     end: impl Fn(&W) -> u64,
-) -> Option<&'a W> {
+) -> Option<usize> {
     (0..idx)
         .rev()
         .take_while(|&j| reach[j] > ts)
-        .map(|j| &windows[j])
-        .find(|w| ts < end(w))
+        .find(|&j| ts < end(&windows[j]))
 }
 
 /// Many-query view of a [`WindowIndex`] (see [`WindowIndex::lookup`]).
@@ -333,18 +362,20 @@ pub struct WindowLookup<'a> {
     component_reach: Vec<u64>,
 }
 
-impl<'a> WindowLookup<'a> {
-    /// Same answer as [`WindowIndex::op_at`].
+impl WindowLookup<'_> {
+    /// The index in [`WindowIndex::ops`] of the window
+    /// [`WindowIndex::op_at`] answers.
     #[must_use]
-    pub fn op_at(&self, ts: u64) -> Option<&'a OpWindow> {
+    pub fn op_index_at(&self, ts: u64) -> Option<usize> {
         let ops = &self.index.ops;
         let idx = ops.partition_point(|w| w.start <= ts);
         rightmost_covering(ops, &self.op_reach, idx, ts, |w| w.end)
     }
 
-    /// Same answer as [`WindowIndex::component_at`].
+    /// The index in [`WindowIndex::components`] of the window
+    /// [`WindowIndex::component_at`] answers.
     #[must_use]
-    pub fn component_at(&self, ts: u64) -> Option<&'a ComponentWindow> {
+    pub fn component_index_at(&self, ts: u64) -> Option<usize> {
         let components = &self.index.components;
         let idx = components.partition_point(|w| w.start <= ts);
         rightmost_covering(components, &self.component_reach, idx, ts, |w| w.end)
@@ -506,12 +537,14 @@ mod tests {
                 // Window names are unique, so equal names mean the same
                 // window.
                 assert_eq!(
-                    lookup.op_at(ts).map(|w| &w.name),
+                    lookup.op_index_at(ts).map(|i| &index.ops[i].name),
                     index.op_at(ts).map(|w| &w.name),
                     "case {case}: op_at({ts})"
                 );
                 assert_eq!(
-                    lookup.component_at(ts).map(|w| &w.name),
+                    lookup
+                        .component_index_at(ts)
+                        .map(|i| &index.components[i].name),
                     index.component_at(ts).map(|w| &w.name),
                     "case {case}: component_at({ts})"
                 );
@@ -530,8 +563,15 @@ mod tests {
         let index = WindowIndex::build(&trace);
         let lookup = index.lookup();
         for e in trace.memory_instants() {
-            assert_eq!(lookup.op_at(e.ts_us), index.op_at(e.ts_us));
-            assert_eq!(lookup.component_at(e.ts_us), index.component_at(e.ts_us));
+            let ts = e.ts_us;
+            assert_eq!(
+                lookup.op_index_at(ts).map(|i| &index.ops[i]),
+                index.op_at(ts)
+            );
+            assert_eq!(
+                lookup.component_index_at(ts).map(|i| &index.components[i]),
+                index.component_at(ts)
+            );
         }
     }
 

@@ -79,16 +79,16 @@ impl Fnv {
     }
 
     fn analyzed(&mut self, analyzed: &AnalyzedTrace) {
-        self.u64(analyzed.blocks.len() as u64);
-        for b in &analyzed.blocks {
-            self.u64(b.block.id as u64);
-            self.u64(b.block.addr);
-            self.u64(b.block.bytes);
-            self.u64(b.block.alloc_ts);
-            self.opt_u64(b.block.free_ts);
-            self.str(&format!("{:?}", b.category));
-            self.opt_str(b.operator.as_deref());
-            self.opt_str(b.component.as_deref());
+        self.u64(analyzed.blocks().len() as u64);
+        for b in analyzed.blocks() {
+            self.u64(b.id() as u64);
+            self.u64(b.addr());
+            self.u64(b.bytes());
+            self.u64(b.alloc_ts());
+            self.opt_u64(b.free_ts());
+            self.str(&format!("{:?}", b.category()));
+            self.opt_str(analyzed.operator_of(b));
+            self.opt_str(analyzed.component_of(b));
         }
         let s = analyzed.lifecycle_stats;
         self.u64(s.unmatched_frees as u64);

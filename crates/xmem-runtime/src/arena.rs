@@ -48,12 +48,13 @@ pub struct CpuHeap {
     live_bytes: u64,
 }
 
-/// Hashes the heap's integer keys (addresses and sizes) with the
-/// SplitMix64 finalizer: every bit of the key reaches the bucket bits,
-/// which matters for 64-byte-aligned addresses. The keys are the heap's
-/// own, never input, so no per-map random seed is needed.
+/// Hashes integer keys (addresses and sizes) with the SplitMix64
+/// finalizer: every bit of the key reaches the bucket bits, which matters
+/// for 64-byte-aligned addresses. There is no per-map random seed, so it
+/// suits keys a program makes itself or reads from its own traces, not
+/// keys an untrusted peer chooses.
 #[derive(Debug, Default)]
-struct Mix64(u64);
+pub struct Mix64(u64);
 
 impl Hasher for Mix64 {
     fn write(&mut self, bytes: &[u8]) {
@@ -78,7 +79,8 @@ impl Hasher for Mix64 {
     }
 }
 
-type MixHash = BuildHasherDefault<Mix64>;
+/// A `HashMap` hasher builder over [`Mix64`].
+pub type MixHash = BuildHasherDefault<Mix64>;
 
 impl CpuHeap {
     /// Creates an empty heap.

@@ -48,7 +48,7 @@ mod jobs;
 mod memmodel;
 mod profiler;
 
-pub use arena::{CpuHeap, GpuArena, GroundTruth, MemoryArena, NvmlSampler};
+pub use arena::{CpuHeap, GpuArena, GroundTruth, MemoryArena, Mix64, MixHash, NvmlSampler};
 pub use backend::{BackendKind, Phase};
 pub use executor::{Engine, RunError};
 pub use jobs::{profile_on_cpu, run_on_gpu, GpuDevice, Precision, TrainJobSpec, ZeroGradPos};

@@ -435,7 +435,7 @@ impl ServerMetrics {
             ),
             (
                 "xmem_cache_bytes_in_use",
-                "Resident bytes per cache tier (0 when unweighted)",
+                "Resident bytes per cache tier: the stage tier prices its analyses, param and sim price nothing (0)",
                 |t| t.bytes_in_use,
             ),
             (

@@ -574,8 +574,9 @@ pub struct ShardedLruCache<K, V> {
     /// Whether that tier state is live (tuner, sketch gate, ghosts, byte
     /// split) or frozen for bit-compat testing.
     tuning: bool,
-    /// Computes an entry's budget cost. The default weigher costs
-    /// everything 0, so a budget only binds when a real weigher is set.
+    /// Computes an entry's cost. The default weigher costs everything 0,
+    /// so a budget only binds, and the byte gauge only reads non-zero,
+    /// when a real weigher is set.
     weigher: fn(&V) -> u64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -704,6 +705,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         for shard in &self.shards {
             shard.lock().expect("cache shard poisoned").tier = None;
         }
+        self
+    }
+
+    /// Prices every inserted value with `weigher`, so
+    /// [`bytes_in_use`](Self::bytes_in_use) reports what the cache holds.
+    /// Without a bytes budget eviction stays by entry count.
+    #[must_use]
+    pub fn with_weigher(mut self, weigher: fn(&V) -> u64) -> Self {
+        self.weigher = weigher;
         self
     }
 
@@ -1308,6 +1318,28 @@ mod tests {
         assert_eq!(cache.get(&1), Some(10)); // re-promote 1, demote 2
         assert_eq!(cache.stats().promoted, 3);
         cache.check_invariants();
+    }
+
+    #[test]
+    fn a_weigher_without_a_budget_prices_but_evicts_by_count() {
+        let plain: ShardedLruCache<u32, u64> =
+            ShardedLruCache::new(2, 1).with_weigher(identity_cost);
+        let adaptive: ShardedLruCache<u32, u64> = ShardedLruCache::new(2, 1)
+            .with_adaptive_tiering(0.5)
+            .with_weigher(identity_cost);
+        for cache in [plain, adaptive] {
+            cache.insert(1, 10);
+            cache.insert(2, u64::MAX / 4);
+            assert_eq!(cache.len(), 2, "no budget, so no cost evicts");
+            assert_eq!(cache.bytes_in_use(), 10 + u64::MAX / 4);
+            assert_eq!(cache.bytes_budget(), None);
+            cache.insert(3, 30);
+            assert_eq!(cache.len(), 2, "the entry count still binds");
+            let resident: u64 = (1..=3).filter_map(|k| cache.peek(&k)).sum();
+            assert_eq!(cache.bytes_in_use(), resident);
+            assert_eq!(cache.tier_stats().bytes_in_use, resident);
+            cache.check_invariants();
+        }
     }
 
     #[test]

@@ -74,15 +74,16 @@ pub struct ProfiledStages {
 }
 
 impl ProfiledStages {
-    /// Approximate resident bytes of this entry — what a bytes-budgeted
-    /// stage cache charges for it.
+    /// Approximate resident bytes of this entry — what the stage cache
+    /// charges for it.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         self.analyzed.approx_bytes()
     }
 }
 
-/// Weigher pricing stage-cache entries for the optional bytes budget.
+/// Weigher pricing stage-cache entries: the byte gauge always, the
+/// optional bytes budget when one is set.
 fn stages_weight(stages: &Arc<ProfiledStages>) -> u64 {
     stages.approx_bytes()
 }
@@ -141,9 +142,9 @@ pub struct ServiceConfig {
     /// ([`EstimationService::estimate_matrix`],
     /// [`EstimationService::best_device_for_job`]).
     pub registry: DeviceRegistry,
-    /// Optional bytes budget over the stage cache: entries are priced by
-    /// [`ProfiledStages::approx_bytes`] and evicted LRU-first until the
-    /// budget holds. `None` bounds the cache by entry count only.
+    /// Optional bytes budget over the stage cache: entries, always priced
+    /// by [`ProfiledStages::approx_bytes`], are evicted LRU-first until
+    /// the budget holds. `None` bounds the cache by entry count only.
     pub cache_bytes_budget: Option<u64>,
     /// Optional state directory for crash-consistent persistence: cache
     /// inserts are journaled, snapshots compact the journal, and boot
@@ -284,7 +285,8 @@ impl EstimationService {
             config.estimator
         );
         let mut cache = ShardedLruCache::new(config.cache_capacity, config.shards)
-            .with_adaptive_tiering(INITIAL_PROTECTED_FRAC);
+            .with_adaptive_tiering(INITIAL_PROTECTED_FRAC)
+            .with_weigher(stages_weight);
         if let Some(budget) = config.cache_bytes_budget {
             cache = cache.with_bytes_budget(budget, stages_weight);
         }

@@ -792,3 +792,103 @@ fn corrupt_param_record_is_torn_and_the_sweep_refits() {
         );
     }
 }
+
+/// Corruptions of a recovered `Stage` record's first named block that keep
+/// it valid JSON of the right shape but leave it nothing an analysis can
+/// hold, which stores block ids in 32 bits and names as indices of the
+/// analysis's own windows: `(name, edit of the block's fields)`.
+type StageEdit = fn(&mut Vec<(String, serde::Value)>);
+
+const STAGE_CORRUPTIONS: [(&str, StageEdit); 4] = [
+    ("id past 32 bits", |block| {
+        let serde::Value::Object(lifecycle) = &mut block[0].1 else {
+            panic!("a block's lifecycle is an object")
+        };
+        lifecycle[0].1 = serde::Value::U64(1 << 32);
+    }),
+    ("operator no window has", |block| {
+        block[2].1 = serde::Value::Str("aten::nowhere".to_owned());
+    }),
+    ("component no window has", |block| {
+        block[3].1 = serde::Value::Str("model.nowhere".to_owned());
+    }),
+    // Names index their own kind of window.
+    ("operator only a component window has", |block| {
+        block[2].1 = block[3].1.clone();
+    }),
+];
+
+/// A `Stage` record the compact analysis cannot hold is a torn record, not
+/// a panic: the service boots, recovery stops at the record and counts it,
+/// and the job's next estimate re-profiles and serves what a fresh service
+/// serves.
+#[test]
+fn hostile_stage_record_is_torn_and_the_job_reprofiles() {
+    let dir = StateDir::new("stage-fields");
+    let batches = [4usize];
+    let expected = populate(dir.path(), &batches);
+    // One more boot compacts everything into the snapshot.
+    drop(EstimationService::new(config(dir.path())));
+    let snapshot = fs::read(dir.path().join(SNAPSHOT_FILE)).expect("snapshot");
+    let (start, _) = record_frames(&snapshot)
+        .into_iter()
+        .find(|(_, variant)| variant == "Stage")
+        .expect("populate journals a Stage record");
+    let len = u32::from_le_bytes(snapshot[start..start + 4].try_into().expect("4 bytes")) as usize;
+    let end = start + 12 + len;
+    let payload = std::str::from_utf8(&snapshot[start + 12..end]).expect("JSON payload");
+    let record: serde::Value = serde_json::from_str(payload).expect("record decodes");
+
+    for (name, edit) in STAGE_CORRUPTIONS {
+        let mut corrupt = record.clone();
+        let serde::Value::Object(variant) = &mut corrupt else {
+            panic!("records are objects")
+        };
+        let serde::Value::Object(stage) = &mut variant[0].1 else {
+            panic!("a Stage record is an object")
+        };
+        let (_, serde::Value::Object(analyzed)) = stage
+            .iter_mut()
+            .find(|(key, _)| key == "analyzed")
+            .expect("the record carries its analysis")
+        else {
+            panic!("an analysis is an object")
+        };
+        let (_, serde::Value::Array(blocks)) = analyzed
+            .iter_mut()
+            .find(|(key, _)| key == "blocks")
+            .expect("the analysis has blocks")
+        else {
+            panic!("blocks are an array")
+        };
+        let block = blocks
+            .iter_mut()
+            .find_map(|b| match b {
+                serde::Value::Object(f) if !f[2].1.is_null() && !f[3].1.is_null() => Some(f),
+                _ => None,
+            })
+            .expect("some block names an operator and a component");
+        edit(block);
+
+        let mut state = snapshot[..start].to_vec();
+        let json = serde_json::to_string(&corrupt).expect("re-encodes");
+        push_frame(&mut state, json.as_bytes());
+        state.extend_from_slice(&snapshot[end..]);
+        let scratch = StateDir::new("stage-fields-corrupt");
+        fs::create_dir_all(scratch.path()).expect("scratch dir");
+        fs::write(scratch.path().join(SNAPSHOT_FILE), &state).expect("corrupt snapshot");
+
+        let service = EstimationService::new(config(scratch.path()));
+        let stats = service.persist_stats();
+        assert!(
+            stats.recovery_truncated > 0,
+            "{name}: the record must count as torn: {stats:?}"
+        );
+        assert_eq!(
+            service.estimate(&spec(batches[0])).expect("estimates"),
+            expected[0],
+            "{name}: the estimate diverged"
+        );
+        assert_eq!(service.profile_runs(), 1, "{name}: the job re-profiles");
+    }
+}

@@ -1079,6 +1079,37 @@ fn deeply_nested_json_is_a_400_not_a_crash() {
 /// The default-device route is a sim cell: a repeated `POST
 /// /v1/estimate` records a `cache.sim` `hit` in its trace and moves the
 /// sim-cache hit counter on `/metrics` by exactly one.
+/// The stage tier's byte gauge prices what the tier holds even with no
+/// bytes budget: after one cold estimate it reads the retained
+/// analysis's size, while the budget gauge stays 0.
+#[test]
+fn stage_bytes_gauge_reads_the_retained_analysis_without_a_budget() {
+    let (server, service) = start_server(ServerConfig::default());
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let spec = small_spec(4);
+    let estimate = client
+        .post_json("/v1/estimate", &job_json(&spec))
+        .expect("estimate");
+    assert_eq!(estimate.status, 200);
+    let text = client.get("/metrics").expect("metrics").text().to_string();
+    let gauge = |name: &str| -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(&format!("{name}{{cache=\"stage\"}} ")))
+            .and_then(|value| value.parse().ok())
+            .unwrap_or_else(|| panic!("{name} is exported for the stage tier"))
+    };
+    let analyzed = xmem::core::Analyzer::new()
+        .analyze(&profile_on_cpu(&spec))
+        .expect("job analyzes");
+    assert_eq!(gauge("xmem_cache_bytes_budget"), 0);
+    assert!(gauge("xmem_cache_bytes_in_use") > 0);
+    assert_eq!(gauge("xmem_cache_bytes_in_use"), analyzed.approx_bytes());
+    assert_eq!(
+        service.service().stage_tier_stats().bytes_in_use,
+        analyzed.approx_bytes()
+    );
+}
+
 #[test]
 fn repeated_default_estimates_hit_the_sim_cell() {
     let (server, _service) = start_server(ServerConfig::default());
