@@ -339,7 +339,7 @@ impl ParamReplay {
                 && stats
                     .categories
                     .iter()
-                    .zip(&first_stats.categories)
+                    .zip(first_stats.categories.iter())
                     .all(|((name, count, _), (n0, c0, _))| name == n0 && count == c0);
             if !same {
                 return Err(ParamRejection::StructureMismatch { batch: *batch });

@@ -6,6 +6,7 @@ use crate::param::{EventBuffer, ParamRejection, ParamReplay};
 use crate::simulator::Simulator;
 use crate::EstimateError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use xmem_alloc::{AllocatorConfig, TimelinePoint};
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
 use xmem_trace::Trace;
@@ -53,8 +54,11 @@ impl EstimatorConfig {
 /// detailed report).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnalysisStats {
-    /// `(category name, block count, total bytes)` triples.
-    pub categories: Vec<(String, usize, u64)>,
+    /// `(category name, block count, total bytes)` triples. Shared, so
+    /// cloning an [`Estimate`] (every sim-cell hit does) allocates
+    /// nothing, and the cells derived from one [`UnboundedReplay`] hold
+    /// one copy. Encoded like a `Vec`.
+    pub categories: Arc<[(String, usize, u64)]>,
     /// Blocks dropped by the script filter.
     pub filtered_blocks: usize,
     /// Blocks whose lifecycle the Orchestrator adjusted.

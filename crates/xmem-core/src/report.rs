@@ -31,7 +31,7 @@ pub fn render_report(job: &str, estimate: &Estimate) -> String {
         if estimate.oom_predicted { "YES" } else { "no" }
     );
     let _ = writeln!(out, "  memory blocks by category:");
-    for (name, count, bytes) in &estimate.stats.categories {
+    for (name, count, bytes) in estimate.stats.categories.iter() {
         if *count > 0 {
             let _ = writeln!(
                 out,
@@ -62,7 +62,7 @@ mod tests {
             oom_predicted: false,
             curve: Vec::new(),
             stats: AnalysisStats {
-                categories: vec![("Parameter".into(), 42, 1 << 30)],
+                categories: vec![("Parameter".into(), 42, 1 << 30)].into(),
                 filtered_blocks: 3,
                 adjusted_blocks: 7,
                 unmatched_frees: 0,

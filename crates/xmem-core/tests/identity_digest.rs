@@ -102,7 +102,7 @@ impl Fnv {
         self.u64(e.tensor_peak_bytes);
         self.u64(u64::from(e.oom_predicted));
         self.u64(e.curve.len() as u64);
-        for (name, count, bytes) in &e.stats.categories {
+        for (name, count, bytes) in e.stats.categories.iter() {
             self.str(name);
             self.u64(*count as u64);
             self.u64(*bytes);

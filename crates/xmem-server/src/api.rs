@@ -123,7 +123,7 @@ pub fn estimate_from_value(value: &Value) -> Option<Estimate> {
         oom_predicted,
         curve: Vec::new(),
         stats: AnalysisStats {
-            categories,
+            categories: categories.into(),
             filtered_blocks: stats_usize("filtered_blocks")?,
             adjusted_blocks: stats_usize("adjusted_blocks")?,
             unmatched_frees: stats_usize("unmatched_frees")?,

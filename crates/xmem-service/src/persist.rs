@@ -578,16 +578,10 @@ mod tests {
         assert!(!torn);
     }
 
-    /// The journal and snapshot bytes of a stage record are a persisted
-    /// format: a state directory written by one build must recover in the
-    /// next. This pins the exact payload the golden fixture's analysis
-    /// encodes to, so a change to how analyses hold their names in memory
-    /// cannot move what goes to disk.
-    #[test]
-    fn stage_record_bytes_are_pinned() {
+    /// The golden fixture's job and its analysis.
+    fn fixture_analysis() -> (JobKey, AnalyzedTrace) {
         const FIXTURE: &str =
             include_str!("../../xmem-core/tests/fixtures/mobilenet_v3_small_adam_b2.trace.json");
-        const EXPECTED: u64 = 0x7630_d5af_2eab_5f60;
         let trace = xmem_trace::Trace::from_json_str(FIXTURE).expect("fixture parses");
         let analyzed = xmem_core::Analyzer::new()
             .analyze(&trace)
@@ -598,24 +592,60 @@ mod tests {
             2,
         )
         .with_iterations(2);
-        let record = StateRecord::Stage {
-            job: JobKey::of(&spec),
-            analyzed,
-        };
-        let json = serde_json::to_string(&record).expect("stage record encodes");
+        (JobKey::of(&spec), analyzed)
+    }
+
+    /// Checks that `record` encodes to the pinned digest and that a
+    /// decoded copy re-encodes to the same bytes.
+    fn assert_record_bytes(record: &StateRecord, expected: u64, kind: &str) {
+        let json = serde_json::to_string(record).expect("record encodes");
         assert_eq!(
             fnv1a64(json.as_bytes()),
-            EXPECTED,
-            "stage record bytes moved: 0x{:016x} over {} bytes",
+            expected,
+            "{kind} record bytes moved: 0x{:016x} over {} bytes",
             fnv1a64(json.as_bytes()),
             json.len()
         );
-        let back: StateRecord = serde_json::from_str(&json).expect("stage record decodes");
+        let back: StateRecord = serde_json::from_str(&json).expect("record decodes");
         assert_eq!(
             serde_json::to_string(&back).expect("re-encodes"),
             json,
-            "a decoded stage record re-encodes to the same bytes"
+            "a decoded {kind} record re-encodes to the same bytes"
         );
+    }
+
+    /// The journal and snapshot bytes of a stage record are a persisted
+    /// format: a state directory written by one build must recover in the
+    /// next. This pins the exact payload the golden fixture's analysis
+    /// encodes to, so a change to how analyses hold their names in memory
+    /// cannot move what goes to disk.
+    #[test]
+    fn stage_record_bytes_are_pinned() {
+        let (job, analyzed) = fixture_analysis();
+        let record = StateRecord::Stage { job, analyzed };
+        assert_record_bytes(&record, 0x7630_d5af_2eab_5f60, "stage");
+    }
+
+    /// The sim-cell sibling of `stage_record_bytes_are_pinned`: a change
+    /// to how an estimate holds its diagnostics in memory cannot move
+    /// what goes to disk.
+    #[test]
+    fn sim_record_bytes_are_pinned() {
+        let (job, analyzed) = fixture_analysis();
+        let gpu = xmem_runtime::GpuDevice::rtx3060();
+        let estimate = xmem_core::Estimator::new(xmem_core::EstimatorConfig::for_device(gpu))
+            .estimate_analyzed(&analyzed);
+        let record = StateRecord::Sim {
+            device: PersistedDevice {
+                name: "rtx3060".to_owned(),
+                capacity: gpu.capacity,
+                framework_bytes: gpu.framework_bytes,
+                init_bytes: gpu.init_bytes,
+            },
+            job,
+            estimate,
+        };
+        assert_record_bytes(&record, 0x4b90_5e95_2733_7e65, "sim");
     }
 
     #[test]

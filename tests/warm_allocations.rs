@@ -1,0 +1,124 @@
+//! What a warm answer allocates: a cached estimate is shared, not
+//! copied, so a sim-cell hit costs a refcount and the heap is touched
+//! only for what the answer itself owns (device names, row and cell
+//! vectors).
+//!
+//! The binary holds a single test: its global allocator counts every
+//! thread, and a second test running alongside would show up in the
+//! counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use xmem::prelude::*;
+
+/// The system allocator, keeping a count of allocations made.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded to `System` with the caller's own
+// arguments; the counter only observes that a call happened.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f`, returning its result and the allocations it made. The
+/// result is returned, not dropped, so freeing it is not counted either.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// Sixteen small jobs: every one fits every device, so each row's cells
+/// all derive from the row's one unbounded replay.
+fn jobs() -> Vec<TrainJobSpec> {
+    let mut jobs = Vec::new();
+    for model in [ModelId::MobileNetV3Small, ModelId::MnasNet] {
+        for optimizer in [OptimizerKind::Adam, OptimizerKind::Sgd { momentum: true }] {
+            for batch in [1, 2, 4, 8] {
+                jobs.push(TrainJobSpec::new(model, optimizer, batch).with_iterations(2));
+            }
+        }
+    }
+    jobs
+}
+
+#[test]
+fn warm_answers_share_their_estimates() {
+    // The serving benchmark's fleet: the three built-ins and five more.
+    let registry = DeviceRegistry::builtin();
+    registry
+        .extend_from_json_str(include_str!("../perfbench/fleet.json"))
+        .expect("fleet file parses");
+    let devices = registry.names();
+    assert_eq!(devices.len(), 8);
+    let service = EstimationService::new(
+        ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry.clone()),
+    );
+    let jobs = jobs();
+    let columns: Vec<&str> = devices.iter().map(String::as_str).collect();
+
+    let cold = service.estimate_matrix(&jobs, &columns).expect("resolves");
+    let row = &cold.rows[0];
+    let first = row.cells[0].estimate.as_ref().expect("estimates");
+    let second = row.cells[1].estimate.as_ref().expect("estimates");
+    assert!(
+        Arc::ptr_eq(&first.stats.categories, &second.stats.categories),
+        "the derived cells of one row share one stats allocation"
+    );
+
+    let (copy, made) = counted(|| first.clone());
+    eprintln!("Estimate::clone: {made} allocations");
+    assert_eq!(&copy, first);
+    assert_eq!(made, 0, "cloning an estimate allocates nothing");
+
+    let spec = &jobs[0];
+    let expected = service.estimate(spec).expect("estimates");
+    let (warm, made) = counted(|| service.estimate(spec).expect("estimates"));
+    eprintln!("warm estimate: {made} allocations");
+    assert_eq!(warm, expected);
+    assert_eq!(made, 0, "a warm default-device estimate allocates nothing");
+
+    let (warm, made) = counted(|| service.estimate_matrix(&jobs, &columns).expect("resolves"));
+    assert_eq!(warm, cold);
+    let cells = warm.num_cells() as u64;
+    eprintln!("warm {cells}-cell matrix: {made} allocations");
+    assert_eq!(cells, 16 * 8);
+    assert!(
+        made <= 2 * cells,
+        "a warm {cells}-cell matrix made {made} allocations"
+    );
+
+    let expected = service.best_device_for_job(spec).expect("places");
+    let (warm, made) = counted(|| service.best_device_for_job(spec).expect("places"));
+    eprintln!("warm placement: {made} allocations");
+    assert_eq!(warm, expected);
+    assert!(
+        made <= registry.len() as u64 + 2,
+        "a warm placement over {} devices made {made} allocations",
+        registry.len()
+    );
+}
