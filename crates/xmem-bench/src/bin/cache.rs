@@ -5,12 +5,13 @@
 //! one-shot scan keys (every 10th access is a key never seen again, the
 //! sweep/probe traffic shape) and a hot-set rotation at the halfway mark
 //! (the workload the online tuner exists for) — against the same
-//! `ShardedLruCache` under four policies at an **identical bytes
-//! budget**: plain LRU, static SLRU at several pinned fractions, and the
-//! default self-tuning adaptive tier (TinyLFU admission + ghost lists +
-//! hill-climbing tuner). Emits `BENCH_cache.json` with per-policy hit
-//! rates, replay/warm-serve throughput, and the adaptive machinery's
-//! counters, asserting in-harness that the adaptive policy beats plain
+//! `ShardedLruCache` under four policies at an **identical entry
+//! capacity**, the only bound a cache has: plain LRU, static SLRU at
+//! several pinned fractions, and the default self-tuning adaptive tier
+//! (TinyLFU admission + ghost lists + hill-climbing tuner). Emits
+//! `BENCH_cache.json` with per-policy hit rates, replay/warm-serve
+//! throughput, resident bytes, and the adaptive machinery's counters,
+//! asserting in-harness that the adaptive policy beats plain
 //! LRU *and* the best static fraction on hit-rate.
 //!
 //! Usage: `cache [--quick] [--out PATH]`
@@ -79,8 +80,9 @@ struct PolicyResult {
     sketch_resets: u64,
     /// The live protected fraction after the replay, in permille.
     protected_frac_permille: u32,
-    /// The byte budget every policy ran under (identical across rows).
-    bytes_budget: u64,
+    /// What the resident entries weigh after the replay (the weigher's
+    /// gauge, `xmem_cache_bytes_in_use` in the service).
+    bytes_in_use: u64,
 }
 
 /// Headline comparisons the CI gate and the README table read.
@@ -108,7 +110,6 @@ struct Report {
     universe: usize,
     trace_len: usize,
     cache_capacity: usize,
-    bytes_budget: u64,
     zipf_s: f64,
     benchmarks: Vec<Benchmark>,
     policies: Vec<PolicyResult>,
@@ -165,12 +166,17 @@ fn job_key(batch: usize) -> JobKey {
     ))
 }
 
-/// Deterministic synthetic entry cost in bytes: varied (64..=1016, mean
-/// ≈540) so the bytes budget — not just the entry count — binds.
+/// Bounds of [`cost_of`].
+const MIN_COST: u64 = 64;
+const MAX_COST: u64 = MIN_COST + 119 * 8;
+
+/// Deterministic synthetic entry cost in bytes, varied (64..=1016, mean
+/// ≈540). Every policy prices its entries with it the way the service's
+/// stage tier prices its analyses: a gauge, never an eviction bound.
 fn cost_of(index: u64) -> u64 {
     let mut h = index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= h >> 33;
-    64 + (h % 120) * 8
+    MIN_COST + (h % 120) * 8
 }
 
 /// One trace access: a universe index (the key) plus its entry cost.
@@ -219,7 +225,6 @@ fn run_policy(
     cache: &ShardedLruCache<JobKey, u64>,
     trace: &[Access],
     keys: &[JobKey],
-    bytes_budget: u64,
     benchmarks: &mut Vec<Benchmark>,
 ) -> PolicyResult {
     let key_of = |access: &Access| -> JobKey {
@@ -279,6 +284,13 @@ fn run_policy(
     let replay_hits = before.hits;
     let replay_misses = before.misses;
     let tier = cache.tier_stats();
+    let entries = tier.entries;
+    assert!(
+        (entries * MIN_COST..=entries * MAX_COST).contains(&tier.bytes_in_use),
+        "{name}: {} resident entries cannot weigh {} B",
+        tier.entries,
+        tier.bytes_in_use
+    );
     #[allow(clippy::cast_precision_loss)]
     let hit_rate = replay_hits as f64 / (replay_hits + replay_misses).max(1) as f64;
     PolicyResult {
@@ -294,7 +306,7 @@ fn run_policy(
         tuner_steps: stats.tuner_steps,
         sketch_resets: stats.sketch_resets,
         protected_frac_permille: tier.protected_frac_permille,
-        bytes_budget,
+        bytes_in_use: tier.bytes_in_use,
     }
 }
 
@@ -319,13 +331,8 @@ fn main() {
     let capacity = universe / 8;
     let shards = 4;
     let zipf_s = 1.0;
-    // Identical bytes budget for every policy: roughly the mean entry
-    // cost times the entry capacity, so *both* bounds genuinely bind.
-    let bytes_budget = capacity as u64 * 540;
 
-    println!(
-        "  universe={universe} trace={trace_len} capacity={capacity} budget={bytes_budget}B zipf_s={zipf_s}"
-    );
+    println!("  universe={universe} trace={trace_len} capacity={capacity} zipf_s={zipf_s}");
     let trace = build_trace(universe, trace_len, zipf_s);
     let keys: Vec<JobKey> = (0..universe).map(job_key).collect();
     // Scan keys are constructed on the fly; pre-warm the allocator path
@@ -337,9 +344,9 @@ fn main() {
     let mut policies = Vec::new();
 
     // Each policy is a plain cache with its tiering applied, then the
-    // shared bytes budget.
+    // shared weigher.
     let build = |tier: &dyn Fn(ShardedLruCache<JobKey, u64>) -> ShardedLruCache<JobKey, u64>| {
-        tier(ShardedLruCache::new(capacity, shards)).with_bytes_budget(bytes_budget, weigher)
+        tier(ShardedLruCache::new(capacity, shards)).with_weigher(weigher)
     };
 
     let plain = run_policy(
@@ -347,7 +354,6 @@ fn main() {
         &build(&|plain| plain),
         &trace,
         &keys,
-        bytes_budget,
         &mut benchmarks,
     );
 
@@ -355,25 +361,11 @@ fn main() {
     for &frac in &static_fracs {
         let name = format!("static_slru_{:02}", (frac * 100.0) as u32);
         let cache = build(&|plain| plain.with_segmented_admission(frac));
-        policies.push(run_policy(
-            &name,
-            &cache,
-            &trace,
-            &keys,
-            bytes_budget,
-            &mut benchmarks,
-        ));
+        policies.push(run_policy(&name, &cache, &trace, &keys, &mut benchmarks));
     }
 
     let adaptive_cache = build(&|plain| plain.with_adaptive_tiering(0.5));
-    let adaptive = run_policy(
-        "adaptive",
-        &adaptive_cache,
-        &trace,
-        &keys,
-        bytes_budget,
-        &mut benchmarks,
-    );
+    let adaptive = run_policy("adaptive", &adaptive_cache, &trace, &keys, &mut benchmarks);
 
     // --- in-harness proof obligations ----------------------------------
     let (best_static_hit_rate, best_static_frac) = policies
@@ -460,7 +452,6 @@ fn main() {
         universe,
         trace_len,
         cache_capacity: capacity,
-        bytes_budget,
         zipf_s,
         benchmarks,
         policies: all_policies,

@@ -379,7 +379,6 @@ impl ServerMetrics {
             ("miss", cache.misses),
             ("insert", cache.insertions),
             ("evict", cache.evictions),
-            ("reject", cache.rejected),
             ("promote", cache.promoted),
         ] {
             let _ = writeln!(
@@ -437,11 +436,6 @@ impl ServerMetrics {
                 "xmem_cache_bytes_in_use",
                 "Resident bytes per cache tier: the stage tier prices its analyses, param and sim price nothing (0)",
                 |t| t.bytes_in_use,
-            ),
-            (
-                "xmem_cache_bytes_budget",
-                "Bytes budget per cache tier (0 when unbudgeted)",
-                |t| t.bytes_budget,
             ),
             (
                 "xmem_cache_protected_frac_permille",

@@ -1,23 +1,23 @@
-//! Sharded, mutex-per-shard LRU cache with O(1) eviction, an optional
-//! bytes budget, and segmented (probation/protected) admission that can
-//! be pinned statically or tuned adaptively online.
+//! Sharded, mutex-per-shard LRU cache with O(1) eviction, bounded by
+//! entry count alone, and segmented (probation/protected) admission that
+//! can be pinned statically or tuned adaptively online.
 //!
 //! Keys are spread across `shards` independent maps by hash, so concurrent
 //! estimation threads contend only when they touch the same shard. Each
-//! shard enforces its own capacity slice (and, when configured, its slice
-//! of the bytes budget) with least-recently-used eviction.
+//! shard enforces its own capacity slice with least-recently-used
+//! eviction.
 //!
 //! Recency is an **intrusive, index-linked list** over a slab of nodes:
 //! every get/insert/evict is a constant number of index rewrites — no
 //! allocation per operation and, critically, no scan over the shard to
-//! find the eviction victim (the list tail *is* the victim). Entry costs
-//! vary wildly in this workload (profiler traces differ ~100× in size
-//! between MobileNet and Qwen3-4B), so a pure entry-count capacity is a
-//! poor memory bound; [`ShardedLruCache::with_bytes_budget`] adds
-//! per-entry cost accounting and evicts until both the entry and the byte
-//! limits hold. Entries costlier than their whole shard slice are not
-//! cached at all (counted in [`CacheStats::rejected`]) — callers still get
-//! their computed value, it just will not be retained.
+//! find the eviction victim (the list tail *is* the victim). An entry
+//! count is a fair memory bound here because the costliest tier holds
+//! analyzed traces of a narrow size range: over the 25-model zoo at batch
+//! 8 (Adam, 2 iterations) one analysis weighs 36–560 KiB. An analysis
+//! grows with the job's `iterations`, so that range holds only while the
+//! iteration count is bounded. [`ShardedLruCache::with_weigher`] prices
+//! every entry so [`ShardedLruCache::bytes_in_use`] reports what a tier
+//! holds; the price never evicts.
 //!
 //! **Segmented admission**
 //! ([`ShardedLruCache::with_segmented_admission`]): plain LRU is
@@ -50,11 +50,10 @@
 //!    segment was undersized.
 //! 3. **Learned split with smoothed transitions**: the tuner's fraction
 //!    (hard floor/ceiling, integer permille) re-caps the protected
-//!    segment — and its share of the bytes budget — with at most one
-//!    protected→probation demotion per operation, so a tuner step never
-//!    causes a demotion storm. All tier state is integral and advanced
-//!    only by cache operations: behavior is deterministic given the
-//!    access sequence.
+//!    segment with at most one protected→probation demotion per
+//!    operation, so a tuner step never causes a demotion storm. All tier
+//!    state is integral and advanced only by cache operations: behavior
+//!    is deterministic given the access sequence.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -76,11 +75,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries written.
     pub insertions: u64,
-    /// Entries evicted to respect the capacity or the bytes budget.
+    /// Entries evicted to respect the capacity.
     pub evictions: u64,
-    /// Entries refused because their cost alone exceeded the shard's
-    /// bytes-budget slice (the value was still returned to the caller).
-    pub rejected: u64,
     /// Probation entries promoted to the protected segment on a hit
     /// (always 0 unless segmented admission is configured).
     pub promoted: u64,
@@ -107,7 +103,6 @@ impl CacheStats {
         self.misses += other.misses;
         self.insertions += other.insertions;
         self.evictions += other.evictions;
-        self.rejected += other.rejected;
         self.promoted += other.promoted;
         self.ghost_hits += other.ghost_hits;
         self.tuner_steps += other.tuner_steps;
@@ -129,8 +124,7 @@ struct TierEvents {
 /// What one shard-level insert did.
 #[derive(Debug, Clone, Copy, Default)]
 struct InsertOutcome {
-    evicted: u64,
-    rejected: bool,
+    evicted: bool,
     denied: bool,
     events: TierEvents,
 }
@@ -158,7 +152,7 @@ fn key_hash<K: Hash + ?Sized>(key: &K) -> u64 {
 struct Node<K, V> {
     key: K,
     value: V,
-    /// Bytes this entry counts against the shard's budget slice.
+    /// What the weigher priced this entry at.
     cost: u64,
     prev: u32,
     next: u32,
@@ -235,9 +229,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
 
     /// Detaches `index` from its recency list (it stays in the slab/map).
     fn unlink(&mut self, index: u32) {
-        let (prev, next, segment, cost) = {
+        let (prev, next, segment) = {
             let n = self.node(index);
-            (n.prev, n.next, n.segment, n.cost)
+            (n.prev, n.next, n.segment)
         };
         if prev == NIL {
             self.lists[segment].head = next;
@@ -251,15 +245,11 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
         if segment == PROTECTED {
             self.protected_len -= 1;
-            if let Some(tier) = &mut self.tier {
-                tier.protected_bytes -= cost;
-            }
         }
     }
 
     /// Links `index` at the MRU end of `segment`.
     fn push_front(&mut self, index: u32, segment: usize) {
-        let cost = self.node(index).cost;
         let old_head = self.lists[segment].head;
         {
             let n = self.node_mut(index);
@@ -276,9 +266,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
         if segment == PROTECTED {
             self.protected_len += 1;
-            if let Some(tier) = &mut self.tier {
-                tier.protected_bytes += cost;
-            }
         }
     }
 
@@ -306,7 +293,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     }
 
     /// Smoothed transition toward a shrunk learned split: when protected
-    /// occupancy exceeds the live entry cap or byte share, demote at most
+    /// occupancy exceeds the live entry cap, demote at most
     /// **one** protected LRU back to probation's MRU. Called once per
     /// operation on live adaptive shards, so a tuner step drains overflow
     /// gradually instead of in a demotion storm.
@@ -317,37 +304,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         if !tier.active {
             return;
         }
-        let over_entries = self.protected_len > tier.protected_cap;
-        let over_bytes = tier
-            .protected_byte_share()
-            .is_some_and(|share| tier.protected_bytes > share);
-        if (over_entries || over_bytes) && self.lists[PROTECTED].tail != NIL {
-            let demoted = self.lists[PROTECTED].tail;
-            self.unlink(demoted);
-            self.push_front(demoted, PROBATION);
-        }
-    }
-
-    /// The byte-split guarantee behind a promotion: if the newly promoted
-    /// entry pushed the protected segment over its byte share, demote
-    /// from the protected LRU until the share holds — possibly demoting
-    /// the just-promoted entry itself when its cost alone exceeds the
-    /// share. Bytes accounting is never stranded in an over-share
-    /// protected segment.
-    fn enforce_protected_byte_share(&mut self) {
-        loop {
-            let Some(tier) = &self.tier else {
-                return;
-            };
-            if !tier.active {
-                return;
-            }
-            let Some(share) = tier.protected_byte_share() else {
-                return;
-            };
-            if tier.protected_bytes <= share || self.lists[PROTECTED].tail == NIL {
-                return;
-            }
+        if self.protected_len > tier.protected_cap && self.lists[PROTECTED].tail != NIL {
             let demoted = self.lists[PROTECTED].tail;
             self.unlink(demoted);
             self.push_front(demoted, PROBATION);
@@ -393,7 +350,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
                 self.unlink(demoted);
                 self.push_front(demoted, PROBATION);
             }
-            self.enforce_protected_byte_share();
         } else if self.lists[segment].head != index {
             self.unlink(index);
             self.push_front(index, segment);
@@ -406,7 +362,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
     }
 
     /// Removes the node at `index` entirely: list, slab, map and byte
-    /// gauge. The single removal path, shared by eviction and rejection.
+    /// gauge.
     fn remove_index(&mut self, index: u32) {
         self.unlink(index);
         let node = self.nodes[index as usize].take().expect("vacant lru slot");
@@ -438,7 +394,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         self.remove_index(victim);
     }
 
-    /// The LRU entry a capacity/budget-pressed insert would evict first.
+    /// The LRU entry a full shard's insert would evict first.
     fn eviction_victim(&self) -> u32 {
         if self.lists[PROBATION].tail != NIL {
             self.lists[PROBATION].tail
@@ -447,39 +403,18 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
     }
 
-    /// Inserts (or replaces) `key → value` with `cost` bytes, then evicts
-    /// LRU entries until both `capacity` and `budget` hold. On live
+    /// Inserts (or replaces) `key → value` priced at `cost` bytes, then
+    /// evicts the LRU entry if the shard is over `capacity`. On live
     /// adaptive shards, a **new** key that needs an eviction must beat
     /// the would-be victim's sketched frequency to be admitted at all.
-    fn insert(
-        &mut self,
-        key: K,
-        value: V,
-        cost: u64,
-        capacity: usize,
-        budget: Option<u64>,
-        hash: u64,
-    ) -> InsertOutcome {
+    fn insert(&mut self, key: K, value: V, cost: u64, capacity: usize, hash: u64) -> InsertOutcome {
         let mut outcome = InsertOutcome::default();
         self.tier_access(hash, &mut outcome.events);
-        if let Some(budget) = budget {
-            if cost > budget {
-                // Not cacheable at any occupancy: drop a stale entry under
-                // the same key (it would otherwise keep serving the old
-                // value) and refuse.
-                if let Some(&index) = self.map.get(&key) {
-                    self.remove_index(index);
-                }
-                outcome.rejected = true;
-                return outcome;
-            }
-        }
         if let Some(&index) = self.map.get(&key) {
             // Replacement: refresh value, cost and recency in place. The
             // entry keeps its segment — a write is not the re-reference
             // that earns promotion.
-            let old_cost = self.node(index).cost;
-            self.bytes -= old_cost;
+            self.bytes -= self.node(index).cost;
             self.bytes += cost;
             let segment = {
                 let n = self.node_mut(index);
@@ -487,38 +422,26 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
                 n.cost = cost;
                 n.segment
             };
-            if segment == PROTECTED {
-                // Keep the protected byte gauge in step with the cost
-                // change (the unlink/relink below nets to zero).
-                if let Some(tier) = &mut self.tier {
-                    tier.protected_bytes = tier.protected_bytes - old_cost + cost;
-                }
-            }
             if self.lists[segment].head != index {
                 self.unlink(index);
                 self.push_front(index, segment);
             }
         } else {
             if let Some(tier) = &self.tier {
-                if tier.active {
-                    let needs_eviction =
-                        self.map.len() >= capacity || budget.is_some_and(|b| self.bytes + cost > b);
-                    if needs_eviction {
-                        // A pressed shard is never empty (capacity >= 1
-                        // and the oversize check already passed), so the
-                        // victim index is live.
-                        let victim = self.eviction_victim();
-                        let victim_hash = key_hash(
-                            &self.nodes[victim as usize]
-                                .as_ref()
-                                .expect("vacant lru slot")
-                                .key,
-                        );
-                        if tier.sketch.estimate(hash) <= tier.sketch.estimate(victim_hash) {
-                            outcome.events.admission_denied += 1;
-                            outcome.denied = true;
-                            return outcome;
-                        }
+                if tier.active && self.map.len() >= capacity {
+                    // A full shard is never empty (capacity >= 1), so the
+                    // victim index is live.
+                    let victim = self.eviction_victim();
+                    let victim_hash = key_hash(
+                        &self.nodes[victim as usize]
+                            .as_ref()
+                            .expect("vacant lru slot")
+                            .key,
+                    );
+                    if tier.sketch.estimate(hash) <= tier.sketch.estimate(victim_hash) {
+                        outcome.events.admission_denied += 1;
+                        outcome.denied = true;
+                        return outcome;
                     }
                 }
             }
@@ -545,25 +468,24 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             self.bytes += cost;
             self.push_front(index, PROBATION);
         }
-        while self.map.len() > capacity || budget.is_some_and(|b| self.bytes > b) {
+        // Only a new key grows the shard, by one, so one eviction restores
+        // the bound.
+        if self.map.len() > capacity {
             self.evict_tail();
-            outcome.evicted += 1;
+            outcome.evicted = true;
         }
         outcome
     }
 }
 
 /// A concurrent LRU cache split into independently locked shards, with
-/// O(1) eviction, an optional bytes budget, and optional (static or
-/// adaptive) segmented admission.
+/// O(1) eviction, an entry-count bound, and optional (static or adaptive)
+/// segmented admission.
 #[derive(Debug)]
 pub struct ShardedLruCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     /// Per-shard capacity slices; they sum to exactly the configured total.
     capacities: Vec<usize>,
-    /// Per-shard bytes-budget slices (summing to the configured total), or
-    /// `None` for an entry-count-only cache.
-    budgets: Option<Vec<u64>>,
     /// Per-shard caps on the protected segment; 0 everywhere (the
     /// default) disables segmented admission and the shard behaves as a
     /// plain LRU. Unused (the tier state's live cap rules) when
@@ -571,18 +493,13 @@ pub struct ShardedLruCache<K, V> {
     protected_caps: Vec<usize>,
     /// Whether shards carry adaptive tier state.
     adaptive: bool,
-    /// Whether that tier state is live (tuner, sketch gate, ghosts, byte
-    /// split) or frozen for bit-compat testing.
-    tuning: bool,
     /// Computes an entry's cost. The default weigher costs everything 0,
-    /// so a budget only binds, and the byte gauge only reads non-zero,
-    /// when a real weigher is set.
+    /// so the byte gauge only reads non-zero when a real weigher is set.
     weigher: fn(&V) -> u64,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    rejected: AtomicU64,
     promoted: AtomicU64,
     ghost_hits: AtomicU64,
     tuner_steps: AtomicU64,
@@ -608,16 +525,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         ShardedLruCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             capacities: (0..shards).map(|i| base + usize::from(i < extra)).collect(),
-            budgets: None,
             protected_caps: vec![0; shards],
             adaptive: false,
-            tuning: false,
             weigher: zero_weight::<V>,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             promoted: AtomicU64::new(0),
             ghost_hits: AtomicU64::new(0),
             tuner_steps: AtomicU64::new(0),
@@ -661,7 +575,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// `initial_frac` (clamped to the tuner's floor/ceiling; see the
     /// module docs):
     /// sketch-gated admission, ghost-list feedback, and a hill-climbing
-    /// tuner over the protected fraction and bytes-budget split.
+    /// tuner over the protected fraction.
     #[must_use]
     pub fn with_adaptive_tiering(self, initial_frac: f64) -> Self {
         self.install_adaptive(initial_frac, true)
@@ -669,7 +583,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
 
     /// Adaptive tiering with the tuning loop **frozen**: segment caps
     /// come from the same integer-permille machinery, but the sketch
-    /// gate, ghost lists, tuner, and byte split are all inert — the cache
+    /// gate, ghost lists and tuner are all inert — the cache
     /// is operation-for-operation identical to
     /// [`with_segmented_admission`](Self::with_segmented_admission) at
     /// the same fraction. For bit-compat tests.
@@ -680,17 +594,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
 
     fn install_adaptive(mut self, frac: f64, tuning: bool) -> Self {
         self.adaptive = true;
-        self.tuning = tuning;
         self.protected_caps = vec![0; self.shards.len()];
         let permille = permille_from_frac(frac, tuning);
-        for (i, shard) in self.shards.iter().enumerate() {
-            let budget = self.budgets.as_ref().map(|b| b[i]);
-            shard.lock().expect("cache shard poisoned").tier = Some(Box::new(TierState::new(
-                self.capacities[i],
-                budget,
-                permille,
-                tuning,
-            )));
+        for (shard, &capacity) in self.shards.iter().zip(&self.capacities) {
+            shard.lock().expect("cache shard poisoned").tier =
+                Some(Box::new(TierState::new(capacity, permille, tuning)));
         }
         self
     }
@@ -700,7 +608,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     #[must_use]
     fn clear_tiering(mut self) -> Self {
         self.adaptive = false;
-        self.tuning = false;
         self.protected_caps = vec![0; self.shards.len()];
         for shard in &self.shards {
             shard.lock().expect("cache shard poisoned").tier = None;
@@ -710,34 +617,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
 
     /// Prices every inserted value with `weigher`, so
     /// [`bytes_in_use`](Self::bytes_in_use) reports what the cache holds.
-    /// Without a bytes budget eviction stays by entry count.
+    /// The price is a gauge only: eviction stays by entry count.
     #[must_use]
     pub fn with_weigher(mut self, weigher: fn(&V) -> u64) -> Self {
-        self.weigher = weigher;
-        self
-    }
-
-    /// Adds a bytes budget: `weigher` prices every inserted value, and
-    /// each shard evicts LRU entries until its slice of `total_bytes`
-    /// holds (the slices partition the total exactly, so resident cost
-    /// never exceeds the budget). An entry costlier than its whole shard
-    /// slice is refused outright and counted in [`CacheStats::rejected`] —
-    /// size the budget well above the largest single entry (and far above
-    /// the shard count).
-    #[must_use]
-    pub fn with_bytes_budget(mut self, total_bytes: u64, weigher: fn(&V) -> u64) -> Self {
-        let shards = self.shards.len() as u64;
-        let base = total_bytes / shards;
-        let extra = total_bytes % shards;
-        let slices: Vec<u64> = (0..shards).map(|i| base + u64::from(i < extra)).collect();
-        // Re-slice any already-installed tier state so builder order
-        // does not matter.
-        for (shard, &slice) in self.shards.iter().zip(&slices) {
-            if let Some(tier) = shard.lock().expect("cache shard poisoned").tier.as_mut() {
-                tier.set_budget(Some(slice));
-            }
-        }
-        self.budgets = Some(slices);
         self.weigher = weigher;
         self
     }
@@ -753,12 +635,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacities.iter().sum()
-    }
-
-    /// The total configured bytes budget, when one is set.
-    #[must_use]
-    pub fn bytes_budget(&self) -> Option<u64> {
-        self.budgets.as_ref().map(|b| b.iter().sum())
     }
 
     /// Total cost of resident entries, as priced by the weigher.
@@ -875,17 +751,16 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         let hash = key_hash(&key);
         let index = self.shard_index_of(hash);
         let cost = (self.weigher)(&value);
-        let budget = self.budgets.as_ref().map(|b| b[index]);
         let outcome = self.shards[index]
             .lock()
             .expect("cache shard poisoned")
-            .insert(key, value, cost, self.capacities[index], budget, hash);
-        if outcome.rejected {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-        } else if !outcome.denied {
+            .insert(key, value, cost, self.capacities[index], hash);
+        if !outcome.denied {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
-        self.evictions.fetch_add(outcome.evicted, Ordering::Relaxed);
+        if outcome.evicted {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
         self.fold_events(outcome.events);
     }
 
@@ -915,7 +790,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
             promoted: self.promoted.load(Ordering::Relaxed),
             ghost_hits: self.ghost_hits.load(Ordering::Relaxed),
             tuner_steps: self.tuner_steps.load(Ordering::Relaxed),
@@ -925,7 +799,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     }
 
     /// A gauge snapshot of the cache's tier geometry and occupancy —
-    /// segment entry counts, entry/byte capacities, and the live
+    /// segment entry counts, entry capacities, bytes in use, and the live
     /// protected fraction — aggregated over the shards. Fuels the
     /// `/metrics` `xmem_cache_*` gauges.
     #[must_use]
@@ -934,7 +808,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             segmented: self.adaptive || self.protected_caps.iter().any(|&c| c > 0),
             adaptive: self.adaptive,
             capacity: self.capacity() as u64,
-            bytes_budget: self.bytes_budget().unwrap_or(0),
             ..TierStats::default()
         };
         let mut permille_sum: u64 = 0;
@@ -1005,9 +878,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     }
 
     /// Exhaustive structural self-check of every shard, used by tests: the
-    /// recency list must thread exactly the mapped nodes, the byte gauge
-    /// must equal the sum of live costs, and on adaptive shards the
-    /// protected byte gauge must equal the protected list's cost sum.
+    /// recency list must thread exactly the mapped nodes and the byte gauge
+    /// must equal the sum of live costs.
     ///
     /// # Panics
     /// Panics on any violated invariant.
@@ -1017,7 +889,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             assert!(shard.map.len() <= capacity, "shard over capacity");
             let mut seen = 0usize;
             let mut bytes = 0u64;
-            let mut protected_bytes = 0u64;
             for segment in [PROBATION, PROTECTED] {
                 let mut segment_len = 0usize;
                 let mut prev = NIL;
@@ -1034,9 +905,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
                     seen += 1;
                     segment_len += 1;
                     bytes += node.cost;
-                    if segment == PROTECTED {
-                        protected_bytes += node.cost;
-                    }
                     prev = cursor;
                     cursor = node.next;
                 }
@@ -1063,12 +931,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             }
             assert_eq!(seen, shard.map.len(), "list/map size mismatch");
             assert_eq!(bytes, shard.bytes, "byte gauge drift");
-            if let Some(tier) = &shard.tier {
-                assert_eq!(
-                    protected_bytes, tier.protected_bytes,
-                    "protected byte gauge drift"
-                );
-            }
             assert_eq!(shard.free.len() + seen, shard.nodes.len(), "slab slot leak");
         }
     }
@@ -1180,76 +1042,15 @@ mod tests {
     }
 
     #[test]
-    fn bytes_budget_evicts_down_to_the_limit() {
-        let cache: ShardedLruCache<u32, u64> =
-            ShardedLruCache::new(100, 1).with_bytes_budget(100, identity_cost);
-        assert_eq!(cache.bytes_budget(), Some(100));
-        cache.insert(1, 40);
-        cache.insert(2, 40);
-        assert_eq!(cache.bytes_in_use(), 80);
-        // 50 more bytes exceed the budget: the LRU entry (1) must go.
-        cache.insert(3, 50);
-        assert_eq!(cache.peek(&1), None);
-        assert_eq!(cache.bytes_in_use(), 90);
-        assert_eq!(cache.stats().evictions, 1);
-        cache.check_invariants();
-    }
-
-    #[test]
-    fn bytes_budget_can_evict_several_entries_for_one_insert() {
-        let cache: ShardedLruCache<u32, u64> =
-            ShardedLruCache::new(100, 1).with_bytes_budget(100, identity_cost);
-        for k in 0..10 {
-            cache.insert(k, 10);
-        }
-        assert_eq!(cache.len(), 10);
-        cache.insert(99, 95); // 95 + any resident's 10 > 100: all must go
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.bytes_in_use(), 95);
-        assert_eq!(cache.stats().evictions, 10);
-        cache.check_invariants();
-    }
-
-    #[test]
-    fn oversized_entries_are_rejected_not_cached() {
-        let cache: ShardedLruCache<u32, u64> =
-            ShardedLruCache::new(100, 1).with_bytes_budget(100, identity_cost);
-        cache.insert(1, 40);
-        cache.insert(2, 101); // costlier than the whole budget
-        assert_eq!(cache.peek(&2), None);
-        assert_eq!(cache.peek(&1), Some(40), "residents are not disturbed");
-        let stats = cache.stats();
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.insertions, 1);
-        // A rejected replacement must also drop the stale resident.
-        cache.insert(1, 200);
-        assert_eq!(cache.peek(&1), None, "stale value must not survive");
-        assert_eq!(cache.stats().rejected, 2);
-        cache.check_invariants();
-    }
-
-    #[test]
     fn cost_replacement_adjusts_the_gauge() {
         let cache: ShardedLruCache<u32, u64> =
-            ShardedLruCache::new(10, 1).with_bytes_budget(100, identity_cost);
+            ShardedLruCache::new(10, 1).with_weigher(identity_cost);
         cache.insert(1, 60);
         cache.insert(1, 20);
         assert_eq!(cache.bytes_in_use(), 20);
         cache.insert(1, 90);
         assert_eq!(cache.bytes_in_use(), 90);
         assert_eq!(cache.len(), 1);
-        cache.check_invariants();
-    }
-
-    #[test]
-    fn budget_slices_partition_the_total() {
-        let cache: ShardedLruCache<u32, u64> =
-            ShardedLruCache::new(64, 16).with_bytes_budget(1000, identity_cost);
-        assert_eq!(cache.bytes_budget(), Some(1000));
-        for k in 0..500 {
-            cache.insert(k, 7);
-        }
-        assert!(cache.bytes_in_use() <= 1000);
         cache.check_invariants();
     }
 
@@ -1330,9 +1131,8 @@ mod tests {
         for cache in [plain, adaptive] {
             cache.insert(1, 10);
             cache.insert(2, u64::MAX / 4);
-            assert_eq!(cache.len(), 2, "no budget, so no cost evicts");
+            assert_eq!(cache.len(), 2, "a cost never evicts");
             assert_eq!(cache.bytes_in_use(), 10 + u64::MAX / 4);
-            assert_eq!(cache.bytes_budget(), None);
             cache.insert(3, 30);
             assert_eq!(cache.len(), 2, "the entry count still binds");
             let resident: u64 = (1..=3).filter_map(|k| cache.peek(&k)).sum();
@@ -1348,7 +1148,6 @@ mod tests {
         cache.insert(1, u64::MAX / 2);
         cache.insert(2, u64::MAX / 2);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.bytes_budget(), None);
         assert_eq!(cache.bytes_in_use(), 0, "default weigher prices 0");
         cache.check_invariants();
     }
@@ -1486,57 +1285,6 @@ mod tests {
     }
 
     #[test]
-    fn promotion_over_the_protected_byte_share_demotes_cleanly() {
-        // Budget 100, fraction 0.5 → protected byte share 50. Promoting
-        // an 80-cost entry overflows the share: it must demote back in
-        // the same operation, with both byte gauges intact (satellite
-        // regression for the bytes-budget × segmented-admission audit).
-        let cache: ShardedLruCache<u32, u64> = ShardedLruCache::new(10, 1)
-            .with_bytes_budget(100, identity_cost)
-            .with_adaptive_tiering(0.5);
-        cache.insert(1, 80);
-        assert_eq!(cache.get(&1), Some(80)); // promote: cost 80 > share 50
-        let tier = cache.tier_stats();
-        assert_eq!(
-            tier.protected_entries, 0,
-            "over-share promotion must demote back to probation"
-        );
-        assert_eq!(tier.entries, 1, "the entry itself must survive");
-        assert_eq!(tier.bytes_in_use, 80);
-        assert_eq!(cache.stats().promoted, 1, "the promotion still counted");
-        cache.check_invariants();
-        // A small entry promotes and stays; the big one keeps demoting.
-        cache.insert(2, 10);
-        assert_eq!(cache.get(&2), Some(10));
-        let tier = cache.tier_stats();
-        assert_eq!(tier.protected_entries, 1, "within-share promotion sticks");
-        cache.check_invariants();
-    }
-
-    #[test]
-    fn byte_share_rebalances_after_cost_growth_without_stranding() {
-        // A protected resident's cost grows past the share via a
-        // replacement: the smoothed rebalance demotes it on a later
-        // operation and accounting never drifts.
-        let cache: ShardedLruCache<u32, u64> = ShardedLruCache::new(10, 1)
-            .with_bytes_budget(100, identity_cost)
-            .with_adaptive_tiering(0.5);
-        cache.insert(1, 10);
-        assert_eq!(cache.get(&1), Some(10)); // promote (within share)
-        assert_eq!(cache.tier_stats().protected_entries, 1);
-        cache.insert(1, 80); // replacement: now over the 50-byte share
-        cache.check_invariants();
-        let _ = cache.get(&1); // next op rebalances (demotes at most one)
-        cache.check_invariants();
-        assert_eq!(
-            cache.tier_stats().protected_entries,
-            0,
-            "over-share resident must eventually demote"
-        );
-        assert_eq!(cache.peek(&1), Some(80), "the entry itself survives");
-    }
-
-    #[test]
     fn learned_state_round_trips_through_restore() {
         let cache: ShardedLruCache<u32, u32> =
             ShardedLruCache::new(16, 2).with_adaptive_tiering(0.5);
@@ -1569,34 +1317,16 @@ mod tests {
         assert_eq!(stats.protected_frac_permille, 500);
 
         let adaptive: ShardedLruCache<u32, u64> = ShardedLruCache::new(8, 2)
-            .with_bytes_budget(1000, identity_cost)
+            .with_weigher(identity_cost)
             .with_adaptive_tiering(0.5);
         adaptive.insert(1, 30);
         let _ = adaptive.get(&1);
         let stats = adaptive.tier_stats();
         assert!(stats.segmented && stats.adaptive);
-        assert_eq!(stats.bytes_budget, 1000);
         assert_eq!(stats.bytes_in_use, 30);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.protected_entries, 1, "promoted on the hit");
         assert_eq!(stats.probation_entries, 0);
         assert_eq!(stats.protected_frac_permille, 500);
-    }
-
-    #[test]
-    fn budget_builder_order_does_not_matter_for_adaptive_byte_split() {
-        // Tiering installed before the budget must still learn the
-        // budget's shard slices.
-        let cache: ShardedLruCache<u32, u64> = ShardedLruCache::new(10, 1)
-            .with_adaptive_tiering(0.5)
-            .with_bytes_budget(100, identity_cost);
-        cache.insert(1, 80);
-        assert_eq!(cache.get(&1), Some(80));
-        assert_eq!(
-            cache.tier_stats().protected_entries,
-            0,
-            "byte share must bind regardless of builder order"
-        );
-        cache.check_invariants();
     }
 }

@@ -132,6 +132,22 @@ impl DeviceRegistry {
         self.read().iter().map(|(n, d)| (n.clone(), *d)).collect()
     }
 
+    /// Runs `f` over every `(name, device)` pair ordered by `(capacity,
+    /// name)`, under the registry's read lock, so only the names `f`
+    /// copies are cloned. `f` holds off every `register` until it
+    /// returns, so keep it short, and it must not call back into the
+    /// registry.
+    pub(crate) fn with_capacity_order<T>(&self, f: impl FnOnce(&[(&str, GpuDevice)]) -> T) -> T {
+        let devices = self.read();
+        let mut fleet: Vec<(&str, GpuDevice)> = devices
+            .iter()
+            .map(|(name, device)| (name.as_str(), *device))
+            .collect();
+        // Stable: equal capacities keep the map's name order.
+        fleet.sort_by_key(|&(_, device)| device.capacity);
+        f(&fleet)
+    }
+
     /// Number of registered devices.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -82,8 +82,8 @@ impl ProfiledStages {
     }
 }
 
-/// Weigher pricing stage-cache entries: the byte gauge always, the
-/// optional bytes budget when one is set.
+/// Weigher pricing stage-cache entries for the byte gauge
+/// (`xmem_cache_bytes_in_use{cache="stage"}`).
 fn stages_weight(stages: &Arc<ProfiledStages>) -> u64 {
     stages.approx_bytes()
 }
@@ -112,6 +112,11 @@ const PARAM_CACHE_CAPACITY: usize = 32;
 /// Bound on remembered Analyzer failures (oldest evicted beyond it).
 const NEGATIVE_CAPACITY: usize = 256;
 
+/// Lock shards of the stage, negative and per-device sim tiers. A cache
+/// smaller than this gets one shard per entry
+/// ([`ShardedLruCache::new`] clamps).
+const LOCK_SHARDS: usize = 16;
+
 /// Fleet cap on per-device simulation shards: past it, the
 /// least-recently-used device shard is retired (counter history
 /// preserved). Bounds memory for registries churned programmatically.
@@ -132,20 +137,15 @@ pub struct ServiceConfig {
     /// [`EstimationService::new`] refuses any other setting (ablations
     /// of the estimator run [`Estimator`] directly).
     pub estimator: EstimatorConfig,
-    /// Total cached `(job key → profiled stages)` entries.
+    /// Total cached `(job key → profiled stages)` entries, the only bound
+    /// on the stage tier. Each device's sim tier holds as many cells.
     pub cache_capacity: usize,
-    /// Lock shards in the cache.
-    pub shards: usize,
     /// Worker threads for [`EstimationService::sweep`] (0 = all cores).
     pub threads: usize,
     /// Named simulation targets for matrix / placement queries
     /// ([`EstimationService::estimate_matrix`],
     /// [`EstimationService::best_device_for_job`]).
     pub registry: DeviceRegistry,
-    /// Optional bytes budget over the stage cache: entries, always priced
-    /// by [`ProfiledStages::approx_bytes`], are evicted LRU-first until
-    /// the budget holds. `None` bounds the cache by entry count only.
-    pub cache_bytes_budget: Option<u64>,
     /// Optional state directory for crash-consistent persistence: cache
     /// inserts are journaled, snapshots compact the journal, and boot
     /// replays the on-disk state so restarts are warm (see the
@@ -162,10 +162,8 @@ impl ServiceConfig {
         ServiceConfig {
             estimator: EstimatorConfig::for_device(device),
             cache_capacity: 256,
-            shards: 16,
             threads: 0,
             registry: DeviceRegistry::builtin(),
-            cache_bytes_budget: None,
             state_dir: None,
         }
     }
@@ -188,14 +186,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Caps the stage cache's resident bytes (see
-    /// [`cache_bytes_budget`](Self::cache_bytes_budget)).
-    #[must_use]
-    pub fn with_cache_bytes_budget(mut self, bytes: u64) -> Self {
-        self.cache_bytes_budget = Some(bytes);
         self
     }
 
@@ -284,15 +274,12 @@ impl EstimationService {
             "a service runs the paper-default estimator of its device, not {:?}",
             config.estimator
         );
-        let mut cache = ShardedLruCache::new(config.cache_capacity, config.shards)
+        let cache = ShardedLruCache::new(config.cache_capacity, LOCK_SHARDS)
             .with_adaptive_tiering(INITIAL_PROTECTED_FRAC)
             .with_weigher(stages_weight);
-        if let Some(budget) = config.cache_bytes_budget {
-            cache = cache.with_bytes_budget(budget, stages_weight);
-        }
-        let negative = ShardedLruCache::new(NEGATIVE_CAPACITY, config.shards);
-        let sims = SimShards::new(config.cache_capacity, config.shards)
-            .with_max_devices(MAX_DEVICE_SHARDS);
+        let negative = ShardedLruCache::new(NEGATIVE_CAPACITY, LOCK_SHARDS);
+        let sims =
+            SimShards::new(config.cache_capacity, LOCK_SHARDS).with_max_devices(MAX_DEVICE_SHARDS);
         let mut service = EstimationService {
             config,
             cache,
@@ -531,8 +518,7 @@ impl EstimationService {
     }
 
     /// Tier geometry and occupancy of the stage cache: segment
-    /// occupancy, bytes in use vs budget, and the live learned
-    /// protected fraction.
+    /// occupancy, bytes in use, and the live learned protected fraction.
     #[must_use]
     pub fn stage_tier_stats(&self) -> TierStats {
         self.cache.tier_stats()
@@ -1458,18 +1444,18 @@ impl EstimationService {
     }
 
     /// The read half of a placement: one counted stage read (on a miss,
-    /// the negative cache), then the cells in capacity order up to the
-    /// first fit or the first miss. Smallest capacity first (the stable
-    /// sort keeps the snapshot's name order within equal capacities,
-    /// preserving the tie-break), so the first fit is the answer — a
-    /// small job on a large fleet reads one cell, not one per device.
+    /// the negative cache), then the cells in `(capacity, name)` order up
+    /// to the first fit or the first miss, so the first fit is the answer
+    /// and ties go to name order — a small job on a large fleet reads one
+    /// cell, not one per device. The walk runs under the registry's read
+    /// lock, which clones the answer's name and, on a miss, the names the
+    /// fill still walks.
     fn probe_placement(
         &self,
         spec: &TrainJobSpec,
         ctx: &TraceContext,
     ) -> Probe<Result<Option<DevicePlacement>, EstimateError>, PlacementFill> {
-        let mut fleet = self.registry().snapshot();
-        if fleet.is_empty() {
+        if self.registry().is_empty() {
             return Probe::Done(Ok(None));
         }
         let key = JobKey::of(spec);
@@ -1477,19 +1463,26 @@ impl EstimationService {
             Ok(stages) => stages,
             Err(error) => return Probe::Done(Err(error)),
         };
-        fleet.sort_by_key(|&(_, device)| device.capacity);
-        for i in 0..fleet.len() {
-            let Some(estimate) = self.sims.shard(&fleet[i].1).get(&key) else {
-                fleet.drain(..i);
-                return Probe::Fill(PlacementFill { key, stages, fleet });
-            };
-            ctx.event("cache.sim", "hit");
-            if !estimate.oom_predicted {
-                let device = fleet.swap_remove(i).0;
-                return Probe::Done(Ok(Some(DevicePlacement { device, estimate })));
+        // Only the cell walk and the answer's name clone run under the
+        // registry's read lock; an empty fleet here lost a race and
+        // places nothing, as it would have a moment earlier.
+        self.registry().with_capacity_order(|fleet| {
+            for (i, &(name, device)) in fleet.iter().enumerate() {
+                let Some(estimate) = self.sims.shard(&device).get(&key) else {
+                    let fleet = fleet[i..]
+                        .iter()
+                        .map(|&(name, device)| (name.to_owned(), device))
+                        .collect();
+                    return Probe::Fill(PlacementFill { key, stages, fleet });
+                };
+                ctx.event("cache.sim", "hit");
+                if !estimate.oom_predicted {
+                    let device = name.to_owned();
+                    return Probe::Done(Ok(Some(DevicePlacement { device, estimate })));
+                }
             }
-        }
-        Probe::Done(Ok(None))
+            Probe::Done(Ok(None))
+        })
     }
 
     /// The compute half of a placement: loads the stages the probe
@@ -2629,24 +2622,6 @@ mod tests {
         let stats = service.sim_stats();
         assert_eq!(stats.param_replays, 0, "range too narrow for a fit");
         assert_eq!(stats.full_replays, stats.sim_runs);
-    }
-
-    #[test]
-    fn cache_bytes_budget_is_wired_through() {
-        // A 1-byte budget rejects every (large) stage entry: queries still
-        // succeed, but no analysis is retained, so a repeat that needs one
-        // (a cell not yet simulated) re-profiles.
-        let service = EstimationService::new(
-            ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_bytes_budget(1),
-        );
-        let spec = small_spec(4);
-        let first = service.estimate(&spec).unwrap();
-        let second = service.estimate(&spec).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(service.profile_runs(), 1, "the resident cell answered");
-        service.estimate_on(&spec, "a100").unwrap();
-        assert_eq!(service.profile_runs(), 2, "no analysis could be cached");
-        assert!(service.cache_stats().rejected >= 2);
     }
 
     #[test]

@@ -333,7 +333,6 @@ impl SimShards {
             out.capacity += tier.capacity;
             out.protected_cap += tier.protected_cap;
             out.bytes_in_use += tier.bytes_in_use;
-            out.bytes_budget += tier.bytes_budget;
             permille_sum += u64::from(tier.protected_frac_permille);
         }
         if !shards.is_empty() {

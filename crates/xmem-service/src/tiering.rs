@@ -390,7 +390,7 @@ impl TierTuner {
 /// Per-shard adaptive state, boxed into the shard behind its mutex.
 /// `active == false` is the frozen (tuning-disabled) flavor used by
 /// bit-compat tests: segment caps come from the permille machinery but
-/// the sketch gate, ghosts, tuner, and byte split are all inert.
+/// the sketch gate, ghosts and tuner are all inert.
 #[derive(Debug)]
 pub(crate) struct TierState {
     pub(crate) sketch: FrequencySketch,
@@ -403,48 +403,27 @@ pub(crate) struct TierState {
     pub(crate) tuner: TierTuner,
     /// Entry cap on the protected segment (derived from the permille).
     pub(crate) protected_cap: usize,
-    /// Sum of protected residents' costs (mirrors the shard's byte
-    /// gauge, restricted to the protected list).
-    pub(crate) protected_bytes: u64,
     /// The shard's entry-capacity slice.
     capacity: usize,
-    /// The shard's bytes-budget slice, when one is configured.
-    budget: Option<u64>,
-    /// Whether tuning (sketch gate, ghosts, tuner, byte split) is live.
+    /// Whether tuning (sketch gate, ghosts, tuner) is live.
     pub(crate) active: bool,
 }
 
 impl TierState {
-    pub(crate) fn new(capacity: usize, budget: Option<u64>, permille: u32, active: bool) -> Self {
+    pub(crate) fn new(capacity: usize, permille: u32, active: bool) -> Self {
         TierState {
             sketch: FrequencySketch::new(capacity),
             ghosts: [GhostList::new(capacity), GhostList::new(capacity)],
             tuner: TierTuner::new(permille),
             protected_cap: cap_from_permille(capacity, permille),
-            protected_bytes: 0,
             capacity,
-            budget,
             active,
         }
-    }
-
-    /// Installs (or re-slices) the shard's bytes-budget share.
-    pub(crate) fn set_budget(&mut self, budget: Option<u64>) {
-        self.budget = budget;
     }
 
     /// Re-derives the protected entry cap after a permille change.
     pub(crate) fn recompute_cap(&mut self) {
         self.protected_cap = cap_from_permille(self.capacity, self.tuner.permille());
-    }
-
-    /// The protected segment's byte share under the learned fraction,
-    /// when a bytes budget is configured.
-    pub(crate) fn protected_byte_share(&self) -> Option<u64> {
-        self.budget.map(|b| {
-            b / 1000 * u64::from(self.tuner.permille())
-                + b % 1000 * u64::from(self.tuner.permille()) / 1000
-        })
     }
 
     /// Consumes a ghost hit for `hash` on a miss and votes for the
@@ -510,8 +489,6 @@ pub struct TierStats {
     pub protected_cap: u64,
     /// Sum of resident entry costs, as priced by the weigher.
     pub bytes_in_use: u64,
-    /// Configured bytes budget; 0 means unbudgeted.
-    pub bytes_budget: u64,
     /// The protected fraction in permille — live learned value under
     /// adaptive tiering, the configured ratio under static segmentation,
     /// 0 when tiering is off.
@@ -636,16 +613,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn byte_share_is_exact_for_round_budgets_and_never_overflows() {
-        let state = TierState::new(16, Some(1000), 500, true);
-        assert_eq!(state.protected_byte_share(), Some(500));
-        let state = TierState::new(16, Some(12_345), 250, true);
-        assert_eq!(state.protected_byte_share(), Some(12_345 * 250 / 1000));
-        // Huge budgets must not overflow the share computation.
-        let state = TierState::new(16, Some(u64::MAX / 2), 875, true);
-        assert!(state.protected_byte_share().unwrap() < u64::MAX / 2);
     }
 }

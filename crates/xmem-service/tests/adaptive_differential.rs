@@ -54,13 +54,15 @@ fn service_over(fleet: &[GpuDevice]) -> EstimationService {
     for device in fleet {
         registry.register(device.name, *device);
     }
-    // A deliberately tight, single-sharded cache so evictions, the
-    // admission gate, and tuner traffic all actually happen.
-    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060())
-        .with_registry(registry)
-        .with_cache_capacity(4);
-    config.shards = 1;
-    EstimationService::new(config)
+    // A deliberately tight cache so evictions, ghost hits and the
+    // admission gate all actually happen: 32 entries over the service's
+    // lock shards leave every shard two entries, so each one runs a real
+    // probation/protected split rather than a one-entry degenerate one.
+    EstimationService::new(
+        ServiceConfig::for_device(GpuDevice::rtx3060())
+            .with_registry(registry)
+            .with_cache_capacity(32),
+    )
 }
 
 fn spec(batch: usize) -> TrainJobSpec {
@@ -95,8 +97,8 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
     // A pseudo-random query mix over more distinct jobs than the cache
     // holds: single estimates, per-device estimates, sweeps, matrices,
     // and placement decisions, in one interleaved deterministic order.
-    for _ in 0..40 {
-        let batch = 1 + rng.below(8) as usize;
+    for _ in 0..80 {
+        let batch = 1 + rng.below(40) as usize;
         match rng.below(5) {
             0 => {
                 let a = adaptive.estimate(&spec(batch)).unwrap();
@@ -169,6 +171,10 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
     assert!(
         stats.evictions + stats.admission_denied > 0,
         "the tight cache must have come under pressure"
+    );
+    assert!(
+        stats.ghost_hits > 0,
+        "evicted keys must have come back through the ghosts"
     );
     let tier = adaptive.stage_tier_stats();
     assert!(tier.segmented && tier.adaptive);

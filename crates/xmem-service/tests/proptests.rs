@@ -156,14 +156,12 @@ fn op_value(key: u16) -> u64 {
 
 /// The reference model: exactly the scan-based single-shard LRU the O(1)
 /// implementation replaced — recency ticks, `min_by_key` eviction sweeps,
-/// linear byte accounting — extended with the same bytes-budget and
-/// rejection rules.
+/// linear byte accounting.
 #[derive(Debug, Default)]
 struct ScanModel {
     map: HashMap<u16, (u64, u64, u64)>, // key -> (value, cost, tick)
     clock: u64,
     evictions: u64,
-    rejected: u64,
 }
 
 impl ScanModel {
@@ -184,15 +182,10 @@ impl ScanModel {
         self.map.values().map(|e| e.1).sum()
     }
 
-    fn insert(&mut self, key: u16, value: u64, cost: u64, capacity: usize, budget: Option<u64>) {
+    fn insert(&mut self, key: u16, value: u64, cost: u64, capacity: usize) {
         self.clock += 1;
-        if budget.is_some_and(|b| cost > b) {
-            self.map.remove(&key);
-            self.rejected += 1;
-            return;
-        }
         self.map.insert(key, (value, cost, self.clock));
-        while self.map.len() > capacity || budget.is_some_and(|b| self.bytes() > b) {
+        while self.map.len() > capacity {
             let oldest = self
                 .map
                 .iter()
@@ -211,21 +204,16 @@ proptest! {
     /// Every interleaving of get/peek/insert on a single-shard cache must
     /// match the scan-based reference model operation for operation:
     /// identical lookup results, identical resident key sets, identical
-    /// eviction/rejection counts, and the bytes budget honored at every
-    /// step. (Single shard so hashing does not spread keys: the model and
-    /// the cache then see the exact same per-shard workload.)
+    /// eviction counts, and the byte gauge at every step. (Single shard so
+    /// hashing does not spread keys: the model and the cache then see the
+    /// exact same per-shard workload.)
     #[test]
     fn o1_lru_matches_scan_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..400),
         capacity in 1usize..24,
-        // The vendored proptest has no `option` module: a bool picks
-        // between budgeted and unbudgeted runs.
-        budget in (any::<bool>(), 1u64..400).prop_map(|(on, b)| on.then_some(b)),
     ) {
-        let mut cache: ShardedLruCache<u16, u64> = ShardedLruCache::new(capacity, 1);
-        if let Some(budget) = budget {
-            cache = cache.with_bytes_budget(budget, |v: &u64| *v);
-        }
+        let cache: ShardedLruCache<u16, u64> =
+            ShardedLruCache::new(capacity, 1).with_weigher(|v: &u64| *v);
         let mut model = ScanModel::default();
 
         for &op in &ops {
@@ -239,17 +227,11 @@ proptest! {
                 CacheOp::Insert(key) => {
                     let value = op_value(key);
                     cache.insert(key, value);
-                    // An unbudgeted cache installs no weigher, so entries
-                    // cost 0 there — mirror that.
-                    let cost = if budget.is_some() { value } else { 0 };
-                    model.insert(key, value, cost, capacity, budget);
+                    model.insert(key, value, value, capacity);
                 }
             }
             prop_assert_eq!(cache.len(), model.map.len(), "resident count diverged");
             prop_assert_eq!(cache.bytes_in_use(), model.bytes(), "byte gauge diverged");
-            if let Some(budget) = budget {
-                prop_assert!(cache.bytes_in_use() <= budget, "budget exceeded");
-            }
             cache.check_invariants();
         }
 
@@ -259,16 +241,15 @@ proptest! {
         }
         let stats = cache.stats();
         prop_assert_eq!(stats.evictions, model.evictions, "eviction counts diverged");
-        prop_assert_eq!(stats.rejected, model.rejected, "rejection counts diverged");
         // Stats invariants: every lookup is a hit or a miss; every insert
-        // either lands or is rejected.
+        // lands.
         let (gets, inserts) = ops.iter().fold((0u64, 0u64), |(g, i), op| match op {
             CacheOp::Get(_) => (g + 1, i),
             CacheOp::Peek(_) => (g, i),
             CacheOp::Insert(_) => (g, i + 1),
         });
         prop_assert_eq!(stats.hits + stats.misses, gets);
-        prop_assert_eq!(stats.insertions + stats.rejected, inserts);
+        prop_assert_eq!(stats.insertions, inserts);
         prop_assert!(stats.evictions <= stats.insertions);
     }
 }
@@ -284,7 +265,6 @@ struct SegmentedModel {
     map: HashMap<u16, (u64, u64, u64, bool)>, // key -> (value, cost, tick, protected)
     clock: u64,
     evictions: u64,
-    rejected: u64,
     promoted: u64,
     protected_cap: usize,
 }
@@ -339,17 +319,12 @@ impl SegmentedModel {
         self.map.values().map(|e| e.1).sum()
     }
 
-    fn insert(&mut self, key: u16, value: u64, cost: u64, capacity: usize, budget: Option<u64>) {
+    fn insert(&mut self, key: u16, value: u64, cost: u64, capacity: usize) {
         self.clock += 1;
-        if budget.is_some_and(|b| cost > b) {
-            self.map.remove(&key);
-            self.rejected += 1;
-            return;
-        }
         // A replacement keeps its segment; a new key starts in probation.
         let protected = self.map.get(&key).is_some_and(|e| e.3);
         self.map.insert(key, (value, cost, self.clock, protected));
-        while self.map.len() > capacity || budget.is_some_and(|b| self.bytes() > b) {
+        while self.map.len() > capacity {
             let victim = self
                 .oldest(false)
                 .or_else(|| self.oldest(true))
@@ -364,8 +339,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Segmented admission against the SLRU reference model, operation
-    /// for operation: identical lookups, survivors, eviction/rejection
-    /// **and promotion** counts, with the probation-first eviction order
+    /// for operation: identical lookups, survivors, eviction **and
+    /// promotion** counts, with the probation-first eviction order
     /// and protected-overflow demotion matching exactly.
     #[test]
     fn segmented_lru_matches_slru_reference_model(
@@ -375,14 +350,11 @@ proptest! {
         // including the degenerate 0 (plain LRU) and all-protected ends.
         // (The vendored proptest has no RangeInclusive strategy.)
         eighths in 0u32..9,
-        budget in (any::<bool>(), 1u64..400).prop_map(|(on, b)| on.then_some(b)),
     ) {
         let frac = f64::from(eighths) / 8.0;
-        let mut cache: ShardedLruCache<u16, u64> =
-            ShardedLruCache::new(capacity, 1).with_segmented_admission(frac);
-        if let Some(budget) = budget {
-            cache = cache.with_bytes_budget(budget, |v: &u64| *v);
-        }
+        let cache: ShardedLruCache<u16, u64> = ShardedLruCache::new(capacity, 1)
+            .with_segmented_admission(frac)
+            .with_weigher(|v: &u64| *v);
         #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
         #[allow(clippy::cast_sign_loss)]
         let protected_cap = ((capacity as f64 * frac).round() as usize).min(capacity);
@@ -402,8 +374,7 @@ proptest! {
                 CacheOp::Insert(key) => {
                     let value = op_value(key);
                     cache.insert(key, value);
-                    let cost = if budget.is_some() { value } else { 0 };
-                    model.insert(key, value, cost, capacity, budget);
+                    model.insert(key, value, value, capacity);
                 }
             }
             prop_assert_eq!(cache.len(), model.map.len(), "resident count diverged");
@@ -416,7 +387,6 @@ proptest! {
         }
         let stats = cache.stats();
         prop_assert_eq!(stats.evictions, model.evictions, "eviction counts diverged");
-        prop_assert_eq!(stats.rejected, model.rejected, "rejection counts diverged");
         prop_assert_eq!(stats.promoted, model.promoted, "promotion counts diverged");
         if protected_cap == 0 {
             prop_assert_eq!(stats.promoted, 0, "plain mode must never promote");
@@ -425,7 +395,7 @@ proptest! {
 
     /// Adaptive tiering with the tuner frozen against the same SLRU
     /// reference model, operation for operation: with tuning disabled the
-    /// sketch, ghost lists, admission gate, and byte-split are all inert,
+    /// sketch, ghost lists and admission gate are all inert,
     /// so the machinery must be bit-identical to a static split at the
     /// same fraction. (Eighths have exact permille representations, so
     /// the integer tier caps equal the static path's float rounding.)
@@ -434,14 +404,11 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..400),
         capacity in 1usize..24,
         eighths in 0u32..9,
-        budget in (any::<bool>(), 1u64..400).prop_map(|(on, b)| on.then_some(b)),
     ) {
         let frac = f64::from(eighths) / 8.0;
-        let mut cache: ShardedLruCache<u16, u64> =
-            ShardedLruCache::new(capacity, 1).with_adaptive_tuning_disabled(frac);
-        if let Some(budget) = budget {
-            cache = cache.with_bytes_budget(budget, |v: &u64| *v);
-        }
+        let cache: ShardedLruCache<u16, u64> = ShardedLruCache::new(capacity, 1)
+            .with_adaptive_tuning_disabled(frac)
+            .with_weigher(|v: &u64| *v);
         #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
         #[allow(clippy::cast_sign_loss)]
         let protected_cap = ((capacity as f64 * frac).round() as usize).min(capacity);
@@ -461,8 +428,7 @@ proptest! {
                 CacheOp::Insert(key) => {
                     let value = op_value(key);
                     cache.insert(key, value);
-                    let cost = if budget.is_some() { value } else { 0 };
-                    model.insert(key, value, cost, capacity, budget);
+                    model.insert(key, value, value, capacity);
                 }
             }
             prop_assert_eq!(cache.len(), model.map.len(), "resident count diverged");
@@ -475,7 +441,6 @@ proptest! {
         }
         let stats = cache.stats();
         prop_assert_eq!(stats.evictions, model.evictions, "eviction counts diverged");
-        prop_assert_eq!(stats.rejected, model.rejected, "rejection counts diverged");
         prop_assert_eq!(stats.promoted, model.promoted, "promotion counts diverged");
         prop_assert_eq!(stats.ghost_hits, 0, "frozen tuner must not consult ghosts");
         prop_assert_eq!(stats.admission_denied, 0, "frozen tuner must not gate admission");
@@ -600,11 +565,11 @@ proptest! {
 /// `peak_bytes` both times.
 #[test]
 fn eviction_and_recomputation_reproduce_identical_estimates() {
-    // Capacity 1 over 1 shard. Each estimate reads the stages and
+    // Capacity 1, so one shard. Each estimate reads the stages and
     // replays them sequentially, so no sim cell can answer in their place.
-    let mut config = ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_capacity(1);
-    config.shards = 1;
-    let service = EstimationService::new(config);
+    let service = EstimationService::new(
+        ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_capacity(1),
+    );
     let estimator = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
     let estimate =
         |spec: &TrainJobSpec| estimator.estimate_analyzed(&service.stages(spec).unwrap().analyzed);

@@ -162,17 +162,6 @@ impl Trace {
         self.events.iter().filter(|e| e.is_memory_instant())
     }
 
-    /// Approximate resident size of this trace in bytes: the event
-    /// structs plus the name table. Used by bytes-budgeted caches to price
-    /// retained traces (exact heap accounting is not the goal — a stable,
-    /// cheap, monotone-in-size figure is).
-    #[must_use]
-    pub fn approx_bytes(&self) -> u64 {
-        let fixed = std::mem::size_of::<TraceEvent>() as u64 * self.events.len() as u64;
-        let names: u64 = self.names.iter().map(|n| n.len() as u64).sum();
-        fixed + names + self.name.len() as u64
-    }
-
     /// Timestamp of the last event end, i.e. the trace horizon.
     #[must_use]
     pub fn end_us(&self) -> u64 {

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use xmem::core::EstimateError;
 use xmem::prelude::*;
-use xmem::service::{Telemetry, TelemetryConfig, TraceContext};
+use xmem::service::{CellFill, Telemetry, TelemetryConfig, TraceContext};
 
 const DEVICES: [&str; 3] = ["rtx3060", "rtx4060", "a100"];
 
@@ -90,22 +90,34 @@ fn all_hit_matrix_only_reads_its_cells() {
 
 #[test]
 fn resident_cells_answer_rows_whose_stages_were_evicted() {
-    // A 1-byte budget rejects every stage entry, so no analysis stays
-    // resident — but every cell does.
-    let service = EstimationService::new(
-        ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_bytes_budget(1),
-    );
+    // Every cell is relayed (the sequential `Estimator`'s answer, filled
+    // the way a cluster peer's forwarded answer is), so no analysis was
+    // ever loaded — but every cell is resident.
+    let service = EstimationService::for_device(GpuDevice::rtx3060());
     let jobs = job_grid();
+    for spec in &jobs {
+        let relayed = sequential_cell(spec, GpuDevice::rtx3060());
+        assert_eq!(
+            service.fill_sim_cell(spec, Some("rtx3060"), relayed),
+            CellFill::Filled
+        );
+    }
+    let rows = jobs.len() as u64;
     let cold = service
         .estimate_matrix(&jobs, &["rtx3060"])
         .expect("resolve");
-    let (profiles, sim_runs) = (service.profile_runs(), service.sim_runs());
+    // The first read already finds no stage entry: it must answer from the
+    // resident cells without profiling or replaying.
+    assert_eq!(service.profile_runs(), 0, "no re-profile");
+    assert_eq!(service.sim_runs(), 0);
+    assert_eq!(stage_reads(&service), (0, rows), "every row's stage absent");
     let warm = service
         .estimate_matrix(&jobs, &["rtx3060"])
         .expect("resolve");
     assert_eq!(warm, cold);
-    assert_eq!(service.profile_runs(), profiles, "no re-profile");
-    assert_eq!(service.sim_runs(), sim_runs);
+    assert_eq!(service.profile_runs(), 0, "no re-profile");
+    assert_eq!(service.sim_runs(), 0);
+    assert_eq!(stage_reads(&service), (0, 2 * rows));
 }
 
 #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmem::core::EstimateError;
 use xmem::prelude::*;
-use xmem::service::{AsyncServiceConfig, Telemetry, TelemetryConfig, TraceContext};
+use xmem::service::{AsyncServiceConfig, CellFill, Telemetry, TelemetryConfig, TraceContext};
 
 const DEVICES: [&str; 3] = ["rtx3060", "rtx4060", "a100"];
 
@@ -458,18 +458,26 @@ fn a_matrix_with_one_evicted_cell_is_pooled_and_replays_only_that_cell() {
     assert_eq!(count("sim.replay"), 1, "{names:?}");
 }
 
-/// A service whose stage tier keeps nothing: a 1-byte budget rejects
-/// every stage entry, so no analysis stays resident, but every cell does.
-fn stageless_service() -> EstimationService {
-    EstimationService::new(
-        ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_bytes_budget(1),
-    )
+/// A service that holds `spec`'s cell on every registered device but
+/// never loaded its analysis: each cell is the sequential `Estimator`'s
+/// answer, relayed the way a cluster peer's forwarded answer fills it.
+fn stageless_service(spec: &TrainJobSpec) -> EstimationService {
+    let service = EstimationService::for_device(GpuDevice::rtx3060());
+    for (name, device) in service.registry().snapshot() {
+        let relayed = sequential_cell(spec, device);
+        assert_eq!(
+            service.fill_sim_cell(spec, Some(&name), relayed),
+            CellFill::Filled
+        );
+    }
+    assert_eq!(service.profile_runs(), 0);
+    service
 }
 
 #[test]
 fn a_resident_cell_answers_an_estimate_without_re_profiling() {
-    let service = stageless_service();
     let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
+    let service = stageless_service(&spec);
     let cold = service.estimate(&spec).expect("estimates");
     let before = Counters::of(&service);
     assert_eq!(service.estimate(&spec), Ok(cold));
@@ -480,8 +488,8 @@ fn a_resident_cell_answers_an_estimate_without_re_profiling() {
 
 #[test]
 fn a_resident_cell_answers_estimate_on_without_re_profiling() {
-    let service = stageless_service();
     let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
+    let service = stageless_service(&spec);
     let cold = service.estimate(&spec).expect("estimates");
     let before = Counters::of(&service);
     // The primary device's registered name reads the same cell.
@@ -497,10 +505,11 @@ fn a_resident_cell_answers_estimate_on_without_re_profiling() {
 
 #[test]
 fn a_resident_placement_is_not_re_profiled() {
-    let service = stageless_service();
     let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
-    let cold = service.best_device_for_job(&spec).expect("estimates");
-    assert_eq!(service.profile_runs(), 1);
+    let reference = EstimationService::for_device(GpuDevice::rtx3060());
+    let cold = reference.best_device_for_job(&spec).expect("estimates");
+    assert_eq!(reference.profile_runs(), 1);
+    let service = stageless_service(&spec);
     let before = Counters::of(&service);
     assert_eq!(service.best_device_for_job(&spec), Ok(cold.clone()));
     assert_eq!(service.best_device_for_job(&spec), Ok(cold));

@@ -648,7 +648,6 @@ fn health_and_metrics_expose_the_counter_surface() {
         "xmem_cache_adaptive{cache=\"stage\"} 1",
         "xmem_cache_segmented{cache=\"param\"} 1",
         "xmem_cache_protected_frac_permille{cache=\"stage\"} 500",
-        "xmem_cache_bytes_budget{cache=\"stage\"}",
         "xmem_cache_capacity{cache=\"param\"}",
         "xmem_cache_ghost_hits_total{cache=\"stage\"} 0",
         "xmem_cache_tuner_steps_total{cache=\"sim\"} 0",
@@ -1076,12 +1075,8 @@ fn deeply_nested_json_is_a_400_not_a_crash() {
     assert!(report.clean);
 }
 
-/// The default-device route is a sim cell: a repeated `POST
-/// /v1/estimate` records a `cache.sim` `hit` in its trace and moves the
-/// sim-cache hit counter on `/metrics` by exactly one.
-/// The stage tier's byte gauge prices what the tier holds even with no
-/// bytes budget: after one cold estimate it reads the retained
-/// analysis's size, while the budget gauge stays 0.
+/// The stage tier's byte gauge prices what the tier holds: after one
+/// cold estimate it reads the retained analysis's size.
 #[test]
 fn stage_bytes_gauge_reads_the_retained_analysis_without_a_budget() {
     let (server, service) = start_server(ServerConfig::default());
@@ -1101,7 +1096,6 @@ fn stage_bytes_gauge_reads_the_retained_analysis_without_a_budget() {
     let analyzed = xmem::core::Analyzer::new()
         .analyze(&profile_on_cpu(&spec))
         .expect("job analyzes");
-    assert_eq!(gauge("xmem_cache_bytes_budget"), 0);
     assert!(gauge("xmem_cache_bytes_in_use") > 0);
     assert_eq!(gauge("xmem_cache_bytes_in_use"), analyzed.approx_bytes());
     assert_eq!(
@@ -1110,6 +1104,9 @@ fn stage_bytes_gauge_reads_the_retained_analysis_without_a_budget() {
     );
 }
 
+/// The default-device route is a sim cell: a repeated `POST
+/// /v1/estimate` records a `cache.sim` `hit` in its trace and moves the
+/// sim-cache hit counter on `/metrics` by exactly one.
 #[test]
 fn repeated_default_estimates_hit_the_sim_cell() {
     let (server, _service) = start_server(ServerConfig::default());

@@ -117,7 +117,7 @@ fn warm_answers_share_their_estimates() {
     eprintln!("warm placement: {made} allocations");
     assert_eq!(warm, expected);
     assert!(
-        made <= registry.len() as u64 + 2,
+        made <= 2,
         "a warm placement over {} devices made {made} allocations",
         registry.len()
     );
