@@ -1,12 +1,16 @@
 //! The Analyzer (paper §3.2): lifecycle reconstruction + hierarchical
 //! time-based attribution + block classification.
 
-use crate::lifecycle::{reconstruct_lifecycles, LifecycleStats, MemoryBlock};
-use crate::windows::{AnnotationIndex, OpWindow, WindowIndex, WindowLookup};
+use crate::lifecycle::{LifecycleStats, Lifecycles, MemoryBlock};
+use crate::windows::{
+    move_to_exact, AnnotationIndex, NameClass, OpWindow, WindowCollector, WindowIndex, WindowLookup,
+};
 use crate::EstimateError;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use xmem_trace::Trace;
+use std::sync::Arc;
+use xmem_runtime::Sink;
+use xmem_trace::{EventCategory, NameId, Trace};
 
 /// Semantic class of a memory block, inferred purely from trace structure
 /// (annotation phases, operator kinds, lifetimes) — never from runtime
@@ -139,8 +143,7 @@ impl AnalyzedBlock {
     }
 
     /// The compact form of `block`. Its id must fit 32 bits and both
-    /// window indices lie below [`NO_NAME`]; [`Analyzer::analyze`] and the
-    /// decoder see to it.
+    /// window indices lie below [`NO_NAME`]; the decoder sees to it.
     fn new(
         block: &MemoryBlock,
         category: BlockCategory,
@@ -159,6 +162,27 @@ impl AnalyzedBlock {
             alloc_ts: block.alloc_ts,
             free_ts: block.free_ts.unwrap_or(0),
         }
+    }
+
+    /// A block just allocated: live, and not yet attributed or classified.
+    pub(crate) fn allocated(id: u32, addr: u64, bytes: u64, alloc_ts: u64) -> Self {
+        AnalyzedBlock {
+            id,
+            operator: NO_NAME,
+            component: NO_NAME,
+            category: BlockCategory::Script,
+            freed: false,
+            addr,
+            bytes,
+            alloc_ts,
+            free_ts: 0,
+        }
+    }
+
+    /// Records the block's deallocation at `ts`.
+    pub(crate) fn free_at(&mut self, ts: u64) {
+        self.freed = true;
+        self.free_ts = ts;
     }
 }
 
@@ -375,62 +399,42 @@ impl Analyzer {
         Analyzer { device_id }
     }
 
-    /// Runs lifecycle reconstruction, attribution and classification.
+    /// Runs lifecycle reconstruction, attribution and classification
+    /// over a recorded trace: the trace fed through
+    /// [`sink`](Self::sink), in trace order.
     ///
     /// # Errors
-    /// [`EstimateError::EmptyTrace`] when no memory instants exist for the
-    /// device; [`EstimateError::MissingIterations`] when the trace has no
-    /// `ProfilerStep` markers (phases cannot be delimited).
+    /// As [`AnalyzingSink::finish`].
     ///
     /// # Panics
-    /// When the trace has `u32::MAX` or more allocations, operator windows
-    /// or component windows — far more than a trace that fits in memory
-    /// holds.
+    /// As [`AnalyzingSink::finish`].
     pub fn analyze(&self, trace: &Trace) -> Result<AnalyzedTrace, EstimateError> {
-        let (blocks, lifecycle_stats) = reconstruct_lifecycles(trace, self.device_id);
-        if blocks.is_empty() {
-            return Err(EstimateError::EmptyTrace);
-        }
-        let windows = WindowIndex::build(trace);
-        if windows.annotations.iterations.is_empty() {
-            return Err(EstimateError::MissingIterations);
-        }
-        assert!(
-            windows.ops().len() < NO_NAME as usize && windows.components().len() < NO_NAME as usize,
-            "fewer than u32::MAX windows"
-        );
-        let lookup = windows.lookup();
-        let analyzed = blocks
-            .iter()
-            .map(|b| self.classify(b, &windows, &lookup))
-            .collect();
-        Ok(AnalyzedTrace {
-            blocks: analyzed,
-            windows,
-            lifecycle_stats,
-        })
+        AnalyzingSink::from_trace(trace, self.device_id).finish()
+    }
+
+    /// A sink that analyzes a run's events as the engine reports them
+    /// (`xmem_runtime::profile_into`), so no trace is recorded.
+    #[must_use]
+    pub fn sink(&self) -> AnalyzingSink {
+        AnalyzingSink::new(self.device_id)
     }
 
     /// Attribution (paper's two rules, extended hierarchically) and
     /// classification of one block. The block keeps the indices of the
     /// windows it was attributed to, which name it.
-    fn classify(
-        &self,
-        block: &MemoryBlock,
-        windows: &WindowIndex,
-        lookup: &WindowLookup<'_>,
-    ) -> AnalyzedBlock {
+    fn classify(block: &mut AnalyzedBlock, windows: &WindowIndex, lookup: &WindowLookup<'_>) {
         let operator = lookup.op_index_at(block.alloc_ts);
         let component = lookup.component_index_at(block.alloc_ts);
         let op = operator.map(|i| &windows.ops()[i]);
-        let category = Self::category(block, &windows.annotations, op);
-        AnalyzedBlock::new(block, category, operator, component)
+        block.category = Self::category(block, &windows.annotations, op);
+        block.operator = operator.map_or(NO_NAME, |i| i as u32);
+        block.component = component.map_or(NO_NAME, |i| i as u32);
     }
 
     /// The class of `block`, allocated inside operator window `op` (if
     /// any).
     fn category(
-        block: &MemoryBlock,
+        block: &AnalyzedBlock,
         ann: &AnnotationIndex,
         op: Option<&OpWindow>,
     ) -> BlockCategory {
@@ -458,7 +462,7 @@ impl Analyzer {
 
         match op {
             Some(w) => {
-                let freed_inside_op = block.free_ts.is_some_and(|f| w.start <= f && f <= w.end);
+                let freed_inside_op = block.free_ts().is_some_and(|f| w.start <= f && f <= w.end);
                 if w.is_accumulate_grad {
                     BlockCategory::Gradient
                 } else if freed_inside_op {
@@ -479,6 +483,148 @@ impl Analyzer {
             // paper's operator-centric filter.
             None => BlockCategory::Script,
         }
+    }
+}
+
+/// The Analyzer as a profiler [`Sink`]: it analyzes a run in the one pass
+/// the engine makes, and [`Analyzer::analyze`] feeds it a recorded trace.
+///
+/// - Each distinct name is classified once, when it is interned.
+/// - Memory instants are paired into blocks as they arrive. The engine
+///   reports them in time order, so arrival order is trace order.
+/// - Spans arrive when they close, so only their windows are buffered;
+///   [`finish`](Self::finish) puts each list in start order and then
+///   attributes and classifies every block.
+#[derive(Debug)]
+pub struct AnalyzingSink {
+    device_id: i32,
+    /// The class of each interned name, indexed by [`NameId::index`].
+    names: Vec<NameClass>,
+    ids: HashMap<Arc<str>, NameId>,
+    pub(crate) lifecycles: Lifecycles,
+    pub(crate) windows: WindowCollector,
+}
+
+impl AnalyzingSink {
+    fn new(device_id: i32) -> Self {
+        AnalyzingSink {
+            device_id,
+            names: Vec::new(),
+            ids: HashMap::new(),
+            lifecycles: Lifecycles::default(),
+            windows: WindowCollector::default(),
+        }
+    }
+
+    /// The sink fed every event of `trace`, in trace order.
+    pub(crate) fn from_trace(trace: &Trace, device_id: i32) -> Self {
+        let mut sink = AnalyzingSink::new(device_id);
+        // A trace's table holds each name once, so its ids are the sink's.
+        sink.names = trace.names().iter().map(NameClass::of).collect();
+        for e in trace.events() {
+            if !e.is_memory_instant() {
+                let class = &sink.names[e.name.index()];
+                sink.windows
+                    .span(e.category, class, e.ts_us, e.dur_us, e.args.seq());
+                continue;
+            }
+            let (Some(device), Some(addr), Some(bytes)) =
+                (e.args.device(), e.args.addr(), e.args.bytes())
+            else {
+                continue;
+            };
+            if bytes > 0 {
+                sink.alloc(e.ts_us, addr, bytes.unsigned_abs(), device);
+            } else {
+                sink.free(e.ts_us, addr, bytes.unsigned_abs(), device);
+            }
+        }
+        sink
+    }
+
+    fn alloc(&mut self, ts_us: u64, addr: u64, bytes: u64, device: i32) {
+        if device == self.device_id && bytes > 0 {
+            self.lifecycles.alloc(ts_us, addr, bytes);
+        }
+    }
+
+    fn free(&mut self, ts_us: u64, addr: u64, bytes: u64, device: i32) {
+        if device == self.device_id && bytes > 0 {
+            self.lifecycles.free(ts_us, addr, bytes);
+        }
+    }
+
+    /// Orders the windows, then attributes and classifies every block.
+    ///
+    /// # Errors
+    /// [`EstimateError::EmptyTrace`] when no memory instants exist for the
+    /// device; [`EstimateError::MissingIterations`] when the run has no
+    /// `ProfilerStep` markers (phases cannot be delimited).
+    ///
+    /// # Panics
+    /// When the run has `u32::MAX` or more allocations, operator windows
+    /// or component windows — far more than a run that fits in memory
+    /// makes.
+    pub fn finish(self) -> Result<AnalyzedTrace, EstimateError> {
+        let (mut blocks, lifecycle_stats) = self.lifecycles.finish();
+        if blocks.is_empty() {
+            return Err(EstimateError::EmptyTrace);
+        }
+        let windows = self.windows.finish();
+        if windows.annotations.iterations.is_empty() {
+            return Err(EstimateError::MissingIterations);
+        }
+        assert!(
+            windows.ops().len() < NO_NAME as usize && windows.components().len() < NO_NAME as usize,
+            "fewer than u32::MAX windows"
+        );
+        let lookup = windows.lookup();
+        for block in &mut blocks {
+            Analyzer::classify(block, &windows, &lookup);
+        }
+        move_to_exact(&mut blocks);
+        Ok(AnalyzedTrace {
+            blocks,
+            windows,
+            lifecycle_stats,
+        })
+    }
+}
+
+impl Sink for AnalyzingSink {
+    fn intern(&mut self, name: &str) -> NameId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id =
+            NameId::from_index(u32::try_from(self.names.len()).expect("at most u32::MAX names"));
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(NameClass::of(&name));
+        self.ids.insert(name, id);
+        id
+    }
+
+    fn span(&mut self, category: EventCategory, name: NameId, ts_us: u64, dur_us: u64) {
+        self.windows
+            .span(category, &self.names[name.index()], ts_us, dur_us, None);
+    }
+
+    fn span_seq(&mut self, name: NameId, ts_us: u64, dur_us: u64, seq: u64) {
+        self.windows.span(
+            EventCategory::CpuOp,
+            &self.names[name.index()],
+            ts_us,
+            dur_us,
+            Some(seq),
+        );
+    }
+
+    fn mem_alloc(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32) {
+        self.alloc(ts_us, addr, bytes as u64, device);
+    }
+
+    fn mem_free(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32) {
+        self.free(ts_us, addr, bytes as u64, device);
     }
 }
 
@@ -565,6 +711,141 @@ mod tests {
         for (i, category) in BlockCategory::ALL.into_iter().enumerate() {
             assert_eq!(category as usize, i);
         }
+    }
+
+    /// A span as an engine reports it.
+    #[derive(Debug, Clone, Copy)]
+    struct Span {
+        category: EventCategory,
+        name: usize,
+        start: u64,
+        dur: u64,
+        seq: Option<u64>,
+    }
+
+    /// Names of every kind the windows tell apart, with the category an
+    /// engine reports each in.
+    fn vocabulary() -> Vec<(EventCategory, String)> {
+        use xmem_trace::names;
+        let mut vocabulary: Vec<(EventCategory, String)> = ["model", "model.0", "model.1"]
+            .iter()
+            .map(|path| (EventCategory::PythonFunction, names::nn_module(path)))
+            .collect();
+        for annotation in [
+            names::profiler_step(1),
+            names::profiler_step(2),
+            names::optimizer_zero_grad("Adam"),
+            names::optimizer_step("Adam"),
+            names::DATALOADER_NEXT.to_owned(),
+            names::BACKWARD_CALL.to_owned(),
+            names::MODEL_TO_DEVICE.to_owned(),
+        ] {
+            vocabulary.push((EventCategory::UserAnnotation, annotation));
+        }
+        for kernel in [
+            "aten::linear".to_owned(),
+            names::autograd_node("AddmmBackward0"),
+            names::ACCUMULATE_GRAD.to_owned(),
+        ] {
+            vocabulary.push((EventCategory::CpuOp, kernel));
+        }
+        vocabulary
+    }
+
+    /// xorshift64*: a deterministic stream.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+        }
+    }
+
+    /// Pushes a random span starting at `at`, with its descendants
+    /// first, as an engine reports spans: each when it closes. Children
+    /// may start with their parent, siblings with each other, and spans
+    /// may be zero-length. Returns the span's end.
+    fn grow(
+        rng: &mut XorShift,
+        vocabulary: &[(EventCategory, String)],
+        at: u64,
+        depth: u32,
+        out: &mut Vec<Span>,
+    ) -> u64 {
+        let mut t = at;
+        if depth > 0 {
+            for _ in 0..rng.below(4) {
+                t += rng.below(3);
+                t = grow(rng, vocabulary, t, depth - 1, out);
+            }
+        }
+        let name = rng.below(vocabulary.len() as u64) as usize;
+        let end = t + rng.below(3);
+        out.push(Span {
+            category: vocabulary[name].0,
+            name,
+            start: at,
+            dur: end - at,
+            seq: (rng.below(2) == 0).then(|| rng.below(100)),
+        });
+        end
+    }
+
+    /// The windows a sink collects from `spans`, fed in the given order.
+    fn windows_of(vocabulary: &[(EventCategory, String)], spans: &[Span]) -> WindowIndex {
+        let mut sink = Analyzer::new().sink();
+        let ids: Vec<NameId> = vocabulary
+            .iter()
+            .map(|(_, name)| sink.intern(name))
+            .collect();
+        for s in spans {
+            match (s.category, s.seq) {
+                (EventCategory::CpuOp, Some(seq)) => {
+                    sink.span_seq(ids[s.name], s.start, s.dur, seq);
+                }
+                (category, _) => sink.span(category, ids[s.name], s.start, s.dur),
+            }
+        }
+        sink.windows.finish()
+    }
+
+    #[test]
+    fn spans_fed_at_their_end_and_in_start_order_give_the_same_windows() {
+        let vocabulary = vocabulary();
+        let mut rng = XorShift(0x9e37_79b9_97f4_a7c1);
+        let (mut ties, mut empty, mut nested) = (0, 0, 0);
+        for case in 0..300 {
+            let mut late = Vec::new();
+            let mut t = 0;
+            for _ in 0..1 + rng.below(12) {
+                let gap = rng.below(2);
+                t = grow(&mut rng, &vocabulary, t + gap, 3, &mut late);
+            }
+            // Start order, as a time-sorted trace lists the spans.
+            let mut in_start_order = late.clone();
+            in_start_order.sort_by_key(|s| s.start);
+            let windows = windows_of(&vocabulary, &late);
+            assert_eq!(
+                windows,
+                windows_of(&vocabulary, &in_start_order),
+                "case {case}"
+            );
+
+            ties += late.windows(2).filter(|p| p[0].start == p[1].start).count();
+            empty += late.iter().filter(|s| s.dur == 0).count();
+            let components = windows.components();
+            nested += components
+                .windows(2)
+                .filter(|p| p[1].start >= p[0].start && p[1].end <= p[0].end)
+                .count();
+        }
+        assert!(
+            ties > 0 && empty > 0 && nested > 0,
+            "{ties} {empty} {nested}"
+        );
     }
 
     #[test]

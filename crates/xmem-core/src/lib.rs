@@ -10,7 +10,9 @@
 //!    operator and component execution windows, attributes each block to
 //!    the operator context that produced it, and classifies blocks
 //!    (parameters, batch data, activations, gradients, optimizer state,
-//!    workspaces). Script-level temporaries are filtered out.
+//!    workspaces). Script-level temporaries are filtered out. As an
+//!    [`AnalyzingSink`] it takes the events straight from a profiling run,
+//!    with no trace recorded; a recorded trace goes through the same sink.
 //! 2. [`Orchestrator`] — re-times lifecycles to match GPU semantics
 //!    (§3.3): parameters persist, batch data dies at the iteration
 //!    boundary, activations keep their CPU-derived lifecycle, parameter
@@ -55,7 +57,7 @@ mod report;
 mod simulator;
 mod windows;
 
-pub use analyzer::{AnalyzedBlock, AnalyzedTrace, Analyzer, BlockCategory};
+pub use analyzer::{AnalyzedBlock, AnalyzedTrace, Analyzer, AnalyzingSink, BlockCategory};
 pub use error::EstimateError;
 pub use layerwise::{layer_report, render_layer_report, LayerMemory};
 pub use lifecycle::{reconstruct_lifecycles, LifecycleStats, MemoryBlock};

@@ -5,7 +5,10 @@
 //! allocation time, deallocation time — while correctly handling address
 //! reuse (the CPU allocator hands freed addresses back almost immediately).
 //! Blocks lacking a deallocation are persistent for the trace duration.
+//! Pairing takes the instants as they arrive, so the analyzing sink pairs
+//! a run's allocations while the engine reports them.
 
+use crate::{AnalyzedBlock, AnalyzingSink};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -49,74 +52,85 @@ pub struct LifecycleStats {
     pub persistent_blocks: usize,
 }
 
-/// Marks "no block" in the address stacks of [`reconstruct_lifecycles`].
+/// Marks "no block" in the address stacks of [`Lifecycles`].
 const NO_BLOCK: u32 = u32::MAX;
 
-/// Reconstructs block lifecycles from a trace's memory instants for one
-/// device (`device_id` = -1 for CPU traces).
+/// Pairs one device's memory instants into blocks as they arrive.
 ///
-/// The instants are processed in time order; simultaneous events keep
-/// trace order, which is emission order — exactly the information a real
-/// profiler export preserves. A free matches the most recent open
-/// allocation at its address (LIFO). The open blocks of one address form
-/// a stack threaded through the blocks: a map holds each address's top
-/// block and `below[id]` the block it covers, so pairing allocates
-/// nothing per address.
+/// Instants must arrive in time order, simultaneous ones in emission
+/// order: exactly the information a real profiler export preserves. A
+/// free matches the most recent open allocation at its address (LIFO).
+/// The open blocks of one address form a stack threaded through the
+/// blocks: a map holds each address's top block and `below[id]` the block
+/// it covers, so pairing allocates nothing per address.
+#[derive(Debug, Default)]
+pub(crate) struct Lifecycles {
+    blocks: Vec<AnalyzedBlock>,
+    top: HashMap<u64, u32, MixHash>,
+    below: Vec<u32>,
+    stats: LifecycleStats,
+}
+
+impl Lifecycles {
+    /// An allocation of `bytes` at `addr`.
+    ///
+    /// # Panics
+    /// At the `u32::MAX`-th allocation — far more than a run that fits in
+    /// memory makes.
+    pub(crate) fn alloc(&mut self, ts_us: u64, addr: u64, bytes: u64) {
+        assert!(
+            self.blocks.len() < NO_BLOCK as usize,
+            "fewer than u32::MAX allocations"
+        );
+        let id = self.blocks.len() as u32;
+        self.blocks
+            .push(AnalyzedBlock::allocated(id, addr, bytes, ts_us));
+        self.below
+            .push(self.top.insert(addr, id).unwrap_or(NO_BLOCK));
+    }
+
+    /// A free of `bytes` at `addr`.
+    pub(crate) fn free(&mut self, ts_us: u64, addr: u64, bytes: u64) {
+        match self.top.entry(addr) {
+            Entry::Occupied(mut slot) => {
+                let id = *slot.get() as usize;
+                match self.below[id] {
+                    NO_BLOCK => {
+                        slot.remove();
+                    }
+                    under => *slot.get_mut() = under,
+                }
+                let block = &mut self.blocks[id];
+                if block.bytes() != bytes {
+                    self.stats.size_mismatches += 1;
+                }
+                block.free_at(ts_us);
+            }
+            Entry::Vacant(_) => self.stats.unmatched_frees += 1,
+        }
+    }
+
+    /// The blocks in allocation order, unclassified, and the diagnostics.
+    pub(crate) fn finish(mut self) -> (Vec<AnalyzedBlock>, LifecycleStats) {
+        self.stats.persistent_blocks = self.blocks.iter().filter(|b| b.is_persistent()).count();
+        (self.blocks, self.stats)
+    }
+}
+
+/// Reconstructs block lifecycles from a trace's memory instants for one
+/// device (`device_id` = -1 for CPU traces): the trace fed through the
+/// [`AnalyzingSink`], whose pairing this is. The instants are taken in
+/// trace order.
 ///
 /// # Panics
 /// When the device has `u32::MAX` or more allocations — far more than a
 /// trace that fits in memory holds.
 #[must_use]
 pub fn reconstruct_lifecycles(trace: &Trace, device_id: i32) -> (Vec<MemoryBlock>, LifecycleStats) {
-    let mut blocks: Vec<MemoryBlock> = Vec::new();
-    let mut top: HashMap<u64, u32, MixHash> = HashMap::default();
-    let mut below: Vec<u32> = Vec::new();
-    let mut stats = LifecycleStats::default();
-
-    for e in trace.memory_instants() {
-        if e.args.device() != Some(device_id) {
-            continue;
-        }
-        let addr = match e.args.addr() {
-            Some(a) => a,
-            None => continue,
-        };
-        let bytes = e.args.bytes().unwrap_or(0);
-        if bytes > 0 {
-            assert!(
-                blocks.len() < NO_BLOCK as usize,
-                "fewer than u32::MAX allocations"
-            );
-            let id = blocks.len() as u32;
-            blocks.push(MemoryBlock {
-                id: id as usize,
-                addr,
-                bytes: bytes as u64,
-                alloc_ts: e.ts_us,
-                free_ts: None,
-            });
-            below.push(top.insert(addr, id).unwrap_or(NO_BLOCK));
-        } else if bytes < 0 {
-            match top.entry(addr) {
-                Entry::Occupied(mut slot) => {
-                    let id = *slot.get() as usize;
-                    match below[id] {
-                        NO_BLOCK => {
-                            slot.remove();
-                        }
-                        under => *slot.get_mut() = under,
-                    }
-                    if blocks[id].bytes != bytes.unsigned_abs() {
-                        stats.size_mismatches += 1;
-                    }
-                    blocks[id].free_ts = Some(e.ts_us);
-                }
-                Entry::Vacant(_) => stats.unmatched_frees += 1,
-            }
-        }
-    }
-    stats.persistent_blocks = blocks.iter().filter(|b| b.is_persistent()).count();
-    (blocks, stats)
+    let (blocks, stats) = AnalyzingSink::from_trace(trace, device_id)
+        .lifecycles
+        .finish();
+    (blocks.iter().map(AnalyzedBlock::block).collect(), stats)
 }
 
 #[cfg(test)]

@@ -4,11 +4,14 @@
 //! operator windows (`cpu_op`), component windows (`python_function`) and
 //! the training-phase annotation windows (`user_annotation`).
 //!
-//! Names are classified once per distinct name of the trace, not once per
-//! event, and window names are shared with the trace's name table: every
-//! window of one kernel or module holds the same `Arc<str>`. Analyzed
+//! Names are classified once per distinct name, when the analyzing sink
+//! interns it, not once per event, and every window of one kernel or
+//! module holds the same `Arc<str>` (on a recorded trace, the trace's
+//! own). Spans arrive as a profiler reports them, each when it closes;
+//! the collected lists are put in start order once, at the end. Analyzed
 //! blocks name their windows by index. Names serialize as plain strings.
 
+use crate::AnalyzingSink;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -162,64 +165,11 @@ impl WindowIndex {
         }
     }
 
-    /// Builds the index from a trace in one pass over its events. Each
-    /// distinct name of the trace's table is classified once (kernel
-    /// flags, module path, annotation kind); events look their class up by
-    /// [`NameId`](xmem_trace::NameId).
+    /// Builds the index from a trace: the trace fed through the
+    /// [`AnalyzingSink`], whose windows these are.
     #[must_use]
     pub fn build(trace: &Trace) -> Self {
-        let classes: Vec<NameClass> = trace.names().iter().map(NameClass::of).collect();
-        let mut ops: Vec<OpWindow> = Vec::new();
-        let mut components: Vec<ComponentWindow> = Vec::new();
-        let mut annotations = AnnotationIndex::default();
-        for e in trace.events() {
-            let class = &classes[e.name.index()];
-            // Zero-length spans still cover their start instant.
-            let (start, end) = (e.ts_us, e.end_us().max(e.ts_us.saturating_add(1)));
-            match e.category {
-                EventCategory::CpuOp => ops.push(OpWindow {
-                    name: Arc::clone(&class.name),
-                    start,
-                    end,
-                    seq: e.args.seq(),
-                    is_backward: class.is_backward,
-                    is_accumulate_grad: class.is_accumulate_grad,
-                }),
-                EventCategory::PythonFunction => {
-                    if let Some(path) = &class.module {
-                        components.push(ComponentWindow {
-                            name: Arc::clone(path),
-                            start,
-                            end,
-                        });
-                    }
-                }
-                EventCategory::UserAnnotation => match class.annotation {
-                    Some(Annotation::Step(k)) => annotations.iterations.push((k, start, end)),
-                    Some(Annotation::ZeroGrad) => annotations.zero_grads.push((start, end)),
-                    Some(Annotation::OptimizerStep) => {
-                        annotations.optimizer_steps.push((start, end));
-                    }
-                    Some(Annotation::Dataload) => annotations.dataloads.push((start, end)),
-                    Some(Annotation::Backward) => annotations.backwards.push((start, end)),
-                    Some(Annotation::ModelLoad) => annotations.model_load = Some((start, end)),
-                    None => {}
-                },
-                EventCategory::CpuInstantEvent => {}
-            }
-        }
-        // Analyses retain the index, so it keeps no spare capacity.
-        ops.sort_by_key(|w| w.start);
-        ops.shrink_to_fit();
-        components.sort_by_key(|w| w.start);
-        components.shrink_to_fit();
-        annotations.iterations.sort_by_key(|w| w.1);
-
-        WindowIndex {
-            ops,
-            components,
-            annotations,
-        }
+        AnalyzingSink::from_trace(trace, -1).windows.finish()
     }
 
     /// All operator windows (sorted by start).
@@ -275,6 +225,104 @@ impl WindowIndex {
     }
 }
 
+/// Collects windows from spans as a profiler reports them, each when it
+/// closes. [`finish`](Self::finish) stable-sorts every list by start,
+/// which lists the windows exactly as a time-sorted trace does: equal
+/// starts keep the order the spans arrived in.
+#[derive(Debug, Default)]
+pub(crate) struct WindowCollector {
+    index: WindowIndex,
+}
+
+impl WindowCollector {
+    /// Adds the window, if any, of one span named `class`.
+    pub(crate) fn span(
+        &mut self,
+        category: EventCategory,
+        class: &NameClass,
+        ts_us: u64,
+        dur_us: u64,
+        seq: Option<u64>,
+    ) {
+        // Zero-length spans still cover their start instant.
+        let (start, end) = (
+            ts_us,
+            ts_us.saturating_add(dur_us).max(ts_us.saturating_add(1)),
+        );
+        let annotations = &mut self.index.annotations;
+        match category {
+            EventCategory::CpuOp => self.index.ops.push(OpWindow {
+                name: Arc::clone(&class.name),
+                start,
+                end,
+                seq,
+                is_backward: class.is_backward,
+                is_accumulate_grad: class.is_accumulate_grad,
+            }),
+            EventCategory::PythonFunction => {
+                if let Some(path) = &class.module {
+                    self.index.components.push(ComponentWindow {
+                        name: Arc::clone(path),
+                        start,
+                        end,
+                    });
+                }
+            }
+            EventCategory::UserAnnotation => match class.annotation {
+                Some(Annotation::Step(k)) => annotations.iterations.push((k, start, end)),
+                Some(Annotation::ZeroGrad) => annotations.zero_grads.push((start, end)),
+                Some(Annotation::OptimizerStep) => annotations.optimizer_steps.push((start, end)),
+                Some(Annotation::Dataload) => annotations.dataloads.push((start, end)),
+                Some(Annotation::Backward) => annotations.backwards.push((start, end)),
+                // The last in start order, as a time-sorted trace lists it.
+                Some(Annotation::ModelLoad)
+                    if annotations.model_load.is_none_or(|(s, _)| s <= start) =>
+                {
+                    annotations.model_load = Some((start, end));
+                }
+                Some(Annotation::ModelLoad) | None => {}
+            },
+            EventCategory::CpuInstantEvent => {}
+        }
+    }
+
+    /// The index, every list in start order. Analyses retain it, so it
+    /// keeps no spare capacity.
+    pub(crate) fn finish(self) -> WindowIndex {
+        fn by_start<T>(windows: &mut Vec<T>, start: impl Fn(&T) -> u64) {
+            windows.sort_by_key(start);
+            move_to_exact(windows);
+        }
+        let mut index = self.index;
+        by_start(&mut index.ops, |w| w.start);
+        by_start(&mut index.components, |w| w.start);
+        let a = &mut index.annotations;
+        by_start(&mut a.iterations, |w| w.1);
+        for windows in [
+            &mut a.zero_grads,
+            &mut a.optimizer_steps,
+            &mut a.dataloads,
+            &mut a.backwards,
+        ] {
+            by_start(windows, |w| w.0);
+        }
+        index
+    }
+}
+
+/// Moves `items` into a fresh allocation of exactly their length.
+///
+/// An analysis is kept long after the run that built it, so the vectors it
+/// keeps are allocated anew once the run is over. Grown, and shrunk in
+/// place, among the engine's short-lived allocations, they would pin the
+/// memory freed around them: a service holding hundreds of analyses then
+/// peaked ~30 % higher in RSS.
+pub(crate) fn move_to_exact<T>(items: &mut Vec<T>) {
+    let mut exact = Vec::with_capacity(items.len());
+    exact.append(items);
+    *items = exact;
+}
+
 /// A training-phase annotation a `user_annotation` name marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Annotation {
@@ -292,7 +340,7 @@ enum Annotation {
 /// event's category: an op window reads the kernel flags, a module span
 /// its path, an annotation its kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct NameClass {
+pub(crate) struct NameClass {
     /// The name itself, shared with the trace's table.
     name: Arc<str>,
     is_backward: bool,
@@ -303,7 +351,7 @@ struct NameClass {
 }
 
 impl NameClass {
-    fn of(name: &Arc<str>) -> Self {
+    pub(crate) fn of(name: &Arc<str>) -> Self {
         let annotation = if let Some(k) = names::parse_profiler_step(name) {
             Some(Annotation::Step(k))
         } else if names::is_optimizer_zero_grad(name) {

@@ -11,10 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-use xmem_core::Analyzer;
+use xmem_core::{AnalyzedTrace, Analyzer};
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
-use xmem_runtime::{profile_on_cpu, TrainJobSpec};
+use xmem_runtime::{profile_into, profile_on_cpu, TrainJobSpec};
 
 /// The system allocator, keeping a count of live heap bytes.
 struct Counting;
@@ -89,10 +89,20 @@ const TOLERANCE: f64 = 0.15;
 /// this (an analysis with 88-byte blocks retained ~268 KiB).
 const MEAN_CEILING_BYTES: f64 = 185.0 * 1024.0;
 
+/// The heap one analysis of `spec` retains, measured around `analyze`,
+/// and the analysis.
+fn retained_by(analyze: impl FnOnce() -> AnalyzedTrace) -> (f64, AnalyzedTrace) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let analyzed = analyze();
+    ((LIVE.load(Ordering::Relaxed) - before) as f64, analyzed)
+}
+
 #[test]
 fn approx_bytes_tracks_the_heap_an_analysis_retains() {
     let optimizers = [OptimizerKind::Adam, OptimizerKind::Sgd { momentum: true }];
-    let mut retained_total = 0.0;
+    // Per route: the service's (the engine's events analyzed as they
+    // arrive) and the recorded trace's.
+    let mut retained_total = [0.0; 2];
     let mut jobs = 0.0;
     for model in MODELS {
         for optimizer in optimizers {
@@ -100,36 +110,47 @@ fn approx_bytes_tracks_the_heap_an_analysis_retains() {
             // Profile once first, so any state built on first use is not
             // counted against the analysis.
             drop(profile_on_cpu(&spec));
-            let before = LIVE.load(Ordering::Relaxed);
-            let trace = profile_on_cpu(&spec);
-            let analyzed = Analyzer::new().analyze(&trace).expect("job analyzes");
-            // Services keep the analysis and drop the trace: names the
-            // analysis shares with the trace stay, the rest goes.
-            drop(trace);
-            let retained = (LIVE.load(Ordering::Relaxed) - before) as f64;
-            let approx = analyzed.approx_bytes() as f64;
-            let error = (approx - retained) / retained;
-            eprintln!(
-                "{model:?} {optimizer:?}: {} blocks, retained {retained:.0} B, approx {approx:.0} B ({:+.1} %)",
-                analyzed.blocks().len(),
-                100.0 * error
-            );
-            assert!(
-                error.abs() <= TOLERANCE,
-                "{model:?} {optimizer:?}: approx_bytes {approx} is {:+.1} % off the {retained} bytes retained",
-                100.0 * error
-            );
-            retained_total += retained;
+            let fed = retained_by(|| {
+                profile_into(&spec, Analyzer::new().sink())
+                    .finish()
+                    .expect("job analyzes")
+            });
+            // The trace is dropped inside the measurement: names the
+            // analysis shares with it stay, the rest goes.
+            let recorded = retained_by(|| {
+                Analyzer::new()
+                    .analyze(&profile_on_cpu(&spec))
+                    .expect("job analyzes")
+            });
+            for (route, (retained, analyzed)) in [fed, recorded].into_iter().enumerate() {
+                let approx = analyzed.approx_bytes() as f64;
+                let error = (approx - retained) / retained;
+                eprintln!(
+                    "{model:?} {optimizer:?} route {route}: {} blocks, retained {retained:.0} B, approx {approx:.0} B ({:+.1} %)",
+                    analyzed.blocks().len(),
+                    100.0 * error
+                );
+                assert!(
+                    error.abs() <= TOLERANCE,
+                    "{model:?} {optimizer:?} route {route}: approx_bytes {approx} is {:+.1} % off the {retained} bytes retained",
+                    100.0 * error
+                );
+                retained_total[route] += retained;
+            }
             jobs += 1.0;
-            drop(analyzed);
         }
     }
-    let mean = retained_total / jobs;
-    eprintln!("mean retained heap per analysis: {:.1} KiB", mean / 1024.0);
-    assert!(
-        mean <= MEAN_CEILING_BYTES,
-        "mean retained heap per analysis {:.1} KiB exceeds {:.1} KiB",
-        mean / 1024.0,
-        MEAN_CEILING_BYTES / 1024.0
-    );
+    for (route, total) in retained_total.into_iter().enumerate() {
+        let mean = total / jobs;
+        eprintln!(
+            "route {route}: mean retained heap per analysis: {:.1} KiB",
+            mean / 1024.0
+        );
+        assert!(
+            mean <= MEAN_CEILING_BYTES,
+            "route {route}: mean retained heap per analysis {:.1} KiB exceeds {:.1} KiB",
+            mean / 1024.0,
+            MEAN_CEILING_BYTES / 1024.0
+        );
+    }
 }

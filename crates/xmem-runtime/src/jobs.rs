@@ -3,7 +3,7 @@
 use crate::arena::{CpuHeap, GpuArena, GroundTruth};
 use crate::backend::BackendKind;
 use crate::executor::{Engine, RunError};
-use crate::profiler::{NullSink, Profiler};
+use crate::profiler::{NullSink, Profiler, Sink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -216,18 +216,20 @@ fn shared_graph(model: ModelId) -> &'static Graph {
     GRAPHS[model as usize].get_or_init(|| model.build())
 }
 
-/// Profiles the first iterations of the job on the CPU backend, producing
-/// the PyTorch-profiler-style trace xMem consumes (paper §3.1: the job
-/// "does not need to proceed further" than these iterations).
+/// Runs the first iterations of the job on the CPU backend (paper §3.1:
+/// the job "does not need to proceed further" than these iterations),
+/// reporting its execution structure to `sink`, which is returned.
+///
+/// The engine reports each memory instant as it happens, in
+/// nondecreasing time, and each span when it closes, after the events it
+/// encloses.
 ///
 /// # Panics
 /// Panics only on internal engine invariants; CPU runs cannot OOM.
 #[must_use]
-pub fn profile_on_cpu(spec: &TrainJobSpec) -> Trace {
-    let graph = shared_graph(spec.model);
-    let profiler = Profiler::new(&spec.label());
+pub fn profile_into<S: Sink>(spec: &TrainJobSpec, sink: S) -> S {
     let mut engine = Engine::new(
-        graph,
+        shared_graph(spec.model),
         BackendKind::Cpu,
         spec.optimizer,
         spec.zero_grad_pos,
@@ -236,11 +238,17 @@ pub fn profile_on_cpu(spec: &TrainJobSpec) -> Trace {
         spec.batch,
         spec.seq,
         CpuHeap::new(),
-        profiler,
+        sink,
     );
     engine.run().expect("cpu profiling cannot oom");
-    let (_, profiler) = engine.into_parts();
-    profiler.into_trace()
+    engine.into_parts().1
+}
+
+/// Profiles the job on the CPU backend into the PyTorch-profiler-style
+/// trace xMem consumes: [`profile_into`] a [`Profiler`].
+#[must_use]
+pub fn profile_on_cpu(spec: &TrainJobSpec) -> Trace {
+    profile_into(spec, Profiler::new(&spec.label())).into_trace()
 }
 
 /// Runs the job on the simulated GPU, producing ground truth the way the

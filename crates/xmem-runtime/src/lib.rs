@@ -10,10 +10,11 @@
 //!
 //! Two backends share the engine:
 //!
-//! * **CPU** ([`profile_on_cpu`]) — allocations go to a malloc-like
-//!   [`heap`](arena::CpuHeap) with address reuse, and a PyTorch-profiler-
-//!   style [`Trace`](xmem_trace::Trace) is emitted (the four event
-//!   categories of paper §3.2). This is the input to xMem.
+//! * **CPU** ([`profile_into`]) — allocations go to a malloc-like
+//!   [`heap`](arena::CpuHeap) with address reuse, and the run's events
+//!   (the four event categories of paper §3.2) go to a [`Sink`]. This is
+//!   the input to xMem: [`profile_on_cpu`] records them as a
+//!   PyTorch-profiler-style [`Trace`](xmem_trace::Trace).
 //! * **GPU** ([`run_on_gpu`]) — allocations go through the two-level
 //!   [`CachingAllocator`](xmem_alloc::CachingAllocator) on a
 //!   capacity-limited device, an NVML-style sampler polls total used
@@ -51,5 +52,7 @@ mod profiler;
 pub use arena::{CpuHeap, GpuArena, GroundTruth, MemoryArena, Mix64, MixHash, NvmlSampler};
 pub use backend::{BackendKind, Phase};
 pub use executor::{Engine, RunError};
-pub use jobs::{profile_on_cpu, run_on_gpu, GpuDevice, Precision, TrainJobSpec, ZeroGradPos};
+pub use jobs::{
+    profile_into, profile_on_cpu, run_on_gpu, GpuDevice, Precision, TrainJobSpec, ZeroGradPos,
+};
 pub use profiler::{NullSink, Profiler, Sink};

@@ -1,9 +1,10 @@
 //! Event sinks: where the engine reports execution structure.
 //!
-//! The CPU backend attaches a [`Profiler`] that builds a
-//! [`xmem_trace::Trace`] with the four event categories xMem consumes; the
-//! GPU backend attaches a [`NullSink`] (ground truth needs only the arena's
-//! sampler).
+//! A CPU profiling run reports to any sink (`profile_into`): a
+//! [`Profiler`] builds a [`xmem_trace::Trace`] with the four event
+//! categories xMem consumes, and a consumer may instead analyze the events
+//! as they arrive. The GPU backend attaches a [`NullSink`] (ground truth
+//! needs only the arena's sampler).
 
 use xmem_trace::{names, EventCategory, NameId, Trace, TraceEvent};
 

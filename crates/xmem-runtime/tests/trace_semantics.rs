@@ -5,8 +5,10 @@
 use std::collections::HashMap;
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
-use xmem_runtime::{profile_on_cpu, Precision, TrainJobSpec, ZeroGradPos};
-use xmem_trace::{names, EventCategory, Trace};
+use xmem_runtime::{
+    profile_into, profile_on_cpu, Precision, Profiler, Sink, TrainJobSpec, ZeroGradPos,
+};
+use xmem_trace::{names, EventCategory, NameId, Trace};
 
 fn spec(model: ModelId, opt: OptimizerKind) -> TrainJobSpec {
     TrainJobSpec::new(model, opt, 4).with_iterations(3)
@@ -197,5 +199,68 @@ fn every_iteration_has_the_full_annotation_set() {
             .filter(|e| trace.name_of(e) == name_check)
             .count();
         assert_eq!(count, 3, "{name_check} once per iteration");
+    }
+}
+
+/// Records every memory instant as `(ts, addr, signed bytes)`, in the
+/// order the engine reports them, and the whole run as a `Profiler` would.
+struct Instants {
+    reported: Vec<(u64, u64, i64)>,
+    profiler: Profiler,
+}
+
+impl Sink for Instants {
+    fn intern(&mut self, name: &str) -> NameId {
+        self.profiler.intern(name)
+    }
+    fn span(&mut self, category: EventCategory, name: NameId, ts_us: u64, dur_us: u64) {
+        self.profiler.span(category, name, ts_us, dur_us);
+    }
+    fn span_seq(&mut self, name: NameId, ts_us: u64, dur_us: u64, seq: u64) {
+        self.profiler.span_seq(name, ts_us, dur_us, seq);
+    }
+    fn mem_alloc(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32) {
+        self.reported.push((ts_us, addr, bytes as i64));
+        self.profiler.mem_alloc(ts_us, addr, bytes, device);
+    }
+    fn mem_free(&mut self, ts_us: u64, addr: u64, bytes: usize, device: i32) {
+        self.reported.push((ts_us, addr, -(bytes as i64)));
+        self.profiler.mem_free(ts_us, addr, bytes, device);
+    }
+}
+
+/// The order an analyzing sink pairs allocations in is the order the
+/// engine reports them, while the trace route pairs them in the
+/// trace's time order. The two agree because the engine reports memory
+/// instants in nondecreasing time, so sorting the trace never moves one.
+#[test]
+fn memory_instants_are_reported_in_time_order_for_every_model() {
+    for model in ModelId::all() {
+        for pos in [ZeroGradPos::BeforeBackward, ZeroGradPos::IterStart] {
+            let spec = TrainJobSpec::new(model, OptimizerKind::Adam, 1)
+                .with_iterations(2)
+                .with_zero_grad(pos);
+            let sink = profile_into(
+                &spec,
+                Instants {
+                    reported: Vec::new(),
+                    profiler: Profiler::new(&spec.label()),
+                },
+            );
+            let label = spec.label();
+            assert!(
+                sink.reported.windows(2).all(|pair| pair[0].0 <= pair[1].0),
+                "{label}: a memory instant went back in time"
+            );
+            let trace = sink.profiler.into_trace();
+            let sorted: Vec<(u64, u64, i64)> = trace
+                .memory_instants()
+                .map(|e| (e.ts_us, e.args.addr().unwrap(), e.args.bytes().unwrap()))
+                .collect();
+            assert!(
+                sorted == sink.reported,
+                "{label}: the sort moved an instant"
+            );
+        }
     }
 }

@@ -15,6 +15,12 @@ use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{Precision, TrainJobSpec, ZeroGradPos};
 
+/// The most training iterations a job may ask to have profiled. The paper
+/// profiles 3 (§3.1), and profiling and analysis work, and the memory an
+/// analysis holds while it runs, grow linearly with the count; the cap
+/// bounds a request at a few times the paper's default.
+pub const MAX_ITERATIONS: u32 = 16;
+
 /// An unvalidated job description: raw field values as they arrived from
 /// a flag map, a job line, or a JSON object. [`JobDraft::build`] validates
 /// and assembles them.
@@ -71,9 +77,10 @@ impl JobDraft {
     /// from the grid, not the spec.
     ///
     /// # Errors
-    /// Missing required fields, unknown model/optimizer names, and
-    /// non-numeric numeric fields — with the same messages on every
-    /// ingress surface.
+    /// Missing required fields, unknown model/optimizer names,
+    /// non-numeric numeric fields and `iterations` above
+    /// [`MAX_ITERATIONS`] — with the same messages on every ingress
+    /// surface.
     pub fn build(&self, default_batch: Option<usize>) -> Result<TrainJobSpec, String> {
         let model_name = self.model.as_deref().ok_or("`model` is required")?;
         let model = ModelId::by_name(model_name)
@@ -99,6 +106,9 @@ impl JobDraft {
             spec.iterations = iterations
                 .parse()
                 .map_err(|_| "`iterations` must be a number")?;
+            if spec.iterations > MAX_ITERATIONS {
+                return Err(format!("`iterations` must be <= {MAX_ITERATIONS}"));
+            }
         }
         if self.pos1 {
             spec = spec.with_zero_grad(ZeroGradPos::IterStart);
@@ -350,6 +360,37 @@ mod tests {
             parse_job_line("gpt2 Adam -3").unwrap_err(),
             "`batch` must be a number"
         );
+    }
+
+    #[test]
+    fn iterations_above_the_cap_are_rejected_on_every_surface() {
+        let want = format!("`iterations` must be <= {MAX_ITERATIONS}");
+        let over = u64::from(MAX_ITERATIONS) + 1;
+        assert_eq!(
+            parse_job_line(&format!("gpt2 Adam 8 iters={over}")).unwrap_err(),
+            want
+        );
+        let mut draft = JobDraft::new();
+        draft.set("model", "gpt2").unwrap();
+        draft.set("optimizer", "Adam").unwrap();
+        draft.set("batch", "8").unwrap();
+        draft.set("iterations", "4294967295").unwrap();
+        assert_eq!(draft.build(None).unwrap_err(), want);
+        let json: Value = serde_json::from_str(
+            r#"{"model":"gpt2","optimizer":"Adam","batch":8,"iterations":4294967295}"#,
+        )
+        .unwrap();
+        assert_eq!(job_from_value(&json).unwrap_err(), want);
+        // Past `u32` it stays a parse error.
+        draft.set("iterations", "4294967296").unwrap();
+        assert_eq!(
+            draft.build(None).unwrap_err(),
+            "`iterations` must be a number"
+        );
+        // The cap itself, and the paper's default, are accepted.
+        let at_cap = parse_job_line(&format!("gpt2 Adam 8 iters={MAX_ITERATIONS}")).unwrap();
+        assert_eq!(at_cap.iterations, MAX_ITERATIONS);
+        assert_eq!(parse_job_line("gpt2 Adam 8 iters=3").unwrap().iterations, 3);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Concurrent, cache-backed estimation service.
 //!
 //! The xMem pipeline splits cleanly into a device-independent front half —
-//! CPU profiling ([`xmem_runtime::profile_on_cpu`]) and trace analysis
-//! ([`xmem_core::Analyzer`]) — and a cheap, device-dependent back half
+//! CPU profiling ([`xmem_runtime::profile_into`]) and its analysis
+//! ([`xmem_core::Analyzer`], fed the run's events as they arrive, so no
+//! trace is recorded) — and a cheap, device-dependent back half
 //! (orchestration + allocator simulation). Scheduler workloads issue many
 //! near-identical queries per second: batch-size planning probes one model
 //! at many batch sizes, and admission control re-asks the same `(model,

@@ -22,7 +22,7 @@ use xmem_core::{
     AnalyzedTrace, Analyzer, DeviceMatrix, DevicePlacement, Estimate, EstimateError, Estimator,
     EstimatorConfig, MatrixCell, MatrixRow, ParamReplay, UnboundedReplay,
 };
-use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
+use xmem_runtime::{profile_into, GpuDevice, TrainJobSpec};
 
 /// Identity of one simulation cell: which analysis, replayed against
 /// which device configuration.
@@ -64,12 +64,13 @@ struct PlacementFill {
 }
 
 /// The memoized (device-independent) front half of the pipeline: the
-/// Analyzer's output over the job's CPU profiler trace. Orchestration +
+/// Analyzer's output over the job's CPU profiling run. Orchestration +
 /// simulation are cheap and device-dependent, so they re-run per query.
-/// No service path reads the raw trace, so it is dropped once analyzed.
+/// The service analyzes the run's events as the engine reports them
+/// ([`Analyzer::sink`]), so no trace is ever recorded.
 #[derive(Debug)]
 pub struct ProfiledStages {
-    /// The Analyzer's output over the job's CPU profiler trace.
+    /// The Analyzer's output over the job's CPU profiling run.
     pub analyzed: AnalyzedTrace,
 }
 
@@ -252,7 +253,7 @@ pub struct EstimationService {
     /// In-flight dedup of parameterized-replay fits (concurrent sweeps
     /// over one family coalesce onto one three-anchor fit).
     param_flights: SingleFlight<SweepKey, Option<Arc<ParamOutcome>>>,
-    /// Count of actual `profile_on_cpu` executions — the ground truth the
+    /// Count of actual CPU profiling runs — the ground truth the
     /// single-flight and cache layers are judged against.
     profiles: AtomicU64,
     /// Crash-consistent persistence engine, present when
@@ -550,7 +551,7 @@ impl EstimationService {
         self.negative.stats()
     }
 
-    /// How many times `profile_on_cpu` actually ran. Under any mix of
+    /// How many times the job was actually profiled on the CPU. Under any mix of
     /// cache hits and coalesced concurrent queries, this is at most one
     /// per distinct [`JobKey`] still covered by the cache/flight layers.
     #[must_use]
@@ -695,12 +696,14 @@ impl EstimationService {
                 return Err(error);
             }
             self.profiles.fetch_add(1, Ordering::Relaxed);
-            let trace = {
+            // The engine's events are analyzed as they arrive; no trace
+            // is recorded.
+            let sink = {
                 let _span = ctx.span("stage.profile");
-                profile_on_cpu(spec)
+                profile_into(spec, Analyzer::new().sink())
             };
             let mut analyze = ctx.span("stage.analyze");
-            match Analyzer::new().analyze(&trace) {
+            match sink.finish() {
                 Ok(analyzed) => {
                     analyze.set_outcome("ok");
                     drop(analyze);
@@ -2196,6 +2199,7 @@ mod tests {
     use super::*;
     use xmem_models::ModelId;
     use xmem_optim::OptimizerKind;
+    use xmem_runtime::profile_on_cpu;
 
     fn small_spec(batch: usize) -> TrainJobSpec {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, batch).with_iterations(2)

@@ -58,6 +58,15 @@ impl fmt::Display for EventCategory {
 pub struct NameId(pub(crate) u32);
 
 impl NameId {
+    /// The id of entry `index` of a name table. A consumer that keeps its
+    /// own table in place of a [`Trace`](crate::Trace)'s, such as a sink
+    /// that analyzes events as the engine reports them, numbers its names
+    /// with it.
+    #[must_use]
+    pub const fn from_index(index: u32) -> Self {
+        NameId(index)
+    }
+
     /// Position of the name in [`Trace::names`](crate::Trace::names).
     #[must_use]
     pub const fn index(self) -> usize {

@@ -1075,6 +1075,31 @@ fn deeply_nested_json_is_a_400_not_a_crash() {
     assert!(report.clean);
 }
 
+/// A job asking for more profiled iterations than the cap is the usual
+/// `400` grammar error, with the cap in its message; the cap itself is
+/// served.
+#[test]
+fn iterations_past_the_cap_are_a_400_and_the_cap_is_served() {
+    use xmem::service::jobspec::MAX_ITERATIONS;
+    let (server, _service) = start_server(ServerConfig::default().with_workers(2));
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let over = r#"{"model":"MobeNetV3Small","optimizer":"Adam","batch":2,"iterations":4294967295}"#;
+    let response = client.post_json("/v1/estimate", over).expect("400 answer");
+    assert_eq!(response.status, 400, "{}", response.text());
+    assert!(
+        response
+            .text()
+            .contains(&format!("`iterations` must be <= {MAX_ITERATIONS}")),
+        "{}",
+        response.text()
+    );
+    let at_cap = job_json(&small_spec(2).with_iterations(MAX_ITERATIONS));
+    let response = client.post_json("/v1/estimate", &at_cap).expect("estimate");
+    assert_eq!(response.status, 200, "{}", response.text());
+    let report = server.shutdown();
+    assert!(report.clean);
+}
+
 /// The stage tier's byte gauge prices what the tier holds: after one
 /// cold estimate it reads the retained analysis's size.
 #[test]

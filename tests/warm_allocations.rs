@@ -1,7 +1,8 @@
 //! What a warm answer allocates: a cached estimate is shared, not
 //! copied, so a sim-cell hit costs a refcount and the heap is touched
 //! only for what the answer itself owns (device names, row and cell
-//! vectors).
+//! vectors). And what a cold analysis allocates: the service analyzes
+//! the engine's events as they arrive, so it records no trace.
 //!
 //! The binary holds a single test: its global allocator counts every
 //! thread, and a second test running alongside would show up in the
@@ -13,21 +14,28 @@ use std::sync::Arc;
 
 use xmem::prelude::*;
 
-/// The system allocator, keeping a count of allocations made.
+/// The system allocator, keeping a count of allocations made and of the
+/// bytes they asked for.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every call is forwarded to `System` with the caller's own
-// arguments; the counter only observes that a call happened.
+// arguments; the counters only observe that a call happened and its size.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -36,7 +44,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,9 +55,23 @@ static ALLOCATOR: Counting = Counting;
 /// Runs `f`, returning its result and the allocations it made. The
 /// result is returned, not dropped, so freeing it is not counted either.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (out, made, _) = counted_bytes(f);
+    (out, made)
+}
+
+/// [`counted`], with the bytes the allocations asked for (a `realloc`
+/// counts its new size).
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (allocations, bytes) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (
+        out,
+        ALLOCATIONS.load(Ordering::Relaxed) - allocations,
+        BYTES.load(Ordering::Relaxed) - bytes,
+    )
 }
 
 /// Sixteen small jobs: every one fits every device, so each row's cells
@@ -65,6 +87,13 @@ fn jobs() -> Vec<TrainJobSpec> {
     }
     jobs
 }
+
+/// The bytes one cold `stages` call may allocate for the golden-trace job
+/// (MobileNetV3-Small, Adam, batch 2, 2 iterations). It allocates
+/// 981 702: the engine's own state, the blocks and windows the analysis
+/// keeps (153 846 bytes) and their growth. Recording the run's trace and
+/// analyzing it afterwards allocated 2 040 267.
+const COLD_STAGES_BYTES: u64 = 1_100_000;
 
 #[test]
 fn warm_answers_share_their_estimates() {
@@ -120,5 +149,21 @@ fn warm_answers_share_their_estimates() {
         made <= 2,
         "a warm placement over {} devices made {made} allocations",
         registry.len()
+    );
+
+    // A cold analysis of the golden-trace job on a fresh service (the
+    // model's graph is already built, by the matrix above).
+    let fresh = EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()));
+    let spec =
+        TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
+    let (stages, made, bytes) = counted_bytes(|| fresh.stages(&spec).expect("analyzes"));
+    eprintln!(
+        "cold stages: {made} allocations, {bytes} bytes, analysis {} bytes",
+        stages.approx_bytes()
+    );
+    assert_eq!(fresh.profile_runs(), 1);
+    assert!(
+        bytes <= COLD_STAGES_BYTES,
+        "a cold analysis allocated {bytes} bytes"
     );
 }
