@@ -45,7 +45,7 @@ use xmem_runtime::GpuDevice;
 use xmem_server::{
     ClusterClient, ClusterConfig, HttpClient, ServerConfig, ServerHandle, AUTH_HEADER,
 };
-use xmem_service::{AsyncEstimationService, AsyncServiceConfig};
+use xmem_service::AsyncEstimationService;
 
 /// The request mix one connection cycles through, spelled as
 /// `(method, path, body)` — a scheduler's steady-state traffic shape:
@@ -409,9 +409,7 @@ fn run_cluster(
         Some((nodes, token)) => (nodes, token),
         None => {
             for _ in 0..3 {
-                let service = Arc::new(AsyncEstimationService::new(
-                    AsyncServiceConfig::for_device(GpuDevice::rtx3060()),
-                ));
+                let service = Arc::new(AsyncEstimationService::for_device(GpuDevice::rtx3060()));
                 let server = ServerHandle::bind(
                     "127.0.0.1:0",
                     Arc::clone(&service),
@@ -503,9 +501,7 @@ fn run_cluster(
     let baseline_single_node = if ring.is_empty() {
         None
     } else {
-        let service = Arc::new(AsyncEstimationService::new(AsyncServiceConfig::for_device(
-            GpuDevice::rtx3060(),
-        )));
+        let service = Arc::new(AsyncEstimationService::for_device(GpuDevice::rtx3060()));
         let server = ServerHandle::bind(
             "127.0.0.1:0",
             service,
@@ -689,9 +685,7 @@ fn main() {
     // Target: an external server, or an in-process one on an ephemeral
     // port (same code path as `xmem-cli listen`).
     let in_process = if addr.is_none() {
-        let service = Arc::new(AsyncEstimationService::new(AsyncServiceConfig::for_device(
-            GpuDevice::rtx3060(),
-        )));
+        let service = Arc::new(AsyncEstimationService::for_device(GpuDevice::rtx3060()));
         let server = ServerHandle::bind(
             "127.0.0.1:0",
             service,

@@ -27,7 +27,9 @@ use xmem_core::{
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
-use xmem_service::{EstimationService, ServiceConfig, ShardedLruCache, Telemetry, TelemetryConfig};
+use xmem_service::{
+    EstimationService, ServiceConfig, ShardedLruCache, Telemetry, TelemetryConfig, TraceContext,
+};
 
 /// One timed benchmark.
 #[derive(Debug, Serialize)]
@@ -164,14 +166,17 @@ fn register_fleet(service: &EstimationService) {
 /// Times one matrix replay over prewarmed analyses (profiling excluded),
 /// so fast vs full compares only the simulation fan-out.
 fn matrix_replay_fast(service: &EstimationService) -> (Benchmark, DeviceMatrix) {
+    let untraced = TraceContext::disabled();
     let jobs = jobs();
     for job in &jobs {
-        service.stages(job).expect("benchmark jobs analyze");
+        service
+            .stages_traced(job, &untraced)
+            .expect("benchmark jobs analyze");
     }
     let names: Vec<&str> = FLEET.to_vec();
     let started = Instant::now();
     let matrix = service
-        .estimate_matrix(&jobs, &names)
+        .estimate_matrix_traced(&jobs, &names, &untraced)
         .expect("fleet is registered");
     let total_ns = started.elapsed().as_nanos() as u64;
     let bench = finish(
@@ -253,6 +258,7 @@ impl ScanLru {
 }
 
 fn main() {
+    let untraced = TraceContext::disabled();
     let mut quick = false;
     let mut out = String::from("BENCH_estimator.json");
     let mut args = std::env::args().skip(1);
@@ -279,12 +285,16 @@ fn main() {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let cold = bench("estimate_cold", "estimate", 1, || {
-        service.estimate(&single).expect("estimates");
+        service
+            .estimate_traced(&single, None, &untraced)
+            .expect("estimates");
     });
     let cold_ns = cold.ns_per_op;
     benchmarks.push(cold);
     let warm = bench("estimate_warm", "estimate", warm_reps, || {
-        service.estimate(&single).expect("estimates");
+        service
+            .estimate_traced(&single, None, &untraced)
+            .expect("estimates");
     });
     let warm_ns = warm.ns_per_op;
     benchmarks.push(warm);
@@ -322,7 +332,9 @@ fn main() {
         let telemetry = Telemetry::new(TelemetryConfig::default());
         let traced = bench("estimate_warm_traced", "estimate", warm_reps, || {
             let ctx = telemetry.begin_trace(None);
-            service.estimate_traced(&single, &ctx).expect("estimates");
+            service
+                .estimate_traced(&single, None, &ctx)
+                .expect("estimates");
             telemetry.finish(&ctx, "BENCH", "/v1/estimate", 200, false);
         });
         let pct = (traced.ns_per_op - warm_ns) / warm_ns.max(1.0) * 100.0;
@@ -357,7 +369,7 @@ fn main() {
         let started = Instant::now();
         for _ in 0..reps {
             fast_service
-                .estimate_matrix(&jobs, &names)
+                .estimate_matrix_traced(&jobs, &names, &untraced)
                 .expect("fleet is registered");
         }
         let total_ns = started.elapsed().as_nanos() as u64;
@@ -444,7 +456,9 @@ fn main() {
             "benchmark state dir must be usable"
         );
         for job in jobs() {
-            persisted.estimate(&job).expect("estimates");
+            persisted
+                .estimate_traced(&job, None, &untraced)
+                .expect("estimates");
         }
         let snapshot_reps: u64 = if quick { 20 } else { 100 };
         benchmarks.push(bench("snapshot_write", "snapshot", snapshot_reps, || {
@@ -459,7 +473,9 @@ fn main() {
 
         let rebooted = EstimationService::new(state_config());
         let started = Instant::now();
-        rebooted.estimate(&single).expect("estimates");
+        rebooted
+            .estimate_traced(&single, None, &untraced)
+            .expect("estimates");
         let total_ns = started.elapsed().as_nanos() as u64;
         let after_boot = finish("estimate_after_warm_boot", "estimate", 1, total_ns);
         assert_eq!(
@@ -503,7 +519,7 @@ fn main() {
 
         let inc_sweep = EstimationService::for_device(GpuDevice::rtx3060());
         let started = Instant::now();
-        let inc_cells = inc_sweep.sweep(&base, &batches);
+        let inc_cells = inc_sweep.sweep_traced(&base, &batches, &untraced);
         let inc = finish(
             "sweep_incremental",
             "cell",

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use xmem_baselines::{DnnMem, LlMem, MemoryEstimator, SchedTune};
 use xmem_runtime::{run_on_gpu, GpuDevice, TrainJobSpec};
-use xmem_service::{EstimationService, JobKey};
+use xmem_service::{EstimationService, JobKey, TraceContext};
 
 /// One schedulable unit: a job spec bound to a device and repeat identity.
 #[derive(Debug, Clone)]
@@ -124,7 +124,7 @@ pub fn run_campaign(
 }
 
 /// Routes a campaign's whole estimation workload through
-/// [`EstimationService::estimate_matrix`]: distinct jobs (seeds and
+/// [`EstimationService::estimate_matrix_traced`]: distinct jobs (seeds and
 /// repeats collapse into one [`JobKey`]) × distinct devices, batched so
 /// each job profiles **once** and each `(job, device)` cell simulates
 /// once — the same collapse the scheduler paths enjoy. Devices are
@@ -139,6 +139,7 @@ pub fn run_campaign(
 /// `sim_runs == distinct_jobs × distinct_devices` after a prewarm from
 /// cold, however many `(config, repeat)` pairs the campaign holds.
 pub fn prewarm_matrix(service: &EstimationService, configs: &[JobConfig]) -> (usize, usize) {
+    let untraced = TraceContext::disabled();
     let mut jobs: Vec<TrainJobSpec> = Vec::new();
     let mut seen_jobs: HashSet<JobKey> = HashSet::new();
     let mut devices: Vec<&'static str> = Vec::new();
@@ -155,7 +156,7 @@ pub fn prewarm_matrix(service: &EstimationService, configs: &[JobConfig]) -> (us
         return (jobs.len(), devices.len());
     }
     service
-        .estimate_matrix(&jobs, &devices)
+        .estimate_matrix_traced(&jobs, &devices, &untraced)
         .expect("prewarm devices were just registered");
     (jobs.len(), devices.len())
 }

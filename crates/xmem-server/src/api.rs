@@ -17,7 +17,9 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use xmem_core::{AnalysisStats, DeviceMatrix, DevicePlacement, Estimate, EstimateError};
 use xmem_runtime::{Precision, TrainJobSpec, ZeroGradPos};
-use xmem_service::jobspec::{self, job_from_value, usize_field};
+use xmem_service::jobspec::{
+    self, batch_grid, batch_range, job_from_value, usize_field, BATCH_RANGE_ERROR,
+};
 use xmem_service::{AsyncEstimationService, SubmitError, TraceContext};
 
 /// Renders a stable JSON error body.
@@ -36,13 +38,9 @@ pub fn bad_request(message: &str) -> Response {
     Response::json(400, error_body("bad_request", message))
 }
 
-/// The jobspec layer's batch range error, verbatim — the one job
-/// validation failure that is a *semantic* range violation rather than a
-/// grammar error, so it maps to `422` instead of `400`.
-pub const BATCH_RANGE_ERROR: &str = "`batch` must be >= 1";
-
 /// Maps a jobspec validation failure to its wire shape: the batch range
-/// violation is `422 invalid_job` (the body parsed; the job is
+/// violation ([`BATCH_RANGE_ERROR`]) is `422 invalid_job` (the body
+/// parsed; the job is
 /// semantically out of range), every other message stays the `400`
 /// grammar error. Matched by suffix so route-added prefixes
 /// (`jobs[3]: ...`) keep the mapping.
@@ -506,26 +504,19 @@ pub fn handle_sweep(
     let Some(entries) = body.as_object() else {
         return bad_request("body must be a JSON object");
     };
-    let batches: Vec<usize> = match serde::obj_get(entries, "batches").and_then(Value::as_array) {
-        Some(items) if !items.is_empty() => {
-            // Duplicates collapse (first occurrence keeps its slot) —
-            // repeated grid points would just repeat cache hits; zero
-            // points are the jobspec range violation, same stable 422.
-            let mut batches = Vec::with_capacity(items.len());
-            for item in items {
-                match item.as_u64().and_then(|n| usize::try_from(n).ok()) {
-                    Some(0) => return job_error_response(BATCH_RANGE_ERROR),
-                    Some(batch) => {
-                        if !batches.contains(&batch) {
-                            batches.push(batch);
-                        }
-                    }
-                    None => return bad_request("`batches` must be positive integers"),
-                }
-            }
-            batches
-        }
+    let batches = match serde::obj_get(entries, "batches").and_then(Value::as_array) {
+        Some(items) if !items.is_empty() => batch_grid(items.iter().map(|item| {
+            item.as_u64()
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| "`batches` must be positive integers".to_string())
+        })),
         _ => return bad_request("`batches` must be a non-empty array of batch sizes"),
+    };
+    // A zero point is the jobspec range violation (422); a point that is
+    // not a number stays a 400.
+    let batches = match batches {
+        Ok(batches) => batches,
+        Err(e) => return job_error_response(&e),
     };
     // The grid supplies the batch sizes, so the job object may omit
     // `batch` — the first grid point backs the draft.
@@ -534,18 +525,12 @@ pub fn handle_sweep(
         Err(e) => return e,
     };
     let submitted = service.sweep(&spec, &batches, deadline, ctx);
-    match submitted {
-        Err(SubmitError::Busy) => busy_response(),
-        Ok(future) => match future.wait() {
-            Ok(results) => Response::json(200, sweep_body(&results)),
-            Err(error) => estimate_error_response(&error),
-        },
-    }
+    settle(submitted, |results| sweep_body(results))
 }
 
 /// `POST /v1/plan` — body: `{"job": job, "device": "name", "min": 1?,
 /// "max": 1024?}`; answers admission control
-/// ([`max_batch_for_device`](xmem_service::EstimationService::max_batch_for_device)).
+/// ([`max_batch_for_device_traced`](xmem_service::EstimationService::max_batch_for_device_traced)).
 #[must_use]
 pub fn handle_plan(
     service: &AsyncEstimationService,
@@ -571,8 +556,8 @@ pub fn handle_plan(
         (Ok(lo), Ok(hi)) => (lo.unwrap_or(1), hi.unwrap_or(1024)),
         (Err(e), _) | (_, Err(e)) => return bad_request(&e),
     };
-    if lo < 1 || lo > hi {
-        return bad_request(&format!("invalid batch range [{lo}, {hi}]"));
+    if let Err(e) = batch_range(lo, hi) {
+        return bad_request(&e);
     }
     // The search range supplies batch sizes, so the job object may omit
     // `batch` — the range floor backs the draft.

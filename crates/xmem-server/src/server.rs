@@ -799,12 +799,11 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmem_service::AsyncServiceConfig;
 
     fn bind_loopback() -> ServerHandle {
-        let service = Arc::new(AsyncEstimationService::new(AsyncServiceConfig::for_device(
+        let service = Arc::new(AsyncEstimationService::for_device(
             xmem_runtime::GpuDevice::rtx3060(),
-        )));
+        ));
         ServerHandle::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback")
     }
 

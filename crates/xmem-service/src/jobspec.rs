@@ -21,6 +21,10 @@ use xmem_runtime::{Precision, TrainJobSpec, ZeroGradPos};
 /// bounds a request at a few times the paper's default.
 pub const MAX_ITERATIONS: u32 = 16;
 
+/// The message every surface gives a batch size of 0: the one job
+/// validation failure that is a range violation, not a grammar error.
+pub const BATCH_RANGE_ERROR: &str = "`batch` must be >= 1";
+
 /// An unvalidated job description: raw field values as they arrived from
 /// a flag map, a job line, or a JSON object. [`JobDraft::build`] validates
 /// and assembles them.
@@ -96,7 +100,7 @@ impl JobDraft {
             (None, None) => return Err("`batch` is required".to_string()),
         };
         if batch == 0 {
-            return Err("`batch` must be >= 1".to_string());
+            return Err(BATCH_RANGE_ERROR.to_string());
         }
         let mut spec = TrainJobSpec::new(model, optimizer, batch);
         if let Some(seq) = self.seq.as_deref() {
@@ -248,6 +252,39 @@ pub fn job_to_value(spec: &TrainJobSpec) -> Value {
     Value::Object(entries)
 }
 
+/// Checks a sweep's batch grid, given as each point's parse result in
+/// order: the grid keeps each batch size's first occurrence (a repeat
+/// would only repeat a cache hit) and refuses a batch of 0 with
+/// [`BATCH_RANGE_ERROR`]. Each surface parses its own spelling of a
+/// point, and checks for an empty grid itself.
+///
+/// # Errors
+/// The first point's parse error or zero, in grid order.
+pub fn batch_grid(
+    points: impl IntoIterator<Item = Result<usize, String>>,
+) -> Result<Vec<usize>, String> {
+    let mut grid = Vec::new();
+    for point in points {
+        match point? {
+            0 => return Err(BATCH_RANGE_ERROR.to_string()),
+            batch if !grid.contains(&batch) => grid.push(batch),
+            _ => {}
+        }
+    }
+    Ok(grid)
+}
+
+/// Checks an admission-control search range: `1 <= lo <= hi`.
+///
+/// # Errors
+/// Any other range, as `invalid batch range [lo, hi]`.
+pub fn batch_range(lo: usize, hi: usize) -> Result<(), String> {
+    if lo < 1 || lo > hi {
+        return Err(format!("invalid batch range [{lo}, {hi}]"));
+    }
+    Ok(())
+}
+
 /// Reads an optional JSON field as a `usize`, accepting numbers or numeric
 /// strings — the shared convention for auxiliary request fields (`min`,
 /// `max`, `batches`) that ride alongside a job object.
@@ -391,6 +428,18 @@ mod tests {
         let at_cap = parse_job_line(&format!("gpt2 Adam 8 iters={MAX_ITERATIONS}")).unwrap();
         assert_eq!(at_cap.iterations, MAX_ITERATIONS);
         assert_eq!(parse_job_line("gpt2 Adam 8 iters=3").unwrap().iterations, 3);
+    }
+
+    #[test]
+    fn batch_grids_keep_first_occurrences_and_refuse_zero() {
+        let grid = |points: &[usize]| batch_grid(points.iter().map(|&b| Ok(b)));
+        assert_eq!(grid(&[8, 2, 8, 4, 2]).unwrap(), [8, 2, 4]);
+        assert_eq!(grid(&[2, 0, 4]).unwrap_err(), BATCH_RANGE_ERROR);
+        let parse_error = batch_grid([Ok(2), Err("bad".to_string()), Ok(0)]);
+        assert_eq!(parse_error.unwrap_err(), "bad", "errors come in grid order");
+        assert!(batch_range(1, 1).is_ok());
+        assert_eq!(batch_range(0, 4).unwrap_err(), "invalid batch range [0, 4]");
+        assert_eq!(batch_range(5, 4).unwrap_err(), "invalid batch range [5, 4]");
     }
 
     #[test]

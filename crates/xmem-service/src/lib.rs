@@ -13,18 +13,27 @@
 //! * [`EstimationService`] memoizes the expensive stages in a sharded
 //!   (mutex-per-shard) LRU cache keyed by [`JobKey`] — model, optimizer,
 //!   batch, iterations, `zero_grad` placement (plus sequence length and
-//!   precision, which also shape the trace);
-//! * [`EstimationService::sweep`] fans a batch-size grid out across
-//!   `std::thread` workers; each row is the primary device's sim cell
-//!   at that batch, the same cell [`EstimationService::estimate`] reads;
-//! * [`EstimationService::max_batch_for_device`] answers the
+//!   precision, which also shape the trace), and caches each job's
+//!   simulation per device (a *sim cell*). Every query route is one
+//!   blocking method that takes the request's [`TraceContext`] (an
+//!   untraced caller passes [`TraceContext::disabled`]), except
+//!   [`EstimationService::estimate_for_device`], which answers for an
+//!   unregistered device and never traces;
+//! * [`EstimationService::sweep_traced`] fans a batch-size grid out
+//!   across `std::thread` workers; each row is the primary device's sim
+//!   cell at that batch, the same cell
+//!   [`EstimationService::estimate_traced`] reads;
+//! * [`EstimationService::max_batch_for_device_traced`] answers the
 //!   admission-control question — the largest batch that fits a device —
 //!   by bracketing with a parallel coarse sweep and bisecting the
 //!   remainder over cached probes;
 //! * [`AsyncEstimationService`] is the future-based front end for
 //!   scheduler event loops, one method per route (`submit`, `sweep`,
 //!   `plan`, `matrix`, `placement`), each taking an optional deadline
-//!   and a [`TraceContext`]: `submit` returns an [`EstimateFuture`]
+//!   and a [`TraceContext`], built over a shared service with
+//!   [`AsyncEstimationService::from_service`] (or
+//!   [`AsyncEstimationService::for_device`] for defaults): `submit`
+//!   returns an [`EstimateFuture`]
 //!   answered by a bounded, channel-fed worker pool, with cancellation,
 //!   per-query deadlines, and [`SubmitError::Busy`] backpressure instead
 //!   of unbounded queues. Concurrent identical queries **single-flight**
@@ -35,11 +44,11 @@
 //!   instance the per-cluster estimator: a [`DeviceRegistry`] of named
 //!   [`GpuDevice`](xmem_runtime::GpuDevice) configs (loadable from a
 //!   JSON fleet file), per-device simulation shards ([`SimStats`]), and
-//!   batched replay — [`EstimationService::estimate_matrix`] /
+//!   batched replay — [`EstimationService::estimate_matrix_traced`] /
 //!   [`AsyncEstimationService::matrix`] answer an M-jobs ×
 //!   D-devices grid with exactly one profile/analyze per job fanned out
 //!   to concurrent per-device simulations, and
-//!   [`EstimationService::best_device_for_job`] turns the matrix into a
+//!   [`EstimationService::best_device_for_job_traced`] turns the matrix into a
 //!   best-fit placement decision.
 //!
 //! The async machinery is dependency-free (the build environment has no
@@ -85,9 +94,8 @@ pub use persist::{
 pub use placement::{hash_family, hash_job, HashRing};
 pub use registry::{DeviceRegistry, RegistryParseError};
 pub use service::{
-    AsyncEstimationService, AsyncServiceConfig, CellFill, EstimateFuture, EstimationService,
-    MatrixFuture, PlacementFuture, PlanFuture, ProfiledStages, ServiceConfig, SweepFuture,
-    SweepOutcome,
+    AsyncEstimationService, CellFill, EstimateFuture, EstimationService, MatrixFuture,
+    PlacementFuture, PlanFuture, ProfiledStages, ServiceConfig, SweepFuture, SweepOutcome,
 };
 pub use simcache::{DeviceFingerprint, SimShards, SimStats};
 pub use singleflight::{FlightStats, SingleFlight};

@@ -65,7 +65,8 @@ struct PlacementFill {
 
 /// The memoized (device-independent) front half of the pipeline: the
 /// Analyzer's output over the job's CPU profiling run. Orchestration +
-/// simulation are cheap and device-dependent, so they re-run per query.
+/// simulation are device-dependent, so they run once per sim cell (a job
+/// on one device) and their result is cached in that device's shard.
 /// The service analyzes the run's events as the engine reports them
 /// ([`Analyzer::sink`]), so no trace is ever recorded.
 #[derive(Debug)]
@@ -133,19 +134,22 @@ const MAX_DEVICE_SHARDS: usize = 64;
 pub struct ServiceConfig {
     /// The service's estimator: the paper default
     /// [`EstimatorConfig::for_device`] of the primary device, the device
-    /// whose sim cells [`EstimationService::estimate`] and
-    /// [`EstimationService::sweep`] answer from. Only `device` may vary;
+    /// whose sim cells [`EstimationService::estimate_traced`] (with no
+    /// device name) and [`EstimationService::sweep_traced`] answer from.
+    /// Only `device` may vary;
     /// [`EstimationService::new`] refuses any other setting (ablations
     /// of the estimator run [`Estimator`] directly).
     pub estimator: EstimatorConfig,
     /// Total cached `(job key → profiled stages)` entries, the only bound
     /// on the stage tier. Each device's sim tier holds as many cells.
     pub cache_capacity: usize,
-    /// Worker threads for [`EstimationService::sweep`] (0 = all cores).
+    /// Worker threads one blocking query fans its misses out across (0 =
+    /// all cores): sweep rows, the rows and cells a matrix missed, the
+    /// coarse bracket of a plan, and the anchors of a fit.
     pub threads: usize,
     /// Named simulation targets for matrix / placement queries
-    /// ([`EstimationService::estimate_matrix`],
-    /// [`EstimationService::best_device_for_job`]).
+    /// ([`EstimationService::estimate_matrix_traced`],
+    /// [`EstimationService::best_device_for_job_traced`]).
     pub registry: DeviceRegistry,
     /// Optional state directory for crash-consistent persistence: cache
     /// inserts are journaled, snapshots compact the journal, and boot
@@ -205,14 +209,21 @@ impl ServiceConfig {
 ///
 /// The expensive, device-independent stages (CPU profiling and trace
 /// analysis) are memoized in a sharded LRU cache keyed by [`JobKey`];
-/// orchestration and allocator simulation re-run per query against the
-/// configured device. All methods take `&self`, so one service instance
-/// can serve many scheduler threads concurrently.
+/// orchestration and allocator simulation run once per sim cell (a job
+/// on one device), whose result each device's shard caches. All methods
+/// take `&self`, so one service instance can serve many scheduler
+/// threads concurrently.
+///
+/// Each query route is one blocking method that takes the request's
+/// [`TraceContext`] (an untraced caller passes
+/// [`TraceContext::disabled`]), except
+/// [`estimate_for_device`](Self::estimate_for_device), which answers for
+/// an unregistered device and never traces.
 ///
 /// # Example
 ///
 /// ```
-/// use xmem_service::{EstimationService, ServiceConfig};
+/// use xmem_service::{EstimationService, ServiceConfig, TraceContext};
 /// use xmem_runtime::{GpuDevice, TrainJobSpec};
 /// use xmem_models::ModelId;
 /// use xmem_optim::OptimizerKind;
@@ -220,8 +231,9 @@ impl ServiceConfig {
 /// let service = EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()));
 /// let spec = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8)
 ///     .with_iterations(2);
-/// let first = service.estimate(&spec).unwrap();
-/// let second = service.estimate(&spec).unwrap(); // served from cache
+/// let untraced = TraceContext::disabled();
+/// let first = service.estimate_traced(&spec, None, &untraced).unwrap();
+/// let second = service.estimate_traced(&spec, None, &untraced).unwrap(); // served from cache
 /// assert_eq!(first, second);
 /// assert_eq!(service.cache_stats().hits, 1);
 /// ```
@@ -618,24 +630,14 @@ impl EstimationService {
     }
 
     /// The memoized profile+analysis stages for `spec`, computing them on
-    /// a cache miss.
+    /// a cache miss. Cache hits, single-flight coalescing and the
+    /// profile/analyze stages record spans into `ctx`; an untraced caller
+    /// passes [`TraceContext::disabled`].
     ///
     /// Concurrent misses for the same key are **single-flighted**: one
     /// caller profiles, the rest block on its result. Analyzer failures
     /// land in a negative cache so degenerate jobs are not re-profiled
     /// on every query.
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures for degenerate jobs (possibly from
-    /// the negative cache).
-    pub fn stages(&self, spec: &TrainJobSpec) -> Result<Arc<ProfiledStages>, EstimateError> {
-        self.stages_traced(spec, &TraceContext::disabled())
-    }
-
-    /// [`stages`](Self::stages) under a request trace: cache hits,
-    /// single-flight coalescing, and the profile/analyze stages record
-    /// spans into `ctx`. A disabled context makes this identical to the
-    /// untraced path.
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs (possibly from
@@ -732,41 +734,27 @@ impl EstimationService {
         result
     }
 
-    /// Estimates `spec`'s peak GPU memory on the service's device,
-    /// reusing cached stages when available. Results are bit-identical to
-    /// the sequential [`Estimator::estimate_job`] path: profiling and
+    /// Estimates `spec`'s peak GPU memory on the primary device
+    /// (`device_name` = `None`) or on the registered device
+    /// `device_name`, reusing cached stages when available; every stage
+    /// the query touches records under `ctx` (a cell hit is a `cache.sim`
+    /// `hit` event). Results are bit-identical to the sequential
+    /// [`Estimator::estimate_job`] path over
+    /// [`EstimatorConfig::for_device`] of that device: profiling and
     /// analysis are deterministic in the job key, and the simulation
     /// stages run identically on both paths.
     ///
-    /// The answer is the primary device's sim cell — the same cell
-    /// [`estimate_on`](Self::estimate_on) reads for that device and a
-    /// [`sweep`](Self::sweep) row at that batch holds — so a warm repeat
-    /// is a cell hit with no allocator replay. A miss fills the cell with
-    /// one bounded replay.
+    /// The answer is the device's sim cell — the cell a matrix or a
+    /// placement query reads for that device, and, on the primary device,
+    /// the one a [`sweep_traced`](Self::sweep_traced) row at that batch
+    /// holds — so a warm repeat is a cell hit with no allocator replay,
+    /// and a cell an earlier matrix computed is a pure cache hit. A miss
+    /// fills the cell with one bounded replay.
     ///
     /// # Errors
-    /// Propagates Analyzer failures for degenerate jobs.
-    pub fn estimate(&self, spec: &TrainJobSpec) -> Result<Estimate, EstimateError> {
-        self.estimate_traced(spec, &TraceContext::disabled())
-    }
-
-    /// [`estimate`](Self::estimate) under a request trace: a cell hit
-    /// records a `cache.sim` `hit` event.
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures for degenerate jobs.
+    /// [`EstimateError::UnknownDevice`] for an unregistered name;
+    /// Analyzer failures for degenerate jobs.
     pub fn estimate_traced(
-        &self,
-        spec: &TrainJobSpec,
-        ctx: &TraceContext,
-    ) -> Result<Estimate, EstimateError> {
-        self.estimate_at(spec, None, ctx)
-    }
-
-    /// The single-estimate path behind [`estimate`](Self::estimate) and
-    /// [`estimate_on`](Self::estimate_on): the probe, then the fill when
-    /// the probe did not hold the answer.
-    fn estimate_at(
         &self,
         spec: &TrainJobSpec,
         device_name: Option<&str>,
@@ -777,7 +765,7 @@ impl EstimationService {
     }
 
     /// [`probe_estimate`](Self::probe_estimate) for a device named as
-    /// [`estimate_at`](Self::estimate_at) names it (see
+    /// [`estimate_traced`](Self::estimate_traced) names it (see
     /// [`cell_device`](Self::cell_device)); an unknown name is the whole
     /// answer.
     fn probe_estimate_at(
@@ -837,12 +825,13 @@ impl EstimationService {
         Ok(self.simulate_cell(&fill.key, &stages, fill.device, None, ctx))
     }
 
-    /// One row of a single-device batch grid ([`sweep`](Self::sweep) on
-    /// the primary device, every probe of
-    /// [`max_batch_for_device`](Self::max_batch_for_device)): `base` at
-    /// `batch` on `device`, a cell like any other. With a fit the cell is
-    /// materialized from it; without one it is exactly the
-    /// [`estimate_on`](Self::estimate_on) cell.
+    /// One row of a single-device batch grid
+    /// ([`sweep_traced`](Self::sweep_traced) on the primary device, every
+    /// probe of
+    /// [`max_batch_for_device_traced`](Self::max_batch_for_device_traced)):
+    /// `base` at `batch` on `device`, a cell like any other. With a fit
+    /// the cell is materialized from it; without one it is exactly the
+    /// [`estimate_traced`](Self::estimate_traced) cell.
     fn batch_cell(
         &self,
         base: &TrainJobSpec,
@@ -885,8 +874,8 @@ impl EstimationService {
     /// The miss half of [`simulate_on`](Self::simulate_on):
     /// computes and inserts a cell whose shard probe already missed (the
     /// probe counted the miss; this half only peeks).
-    /// [`estimate_matrix`](Self::estimate_matrix), which probes its cells
-    /// in bulk, enters here.
+    /// [`estimate_matrix_traced`](Self::estimate_matrix_traced), which
+    /// probes its cells in bulk, enters here.
     ///
     /// **Pressure-aware fast path**: `shared` is the job's unbounded
     /// replay for the cells of one request (a matrix row, a placement
@@ -1119,8 +1108,9 @@ impl EstimationService {
     /// This is the entry point batch consumers (evaluation campaigns,
     /// benchmark harnesses) use to share one analysis across devices; a
     /// missed cell pays one bounded replay, like
-    /// [`estimate_on`](Self::estimate_on). Results are bit-identical to a
-    /// sequential [`Estimator`] over [`EstimatorConfig::for_device`].
+    /// [`estimate_traced`](Self::estimate_traced). Results are
+    /// bit-identical to a sequential [`Estimator`] over
+    /// [`EstimatorConfig::for_device`].
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs.
@@ -1132,44 +1122,6 @@ impl EstimationService {
         let ctx = TraceContext::disabled();
         self.probe_estimate(spec, device, &ctx)
             .or_fill(|fill| self.fill_estimate(spec, fill, &ctx))
-    }
-
-    /// Estimates `spec` on the registered device `device_name`, sharing
-    /// both cache layers: the device-independent analysis cache and the
-    /// per-device simulation shard. A query for a cell that an earlier
-    /// [`estimate_matrix`](Self::estimate_matrix) call computed is a pure
-    /// cache hit — no profiling, no simulation.
-    ///
-    /// Every sim cell — this route's, the matrix, placement, sweep and
-    /// admission queries', and the default route's
-    /// [`estimate`](Self::estimate) — simulates with the paper-default
-    /// [`EstimatorConfig::for_device`] of its device, so
-    /// `estimate_on(spec, <primary name>)` after `estimate(spec)` hits
-    /// the same cell.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] for an unregistered name;
-    /// Analyzer failures for degenerate jobs.
-    pub fn estimate_on(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-    ) -> Result<Estimate, EstimateError> {
-        self.estimate_on_traced(spec, device_name, &TraceContext::disabled())
-    }
-
-    /// [`estimate_on`](Self::estimate_on) under a request trace.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] for an unregistered name;
-    /// Analyzer failures for degenerate jobs.
-    pub fn estimate_on_traced(
-        &self,
-        spec: &TrainJobSpec,
-        device_name: &str,
-        ctx: &TraceContext,
-    ) -> Result<Estimate, EstimateError> {
-        self.estimate_at(spec, Some(device_name), ctx)
     }
 
     /// The device whose sim cell answers a single-estimate query: a
@@ -1245,12 +1197,13 @@ impl EstimationService {
     /// distinct job** and fanning the cached analyses out to concurrent
     /// per-device allocator simulations ("1 analysis, N simulations" —
     /// provable via [`profile_runs`](Self::profile_runs) and
-    /// [`sim_stats`](Self::sim_stats)).
+    /// [`sim_stats`](Self::sim_stats)). Hits, misses and replays record
+    /// under `ctx`.
     ///
     /// Cells land in the per-device simulation shards, so a later
-    /// single-device query ([`estimate_on`](Self::estimate_on)) for any
-    /// cell is a cache hit — and so is a repeated matrix: every cell is
-    /// probed first, on the calling thread, and only misses are
+    /// single-device query ([`estimate_traced`](Self::estimate_traced))
+    /// for any cell is a cache hit — and so is a repeated matrix: every
+    /// cell is probed first, on the calling thread, and only misses are
     /// computed (a warm matrix reads one stage entry per row and one
     /// cell per device, and does nothing else). Every cell is
     /// bit-identical to a sequential
@@ -1266,7 +1219,7 @@ impl EstimationService {
     /// # Example
     ///
     /// ```
-    /// use xmem_service::{EstimationService, ServiceConfig};
+    /// use xmem_service::{EstimationService, TraceContext};
     /// use xmem_runtime::{GpuDevice, TrainJobSpec};
     /// use xmem_models::ModelId;
     /// use xmem_optim::OptimizerKind;
@@ -1274,23 +1227,13 @@ impl EstimationService {
     /// let service = EstimationService::for_device(GpuDevice::rtx3060());
     /// let jobs = [TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8)
     ///     .with_iterations(2)];
-    /// let matrix = service.estimate_matrix(&jobs, &["rtx3060", "rtx4060"]).unwrap();
+    /// let matrix = service
+    ///     .estimate_matrix_traced(&jobs, &["rtx3060", "rtx4060"], &TraceContext::disabled())
+    ///     .unwrap();
     /// assert_eq!(matrix.num_cells(), 2);
     /// assert_eq!(service.profile_runs(), 1, "one analysis");
     /// assert_eq!(service.sim_runs(), 2, "two simulations");
     /// ```
-    pub fn estimate_matrix(
-        &self,
-        specs: &[TrainJobSpec],
-        devices: &[&str],
-    ) -> Result<DeviceMatrix, EstimateError> {
-        self.estimate_matrix_traced(specs, devices, &TraceContext::disabled())
-    }
-
-    /// [`estimate_matrix`](Self::estimate_matrix) under a request trace.
-    ///
-    /// # Errors
-    /// [`EstimateError::UnknownDevice`] naming the first unknown device.
     pub fn estimate_matrix_traced(
         &self,
         specs: &[TrainJobSpec],
@@ -1419,20 +1362,7 @@ impl EstimationService {
     /// (or the registry is empty).
     ///
     /// Runs one analysis and at most one simulation per device; all of it
-    /// lands in the shared caches.
-    ///
-    /// # Errors
-    /// Propagates Analyzer failures — an estimation error is an error,
-    /// never a "does not fit" verdict.
-    pub fn best_device_for_job(
-        &self,
-        spec: &TrainJobSpec,
-    ) -> Result<Option<DevicePlacement>, EstimateError> {
-        self.best_device_for_job_traced(spec, &TraceContext::disabled())
-    }
-
-    /// [`best_device_for_job`](Self::best_device_for_job) under a request
-    /// trace.
+    /// lands in the shared caches and records under `ctx`.
     ///
     /// # Errors
     /// Propagates Analyzer failures — an estimation error is an error,
@@ -1518,20 +1448,18 @@ impl EstimationService {
     }
 
     fn worker_count(&self, work_items: usize) -> usize {
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-        } else {
-            self.config.threads
-        };
-        threads.min(work_items).max(1)
+        all_cores_if_zero(self.config.threads)
+            .min(work_items)
+            .max(1)
     }
 
     /// Fans `count` independent work items out across the service's
-    /// worker threads (the shared scaffold under [`sweep`](Self::sweep)
-    /// and [`estimate_matrix`](Self::estimate_matrix)): `work(i)` runs
-    /// once per index, and outputs come back in index order. One worker
+    /// worker threads (the shared scaffold under
+    /// [`sweep_traced`](Self::sweep_traced), the misses of
+    /// [`estimate_matrix_traced`](Self::estimate_matrix_traced) and the
+    /// coarse bracket of
+    /// [`max_batch_for_device_traced`](Self::max_batch_for_device_traced)):
+    /// `work(i)` runs once per index, and outputs come back in index order. One worker
     /// — zero or one item, or a single-threaded service — runs inline on
     /// the calling thread, so an all-hit query never spawns.
     fn parallel_fill<T: Send>(&self, count: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
@@ -1564,10 +1492,11 @@ impl EstimationService {
 
     /// Estimates `base` at every batch size in `batches` on the primary
     /// device, fanning the grid out across worker threads. Results are
-    /// in `batches` order. Each row is the primary device's sim cell at
-    /// that batch — the cell [`estimate`](Self::estimate) reads — so it
-    /// is cached and journaled like any cell, and a repeated row is a
-    /// cell hit.
+    /// in `batches` order, and every row records under `ctx`. Each row is
+    /// the primary device's sim cell at that batch — the cell
+    /// [`estimate_traced`](Self::estimate_traced) reads with no device
+    /// name — so it is cached and journaled like any cell, and a repeated
+    /// row is a cell hit.
     ///
     /// A qualifying sweep (≥ 4 distinct batches) takes the
     /// **incremental path**: three anchor batches profile and pin one
@@ -1576,15 +1505,6 @@ impl EstimationService {
     /// The fit is proven exact before use, so cells are bit-identical to
     /// the per-batch cells everything else falls back to, whose profile
     /// and analysis are shared through the stage cache.
-    pub fn sweep(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-    ) -> Vec<(usize, Result<Estimate, EstimateError>)> {
-        self.sweep_traced(base, batches, &TraceContext::disabled())
-    }
-
-    /// [`sweep`](Self::sweep) under a request trace.
     pub fn sweep_traced(
         &self,
         base: &TrainJobSpec,
@@ -1608,25 +1528,10 @@ impl EstimationService {
     /// shared cache layers (the analysis cache and `device`'s simulation
     /// shard) on repeat queries — including repeats for *other* devices,
     /// which reuse the analyses and pay only for their own simulations.
-    ///
-    /// # Errors
-    /// Propagates the first Analyzer failure hit by a probe — an
-    /// estimation error is an error, never a "does not fit" verdict.
-    pub fn max_batch_for_device(
-        &self,
-        base: &TrainJobSpec,
-        device: GpuDevice,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Option<usize>, EstimateError> {
-        self.max_batch_for_device_traced(base, device, lo, hi, &TraceContext::disabled())
-    }
-
-    /// [`max_batch_for_device`](Self::max_batch_for_device) under a
-    /// request trace.
+    /// Every probe records under `ctx`.
     ///
     /// # Panics
-    /// Panics unless `1 <= lo <= hi`, matching the untraced API.
+    /// Panics unless `1 <= lo <= hi`.
     ///
     /// # Errors
     /// Propagates the first Analyzer failure hit by a probe — an
@@ -1741,61 +1646,6 @@ pub type MatrixFuture = PoolFuture<Result<DeviceMatrix, EstimateError>>;
 /// ([`AsyncEstimationService::placement`]).
 pub type PlacementFuture = PoolFuture<Result<Option<DevicePlacement>, EstimateError>>;
 
-/// Configuration of an [`AsyncEstimationService`].
-#[derive(Debug, Clone)]
-pub struct AsyncServiceConfig {
-    /// The underlying blocking service (cache, estimator, sweep threads).
-    pub service: ServiceConfig,
-    /// Worker threads answering submitted queries (0 = all cores).
-    pub workers: usize,
-    /// Bound on queued-but-unclaimed submissions; a full queue makes
-    /// `submit` fail fast with [`SubmitError::Busy`].
-    pub queue_depth: usize,
-}
-
-impl AsyncServiceConfig {
-    /// Async defaults for a device: service defaults, all-core workers,
-    /// a 1024-deep submission queue.
-    #[must_use]
-    pub fn for_device(device: GpuDevice) -> Self {
-        AsyncServiceConfig {
-            service: ServiceConfig::for_device(device),
-            workers: 0,
-            queue_depth: 1024,
-        }
-    }
-
-    /// Overrides the worker count.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Overrides the submission-queue depth.
-    #[must_use]
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth;
-        self
-    }
-
-    /// Overrides the underlying service's device registry (the cluster's
-    /// fleet description).
-    #[must_use]
-    pub fn with_registry(mut self, registry: DeviceRegistry) -> Self {
-        self.service = self.service.with_registry(registry);
-        self
-    }
-
-    /// Enables crash-consistent persistence on the underlying service
-    /// (see [`ServiceConfig::with_state_dir`]).
-    #[must_use]
-    pub fn with_state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.service = self.service.with_state_dir(dir);
-        self
-    }
-}
-
 /// The asynchronous estimation front end: a scheduler event loop submits
 /// queries and receives [`PoolFuture`]s, instead of burning a blocked
 /// thread per in-flight question.
@@ -1865,40 +1715,29 @@ pub struct AsyncEstimationService {
 }
 
 impl AsyncEstimationService {
-    /// Creates an async front end with its own underlying service.
-    #[must_use]
-    pub fn new(config: AsyncServiceConfig) -> Self {
-        let workers = config.workers;
-        let queue_depth = config.queue_depth;
-        let service = Arc::new(EstimationService::new(config.service));
-        AsyncEstimationService::from_service(service, workers, queue_depth)
-    }
-
-    /// Convenience constructor with async defaults for a device.
+    /// An async front end with its own service of
+    /// [`ServiceConfig::for_device`] defaults, all-core workers and a
+    /// 1024-deep submission queue.
     #[must_use]
     pub fn for_device(device: GpuDevice) -> Self {
-        AsyncEstimationService::new(AsyncServiceConfig::for_device(device))
+        let service = Arc::new(EstimationService::new(ServiceConfig::for_device(device)));
+        AsyncEstimationService::from_service(service, 0, 1024)
     }
 
     /// Wraps an existing (possibly shared) blocking service — the async
     /// and blocking front ends then share one cache, single-flight table
-    /// and negative cache. `workers` = 0 uses all cores.
+    /// and negative cache. `workers` = 0 uses all cores; `queue_depth`
+    /// bounds queued-but-unclaimed submissions, past which a submission
+    /// that must compute fails fast with [`SubmitError::Busy`].
     #[must_use]
     pub fn from_service(
         service: Arc<EstimationService>,
         workers: usize,
         queue_depth: usize,
     ) -> Self {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-        } else {
-            workers
-        };
         AsyncEstimationService {
             service,
-            pool: WorkerPool::new(workers, queue_depth),
+            pool: WorkerPool::new(all_cores_if_zero(workers), queue_depth),
             timer: DeadlineTimer::new(),
         }
     }
@@ -1971,7 +1810,7 @@ impl AsyncEstimationService {
 
     /// Submits one estimation query against the primary device, or a
     /// *named* registered device when `device_name` is given (see
-    /// [`EstimationService::estimate_on`]; a named device's answer shares
+    /// [`EstimationService::estimate_traced`]; a named device's answer shares
     /// the analysis cache and its simulation shard with every matrix
     /// query). Every pipeline stage the query touches records under
     /// `ctx`'s trace id.
@@ -2007,7 +1846,7 @@ impl AsyncEstimationService {
     }
 
     /// Submits a whole batch-size sweep as one pooled query; the worker
-    /// fans the grid out exactly like [`EstimationService::sweep`].
+    /// fans the grid out exactly like [`EstimationService::sweep_traced`].
     ///
     /// # Errors
     /// [`SubmitError::Busy`] when the bounded submission queue is full.
@@ -2028,7 +1867,7 @@ impl AsyncEstimationService {
 
     /// Submits an admission-control query: the largest batch in
     /// `[lo, hi]` fitting `device` (see
-    /// [`EstimationService::max_batch_for_device`]).
+    /// [`EstimationService::max_batch_for_device_traced`]).
     ///
     /// # Panics
     /// Panics (before dispatch) unless `1 <= lo <= hi`, matching the
@@ -2059,7 +1898,7 @@ impl AsyncEstimationService {
     /// Submits a whole device matrix as one query: every job in
     /// `specs` × every named device, with one analysis per distinct job
     /// fanned out to per-device simulations (see
-    /// [`EstimationService::estimate_matrix`]). The cells are read on
+    /// [`EstimationService::estimate_matrix_traced`]). The cells are read on
     /// the calling thread; a matrix whose cells all hit (or that names an
     /// unknown device) is answered there, already settled and without a
     /// `pool.queue` span. A matrix with a missing cell goes to the pool,
@@ -2093,7 +1932,7 @@ impl AsyncEstimationService {
     }
 
     /// Submits a placement query: the best registered device for `spec`
-    /// (see [`EstimationService::best_device_for_job`]). The cells up to
+    /// (see [`EstimationService::best_device_for_job_traced`]). The cells up to
     /// the first fit are read on the calling thread; a placement they
     /// decide is answered there, already settled and without a
     /// `pool.queue` span. Otherwise the pool computes from the first
@@ -2163,8 +2002,18 @@ fn assemble_matrix(
 }
 
 /// Upper bound on coarse-bracket probes in
-/// [`EstimationService::max_batch_for_device`].
+/// [`EstimationService::max_batch_for_device_traced`].
 const MAX_BRACKET_POINTS: usize = 16;
+
+/// A thread count where 0 means one per core.
+fn all_cores_if_zero(threads: usize) -> usize {
+    if threads > 0 {
+        return threads;
+    }
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4)
+}
 
 /// The `service.call` outcome tag of a query's result.
 fn outcome_of<V>(result: &Result<V, EstimateError>) -> &'static str {
@@ -2207,10 +2056,11 @@ mod tests {
 
     #[test]
     fn estimate_matches_sequential_path() {
+        let untraced = TraceContext::disabled();
         let device = GpuDevice::rtx3060();
         let service = EstimationService::for_device(device);
         let spec = small_spec(8);
-        let from_service = service.estimate(&spec).unwrap();
+        let from_service = service.estimate_traced(&spec, None, &untraced).unwrap();
         let sequential = Estimator::new(EstimatorConfig::for_device(device))
             .estimate_job(&spec)
             .unwrap();
@@ -2219,10 +2069,11 @@ mod tests {
 
     #[test]
     fn cached_estimate_is_identical_and_counts_a_hit() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let spec = small_spec(8);
-        let cold = service.estimate(&spec).unwrap();
-        let warm = service.estimate(&spec).unwrap();
+        let cold = service.estimate_traced(&spec, None, &untraced).unwrap();
+        let warm = service.estimate_traced(&spec, None, &untraced).unwrap();
         assert_eq!(cold, warm);
         let stats = service.cache_stats();
         assert_eq!(stats.misses, 1);
@@ -2232,15 +2083,16 @@ mod tests {
 
     #[test]
     fn repeated_sweep_is_fully_cached() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [1, 2, 4, 8];
-        let first = service.sweep(&small_spec(1), &batches);
+        let first = service.sweep_traced(&small_spec(1), &batches, &untraced);
         // The incremental path profiles only its three anchors.
         let insertions_after_first = service.cache_stats().insertions;
         assert_eq!(insertions_after_first, 3);
         assert_eq!(service.sim_stats().param_replays, 1);
 
-        let second = service.sweep(&small_spec(1), &batches);
+        let second = service.sweep_traced(&small_spec(1), &batches, &untraced);
         let stats = service.cache_stats();
         assert_eq!(
             stats.insertions, insertions_after_first,
@@ -2259,9 +2111,10 @@ mod tests {
 
     #[test]
     fn short_sweeps_stay_on_the_per_batch_path() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [1, 2, 4];
-        service.sweep(&small_spec(1), &batches);
+        service.sweep_traced(&small_spec(1), &batches, &untraced);
         let stats = service.sim_stats();
         assert_eq!(
             stats.param_replays, 0,
@@ -2273,9 +2126,10 @@ mod tests {
 
     #[test]
     fn incremental_sweep_counts_cells_and_keeps_the_invariant() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [1, 2, 4, 8, 12, 16];
-        let swept = service.sweep(&small_spec(1), &batches);
+        let swept = service.sweep_traced(&small_spec(1), &batches, &untraced);
         assert!(swept.iter().all(|(_, e)| e.is_ok()));
         let stats = service.sim_stats();
         assert_eq!(stats.param_replays, 1, "one fit per family");
@@ -2289,15 +2143,16 @@ mod tests {
 
     #[test]
     fn disabled_incremental_sweep_is_bit_identical() {
+        let untraced = TraceContext::disabled();
         // Sweeps too short for a fit take the per-batch path; over the
         // same points they agree with the incremental sweep bit for bit.
         let incremental = EstimationService::for_device(GpuDevice::rtx3060());
         let per_batch = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [1, 2, 4, 8, 12];
-        let a = incremental.sweep(&small_spec(1), &batches);
+        let a = incremental.sweep_traced(&small_spec(1), &batches, &untraced);
         let b: Vec<_> = batches
             .chunks(3)
-            .flat_map(|short| per_batch.sweep(&small_spec(1), short))
+            .flat_map(|short| per_batch.sweep_traced(&small_spec(1), short, &untraced))
             .collect();
         for ((b1, e1), (b2, e2)) in a.iter().zip(&b) {
             assert_eq!(b1, b2);
@@ -2331,13 +2186,16 @@ mod tests {
 
     #[test]
     fn a_sweep_row_is_the_estimate_cell_at_its_batch() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
-        let swept = service.sweep(&small_spec(1), &[1, 2, 4, 8, 12]);
+        let swept = service.sweep_traced(&small_spec(1), &[1, 2, 4, 8, 12], &untraced);
         assert_eq!(service.sim_stats().param_replays, 1);
         let (profiles, runs) = (service.profile_runs(), service.sim_runs());
         let hits = service.sim_stats().cache.hits;
         // Batch 2 is not one of the anchors (1, 6, 12).
-        let estimate = service.estimate(&small_spec(2)).unwrap();
+        let estimate = service
+            .estimate_traced(&small_spec(2), None, &untraced)
+            .unwrap();
         assert_eq!(&estimate, swept[1].1.as_ref().unwrap());
         assert_eq!(service.profile_runs(), profiles, "no new profile");
         assert_eq!(service.sim_runs(), runs, "no new replay");
@@ -2346,34 +2204,41 @@ mod tests {
 
     #[test]
     fn sweep_preserves_input_order() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let batches = [8, 1, 4, 2];
-        let results = service.sweep(&small_spec(1), &batches);
+        let results = service.sweep_traced(&small_spec(1), &batches, &untraced);
         let got: Vec<usize> = results.iter().map(|&(b, _)| b).collect();
         assert_eq!(got, batches);
     }
 
     #[test]
     fn max_batch_brackets_and_bisects_the_frontier() {
+        let untraced = TraceContext::disabled();
         let device = GpuDevice::rtx3060();
         let service = EstimationService::for_device(device);
         let base = small_spec(1);
         let max = service
-            .max_batch_for_device(&base, device, 1, 16)
+            .max_batch_for_device_traced(&base, device, 1, 16, &untraced)
             .expect("estimation succeeds");
         // MobileNetV3-Small fits this device comfortably across the range.
         assert_eq!(max, Some(16));
         // The answer agrees with direct estimates at the frontier.
-        let at_max = service.estimate(&with_batch(&base, 16)).unwrap();
+        let at_max = service
+            .estimate_traced(&with_batch(&base, 16), None, &untraced)
+            .unwrap();
         assert!(!at_max.oom_predicted);
     }
 
     #[test]
     fn roomy_fleet_serves_every_cell_from_one_unbounded_replay() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let jobs = [small_spec(4), small_spec(8)];
         let devices = ["rtx3060", "rtx4060", "a100"];
-        let matrix = service.estimate_matrix(&jobs, &devices).unwrap();
+        let matrix = service
+            .estimate_matrix_traced(&jobs, &devices, &untraced)
+            .unwrap();
         assert!(matrix
             .rows
             .iter()
@@ -2394,12 +2259,15 @@ mod tests {
 
     #[test]
     fn a_lone_named_cell_is_one_bounded_replay() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let counts = |service: &EstimationService| {
             let sims = service.sim_stats();
             (sims.sim_runs, sims.full_replays, sims.unbounded_replays)
         };
-        service.estimate_on(&small_spec(4), "a100").unwrap();
+        service
+            .estimate_traced(&small_spec(4), Some("a100"), &untraced)
+            .unwrap();
         assert_eq!(counts(&service), (1, 1, 0), "estimate_on");
         service
             .estimate_for_device(&small_spec(8), GpuDevice::rtx4060())
@@ -2409,6 +2277,7 @@ mod tests {
 
     #[test]
     fn replayed_events_count_the_events_each_replay_walked() {
+        let untraced = TraceContext::disabled();
         let jobs = [small_spec(4), small_spec(8)];
         let devices = ["rtx3060", "rtx4060"];
         let roomy = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
@@ -2421,10 +2290,11 @@ mod tests {
         let per_job: u64 = replays.iter().map(|r| r.events as u64).sum();
         // Fast path: one unbounded replay per job, every cell derived.
         let fast = EstimationService::for_device(GpuDevice::rtx3060());
-        fast.estimate_matrix(&jobs, &devices).unwrap();
+        fast.estimate_matrix_traced(&jobs, &devices, &untraced)
+            .unwrap();
         assert_eq!(fast.sim_stats().replayed_events, per_job);
         // A sweep too short for a fit replays each new row in full.
-        fast.sweep(&jobs[0], &[1, 2]);
+        fast.sweep_traced(&jobs[0], &[1, 2], &untraced);
         let swept: u64 = [1, 2]
             .iter()
             .map(|&b| {
@@ -2443,7 +2313,9 @@ mod tests {
             init_bytes: 0,
         };
         fast.register_device("tight", tight);
-        let estimate = fast.estimate_on(&jobs[0], "tight").unwrap();
+        let estimate = fast
+            .estimate_traced(&jobs[0], Some("tight"), &untraced)
+            .unwrap();
         assert!(estimate.oom_predicted);
         let walked = fast.sim_stats().replayed_events - per_job - swept;
         assert!(0 < walked && walked < replays[0].events as u64, "{walked}");
@@ -2451,9 +2323,10 @@ mod tests {
 
     #[test]
     fn replays_outside_the_sim_cells_count_as_runs_and_full_replays() {
+        let untraced = TraceContext::disabled();
         // A sweep too short for a fit replays once per batch.
         let service = EstimationService::for_device(GpuDevice::rtx3060());
-        service.sweep(&small_spec(1), &[1, 2, 4]);
+        service.sweep_traced(&small_spec(1), &[1, 2, 4], &untraced);
         let stats = service.sim_stats();
         assert_eq!(
             stats.fast_path_hits + stats.full_replays + stats.incremental_cells,
@@ -2467,9 +2340,10 @@ mod tests {
     /// it without inserting or journaling anything, then accept the
     /// valid cell.
     fn assert_relayed_cell_refused(tag: &str, break_it: impl FnOnce(&mut Estimate)) {
+        let untraced = TraceContext::disabled();
         let spec = small_spec(4);
         let valid = EstimationService::for_device(GpuDevice::rtx3060())
-            .estimate_on(&spec, "rtx4060")
+            .estimate_traced(&spec, Some("rtx4060"), &untraced)
             .unwrap();
         let mut broken = valid.clone();
         break_it(&mut broken);
@@ -2547,6 +2421,7 @@ mod tests {
 
     #[test]
     fn every_computed_cell_keeps_the_cell_arithmetic() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         let tight = GpuDevice {
             name: "tight",
@@ -2557,7 +2432,9 @@ mod tests {
         service.register_device("tight", tight);
         let jobs = [small_spec(4), small_spec(32)];
         let devices = ["rtx3060", "rtx4060", "a100", "tight"];
-        let matrix = service.estimate_matrix(&jobs, &devices).unwrap();
+        let matrix = service
+            .estimate_matrix_traced(&jobs, &devices, &untraced)
+            .unwrap();
         let mut ooms = 0;
         for row in &matrix.rows {
             for cell in &row.cells {
@@ -2576,8 +2453,11 @@ mod tests {
 
     #[test]
     fn every_cache_tier_is_adaptive() {
+        let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
-        service.estimate_on(&small_spec(4), "a100").unwrap();
+        service
+            .estimate_traced(&small_spec(4), Some("a100"), &untraced)
+            .unwrap();
         assert_eq!(service.sim_stats().device_shards, 1);
         for (tier, stats) in [
             ("stage", service.stage_tier_stats()),
@@ -2590,11 +2470,12 @@ mod tests {
 
     #[test]
     fn admission_probes_pay_no_unbounded_replay() {
+        let untraced = TraceContext::disabled();
         let device = GpuDevice::rtx3060();
         let service = EstimationService::for_device(device);
         let base = small_spec(1);
         service
-            .max_batch_for_device(&base, device, 1, 16)
+            .max_batch_for_device_traced(&base, device, 1, 16, &untraced)
             .expect("estimation succeeds");
         let stats = service.sim_stats();
         assert_eq!(
@@ -2610,17 +2491,18 @@ mod tests {
 
         // A matrix row (a batch no probe touched) shares one.
         service
-            .estimate_matrix(&[small_spec(24)], &["rtx4060"])
+            .estimate_matrix_traced(&[small_spec(24)], &["rtx4060"], &untraced)
             .expect("devices resolve");
         assert_eq!(service.sim_stats().unbounded_replays, 1);
     }
 
     #[test]
     fn narrow_admission_ranges_keep_the_legacy_probe_path() {
+        let untraced = TraceContext::disabled();
         let device = GpuDevice::rtx3060();
         let service = EstimationService::for_device(device);
         let max = service
-            .max_batch_for_device(&small_spec(1), device, 2, 4)
+            .max_batch_for_device_traced(&small_spec(1), device, 2, 4, &untraced)
             .expect("estimation succeeds");
         assert_eq!(max, Some(4));
         let stats = service.sim_stats();

@@ -12,7 +12,7 @@ use xmem_core::{AnalyzedTrace, Analyzer, DevicePlacement, Estimate, Estimator, E
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
-use xmem_service::{DeviceRegistry, EstimationService, ServiceConfig};
+use xmem_service::{DeviceRegistry, EstimationService, ServiceConfig, TraceContext};
 
 /// Deterministic xorshift64* stream, seeding the pseudo-random fleet and
 /// query mix identically for both services.
@@ -87,6 +87,7 @@ impl Sequential {
 
 #[test]
 fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
+    let untraced = TraceContext::disabled();
     let mut rng = XorShift(0x9e37_79b9_97f4_a7c1);
     let fleet = pseudo_random_fleet(&mut rng);
     let adaptive = service_over(&fleet);
@@ -101,7 +102,9 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
         let batch = 1 + rng.below(40) as usize;
         match rng.below(5) {
             0 => {
-                let a = adaptive.estimate(&spec(batch)).unwrap();
+                let a = adaptive
+                    .estimate_traced(&spec(batch), None, &untraced)
+                    .unwrap();
                 assert_eq!(
                     a,
                     sequential.on(batch, primary),
@@ -119,13 +122,13 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
             }
             2 => {
                 let batches = [batch, batch + 1, batch + 3];
-                for (b, e) in adaptive.sweep(&spec(1), &batches) {
+                for (b, e) in adaptive.sweep_traced(&spec(1), &batches, &untraced) {
                     assert_eq!(e.unwrap(), sequential.on(b, primary), "sweep diverged");
                 }
             }
             3 => {
                 let matrix = adaptive
-                    .estimate_matrix(&[spec(batch)], &FLEET_NAMES)
+                    .estimate_matrix_traced(&[spec(batch)], &FLEET_NAMES, &untraced)
                     .unwrap();
                 for (name, device) in FLEET_NAMES.iter().zip(&fleet) {
                     assert_eq!(
@@ -156,7 +159,9 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
                         estimate,
                     })
                 });
-                let a = adaptive.best_device_for_job(&spec(batch)).unwrap();
+                let a = adaptive
+                    .best_device_for_job_traced(&spec(batch), &untraced)
+                    .unwrap();
                 assert_eq!(a, expected, "placement(batch={batch}) diverged");
             }
         }

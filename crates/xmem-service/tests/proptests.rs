@@ -2,7 +2,7 @@
 //! keys — arbitrary `(model, optimizer, batch)` workloads must never
 //! change the value a key maps to, and occupancy must respect the
 //! configured capacity — plus the multi-device layer under random
-//! fleets: `best_device_for_job` must always pick a fitting device, and
+//! fleets: `best_device_for_job_traced` must always pick a fitting device, and
 //! matrix cells must equal independent sequential estimates.
 
 use proptest::prelude::*;
@@ -11,7 +11,9 @@ use xmem_core::{Estimator, EstimatorConfig};
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{GpuDevice, TrainJobSpec};
-use xmem_service::{DeviceRegistry, EstimationService, JobKey, ServiceConfig, ShardedLruCache};
+use xmem_service::{
+    DeviceRegistry, EstimationService, JobKey, ServiceConfig, ShardedLruCache, TraceContext,
+};
 
 const MODELS: [ModelId; 4] = [
     ModelId::MobileNetV3Small,
@@ -491,7 +493,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random fleets × random jobs: every matrix cell equals an
-    /// independent sequential estimate, and `best_device_for_job` picks a
+    /// independent sequential estimate, and `best_device_for_job_traced` picks a
     /// *fitting* device of minimal capacity — or `None` exactly when no
     /// cell fits.
     #[test]
@@ -499,6 +501,7 @@ proptest! {
         fleet in fleet_strategy(),
         batch in 1usize..5,
     ) {
+        let untraced = TraceContext::disabled();
         let registry = DeviceRegistry::empty();
         for device in &fleet {
             registry.register(device.name, *device);
@@ -511,7 +514,7 @@ proptest! {
             .with_iterations(2);
 
         let matrix = service
-            .estimate_matrix(std::slice::from_ref(&spec), &names)
+            .estimate_matrix_traced(std::slice::from_ref(&spec), &names, &untraced)
             .expect("all fleet names are registered");
         prop_assert_eq!(service.profile_runs(), 1, "one analysis for the whole row");
         prop_assert_eq!(service.sim_runs(), fleet.len() as u64);
@@ -531,7 +534,7 @@ proptest! {
         }
 
         let placement = service
-            .best_device_for_job(&spec)
+            .best_device_for_job_traced(&spec, &untraced)
             .expect("estimation succeeds");
         let fitting: Vec<&GpuDevice> = fleet
             .iter()
@@ -565,14 +568,16 @@ proptest! {
 /// `peak_bytes` both times.
 #[test]
 fn eviction_and_recomputation_reproduce_identical_estimates() {
+    let untraced = TraceContext::disabled();
     // Capacity 1, so one shard. Each estimate reads the stages and
     // replays them sequentially, so no sim cell can answer in their place.
     let service = EstimationService::new(
         ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_capacity(1),
     );
     let estimator = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
-    let estimate =
-        |spec: &TrainJobSpec| estimator.estimate_analyzed(&service.stages(spec).unwrap().analyzed);
+    let estimate = |spec: &TrainJobSpec| {
+        estimator.estimate_analyzed(&service.stages_traced(spec, &untraced).unwrap().analyzed)
+    };
 
     let a = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
     let b = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);

@@ -24,7 +24,7 @@ fn main() {
         ("rtx4060", GpuDevice::rtx4060()),
         ("a100", GpuDevice::a100_40g()),
     ];
-    let service = AsyncEstimationService::new(AsyncServiceConfig::for_device(devices[0].1));
+    let service = AsyncEstimationService::for_device(devices[0].1);
     println!("Largest safe batch size per device (xMem-planned, then validated):\n");
     let questions = [
         (ModelId::Gpt2, OptimizerKind::AdamW, (1, 128)),

@@ -20,14 +20,12 @@ use std::sync::Arc;
 use xmem::prelude::*;
 use xmem::server::{api, HttpClient, ServerConfig, ServerHandle};
 use xmem::service::jobspec::job_to_value;
-use xmem::service::AsyncServiceConfig;
 
 fn main() {
+    let untraced = TraceContext::disabled();
     // The per-cluster service: built-in fleet (rtx3060 / rtx4060 / a100),
     // served over HTTP on an ephemeral port.
-    let service = Arc::new(AsyncEstimationService::new(AsyncServiceConfig::for_device(
-        GpuDevice::rtx3060(),
-    )));
+    let service = Arc::new(AsyncEstimationService::for_device(GpuDevice::rtx3060()));
     let server = ServerHandle::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
         .expect("bind loopback server");
     let addr = server.local_addr();
@@ -58,7 +56,7 @@ fn main() {
 
         // ...is byte-identical to rendering the direct call's result.
         let direct_placement = direct
-            .best_device_for_job(job)
+            .best_device_for_job_traced(job, &untraced)
             .expect("direct placement succeeds");
         assert_eq!(
             response.text(),
@@ -89,11 +87,12 @@ fn main() {
             .expect("plan request");
         assert_eq!(plan.status, 200, "plan failed: {}", plan.text());
         let direct_plan = direct
-            .max_batch_for_device(
+            .max_batch_for_device_traced(
                 job,
                 direct.registry().get(&device).expect("device registered"),
                 1,
                 64,
+                &untraced,
             )
             .expect("direct plan succeeds");
         assert_eq!(

@@ -66,7 +66,7 @@ fn main() {
             jobs: Vec::new(),
         },
     ];
-    let service = AsyncEstimationService::new(AsyncServiceConfig::for_device(pool[0].device));
+    let service = AsyncEstimationService::for_device(pool[0].device);
 
     println!(
         "Admitting {} jobs onto a heterogeneous pool of {} GPUs ({} device types):\n",

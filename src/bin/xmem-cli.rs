@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 use xmem::core::{layer_report, render_layer_report, render_report, Analyzer, Orchestrator};
 use xmem::prelude::*;
 use xmem::server::{ClusterConfig, ServerConfig, ServerHandle};
-use xmem::service::jobspec::{parse_jobs_text, JobDraft};
-use xmem::service::{AsyncServiceConfig, LogLevel, Telemetry, TelemetryConfig};
+use xmem::service::jobspec::{batch_grid, batch_range, parse_jobs_text, JobDraft};
+use xmem::service::{LogLevel, Telemetry, TelemetryConfig};
 use xmem::trace::Trace;
 
 fn usage() -> &'static str {
@@ -183,6 +183,7 @@ fn threads_of(flags: &HashMap<String, String>) -> Result<usize, String> {
 /// then replay the cached analyses against every named device — the
 /// per-cluster "which device type fits which job?" grid in one call.
 fn matrix(flags: &HashMap<String, String>) -> Result<(), String> {
+    let untraced = TraceContext::disabled();
     let registry = registry_of(flags)?;
     let model_list = flags
         .get("models")
@@ -211,7 +212,7 @@ fn matrix(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     let names: Vec<&str> = devices.iter().map(String::as_str).collect();
     let matrix = service
-        .estimate_matrix(&specs, &names)
+        .estimate_matrix_traced(&specs, &names, &untraced)
         .map_err(|e| format!("matrix failed: {e}"))?;
 
     const MIB: f64 = (1u64 << 20) as f64;
@@ -307,11 +308,12 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .transpose()?
         .map(|ms| Instant::now() + Duration::from_millis(ms));
 
-    let service = AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(device)
-            .with_workers(workers)
-            .with_queue_depth(queue_depth)
-            .with_registry(registry),
+    let service = AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(
+            ServiceConfig::for_device(device).with_registry(registry),
+        )),
+        workers,
+        queue_depth,
     );
     eprintln!(
         "serving {} jobs on {} workers (queue depth {queue_depth})",
@@ -522,6 +524,7 @@ fn listen(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
+    let untraced = TraceContext::disabled();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         return Err(usage().to_string());
@@ -541,23 +544,13 @@ fn run() -> Result<(), String> {
         "sweep" => {
             let spec = job_with_batch(&flags, Some(1))?;
             let device = device_of(&flags, &registry_of(&flags)?)?;
-            let mut batches: Vec<usize> = Vec::new();
-            for raw in flags
-                .get("batches")
-                .ok_or("--batches is required (e.g. --batches 1,2,4,8)")?
-                .split(',')
-            {
-                let batch: usize = raw
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad batch `{raw}`"))?;
-                if batch == 0 {
-                    return Err("`batch` must be >= 1".to_string());
-                }
-                if !batches.contains(&batch) {
-                    batches.push(batch);
-                }
-            }
+            let batches = batch_grid(
+                flags
+                    .get("batches")
+                    .ok_or("--batches is required (e.g. --batches 1,2,4,8)")?
+                    .split(',')
+                    .map(|raw| raw.trim().parse().map_err(|_| format!("bad batch `{raw}`"))),
+            )?;
             if batches.is_empty() {
                 return Err("--batches must name at least one batch size".to_string());
             }
@@ -568,7 +561,7 @@ fn run() -> Result<(), String> {
                 "{:<8} {:>14} {:>14} {:>6}",
                 "batch", "peak (MiB)", "job peak (MiB)", "fits"
             );
-            for (batch, estimate) in service.sweep(&spec, &batches) {
+            for (batch, estimate) in service.sweep_traced(&spec, &batches, &untraced) {
                 match estimate {
                     Ok(e) => println!(
                         "{:<8} {:>14.1} {:>14.1} {:>6}",
@@ -595,13 +588,11 @@ fn run() -> Result<(), String> {
             };
             let lo = parse_bound("min", 1)?;
             let hi = parse_bound("max", 1024)?;
-            if lo < 1 || lo > hi {
-                return Err(format!("invalid batch range [{lo}, {hi}]"));
-            }
+            batch_range(lo, hi)?;
             let service = EstimationService::new(
                 ServiceConfig::for_device(device).with_threads(threads_of(&flags)?),
             );
-            match service.max_batch_for_device(&spec, device, lo, hi) {
+            match service.max_batch_for_device_traced(&spec, device, lo, hi, &untraced) {
                 Ok(Some(batch)) => println!(
                     "largest batch for {} on {}: {batch}",
                     spec.label(),

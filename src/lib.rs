@@ -15,7 +15,11 @@
 //! * [`eval`] — metrics, two-round validation, ANOVA/Monte Carlo
 //!   campaigns;
 //! * [`service`] — the concurrent, cache-backed estimation service for
-//!   scheduler-scale traffic (parallel sweeps, admission control);
+//!   scheduler-scale traffic (parallel sweeps, admission control): one
+//!   blocking method per route, each taking the request's
+//!   [`TraceContext`](prelude::TraceContext) (`TraceContext::disabled()`
+//!   when untraced), and an async front end built over it with
+//!   `AsyncEstimationService::from_service`;
 //! * [`server`] — the dependency-free HTTP/1.1 serving front end
 //!   (`xmem-cli listen`) plus the matching blocking client.
 //!
@@ -60,8 +64,7 @@ pub mod prelude {
     pub use xmem_optim::OptimizerKind;
     pub use xmem_runtime::{profile_on_cpu, run_on_gpu, GpuDevice, TrainJobSpec, ZeroGradPos};
     pub use xmem_service::{
-        block_on, join_all, AsyncEstimationService, AsyncServiceConfig, CacheStats, DeviceRegistry,
-        EstimateFuture, EstimationService, Executor, MatrixFuture, ServiceConfig, SubmitError,
-        TraceContext,
+        block_on, join_all, AsyncEstimationService, CacheStats, DeviceRegistry, EstimateFuture,
+        EstimationService, Executor, MatrixFuture, ServiceConfig, SubmitError, TraceContext,
     };
 }

@@ -270,6 +270,7 @@ fn synthetic_bodies_match_the_reference_tree() {
 
 #[test]
 fn served_bodies_match_the_reference_tree() {
+    let untraced = TraceContext::disabled();
     // A fleet registered from a registry file whose device names need
     // escaping on the wire.
     let fleet = format!(
@@ -297,13 +298,13 @@ fn served_bodies_match_the_reference_tree() {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(0),
     );
     let matrix = service
-        .estimate_matrix(&jobs, &AWKWARD)
+        .estimate_matrix_traced(&jobs, &AWKWARD, &untraced)
         .expect("registered names resolve");
     assert!(matrix.rows.last().expect("rows").cells[0].estimate.is_err());
     assert_eq!(api::matrix_body(&matrix), reference::matrix_body(&matrix));
 
     for job in &jobs {
-        let placement = service.best_device_for_job(job);
+        let placement = service.best_device_for_job_traced(job, &untraced);
         if let Ok(placement) = placement {
             assert_eq!(
                 api::placement_body(placement.as_ref()),
@@ -311,13 +312,15 @@ fn served_bodies_match_the_reference_tree() {
             );
         }
     }
-    let estimate = service.estimate(&jobs[0]).expect("estimates");
+    let estimate = service
+        .estimate_traced(&jobs[0], None, &untraced)
+        .expect("estimates");
     assert_eq!(
         api::estimate_body(&estimate),
         reference::estimate_body(&estimate)
     );
     let degenerate = jobs.last().expect("degenerate job");
-    let sweep = service.sweep(degenerate, &[1, 2]);
+    let sweep = service.sweep_traced(degenerate, &[1, 2], &untraced);
     assert!(sweep.iter().all(|(_, outcome)| outcome.is_err()));
     assert_eq!(api::sweep_body(&sweep), reference::sweep_body(&sweep));
 }

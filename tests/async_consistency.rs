@@ -5,9 +5,9 @@
 //! futures without burning profiler time, a bounded queue pushes back
 //! with `Busy`, and degenerate jobs are answered from the negative cache.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmem::prelude::*;
-use xmem::service::AsyncServiceConfig;
 use xmem_core::EstimateError;
 
 /// A spec grid small enough to profile quickly but wide enough to spread
@@ -48,8 +48,10 @@ fn a_thousand_concurrent_futures_match_the_sequential_estimator() {
         .map(|s| estimator.estimate_job(s).expect("sequential estimate"))
         .collect();
 
-    let service = AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(device).with_queue_depth(IN_FLIGHT),
+    let service = AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(ServiceConfig::for_device(device))),
+        0,
+        IN_FLIGHT,
     );
     // Submit 1200 queries cycling over 6 distinct keys before resolving
     // any of them — all 1200 futures are in flight at once.
@@ -94,8 +96,12 @@ fn a_thousand_concurrent_futures_match_the_sequential_estimator() {
 fn a_thundering_herd_of_identical_queries_profiles_exactly_once() {
     const HERD: usize = 64;
 
-    let service = AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(GpuDevice::rtx3060()).with_queue_depth(HERD),
+    let service = AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(ServiceConfig::for_device(
+            GpuDevice::rtx3060(),
+        ))),
+        0,
+        HERD,
     );
     let spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
@@ -142,10 +148,12 @@ fn cancellation_reports_and_counters_agree() {
     // always agree with how the future resolves and with the profile
     // counter. The deterministic "cancel wins before any claim"
     // semantics are pinned by xmem-service's future unit tests.
-    let service = AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(GpuDevice::rtx3060())
-            .with_workers(1)
-            .with_queue_depth(8),
+    let service = AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(ServiceConfig::for_device(
+            GpuDevice::rtx3060(),
+        ))),
+        1,
+        8,
     );
     let blocker = service
         .submit(&heavy_spec(), None, None, &TraceContext::disabled())
@@ -193,10 +201,12 @@ fn cancellation_reports_and_counters_agree() {
 
 #[test]
 fn a_missed_deadline_resolves_without_profiling() {
-    let service = AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(GpuDevice::rtx3060())
-            .with_workers(1)
-            .with_queue_depth(8),
+    let service = AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(ServiceConfig::for_device(
+            GpuDevice::rtx3060(),
+        ))),
+        1,
+        8,
     );
     let blocker = service
         .submit(&heavy_spec(), None, None, &TraceContext::disabled())
@@ -245,10 +255,12 @@ fn a_full_submission_queue_pushes_back_with_busy() {
     // One worker (held by the heavy job) and a queue of depth 1: the
     // first submission is claimed or queued, the second fills the queue,
     // and further submissions must fail fast with Busy.
-    let service = AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(GpuDevice::rtx3060())
-            .with_workers(1)
-            .with_queue_depth(1),
+    let service = AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(ServiceConfig::for_device(
+            GpuDevice::rtx3060(),
+        ))),
+        1,
+        1,
     );
     let blocker = service
         .submit(&heavy_spec(), None, None, &TraceContext::disabled())
@@ -286,10 +298,10 @@ fn a_resident_estimate_is_answered_without_the_pool() {
     // it: a cold query now gets Busy, but a query whose sim cell is
     // resident is a cache read answered on the calling thread.
     let device = GpuDevice::rtx3060();
-    let service = AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(device)
-            .with_workers(1)
-            .with_queue_depth(1),
+    let service = AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(ServiceConfig::for_device(device))),
+        1,
+        1,
     );
     let warm =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
@@ -350,7 +362,7 @@ fn a_resident_estimate_is_answered_without_the_pool() {
 fn a_resident_estimate_on_an_idle_service_is_read_on_the_calling_thread() {
     use xmem::service::{Telemetry, TelemetryConfig};
     let device = GpuDevice::rtx3060();
-    let service = AsyncEstimationService::new(AsyncServiceConfig::for_device(device));
+    let service = AsyncEstimationService::for_device(device);
     let warm =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
     let expected = service
@@ -374,6 +386,7 @@ fn a_resident_estimate_on_an_idle_service_is_read_on_the_calling_thread() {
 
 #[test]
 fn degenerate_jobs_are_answered_from_the_negative_cache() {
+    let untraced = TraceContext::disabled();
     let service = EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()));
     // Zero profiled iterations: the trace has no ProfilerStep markers and
     // the Analyzer rejects it.
@@ -382,7 +395,7 @@ fn degenerate_jobs_are_answered_from_the_negative_cache() {
 
     for round in 0..3 {
         assert_eq!(
-            service.estimate(&degenerate),
+            service.estimate_traced(&degenerate, None, &untraced),
             Err(EstimateError::MissingIterations),
             "round {round}"
         );
@@ -402,15 +415,16 @@ fn degenerate_jobs_are_answered_from_the_negative_cache() {
 
 #[test]
 fn async_sweep_and_plan_match_their_blocking_counterparts() {
+    let untraced = TraceContext::disabled();
     let device = GpuDevice::rtx3060();
     let base =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 1).with_iterations(2);
     let batches = [1usize, 2, 4, 8, 16];
 
     let blocking = EstimationService::new(ServiceConfig::for_device(device));
-    let expected_sweep = blocking.sweep(&base, &batches);
+    let expected_sweep = blocking.sweep_traced(&base, &batches, &untraced);
     let expected_plan = blocking
-        .max_batch_for_device(&base, device, 1, 16)
+        .max_batch_for_device_traced(&base, device, 1, 16, &untraced)
         .expect("plan succeeds");
 
     let service = AsyncEstimationService::for_device(device);

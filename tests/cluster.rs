@@ -13,7 +13,7 @@ use xmem::server::{
     FORWARDED_HEADER,
 };
 use xmem::service::jobspec::job_to_value;
-use xmem::service::{hash_job, AsyncServiceConfig, HashRing, JobKey};
+use xmem::service::{hash_job, HashRing, JobKey};
 
 const TOKEN: &str = "ring-secret";
 
@@ -36,9 +36,7 @@ struct ClusterNode {
 fn start_ring(n: usize) -> Vec<ClusterNode> {
     let mut bound = Vec::with_capacity(n);
     for _ in 0..n {
-        let service = Arc::new(AsyncEstimationService::new(AsyncServiceConfig::for_device(
-            GpuDevice::rtx3060(),
-        )));
+        let service = Arc::new(AsyncEstimationService::for_device(GpuDevice::rtx3060()));
         let server =
             ServerHandle::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
                 .expect("bind loopback");
@@ -102,6 +100,7 @@ fn batch_owned_by(ring: &HashRing, owner: usize) -> usize {
 /// response filled each non-owner's sim cell.
 #[test]
 fn each_distinct_key_is_analyzed_exactly_once_cluster_wide() {
+    let untraced = TraceContext::disabled();
     let nodes = start_ring(3);
     let direct = EstimationService::for_device(GpuDevice::rtx3060());
     let batches = [2usize, 3, 5, 6, 7, 9];
@@ -114,7 +113,11 @@ fn each_distinct_key_is_analyzed_exactly_once_cluster_wide() {
         for &batch in &batches {
             let spec = small_spec(batch);
             let body = job_json(&spec);
-            let want = api::estimate_body(&direct.estimate(&spec).expect("direct estimate"));
+            let want = api::estimate_body(
+                &direct
+                    .estimate_traced(&spec, None, &untraced)
+                    .expect("direct estimate"),
+            );
             for client in clients.iter_mut() {
                 let response = authed_post(client, "/v1/estimate", &body);
                 assert_eq!(response.status, 200, "{}", response.text());
@@ -193,6 +196,7 @@ fn each_distinct_key_is_analyzed_exactly_once_cluster_wide() {
 /// the dead peer down and export it on `/metrics`.
 #[test]
 fn cluster_client_completes_a_request_mix_bit_identically_with_a_node_down() {
+    let untraced = TraceContext::disabled();
     let mut nodes = start_ring(3);
     let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
     let ring = HashRing::new(&addrs);
@@ -219,7 +223,11 @@ fn cluster_client_completes_a_request_mix_bit_identically_with_a_node_down() {
         assert_eq!(response.status, 200, "{}", response.text());
         assert_eq!(
             response.text(),
-            api::estimate_body(&direct.estimate(&spec).expect("direct estimate")),
+            api::estimate_body(
+                &direct
+                    .estimate_traced(&spec, None, &untraced)
+                    .expect("direct estimate")
+            ),
             "batch {batch} diverged with a node down"
         );
     }
@@ -231,7 +239,12 @@ fn cluster_client_completes_a_request_mix_bit_identically_with_a_node_down() {
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(
         response.text(),
-        api::placement_body(direct.best_device_for_job(&spec).expect("places").as_ref())
+        api::placement_body(
+            direct
+                .best_device_for_job_traced(&spec, &untraced)
+                .expect("places")
+                .as_ref()
+        )
     );
     // A sweep (family-placed).
     let sweep_request = format!(
@@ -244,7 +257,7 @@ fn cluster_client_completes_a_request_mix_bit_identically_with_a_node_down() {
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(
         response.text(),
-        api::sweep_body(&direct.sweep(&small_spec(1), &[1, 2, 4]))
+        api::sweep_body(&direct.sweep_traced(&small_spec(1), &[1, 2, 4], &untraced))
     );
 
     assert!(

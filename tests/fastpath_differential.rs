@@ -35,9 +35,12 @@ fn sequential(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
 }
 
 fn assert_matrices_identical(fleet: &[(&str, GpuDevice)], jobs: &[TrainJobSpec]) {
+    let untraced = TraceContext::disabled();
     let fast = service_over(fleet);
     let names: Vec<&str> = fleet.iter().map(|&(name, _)| name).collect();
-    let fast_matrix = fast.estimate_matrix(jobs, &names).expect("names resolve");
+    let fast_matrix = fast
+        .estimate_matrix_traced(jobs, &names, &untraced)
+        .expect("names resolve");
     for (row, spec) in fast_matrix.rows.iter().zip(jobs) {
         for (name, device) in fleet {
             let sequential = sequential(spec, *device);
@@ -57,6 +60,7 @@ fn assert_matrices_identical(fleet: &[(&str, GpuDevice)], jobs: &[TrainJobSpec])
 
 #[test]
 fn roomy_fleet_is_identical_with_zero_full_replays() {
+    let untraced = TraceContext::disabled();
     // Odd byte capacities (not MiB-aligned) — roomy, but exercising the
     // page-rounding edge of the qualification check.
     let fleet = [
@@ -85,7 +89,8 @@ fn roomy_fleet_is_identical_with_zero_full_replays() {
 
     let fast = service_over(&fleet);
     let names: Vec<&str> = fleet.iter().map(|&(n, _)| n).collect();
-    fast.estimate_matrix(&jobs, &names).expect("names resolve");
+    fast.estimate_matrix_traced(&jobs, &names, &untraced)
+        .expect("names resolve");
     let stats = fast.sim_stats();
     assert_eq!(
         stats.full_replays, 0,
@@ -97,6 +102,7 @@ fn roomy_fleet_is_identical_with_zero_full_replays() {
 
 #[test]
 fn pressured_fleet_splits_strategies_but_never_diverges() {
+    let untraced = TraceContext::disabled();
     // Two devices small enough that DistilGpt2 (and at 16, even the CNN's
     // segment peak) pressures them, plus one roomy device: the same
     // matrix must mix derived and fully replayed cells.
@@ -126,7 +132,8 @@ fn pressured_fleet_splits_strategies_but_never_diverges() {
 
     let fast = service_over(&fleet);
     let names: Vec<&str> = fleet.iter().map(|&(n, _)| n).collect();
-    fast.estimate_matrix(&jobs, &names).expect("names resolve");
+    fast.estimate_matrix_traced(&jobs, &names, &untraced)
+        .expect("names resolve");
     let stats = fast.sim_stats();
     assert!(
         stats.full_replays > 0,
@@ -177,6 +184,7 @@ fn pseudo_random_fleets_are_identical_across_strategies() {
 
 #[test]
 fn placement_and_admission_agree_across_strategies() {
+    let untraced = TraceContext::disabled();
     let fleet = [
         ("rtx3060", GpuDevice::rtx3060()),
         ("rtx4060", GpuDevice::rtx4060()),
@@ -195,7 +203,8 @@ fn placement_and_admission_agree_across_strategies() {
             })
         });
         assert_eq!(
-            fast.best_device_for_job(&spec).expect("estimates"),
+            fast.best_device_for_job_traced(&spec, &untraced)
+                .expect("estimates"),
             expected,
             "placement diverged for {}",
             spec.label()
@@ -205,7 +214,7 @@ fn placement_and_admission_agree_across_strategies() {
     let base = TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 1).with_iterations(2);
     let device = GpuDevice::rtx4060();
     let max = fast
-        .max_batch_for_device(&base, device, 1, 32)
+        .max_batch_for_device_traced(&base, device, 1, 32, &untraced)
         .expect("estimates")
         .expect("batch 1 fits");
     let at = |batch: usize| {

@@ -9,7 +9,6 @@
 use std::sync::Arc;
 use xmem::core::EstimateError;
 use xmem::prelude::*;
-use xmem::service::AsyncServiceConfig;
 
 const DEVICES: [&str; 3] = ["rtx3060", "rtx4060", "a100"];
 
@@ -36,10 +35,11 @@ fn sequential_cell(spec: &TrainJobSpec, device_name: &str) -> Estimate {
 
 #[test]
 fn matrix_cells_are_bit_identical_to_the_sequential_estimator() {
+    let untraced = TraceContext::disabled();
     let jobs = job_grid();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let matrix = service
-        .estimate_matrix(&jobs, &DEVICES)
+        .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
         .expect("builtin devices resolve");
 
     assert_eq!(matrix.devices, DEVICES);
@@ -70,17 +70,18 @@ fn matrix_cells_are_bit_identical_to_the_sequential_estimator() {
 
 #[test]
 fn repeat_matrix_and_single_device_queries_are_pure_cache_hits() {
+    let untraced = TraceContext::disabled();
     let jobs = job_grid();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let first = service
-        .estimate_matrix(&jobs, &DEVICES)
+        .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
         .expect("devices resolve");
     let analyses = service.profile_runs();
     let sim_runs = service.sim_runs();
 
     // A repeated matrix re-runs nothing: every cell is a sim-shard hit.
     let second = service
-        .estimate_matrix(&jobs, &DEVICES)
+        .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
         .expect("devices resolve");
     assert_eq!(first, second);
     assert_eq!(service.profile_runs(), analyses);
@@ -91,7 +92,7 @@ fn repeat_matrix_and_single_device_queries_are_pure_cache_hits() {
     // Cache-key split: a later *single-device* query for one cell hits
     // the device's simulation shard — no profile, no simulation.
     let single = service
-        .estimate_on(&jobs[1], "rtx4060")
+        .estimate_traced(&jobs[1], Some("rtx4060"), &untraced)
         .expect("estimation succeeds");
     assert_eq!(
         &single,
@@ -113,8 +114,12 @@ fn concurrent_matrix_and_single_device_queries_never_disagree() {
         .map(|spec| DEVICES.iter().map(|d| sequential_cell(spec, d)).collect())
         .collect();
 
-    let service = AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(GpuDevice::rtx3060()).with_queue_depth(256),
+    let service = AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(ServiceConfig::for_device(
+            GpuDevice::rtx3060(),
+        ))),
+        0,
+        256,
     );
     // Two whole-matrix queries and a herd of single-device queries for
     // every cell, all in flight at once.
@@ -190,6 +195,7 @@ fn concurrent_matrix_and_single_device_queries_never_disagree() {
 
 #[test]
 fn shared_service_front_ends_share_the_matrix_caches() {
+    let untraced = TraceContext::disabled();
     // One blocking service shared by an async front end: a matrix through
     // the async path leaves the blocking path fully warmed.
     let jobs = job_grid();
@@ -203,7 +209,7 @@ fn shared_service_front_ends_share_the_matrix_caches() {
     .expect("devices resolve");
     let runs = blocking.sim_runs();
     let direct = blocking
-        .estimate_on(&jobs[0], "a100")
+        .estimate_traced(&jobs[0], Some("a100"), &untraced)
         .expect("estimation succeeds");
     assert_eq!(
         &direct,
@@ -214,6 +220,7 @@ fn shared_service_front_ends_share_the_matrix_caches() {
 
 #[test]
 fn device_reconfiguration_invalidates_only_that_device() {
+    let untraced = TraceContext::disabled();
     let registry = DeviceRegistry::empty();
     registry.register(
         "small",
@@ -230,7 +237,7 @@ fn device_reconfiguration_invalidates_only_that_device() {
         ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry),
     );
     let matrix = service
-        .estimate_matrix(&jobs, &["small", "big"])
+        .estimate_matrix_traced(&jobs, &["small", "big"], &untraced)
         .expect("devices resolve");
     let analyses = service.profile_runs();
     let sim_runs = service.sim_runs();
@@ -254,7 +261,9 @@ fn device_reconfiguration_invalidates_only_that_device() {
 
     // `big` keeps its warm entries...
     let hits_before = service.sim_stats().cache.hits;
-    let big = service.estimate_on(&jobs[0], "big").expect("estimates");
+    let big = service
+        .estimate_traced(&jobs[0], Some("big"), &untraced)
+        .expect("estimates");
     assert_eq!(
         &big,
         matrix.cell(0, "big").unwrap().estimate.as_ref().unwrap()
@@ -264,7 +273,9 @@ fn device_reconfiguration_invalidates_only_that_device() {
 
     // ...while `small` re-simulates under its new configuration — without
     // re-profiling: the analysis cache is device-independent.
-    let small = service.estimate_on(&jobs[0], "small").expect("estimates");
+    let small = service
+        .estimate_traced(&jobs[0], Some("small"), &untraced)
+        .expect("estimates");
     assert_eq!(service.sim_runs(), sim_runs + 1);
     assert_eq!(service.profile_runs(), analyses, "analyses survive");
     assert_ne!(
@@ -287,6 +298,7 @@ fn sequential_cell_for(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
 
 #[test]
 fn reconfiguring_one_alias_spares_the_shard_other_names_still_own() {
+    let untraced = TraceContext::disabled();
     // Two registry names with an *identical* config share one simulation
     // shard; replacing one name must not evict the other's warm entries.
     let registry = DeviceRegistry::empty();
@@ -296,7 +308,9 @@ fn reconfiguring_one_alias_spares_the_shard_other_names_still_own() {
         ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry),
     );
     let job = &job_grid()[0];
-    let warm = service.estimate_on(job, "pool-west").expect("estimates");
+    let warm = service
+        .estimate_traced(job, Some("pool-west"), &untraced)
+        .expect("estimates");
     let sim_runs = service.sim_runs();
 
     service.register_device("pool-east", GpuDevice::a100_40g());
@@ -305,7 +319,9 @@ fn reconfiguring_one_alias_spares_the_shard_other_names_still_own() {
         0,
         "pool-west still maps to the old config, so its shard survives"
     );
-    let still_warm = service.estimate_on(job, "pool-west").expect("estimates");
+    let still_warm = service
+        .estimate_traced(job, Some("pool-west"), &untraced)
+        .expect("estimates");
     assert_eq!(warm, still_warm);
     assert_eq!(service.sim_runs(), sim_runs, "pure cache hit");
 }
@@ -327,14 +343,15 @@ fn registry_and_config_accessors_never_diverge() {
 
 #[test]
 fn unknown_devices_fail_fast_by_name() {
+    let untraced = TraceContext::disabled();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let jobs = job_grid();
     assert_eq!(
-        service.estimate_matrix(&jobs, &["rtx3060", "nope"]),
+        service.estimate_matrix_traced(&jobs, &["rtx3060", "nope"], &untraced),
         Err(EstimateError::UnknownDevice("nope".to_string()))
     );
     assert_eq!(
-        service.estimate_on(&jobs[0], "phantom"),
+        service.estimate_traced(&jobs[0], Some("phantom"), &untraced),
         Err(EstimateError::UnknownDevice("phantom".to_string()))
     );
     // Failing fast means no partial work happened.
@@ -344,6 +361,7 @@ fn unknown_devices_fail_fast_by_name() {
 
 #[test]
 fn degenerate_rows_fail_per_cell_without_poisoning_the_matrix() {
+    let untraced = TraceContext::disabled();
     let healthy =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
     // Zero profiled iterations: the Analyzer rejects the trace.
@@ -351,7 +369,11 @@ fn degenerate_rows_fail_per_cell_without_poisoning_the_matrix() {
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(0);
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let matrix = service
-        .estimate_matrix(&[healthy.clone(), degenerate], &["rtx3060", "rtx4060"])
+        .estimate_matrix_traced(
+            &[healthy.clone(), degenerate],
+            &["rtx3060", "rtx4060"],
+            &untraced,
+        )
         .expect("device names resolve; per-job failures stay in cells");
     for device in ["rtx3060", "rtx4060"] {
         assert!(matrix.cell(0, device).unwrap().fits());
@@ -409,9 +431,10 @@ fn golden_jobs() -> Vec<TrainJobSpec> {
 }
 
 fn compute_golden_matrix() -> GoldenMatrix {
+    let untraced = TraceContext::disabled();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let matrix = service
-        .estimate_matrix(&golden_jobs(), &DEVICES)
+        .estimate_matrix_traced(&golden_jobs(), &DEVICES, &untraced)
         .expect("builtin devices resolve");
     GoldenMatrix {
         devices: matrix.devices.clone(),
@@ -460,12 +483,13 @@ fn regenerate_matrix_golden_fixture() {
 
 #[test]
 fn best_device_is_the_smallest_fitting_one() {
+    let untraced = TraceContext::disabled();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     // A small CNN fits everything; best fit is the 8 GiB card.
     let small =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
     let placement = service
-        .best_device_for_job(&small)
+        .best_device_for_job_traced(&small, &untraced)
         .expect("estimation succeeds")
         .expect("a device fits");
     assert_eq!(placement.device, "rtx4060");
@@ -480,7 +504,7 @@ fn best_device_is_the_smallest_fitting_one() {
     // the A100 can hold it.
     let heavy = TrainJobSpec::new(ModelId::Pythia1B, OptimizerKind::AdamW, 2).with_iterations(2);
     let placement = service
-        .best_device_for_job(&heavy)
+        .best_device_for_job_traced(&heavy, &untraced)
         .expect("estimation succeeds")
         .expect("the A100 fits");
     assert_eq!(placement.device, "a100");
@@ -502,7 +526,7 @@ fn best_device_is_the_smallest_fitting_one() {
         TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 8).with_iterations(2);
     assert_eq!(
         cramped
-            .best_device_for_job(&heavy_for_tiny)
+            .best_device_for_job_traced(&heavy_for_tiny, &untraced)
             .expect("estimation succeeds"),
         None
     );

@@ -33,14 +33,21 @@ fn stage_reads(service: &EstimationService) -> (u64, u64) {
 
 #[test]
 fn mixed_hit_miss_matrix_is_bit_identical_to_the_sequential_estimator() {
+    let untraced = TraceContext::disabled();
     let jobs = job_grid();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     // Pre-warm two cells through the single-device route.
-    service.estimate_on(&jobs[0], "rtx4060").expect("estimates");
-    service.estimate_on(&jobs[2], "a100").expect("estimates");
+    service
+        .estimate_traced(&jobs[0], Some("rtx4060"), &untraced)
+        .expect("estimates");
+    service
+        .estimate_traced(&jobs[2], Some("a100"), &untraced)
+        .expect("estimates");
     assert_eq!(service.sim_runs(), 2);
 
-    let matrix = service.estimate_matrix(&jobs, &DEVICES).expect("resolve");
+    let matrix = service
+        .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
+        .expect("resolve");
     for (row, spec) in matrix.rows.iter().zip(&jobs) {
         assert_eq!(&row.spec, spec);
         for device in DEVICES {
@@ -65,16 +72,21 @@ fn mixed_hit_miss_matrix_is_bit_identical_to_the_sequential_estimator() {
 
 #[test]
 fn all_hit_matrix_only_reads_its_cells() {
+    let untraced = TraceContext::disabled();
     let jobs = job_grid();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
-    let cold = service.estimate_matrix(&jobs, &DEVICES).expect("resolve");
+    let cold = service
+        .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
+        .expect("resolve");
     let (profiles, sims, (stage_hits, stage_misses)) = (
         service.profile_runs(),
         service.sim_stats(),
         stage_reads(&service),
     );
 
-    let warm = service.estimate_matrix(&jobs, &DEVICES).expect("resolve");
+    let warm = service
+        .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
+        .expect("resolve");
     assert_eq!(warm, cold);
     let after = service.sim_stats();
     assert_eq!(after.cache.hits, sims.cache.hits + cold.num_cells() as u64);
@@ -90,6 +102,7 @@ fn all_hit_matrix_only_reads_its_cells() {
 
 #[test]
 fn resident_cells_answer_rows_whose_stages_were_evicted() {
+    let untraced = TraceContext::disabled();
     // Every cell is relayed (the sequential `Estimator`'s answer, filled
     // the way a cluster peer's forwarded answer is), so no analysis was
     // ever loaded — but every cell is resident.
@@ -104,7 +117,7 @@ fn resident_cells_answer_rows_whose_stages_were_evicted() {
     }
     let rows = jobs.len() as u64;
     let cold = service
-        .estimate_matrix(&jobs, &["rtx3060"])
+        .estimate_matrix_traced(&jobs, &["rtx3060"], &untraced)
         .expect("resolve");
     // The first read already finds no stage entry: it must answer from the
     // resident cells without profiling or replaying.
@@ -112,7 +125,7 @@ fn resident_cells_answer_rows_whose_stages_were_evicted() {
     assert_eq!(service.sim_runs(), 0);
     assert_eq!(stage_reads(&service), (0, rows), "every row's stage absent");
     let warm = service
-        .estimate_matrix(&jobs, &["rtx3060"])
+        .estimate_matrix_traced(&jobs, &["rtx3060"], &untraced)
         .expect("resolve");
     assert_eq!(warm, cold);
     assert_eq!(service.profile_runs(), 0, "no re-profile");
@@ -122,12 +135,17 @@ fn resident_cells_answer_rows_whose_stages_were_evicted() {
 
 #[test]
 fn degenerate_rows_still_fail_per_cell_on_a_warm_matrix() {
+    let untraced = TraceContext::disabled();
     let healthy = job_grid().remove(0);
     let degenerate = healthy.clone().with_iterations(0);
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let jobs = [healthy, degenerate];
-    let cold = service.estimate_matrix(&jobs, &DEVICES).expect("resolve");
-    let warm = service.estimate_matrix(&jobs, &DEVICES).expect("resolve");
+    let cold = service
+        .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
+        .expect("resolve");
+    let warm = service
+        .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
+        .expect("resolve");
     assert_eq!(warm, cold);
     for device in DEVICES {
         assert_eq!(
@@ -140,6 +158,7 @@ fn degenerate_rows_still_fail_per_cell_on_a_warm_matrix() {
 
 #[test]
 fn warm_best_device_gives_the_same_answer_and_counts() {
+    let untraced = TraceContext::disabled();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     // Capacity order: rtx4060 (8 GiB), rtx3060 (12 GiB), a100 (40 GiB).
     let small =
@@ -147,7 +166,7 @@ fn warm_best_device_gives_the_same_answer_and_counts() {
     let heavy = TrainJobSpec::new(ModelId::Pythia1B, OptimizerKind::AdamW, 2).with_iterations(2);
     for (spec, device, probed) in [(&small, "rtx4060", 1), (&heavy, "a100", 3)] {
         let cold = service
-            .best_device_for_job(spec)
+            .best_device_for_job_traced(spec, &untraced)
             .expect("estimates")
             .expect("a device fits");
         assert_eq!(cold.device, device);
@@ -160,7 +179,9 @@ fn warm_best_device_gives_the_same_answer_and_counts() {
             service.sim_stats(),
             stage_reads(&service),
         );
-        let warm = service.best_device_for_job(spec).expect("estimates");
+        let warm = service
+            .best_device_for_job_traced(spec, &untraced)
+            .expect("estimates");
         assert_eq!(warm.as_ref(), Some(&cold));
         let after = service.sim_stats();
         assert_eq!(after.cache.hits, sims.cache.hits + probed);
@@ -186,12 +207,16 @@ fn warm_best_device_gives_the_same_answer_and_counts() {
     let too_big =
         TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 8).with_iterations(2);
     assert_eq!(
-        cramped.best_device_for_job(&too_big).expect("estimates"),
+        cramped
+            .best_device_for_job_traced(&too_big, &untraced)
+            .expect("estimates"),
         None
     );
     let sim_runs = cramped.sim_runs();
     assert_eq!(
-        cramped.best_device_for_job(&too_big).expect("estimates"),
+        cramped
+            .best_device_for_job_traced(&too_big, &untraced)
+            .expect("estimates"),
         None
     );
     assert_eq!(cramped.sim_runs(), sim_runs);
@@ -200,7 +225,7 @@ fn warm_best_device_gives_the_same_answer_and_counts() {
     let degenerate = small.clone().with_iterations(0);
     for _ in 0..2 {
         assert_eq!(
-            service.best_device_for_job(&degenerate),
+            service.best_device_for_job_traced(&degenerate, &untraced),
             Err(EstimateError::MissingIterations)
         );
     }

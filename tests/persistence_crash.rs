@@ -46,18 +46,24 @@ fn spec(batch: usize) -> TrainJobSpec {
 }
 
 /// Populates a fresh service on `dir` and returns the expected
-/// estimates. Uses both the primary-device path (`estimate`) and a
-/// named-device path (`estimate_on`) so stage records and the sim cells
+/// estimates. Uses both the primary-device path (`estimate_traced` with
+/// no device) and a named-device path (`estimate_traced` with a device
+/// name) so stage records and the sim cells
 /// of two devices hit the journal.
 fn populate(dir: &Path, batches: &[usize]) -> Vec<Estimate> {
+    let untraced = TraceContext::disabled();
     let service = EstimationService::new(config(dir));
     assert!(service.persist_stats().enabled, "persistence must engage");
     batches
         .iter()
         .map(|&b| {
             let job = spec(b);
-            let on_device = service.estimate_on(&job, "rtx4060").expect("estimates");
-            let primary = service.estimate(&job).expect("estimates");
+            let on_device = service
+                .estimate_traced(&job, Some("rtx4060"), &untraced)
+                .expect("estimates");
+            let primary = service
+                .estimate_traced(&job, None, &untraced)
+                .expect("estimates");
             assert!(on_device.peak_bytes > 0);
             primary
         })
@@ -67,11 +73,14 @@ fn populate(dir: &Path, batches: &[usize]) -> Vec<Estimate> {
 /// Warm-boots from `dir` and asserts the recovered state serves
 /// `expected` bit-identically with zero profile runs.
 fn assert_warm_boot(dir: &Path, batches: &[usize], expected: &[Estimate]) {
+    let untraced = TraceContext::disabled();
     let service = EstimationService::new(config(dir));
     let stats = service.persist_stats();
     assert!(stats.recovered_entries > 0, "nothing recovered: {stats:?}");
     for (&b, want) in batches.iter().zip(expected) {
-        let got = service.estimate(&spec(b)).expect("warm estimate");
+        let got = service
+            .estimate_traced(&spec(b), None, &untraced)
+            .expect("warm estimate");
         assert_eq!(&got, want, "batch {b} diverged after warm boot");
     }
     assert_eq!(
@@ -116,6 +125,7 @@ fn journal_alone_recovers_when_no_snapshot_was_ever_written() {
 /// survived in full serve bit-identically.
 #[test]
 fn every_journal_truncation_point_recovers_to_a_valid_prefix() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("torn-journal");
     let batches = [4usize];
     let expected = populate(dir.path(), &batches);
@@ -166,7 +176,7 @@ fn every_journal_truncation_point_recovers_to_a_valid_prefix() {
         for (&b, want) in batches.iter().zip(&expected) {
             let before = service.profile_runs();
             let got = service
-                .estimate(&spec(b))
+                .estimate_traced(&spec(b), None, &untraced)
                 .expect("estimate after torn boot");
             if service.profile_runs() == before {
                 // Served from recovered state: must be bit-identical.
@@ -189,6 +199,7 @@ fn every_journal_truncation_point_recovers_to_a_valid_prefix() {
 /// replay at the previous record — a consistent prefix, not an error.
 #[test]
 fn corrupt_journal_record_ends_replay_at_the_valid_prefix() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("bitflip");
     let batches = [4usize, 8];
     let _expected = populate(dir.path(), &batches);
@@ -207,7 +218,7 @@ fn corrupt_journal_record_ends_replay_at_the_valid_prefix() {
     // The service still boots and still serves (re-profiling what the
     // corruption cost it).
     let estimate = service
-        .estimate(&spec(4))
+        .estimate_traced(&spec(4), None, &untraced)
         .expect("post-corruption estimate");
     assert!(estimate.peak_bytes > 0);
 }
@@ -281,6 +292,7 @@ fn stale_journal_after_snapshot_rename_replays_idempotently() {
 /// journal still replays — recovery degrades, never errors.
 #[test]
 fn corrupt_snapshot_header_falls_back_to_the_journal() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("bad-header");
     let batches = [4usize];
     let expected = populate(dir.path(), &batches);
@@ -302,7 +314,9 @@ fn corrupt_snapshot_header_falls_back_to_the_journal() {
         "journal still recovered: {stats:?}"
     );
     for (&b, want) in batches.iter().zip(&expected) {
-        let got = service.estimate(&spec(b)).expect("estimate");
+        let got = service
+            .estimate_traced(&spec(b), None, &untraced)
+            .expect("estimate");
         assert_eq!(&got, want, "journal-recovered entry diverged");
     }
     assert_eq!(service.profile_runs(), 0);
@@ -318,6 +332,7 @@ fn corrupt_snapshot_header_falls_back_to_the_journal() {
 /// warm-boots every estimate bit-identically with zero profile runs).
 #[test]
 fn reader_without_param_support_still_recovers_all_stage_replay_sim_entries() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("downgrade");
     let batches = [4usize, 8];
     let expected = populate(dir.path(), &batches);
@@ -325,7 +340,7 @@ fn reader_without_param_support_still_recovers_all_stage_replay_sim_entries() {
     // enough distinct points to pay the three-anchor fit.
     {
         let service = EstimationService::new(config(dir.path()));
-        for (_, outcome) in service.sweep(&spec(1), &[1, 2, 4, 8, 16]) {
+        for (_, outcome) in service.sweep_traced(&spec(1), &[1, 2, 4, 8, 16], &untraced) {
             outcome.expect("sweep estimates");
         }
     }
@@ -503,6 +518,7 @@ fn warm_boot_resumes_the_learned_tuner_split_and_exports_it_last() {
 /// future version must not poison boot.
 #[test]
 fn tuner_records_for_unknown_tiers_are_skipped() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("tuner-unknown");
     let batches = [4usize];
     let expected = populate(dir.path(), &batches);
@@ -527,7 +543,9 @@ fn tuner_records_for_unknown_tiers_are_skipped() {
         "no known tier may have absorbed the unknown record"
     );
     for (&b, want) in batches.iter().zip(&expected) {
-        let got = service.estimate(&spec(b)).expect("warm estimate");
+        let got = service
+            .estimate_traced(&spec(b), None, &untraced)
+            .expect("warm estimate");
         assert_eq!(&got, want);
     }
     assert_eq!(service.profile_runs(), 0);
@@ -541,13 +559,14 @@ fn tuner_records_for_unknown_tiers_are_skipped() {
 /// and no replay.
 #[test]
 fn a_state_dir_with_replay_records_boots_and_drops_them() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("upgrade");
     let batches = [4usize];
     let expected = populate(dir.path(), &batches);
     {
         // A `Param` record, from a sweep long enough to fit.
         let service = EstimationService::new(config(dir.path()));
-        for (_, outcome) in service.sweep(&spec(1), &[1, 2, 4, 8, 16]) {
+        for (_, outcome) in service.sweep_traced(&spec(1), &[1, 2, 4, 8, 16], &untraced) {
             outcome.expect("sweep estimates");
         }
     }
@@ -631,7 +650,9 @@ fn a_state_dir_with_replay_records_boots_and_drops_them() {
         "every Stage, Sim, Param and Tuner record: {stats:?}"
     );
     for (&b, want) in batches.iter().zip(&expected) {
-        let got = service.estimate(&spec(b)).expect("warm estimate");
+        let got = service
+            .estimate_traced(&spec(b), None, &untraced)
+            .expect("warm estimate");
         assert_eq!(&got, want, "batch {b} diverged after the upgrade");
     }
     assert_eq!(service.profile_runs(), 0);
@@ -648,11 +669,12 @@ fn a_state_dir_with_replay_records_boots_and_drops_them() {
 /// skipped (counted), not resurrected against the wrong hardware.
 #[test]
 fn sim_cells_for_unregistered_devices_are_skipped() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("unmatched-device");
     let batches = [4usize];
     let _ = populate(dir.path(), &batches);
     // Reboot with a registry that no longer knows any named device: the
-    // rtx4060 sim cells (written via `estimate_on`) match neither the
+    // rtx4060 sim cells (written under its device name) match neither the
     // empty registry nor the rtx3060 primary, so they are orphaned.
     let service = EstimationService::new(
         ServiceConfig::for_device(GpuDevice::rtx3060())
@@ -667,7 +689,9 @@ fn sim_cells_for_unregistered_devices_are_skipped() {
     // Stage records are device-independent and still recover.
     assert!(stats.recovered_entries > 0, "{stats:?}");
     assert_eq!(service.profile_runs(), 0);
-    let _ = service.estimate(&spec(4)).expect("warm estimate");
+    let _ = service
+        .estimate_traced(&spec(4), None, &untraced)
+        .expect("warm estimate");
     // The analysis was recovered, so serving still pays no profile run.
     assert_eq!(service.profile_runs(), 0);
 }
@@ -710,10 +734,11 @@ const PARAM_CORRUPTIONS: [(&str, &str, ParamEdit); 5] = [
 /// refits and serves what a fresh service serves, instead of panicking.
 #[test]
 fn corrupt_param_record_is_torn_and_the_sweep_refits() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("param-fields");
     let sweep = |service: &EstimationService, batches: &[usize]| -> Vec<Estimate> {
         service
-            .sweep(&spec(1), batches)
+            .sweep_traced(&spec(1), batches, &untraced)
             .into_iter()
             .map(|(_, outcome)| outcome.expect("sweep estimates"))
             .collect()
@@ -824,6 +849,7 @@ const STAGE_CORRUPTIONS: [(&str, StageEdit); 4] = [
 /// serves.
 #[test]
 fn hostile_stage_record_is_torn_and_the_job_reprofiles() {
+    let untraced = TraceContext::disabled();
     let dir = StateDir::new("stage-fields");
     let batches = [4usize];
     let expected = populate(dir.path(), &batches);
@@ -885,7 +911,9 @@ fn hostile_stage_record_is_torn_and_the_job_reprofiles() {
             "{name}: the record must count as torn: {stats:?}"
         );
         assert_eq!(
-            service.estimate(&spec(batches[0])).expect("estimates"),
+            service
+                .estimate_traced(&spec(batches[0]), None, &untraced)
+                .expect("estimates"),
             expected[0],
             "{name}: the estimate diverged"
         );

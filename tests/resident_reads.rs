@@ -6,13 +6,15 @@
 //! the blocking service; a resident query answers while the pool is
 //! saturated; an expired deadline still wins; and a resident cell is
 //! never re-profiled, whether or not its stage entry is still cached.
+//! Both front ends record the same spans for the same query, apart from
+//! the async front end's own `service.call` and `pool.queue`.
 
 use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmem::core::EstimateError;
 use xmem::prelude::*;
-use xmem::service::{AsyncServiceConfig, CellFill, Telemetry, TelemetryConfig, TraceContext};
+use xmem::service::{CellFill, Telemetry, TelemetryConfig, TraceContext};
 
 const DEVICES: [&str; 3] = ["rtx3060", "rtx4060", "a100"];
 
@@ -91,8 +93,10 @@ impl Twins {
         let device = GpuDevice::rtx3060();
         Twins {
             blocking: EstimationService::for_device(device),
-            front: AsyncEstimationService::new(
-                AsyncServiceConfig::for_device(device).with_workers(workers),
+            front: AsyncEstimationService::from_service(
+                Arc::new(EstimationService::new(ServiceConfig::for_device(device))),
+                workers,
+                1024,
             ),
             telemetry: Telemetry::new(TelemetryConfig::default()),
         }
@@ -137,6 +141,7 @@ impl Twins {
 
 #[test]
 fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
+    let untraced = TraceContext::disabled();
     let twins = Twins::new(2);
     let a = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
     let b = job(ModelId::DistilGpt2, OptimizerKind::AdamW, 2);
@@ -147,9 +152,8 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
         let spec = spec.clone();
         let blocking_spec = spec.clone();
         twins.ask(
-            move |service| match device {
-                Some(name) => service.estimate_on(&blocking_spec, name),
-                None => service.estimate(&blocking_spec),
+            move |service| {
+                service.estimate_traced(&blocking_spec, device, &TraceContext::disabled())
             },
             move |front, ctx| {
                 front
@@ -183,7 +187,9 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
         let jobs = jobs.to_vec();
         let blocking_jobs = jobs.clone();
         twins.ask(
-            move |service| service.estimate_matrix(&blocking_jobs, &DEVICES),
+            move |service| {
+                service.estimate_matrix_traced(&blocking_jobs, &DEVICES, &TraceContext::disabled())
+            },
             move |front, ctx| {
                 front
                     .matrix(&jobs, &DEVICES, None, ctx)
@@ -209,7 +215,7 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
         }
     }
     let (unknown, path) = twins.ask(
-        |service| service.estimate_matrix(&rows, &["no-such-device"]),
+        |service| service.estimate_matrix_traced(&rows, &["no-such-device"], &untraced),
         |front, ctx| {
             front
                 .matrix(&rows, &["no-such-device"], None, ctx)
@@ -224,7 +230,9 @@ fn every_route_answers_alike_read_here_or_computed_on_the_pool() {
         let spec = spec.clone();
         let blocking_spec = spec.clone();
         twins.ask(
-            move |service| service.best_device_for_job(&blocking_spec),
+            move |service| {
+                service.best_device_for_job_traced(&blocking_spec, &TraceContext::disabled())
+            },
             move |front, ctx| {
                 front
                     .placement(&spec, None, ctx)
@@ -476,11 +484,14 @@ fn stageless_service(spec: &TrainJobSpec) -> EstimationService {
 
 #[test]
 fn a_resident_cell_answers_an_estimate_without_re_profiling() {
+    let untraced = TraceContext::disabled();
     let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
     let service = stageless_service(&spec);
-    let cold = service.estimate(&spec).expect("estimates");
+    let cold = service
+        .estimate_traced(&spec, None, &untraced)
+        .expect("estimates");
     let before = Counters::of(&service);
-    assert_eq!(service.estimate(&spec), Ok(cold));
+    assert_eq!(service.estimate_traced(&spec, None, &untraced), Ok(cold));
     let delta = Counters::of(&service).since(before);
     assert_eq!(delta.profile_runs, 0, "the cell answered");
     assert_eq!((delta.stage_misses, delta.sim_hits), (1, 1));
@@ -488,12 +499,18 @@ fn a_resident_cell_answers_an_estimate_without_re_profiling() {
 
 #[test]
 fn a_resident_cell_answers_estimate_on_without_re_profiling() {
+    let untraced = TraceContext::disabled();
     let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
     let service = stageless_service(&spec);
-    let cold = service.estimate(&spec).expect("estimates");
+    let cold = service
+        .estimate_traced(&spec, None, &untraced)
+        .expect("estimates");
     let before = Counters::of(&service);
     // The primary device's registered name reads the same cell.
-    assert_eq!(service.estimate_on(&spec, "rtx3060"), Ok(cold.clone()));
+    assert_eq!(
+        service.estimate_traced(&spec, Some("rtx3060"), &untraced),
+        Ok(cold.clone())
+    );
     assert_eq!(
         service.estimate_for_device(&spec, GpuDevice::rtx3060()),
         Ok(cold)
@@ -505,15 +522,127 @@ fn a_resident_cell_answers_estimate_on_without_re_profiling() {
 
 #[test]
 fn a_resident_placement_is_not_re_profiled() {
+    let untraced = TraceContext::disabled();
     let spec = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
     let reference = EstimationService::for_device(GpuDevice::rtx3060());
-    let cold = reference.best_device_for_job(&spec).expect("estimates");
+    let cold = reference
+        .best_device_for_job_traced(&spec, &untraced)
+        .expect("estimates");
     assert_eq!(reference.profile_runs(), 1);
     let service = stageless_service(&spec);
     let before = Counters::of(&service);
-    assert_eq!(service.best_device_for_job(&spec), Ok(cold.clone()));
-    assert_eq!(service.best_device_for_job(&spec), Ok(cold));
+    assert_eq!(
+        service.best_device_for_job_traced(&spec, &untraced),
+        Ok(cold.clone())
+    );
+    assert_eq!(
+        service.best_device_for_job_traced(&spec, &untraced),
+        Ok(cold)
+    );
     let delta = Counters::of(&service).since(before);
     assert_eq!(delta.profile_runs, 0, "the cells answered");
     assert_eq!(delta.sim_runs, 0);
+}
+
+/// One query's spans as `(name, outcome)` pairs, sorted, without the
+/// async front end's own `service.call` and `pool.queue` spans.
+fn route_spans(telemetry: &Telemetry, ctx: &TraceContext) -> Vec<(&'static str, &'static str)> {
+    telemetry.finish(ctx, "POST", "/test", 200, false);
+    let trace = telemetry
+        .recent_traces(usize::MAX, None)
+        .into_iter()
+        .find(|trace| Some(trace.trace_id) == ctx.trace_id())
+        .expect("the query's trace");
+    let mut spans: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|span| !matches!(span.name, "service.call" | "pool.queue"))
+        .map(|span| (span.name, span.outcome))
+        .collect();
+    spans.sort_unstable();
+    spans
+}
+
+#[test]
+fn both_front_ends_record_the_same_spans_on_every_route() {
+    let config = ServiceConfig::for_device(GpuDevice::rtx3060()).with_threads(1);
+    let blocking = EstimationService::new(config.clone());
+    let front =
+        AsyncEstimationService::from_service(Arc::new(EstimationService::new(config)), 1, 16);
+    let telemetry = Telemetry::new(TelemetryConfig::default());
+    let agree = |route: &str,
+                 ask_blocking: &dyn Fn(&EstimationService, &TraceContext),
+                 ask_async: &dyn Fn(&AsyncEstimationService, &TraceContext)| {
+        for round in ["cold", "warm"] {
+            let ctx = telemetry.begin_trace(None);
+            ask_blocking(&blocking, &ctx);
+            let expected = route_spans(&telemetry, &ctx);
+            let ctx = telemetry.begin_trace(None);
+            ask_async(&front, &ctx);
+            assert_eq!(route_spans(&telemetry, &ctx), expected, "{route}, {round}");
+            assert!(!expected.is_empty(), "{route}, {round}: no spans");
+        }
+    };
+
+    // One job family per route, so each route's first query is cold.
+    let estimate = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4);
+    agree(
+        "estimate",
+        &|service, ctx| drop(service.estimate_traced(&estimate, None, ctx)),
+        &|front, ctx| {
+            drop(
+                front
+                    .submit(&estimate, None, None, ctx)
+                    .expect("room")
+                    .wait(),
+            )
+        },
+    );
+    let sweep = job(ModelId::MobileNetV3Small, OptimizerKind::AdamW, 1);
+    let batches = [1, 2, 3, 4];
+    agree(
+        "sweep",
+        &|service, ctx| drop(service.sweep_traced(&sweep, &batches, ctx)),
+        &|front, ctx| {
+            drop(
+                front
+                    .sweep(&sweep, &batches, None, ctx)
+                    .expect("room")
+                    .wait(),
+            )
+        },
+    );
+    let plan = job(ModelId::MobileNetV3Small, OptimizerKind::RMSprop, 1);
+    let device = builtin("rtx4060");
+    agree(
+        "plan",
+        &|service, ctx| drop(service.max_batch_for_device_traced(&plan, device, 1, 8, ctx)),
+        &|front, ctx| {
+            drop(
+                front
+                    .plan(&plan, device, 1, 8, None, ctx)
+                    .expect("room")
+                    .wait(),
+            )
+        },
+    );
+    let matrix = [job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 16)];
+    agree(
+        "matrix",
+        &|service, ctx| drop(service.estimate_matrix_traced(&matrix, &DEVICES, ctx)),
+        &|front, ctx| {
+            drop(
+                front
+                    .matrix(&matrix, &DEVICES, None, ctx)
+                    .expect("room")
+                    .wait(),
+            )
+        },
+    );
+    let placement = job(ModelId::MobileNetV3Small, OptimizerKind::Adam, 24);
+    agree(
+        "placement",
+        &|service, ctx| drop(service.best_device_for_job_traced(&placement, ctx)),
+        &|front, ctx| drop(front.placement(&placement, None, ctx).expect("room").wait()),
+    );
 }

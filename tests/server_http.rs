@@ -11,12 +11,9 @@ use std::time::Duration;
 use xmem::prelude::*;
 use xmem::server::{api, HttpClient, ServerConfig, ServerHandle, WireLimits};
 use xmem::service::jobspec::job_to_value;
-use xmem::service::AsyncServiceConfig;
 
 fn start_server(config: ServerConfig) -> (ServerHandle, Arc<AsyncEstimationService>) {
-    let service = Arc::new(AsyncEstimationService::new(AsyncServiceConfig::for_device(
-        GpuDevice::rtx3060(),
-    )));
+    let service = Arc::new(AsyncEstimationService::for_device(GpuDevice::rtx3060()));
     let server =
         ServerHandle::bind("127.0.0.1:0", Arc::clone(&service), config).expect("bind loopback");
     (server, service)
@@ -35,6 +32,7 @@ fn small_spec(batch: usize) -> TrainJobSpec {
 /// byte-identical to rendering the equivalent direct service call.
 #[test]
 fn concurrent_keep_alive_clients_get_bit_identical_answers() {
+    let untraced = TraceContext::disabled();
     const CLIENTS: usize = 32;
     const ROUNDS: usize = 6;
     let (server, _service) = start_server(ServerConfig::default().with_workers(CLIENTS + 4));
@@ -50,17 +48,30 @@ fn concurrent_keep_alive_clients_get_bit_identical_answers() {
         expected.push((
             "/v1/estimate".to_string(),
             job_json(job),
-            api::estimate_body(&direct.estimate(job).expect("estimates")),
+            api::estimate_body(
+                &direct
+                    .estimate_traced(job, None, &untraced)
+                    .expect("estimates"),
+            ),
         ));
         expected.push((
             "/v1/estimate".to_string(),
             format!("{{\"job\":{},\"device\":\"rtx4060\"}}", job_json(job)),
-            api::estimate_body(&direct.estimate_on(job, "rtx4060").expect("estimates")),
+            api::estimate_body(
+                &direct
+                    .estimate_traced(job, Some("rtx4060"), &untraced)
+                    .expect("estimates"),
+            ),
         ));
         expected.push((
             "/v1/best-device".to_string(),
             job_json(job),
-            api::placement_body(direct.best_device_for_job(job).expect("places").as_ref()),
+            api::placement_body(
+                direct
+                    .best_device_for_job_traced(job, &untraced)
+                    .expect("places")
+                    .as_ref(),
+            ),
         ));
     }
     let expected = Arc::new(expected);
@@ -96,9 +107,10 @@ fn concurrent_keep_alive_clients_get_bit_identical_answers() {
 }
 
 /// A whole device matrix over the wire is byte-identical to rendering
-/// `estimate_matrix` directly.
+/// `estimate_matrix_traced` directly.
 #[test]
 fn matrix_and_sweep_responses_match_direct_rendering() {
+    let untraced = TraceContext::disabled();
     let (server, service) = start_server(ServerConfig::default());
     let mut client = HttpClient::connect(server.local_addr()).expect("connect");
 
@@ -112,7 +124,7 @@ fn matrix_and_sweep_responses_match_direct_rendering() {
     assert_eq!(response.status, 200);
     let direct = service
         .service()
-        .estimate_matrix(&jobs, &["rtx3060", "a100"])
+        .estimate_matrix_traced(&jobs, &["rtx3060", "a100"], &untraced)
         .expect("direct matrix");
     assert_eq!(response.text(), api::matrix_body(&direct));
 
@@ -124,7 +136,9 @@ fn matrix_and_sweep_responses_match_direct_rendering() {
         .post_json("/v1/sweep", &sweep_request)
         .expect("sweep");
     assert_eq!(response.status, 200);
-    let direct_sweep = service.service().sweep(&small_spec(1), &[1, 2, 4]);
+    let direct_sweep = service
+        .service()
+        .sweep_traced(&small_spec(1), &[1, 2, 4], &untraced);
     assert_eq!(response.text(), api::sweep_body(&direct_sweep));
 
     let report = server.shutdown();
@@ -137,6 +151,7 @@ fn matrix_and_sweep_responses_match_direct_rendering() {
 /// an explicit batch.
 #[test]
 fn grid_routes_accept_jobs_without_a_batch_field() {
+    let untraced = TraceContext::disabled();
     let (server, service) = start_server(ServerConfig::default());
     let mut client = HttpClient::connect(server.local_addr()).expect("connect");
 
@@ -147,7 +162,9 @@ fn grid_routes_accept_jobs_without_a_batch_field() {
         .post_json("/v1/sweep", &sweep_request)
         .expect("sweep");
     assert_eq!(response.status, 200, "{}", response.text());
-    let direct_sweep = service.service().sweep(&small_spec(1), &[1, 2, 4]);
+    let direct_sweep = service
+        .service()
+        .sweep_traced(&small_spec(1), &[1, 2, 4], &untraced);
     assert_eq!(response.text(), api::sweep_body(&direct_sweep));
 
     let plan_request = format!("{{\"job\":{batchless},\"device\":\"rtx3060\",\"max\":64}}");
@@ -160,7 +177,7 @@ fn grid_routes_accept_jobs_without_a_batch_field() {
         .expect("registered device");
     let direct_plan = service
         .service()
-        .max_batch_for_device(&small_spec(1), device, 1, 64)
+        .max_batch_for_device_traced(&small_spec(1), device, 1, 64, &untraced)
         .expect("direct plan");
     assert_eq!(response.text(), api::plan_body(direct_plan));
 
@@ -376,10 +393,12 @@ fn adversarial_requests_get_clean_errors_and_no_worker_dies() {
 #[test]
 fn deadlines_and_backpressure_map_to_504_and_503() {
     // One async worker and a one-deep queue make overload deterministic.
-    let service = Arc::new(AsyncEstimationService::new(
-        AsyncServiceConfig::for_device(GpuDevice::rtx3060())
-            .with_workers(1)
-            .with_queue_depth(1),
+    let service = Arc::new(AsyncEstimationService::from_service(
+        Arc::new(EstimationService::new(ServiceConfig::for_device(
+            GpuDevice::rtx3060(),
+        ))),
+        1,
+        1,
     ));
     let server = ServerHandle::bind(
         "127.0.0.1:0",
@@ -469,10 +488,12 @@ fn inline_and_worker_path_503s_are_byte_identical() {
     // `connection: close` requests must then surface a 503, captured raw
     // to EOF so the comparison covers every byte on the wire.
     let worker_bytes = {
-        let service = Arc::new(AsyncEstimationService::new(
-            AsyncServiceConfig::for_device(GpuDevice::rtx3060())
-                .with_workers(1)
-                .with_queue_depth(1),
+        let service = Arc::new(AsyncEstimationService::from_service(
+            Arc::new(EstimationService::new(ServiceConfig::for_device(
+                GpuDevice::rtx3060(),
+            ))),
+            1,
+            1,
         ));
         let server = ServerHandle::bind(
             "127.0.0.1:0",

@@ -37,6 +37,7 @@ fn concurrent_calls_match_the_sequential_estimator_bit_for_bit() {
                 let service = Arc::clone(&service);
                 let specs = specs.clone();
                 scope.spawn(move || {
+                    let untraced = TraceContext::disabled();
                     // Interleave spec order across workers to mix cold and
                     // warm lookups.
                     let mut mine: Vec<(usize, Estimate)> = specs
@@ -45,7 +46,14 @@ fn concurrent_calls_match_the_sequential_estimator_bit_for_bit() {
                         .cycle()
                         .skip(worker % specs.len())
                         .take(specs.len())
-                        .map(|(i, s)| (i, service.estimate(s).expect("service estimate")))
+                        .map(|(i, s)| {
+                            (
+                                i,
+                                service
+                                    .estimate_traced(s, None, &untraced)
+                                    .expect("service estimate"),
+                            )
+                        })
                         .collect();
                     mine.sort_by_key(|&(i, _)| i);
                     mine.into_iter().map(|(_, e)| e).collect::<Vec<_>>()
@@ -75,11 +83,16 @@ fn concurrent_calls_match_the_sequential_estimator_bit_for_bit() {
 
 #[test]
 fn cache_hit_path_returns_the_same_estimate_as_the_cold_path() {
+    let untraced = TraceContext::disabled();
     let device = GpuDevice::rtx3060();
     let service = EstimationService::new(ServiceConfig::for_device(device));
     for spec in specs_under_test() {
-        let cold = service.estimate(&spec).expect("cold estimate");
-        let warm = service.estimate(&spec).expect("warm estimate");
+        let cold = service
+            .estimate_traced(&spec, None, &untraced)
+            .expect("cold estimate");
+        let warm = service
+            .estimate_traced(&spec, None, &untraced)
+            .expect("warm estimate");
         assert_eq!(cold, warm, "cache must not perturb {}", spec.label());
     }
     let stats = service.cache_stats();
@@ -89,6 +102,7 @@ fn cache_hit_path_returns_the_same_estimate_as_the_cold_path() {
 
 #[test]
 fn sweep_matches_a_sequential_estimator_loop() {
+    let untraced = TraceContext::disabled();
     let device = GpuDevice::rtx3060();
     let base =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 1).with_iterations(2);
@@ -105,7 +119,7 @@ fn sweep_matches_a_sequential_estimator_loop() {
         .collect();
 
     let service = EstimationService::new(ServiceConfig::for_device(device));
-    let swept = service.sweep(&base, &batches);
+    let swept = service.sweep_traced(&base, &batches, &untraced);
     assert_eq!(swept.len(), batches.len());
     for ((batch, estimate), (want_batch, want)) in swept.iter().zip(batches.iter().zip(&expected)) {
         assert_eq!(batch, want_batch);
@@ -118,7 +132,7 @@ fn sweep_matches_a_sequential_estimator_loop() {
 
     // A repeated sweep is answered entirely from cache: no new profiling.
     let insertions_before = service.cache_stats().insertions;
-    let again = service.sweep(&base, &batches);
+    let again = service.sweep_traced(&base, &batches, &untraced);
     let stats = service.cache_stats();
     assert_eq!(
         stats.insertions, insertions_before,
@@ -132,11 +146,12 @@ fn sweep_matches_a_sequential_estimator_loop() {
 
 /// Under a paper-default estimator the default route *is* the primary
 /// device's sim cell: bit-identical to the sequential estimator, a pure
-/// cell hit on repeat, and the same cell `estimate_on` reads for the
-/// primary device's registry name — for a roomy job and for one that
+/// cell hit on repeat, and the same cell `estimate_traced` reads under
+/// the primary device's registry name — for a roomy job and for one that
 /// overflows the card.
 #[test]
 fn default_estimate_is_served_from_the_primary_device_sim_cell() {
+    let untraced = TraceContext::disabled();
     let device = GpuDevice::rtx3060();
     let roomy =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 8).with_iterations(2);
@@ -149,7 +164,9 @@ fn default_estimate_is_served_from_the_primary_device_sim_cell() {
     for spec in [&roomy, &pressured] {
         let expected = sequential.estimate_job(spec).expect("sequential estimate");
         assert_eq!(
-            service.estimate(spec).expect("cold estimate"),
+            service
+                .estimate_traced(spec, None, &untraced)
+                .expect("cold estimate"),
             expected,
             "cold default route diverged for {}",
             spec.label()
@@ -158,7 +175,9 @@ fn default_estimate_is_served_from_the_primary_device_sim_cell() {
         let sims = service.sim_runs();
         let hits = service.sim_stats().cache.hits;
 
-        let warm = service.estimate(spec).expect("warm estimate");
+        let warm = service
+            .estimate_traced(spec, None, &untraced)
+            .expect("warm estimate");
         assert_eq!(warm, expected, "warm default route diverged");
         assert_eq!(
             service.profile_runs(),
@@ -169,7 +188,7 @@ fn default_estimate_is_served_from_the_primary_device_sim_cell() {
         assert_eq!(service.sim_stats().cache.hits, hits + 1);
 
         let named = service
-            .estimate_on(spec, "rtx3060")
+            .estimate_traced(spec, Some("rtx3060"), &untraced)
             .expect("named estimate");
         assert_eq!(named, expected);
         assert_eq!(service.sim_runs(), sims, "the named cell is the same cell");
@@ -193,18 +212,23 @@ fn default_estimate_is_served_from_the_primary_device_sim_cell() {
 /// zero sim runs.
 #[test]
 fn default_estimate_cells_survive_a_restart() {
+    let untraced = TraceContext::disabled();
     let dir = std::env::temp_dir().join(format!("xmem-default-cell-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = || ServiceConfig::for_device(GpuDevice::rtx3060()).with_state_dir(&dir);
     let spec = &specs_under_test()[0];
 
     let first = EstimationService::new(config());
-    let before = first.estimate(spec).expect("cold estimate");
+    let before = first
+        .estimate_traced(spec, None, &untraced)
+        .expect("cold estimate");
     assert_eq!(first.sim_runs(), 1);
     drop(first);
 
     let reopened = EstimationService::new(config());
-    let after = reopened.estimate(spec).expect("warm estimate");
+    let after = reopened
+        .estimate_traced(spec, None, &untraced)
+        .expect("warm estimate");
     assert_eq!(after, before, "the recovered cell diverged");
     assert_eq!(reopened.profile_runs(), 0);
     assert_eq!(reopened.sim_runs(), 0);

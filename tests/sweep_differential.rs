@@ -43,9 +43,10 @@ fn assert_matches_sequential(
     analyses: &[AnalyzedTrace],
     fleet: &[(&str, GpuDevice)],
 ) {
+    let untraced = TraceContext::disabled();
     for &(name, device) in fleet {
         let service = EstimationService::for_device(device);
-        let swept = service.sweep(base, &BATCHES);
+        let swept = service.sweep_traced(base, &BATCHES, &untraced);
         for (((batch, estimate), &want), analyzed) in swept.iter().zip(&BATCHES).zip(analyses) {
             assert_eq!(*batch, want, "rows keep the swept batch order");
             assert_eq!(
@@ -83,9 +84,10 @@ fn analyses(base: &TrainJobSpec) -> Vec<AnalyzedTrace> {
 
 #[test]
 fn incremental_sweep_is_bit_identical_to_the_sequential_estimator() {
+    let untraced = TraceContext::disabled();
     let base = base_job();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
-    let cells = service.sweep(&base, &BATCHES);
+    let cells = service.sweep_traced(&base, &BATCHES, &untraced);
 
     assert_eq!(cells.len(), BATCHES.len());
     for (batch, estimate) in &cells {
@@ -113,17 +115,18 @@ fn incremental_sweep_is_bit_identical_to_the_sequential_estimator() {
 
 #[test]
 fn repeated_sweeps_reuse_one_parameterized_fit() {
+    let untraced = TraceContext::disabled();
     let base = base_job();
     let service = EstimationService::for_device(GpuDevice::rtx3060());
-    let first = service.sweep(&base, &BATCHES);
-    let second = service.sweep(&base, &BATCHES);
+    let first = service.sweep_traced(&base, &BATCHES, &untraced);
+    let second = service.sweep_traced(&base, &BATCHES, &untraced);
     assert_eq!(first.len(), second.len());
     for ((b1, e1), (b2, e2)) in first.iter().zip(&second) {
         assert_eq!(b1, b2);
         assert_eq!(e1.as_ref().unwrap(), e2.as_ref().unwrap());
     }
     // A narrower re-sweep inside the fitted range reuses the same fit.
-    service.sweep(&base, &[2, 3, 4, 6]);
+    service.sweep_traced(&base, &[2, 3, 4, 6], &untraced);
     assert_eq!(service.profile_runs(), 3, "anchors profile once");
     assert_eq!(service.sim_stats().param_replays, 1, "the fit is cached");
 }
@@ -192,6 +195,7 @@ fn pseudo_random_fleets_agree_across_sweep_strategies() {
 
 #[test]
 fn admission_bisection_agrees_across_sweep_strategies() {
+    let untraced = TraceContext::disabled();
     // The admission answer must be strategy-independent on a device the
     // model actually pressures (the bisection brackets an interior OOM
     // boundary, so probes mix fitting and OOMing batches).
@@ -199,7 +203,7 @@ fn admission_bisection_agrees_across_sweep_strategies() {
     let incremental = EstimationService::for_device(GpuDevice::rtx3060());
     let device = GpuDevice::rtx4060();
     let answer = incremental
-        .max_batch_for_device(&base, device, 1, 32)
+        .max_batch_for_device_traced(&base, device, 1, 32, &untraced)
         .expect("estimates")
         .expect("batch 1 fits");
     // The sequential estimator agrees: the answer fits, one more does not.

@@ -97,6 +97,7 @@ const COLD_STAGES_BYTES: u64 = 1_100_000;
 
 #[test]
 fn warm_answers_share_their_estimates() {
+    let untraced = TraceContext::disabled();
     // The serving benchmark's fleet: the three built-ins and five more.
     let registry = DeviceRegistry::builtin();
     registry
@@ -110,7 +111,9 @@ fn warm_answers_share_their_estimates() {
     let jobs = jobs();
     let columns: Vec<&str> = devices.iter().map(String::as_str).collect();
 
-    let cold = service.estimate_matrix(&jobs, &columns).expect("resolves");
+    let cold = service
+        .estimate_matrix_traced(&jobs, &columns, &untraced)
+        .expect("resolves");
     let row = &cold.rows[0];
     let first = row.cells[0].estimate.as_ref().expect("estimates");
     let second = row.cells[1].estimate.as_ref().expect("estimates");
@@ -125,13 +128,23 @@ fn warm_answers_share_their_estimates() {
     assert_eq!(made, 0, "cloning an estimate allocates nothing");
 
     let spec = &jobs[0];
-    let expected = service.estimate(spec).expect("estimates");
-    let (warm, made) = counted(|| service.estimate(spec).expect("estimates"));
+    let expected = service
+        .estimate_traced(spec, None, &untraced)
+        .expect("estimates");
+    let (warm, made) = counted(|| {
+        service
+            .estimate_traced(spec, None, &untraced)
+            .expect("estimates")
+    });
     eprintln!("warm estimate: {made} allocations");
     assert_eq!(warm, expected);
     assert_eq!(made, 0, "a warm default-device estimate allocates nothing");
 
-    let (warm, made) = counted(|| service.estimate_matrix(&jobs, &columns).expect("resolves"));
+    let (warm, made) = counted(|| {
+        service
+            .estimate_matrix_traced(&jobs, &columns, &untraced)
+            .expect("resolves")
+    });
     assert_eq!(warm, cold);
     let cells = warm.num_cells() as u64;
     eprintln!("warm {cells}-cell matrix: {made} allocations");
@@ -141,8 +154,14 @@ fn warm_answers_share_their_estimates() {
         "a warm {cells}-cell matrix made {made} allocations"
     );
 
-    let expected = service.best_device_for_job(spec).expect("places");
-    let (warm, made) = counted(|| service.best_device_for_job(spec).expect("places"));
+    let expected = service
+        .best_device_for_job_traced(spec, &untraced)
+        .expect("places");
+    let (warm, made) = counted(|| {
+        service
+            .best_device_for_job_traced(spec, &untraced)
+            .expect("places")
+    });
     eprintln!("warm placement: {made} allocations");
     assert_eq!(warm, expected);
     assert!(
@@ -156,7 +175,8 @@ fn warm_answers_share_their_estimates() {
     let fresh = EstimationService::new(ServiceConfig::for_device(GpuDevice::rtx3060()));
     let spec =
         TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
-    let (stages, made, bytes) = counted_bytes(|| fresh.stages(&spec).expect("analyzes"));
+    let (stages, made, bytes) =
+        counted_bytes(|| fresh.stages_traced(&spec, &untraced).expect("analyzes"));
     eprintln!(
         "cold stages: {made} allocations, {bytes} bytes, analysis {} bytes",
         stages.approx_bytes()
