@@ -14,6 +14,8 @@
 use crate::wire::{push_json_string, Request, Response};
 use serde::Value;
 use std::fmt::Write as _;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmem_core::{AnalysisStats, DeviceMatrix, DevicePlacement, Estimate, EstimateError};
 use xmem_runtime::{Precision, TrainJobSpec, ZeroGradPos};
@@ -165,13 +167,22 @@ fn push_error(out: &mut String, kind: &str, message: &str) {
     out.push('}');
 }
 
+/// The first stats object written into a matrix row, and the range of
+/// the body it was written to: a later cell of the row whose stats
+/// compare equal copies those bytes.
+type RenderedStats<'a> = Option<(&'a AnalysisStats, Range<usize>)>;
+
 /// A matrix cell's or sweep entry's outcome member: `"estimate":{...}`,
 /// or `"error":{...}` for a per-cell failure (no leading comma).
-fn push_outcome(out: &mut String, outcome: &Result<Estimate, EstimateError>) {
+fn push_outcome<'a>(
+    out: &mut String,
+    outcome: &'a Result<Estimate, EstimateError>,
+    rendered: &mut RenderedStats<'a>,
+) {
     match outcome {
         Ok(estimate) => {
             out.push_str("\"estimate\":");
-            push_estimate(out, estimate);
+            push_estimate(out, estimate, rendered);
         }
         Err(error) => {
             let (_, kind) = estimate_error_status(error);
@@ -183,9 +194,10 @@ fn push_outcome(out: &mut String, outcome: &Result<Estimate, EstimateError>) {
 
 /// An [`Estimate`] on the wire: the peak numbers, the OOM verdict, and
 /// the analysis diagnostics (the usage curve is omitted — timeline
-/// recording is off on the serving path).
-fn push_estimate(out: &mut String, estimate: &Estimate) {
-    let stats = &estimate.stats;
+/// recording is off on the serving path). Stats equal to `rendered`'s
+/// are copied from the body, not written again; stats written here
+/// become `rendered` if it is empty.
+fn push_estimate<'a>(out: &mut String, estimate: &'a Estimate, rendered: &mut RenderedStats<'a>) {
     out.push_str("{\"peak_bytes\":");
     push_u64(out, estimate.peak_bytes);
     out.push_str(",\"job_peak_bytes\":");
@@ -198,7 +210,33 @@ fn push_estimate(out: &mut String, estimate: &Estimate) {
     } else {
         "false"
     });
-    out.push_str(",\"stats\":{\"categories\":[");
+    out.push_str(",\"stats\":");
+    match rendered {
+        Some((stats, bytes)) if same_stats(stats, &estimate.stats) => {
+            out.extend_from_within(bytes.clone());
+        }
+        _ => {
+            let start = out.len();
+            push_stats(out, &estimate.stats);
+            rendered.get_or_insert((&estimate.stats, start..out.len()));
+        }
+    }
+    out.push('}');
+}
+
+/// `a == b`, deciding a shared category list by its pointer: `==` on an
+/// `Arc<[_]>` compares element by element even when both sides are one
+/// allocation.
+fn same_stats(a: &AnalysisStats, b: &AnalysisStats) -> bool {
+    (Arc::ptr_eq(&a.categories, &b.categories) || a.categories == b.categories)
+        && a.filtered_blocks == b.filtered_blocks
+        && a.adjusted_blocks == b.adjusted_blocks
+        && a.unmatched_frees == b.unmatched_frees
+}
+
+/// An estimate's `"stats"` object.
+fn push_stats(out: &mut String, stats: &AnalysisStats) {
+    out.push_str("{\"categories\":[");
     for (i, (name, blocks, bytes)) in stats.categories.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -217,7 +255,7 @@ fn push_estimate(out: &mut String, estimate: &Estimate) {
     push_usize(out, stats.adjusted_blocks);
     out.push_str(",\"unmatched_frees\":");
     push_usize(out, stats.unmatched_frees);
-    out.push_str("}}");
+    out.push('}');
 }
 
 /// A job object, in [`jobspec::job_to_value`]'s field order: optional
@@ -249,12 +287,19 @@ fn push_job(out: &mut String, spec: &TrainJobSpec) {
 pub fn estimate_body(estimate: &Estimate) -> String {
     let mut out = String::with_capacity(ESTIMATE_BYTES);
     out.push_str("{\"estimate\":");
-    push_estimate(&mut out, estimate);
+    push_estimate(&mut out, estimate, &mut None);
     out.push('}');
     out
 }
 
 /// The `POST /v1/matrix` success body.
+///
+/// Every `Ok` cell of a row carries equal stats: they are a function of
+/// the job's analysis alone, so the roomy cells of a row share one
+/// allocation and its fully replayed cells are equal by value. A row
+/// writes its first stats object and copies those bytes into each later
+/// cell whose stats compare equal; equality is checked per cell, so a
+/// cell whose stats differ (a peer-relayed cell, say) is written in full.
 #[must_use]
 pub fn matrix_body(matrix: &DeviceMatrix) -> String {
     // A cell is `{"device":<name>,` around an estimate's members.
@@ -277,6 +322,7 @@ pub fn matrix_body(matrix: &DeviceMatrix) -> String {
         out.push_str("{\"job\":");
         push_job(&mut out, &row.spec);
         out.push_str(",\"cells\":[");
+        let mut rendered = None;
         for (j, cell) in row.cells.iter().enumerate() {
             if j > 0 {
                 out.push(',');
@@ -284,7 +330,7 @@ pub fn matrix_body(matrix: &DeviceMatrix) -> String {
             out.push_str("{\"device\":");
             push_json_string(&mut out, &cell.device);
             out.push(',');
-            push_outcome(&mut out, &cell.estimate);
+            push_outcome(&mut out, &cell.estimate, &mut rendered);
             out.push('}');
         }
         out.push_str("]}");
@@ -305,7 +351,8 @@ pub fn sweep_body(results: &[(usize, Result<Estimate, EstimateError>)]) -> Strin
         out.push_str("{\"batch\":");
         push_usize(&mut out, *batch);
         out.push(',');
-        push_outcome(&mut out, outcome);
+        // Each entry is another batch size, so another analysis.
+        push_outcome(&mut out, outcome, &mut None);
         out.push('}');
     }
     out.push_str("]}");
@@ -335,7 +382,7 @@ pub fn placement_body(placement: Option<&DevicePlacement>) -> String {
             out.push_str("{\"device\":");
             push_json_string(&mut out, &p.device);
             out.push_str(",\"estimate\":");
-            push_estimate(&mut out, &p.estimate);
+            push_estimate(&mut out, &p.estimate, &mut None);
             out.push('}');
         }
         None => out.push_str("null"),

@@ -544,16 +544,18 @@ fn run() -> Result<(), String> {
         "sweep" => {
             let spec = job_with_batch(&flags, Some(1))?;
             let device = device_of(&flags, &registry_of(&flags)?)?;
-            let batches = batch_grid(
-                flags
-                    .get("batches")
-                    .ok_or("--batches is required (e.g. --batches 1,2,4,8)")?
-                    .split(',')
-                    .map(|raw| raw.trim().parse().map_err(|_| format!("bad batch `{raw}`"))),
-            )?;
-            if batches.is_empty() {
+            let grid = flags
+                .get("batches")
+                .ok_or("--batches is required (e.g. --batches 1,2,4,8)")?;
+            // `split` yields one item even from a blank flag, so the empty
+            // grid is told apart before splitting.
+            if grid.trim().is_empty() {
                 return Err("--batches must name at least one batch size".to_string());
             }
+            let batches = batch_grid(
+                grid.split(',')
+                    .map(|raw| raw.trim().parse().map_err(|_| format!("bad batch `{raw}`"))),
+            )?;
             let service = EstimationService::new(
                 ServiceConfig::for_device(device).with_threads(threads_of(&flags)?),
             );

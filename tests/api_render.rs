@@ -4,6 +4,7 @@
 //! contract's reference shape; it lives only here.
 
 use serde::Value;
+use std::sync::Arc;
 use xmem::core::{AnalysisStats, EstimateError};
 use xmem::prelude::*;
 use xmem::runtime::Precision;
@@ -188,6 +189,91 @@ fn every_error() -> Vec<EstimateError> {
     ]
 }
 
+/// Rows that a per-row stats memo could get wrong. Cells share one
+/// stats allocation, hold equal stats in separate allocations, or hold
+/// stats that differ from their neighbours' in one scalar or in one
+/// category's bytes; error cells come first in a row and between
+/// estimates.
+fn memo_matrix() -> DeviceMatrix {
+    let shared = synthetic_estimate(12_345, false, &["weights", "activations", "optimizer"]);
+    let separate = |mut estimate: Estimate| {
+        estimate.stats.categories = estimate.stats.categories.iter().cloned().collect();
+        estimate
+    };
+    let copied = separate(shared.clone());
+    let mut other_head = shared.clone();
+    other_head.peak_bytes += 1;
+    other_head.oom_predicted = true;
+    // The scalar variants keep the shared category list.
+    let mut filtered = shared.clone();
+    filtered.stats.filtered_blocks -= 1;
+    let mut adjusted = shared.clone();
+    adjusted.stats.adjusted_blocks += 1;
+    let mut unmatched = shared.clone();
+    unmatched.stats.unmatched_frees += 1;
+    let mut bytes = separate(shared.clone());
+    let mut categories = bytes.stats.categories.to_vec();
+    categories[1].2 -= 1;
+    bytes.stats.categories = categories.into();
+    let error = || Err(EstimateError::DeadlineExceeded);
+
+    let rows: Vec<Vec<Result<Estimate, EstimateError>>> = vec![
+        vec![
+            Ok(shared.clone()),
+            Ok(shared.clone()),
+            Ok(copied.clone()),
+            Ok(shared.clone()),
+            Ok(other_head),
+            Ok(copied.clone()),
+        ],
+        vec![
+            error(),
+            Ok(shared.clone()),
+            Ok(filtered.clone()),
+            Ok(shared.clone()),
+            Ok(adjusted),
+            Ok(unmatched),
+        ],
+        vec![
+            Ok(shared.clone()),
+            error(),
+            Ok(copied.clone()),
+            Ok(bytes.clone()),
+            Ok(shared.clone()),
+            error(),
+        ],
+        vec![
+            Ok(bytes),
+            Ok(copied),
+            Ok(shared),
+            error(),
+            error(),
+            Ok(filtered),
+        ],
+        vec![error(), error(), error(), error(), error(), error()],
+    ];
+    let devices: Vec<String> = (0..6).map(|d| format!("memo-{d}")).collect();
+    let jobs = flagged_jobs();
+    DeviceMatrix {
+        rows: rows
+            .into_iter()
+            .enumerate()
+            .map(|(r, outcomes)| MatrixRow {
+                spec: jobs[r % jobs.len()].clone(),
+                cells: devices
+                    .iter()
+                    .zip(outcomes)
+                    .map(|(device, estimate)| MatrixCell {
+                        device: device.clone(),
+                        estimate,
+                    })
+                    .collect(),
+            })
+            .collect(),
+        devices,
+    }
+}
+
 #[test]
 fn synthetic_bodies_match_the_reference_tree() {
     let estimates = [
@@ -228,6 +314,8 @@ fn synthetic_bodies_match_the_reference_tree() {
             .collect(),
     };
     assert_eq!(api::matrix_body(&matrix), reference::matrix_body(&matrix));
+    let memo = memo_matrix();
+    assert_eq!(api::matrix_body(&memo), reference::matrix_body(&memo));
     let empty = DeviceMatrix {
         devices: Vec::new(),
         rows: Vec::new(),
@@ -323,4 +411,68 @@ fn served_bodies_match_the_reference_tree() {
     let sweep = service.sweep_traced(degenerate, &[1, 2], &untraced);
     assert!(sweep.iter().all(|(_, outcome)| outcome.is_err()));
     assert_eq!(api::sweep_body(&sweep), reference::sweep_body(&sweep));
+
+    // A warm 16 x 8 matrix over the serving benchmark's fleet: the three
+    // built-ins and five more.
+    let registry = DeviceRegistry::builtin();
+    registry
+        .extend_from_json_str(include_str!("../perfbench/fleet.json"))
+        .expect("fleet file parses");
+    let devices = registry.names();
+    assert_eq!(devices.len(), 8);
+    let columns: Vec<&str> = devices.iter().map(String::as_str).collect();
+    let service = EstimationService::new(
+        ServiceConfig::for_device(GpuDevice::rtx3060()).with_registry(registry),
+    );
+    let jobs = fleet_jobs();
+    let cold = service
+        .estimate_matrix_traced(&jobs, &columns, &untraced)
+        .expect("resolves");
+    let warm = service
+        .estimate_matrix_traced(&jobs, &columns, &untraced)
+        .expect("resolves");
+    assert_eq!(warm, cold);
+    // Every row's stats are equal; roomy cells share the allocation of
+    // the row's first cell, capacity-pressured ones hold their own.
+    let (mut shared, mut separate) = (0, 0);
+    for row in &warm.rows {
+        let mut stats = row.cells.iter().map(|cell| match &cell.estimate {
+            Ok(estimate) => &estimate.stats,
+            Err(error) => panic!("{}: {error}", row.spec.label()),
+        });
+        let first = stats.next().expect("eight cells");
+        for other in stats {
+            assert_eq!(other, first, "{}", row.spec.label());
+            if Arc::ptr_eq(&other.categories, &first.categories) {
+                shared += 1;
+            } else {
+                separate += 1;
+            }
+        }
+    }
+    assert!(
+        shared > 0 && separate > 0,
+        "{shared} cells share their row's stats, {separate} hold a copy"
+    );
+    assert_eq!(api::matrix_body(&warm), reference::matrix_body(&warm));
+}
+
+/// Sixteen jobs: eight small CNN jobs that fit every device, and eight
+/// DistilGPT-2 jobs of 16 to 128 samples, the larger of which press the
+/// 8, 12 and 16 GiB cards into full replays.
+fn fleet_jobs() -> Vec<TrainJobSpec> {
+    let mut jobs = Vec::new();
+    for optimizer in [OptimizerKind::Adam, OptimizerKind::Sgd { momentum: true }] {
+        for batch in [1, 2, 4, 8] {
+            jobs.push(
+                TrainJobSpec::new(ModelId::MobileNetV3Small, optimizer, batch).with_iterations(2),
+            );
+        }
+    }
+    for batch in (1..=8).map(|i| 16 * i) {
+        jobs.push(
+            TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, batch).with_iterations(2),
+        );
+    }
+    jobs
 }

@@ -1,8 +1,9 @@
 //! What a warm answer allocates: a cached estimate is shared, not
 //! copied, so a sim-cell hit costs a refcount and the heap is touched
 //! only for what the answer itself owns (device names, row and cell
-//! vectors). And what a cold analysis allocates: the service analyzes
-//! the engine's events as they arrive, so it records no trace.
+//! vectors), and rendering the answer allocates only its body. And what
+//! a cold analysis allocates: the service analyzes the engine's events
+//! as they arrive, so it records no trace.
 //!
 //! The binary holds a single test: its global allocator counts every
 //! thread, and a second test running alongside would show up in the
@@ -13,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xmem::prelude::*;
+use xmem::server::api;
 
 /// The system allocator, keeping a count of allocations made and of the
 /// bytes they asked for.
@@ -152,6 +154,15 @@ fn warm_answers_share_their_estimates() {
     assert!(
         made <= 2 * cells,
         "a warm {cells}-cell matrix made {made} allocations"
+    );
+    let (body, made) = counted(|| api::matrix_body(&warm));
+    eprintln!(
+        "warm {cells}-cell matrix body: {made} allocations, {} B",
+        body.len()
+    );
+    assert_eq!(
+        made, 1,
+        "rendering a matrix allocates its pre-sized body and nothing else"
     );
 
     let expected = service
