@@ -1,18 +1,18 @@
-//! `cache` — the adaptive-tiering cache benchmark.
+//! `cache` — the cache-tiering benchmark.
 //!
 //! Replays one deterministic, skewed [`JobKey`] trace — a Zipf(s≈1.0)
 //! popularity distribution over a few thousand jobs, polluted with
 //! one-shot scan keys (every 10th access is a key never seen again, the
 //! sweep/probe traffic shape) and a hot-set rotation at the halfway mark
-//! (the workload the online tuner exists for) — against the same
-//! `ShardedLruCache` under four policies at an **identical entry
-//! capacity**, the only bound a cache has: plain LRU, static SLRU at
-//! several pinned fractions, and the default self-tuning adaptive tier
-//! (TinyLFU admission + ghost lists + hill-climbing tuner). Emits
-//! `BENCH_cache.json` with per-policy hit rates, replay/warm-serve
-//! throughput, resident bytes, and the adaptive machinery's counters,
-//! asserting in-harness that the adaptive policy beats plain
-//! LRU *and* the best static fraction on hit-rate.
+//! — against the same `ShardedLruCache` under each policy at an
+//! **identical entry capacity**, the only bound a cache has: plain LRU,
+//! static SLRU at several pinned fractions (including the service's own
+//! 875‰ split, without the gate), and the service's gated SLRU (875‰
+//! behind the TinyLFU admission gate). Emits `BENCH_cache.json` with
+//! per-policy hit rates, replay/warm-serve throughput, resident bytes and
+//! the gate's counters, asserting in-harness that the gated policy beats
+//! plain LRU, does not lose to the best static fraction, and does not
+//! lose to the hill-climbing tuner it replaced.
 //!
 //! Usage: `cache [--quick] [--out PATH]`
 //!
@@ -70,15 +70,11 @@ struct PolicyResult {
     insertions: u64,
     evictions: u64,
     promoted: u64,
-    /// TinyLFU gate denials (adaptive only; 0 elsewhere).
+    /// TinyLFU gate denials (gated only; 0 elsewhere).
     admission_denied: u64,
-    /// Ghost-list hits consumed by the tuner (adaptive only).
-    ghost_hits: u64,
-    /// Hill-climbing adjustments of the protected fraction.
-    tuner_steps: u64,
-    /// Frequency-sketch halving decays.
+    /// Frequency-sketch halving decays (gated only).
     sketch_resets: u64,
-    /// The live protected fraction after the replay, in permille.
+    /// The protected cap over the capacity, in permille.
     protected_frac_permille: u32,
     /// What the resident entries weigh after the replay (the weigher's
     /// gauge, `xmem_cache_bytes_in_use` in the service).
@@ -92,13 +88,16 @@ struct Derived {
     best_static_hit_rate: f64,
     /// The pinned fraction that won among the static rows.
     best_static_frac: f64,
-    adaptive_hit_rate: f64,
-    /// Adaptive hit-rate minus plain LRU's (the CI-gated headline).
-    adaptive_vs_plain_delta: f64,
-    /// Adaptive hit-rate minus the best static fraction's.
-    adaptive_vs_best_static_delta: f64,
-    /// The learned protected fraction the tuner settled on, in permille.
-    adaptive_learned_frac_permille: u32,
+    gated_hit_rate: f64,
+    /// Gated hit-rate minus plain LRU's (the CI-gated headline).
+    gated_vs_plain_delta: f64,
+    /// Gated hit-rate minus the best static fraction's.
+    gated_vs_best_static_delta: f64,
+    /// The hit rate the hill-climbing tuner the gated policy replaced
+    /// scored on this trace, in this mode.
+    replaced_tuner_hit_rate: f64,
+    /// The gated policy's protected fraction, in permille.
+    gated_protected_frac_permille: u32,
 }
 
 #[derive(Debug, Serialize)]
@@ -302,8 +301,6 @@ fn run_policy(
         evictions: stats.evictions,
         promoted: stats.promoted,
         admission_denied: stats.admission_denied,
-        ghost_hits: stats.ghost_hits,
-        tuner_steps: stats.tuner_steps,
         sketch_resets: stats.sketch_resets,
         protected_frac_permille: tier.protected_frac_permille,
         bytes_in_use: tier.bytes_in_use,
@@ -357,21 +354,25 @@ fn main() {
         &mut benchmarks,
     );
 
-    let static_fracs = [0.25, 0.5, 0.75];
-    for &frac in &static_fracs {
-        let name = format!("static_slru_{:02}", (frac * 100.0) as u32);
+    let static_fracs = [
+        ("static_slru_25", 0.25),
+        ("static_slru_50", 0.5),
+        ("static_slru_75", 0.75),
+        ("static_slru_875", 0.875),
+    ];
+    for &(name, frac) in &static_fracs {
         let cache = build(&|plain| plain.with_segmented_admission(frac));
-        policies.push(run_policy(&name, &cache, &trace, &keys, &mut benchmarks));
+        policies.push(run_policy(name, &cache, &trace, &keys, &mut benchmarks));
     }
 
-    let adaptive_cache = build(&|plain| plain.with_adaptive_tiering(0.5));
-    let adaptive = run_policy("adaptive", &adaptive_cache, &trace, &keys, &mut benchmarks);
+    let gated_cache = build(&|plain| plain.with_gated_slru());
+    let gated = run_policy("gated", &gated_cache, &trace, &keys, &mut benchmarks);
 
     // --- in-harness proof obligations ----------------------------------
     let (best_static_hit_rate, best_static_frac) = policies
         .iter()
         .zip(&static_fracs)
-        .map(|(p, &f)| (p.hit_rate, f))
+        .map(|(p, &(_, f))| (p.hit_rate, f))
         .fold(
             (0.0f64, 0.0f64),
             |best, cur| {
@@ -382,68 +383,76 @@ fn main() {
                 }
             },
         );
+    // The hill-climbing tuner (ghost lists steering the protected split
+    // inside 125–875‰) that every service tier ran before the split was
+    // fixed scored these hit rates on this trace: quick, full.
+    let replaced_tuner_hit_rate = if quick { 0.6390 } else { 0.6798 };
     println!(
-        "hit rates: plain {:.4} | best static ({best_static_frac}) {:.4} | adaptive {:.4} (learned {}‰, {} denials, {} ghost hits, {} tuner steps, {} sketch resets)",
+        "hit rates: plain {:.4} | best static ({best_static_frac}) {:.4} | gated {:.4} ({}‰, {} denials, {} sketch resets) | replaced tuner {replaced_tuner_hit_rate:.4}",
         plain.hit_rate,
         best_static_hit_rate,
-        adaptive.hit_rate,
-        adaptive.protected_frac_permille,
-        adaptive.admission_denied,
-        adaptive.ghost_hits,
-        adaptive.tuner_steps,
-        adaptive.sketch_resets,
+        gated.hit_rate,
+        gated.protected_frac_permille,
+        gated.admission_denied,
+        gated.sketch_resets,
     );
     for p in policies.iter() {
         println!("  {:<18} hit_rate {:.4}", p.name, p.hit_rate);
     }
     assert!(
-        adaptive.hit_rate > plain.hit_rate,
-        "adaptive ({:.4}) must beat plain LRU ({:.4}) on this skewed trace",
-        adaptive.hit_rate,
+        gated.hit_rate > plain.hit_rate,
+        "gated ({:.4}) must beat plain LRU ({:.4}) on this skewed trace",
+        gated.hit_rate,
         plain.hit_rate
     );
     assert!(
-        adaptive.hit_rate >= best_static_hit_rate,
-        "adaptive ({:.4}) must not lose to the best static fraction ({best_static_frac}: {:.4})",
-        adaptive.hit_rate,
+        gated.hit_rate >= best_static_hit_rate,
+        "gated ({:.4}) must not lose to the best static fraction ({best_static_frac}: {:.4})",
+        gated.hit_rate,
         best_static_hit_rate
     );
     assert!(
-        adaptive.ghost_hits > 0,
-        "the ghost lists must have informed the tuner"
+        gated.hit_rate >= replaced_tuner_hit_rate,
+        "gated ({:.4}) must not lose to the tuner it replaced ({replaced_tuner_hit_rate:.4})",
+        gated.hit_rate,
+    );
+    assert_eq!(
+        gated.protected_frac_permille, 875,
+        "the gated policy and `static_slru_875` must share one split"
     );
     assert!(
-        adaptive.tuner_steps > 0,
-        "the tuner must have moved the protected fraction"
-    );
-    assert!(
-        adaptive.sketch_resets > 0,
+        gated.sketch_resets > 0,
         "the frequency sketch must have decayed on a trace this long"
     );
     assert!(
-        adaptive.admission_denied > 0,
+        gated.admission_denied > 0,
         "the TinyLFU gate must have denied one-shot scan keys"
     );
     assert_eq!(
-        plain.admission_denied + plain.ghost_hits + plain.tuner_steps,
+        policies
+            .iter()
+            .chain([&plain])
+            .map(|p| p.admission_denied + p.sketch_resets)
+            .sum::<u64>(),
         0,
-        "plain LRU must not touch the tiering machinery"
+        "ungated policies must not touch the gate"
     );
 
     let derived = Derived {
         plain_lru_hit_rate: plain.hit_rate,
         best_static_hit_rate,
         best_static_frac,
-        adaptive_hit_rate: adaptive.hit_rate,
-        adaptive_vs_plain_delta: adaptive.hit_rate - plain.hit_rate,
-        adaptive_vs_best_static_delta: adaptive.hit_rate - best_static_hit_rate,
-        adaptive_learned_frac_permille: adaptive.protected_frac_permille,
+        gated_hit_rate: gated.hit_rate,
+        gated_vs_plain_delta: gated.hit_rate - plain.hit_rate,
+        gated_vs_best_static_delta: gated.hit_rate - best_static_hit_rate,
+        replaced_tuner_hit_rate,
+        gated_protected_frac_permille: gated.protected_frac_permille,
     };
     let mut all_policies = vec![plain];
     all_policies.append(&mut policies);
-    all_policies.push(adaptive);
+    all_policies.push(gated);
     let report = Report {
-        schema: "xmem-bench-cache/v1",
+        schema: "xmem-bench-cache/v2",
         quick,
         generated_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

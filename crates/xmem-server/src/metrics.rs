@@ -386,7 +386,7 @@ impl ServerMetrics {
                 "xmem_stage_cache_events_total{{event=\"{event}\"}} {value}"
             );
         }
-        // --- adaptive cache tiering, one row per cache tier ------------
+        // --- cache tiering, one row per cache tier ----------------------
         let tiers = [
             ("stage", service.cache_stats(), service.stage_tier_stats()),
             (
@@ -429,7 +429,7 @@ impl ServerMetrics {
             ),
             (
                 "xmem_cache_protected_capacity",
-                "Protected-segment entry cap per cache tier (live, tuner-adjusted)",
+                "Protected-segment entry cap per cache tier",
                 |t| t.protected_cap,
             ),
             (
@@ -439,18 +439,13 @@ impl ServerMetrics {
             ),
             (
                 "xmem_cache_protected_frac_permille",
-                "Live learned (or pinned) protected fraction per cache tier, in permille",
+                "Protected-segment cap over capacity per cache tier, in permille",
                 |t| u64::from(t.protected_frac_permille),
             ),
             (
                 "xmem_cache_segmented",
-                "1 when the tier runs SLRU (static or adaptive) admission",
+                "1 when the tier runs SLRU admission",
                 |t| u64::from(t.segmented),
-            ),
-            (
-                "xmem_cache_adaptive",
-                "1 when the tier's protected split is tuner-adjusted online",
-                |t| u64::from(t.adaptive),
             ),
         ] {
             labeled_gauge(&mut out, metric, help);
@@ -460,19 +455,9 @@ impl ServerMetrics {
         }
         for (metric, help, pick) in [
             (
-                "xmem_cache_ghost_hits_total",
-                "Misses whose key was remembered by a ghost list",
-                (|s| s.ghost_hits) as fn(&xmem_service::CacheStats) -> u64,
-            ),
-            (
-                "xmem_cache_tuner_steps_total",
-                "Online tuner adjustments of the protected fraction",
-                |s| s.tuner_steps,
-            ),
-            (
                 "xmem_cache_sketch_resets_total",
                 "Frequency-sketch halving decays",
-                |s| s.sketch_resets,
+                (|s| s.sketch_resets) as fn(&xmem_service::CacheStats) -> u64,
             ),
             (
                 "xmem_cache_admission_denied_total",

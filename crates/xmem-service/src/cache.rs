@@ -1,6 +1,6 @@
 //! Sharded, mutex-per-shard LRU cache with O(1) eviction, bounded by
-//! entry count alone, and segmented (probation/protected) admission that
-//! can be pinned statically or tuned adaptively online.
+//! entry count alone, with optional segmented (probation/protected)
+//! admission and an optional frequency-sketch admission gate.
 //!
 //! Keys are spread across `shards` independent maps by hash, so concurrent
 //! estimation threads contend only when they touch the same shard. Each
@@ -33,27 +33,17 @@
 //! re-referenced entry. Both recency segments are threaded through the
 //! same slab, so every operation stays O(1).
 //!
-//! **Adaptive tiering** ([`ShardedLruCache::with_adaptive_tiering`],
-//! what every service cache tier runs): the segmented
-//! discipline, self-tuned. Each shard additionally keeps a TinyLFU-style
-//! frequency sketch, two bounded ghost lists (recent probation/protected
-//! evictions, key hashes only), and a hill-climbing tuner — see the
-//! [`tiering`](crate::tiering) module docs. Three behaviors ride on it:
-//!
-//! 1. **Sketch-gated admission**: a *new* key that would force an
-//!    eviction is admitted only when its estimated frequency strictly
-//!    exceeds the would-be victim's; otherwise the insert is dropped
-//!    (counted in [`CacheStats::admission_denied`]; the caller keeps its
-//!    computed value). One-shot scans no longer displace anything.
-//! 2. **Ghost feedback**: a miss that matches a remembered eviction
-//!    counts a [`CacheStats::ghost_hits`] and tells the tuner which
-//!    segment was undersized.
-//! 3. **Learned split with smoothed transitions**: the tuner's fraction
-//!    (hard floor/ceiling, integer permille) re-caps the protected
-//!    segment with at most one protected→probation demotion per
-//!    operation, so a tuner step never causes a demotion storm. All tier
-//!    state is integral and advanced only by cache operations: behavior
-//!    is deterministic given the access sequence.
+//! **Gated SLRU** ([`ShardedLruCache::with_gated_slru`], what every
+//! service cache tier runs): segmented admission at a fixed protected
+//! fraction, behind a TinyLFU-style frequency sketch per shard (see the
+//! [`tiering`](crate::tiering) module docs). Every access is counted in
+//! the sketch, and a *new* key that would force an eviction is admitted
+//! only when its estimated frequency strictly exceeds the would-be
+//! victim's; otherwise the insert is dropped (counted in
+//! [`CacheStats::admission_denied`]; the caller keeps its computed
+//! value). Everything else is the plain SLRU discipline, so a gated
+//! cache behaves operation for operation like the static split at the
+//! same fraction, apart from the inserts the gate refuses.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -61,7 +51,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::tiering::{permille_from_frac, TierState, TierStats};
+use crate::tiering::{gated_protected_cap, FrequencySketch, TierStats};
 
 /// Monotonic hit/miss/insert/evict counters for a [`ShardedLruCache`].
 ///
@@ -80,14 +70,8 @@ pub struct CacheStats {
     /// Probation entries promoted to the protected segment on a hit
     /// (always 0 unless segmented admission is configured).
     pub promoted: u64,
-    /// Misses that matched a remembered eviction in a ghost list
-    /// (always 0 unless adaptive tiering is live).
-    pub ghost_hits: u64,
-    /// Hill-climbing steps the tier tuner took (always 0 unless adaptive
-    /// tiering is live).
-    pub tuner_steps: u64,
     /// Halving decays of the per-shard frequency sketches (always 0
-    /// unless adaptive tiering is live).
+    /// unless the admission gate is configured).
     pub sketch_resets: u64,
     /// New entries the frequency-sketch admission gate refused because
     /// the eviction victim was at least as hot (the value was still
@@ -104,29 +88,18 @@ impl CacheStats {
         self.insertions += other.insertions;
         self.evictions += other.evictions;
         self.promoted += other.promoted;
-        self.ghost_hits += other.ghost_hits;
-        self.tuner_steps += other.tuner_steps;
         self.sketch_resets += other.sketch_resets;
         self.admission_denied += other.admission_denied;
     }
 }
 
-/// Per-operation tier event deltas a shard reports back to the cache's
-/// atomic counters.
+/// What one shard-level operation did, for the cache's atomic counters.
 #[derive(Debug, Clone, Copy, Default)]
-struct TierEvents {
-    ghost_hits: u64,
-    tuner_steps: u64,
-    sketch_resets: u64,
-    admission_denied: u64,
-}
-
-/// What one shard-level insert did.
-#[derive(Debug, Clone, Copy, Default)]
-struct InsertOutcome {
+struct Events {
+    promoted: bool,
     evicted: bool,
     denied: bool,
-    events: TierEvents,
+    sketch_reset: bool,
 }
 
 /// Sentinel index terminating the intrusive list.
@@ -138,10 +111,10 @@ const PROBATION: usize = 0;
 /// The re-referenced segment of a segmented shard.
 const PROTECTED: usize = 1;
 
-/// The cache's key hash — shard selection, the frequency sketch, and the
-/// ghost lists all derive from this one hash, computed once per
-/// operation. `DefaultHasher::new()` uses fixed keys, so the hash (and
-/// with it every tiering decision) is deterministic across runs.
+/// The cache's key hash — shard selection and the frequency sketch both
+/// derive from this one hash, computed once per operation.
+/// `DefaultHasher::new()` uses fixed keys, so the hash (and with it every
+/// admission decision) is deterministic across runs.
 fn key_hash<K: Hash + ?Sized>(key: &K) -> u64 {
     let mut hasher = DefaultHasher::new();
     key.hash(&mut hasher);
@@ -159,11 +132,6 @@ struct Node<K, V> {
     /// Which recency list ([`PROBATION`] or [`PROTECTED`]) threads this
     /// node.
     segment: usize,
-    /// Whether this entry was ever promoted. Eviction files the ghost
-    /// under the segment that shaped the entry: a demoted-then-evicted
-    /// entry still signals an undersized protected segment when it is
-    /// re-referenced.
-    hot: bool,
 }
 
 /// Head/tail indices of one intrusive recency list (head = MRU,
@@ -194,10 +162,12 @@ struct Shard<K, V> {
     lists: [ListEnds; 2],
     /// Entries currently in the protected list.
     protected_len: usize,
+    /// Entry cap on the protected list; 0 makes the shard a plain LRU.
+    protected_cap: usize,
     /// Sum of live entry costs.
     bytes: u64,
-    /// Adaptive tiering state (sketch, ghosts, tuner), when configured.
-    tier: Option<Box<TierState>>,
+    /// The admission gate's frequency sketch, on gated shards.
+    sketch: Option<FrequencySketch>,
 }
 
 impl<K, V> Default for Shard<K, V> {
@@ -208,8 +178,9 @@ impl<K, V> Default for Shard<K, V> {
             free: Vec::new(),
             lists: [ListEnds::default(); 2],
             protected_len: 0,
+            protected_cap: 0,
             bytes: 0,
-            tier: None,
+            sketch: None,
         }
     }
 }
@@ -269,83 +240,33 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         }
     }
 
-    /// Feeds one access into the live tier machinery: the frequency
-    /// sketch counts it, the tuner's window ticks (re-capping the
-    /// protected segment on a step), and one smoothed rebalance demotion
-    /// runs. A no-op for static/frozen shards.
-    fn tier_access(&mut self, hash: u64, events: &mut TierEvents) {
-        {
-            let Some(tier) = &mut self.tier else {
-                return;
-            };
-            if !tier.active {
-                return;
-            }
-            if tier.sketch.increment(hash) {
-                events.sketch_resets += 1;
-            }
-            if tier.tuner.on_access() {
-                events.tuner_steps += 1;
-                tier.recompute_cap();
-            }
-        }
-        self.rebalance_one();
-    }
-
-    /// Smoothed transition toward a shrunk learned split: when protected
-    /// occupancy exceeds the live entry cap, demote at most
-    /// **one** protected LRU back to probation's MRU. Called once per
-    /// operation on live adaptive shards, so a tuner step drains overflow
-    /// gradually instead of in a demotion storm.
-    fn rebalance_one(&mut self) {
-        let Some(tier) = &self.tier else {
-            return;
-        };
-        if !tier.active {
-            return;
-        }
-        if self.protected_len > tier.protected_cap && self.lists[PROTECTED].tail != NIL {
-            let demoted = self.lists[PROTECTED].tail;
-            self.unlink(demoted);
-            self.push_front(demoted, PROBATION);
-        }
+    /// Counts one access in the admission gate's sketch, if the shard has
+    /// one. Returns whether the count triggered a halving decay.
+    fn count_access(&mut self, hash: u64) -> bool {
+        self.sketch
+            .as_mut()
+            .is_some_and(|sketch| sketch.increment(hash))
     }
 
     /// Refreshes `key`'s recency. In segmented mode (a positive protected
     /// cap) a probation hit promotes the entry into the protected
     /// segment, demoting that segment's LRU back to probation's MRU when
-    /// it overflows. On adaptive shards the access also feeds the sketch
-    /// and tuner, and a miss consults the ghost lists. Returns the value,
-    /// whether a promotion happened, and the tier event deltas.
-    fn touch(
-        &mut self,
-        key: &K,
-        static_protected_cap: usize,
-        hash: u64,
-    ) -> (Option<V>, bool, TierEvents) {
-        let mut events = TierEvents::default();
-        self.tier_access(hash, &mut events);
-        let Some(&index) = self.map.get(key) else {
-            if let Some(tier) = &mut self.tier {
-                if tier.active && tier.ghost_hit(hash) {
-                    events.ghost_hits += 1;
-                }
-            }
-            return (None, false, events);
+    /// it overflows. Returns the value and what the lookup did.
+    fn touch(&mut self, key: &K, hash: u64) -> (Option<V>, Events) {
+        let mut events = Events {
+            sketch_reset: self.count_access(hash),
+            ..Events::default()
         };
-        let protected_cap = self
-            .tier
-            .as_ref()
-            .map_or(static_protected_cap, |t| t.protected_cap);
+        let Some(&index) = self.map.get(key) else {
+            return (None, events);
+        };
         let segment = self.node(index).segment;
-        let mut promoted = false;
-        if protected_cap > 0 && segment == PROBATION {
+        if self.protected_cap > 0 && segment == PROBATION {
             self.unlink(index);
-            self.node_mut(index).hot = true;
             self.push_front(index, PROTECTED);
-            promoted = true;
+            events.promoted = true;
             // At most one entry over the cap: demote the protected LRU.
-            if self.protected_len > protected_cap {
+            if self.protected_len > self.protected_cap {
                 let demoted = self.lists[PROTECTED].tail;
                 self.unlink(demoted);
                 self.push_front(demoted, PROBATION);
@@ -354,16 +275,30 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
             self.unlink(index);
             self.push_front(index, segment);
         }
-        (Some(self.node(index).value.clone()), promoted, events)
+        (Some(self.node(index).value.clone()), events)
     }
 
     fn peek(&self, key: &K) -> Option<V> {
         self.map.get(key).map(|&i| self.node(i).value.clone())
     }
 
-    /// Removes the node at `index` entirely: list, slab, map and byte
+    /// The LRU entry a full shard's insert evicts — probation's tail when
+    /// probation is non-empty (one-shot keys die first), otherwise
+    /// protected's. Must not be called on an empty shard.
+    fn eviction_victim(&self) -> u32 {
+        let victim = if self.lists[PROBATION].tail != NIL {
+            self.lists[PROBATION].tail
+        } else {
+            self.lists[PROTECTED].tail
+        };
+        debug_assert_ne!(victim, NIL, "evict on empty shard");
+        victim
+    }
+
+    /// Removes the eviction victim entirely: list, slab, map and byte
     /// gauge.
-    fn remove_index(&mut self, index: u32) {
+    fn evict(&mut self) {
+        let index = self.eviction_victim();
         self.unlink(index);
         let node = self.nodes[index as usize].take().expect("vacant lru slot");
         self.free.push(index);
@@ -371,45 +306,15 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         self.bytes -= node.cost;
     }
 
-    /// Removes the LRU entry — probation's tail when probation is
-    /// non-empty (one-shot keys die first), otherwise protected's. On
-    /// live adaptive shards the victim's key hash is remembered in the
-    /// ghost list of the segment that shaped it. Must not be called on an
-    /// empty shard.
-    fn evict_tail(&mut self) {
-        let victim = if self.lists[PROBATION].tail != NIL {
-            self.lists[PROBATION].tail
-        } else {
-            self.lists[PROTECTED].tail
-        };
-        debug_assert_ne!(victim, NIL, "evict on empty shard");
-        if let Some(tier) = &mut self.tier {
-            if tier.active {
-                let node = self.nodes[victim as usize]
-                    .as_ref()
-                    .expect("vacant lru slot");
-                tier.ghosts[usize::from(node.hot)].record(key_hash(&node.key));
-            }
-        }
-        self.remove_index(victim);
-    }
-
-    /// The LRU entry a full shard's insert would evict first.
-    fn eviction_victim(&self) -> u32 {
-        if self.lists[PROBATION].tail != NIL {
-            self.lists[PROBATION].tail
-        } else {
-            self.lists[PROTECTED].tail
-        }
-    }
-
     /// Inserts (or replaces) `key → value` priced at `cost` bytes, then
-    /// evicts the LRU entry if the shard is over `capacity`. On live
-    /// adaptive shards, a **new** key that needs an eviction must beat
-    /// the would-be victim's sketched frequency to be admitted at all.
-    fn insert(&mut self, key: K, value: V, cost: u64, capacity: usize, hash: u64) -> InsertOutcome {
-        let mut outcome = InsertOutcome::default();
-        self.tier_access(hash, &mut outcome.events);
+    /// evicts the LRU entry if the shard is over `capacity`. On gated
+    /// shards, a **new** key that needs an eviction must beat the
+    /// would-be victim's sketched frequency to be admitted at all.
+    fn insert(&mut self, key: K, value: V, cost: u64, capacity: usize, hash: u64) -> Events {
+        let mut events = Events {
+            sketch_reset: self.count_access(hash),
+            ..Events::default()
+        };
         if let Some(&index) = self.map.get(&key) {
             // Replacement: refresh value, cost and recency in place. The
             // entry keeps its segment — a write is not the re-reference
@@ -427,21 +332,14 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
                 self.push_front(index, segment);
             }
         } else {
-            if let Some(tier) = &self.tier {
-                if tier.active && self.map.len() >= capacity {
-                    // A full shard is never empty (capacity >= 1), so the
-                    // victim index is live.
-                    let victim = self.eviction_victim();
-                    let victim_hash = key_hash(
-                        &self.nodes[victim as usize]
-                            .as_ref()
-                            .expect("vacant lru slot")
-                            .key,
-                    );
-                    if tier.sketch.estimate(hash) <= tier.sketch.estimate(victim_hash) {
-                        outcome.events.admission_denied += 1;
-                        outcome.denied = true;
-                        return outcome;
+            if let Some(sketch) = &self.sketch {
+                // A full shard is never empty (capacity >= 1), so the
+                // victim index is live.
+                if self.map.len() >= capacity {
+                    let victim = key_hash(&self.node(self.eviction_victim()).key);
+                    if sketch.estimate(hash) <= sketch.estimate(victim) {
+                        events.denied = true;
+                        return events;
                     }
                 }
             }
@@ -452,7 +350,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
                 prev: NIL,
                 next: NIL,
                 segment: PROBATION,
-                hot: false,
             };
             let index = match self.free.pop() {
                 Some(slot) => {
@@ -471,28 +368,21 @@ impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
         // Only a new key grows the shard, by one, so one eviction restores
         // the bound.
         if self.map.len() > capacity {
-            self.evict_tail();
-            outcome.evicted = true;
+            self.evict();
+            events.evicted = true;
         }
-        outcome
+        events
     }
 }
 
 /// A concurrent LRU cache split into independently locked shards, with
-/// O(1) eviction, an entry-count bound, and optional (static or adaptive)
-/// segmented admission.
+/// O(1) eviction, an entry-count bound, and optional segmented admission
+/// behind an optional frequency-sketch gate.
 #[derive(Debug)]
 pub struct ShardedLruCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     /// Per-shard capacity slices; they sum to exactly the configured total.
     capacities: Vec<usize>,
-    /// Per-shard caps on the protected segment; 0 everywhere (the
-    /// default) disables segmented admission and the shard behaves as a
-    /// plain LRU. Unused (the tier state's live cap rules) when
-    /// `adaptive` is set.
-    protected_caps: Vec<usize>,
-    /// Whether shards carry adaptive tier state.
-    adaptive: bool,
     /// Computes an entry's cost. The default weigher costs everything 0,
     /// so the byte gauge only reads non-zero when a real weigher is set.
     weigher: fn(&V) -> u64,
@@ -501,8 +391,6 @@ pub struct ShardedLruCache<K, V> {
     insertions: AtomicU64,
     evictions: AtomicU64,
     promoted: AtomicU64,
-    ghost_hits: AtomicU64,
-    tuner_steps: AtomicU64,
     sketch_resets: AtomicU64,
     admission_denied: AtomicU64,
 }
@@ -525,16 +413,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         ShardedLruCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             capacities: (0..shards).map(|i| base + usize::from(i < extra)).collect(),
-            protected_caps: vec![0; shards],
-            adaptive: false,
             weigher: zero_weight::<V>,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             promoted: AtomicU64::new(0),
-            ghost_hits: AtomicU64::new(0),
-            tuner_steps: AtomicU64::new(0),
             sketch_resets: AtomicU64::new(0),
             admission_denied: AtomicU64::new(0),
         }
@@ -552,65 +436,36 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     ///
     /// `protected_frac` is clamped to `[0.0, 1.0]`; a fraction that
     /// rounds to a zero-entry protected segment for some shard leaves
-    /// that shard in plain LRU mode. Pinning a static fraction clears any
-    /// previously installed adaptive state.
+    /// that shard in plain LRU mode. Replaces any earlier segmentation
+    /// and removes the admission gate.
     #[must_use]
-    pub fn with_segmented_admission(mut self, protected_frac: f64) -> Self {
+    pub fn with_segmented_admission(self, protected_frac: f64) -> Self {
         let frac = protected_frac.clamp(0.0, 1.0);
-        self = self.clear_tiering();
-        self.protected_caps = self
-            .capacities
-            .iter()
-            .map(|&cap| {
-                #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-                #[allow(clippy::cast_sign_loss)]
-                let protected = (cap as f64 * frac).round() as usize;
-                protected.min(cap)
-            })
-            .collect();
-        self
+        self.segment(false, |capacity| {
+            #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+            #[allow(clippy::cast_sign_loss)]
+            let protected = (capacity as f64 * frac).round() as usize;
+            protected.min(capacity)
+        })
     }
 
-    /// Enables self-tuning segmented admission starting from
-    /// `initial_frac` (clamped to the tuner's floor/ceiling; see the
-    /// module docs):
-    /// sketch-gated admission, ghost-list feedback, and a hill-climbing
-    /// tuner over the protected fraction.
+    /// The service's cache policy: segmented admission with a fixed
+    /// protected fraction of 875‰ (one entry less where that would fill
+    /// a shard), behind a TinyLFU frequency-sketch gate that refuses a
+    /// new key no hotter than the entry it would evict (see the module
+    /// docs).
     #[must_use]
-    pub fn with_adaptive_tiering(self, initial_frac: f64) -> Self {
-        self.install_adaptive(initial_frac, true)
+    pub fn with_gated_slru(self) -> Self {
+        self.segment(true, gated_protected_cap)
     }
 
-    /// Adaptive tiering with the tuning loop **frozen**: segment caps
-    /// come from the same integer-permille machinery, but the sketch
-    /// gate, ghost lists and tuner are all inert — the cache
-    /// is operation-for-operation identical to
-    /// [`with_segmented_admission`](Self::with_segmented_admission) at
-    /// the same fraction. For bit-compat tests.
-    #[must_use]
-    pub fn with_adaptive_tuning_disabled(self, protected_frac: f64) -> Self {
-        self.install_adaptive(protected_frac, false)
-    }
-
-    fn install_adaptive(mut self, frac: f64, tuning: bool) -> Self {
-        self.adaptive = true;
-        self.protected_caps = vec![0; self.shards.len()];
-        let permille = permille_from_frac(frac, tuning);
+    /// Sets every shard's protected cap from its capacity slice, with or
+    /// without a frequency-sketch admission gate.
+    fn segment(self, gated: bool, protected_cap: impl Fn(usize) -> usize) -> Self {
         for (shard, &capacity) in self.shards.iter().zip(&self.capacities) {
-            shard.lock().expect("cache shard poisoned").tier =
-                Some(Box::new(TierState::new(capacity, permille, tuning)));
-        }
-        self
-    }
-
-    /// Removes any segmentation (static or adaptive); shards behave as
-    /// plain LRUs.
-    #[must_use]
-    fn clear_tiering(mut self) -> Self {
-        self.adaptive = false;
-        self.protected_caps = vec![0; self.shards.len()];
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").tier = None;
+            let mut shard = shard.lock().expect("cache shard poisoned");
+            shard.protected_cap = protected_cap(capacity);
+            shard.sketch = gated.then(|| FrequencySketch::new(capacity));
         }
         self
     }
@@ -702,23 +557,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         out
     }
 
-    /// Folds one operation's tier event deltas into the atomic counters.
-    fn fold_events(&self, events: TierEvents) {
-        if events.ghost_hits != 0 {
-            self.ghost_hits
-                .fetch_add(events.ghost_hits, Ordering::Relaxed);
-        }
-        if events.tuner_steps != 0 {
-            self.tuner_steps
-                .fetch_add(events.tuner_steps, Ordering::Relaxed);
-        }
-        if events.sketch_resets != 0 {
-            self.sketch_resets
-                .fetch_add(events.sketch_resets, Ordering::Relaxed);
-        }
-        if events.admission_denied != 0 {
-            self.admission_denied
-                .fetch_add(events.admission_denied, Ordering::Relaxed);
+    /// Folds one operation's events into the atomic counters.
+    fn count(&self, events: Events) {
+        for (happened, counter) in [
+            (events.promoted, &self.promoted),
+            (events.evicted, &self.evictions),
+            (events.denied, &self.admission_denied),
+            (events.sketch_reset, &self.sketch_resets),
+        ] {
+            if happened {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -727,41 +576,34 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
         let hash = key_hash(key);
-        let index = self.shard_index_of(hash);
-        let (found, promoted, events) = self.shards[index]
+        let (found, events) = self.shards[self.shard_index_of(hash)]
             .lock()
             .expect("cache shard poisoned")
-            .touch(key, self.protected_caps[index], hash);
+            .touch(key, hash);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        if promoted {
-            self.promoted.fetch_add(1, Ordering::Relaxed);
-        }
-        self.fold_events(events);
+        self.count(events);
         found
     }
 
-    /// Inserts `key → value`, evicting within the shard if needed. On an
-    /// adaptive cache under pressure the frequency-sketch gate may refuse
-    /// a cold new key outright ([`CacheStats::admission_denied`]).
+    /// Inserts `key → value`, evicting within the shard if needed. On a
+    /// gated cache under pressure the frequency-sketch gate may refuse a
+    /// cold new key outright ([`CacheStats::admission_denied`]).
     pub fn insert(&self, key: K, value: V) {
         let hash = key_hash(&key);
         let index = self.shard_index_of(hash);
         let cost = (self.weigher)(&value);
-        let outcome = self.shards[index]
+        let events = self.shards[index]
             .lock()
             .expect("cache shard poisoned")
             .insert(key, value, cost, self.capacities[index], hash);
-        if !outcome.denied {
+        if !events.denied {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
-        if outcome.evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        self.fold_events(outcome.events);
+        self.count(events);
     }
 
     /// Returns the cached value for `key`, or computes, caches and returns
@@ -791,90 +633,35 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             promoted: self.promoted.load(Ordering::Relaxed),
-            ghost_hits: self.ghost_hits.load(Ordering::Relaxed),
-            tuner_steps: self.tuner_steps.load(Ordering::Relaxed),
             sketch_resets: self.sketch_resets.load(Ordering::Relaxed),
             admission_denied: self.admission_denied.load(Ordering::Relaxed),
         }
     }
 
     /// A gauge snapshot of the cache's tier geometry and occupancy —
-    /// segment entry counts, entry capacities, bytes in use, and the live
+    /// segment entry counts, entry capacities, bytes in use, and the
     /// protected fraction — aggregated over the shards. Fuels the
     /// `/metrics` `xmem_cache_*` gauges.
     #[must_use]
     pub fn tier_stats(&self) -> TierStats {
         let mut stats = TierStats {
-            segmented: self.adaptive || self.protected_caps.iter().any(|&c| c > 0),
-            adaptive: self.adaptive,
             capacity: self.capacity() as u64,
             ..TierStats::default()
         };
-        let mut permille_sum: u64 = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
+        for shard in &self.shards {
             let shard = shard.lock().expect("cache shard poisoned");
             stats.entries += shard.map.len() as u64;
             stats.protected_entries += shard.protected_len as u64;
+            stats.protected_cap += shard.protected_cap as u64;
             stats.bytes_in_use += shard.bytes;
-            if let Some(tier) = &shard.tier {
-                stats.protected_cap += tier.protected_cap as u64;
-                permille_sum += u64::from(tier.tuner.permille());
-            } else {
-                stats.protected_cap += self.protected_caps[i] as u64;
-            }
         }
         stats.probation_entries = stats.entries - stats.protected_entries;
-        stats.protected_frac_permille = if self.adaptive {
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                (permille_sum / self.shards.len() as u64) as u32
-            }
-        } else if stats.segmented && stats.capacity > 0 {
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                (stats.protected_cap * 1000 / stats.capacity) as u32
-            }
-        } else {
-            0
-        };
-        stats
-    }
-
-    /// The learned tuner state — the mean protected fraction (permille)
-    /// across shards and the maximum sketch decay epoch — or `None` when
-    /// the cache is not adaptive. Persisted so warm boots resume the
-    /// learned split instead of re-learning from the initial fraction.
-    #[must_use]
-    pub fn learned_state(&self) -> Option<(u32, u64)> {
-        if !self.adaptive {
-            return None;
-        }
-        let mut permille_sum: u64 = 0;
-        let mut epoch: u64 = 0;
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            let tier = shard.tier.as_ref()?;
-            permille_sum += u64::from(tier.tuner.permille());
-            epoch = epoch.max(tier.sketch.epoch());
-        }
+        stats.segmented = stats.protected_cap > 0;
         #[allow(clippy::cast_possible_truncation)]
-        Some(((permille_sum / self.shards.len() as u64) as u32, epoch))
-    }
-
-    /// Seeds every shard's tuner with a persisted learned fraction
-    /// (band-clamped) and sketch decay epoch. A no-op on non-adaptive
-    /// caches; on a live adaptive cache the new split takes effect with
-    /// the usual smoothed transitions.
-    pub fn restore_learned_state(&self, frac_permille: u32, decay_epoch: u64) {
-        if !self.adaptive {
-            return;
+        {
+            stats.protected_frac_permille = (stats.protected_cap * 1000 / stats.capacity) as u32;
         }
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
-            if let Some(tier) = shard.tier.as_mut() {
-                tier.restore(frac_permille, decay_epoch);
-            }
-        }
+        stats
     }
 
     /// Exhaustive structural self-check of every shard, used by tests: the
@@ -884,7 +671,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// # Panics
     /// Panics on any violated invariant.
     pub fn check_invariants(&self) {
-        for (i, (shard, &capacity)) in self.shards.iter().zip(&self.capacities).enumerate() {
+        for (shard, &capacity) in self.shards.iter().zip(&self.capacities) {
             let shard = shard.lock().expect("cache shard poisoned");
             assert!(shard.map.len() <= capacity, "shard over capacity");
             let mut seen = 0usize;
@@ -911,22 +698,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
                 assert_eq!(shard.lists[segment].tail, prev, "tail must end the list");
                 if segment == PROTECTED {
                     assert_eq!(segment_len, shard.protected_len, "protected gauge drift");
-                    match &shard.tier {
-                        // A live tuner shrinks caps with smoothed (one
-                        // per op) demotions, so occupancy may transiently
-                        // exceed a fresh cap; only the shard bound is hard.
-                        Some(tier) if tier.active => {
-                            assert!(segment_len <= capacity, "protected over the shard");
-                        }
-                        Some(tier) => assert!(
-                            segment_len <= tier.protected_cap,
-                            "protected segment over its frozen cap"
-                        ),
-                        None => assert!(
-                            segment_len <= self.protected_caps[i],
-                            "protected segment over its cap"
-                        ),
-                    }
+                    assert!(
+                        segment_len <= shard.protected_cap,
+                        "protected segment over its cap"
+                    );
                 }
             }
             assert_eq!(seen, shard.map.len(), "list/map size mismatch");
@@ -1125,10 +900,10 @@ mod tests {
     fn a_weigher_without_a_budget_prices_but_evicts_by_count() {
         let plain: ShardedLruCache<u32, u64> =
             ShardedLruCache::new(2, 1).with_weigher(identity_cost);
-        let adaptive: ShardedLruCache<u32, u64> = ShardedLruCache::new(2, 1)
-            .with_adaptive_tiering(0.5)
+        let gated: ShardedLruCache<u32, u64> = ShardedLruCache::new(2, 1)
+            .with_gated_slru()
             .with_weigher(identity_cost);
-        for cache in [plain, adaptive] {
+        for cache in [plain, gated] {
             cache.insert(1, 10);
             cache.insert(2, u64::MAX / 4);
             assert_eq!(cache.len(), 2, "a cost never evicts");
@@ -1154,8 +929,7 @@ mod tests {
 
     #[test]
     fn adaptive_admission_gate_denies_cold_keys_under_pressure() {
-        let cache: ShardedLruCache<u32, u32> =
-            ShardedLruCache::new(4, 1).with_adaptive_tiering(0.5);
+        let cache: ShardedLruCache<u32, u32> = ShardedLruCache::new(4, 1).with_gated_slru();
         for k in 0..4 {
             cache.insert(k, k);
         }
@@ -1185,8 +959,7 @@ mod tests {
 
     #[test]
     fn adaptive_admission_admits_keys_hotter_than_the_victim() {
-        let cache: ShardedLruCache<u32, u32> =
-            ShardedLruCache::new(2, 1).with_adaptive_tiering(0.5);
+        let cache: ShardedLruCache<u32, u32> = ShardedLruCache::new(2, 1).with_gated_slru();
         cache.insert(1, 10);
         cache.insert(2, 20);
         // Key 3 gets hotter than resident LRU 1 (misses still count
@@ -1201,104 +974,26 @@ mod tests {
     }
 
     #[test]
-    fn ghost_hits_are_counted_and_consumed() {
-        let cache: ShardedLruCache<u32, u32> =
-            ShardedLruCache::new(2, 1).with_adaptive_tiering(0.5);
-        cache.insert(1, 10);
-        cache.insert(2, 20);
-        // Make key 3 hot enough to displace, evicting the probation LRU.
-        for _ in 0..3 {
+    fn a_hot_key_enters_a_small_gated_shard_full_of_promoted_entries() {
+        // 875‰ of two entries rounds to both; the gated split keeps one
+        // for probation. Were both protected, the full shard's probation
+        // would be empty, the gate would weigh key 3 against a protected
+        // entry, and the eviction that followed its admission would take
+        // key 3 itself, the only probation entry.
+        let cache: ShardedLruCache<u32, u32> = ShardedLruCache::new(2, 1).with_gated_slru();
+        assert_eq!(cache.tier_stats().protected_cap, 1);
+        for k in [1, 2] {
+            cache.insert(k, k * 10);
+            assert_eq!(cache.get(&k), Some(k * 10), "promoted");
+        }
+        for _ in 0..5 {
             assert_eq!(cache.get(&3), None);
         }
         cache.insert(3, 30);
+        assert_eq!(cache.peek(&3), Some(30), "the hot key must be resident");
+        assert_eq!(cache.peek(&1), None, "the demoted key is the victim");
         assert_eq!(cache.stats().evictions, 1);
-        let ghost_hits_before = cache.stats().ghost_hits;
-        // The evicted key's next miss is a ghost hit; the one after is not
-        // (the hit consumed the ghost).
-        assert_eq!(cache.get(&1), None);
-        assert_eq!(cache.stats().ghost_hits, ghost_hits_before + 1);
-        assert_eq!(cache.get(&1), None);
-        assert_eq!(cache.stats().ghost_hits, ghost_hits_before + 1);
         cache.check_invariants();
-    }
-
-    #[test]
-    fn tuner_steps_move_the_learned_fraction() {
-        let cache: ShardedLruCache<u32, u32> =
-            ShardedLruCache::new(8, 1).with_adaptive_tiering(0.5);
-        assert_eq!(cache.tier_stats().protected_frac_permille, 500);
-        // Resident hot set, all promoted at least once (hot).
-        for k in 0..8 {
-            cache.insert(k, k);
-        }
-        for k in 0..8 {
-            assert_eq!(cache.get(&k), Some(k));
-        }
-        // Challenger waves: heat a fresh key past the residents so the
-        // gate admits it (evicting a once-promoted resident), then
-        // re-miss the whole original set — evicted members land ghost
-        // hits on the protected history, and the windowed tuner steps
-        // the learned fraction up.
-        for wave in 0..40u32 {
-            let key = 100 + wave;
-            for _ in 0..5 {
-                let _ = cache.get(&key);
-            }
-            cache.insert(key, key);
-            for k in 0..8 {
-                let _ = cache.get(&k);
-            }
-            cache.check_invariants();
-        }
-        let stats = cache.stats();
-        assert!(stats.ghost_hits > 0, "no ghost feedback: {stats:?}");
-        assert!(stats.tuner_steps > 0, "tuner never stepped: {stats:?}");
-        assert!(
-            cache.tier_stats().protected_frac_permille > 500,
-            "protected ghost pressure must raise the learned fraction"
-        );
-        cache.check_invariants();
-    }
-
-    #[test]
-    fn frozen_adaptive_matches_static_slru_operation_for_operation() {
-        let frozen: ShardedLruCache<u32, u32> =
-            ShardedLruCache::new(8, 1).with_adaptive_tuning_disabled(0.5);
-        let pinned: ShardedLruCache<u32, u32> =
-            ShardedLruCache::new(8, 1).with_segmented_admission(0.5);
-        for op in 0u32..2000 {
-            let key = (op * 7 + op / 3) % 24;
-            if op % 3 == 0 {
-                frozen.insert(key, op);
-                pinned.insert(key, op);
-            } else {
-                assert_eq!(frozen.get(&key), pinned.get(&key), "op {op} diverged");
-            }
-        }
-        let (f, p) = (frozen.stats(), pinned.stats());
-        assert_eq!(f, p, "frozen-adaptive counters diverged from static");
-        assert_eq!(f.ghost_hits, 0);
-        assert_eq!(f.admission_denied, 0);
-        assert_eq!(f.tuner_steps, 0);
-        frozen.check_invariants();
-        pinned.check_invariants();
-    }
-
-    #[test]
-    fn learned_state_round_trips_through_restore() {
-        let cache: ShardedLruCache<u32, u32> =
-            ShardedLruCache::new(16, 2).with_adaptive_tiering(0.5);
-        assert_eq!(cache.learned_state(), Some((500, 0)));
-        cache.restore_learned_state(250, 7);
-        assert_eq!(cache.learned_state(), Some((250, 7)));
-        // Out-of-band fractions clamp into the tuner band.
-        cache.restore_learned_state(0, 7);
-        assert_eq!(cache.learned_state(), Some((125, 7)));
-        // Non-adaptive caches have no learned state and ignore restores.
-        let plain: ShardedLruCache<u32, u32> = ShardedLruCache::new(16, 2);
-        assert_eq!(plain.learned_state(), None);
-        plain.restore_learned_state(250, 7);
-        assert_eq!(plain.learned_state(), None);
     }
 
     #[test]
@@ -1312,21 +1007,22 @@ mod tests {
         let pinned: ShardedLruCache<u32, u32> =
             ShardedLruCache::new(8, 2).with_segmented_admission(0.5);
         let stats = pinned.tier_stats();
-        assert!(stats.segmented && !stats.adaptive);
+        assert!(stats.segmented);
         assert_eq!(stats.protected_cap, 4);
         assert_eq!(stats.protected_frac_permille, 500);
 
-        let adaptive: ShardedLruCache<u32, u64> = ShardedLruCache::new(8, 2)
+        let gated: ShardedLruCache<u32, u64> = ShardedLruCache::new(16, 2)
             .with_weigher(identity_cost)
-            .with_adaptive_tiering(0.5);
-        adaptive.insert(1, 30);
-        let _ = adaptive.get(&1);
-        let stats = adaptive.tier_stats();
-        assert!(stats.segmented && stats.adaptive);
+            .with_gated_slru();
+        gated.insert(1, 30);
+        let _ = gated.get(&1);
+        let stats = gated.tier_stats();
+        assert!(stats.segmented);
         assert_eq!(stats.bytes_in_use, 30);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.protected_entries, 1, "promoted on the hit");
         assert_eq!(stats.probation_entries, 0);
-        assert_eq!(stats.protected_frac_permille, 500);
+        assert_eq!(stats.protected_cap, 14);
+        assert_eq!(stats.protected_frac_permille, 875);
     }
 }

@@ -114,14 +114,11 @@ pub(crate) enum StateRecord {
         family: SweepKey,
         replay: ParamReplay,
     },
-    /// The learned adaptive-tiering state of one cache tier (`"stage"`,
-    /// `"param"`, or `"sim"`; any other name is skipped at import): the
-    /// mean learned protected
-    /// fraction in permille and the frequency sketch's decay epoch.
-    /// Integers only, so the record is bit-exact across round trips.
-    /// Exported **last** — after `Param`, keeping the downgrade-tolerant
-    /// prefix convention: binaries that predate the variant still
-    /// recover every earlier record kind.
+    /// The learned protected split of one cache tier, written last in
+    /// the snapshots of older binaries, whose tiers tuned that split
+    /// online. Every tier now runs a fixed split, so no service writes
+    /// it any more; it stays decodable so their state dirs boot, and it
+    /// is dropped at import, counted as skipped.
     Tuner {
         cache: String,
         frac_permille: u32,
@@ -152,8 +149,7 @@ pub struct PersistStats {
     /// checksum-invalid snapshot header also counts once).
     pub recovery_truncated: u64,
     /// Valid records skipped at boot: sim cells whose device fingerprint
-    /// matched no registered device, `Replay` records, and tuner state
-    /// of tiers this binary does not have.
+    /// matched no registered device, and `Replay` and `Tuner` records.
     pub recovery_skipped: u64,
     /// Size of the current snapshot file in bytes.
     pub snapshot_bytes: u64,

@@ -12,7 +12,7 @@ use crate::registry::DeviceRegistry;
 use crate::simcache::{DeviceFingerprint, SimShards, SimStats};
 use crate::singleflight::{FlightStats, SingleFlight};
 use crate::telemetry::TraceContext;
-use crate::tiering::{TierStats, INITIAL_PROTECTED_FRAC};
+use crate::tiering::TierStats;
 use crate::timer::DeadlineTimer;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -127,9 +127,9 @@ const MAX_DEVICE_SHARDS: usize = 64;
 /// Configuration of an [`EstimationService`].
 ///
 /// Every cache tier the service owns (stage, param, and the per-device
-/// sim shards) runs adaptive tiering: a self-tuning
-/// segmented LRU with frequency-sketch admission (see
-/// [`ShardedLruCache::with_adaptive_tiering`]).
+/// sim shards) runs the same policy: a segmented LRU at a fixed split
+/// behind a frequency-sketch admission gate (see
+/// [`ShardedLruCache::with_gated_slru`]).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// The service's estimator: the paper default
@@ -288,7 +288,7 @@ impl EstimationService {
             config.estimator
         );
         let cache = ShardedLruCache::new(config.cache_capacity, LOCK_SHARDS)
-            .with_adaptive_tiering(INITIAL_PROTECTED_FRAC)
+            .with_gated_slru()
             .with_weigher(stages_weight);
         let negative = ShardedLruCache::new(NEGATIVE_CAPACITY, LOCK_SHARDS);
         let sims =
@@ -300,8 +300,7 @@ impl EstimationService {
             negative,
             sims,
             sim_flights: SingleFlight::new(),
-            params: ShardedLruCache::new(PARAM_CACHE_CAPACITY, 4)
-                .with_adaptive_tiering(INITIAL_PROTECTED_FRAC),
+            params: ShardedLruCache::new(PARAM_CACHE_CAPACITY, 4).with_gated_slru(),
             param_flights: SingleFlight::new(),
             profiles: AtomicU64::new(0),
             persist: None,
@@ -341,8 +340,9 @@ impl EstimationService {
     /// are re-attached by matching their persisted device fingerprint
     /// field-for-field against the boot-time registry; cells for devices
     /// no longer registered are skipped. `Replay` records, which older
-    /// binaries wrote for a retired unbounded-replay cache, are skipped
-    /// too.
+    /// binaries wrote for a retired unbounded-replay cache, and `Tuner`
+    /// records, which they wrote for a learned protected split, are
+    /// skipped too.
     fn import_records(&self, records: Vec<StateRecord>) -> (u64, u64) {
         let mut devices: Vec<GpuDevice> = self
             .config
@@ -363,7 +363,6 @@ impl EstimationService {
                         .insert(job, Arc::new(ProfiledStages { analyzed }));
                     imported += 1;
                 }
-                StateRecord::Replay { .. } => skipped += 1,
                 StateRecord::Sim {
                     device,
                     job,
@@ -395,37 +394,16 @@ impl EstimationService {
                     );
                     imported += 1;
                 }
-                StateRecord::Tuner {
-                    cache,
-                    frac_permille,
-                    decay_epoch,
-                } => match cache.as_str() {
-                    "stage" => {
-                        self.cache.restore_learned_state(frac_permille, decay_epoch);
-                        imported += 1;
-                    }
-                    "param" => {
-                        self.params
-                            .restore_learned_state(frac_permille, decay_epoch);
-                        imported += 1;
-                    }
-                    "sim" => {
-                        self.sims.restore_learned_state(frac_permille, decay_epoch);
-                        imported += 1;
-                    }
-                    // A tier this binary does not know about (or a name
-                    // from a future version): ignore, don't refuse boot.
-                    _ => skipped += 1,
-                },
+                StateRecord::Replay { .. } | StateRecord::Tuner { .. } => skipped += 1,
             }
         }
         (imported, skipped)
     }
 
     /// Every resident cache entry as persistence records, in snapshot
-    /// order: stage entries, sim cells, parameterized-replay fits, then
-    /// learned tuner state (each cache layer LRU-first, so replaying the
-    /// sequence restores recency).
+    /// order: stage entries, sim cells, then parameterized-replay fits
+    /// (each cache layer LRU-first, so replaying the sequence restores
+    /// recency).
     /// Newer record variants sort after older ones so binaries that
     /// predate them still recover the whole preceding prefix.
     fn export_records(&self) -> Vec<StateRecord> {
@@ -459,23 +437,6 @@ impl EstimationService {
                 records.push(StateRecord::Param {
                     family,
                     replay: (**fit).clone(),
-                });
-            }
-        }
-        // Tuner records come last — newest variant, same downgrade
-        // convention as `Param` above: older binaries recover the whole
-        // preceding prefix and only lose the learned splits.
-        let tuners: [(&str, Option<(u32, u64)>); 3] = [
-            ("stage", self.cache.learned_state()),
-            ("param", self.params.learned_state()),
-            ("sim", Some(self.sims.learned_state())),
-        ];
-        for (cache, state) in tuners {
-            if let Some((frac_permille, decay_epoch)) = state {
-                records.push(StateRecord::Tuner {
-                    cache: cache.to_owned(),
-                    frac_permille,
-                    decay_epoch,
                 });
             }
         }
@@ -531,7 +492,7 @@ impl EstimationService {
     }
 
     /// Tier geometry and occupancy of the stage cache: segment
-    /// occupancy, bytes in use, and the live learned protected fraction.
+    /// occupancy, bytes in use, and the protected fraction.
     #[must_use]
     pub fn stage_tier_stats(&self) -> TierStats {
         self.cache.tier_stats()
@@ -1246,7 +1207,7 @@ impl EstimationService {
 
     /// The read half of a matrix: one counted stage read per row,
     /// whatever the cells hold, so the stage tier's access stream (its
-    /// counters, its adaptive tuning) follows the query alone; then every
+    /// counters, its admission sketch) follows the query alone; then every
     /// cell, column-major; then, for each row that missed both its stage
     /// entry and a cell, the negative cache. A warm matrix ends here.
     /// Hits are recorded as one event per tier, not one per cell, so a
@@ -2452,7 +2413,7 @@ mod tests {
     }
 
     #[test]
-    fn every_cache_tier_is_adaptive() {
+    fn every_cache_tier_runs_the_gated_slru() {
         let untraced = TraceContext::disabled();
         let service = EstimationService::for_device(GpuDevice::rtx3060());
         service
@@ -2464,7 +2425,8 @@ mod tests {
             ("param", service.param_tier_stats()),
             ("sim", service.sim_tier_stats()),
         ] {
-            assert!(stats.adaptive && stats.segmented, "{tier} tier: {stats:?}");
+            assert!(stats.segmented, "{tier} tier: {stats:?}");
+            assert_eq!(stats.protected_frac_permille, 875, "{tier} tier");
         }
     }
 

@@ -16,9 +16,9 @@
 //! (one fingerprint per reconfiguration) would otherwise grow the map
 //! without limit, so the least-recently-used device shard is retired once
 //! the cap is reached, its counter history folded into the monotonic
-//! [`stats`](SimShards::stats). Every per-device LRU runs adaptive
-//! tiering, like the service's other cache tiers, and a restored learned
-//! split seeds every shard created after the restore.
+//! [`stats`](SimShards::stats). Every per-device LRU runs the gated SLRU
+//! ([`ShardedLruCache::with_gated_slru`]), like the service's other cache
+//! tiers.
 //!
 //! The layer also carries the **pressure-aware replay counters**: how many
 //! cells were derived from an unbounded replay their request shares
@@ -28,12 +28,10 @@
 
 use crate::cache::{CacheStats, ShardedLruCache};
 use crate::key::JobKey;
-use crate::tiering::{
-    permille_from_frac, TierStats, FRAC_CEIL_PERMILLE, FRAC_FLOOR_PERMILLE, INITIAL_PROTECTED_FRAC,
-};
+use crate::tiering::TierStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use xmem_core::Estimate;
 use xmem_runtime::GpuDevice;
 
@@ -152,10 +150,6 @@ pub struct SimShards {
     lock_shards: usize,
     /// Maximum live device shards; the LRU shard is retired beyond it.
     max_devices: usize,
-    /// Learned tuner state restored from a persisted snapshot — also the
-    /// seed for device shards created *after* the restore, so a warm
-    /// boot's learned split applies to the whole fleet.
-    restored: Mutex<Option<(u32, u64)>>,
     /// Recency clock for the fleet cap.
     clock: AtomicU64,
     runs: AtomicU64,
@@ -185,7 +179,6 @@ impl SimShards {
             capacity,
             lock_shards,
             max_devices: usize::MAX,
-            restored: Mutex::new(None),
             clock: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             fast_path: AtomicU64::new(0),
@@ -258,60 +251,13 @@ impl SimShards {
                 self.evicted_shards.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let slot = shards.entry(fingerprint).or_insert_with(|| {
-            let cache = ShardedLruCache::new(self.capacity, self.lock_shards)
-                .with_adaptive_tiering(INITIAL_PROTECTED_FRAC);
-            // New shards join the fleet at the learned split, not the
-            // initial fraction, once a restore has happened.
-            if let Some((permille, epoch)) = *self.restored.lock().expect("restore seed poisoned") {
-                cache.restore_learned_state(permille, epoch);
-            }
-            ShardSlot {
-                cache: Arc::new(cache),
-                last_use: AtomicU64::new(tick),
-            }
+        let slot = shards.entry(fingerprint).or_insert_with(|| ShardSlot {
+            cache: Arc::new(
+                ShardedLruCache::new(self.capacity, self.lock_shards).with_gated_slru(),
+            ),
+            last_use: AtomicU64::new(tick),
         });
         Arc::clone(&slot.cache)
-    }
-
-    /// The aggregated learned tuner state over the fleet — the mean
-    /// learned protected fraction (permille) across live device shards
-    /// and the maximum sketch decay epoch. With no live shards, falls
-    /// back to the restored (or initial) state so the persisted record
-    /// never regresses.
-    #[must_use]
-    pub fn learned_state(&self) -> (u32, u64) {
-        let shards = self.shards.read().expect("sim shard map poisoned");
-        let mut permille_sum: u64 = 0;
-        let mut counted: u64 = 0;
-        let mut epoch: u64 = 0;
-        for slot in shards.values() {
-            if let Some((permille, shard_epoch)) = slot.cache.learned_state() {
-                permille_sum += u64::from(permille);
-                counted += 1;
-                epoch = epoch.max(shard_epoch);
-            }
-        }
-        if let Some(mean) = permille_sum.checked_div(counted) {
-            #[allow(clippy::cast_possible_truncation)]
-            return (mean as u32, epoch);
-        }
-        self.restored
-            .lock()
-            .expect("restore seed poisoned")
-            .unwrap_or((permille_from_frac(INITIAL_PROTECTED_FRAC, true), 0))
-    }
-
-    /// Seeds every live device shard — and, via the remembered seed,
-    /// every future one — with a persisted learned fraction and sketch
-    /// decay epoch.
-    pub fn restore_learned_state(&self, frac_permille: u32, decay_epoch: u64) {
-        let clamped = frac_permille.clamp(FRAC_FLOOR_PERMILLE, FRAC_CEIL_PERMILLE);
-        *self.restored.lock().expect("restore seed poisoned") = Some((clamped, decay_epoch));
-        let shards = self.shards.read().expect("sim shard map poisoned");
-        for slot in shards.values() {
-            slot.cache.restore_learned_state(frac_permille, decay_epoch);
-        }
     }
 
     /// A tier-geometry gauge snapshot aggregated over every live device
@@ -326,7 +272,6 @@ impl SimShards {
         for slot in shards.values() {
             let tier = slot.cache.tier_stats();
             out.segmented |= tier.segmented;
-            out.adaptive |= tier.adaptive;
             out.entries += tier.entries;
             out.probation_entries += tier.probation_entries;
             out.protected_entries += tier.protected_entries;
@@ -600,25 +545,22 @@ mod tests {
     }
 
     #[test]
-    fn shards_inherit_tiering_and_restored_state_seeds_new_shards() {
-        let sims = SimShards::new(8, 1);
-        assert_eq!(
-            sims.learned_state(),
-            (500, 0),
-            "initial fraction reported before any shard exists"
-        );
-        let first = sims.shard(&device(1 << 30));
-        assert!(first.tier_stats().adaptive, "every shard is adaptive");
-        sims.restore_learned_state(250, 3);
-        assert_eq!(first.learned_state(), Some((250, 3)));
-        let second = sims.shard(&device(2 << 30));
-        assert_eq!(
-            second.learned_state(),
-            Some((250, 3)),
-            "new shards join the fleet at the learned split"
-        );
-        assert_eq!(sims.learned_state(), (250, 3));
-        assert!(sims.tier_stats().adaptive);
+    fn every_device_shard_runs_the_gated_slru() {
+        let sims = SimShards::new(16, 1);
+        for capacity in [1 << 30, 2 << 30] {
+            let shard = sims.shard(&device(capacity));
+            assert_eq!(shard.tier_stats().protected_frac_permille, 875);
+            // The gate: on a full shard, a key no hotter than the
+            // eviction victim is refused.
+            for k in 1..=16 {
+                shard.insert(key(k), estimate(k as u64));
+            }
+            shard.insert(key(17), estimate(17));
+            assert_eq!(shard.stats().admission_denied, 1);
+        }
+        let tier = sims.tier_stats();
+        assert!(tier.segmented);
+        assert_eq!(tier.protected_frac_permille, 875);
     }
 
     #[test]

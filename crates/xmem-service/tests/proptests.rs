@@ -395,30 +395,32 @@ proptest! {
         }
     }
 
-    /// Adaptive tiering with the tuner frozen against the same SLRU
-    /// reference model, operation for operation: with tuning disabled the
-    /// sketch, ghost lists and admission gate are all inert,
-    /// so the machinery must be bit-identical to a static split at the
-    /// same fraction. (Eighths have exact permille representations, so
-    /// the integer tier caps equal the static path's float rounding.)
+    /// The service's gated SLRU against the same SLRU reference model,
+    /// operation for operation. The gate is the only thing the model
+    /// does not know: each insert the gate refused (read from the
+    /// `admission_denied` delta) is withheld from the model, and after
+    /// that the two must agree on every lookup, the resident count, the
+    /// byte gauge, and the eviction and promotion counts. The split is
+    /// 875‰ of the shard, one entry less where that would leave
+    /// probation no room.
     #[test]
-    fn frozen_adaptive_matches_the_slru_reference_model(
+    fn gated_slru_matches_the_slru_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..400),
         capacity in 1usize..24,
-        eighths in 0u32..9,
     ) {
-        let frac = f64::from(eighths) / 8.0;
         let cache: ShardedLruCache<u16, u64> = ShardedLruCache::new(capacity, 1)
-            .with_adaptive_tuning_disabled(frac)
+            .with_gated_slru()
             .with_weigher(|v: &u64| *v);
         #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
         #[allow(clippy::cast_sign_loss)]
-        let protected_cap = ((capacity as f64 * frac).round() as usize).min(capacity);
+        let protected_cap = ((capacity as f64 * 0.875).round() as usize).min(capacity - 1);
+        prop_assert_eq!(cache.tier_stats().protected_cap, protected_cap as u64);
         let mut model = SegmentedModel {
             protected_cap,
             ..SegmentedModel::default()
         };
 
+        let mut denied = 0u64;
         for &op in &ops {
             match op {
                 CacheOp::Get(key) => {
@@ -429,8 +431,18 @@ proptest! {
                 }
                 CacheOp::Insert(key) => {
                     let value = op_value(key);
+                    let before = cache.stats().admission_denied;
                     cache.insert(key, value);
-                    model.insert(key, value, value, capacity);
+                    match cache.stats().admission_denied - before {
+                        0 => model.insert(key, value, value, capacity),
+                        1 => {
+                            // Only a new key into a full shard meets the gate.
+                            prop_assert!(model.peek(key).is_none(), "a resident key was gated");
+                            prop_assert_eq!(model.map.len(), capacity, "a shard with room gated");
+                            denied += 1;
+                        }
+                        delta => prop_assert!(false, "one insert denied {} times", delta),
+                    }
                 }
             }
             prop_assert_eq!(cache.len(), model.map.len(), "resident count diverged");
@@ -444,9 +456,7 @@ proptest! {
         let stats = cache.stats();
         prop_assert_eq!(stats.evictions, model.evictions, "eviction counts diverged");
         prop_assert_eq!(stats.promoted, model.promoted, "promotion counts diverged");
-        prop_assert_eq!(stats.ghost_hits, 0, "frozen tuner must not consult ghosts");
-        prop_assert_eq!(stats.admission_denied, 0, "frozen tuner must not gate admission");
-        prop_assert_eq!(stats.tuner_steps, 0, "frozen tuner must not step");
+        prop_assert_eq!(stats.admission_denied, denied);
     }
 }
 

@@ -439,116 +439,55 @@ fn record_frames(data: &[u8]) -> Vec<(usize, String)> {
     frames
 }
 
-/// The adaptive tuner's learned split survives restarts: a `Tuner`
-/// journal record (as a long-lived process would have written at its last
-/// snapshot) is applied at boot, visible through the tier stats, and
-/// re-exported bit-exactly by the boot compaction — *after* every other
-/// record kind, so binaries that predate the variant still recover the
-/// whole cache-state prefix.
+/// A state dir written by a binary whose cache tiers tuned their
+/// protected split online: its journal ends in `Tuner` frames for the
+/// stage, param and sim tiers, and one for a tier name no binary has.
+/// Every tier now runs a fixed split, so the service boots from it with
+/// no torn tail, drops all four frames (counted as skipped), recovers
+/// every other record, and writes no `Tuner` frame back.
 #[test]
-fn warm_boot_resumes_the_learned_tuner_split_and_exports_it_last() {
+fn a_state_dir_with_tuner_records_boots_and_drops_them() {
     let dir = StateDir::new("tuner");
     let batches = [4usize, 8];
     let expected = populate(dir.path(), &batches);
-
-    // Hand-craft the learned state: a 25% protected split after three
-    // sketch decays. Appending the frame directly (rather than churning
-    // the cache until the tuner drifts) keeps the fixture exact.
-    let mut frame = Vec::new();
-    push_frame(
-        &mut frame,
-        br#"{"Tuner":{"cache":"stage","frac_permille":250,"decay_epoch":3}}"#,
-    );
-    let mut journal = fs::read(dir.path().join(JOURNAL_FILE)).expect("journal");
-    journal.extend_from_slice(&frame);
-    fs::write(dir.path().join(JOURNAL_FILE), &journal).expect("journal with tuner record");
-
-    // The warm boot resumes the learned split.
-    let service = EstimationService::new(config(dir.path()));
-    let tier = service.stage_tier_stats();
-    assert!(tier.adaptive, "the default service tier is adaptive");
-    assert_eq!(
-        tier.protected_frac_permille, 250,
-        "warm boot must resume the learned fraction"
-    );
-    drop(service);
-
-    // The boot compaction re-exported it: integers only, bit-exact, and
-    // strictly after every Stage/Replay/Sim/Param frame.
+    // One more boot compacts everything into the snapshot.
+    drop(EstimationService::new(config(dir.path())));
     let snapshot = fs::read(dir.path().join(SNAPSHOT_FILE)).expect("snapshot");
-    let frames = record_frames(&snapshot);
-    let first_tuner = frames
-        .iter()
-        .find(|(_, variant)| variant == "Tuner")
-        .map(|&(start, _)| start)
-        .expect("adaptive caches must export tuner records");
-    for (start, variant) in &frames {
-        assert!(
-            variant == "Tuner" || *start < first_tuner,
-            "a {variant} record after the first Tuner breaks downgrade tolerance"
+    let recorded = record_frames(&snapshot).len() as u64;
+    assert!(recorded > 0, "the snapshot must carry records");
+
+    let mut old = fs::read(dir.path().join(JOURNAL_FILE)).expect("journal");
+    for cache in ["stage", "param", "sim", "negative"] {
+        push_frame(
+            &mut old,
+            format!(r#"{{"Tuner":{{"cache":"{cache}","frac_permille":250,"decay_epoch":3}}}}"#)
+                .as_bytes(),
         );
     }
-    let stage_tuner = frames
-        .iter()
-        .filter(|(_, variant)| variant == "Tuner")
-        .map(|&(start, _)| {
-            let len = u32::from_le_bytes(snapshot[start..start + 4].try_into().expect("4 bytes"))
-                as usize;
-            std::str::from_utf8(&snapshot[start + 12..start + 12 + len]).expect("JSON")
-        })
-        .find(|payload| payload.contains("\"stage\""))
-        .expect("a stage tuner record");
-    assert!(
-        stage_tuner.contains("\"frac_permille\":250") && stage_tuner.contains("\"decay_epoch\":3"),
-        "learned state must round-trip bit-exactly, got {stage_tuner}"
-    );
-
-    // A reader that predates `Tuner` effectively boots from the prefix
-    // before the first Tuner frame: the whole cache state must still
-    // recover (it only loses the learned split).
-    let scratch = StateDir::new("tuner-prefix");
-    fs::create_dir_all(scratch.path()).expect("scratch dir");
-    fs::write(scratch.path().join(SNAPSHOT_FILE), &snapshot[..first_tuner])
-        .expect("prefix snapshot");
-    assert_warm_boot(scratch.path(), &batches, &expected);
-}
-
-/// Tuner records for cache tiers this binary does not recognize are
-/// skipped (counted), exactly like orphaned sim cells — a name from a
-/// future version must not poison boot.
-#[test]
-fn tuner_records_for_unknown_tiers_are_skipped() {
-    let untraced = TraceContext::disabled();
-    let dir = StateDir::new("tuner-unknown");
-    let batches = [4usize];
-    let expected = populate(dir.path(), &batches);
-    let mut frame = Vec::new();
-    push_frame(
-        &mut frame,
-        br#"{"Tuner":{"cache":"negative","frac_permille":700,"decay_epoch":1}}"#,
-    );
-    let mut journal = fs::read(dir.path().join(JOURNAL_FILE)).expect("journal");
-    journal.extend_from_slice(&frame);
-    fs::write(dir.path().join(JOURNAL_FILE), &journal).expect("journal with unknown tier");
+    fs::write(dir.path().join(JOURNAL_FILE), &old).expect("journal with tuner records");
 
     let service = EstimationService::new(config(dir.path()));
     let stats = service.persist_stats();
-    assert!(
-        stats.recovery_skipped > 0,
-        "unknown tier names must be counted, not fatal: {stats:?}"
+    assert_eq!(stats.recovery_truncated, 0, "{stats:?}");
+    assert_eq!(
+        stats.recovery_skipped, 4,
+        "the four Tuner frames: {stats:?}"
+    );
+    assert_eq!(
+        stats.recovered_entries, recorded,
+        "every Stage and Sim record: {stats:?}"
     );
     assert_eq!(
         service.stage_tier_stats().protected_frac_permille,
-        500,
-        "no known tier may have absorbed the unknown record"
+        875,
+        "no tier takes a persisted split"
     );
-    for (&b, want) in batches.iter().zip(&expected) {
-        let got = service
-            .estimate_traced(&spec(b), None, &untraced)
-            .expect("warm estimate");
-        assert_eq!(&got, want);
-    }
-    assert_eq!(service.profile_runs(), 0);
+    drop(service);
+    let snapshot = fs::read(dir.path().join(SNAPSHOT_FILE)).expect("snapshot");
+    assert!(record_frames(&snapshot)
+        .iter()
+        .all(|(_, variant)| variant != "Tuner"));
+    assert_warm_boot(dir.path(), &batches, &expected);
 }
 
 /// A state dir written by a binary that still kept an unbounded-replay
@@ -587,7 +526,7 @@ fn a_state_dir_with_replay_records_boots_and_drops_them() {
         .find(|(_, variant)| variant == "Sim")
         .map(|&(start, _)| start)
         .expect("populate journals sim cells");
-    for variant in ["Stage", "Param", "Tuner"] {
+    for variant in ["Stage", "Param"] {
         assert!(
             frames.iter().any(|(_, v)| v == variant),
             "no {variant} frame"
@@ -647,7 +586,7 @@ fn a_state_dir_with_replay_records_boots_and_drops_them() {
     assert_eq!(
         stats.recovered_entries,
         frames.len() as u64,
-        "every Stage, Sim, Param and Tuner record: {stats:?}"
+        "every Stage, Sim and Param record: {stats:?}"
     );
     for (&b, want) in batches.iter().zip(&expected) {
         let got = service

@@ -661,17 +661,14 @@ fn health_and_metrics_expose_the_counter_surface() {
         "xmem_profile_runs_total 1",
         "xmem_sim_runs_total",
         "xmem_server_draining 0",
-        // Adaptive tiering families: the estimated job sits in the stage
-        // cache's probation segment, and the tuner starts at the default
-        // 50% split on every tier.
+        // Cache tiering families: the estimated job sits in the stage
+        // cache's probation segment, and every tier holds a fixed 875‰
+        // protected split.
         "xmem_cache_entries{cache=\"stage\",segment=\"probation\"} 1",
         "xmem_cache_entries{cache=\"stage\",segment=\"protected\"} 0",
-        "xmem_cache_adaptive{cache=\"stage\"} 1",
         "xmem_cache_segmented{cache=\"param\"} 1",
-        "xmem_cache_protected_frac_permille{cache=\"stage\"} 500",
+        "xmem_cache_protected_frac_permille{cache=\"stage\"} 875",
         "xmem_cache_capacity{cache=\"param\"}",
-        "xmem_cache_ghost_hits_total{cache=\"stage\"} 0",
-        "xmem_cache_tuner_steps_total{cache=\"sim\"} 0",
         "xmem_cache_sketch_resets_total{cache=\"stage\"} 0",
         "xmem_cache_admission_denied_total{cache=\"stage\"} 0",
         // Per-stage latency histograms from the tracing layer: the
@@ -687,6 +684,13 @@ fn health_and_metrics_expose_the_counter_surface() {
         !text.contains("cache=\"replay\""),
         "the service has no replay tier:\n{text}"
     );
+    for gone in [
+        "xmem_cache_adaptive",
+        "xmem_cache_ghost_hits_total",
+        "xmem_cache_tuner_steps_total",
+    ] {
+        assert!(!text.contains(gone), "no tier tunes its split: `{gone}`");
+    }
 
     // Shutdown over the wire: the SIGTERM-equivalent for the CLI.
     let bye = client.post_json("/v1/shutdown", "{}").expect("shutdown");
