@@ -490,6 +490,44 @@ fn a_state_dir_with_tuner_records_boots_and_drops_them() {
     assert_warm_boot(dir.path(), &batches, &expected);
 }
 
+/// Tuner records for cache tiers this binary does not recognize are
+/// skipped (counted), exactly like orphaned sim cells — a name from a
+/// future version must not poison boot.
+#[test]
+fn tuner_records_for_unknown_tiers_are_skipped() {
+    let untraced = TraceContext::disabled();
+    let dir = StateDir::new("tuner-unknown");
+    let batches = [4usize];
+    let expected = populate(dir.path(), &batches);
+    let mut frame = Vec::new();
+    push_frame(
+        &mut frame,
+        br#"{"Tuner":{"cache":"negative","frac_permille":700,"decay_epoch":1}}"#,
+    );
+    let mut journal = fs::read(dir.path().join(JOURNAL_FILE)).expect("journal");
+    journal.extend_from_slice(&frame);
+    fs::write(dir.path().join(JOURNAL_FILE), &journal).expect("journal with unknown tier");
+
+    let service = EstimationService::new(config(dir.path()));
+    let stats = service.persist_stats();
+    assert!(
+        stats.recovery_skipped > 0,
+        "unknown tier names must be counted, not fatal: {stats:?}"
+    );
+    assert_eq!(
+        service.stage_tier_stats().protected_frac_permille,
+        875,
+        "no known tier may have absorbed the unknown record"
+    );
+    for (&b, want) in batches.iter().zip(&expected) {
+        let got = service
+            .estimate_traced(&spec(b), None, &untraced)
+            .expect("warm estimate");
+        assert_eq!(&got, want);
+    }
+    assert_eq!(service.profile_runs(), 0);
+}
+
 /// A state dir written by a binary that still kept an unbounded-replay
 /// cache: its snapshot holds `Replay` frames (written before every `Sim`
 /// and `Param` frame) and a `replay` tuner record. The service boots from

@@ -309,19 +309,32 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
         .wait();
 
     // One worker held by the matrix, the depth-1 queue filled behind it.
+    // The matrix occupies the queue until the worker takes it, and a cold
+    // job is refused until then; so retry one until it is queued, which
+    // proves the worker holds the matrix.
     let blocker = front
         .matrix(&blocker_matrix(), &["tight"], None, &untraced)
         .expect("idle pool");
     let cold = |batch| job(ModelId::MobileNetV3Small, OptimizerKind::Adam, batch);
-    let mut queued = Vec::new();
-    let mut busy = false;
-    for batch in [8, 16, 32] {
-        match front.submit(&cold(batch), Some("rtx3060"), None, &untraced) {
-            Ok(future) => queued.push(future),
-            Err(SubmitError::Busy) => busy = true,
+    let give_up = Instant::now() + Duration::from_secs(30);
+    let queued = loop {
+        match front.submit(&cold(8), Some("rtx3060"), None, &untraced) {
+            Ok(future) => break future,
+            Err(SubmitError::Busy) => {
+                assert!(Instant::now() < give_up, "the worker never took the matrix");
+                std::thread::yield_now();
+            }
         }
+    };
+    for batch in [16, 32] {
+        assert_eq!(
+            front
+                .submit(&cold(batch), Some("rtx3060"), None, &untraced)
+                .err(),
+            Some(SubmitError::Busy),
+            "the pool is saturated"
+        );
     }
-    assert!(busy, "the pool is saturated");
 
     // The blocker computes on the same service meanwhile, so only the
     // counters it never touches are compared: stage hits (its jobs are
@@ -396,9 +409,7 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
         blocked.rows.iter().all(|row| !row.cells[0].fits()),
         "every blocker cell is pressured"
     );
-    for future in queued {
-        assert!(future.wait().is_ok());
-    }
+    assert!(queued.wait().is_ok());
 }
 
 #[test]
