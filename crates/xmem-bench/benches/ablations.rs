@@ -12,7 +12,7 @@ fn bench_simulator_variants(c: &mut Criterion) {
     let spec = TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 8).with_iterations(3);
     let trace = profile_on_cpu(&spec);
     let analyzed = Analyzer::new().analyze(&trace).expect("analyze");
-    let sequence = Orchestrator::default().orchestrate(&analyzed);
+    let buffer = Orchestrator::default().orchestrate(&analyzed);
     let device = GpuDevice::rtx3060();
 
     let variants: [(&str, AllocatorConfig); 4] = [
@@ -31,7 +31,7 @@ fn bench_simulator_variants(c: &mut Criterion) {
                     framework_bytes: device.framework_bytes,
                     record_timeline: false,
                 };
-                std::hint::black_box(sim.replay(&sequence))
+                std::hint::black_box(sim.replay(&buffer))
             })
         });
     }

@@ -17,7 +17,7 @@ fn bench_stages(c: &mut Criterion) {
     let trace = profile_on_cpu(&spec);
     let json = trace.to_json_string().expect("serialize");
     let analyzed = Analyzer::new().analyze(&trace).expect("analyze");
-    let sequence = Orchestrator::default().orchestrate(&analyzed);
+    let buffer = Orchestrator::default().orchestrate(&analyzed);
     let device = GpuDevice::rtx3060();
 
     c.bench_function("profile_on_cpu", |b| {
@@ -31,16 +31,16 @@ fn bench_stages(c: &mut Criterion) {
     });
     c.bench_function("orchestrate_and_simulate", |b| {
         b.iter(|| {
-            let seq = Orchestrator::default().orchestrate(&analyzed);
+            let buffer = Orchestrator::default().orchestrate(&analyzed);
             std::hint::black_box(
-                Simulator::new(device.capacity, device.framework_bytes).replay(&seq),
+                Simulator::new(device.capacity, device.framework_bytes).replay(&buffer),
             )
         })
     });
     c.bench_function("simulator_replay", |b| {
         b.iter(|| {
             std::hint::black_box(
-                Simulator::new(device.capacity, device.framework_bytes).replay(&sequence),
+                Simulator::new(device.capacity, device.framework_bytes).replay(&buffer),
             )
         })
     });

@@ -48,15 +48,15 @@ fn variant_config(device: GpuDevice, variant: &str) -> EstimatorConfig {
 fn tensor_sum_estimate(spec: &TrainJobSpec, device: &GpuDevice) -> u64 {
     let trace = profile_on_cpu(spec);
     let analyzed = Analyzer::new().analyze(&trace).expect("well-formed trace");
-    let seq = Orchestrator::default().orchestrate(&analyzed);
+    let buffer = Orchestrator::default().orchestrate(&analyzed);
     let mut live = 0u64;
     let mut peak = 0u64;
-    for e in &seq.events {
-        if e.is_alloc {
-            live += e.bytes;
+    for (&bytes, &is_alloc) in buffer.bytes.iter().zip(&buffer.is_alloc) {
+        if is_alloc {
+            live += bytes;
             peak = peak.max(live);
         } else {
-            live -= e.bytes;
+            live -= bytes;
         }
     }
     peak + device.framework_bytes

@@ -14,6 +14,11 @@
 //! plain LRU, does not lose to the best static fraction, and does not
 //! lose to the hill-climbing tuner it replaced.
 //!
+//! Each policy runs [`REPEATS`] times on a fresh cache. The replays are
+//! deterministic, and the harness checks that every repeat counts the
+//! same; each timing reported (`total_ns`, and `ns_per_op` from it) is
+//! the median of the repeats' samples.
+//!
 //! Usage: `cache [--quick] [--out PATH]`
 //!
 //! * `--quick` — CI-sized trace (seconds, not minutes);
@@ -58,8 +63,11 @@ fn finish(name: &str, unit: &str, iterations: u64, total_ns: u64) -> Benchmark {
     bench
 }
 
+/// Timed runs per policy; the reported timings are their medians.
+const REPEATS: usize = 5;
+
 /// One policy's outcome over the shared trace.
-#[derive(Debug, Serialize)]
+#[derive(Debug, PartialEq, Serialize)]
 struct PolicyResult {
     /// Stable policy identifier.
     name: String,
@@ -217,15 +225,57 @@ fn build_trace(universe: usize, len: usize, zipf_s: f64) -> Vec<Access> {
     trace
 }
 
-/// Replays the trace against one cache policy, timing the full replay
-/// and a warm-serve pass over the head of the popularity distribution.
+/// Runs one cache policy [`REPEATS`] times, each on a fresh cache from
+/// `build`, and reports the median timings and the (identical) outcome.
 fn run_policy(
     name: &str,
-    cache: &ShardedLruCache<JobKey, u64>,
+    build: &dyn Fn() -> ShardedLruCache<JobKey, u64>,
     trace: &[Access],
     keys: &[JobKey],
     benchmarks: &mut Vec<Benchmark>,
 ) -> PolicyResult {
+    let mut replay_ns = Vec::with_capacity(REPEATS);
+    let mut warm_ns = Vec::with_capacity(REPEATS);
+    let mut outcome: Option<PolicyResult> = None;
+    for _ in 0..REPEATS {
+        let (replay, warm, result) = replay_once(name, &build(), trace, keys);
+        replay_ns.push(replay);
+        warm_ns.push(warm);
+        match &outcome {
+            Some(first) => assert_eq!(first, &result, "{name}: a repeat counted differently"),
+            None => outcome = Some(result),
+        }
+    }
+    benchmarks.push(finish(
+        &format!("replay_{name}"),
+        "access",
+        trace.len() as u64,
+        median(replay_ns),
+    ));
+    benchmarks.push(finish(
+        &format!("warm_get_{name}"),
+        "lookup",
+        trace.len() as u64 / 4,
+        median(warm_ns),
+    ));
+    outcome.expect("at least one repeat")
+}
+
+/// The median of `samples` (the upper one of an even count).
+fn median(mut samples: Vec<u64>) -> u64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Replays the trace against one cache, timing the full replay and a
+/// warm-serve pass over the head of the popularity distribution: the
+/// replay's and the pass's nanoseconds, and the outcome.
+fn replay_once(
+    name: &str,
+    cache: &ShardedLruCache<JobKey, u64>,
+    trace: &[Access],
+    keys: &[JobKey],
+) -> (u64, u64, PolicyResult) {
     let key_of = |access: &Access| -> JobKey {
         keys.get(access.index as usize)
             .cloned()
@@ -239,12 +289,6 @@ fn run_policy(
         }
     }
     let replay_ns = started.elapsed().as_nanos() as u64;
-    benchmarks.push(finish(
-        &format!("replay_{name}"),
-        "access",
-        trace.len() as u64,
-        replay_ns,
-    ));
 
     // Warm-serve throughput: hammer the 32 hottest post-rotation keys —
     // resident under any sane policy — so this times pure hit latency.
@@ -264,12 +308,6 @@ fn run_policy(
         std::hint::black_box(cache.get(&hot[(i % 32) as usize]));
     }
     let warm_ns = started.elapsed().as_nanos() as u64;
-    benchmarks.push(finish(
-        &format!("warm_get_{name}"),
-        "lookup",
-        warm_reps,
-        warm_ns,
-    ));
     let stats = cache.stats();
     assert_eq!(
         stats.hits - before.hits,
@@ -292,7 +330,7 @@ fn run_policy(
     );
     #[allow(clippy::cast_precision_loss)]
     let hit_rate = replay_hits as f64 / (replay_hits + replay_misses).max(1) as f64;
-    PolicyResult {
+    let result = PolicyResult {
         name: name.to_string(),
         hit_rate,
         hits: replay_hits,
@@ -304,7 +342,8 @@ fn run_policy(
         sketch_resets: stats.sketch_resets,
         protected_frac_permille: tier.protected_frac_permille,
         bytes_in_use: tier.bytes_in_use,
-    }
+    };
+    (replay_ns, warm_ns, result)
 }
 
 fn main() {
@@ -340,19 +379,11 @@ fn main() {
     let mut benchmarks = Vec::new();
     let mut policies = Vec::new();
 
-    // Each policy is a plain cache with its tiering applied, then the
-    // shared weigher.
-    let build = |tier: &dyn Fn(ShardedLruCache<JobKey, u64>) -> ShardedLruCache<JobKey, u64>| {
-        tier(ShardedLruCache::new(capacity, shards)).with_weigher(weigher)
-    };
+    // Each policy is a plain cache with the shared weigher, then its
+    // tiering.
+    let cache = move || ShardedLruCache::new(capacity, shards).with_weigher(weigher);
 
-    let plain = run_policy(
-        "plain_lru",
-        &build(&|plain| plain),
-        &trace,
-        &keys,
-        &mut benchmarks,
-    );
+    let plain = run_policy("plain_lru", &cache, &trace, &keys, &mut benchmarks);
 
     let static_fracs = [
         ("static_slru_25", 0.25),
@@ -361,12 +392,12 @@ fn main() {
         ("static_slru_875", 0.875),
     ];
     for &(name, frac) in &static_fracs {
-        let cache = build(&|plain| plain.with_segmented_admission(frac));
-        policies.push(run_policy(name, &cache, &trace, &keys, &mut benchmarks));
+        let build = || cache().with_segmented_admission(frac);
+        policies.push(run_policy(name, &build, &trace, &keys, &mut benchmarks));
     }
 
-    let gated_cache = build(&|plain| plain.with_gated_slru());
-    let gated = run_policy("gated", &gated_cache, &trace, &keys, &mut benchmarks);
+    let build = || cache().with_gated_slru();
+    let gated = run_policy("gated", &build, &trace, &keys, &mut benchmarks);
 
     // --- in-harness proof obligations ----------------------------------
     let (best_static_hit_rate, best_static_frac) = policies

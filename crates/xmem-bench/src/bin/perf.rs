@@ -21,9 +21,7 @@
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use xmem_core::{
-    Analyzer, DeviceMatrix, Estimator, EstimatorConfig, EventBuffer, Orchestrator, Simulator,
-};
+use xmem_core::{Analyzer, DeviceMatrix, Estimator, EstimatorConfig, Orchestrator, Simulator};
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
@@ -305,14 +303,14 @@ fn main() {
             TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 4).with_iterations(2);
         let trace = profile_on_cpu(&spec);
         let analyzed = Analyzer::new().analyze(&trace).expect("trace analyzes");
-        // Densified once, outside the clock: the figure is the
+        // Orchestrated once, outside the clock: the figure is the
         // allocator's per-event cost alone.
-        let buffer = EventBuffer::from_sequence(&Orchestrator::default().orchestrate(&analyzed));
+        let buffer = Orchestrator::default().orchestrate(&analyzed);
         let events = buffer.len() as u64;
         let simulator = Simulator::unbounded();
         let started = Instant::now();
         for _ in 0..replay_reps {
-            std::hint::black_box(simulator.replay_buffer(&buffer));
+            std::hint::black_box(simulator.replay(&buffer));
         }
         let total_ns = started.elapsed().as_nanos() as u64;
         benchmarks.push(finish(

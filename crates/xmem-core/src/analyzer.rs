@@ -3,7 +3,8 @@
 
 use crate::lifecycle::{LifecycleStats, Lifecycles, MemoryBlock};
 use crate::windows::{
-    move_to_exact, AnnotationIndex, NameClass, OpWindow, WindowCollector, WindowIndex, WindowLookup,
+    move_to_exact, AnnotationIndex, ComponentWindow, CoveringSweep, NameClass, OpWindow,
+    WindowCollector, WindowIndex,
 };
 use crate::EstimateError;
 use serde::{Deserialize, Serialize, Value};
@@ -192,8 +193,10 @@ impl AnalyzedBlock {
 ///
 /// It serializes with every block's names spelled out, exactly as when
 /// blocks held the strings. Deserializing checks that each block id fits
-/// 32 bits and that each name is one of a window of the record: a record
-/// that fails is an error, never an analysis that panics or misnames.
+/// 32 bits and is the block's position, as the Orchestrator indexes
+/// blocks by id, and that each name is one of a window of the record: a
+/// record that fails is an error, never an analysis that panics or
+/// misnames.
 #[derive(Debug, Clone)]
 pub struct AnalyzedTrace {
     blocks: Vec<AnalyzedBlock>,
@@ -215,24 +218,36 @@ impl AnalyzedTrace {
         &self.windows
     }
 
+    /// The operator window `block` was attributed to, if any. `block` must
+    /// come from this analysis. The Analyzer attributes a block to the
+    /// window [`WindowIndex::op_at`] finds at its allocation; a decoded
+    /// analysis names the first window of that name.
+    #[must_use]
+    pub fn operator_window(&self, block: &AnalyzedBlock) -> Option<&OpWindow> {
+        self.windows.ops().get(block.operator as usize)
+    }
+
+    /// The innermost component window around `block`'s allocation, if
+    /// any, as [`WindowIndex::component_at`] finds it (see
+    /// [`operator_window`](Self::operator_window)). `block` must come from
+    /// this analysis.
+    #[must_use]
+    pub fn component_window(&self, block: &AnalyzedBlock) -> Option<&ComponentWindow> {
+        self.windows.components().get(block.component as usize)
+    }
+
     /// Name of the operator `block` was attributed to, if any. `block`
     /// must come from this analysis.
     #[must_use]
     pub fn operator_of(&self, block: &AnalyzedBlock) -> Option<&str> {
-        self.windows
-            .ops()
-            .get(block.operator as usize)
-            .map(|w| &*w.name)
+        self.operator_window(block).map(|w| &*w.name)
     }
 
     /// Component (module path) enclosing `block`'s allocation, if any.
     /// `block` must come from this analysis.
     #[must_use]
     pub fn component_of(&self, block: &AnalyzedBlock) -> Option<&str> {
-        self.windows
-            .components()
-            .get(block.component as usize)
-            .map(|w| &*w.name)
+        self.component_window(block).map(|w| &*w.name)
     }
 
     /// Number of blocks per category (diagnostics / tests).
@@ -324,9 +339,13 @@ impl AnalyzedTraceRecord {
         let blocks = self
             .blocks
             .into_iter()
-            .map(|record| {
+            .enumerate()
+            .map(|(position, record)| {
                 if u32::try_from(record.block.id).is_err() {
                     return Err("analyzed block id does not fit 32 bits");
+                }
+                if record.block.id != position {
+                    return Err("analyzed block id is not its position");
                 }
                 let operator = resolve(&ops, record.operator.as_deref())
                     .ok_or("analyzed block names an operator no window of the record has")?;
@@ -420,15 +439,33 @@ impl Analyzer {
     }
 
     /// Attribution (paper's two rules, extended hierarchically) and
-    /// classification of one block. The block keeps the indices of the
+    /// classification of every block. Each block keeps the indices of the
     /// windows it was attributed to, which name it.
-    fn classify(block: &mut AnalyzedBlock, windows: &WindowIndex, lookup: &WindowLookup<'_>) {
-        let operator = lookup.op_index_at(block.alloc_ts);
-        let component = lookup.component_index_at(block.alloc_ts);
-        let op = operator.map(|i| &windows.ops()[i]);
-        block.category = Self::category(block, &windows.annotations, op);
-        block.operator = operator.map_or(NO_NAME, |i| i as u32);
-        block.component = component.map_or(NO_NAME, |i| i as u32);
+    ///
+    /// One forward sweep over the blocks in allocation-time order and
+    /// over each window list (see [`CoveringSweep`]). Blocks come in that
+    /// order from the engine and from time-sorted traces; a hand-built
+    /// trace may list allocations out of time order, and its blocks are
+    /// swept in a stable sort of their indices by allocation time.
+    fn classify(blocks: &mut [AnalyzedBlock], windows: &WindowIndex) {
+        let mut ops = CoveringSweep::new(windows.ops(), |w| (w.start, w.end));
+        let mut components = CoveringSweep::new(windows.components(), |w| (w.start, w.end));
+        let mut classify = |block: &mut AnalyzedBlock| {
+            let operator = ops.at(block.alloc_ts);
+            let op = operator.map(|i| &windows.ops()[i]);
+            block.category = Self::category(block, &windows.annotations, op);
+            block.operator = operator.map_or(NO_NAME, |i| i as u32);
+            block.component = components.at(block.alloc_ts).map_or(NO_NAME, |i| i as u32);
+        };
+        if blocks.is_sorted_by_key(|b| b.alloc_ts) {
+            blocks.iter_mut().for_each(classify);
+        } else {
+            let mut order: Vec<usize> = (0..blocks.len()).collect();
+            order.sort_by_key(|&i| blocks[i].alloc_ts);
+            for i in order {
+                classify(&mut blocks[i]);
+            }
+        }
     }
 
     /// The class of `block`, allocated inside operator window `op` (if
@@ -494,7 +531,7 @@ impl Analyzer {
 ///   reports them in time order, so arrival order is trace order.
 /// - Spans arrive when they close, so only their windows are buffered;
 ///   [`finish`](Self::finish) puts each list in start order and then
-///   attributes and classifies every block.
+///   attributes and classifies every block in one sweep.
 #[derive(Debug)]
 pub struct AnalyzingSink {
     device_id: i32,
@@ -578,10 +615,7 @@ impl AnalyzingSink {
             windows.ops().len() < NO_NAME as usize && windows.components().len() < NO_NAME as usize,
             "fewer than u32::MAX windows"
         );
-        let lookup = windows.lookup();
-        for block in &mut blocks {
-            Analyzer::classify(block, &windows, &lookup);
-        }
+        Analyzer::classify(&mut blocks, &windows);
         move_to_exact(&mut blocks);
         Ok(AnalyzedTrace {
             blocks,

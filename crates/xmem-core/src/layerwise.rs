@@ -3,7 +3,7 @@
 //! requires memory demand *per layer*, which the Analyzer's attribution
 //! already provides. This module aggregates it.
 
-use crate::analyzer::{AnalyzedTrace, BlockCategory};
+use crate::analyzer::{AnalyzedBlock, AnalyzedTrace, BlockCategory};
 use crate::orchestrator::Orchestrator;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -30,34 +30,24 @@ pub struct LayerMemory {
 /// by descending live peak.
 #[must_use]
 pub fn layer_report(analyzed: &AnalyzedTrace, orchestrator: &Orchestrator) -> Vec<LayerMemory> {
-    // Orchestrated timings give GPU-semantic lifecycles; map block id →
-    // (alloc_ts, free_ts).
-    let sequence = orchestrator.orchestrate(analyzed);
-    let mut lifetime: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-    for e in &sequence.events {
-        let entry = lifetime.entry(e.block).or_insert((0, 0));
-        if e.is_alloc {
-            entry.0 = e.ts_us;
-        } else {
-            entry.1 = e.ts_us;
-        }
-    }
-
-    let mut groups: BTreeMap<&str, Vec<&crate::analyzer::AnalyzedBlock>> = BTreeMap::new();
-    for b in analyzed.blocks() {
-        if !b.category().is_kept() {
+    // Orchestrated timings give GPU-semantic lifecycles: each kept block
+    // with the free time rules 1–5 give it.
+    let mut groups: BTreeMap<&str, Vec<(&AnalyzedBlock, u64)>> = BTreeMap::new();
+    for (b, lifetime) in orchestrator.lifetimes(analyzed) {
+        let (true, Some(lifetime)) = (b.category().is_kept(), lifetime) else {
             continue;
-        }
+        };
         let key = analyzed.component_of(b).unwrap_or("<global>");
-        groups.entry(key).or_default().push(b);
+        groups.entry(key).or_default().push((b, lifetime.free_ts));
     }
 
     let mut report: Vec<LayerMemory> = groups
         .into_iter()
         .map(|(component, blocks)| {
-            let total_bytes = blocks.iter().map(|b| b.bytes()).sum();
+            let total_bytes = blocks.iter().map(|(b, _)| b.bytes()).sum();
             let persistent_bytes = blocks
                 .iter()
+                .map(|(b, _)| b)
                 .filter(|b| {
                     matches!(
                         b.category(),
@@ -68,11 +58,9 @@ pub fn layer_report(analyzed: &AnalyzedTrace, orchestrator: &Orchestrator) -> Ve
                 .sum();
             // Sweep-line peak over this component's orchestrated lifetimes.
             let mut events: Vec<(u64, i64)> = Vec::with_capacity(blocks.len() * 2);
-            for b in &blocks {
-                if let Some(&(alloc, free)) = lifetime.get(&b.id()) {
-                    events.push((alloc, b.bytes() as i64));
-                    events.push((free, -(b.bytes() as i64)));
-                }
+            for &(b, free_ts) in &blocks {
+                events.push((b.alloc_ts(), b.bytes() as i64));
+                events.push((free_ts, -(b.bytes() as i64)));
             }
             // Frees before allocs at equal timestamps keep the peak tight.
             events.sort_by_key(|&(ts, delta)| (ts, delta));

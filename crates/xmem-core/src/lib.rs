@@ -18,7 +18,7 @@
 //!    boundary, activations keep their CPU-derived lifecycle, parameter
 //!    gradients die exactly at `optimizer.zero_grad()`, optimizer state
 //!    persists from its first allocation.
-//! 3. [`Simulator`] — replays the orchestrated event sequence through the
+//! 3. [`Simulator`] — replays the orchestrated [`EventBuffer`] through the
 //!    two-level allocator simulation of [`xmem_alloc`] against the target
 //!    device's capacity, yielding the estimated peak *segment* memory, an
 //!    optional usage curve, and an OOM prediction (§3.4).
@@ -62,9 +62,9 @@ pub use error::EstimateError;
 pub use layerwise::{layer_report, render_layer_report, LayerMemory};
 pub use lifecycle::{reconstruct_lifecycles, LifecycleStats, MemoryBlock};
 pub use matrix::{DeviceMatrix, DevicePlacement, MatrixCell, MatrixRow};
-pub use orchestrator::{OrchestratedEvent, OrchestratedSequence, Orchestrator};
-pub use param::{EventBuffer, ParamRejection, ParamReplay};
+pub use orchestrator::{EventBuffer, Orchestrator};
+pub use param::{ParamRejection, ParamReplay};
 pub use pipeline::{AnalysisStats, Estimate, Estimator, EstimatorConfig, UnboundedReplay};
 pub use report::render_report;
 pub use simulator::{SimulationResult, Simulator};
-pub use windows::{AnnotationIndex, OpWindow, WindowIndex, WindowLookup};
+pub use windows::{AnnotationIndex, ComponentWindow, OpWindow, WindowIndex};

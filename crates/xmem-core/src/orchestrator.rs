@@ -1,7 +1,6 @@
 //! The Memory Orchestrator (paper §3.3): re-times CPU-derived block
 //! lifecycles to match the lifecycle the same tensors would have on the
-//! target GPU, then emits the orchestrated event sequence the Simulator
-//! replays.
+//! target GPU, then emits the event stream the Simulator replays.
 //!
 //! Rules (numbered as in the paper):
 //! 1. **Model parameters** — blocks from model loading become persistent.
@@ -18,38 +17,47 @@
 //! Script-level blocks are dropped (the Analyzer's operator-centric
 //! filter).
 
-use crate::analyzer::{AnalyzedTrace, BlockCategory};
+use crate::analyzer::{AnalyzedBlock, AnalyzedTrace, BlockCategory};
+use crate::windows::AnnotationIndex;
 use serde::{Deserialize, Serialize};
 
-/// One orchestrated memory event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OrchestratedEvent {
-    /// Event timestamp (µs).
-    pub ts_us: u64,
-    /// Block identifier (stable across alloc/free).
-    pub block: usize,
-    /// Size in bytes.
-    pub bytes: u64,
-    /// `true` = allocation, `false` = free.
-    pub is_alloc: bool,
-}
-
-/// The orchestrated sequence: time-ordered events ready for replay.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OrchestratedSequence {
-    /// Events in replay order.
-    pub events: Vec<OrchestratedEvent>,
+/// The orchestrated event stream in structure-of-arrays form, ready for
+/// simulator replay.
+///
+/// Block ids are **dense**: numbered `0..num_blocks` by order of first
+/// appearance, so the simulator can track live allocations in a flat
+/// `Vec` instead of a hash map. All four columns have equal length;
+/// event `i` is `(ts_us[i], block[i], bytes[i], is_alloc[i])`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EventBuffer {
+    /// Event timestamps (µs). Under the incremental gate these only
+    /// label snapshots/timeline points and never affect placement.
+    pub ts_us: Vec<u64>,
+    /// Dense block id per event (`< num_blocks`).
+    pub block: Vec<u32>,
+    /// Raw (pre-rounding) byte size per event.
+    pub bytes: Vec<u64>,
+    /// `true` for an allocation, `false` for a free.
+    pub is_alloc: Vec<bool>,
+    /// Number of distinct blocks referenced by the stream.
+    pub num_blocks: usize,
     /// Number of blocks dropped by the script-level filter.
     pub filtered_blocks: usize,
     /// Number of blocks whose lifecycle was adjusted by rules 1–5.
     pub adjusted_blocks: usize,
 }
 
-impl OrchestratedSequence {
-    /// Number of alloc events (== number of kept blocks).
+impl EventBuffer {
+    /// Number of events in the stream.
     #[must_use]
-    pub fn num_blocks(&self) -> usize {
-        self.events.iter().filter(|e| e.is_alloc).count()
+    pub fn len(&self) -> usize {
+        self.block.len()
+    }
+
+    /// Whether the stream is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.block.is_empty()
     }
 }
 
@@ -72,12 +80,31 @@ impl Default for Orchestrator {
     }
 }
 
+/// What rules 1–5 make of one replayed block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lifetime {
+    /// When the block's free replays: its re-timed free, or the analysis
+    /// horizon for a block that persists.
+    pub(crate) free_ts: u64,
+    /// Whether the rules moved the free.
+    pub(crate) adjusted: bool,
+}
+
+/// A replay-order key: timestamp, then block id. Ids fit 32 bits.
+fn event_key(ts_us: u64, id: usize) -> u128 {
+    (u128::from(ts_us) << 32) | id as u128
+}
+
 impl Orchestrator {
-    /// Produces the orchestrated sequence from an analyzed trace.
-    #[must_use]
-    pub fn orchestrate(&self, analyzed: &AnalyzedTrace) -> OrchestratedSequence {
+    /// Every block of `analyzed` with what rules 1–5 make of it: `None`
+    /// when the script filter drops it.
+    pub(crate) fn lifetimes<'a>(
+        &'a self,
+        analyzed: &'a AnalyzedTrace,
+    ) -> impl Iterator<Item = (&'a AnalyzedBlock, Option<Lifetime>)> + 'a {
         let ann = &analyzed.windows().annotations;
         let blocks = analyzed.blocks();
+        // Persistent blocks are freed one tick after the last event.
         let horizon = blocks
             .iter()
             .flat_map(|b| [Some(b.alloc_ts()), b.free_ts()])
@@ -85,67 +112,107 @@ impl Orchestrator {
             .max()
             .unwrap_or(0)
             .saturating_add(1);
+        blocks
+            .iter()
+            .map(move |b| (b, self.lifetime(b, ann, horizon)))
+    }
 
-        let mut events: Vec<OrchestratedEvent> = Vec::with_capacity(2 * blocks.len());
-        let mut filtered = 0usize;
-        let mut adjusted = 0usize;
+    /// Rules 1–5 for one block.
+    fn lifetime(&self, b: &AnalyzedBlock, ann: &AnnotationIndex, horizon: u64) -> Option<Lifetime> {
+        if self.filter_script && !b.category().is_kept() {
+            return None;
+        }
+        let free_ts = b.free_ts();
+        let retimed = if self.retime {
+            match b.category() {
+                // Rule 1 & 5: persistent for the analysis horizon.
+                BlockCategory::Parameter | BlockCategory::OptimizerState => None,
+                // Rule 2: die at the iteration boundary at the latest.
+                BlockCategory::BatchData => match (free_ts, ann.iteration_end(b.alloc_ts())) {
+                    (Some(f), Some(e)) => Some(f.min(e)),
+                    (None, Some(e)) => Some(e),
+                    (f, None) => f,
+                },
+                // Rule 4: snap to the next zero_grad end.
+                BlockCategory::Gradient => ann.next_zero_grad_end(b.alloc_ts()),
+                // Rule 3 and everything transient: keep CPU timing.
+                _ => free_ts,
+            }
+        } else {
+            free_ts
+        };
+        Some(Lifetime {
+            free_ts: retimed.unwrap_or(horizon),
+            adjusted: retimed != free_ts,
+        })
+    }
 
-        for b in blocks {
-            if self.filter_script && !b.category().is_kept() {
-                filtered += 1;
+    /// Produces the replay buffer from an analyzed trace, in linear time
+    /// but for one sort of the frees.
+    ///
+    /// Replay order: primary = timestamp; secondary = block id so that
+    /// same-instant events replay in original allocation order; a block's
+    /// free at the same instant as its alloc replays after it (matches
+    /// trace emission order: a block is never freed before a same-tick
+    /// allocation that preceded it in the stream). Allocations and frees
+    /// are keyed `(ts << 32) | id` in two lists, each sorted on its own
+    /// (the allocations are already in order, which the sort checks in
+    /// one pass), and merged. The merge numbers blocks densely at first
+    /// appearance.
+    #[must_use]
+    pub fn orchestrate(&self, analyzed: &AnalyzedTrace) -> EventBuffer {
+        let blocks = analyzed.blocks();
+        let mut allocs: Vec<u128> = Vec::with_capacity(blocks.len());
+        let mut frees: Vec<u128> = Vec::with_capacity(blocks.len());
+        let (mut filtered_blocks, mut adjusted_blocks) = (0, 0);
+        for (b, lifetime) in self.lifetimes(analyzed) {
+            let Some(lifetime) = lifetime else {
+                filtered_blocks += 1;
                 continue;
-            }
-            let mut free_ts = b.free_ts();
-            if self.retime {
-                let new_free = match b.category() {
-                    // Rule 1 & 5: persistent for the analysis horizon.
-                    BlockCategory::Parameter | BlockCategory::OptimizerState => None,
-                    // Rule 2: die at the iteration boundary at the latest.
-                    BlockCategory::BatchData => {
-                        let boundary = ann.iteration_end(b.alloc_ts());
-                        match (free_ts, boundary) {
-                            (Some(f), Some(e)) => Some(f.min(e)),
-                            (None, Some(e)) => Some(e),
-                            (f, None) => f,
-                        }
-                    }
-                    // Rule 4: snap to the next zero_grad end.
-                    BlockCategory::Gradient => ann.next_zero_grad_end(b.alloc_ts()),
-                    // Rule 3 and everything transient: keep CPU timing.
-                    _ => free_ts,
-                };
-                if new_free != free_ts {
-                    adjusted += 1;
-                }
-                free_ts = new_free;
-            }
-
-            events.push(OrchestratedEvent {
-                ts_us: b.alloc_ts(),
-                block: b.id(),
-                bytes: b.bytes(),
-                is_alloc: true,
-            });
-            events.push(OrchestratedEvent {
-                ts_us: free_ts.unwrap_or(horizon),
-                block: b.id(),
-                bytes: b.bytes(),
-                is_alloc: false,
-            });
+            };
+            adjusted_blocks += usize::from(lifetime.adjusted);
+            allocs.push(event_key(b.alloc_ts(), b.id()));
+            frees.push(event_key(lifetime.free_ts, b.id()));
         }
+        allocs.sort_unstable();
+        frees.sort_unstable();
 
-        // Replay order: primary = timestamp; secondary = block id so that
-        // same-instant events replay in original allocation order; a
-        // block's free at the same instant as its alloc replays after it
-        // (matches trace emission order: a block is never freed before a
-        // same-tick allocation that preceded it in the stream). Every key
-        // is unique, so the unstable sort is deterministic.
-        events.sort_unstable_by_key(|e| (e.ts_us, e.block, !e.is_alloc));
-        OrchestratedSequence {
-            events,
-            filtered_blocks: filtered,
-            adjusted_blocks: adjusted,
+        let events = allocs.len() + frees.len();
+        let mut buffer = EventBuffer {
+            ts_us: Vec::with_capacity(events),
+            block: Vec::with_capacity(events),
+            bytes: Vec::with_capacity(events),
+            is_alloc: Vec::with_capacity(events),
+            num_blocks: 0,
+            filtered_blocks,
+            adjusted_blocks,
+        };
+        const UNSEEN: u32 = u32::MAX;
+        let mut dense = vec![UNSEEN; blocks.len()];
+        let (mut a, mut f) = (0, 0);
+        while a < allocs.len() || f < frees.len() {
+            // Equal keys are one block's alloc and free: the alloc first.
+            let is_alloc = f == frees.len() || (a < allocs.len() && allocs[a] <= frees[f]);
+            let key = if is_alloc {
+                a += 1;
+                allocs[a - 1]
+            } else {
+                f += 1;
+                frees[f - 1]
+            };
+            // The low 32 bits are the id, the position of the block.
+            let id = key as u32 as usize;
+            let slot = &mut dense[id];
+            if *slot == UNSEEN {
+                *slot = buffer.num_blocks as u32;
+                buffer.num_blocks += 1;
+            }
+            buffer.ts_us.push((key >> 32) as u64);
+            buffer.block.push(*slot);
+            buffer.bytes.push(blocks[id].bytes());
+            buffer.is_alloc.push(is_alloc);
         }
+        buffer
     }
 }
 
@@ -158,7 +225,7 @@ mod tests {
     use xmem_optim::OptimizerKind;
     use xmem_runtime::{profile_on_cpu, TrainJobSpec};
 
-    fn sequence(optimizer: OptimizerKind) -> (AnalyzedTrace, OrchestratedSequence) {
+    fn sequence(optimizer: OptimizerKind) -> (AnalyzedTrace, EventBuffer) {
         let spec = TrainJobSpec::new(ModelId::MobileNetV3Small, optimizer, 4).with_iterations(3);
         let trace = profile_on_cpu(&spec);
         let analyzed = Analyzer::new().analyze(&trace).unwrap();
@@ -169,12 +236,12 @@ mod tests {
     #[test]
     fn every_alloc_has_exactly_one_free() {
         let (_, seq) = sequence(OptimizerKind::Adam);
-        let mut live: HashSet<usize> = HashSet::new();
-        for e in &seq.events {
-            if e.is_alloc {
-                assert!(live.insert(e.block), "double alloc of block {}", e.block);
+        let mut live: HashSet<u32> = HashSet::new();
+        for (&block, &is_alloc) in seq.block.iter().zip(&seq.is_alloc) {
+            if is_alloc {
+                assert!(live.insert(block), "double alloc of block {block}");
             } else {
-                assert!(live.remove(&e.block), "free before alloc of {}", e.block);
+                assert!(live.remove(&block), "free before alloc of {block}");
             }
         }
         assert!(live.is_empty(), "all blocks freed by the horizon");
@@ -183,21 +250,19 @@ mod tests {
     #[test]
     fn events_are_time_ordered() {
         let (_, seq) = sequence(OptimizerKind::Adam);
-        for pair in seq.events.windows(2) {
-            assert!(pair[0].ts_us <= pair[1].ts_us);
-        }
+        assert!(seq.ts_us.is_sorted());
     }
 
     #[test]
     fn frees_never_precede_their_alloc() {
         let (_, seq) = sequence(OptimizerKind::AdamW);
-        use std::collections::HashMap;
-        let mut alloc_ts: HashMap<usize, u64> = HashMap::new();
-        for e in &seq.events {
-            if e.is_alloc {
-                alloc_ts.insert(e.block, e.ts_us);
+        let mut alloc_ts = vec![None; seq.num_blocks];
+        for event in 0..seq.len() {
+            let slot = &mut alloc_ts[seq.block[event] as usize];
+            if seq.is_alloc[event] {
+                *slot = Some(seq.ts_us[event]);
             } else {
-                assert!(e.ts_us >= alloc_ts[&e.block]);
+                assert!(seq.ts_us[event] >= slot.expect("allocated first"));
             }
         }
     }
@@ -211,26 +276,27 @@ mod tests {
         }
         .orchestrate(&analyzed);
         let retimed = Orchestrator::default().orchestrate(&analyzed);
-        assert_eq!(raw.num_blocks(), retimed.num_blocks());
+        assert_eq!(raw.num_blocks, retimed.num_blocks);
         assert!(retimed.adjusted_blocks > 0, "some lifecycles must move");
-        assert_ne!(raw.events, retimed.events);
+        assert_eq!(raw.adjusted_blocks, 0);
+        assert_ne!(raw.ts_us, retimed.ts_us);
     }
 
     #[test]
     fn orchestrated_peak_live_bytes_is_sane() {
-        // Live-byte peak of the orchestrated sequence must at least cover
+        // Live-byte peak of the orchestrated events must at least cover
         // parameters + optimizer state (they are persistent).
         let (analyzed, seq) = sequence(OptimizerKind::Adam);
         let persistent = analyzed.bytes(crate::BlockCategory::Parameter)
             + analyzed.bytes(crate::BlockCategory::OptimizerState);
         let mut live = 0u64;
         let mut peak = 0u64;
-        for e in &seq.events {
-            if e.is_alloc {
-                live += e.bytes;
+        for (&bytes, &is_alloc) in seq.bytes.iter().zip(&seq.is_alloc) {
+            if is_alloc {
+                live += bytes;
                 peak = peak.max(live);
             } else {
-                live -= e.bytes;
+                live -= bytes;
             }
         }
         assert!(peak >= persistent);

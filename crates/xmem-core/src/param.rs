@@ -24,96 +24,18 @@
 //! bit-identically (the same argument that underpins
 //! [`derive_from_replay`](crate::Estimator::derive_from_replay)).
 //!
-//! [`EventBuffer`] is the structure-of-arrays materialization the
-//! simulator consumes: dense block ids index a flat address table, so a
-//! full replay walks four parallel vectors instead of chasing a
-//! `HashMap` — the same buffer also backs ordinary (non-incremental)
-//! replays via [`Simulator::replay_buffer`](crate::Simulator::replay_buffer).
+//! [`materialize`](ParamReplay::materialize) yields the same
+//! [`EventBuffer`] the Orchestrator builds for ordinary replays: dense
+//! block ids index a flat handle table, so a replay walks four parallel
+//! vectors instead of chasing a `HashMap`.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::analyzer::AnalyzedTrace;
-use crate::orchestrator::{OrchestratedSequence, Orchestrator};
+use crate::orchestrator::{EventBuffer, Orchestrator};
 use crate::pipeline::{analysis_stats, AnalysisStats};
-
-/// Structure-of-arrays event stream, ready for simulator replay.
-///
-/// Block ids are **dense**: remapped to `0..num_blocks` by order of
-/// first appearance, so the simulator can track live addresses in a
-/// flat `Vec` instead of a hash map. All four columns have equal
-/// length; event `i` is `(ts_us[i], block[i], bytes[i], is_alloc[i])`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventBuffer {
-    /// Event timestamps (µs). Under the incremental gate these only
-    /// label snapshots/timeline points and never affect placement.
-    pub ts_us: Vec<u64>,
-    /// Dense block id per event (`< num_blocks`).
-    pub block: Vec<u32>,
-    /// Raw (pre-rounding) byte size per event.
-    pub bytes: Vec<u64>,
-    /// `true` for an allocation, `false` for a free.
-    pub is_alloc: Vec<bool>,
-    /// Number of distinct blocks referenced by the stream.
-    pub num_blocks: usize,
-}
-
-impl EventBuffer {
-    /// Densifies an orchestrated sequence into columnar form.
-    #[must_use]
-    pub fn from_sequence(sequence: &OrchestratedSequence) -> Self {
-        let n = sequence.events.len();
-        let mut buffer = EventBuffer {
-            ts_us: Vec::with_capacity(n),
-            block: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            is_alloc: Vec::with_capacity(n),
-            num_blocks: 0,
-        };
-        // Analyzer block ids are already `0..blocks`, only thinned by the
-        // script filter, so a flat table indexed by id does the renumbering.
-        // Ids past twice the event count (never produced by the Analyzer)
-        // spill to a map, so no input can size the table.
-        const UNSEEN: u32 = u32::MAX;
-        let table_len = sequence
-            .events
-            .iter()
-            .map(|e| e.block.saturating_add(1))
-            .max()
-            .unwrap_or(0)
-            .min(2 * n);
-        let mut table = vec![UNSEEN; table_len];
-        let mut spill: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
-        for event in &sequence.events {
-            let slot = match table.get_mut(event.block) {
-                Some(slot) => slot,
-                None => spill.entry(event.block).or_insert(UNSEEN),
-            };
-            if *slot == UNSEEN {
-                *slot = buffer.num_blocks as u32;
-                buffer.num_blocks += 1;
-            }
-            buffer.ts_us.push(event.ts_us);
-            buffer.block.push(*slot);
-            buffer.bytes.push(event.bytes);
-            buffer.is_alloc.push(event.is_alloc);
-        }
-        buffer
-    }
-
-    /// Number of events in the stream.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.block.len()
-    }
-
-    /// Whether the stream is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.block.is_empty()
-    }
-}
 
 /// Why a parameterized-replay fit was refused (→ full replay fallback).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -315,16 +237,16 @@ impl ParamReplay {
             return Err(ParamRejection::UnorderedAnchors);
         }
 
-        // Orchestrate + densify every anchor, keeping its stats.
+        // Orchestrate every anchor, keeping its stats.
         let mut streams: Vec<(usize, EventBuffer, AnalysisStats)> = Vec::new();
         for &(batch, analyzed) in anchors {
-            let sequence = orchestrator.orchestrate(analyzed);
-            let stats = analysis_stats(analyzed, &sequence);
-            streams.push((batch, EventBuffer::from_sequence(&sequence), stats));
+            let buffer = orchestrator.orchestrate(analyzed);
+            let stats = analysis_stats(analyzed, &buffer);
+            streams.push((batch, buffer, stats));
         }
 
-        // Structural identity across all anchors: dense densification
-        // makes block identity comparable even though raw profiler ids
+        // Structural identity across all anchors: dense block ids make
+        // block identity comparable even though raw profiler ids
         // differ between batches.
         let (_, first, first_stats) = &streams[0];
         for (batch, buffer, stats) in &streams[1..] {
@@ -451,6 +373,8 @@ impl ParamReplay {
                 .collect(),
             is_alloc: self.is_alloc.clone(),
             num_blocks: self.num_blocks,
+            filtered_blocks: self.filtered_blocks,
+            adjusted_blocks: self.adjusted_blocks,
         }
     }
 
@@ -477,7 +401,6 @@ impl ParamReplay {
 mod tests {
     use super::*;
     use crate::analyzer::Analyzer;
-    use crate::orchestrator::OrchestratedEvent;
     use xmem_models::ModelId;
     use xmem_optim::OptimizerKind;
     use xmem_runtime::{profile_on_cpu, TrainJobSpec};
@@ -489,32 +412,11 @@ mod tests {
         Analyzer::default().analyze(&trace).expect("analyze")
     }
 
-    /// First-appearance renumbering through a map: the reference the
-    /// table-based [`EventBuffer::from_sequence`] must reproduce.
-    fn naive_dense_ids(sequence: &OrchestratedSequence) -> (Vec<u32>, usize) {
-        let mut dense: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
-        let ids = sequence
-            .events
-            .iter()
-            .map(|e| {
-                let next = dense.len() as u32;
-                *dense.entry(e.block).or_insert(next)
-            })
-            .collect();
-        (ids, dense.len())
-    }
-
-    fn assert_dense_ids_match(sequence: &OrchestratedSequence) {
-        let buffer = EventBuffer::from_sequence(sequence);
-        let (ids, blocks) = naive_dense_ids(sequence);
-        assert_eq!(buffer.block, ids);
-        assert_eq!(buffer.num_blocks, blocks);
-        assert_eq!(buffer.len(), sequence.events.len());
-    }
-
     #[test]
     fn dense_ids_match_the_naive_numbering() {
-        // Script-filtered real streams: ids are sparse and out of order.
+        // Script-filtered real streams: the analysis's ids are sparse and
+        // out of order. Renumbering the buffer's ids by first appearance
+        // through a map must leave them as they are.
         let a = analyzed(2);
         for orchestrator in [
             Orchestrator::default(),
@@ -527,38 +429,20 @@ mod tests {
                 filter_script: false,
             },
         ] {
-            let sequence = orchestrator.orchestrate(&a);
-            assert!(sequence.events.len() > 1000);
-            assert_dense_ids_match(&sequence);
-        }
-
-        // Synthetic sparse ids, including ids far beyond the event count
-        // (they take the spill map) and the empty stream.
-        let mut state = 0x9e37_79b9_97f4_a7c1u64;
-        for len in [0usize, 1, 5, 300] {
-            let events = (0..len)
-                .map(|i| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    let r = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
-                    let block = match r % 3 {
-                        0 => (r >> 8) as usize % 16,
-                        1 => (r >> 8) as usize % 4096,
-                        _ => usize::MAX - (r >> 8) as usize % 4,
-                    };
-                    OrchestratedEvent {
-                        ts_us: i as u64,
-                        block,
-                        bytes: 512,
-                        is_alloc: r & 1 == 0,
-                    }
+            let buffer = orchestrator.orchestrate(&a);
+            assert!(buffer.len() > 1000);
+            let mut dense: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+            let naive: Vec<u32> = buffer
+                .block
+                .iter()
+                .map(|&id| {
+                    let next = dense.len() as u32;
+                    *dense.entry(id).or_insert(next)
                 })
                 .collect();
-            assert_dense_ids_match(&OrchestratedSequence {
-                events,
-                ..OrchestratedSequence::default()
-            });
+            assert_eq!(buffer.block, naive);
+            assert_eq!(buffer.num_blocks, dense.len());
+            assert_eq!(2 * buffer.num_blocks, buffer.len());
         }
     }
 
@@ -572,13 +456,14 @@ mod tests {
         assert_eq!(param.batch_range(), (1, 8));
 
         for (batch, trace) in &traces {
-            let sequence = orchestrator.orchestrate(trace);
-            let direct = EventBuffer::from_sequence(&sequence);
+            let direct = orchestrator.orchestrate(trace);
             let materialized = param.materialize(*batch);
             assert_eq!(materialized.bytes, direct.bytes, "batch {batch}");
             assert_eq!(materialized.block, direct.block);
             assert_eq!(materialized.is_alloc, direct.is_alloc);
-            let stats = analysis_stats(trace, &sequence);
+            assert_eq!(materialized.filtered_blocks, direct.filtered_blocks);
+            assert_eq!(materialized.adjusted_blocks, direct.adjusted_blocks);
+            let stats = analysis_stats(trace, &direct);
             assert_eq!(param.stats_for(*batch), stats, "stats at batch {batch}");
         }
     }
@@ -595,8 +480,7 @@ mod tests {
         // reproduce the freshly profiled stream byte-for-byte.
         for batch in [3usize, 4, 6, 7] {
             let fresh = analyzed(batch);
-            let sequence = orchestrator.orchestrate(&fresh);
-            let direct = EventBuffer::from_sequence(&sequence);
+            let direct = orchestrator.orchestrate(&fresh);
             assert_eq!(
                 param.materialize(batch).bytes,
                 direct.bytes,
@@ -604,7 +488,7 @@ mod tests {
             );
             assert_eq!(
                 param.stats_for(batch),
-                analysis_stats(&fresh, &sequence),
+                analysis_stats(&fresh, &direct),
                 "stats at batch {batch}"
             );
         }

@@ -1,8 +1,8 @@
 //! The public estimation facade: Analyzer → Orchestrator → Simulator.
 
 use crate::analyzer::{AnalyzedTrace, Analyzer, BlockCategory};
-use crate::orchestrator::{OrchestratedSequence, Orchestrator};
-use crate::param::{EventBuffer, ParamRejection, ParamReplay};
+use crate::orchestrator::{EventBuffer, Orchestrator};
+use crate::param::{ParamRejection, ParamReplay};
 use crate::simulator::Simulator;
 use crate::EstimateError;
 use serde::{Deserialize, Serialize};
@@ -86,7 +86,7 @@ pub struct Estimate {
 }
 
 /// The device-independent replay artifact behind the pressure-aware fast
-/// path: the orchestrated sequence replayed **once** against an unbounded
+/// path: the orchestrated events replayed **once** against an unbounded
 /// simulator.
 ///
 /// The two-level allocator simulation only consults device capacity in two
@@ -167,33 +167,9 @@ impl Estimator {
     /// [`SimulationResult::events`]: crate::SimulationResult::events
     #[must_use]
     pub fn estimate_analyzed_counted(&self, analyzed: &AnalyzedTrace) -> (Estimate, usize) {
-        let sequence = self.config.orchestrator.orchestrate(analyzed);
-
-        let device = &self.config.device;
-        let mut simulator = Simulator {
-            allocator: self.config.allocator.clone(),
-            capacity: Some(device.capacity - device.init_bytes),
-            framework_bytes: device.framework_bytes,
-            record_timeline: self.config.record_timeline,
-        };
-        if self.config.record_timeline {
-            simulator = simulator.with_timeline();
-        }
-        let sim = simulator.replay(&sequence);
-
-        let job_peak = sim.peak_reserved;
-        let peak_total = job_peak + device.framework_bytes + self.config.context_allowance;
-        let oom_predicted = sim.oom || peak_total > device.capacity - device.init_bytes;
-
-        let estimate = Estimate {
-            peak_bytes: peak_total,
-            job_peak_bytes: job_peak,
-            tensor_peak_bytes: sim.peak_allocated,
-            oom_predicted,
-            curve: sim.timeline,
-            stats: analysis_stats(analyzed, &sequence),
-        };
-        (estimate, sim.events)
+        let buffer = self.config.orchestrator.orchestrate(analyzed);
+        let stats = analysis_stats(analyzed, &buffer);
+        self.replay_estimate(&buffer, stats, self.config.record_timeline)
     }
 
     /// Replays `analyzed` once against an **unbounded** device, producing
@@ -204,19 +180,19 @@ impl Estimator {
     /// event sequence.
     #[must_use]
     pub fn replay_unbounded(&self, analyzed: &AnalyzedTrace) -> UnboundedReplay {
-        let sequence = self.config.orchestrator.orchestrate(analyzed);
+        let buffer = self.config.orchestrator.orchestrate(analyzed);
         let sim = Simulator {
             allocator: self.config.allocator.clone(),
             capacity: None,
             framework_bytes: 0,
             record_timeline: false,
         }
-        .replay(&sequence);
+        .replay(&buffer);
         UnboundedReplay {
             peak_reserved: sim.peak_reserved,
             peak_allocated: sim.peak_allocated,
             events: sim.events,
-            stats: analysis_stats(analyzed, &sequence),
+            stats: analysis_stats(analyzed, &buffer),
         }
     }
 
@@ -322,14 +298,27 @@ impl Estimator {
         buffer: &EventBuffer,
         stats: AnalysisStats,
     ) -> (Estimate, usize) {
+        self.replay_estimate(buffer, stats, false)
+    }
+
+    /// Replays `buffer` against this device and reads the estimate off the
+    /// replay, with `stats` as its diagnostics and the number of events
+    /// walked.
+    fn replay_estimate(
+        &self,
+        buffer: &EventBuffer,
+        stats: AnalysisStats,
+        record_timeline: bool,
+    ) -> (Estimate, usize) {
         let device = &self.config.device;
+        let usable = device.capacity - device.init_bytes;
         let sim = Simulator {
             allocator: self.config.allocator.clone(),
-            capacity: Some(device.capacity - device.init_bytes),
+            capacity: Some(usable),
             framework_bytes: device.framework_bytes,
-            record_timeline: false,
+            record_timeline,
         }
-        .replay_buffer(buffer);
+        .replay(buffer);
 
         let job_peak = sim.peak_reserved;
         let peak_total = job_peak + device.framework_bytes + self.config.context_allowance;
@@ -337,8 +326,8 @@ impl Estimator {
             peak_bytes: peak_total,
             job_peak_bytes: job_peak,
             tensor_peak_bytes: sim.peak_allocated,
-            oom_predicted: sim.oom || peak_total > device.capacity - device.init_bytes,
-            curve: Vec::new(),
+            oom_predicted: sim.oom || peak_total > usable,
+            curve: sim.timeline,
             stats,
         };
         (estimate, sim.events)
@@ -359,11 +348,8 @@ impl Estimator {
 
 /// The per-category diagnostics both the full replay and the derived fast
 /// path attach to an [`Estimate`]; everything here is a pure function of
-/// the analysis and the orchestrated sequence — never of the device.
-pub(crate) fn analysis_stats(
-    analyzed: &AnalyzedTrace,
-    sequence: &OrchestratedSequence,
-) -> AnalysisStats {
+/// the analysis and its orchestrated events — never of the device.
+pub(crate) fn analysis_stats(analyzed: &AnalyzedTrace, buffer: &EventBuffer) -> AnalysisStats {
     // One pass over the blocks; the report lists categories in
     // declaration order.
     let mut totals = [(0usize, 0u64); BlockCategory::ALL.len()];
@@ -379,8 +365,8 @@ pub(crate) fn analysis_stats(
         .collect();
     AnalysisStats {
         categories,
-        filtered_blocks: sequence.filtered_blocks,
-        adjusted_blocks: sequence.adjusted_blocks,
+        filtered_blocks: buffer.filtered_blocks,
+        adjusted_blocks: buffer.adjusted_blocks,
         unmatched_frees: analyzed.lifecycle_stats.unmatched_frees,
     }
 }

@@ -1,10 +1,9 @@
-//! The Memory Simulator (paper §3.4): replays the orchestrated sequence
+//! The Memory Simulator (paper §3.4): replays the orchestrated events
 //! through the two-level allocator simulation and reports the peak
 //! *segment* memory — the quantity NVML observes and schedulers must
 //! budget for.
 
-use crate::orchestrator::OrchestratedSequence;
-use crate::param::EventBuffer;
+use crate::orchestrator::EventBuffer;
 use xmem_alloc::{
     AllocatorConfig, AllocatorSnapshot, BlockHandle, CachingAllocator, DeviceAllocator,
     MemoryCounters, OomError, TimelinePoint,
@@ -79,24 +78,14 @@ impl Simulator {
         self
     }
 
-    /// Replays the sequence chronologically: each allocation event secures
+    /// Replays the events chronologically: each allocation event secures
     /// memory through the simulated two-level allocator, each free marks
     /// the block reusable (possibly coalescing). Replay stops at the first
-    /// OOM, exactly like the job it models.
-    ///
-    /// Internally the sequence is densified into an [`EventBuffer`] and
-    /// fed through [`Simulator::replay_buffer`], so every full replay
-    /// takes the same structure-of-arrays path as the incremental sweep.
+    /// OOM, exactly like the job it models. The dense block ids let the
+    /// live allocations' handles sit in a flat table instead of a hash
+    /// map.
     #[must_use]
-    pub fn replay(&self, sequence: &OrchestratedSequence) -> SimulationResult {
-        self.replay_buffer(&EventBuffer::from_sequence(sequence))
-    }
-
-    /// Replays a densified event buffer. Identical semantics to
-    /// [`Simulator::replay`]; the dense block ids let the live
-    /// allocations' handles sit in a flat table instead of a hash map.
-    #[must_use]
-    pub fn replay_buffer(&self, buffer: &EventBuffer) -> SimulationResult {
+    pub fn replay(&self, buffer: &EventBuffer) -> SimulationResult {
         let device = match self.capacity {
             Some(cap) => {
                 DeviceAllocator::new(cap, DeviceAllocator::DEFAULT_PAGE, self.framework_bytes)
@@ -150,12 +139,12 @@ impl Simulator {
     #[must_use]
     pub fn verify_against(
         &self,
-        sequence: &OrchestratedSequence,
+        buffer: &EventBuffer,
         observed: &AllocatorSnapshot,
     ) -> xmem_alloc::SnapshotDiff {
         let mut sim = self.clone();
         sim.record_timeline = true;
-        let result = sim.replay(sequence);
+        let result = sim.replay(buffer);
         let simulated = result.snapshot.expect("recording enabled");
         simulated.diff(observed)
     }
@@ -164,19 +153,15 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::OrchestratedEvent;
 
-    fn seq(events: Vec<(u64, usize, u64, bool)>) -> OrchestratedSequence {
-        OrchestratedSequence {
-            events: events
-                .into_iter()
-                .map(|(ts_us, block, bytes, is_alloc)| OrchestratedEvent {
-                    ts_us,
-                    block,
-                    bytes,
-                    is_alloc,
-                })
-                .collect(),
+    /// A buffer of `(ts, block, bytes, is_alloc)` events.
+    fn seq(events: Vec<(u64, u32, u64, bool)>) -> EventBuffer {
+        EventBuffer {
+            ts_us: events.iter().map(|e| e.0).collect(),
+            block: events.iter().map(|e| e.1).collect(),
+            bytes: events.iter().map(|e| e.2).collect(),
+            is_alloc: events.iter().map(|e| e.3).collect(),
+            num_blocks: events.iter().map(|e| e.1 as usize + 1).max().unwrap_or(0),
             filtered_blocks: 0,
             adjusted_blocks: 0,
         }

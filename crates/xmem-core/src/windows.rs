@@ -188,8 +188,8 @@ impl WindowIndex {
     /// (kernels execute sequentially on one thread), so the rightmost
     /// window starting at or before `ts` decides.
     ///
-    /// A linear scan back from `ts`; callers with many queries build a
-    /// [`WindowLookup`] once instead.
+    /// A linear scan back from `ts`: the reference for the sweep that
+    /// classifies an analysis's blocks.
     #[must_use]
     pub fn op_at(&self, ts: u64) -> Option<&OpWindow> {
         let idx = self.ops.partition_point(|w| w.start <= ts);
@@ -200,28 +200,12 @@ impl WindowIndex {
     /// the whole-model span contains per-component spans; the one with the
     /// latest start is innermost).
     ///
-    /// A linear scan back from `ts`; callers with many queries build a
-    /// [`WindowLookup`] once instead.
+    /// A linear scan back from `ts`: the reference for the sweep that
+    /// classifies an analysis's blocks.
     #[must_use]
     pub fn component_at(&self, ts: u64) -> Option<&ComponentWindow> {
         let idx = self.components.partition_point(|w| w.start <= ts);
         self.components[..idx].iter().rev().find(|w| ts < w.end)
-    }
-
-    /// A query view answering [`op_at`](Self::op_at) and
-    /// [`component_at`](Self::component_at) identically, without walking
-    /// every earlier window when none covers `ts`.
-    ///
-    /// The view holds one running maximum of window ends per window. It
-    /// lives only as long as the borrow, so the index itself (what
-    /// analyses cache and persist) carries no extra bytes.
-    #[must_use]
-    pub fn lookup(&self) -> WindowLookup<'_> {
-        WindowLookup {
-            index: self,
-            op_reach: running_max(self.ops.iter().map(|w| w.end)),
-            component_reach: running_max(self.components.iter().map(|w| w.end)),
-        }
     }
 }
 
@@ -377,56 +361,56 @@ impl NameClass {
     }
 }
 
-/// `reach[j]` is the largest end among windows `0..=j`.
-fn running_max(ends: impl Iterator<Item = u64>) -> Vec<u64> {
-    ends.scan(0, |max, end| {
-        *max = end.max(*max);
-        Some(*max)
-    })
-    .collect()
+/// Answers [`WindowIndex::op_at`] or [`WindowIndex::component_at`], as
+/// an index into the windows, for a nondecreasing run of timestamps in
+/// one forward pass: O(windows + queries) in all.
+///
+/// Windows are taken in start order. A stack holds those that have
+/// started and were still open when pushed. A query pops the ones on top
+/// that have ended by `ts`; the window left on top is the latest-starting
+/// one still open, the rightmost covering `ts`. A popped window has
+/// ended, so no later query needs it: each window is pushed and popped at
+/// most once.
+pub(crate) struct CoveringSweep<'a, W, F> {
+    windows: &'a [W],
+    /// A window's `(start, end)`.
+    bounds: F,
+    /// The first window not yet pushed.
+    next: usize,
+    open: Vec<usize>,
 }
 
-/// The index of the rightmost of `windows[..idx]` whose end lies past
-/// `ts`. The backward scan stops at the first window whose reach is at or
-/// before `ts`: no window up to it can cover `ts`.
-fn rightmost_covering<W>(
-    windows: &[W],
-    reach: &[u64],
-    idx: usize,
-    ts: u64,
-    end: impl Fn(&W) -> u64,
-) -> Option<usize> {
-    (0..idx)
-        .rev()
-        .take_while(|&j| reach[j] > ts)
-        .find(|&j| ts < end(&windows[j]))
-}
-
-/// Many-query view of a [`WindowIndex`] (see [`WindowIndex::lookup`]).
-#[derive(Debug)]
-pub struct WindowLookup<'a> {
-    index: &'a WindowIndex,
-    op_reach: Vec<u64>,
-    component_reach: Vec<u64>,
-}
-
-impl WindowLookup<'_> {
-    /// The index in [`WindowIndex::ops`] of the window
-    /// [`WindowIndex::op_at`] answers.
-    #[must_use]
-    pub fn op_index_at(&self, ts: u64) -> Option<usize> {
-        let ops = &self.index.ops;
-        let idx = ops.partition_point(|w| w.start <= ts);
-        rightmost_covering(ops, &self.op_reach, idx, ts, |w| w.end)
+impl<'a, W, F: Fn(&W) -> (u64, u64)> CoveringSweep<'a, W, F> {
+    /// A sweep over `windows`, sorted by start.
+    pub(crate) fn new(windows: &'a [W], bounds: F) -> Self {
+        CoveringSweep {
+            windows,
+            bounds,
+            next: 0,
+            open: Vec::new(),
+        }
     }
 
-    /// The index in [`WindowIndex::components`] of the window
-    /// [`WindowIndex::component_at`] answers.
-    #[must_use]
-    pub fn component_index_at(&self, ts: u64) -> Option<usize> {
-        let components = &self.index.components;
-        let idx = components.partition_point(|w| w.start <= ts);
-        rightmost_covering(components, &self.component_reach, idx, ts, |w| w.end)
+    /// The index of the rightmost window covering `ts`. `ts` must not lie
+    /// before the previous query's.
+    pub(crate) fn at(&mut self, ts: u64) -> Option<usize> {
+        while let Some(window) = self.windows.get(self.next) {
+            let (start, end) = (self.bounds)(window);
+            if start > ts {
+                break;
+            }
+            if end > ts {
+                self.open.push(self.next);
+            }
+            self.next += 1;
+        }
+        while let Some(&top) = self.open.last() {
+            if (self.bounds)(&self.windows[top]).1 > ts {
+                return Some(top);
+            }
+            self.open.pop();
+        }
+        None
     }
 }
 
@@ -551,6 +535,35 @@ mod tests {
         spans
     }
 
+    /// The index of `window` in `windows`, found by identity.
+    fn position<W>(windows: &[W], window: Option<&W>) -> Option<usize> {
+        window.map(|w| {
+            windows
+                .iter()
+                .position(|v| std::ptr::eq(v, w))
+                .expect("a window of the index")
+        })
+    }
+
+    /// Asks both sweeps about every timestamp of `times`, in order, and
+    /// holds each answer to the linear scan's.
+    fn assert_sweeps_match(index: &WindowIndex, times: impl Iterator<Item = u64>, label: &str) {
+        let mut ops = CoveringSweep::new(index.ops(), |w| (w.start, w.end));
+        let mut components = CoveringSweep::new(index.components(), |w| (w.start, w.end));
+        for ts in times {
+            assert_eq!(
+                ops.at(ts),
+                position(index.ops(), index.op_at(ts)),
+                "{label}: op_at({ts})"
+            );
+            assert_eq!(
+                components.at(ts),
+                position(index.components(), index.component_at(ts)),
+                "{label}: component_at({ts})"
+            );
+        }
+    }
+
     #[test]
     fn lookup_matches_the_linear_scan() {
         let mut rng = XorShift(0x9e37_79b9_97f4_a7c1);
@@ -559,9 +572,8 @@ mod tests {
             let index = WindowIndex {
                 ops: random_spans(&mut rng, n)
                     .into_iter()
-                    .enumerate()
-                    .map(|(i, (start, end))| OpWindow {
-                        name: Arc::from(format!("op{i}")),
+                    .map(|(start, end)| OpWindow {
+                        name: Arc::from("op"),
                         start,
                         end,
                         seq: None,
@@ -571,32 +583,23 @@ mod tests {
                     .collect(),
                 components: random_spans(&mut rng, n)
                     .into_iter()
-                    .enumerate()
-                    .map(|(i, (start, end))| ComponentWindow {
-                        name: Arc::from(format!("c{i}")),
+                    .map(|(start, end)| ComponentWindow {
+                        name: Arc::from("c"),
                         start,
                         end,
                     })
                     .collect(),
                 annotations: AnnotationIndex::default(),
             };
-            let lookup = index.lookup();
-            for ts in 0..400 {
-                // Window names are unique, so equal names mean the same
-                // window.
-                assert_eq!(
-                    lookup.op_index_at(ts).map(|i| &index.ops[i].name),
-                    index.op_at(ts).map(|w| &w.name),
-                    "case {case}: op_at({ts})"
-                );
-                assert_eq!(
-                    lookup
-                        .component_index_at(ts)
-                        .map(|i| &index.components[i].name),
-                    index.component_at(ts).map(|w| &w.name),
-                    "case {case}: component_at({ts})"
-                );
-            }
+            // Every instant once, then a run with repeats and gaps.
+            assert_sweeps_match(&index, 0..400, &format!("case {case}"));
+            let mut ts = 0;
+            let times = std::iter::from_fn(|| {
+                ts += rng.below(4) * rng.below(8);
+                (ts < 400).then_some(ts)
+            });
+            let times: Vec<u64> = times.collect();
+            assert_sweeps_match(&index, times.into_iter(), &format!("case {case}, strided"));
         }
     }
 
@@ -609,18 +612,8 @@ mod tests {
             TrainJobSpec::new(ModelId::DistilGpt2, OptimizerKind::AdamW, 2).with_iterations(2);
         let trace = profile_on_cpu(&spec);
         let index = WindowIndex::build(&trace);
-        let lookup = index.lookup();
-        for e in trace.memory_instants() {
-            let ts = e.ts_us;
-            assert_eq!(
-                lookup.op_index_at(ts).map(|i| &index.ops[i]),
-                index.op_at(ts)
-            );
-            assert_eq!(
-                lookup.component_index_at(ts).map(|i| &index.components[i]),
-                index.component_at(ts)
-            );
-        }
+        let times = trace.memory_instants().map(|e| e.ts_us);
+        assert_sweeps_match(&index, times, "distilgpt2");
     }
 
     /// The index as it was built before names were classified per name:

@@ -40,7 +40,7 @@ fn buffer(model: ModelId, optimizer: OptimizerKind, batch: usize) -> EventBuffer
     let analyzed = Analyzer::new()
         .analyze(&profile_on_cpu(&spec))
         .expect("trace analyzes");
-    EventBuffer::from_sequence(&Orchestrator::default().orchestrate(&analyzed))
+    Orchestrator::default().orchestrate(&analyzed)
 }
 
 /// Replays `buffer` through both allocators the way the simulator does
@@ -104,7 +104,7 @@ fn real_event_streams_replay_identically() {
 
         let (oom, unbounded) = replay_both(&buffer, &config, DeviceAllocator::unlimited());
         assert!(!oom);
-        let sim = Simulator::unbounded().replay_buffer(&buffer);
+        let sim = Simulator::unbounded().replay(&buffer);
         assert_eq!(sim.counters, unbounded, "{model:?}");
         let peak = unbounded.peak_reserved;
 
@@ -114,7 +114,7 @@ fn real_event_streams_replay_identically() {
         assert!(!replay_both(&buffer, &config, roomy).0);
         let tight = peak / 3 * 2;
         let (oom, counters) = replay_both(&buffer, &config, DeviceAllocator::new(tight, page, 0));
-        let sim = Simulator::new(tight, 0).replay_buffer(&buffer);
+        let sim = Simulator::new(tight, 0).replay(&buffer);
         assert_eq!((sim.oom, sim.counters), (oom, counters), "{model:?}");
         ooms += usize::from(oom);
         reclaims += counters.num_reclaims;
@@ -141,7 +141,7 @@ fn real_event_streams_replay_identically_under_ablations() {
     ];
     for model in [ModelId::MobileNetV3Small, ModelId::DistilGpt2] {
         let buffer = buffer(model, OptimizerKind::AdamW, 4);
-        let peak = Simulator::unbounded().replay_buffer(&buffer).peak_reserved;
+        let peak = Simulator::unbounded().replay(&buffer).peak_reserved;
         for config in &configs {
             for capacity in [peak * 2, peak / 4 * 3] {
                 let device = DeviceAllocator::new(capacity, DeviceAllocator::DEFAULT_PAGE, 0);

@@ -79,19 +79,20 @@ proptest! {
             // Traces with zero allocations are rejected; fine.
             return Ok(());
         };
-        let sequence = Orchestrator::default().orchestrate(&analyzed);
+        let buffer = Orchestrator::default().orchestrate(&analyzed);
         let mut live_bytes: i128 = 0;
         let mut last_ts = 0u64;
         let mut open = std::collections::HashSet::new();
-        for e in &sequence.events {
-            prop_assert!(e.ts_us >= last_ts, "events are time-ordered");
-            last_ts = e.ts_us;
-            if e.is_alloc {
-                prop_assert!(open.insert(e.block));
-                live_bytes += i128::from(e.bytes);
+        for event in 0..buffer.len() {
+            let (ts, block, bytes) = (buffer.ts_us[event], buffer.block[event], buffer.bytes[event]);
+            prop_assert!(ts >= last_ts, "events are time-ordered");
+            last_ts = ts;
+            if buffer.is_alloc[event] {
+                prop_assert!(open.insert(block));
+                live_bytes += i128::from(bytes);
             } else {
-                prop_assert!(open.remove(&e.block));
-                live_bytes -= i128::from(e.bytes);
+                prop_assert!(open.remove(&block));
+                live_bytes -= i128::from(bytes);
             }
             prop_assert!(live_bytes >= 0);
         }

@@ -797,16 +797,27 @@ fn corrupt_param_record_is_torn_and_the_sweep_refits() {
 
 /// Corruptions of a recovered `Stage` record's first named block that keep
 /// it valid JSON of the right shape but leave it nothing an analysis can
-/// hold, which stores block ids in 32 bits and names as indices of the
-/// analysis's own windows: `(name, edit of the block's fields)`.
+/// hold, which stores block ids in 32 bits, each its block's position, and
+/// names as indices of the analysis's own windows: `(name, edit of the
+/// block's fields)`.
 type StageEdit = fn(&mut Vec<(String, serde::Value)>);
 
-const STAGE_CORRUPTIONS: [(&str, StageEdit); 4] = [
+const STAGE_CORRUPTIONS: [(&str, StageEdit); 5] = [
     ("id past 32 bits", |block| {
         let serde::Value::Object(lifecycle) = &mut block[0].1 else {
             panic!("a block's lifecycle is an object")
         };
         lifecycle[0].1 = serde::Value::U64(1 << 32);
+    }),
+    // The Orchestrator reads a block's size by its id.
+    ("id not its position", |block| {
+        let serde::Value::Object(lifecycle) = &mut block[0].1 else {
+            panic!("a block's lifecycle is an object")
+        };
+        let serde::Value::U64(id) = lifecycle[0].1 else {
+            panic!("a block id is a number")
+        };
+        lifecycle[0].1 = serde::Value::U64(id + 1);
     }),
     ("operator no window has", |block| {
         block[2].1 = serde::Value::Str("aten::nowhere".to_owned());
