@@ -21,7 +21,9 @@
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use xmem_core::{Analyzer, DeviceMatrix, Estimator, EstimatorConfig, Orchestrator, Simulator};
+use xmem_core::{
+    AnalyzedTrace, Analyzer, Estimate, Estimator, EstimatorConfig, Orchestrator, Simulator,
+};
 use xmem_models::ModelId;
 use xmem_optim::OptimizerKind;
 use xmem_runtime::{profile_on_cpu, GpuDevice, TrainJobSpec};
@@ -55,7 +57,6 @@ struct Counters {
     full_replays: u64,
     unbounded_replays: u64,
     sim_cache_hits: u64,
-    analysis_cache_hits: u64,
     /// Counters of the dedicated incremental-sweep service (its sweep is
     /// timed cold, so these prove the 3-anchor contract exactly).
     sweep_profile_runs: u64,
@@ -69,8 +70,8 @@ struct Counters {
 struct Derived {
     /// `matrix_replay_full` time over `matrix_replay_fast` time: the
     /// measured speedup of the pressure-aware fast path over one full
-    /// sequential replay per cell on an all-roomy fleet (analyses
-    /// prewarmed in both runs).
+    /// sequential replay per cell on an all-roomy fleet (both over
+    /// analyses the harness holds).
     matrix_fast_path_speedup: f64,
     /// Scan-based reference LRU insert latency over the intrusive-list
     /// cache's: the measured win of O(1) eviction at this capacity.
@@ -161,47 +162,60 @@ fn register_fleet(service: &EstimationService) {
     }
 }
 
-/// Times one matrix replay over prewarmed analyses (profiling excluded),
-/// so fast vs full compares only the simulation fan-out.
-fn matrix_replay_fast(service: &EstimationService) -> (Benchmark, DeviceMatrix) {
-    let untraced = TraceContext::disabled();
-    let jobs = jobs();
-    for job in &jobs {
-        service
-            .stages_traced(job, &untraced)
-            .expect("benchmark jobs analyze");
-    }
-    let names: Vec<&str> = FLEET.to_vec();
-    let started = Instant::now();
-    let matrix = service
-        .estimate_matrix_traced(&jobs, &names, &untraced)
-        .expect("fleet is registered");
-    let total_ns = started.elapsed().as_nanos() as u64;
-    let bench = finish(
-        "matrix_replay_fast",
-        "cell",
-        matrix.num_cells() as u64,
-        total_ns,
-    );
-    (bench, matrix)
-}
-
-/// Times the same grid as one full sequential replay per cell, over
-/// analyses computed before the clock starts, and holds every cell to
-/// the fast path's.
-fn matrix_replay_full(fast: &DeviceMatrix) -> Benchmark {
-    let jobs = jobs();
-    let analyses: Vec<_> = jobs
+/// The benchmark jobs' analyses, computed before any clock starts: the
+/// matrix benches time replays of analyses the harness holds.
+fn analyses() -> Vec<AnalyzedTrace> {
+    jobs()
         .iter()
         .map(|job| {
             Analyzer::new()
                 .analyze(&profile_on_cpu(job))
                 .expect("benchmark jobs analyze")
         })
-        .collect();
-    let estimators: Vec<Estimator> = (0..FLEET.len())
+        .collect()
+}
+
+/// One paper-default estimator per fleet device, in `FLEET` order.
+fn fleet_estimators() -> Vec<Estimator> {
+    (0..FLEET.len())
         .map(|i| Estimator::new(EstimatorConfig::for_device(fleet_device(i))))
+        .collect()
+}
+
+/// Times the matrix's fast path over held analyses: one unbounded replay
+/// per job, every device's cell derived from it. Returns the cells, row
+/// by row.
+fn matrix_replay_fast(analyses: &[AnalyzedTrace]) -> (Benchmark, Vec<Vec<Estimate>>) {
+    let estimators = fleet_estimators();
+    let started = Instant::now();
+    let cells: Vec<Vec<Estimate>> = analyses
+        .iter()
+        .map(|analyzed| {
+            let replay = estimators[0].replay_unbounded(analyzed);
+            estimators
+                .iter()
+                .map(|estimator| {
+                    estimator
+                        .derive_from_replay(&replay)
+                        .expect("all-roomy fleet derives every cell")
+                })
+                .collect()
+        })
         .collect();
+    let total_ns = started.elapsed().as_nanos() as u64;
+    let bench = finish(
+        "matrix_replay_fast",
+        "cell",
+        (analyses.len() * FLEET.len()) as u64,
+        total_ns,
+    );
+    (bench, cells)
+}
+
+/// Times the same grid as one full sequential replay per cell, over the
+/// same held analyses, and holds every cell to the fast path's.
+fn matrix_replay_full(analyses: &[AnalyzedTrace], fast: &[Vec<Estimate>]) -> Benchmark {
+    let estimators = fleet_estimators();
     let started = Instant::now();
     let cells: Vec<Vec<_>> = analyses
         .iter()
@@ -213,19 +227,14 @@ fn matrix_replay_full(fast: &DeviceMatrix) -> Benchmark {
         })
         .collect();
     let total_ns = started.elapsed().as_nanos() as u64;
-    for (row, sequential) in fast.rows.iter().zip(&cells) {
-        for (cell, expected) in row.cells.iter().zip(sequential) {
-            assert_eq!(
-                cell.estimate.as_ref().expect("cell estimates"),
-                expected,
-                "fast-path cells must be bit-identical to full replays"
-            );
-        }
-    }
+    assert_eq!(
+        fast, cells,
+        "fast-path cells must be bit-identical to full replays"
+    );
     finish(
         "matrix_replay_full",
         "cell",
-        (jobs.len() * FLEET.len()) as u64,
+        (analyses.len() * FLEET.len()) as u64,
         total_ns,
     )
 }
@@ -345,18 +354,30 @@ fn main() {
     };
 
     // --- N x D matrix replay: fast path vs sequential full replays -------
+    let analyses = analyses();
+    let (fast, fast_cells) = matrix_replay_fast(&analyses);
+    let full = matrix_replay_full(&analyses, &fast_cells);
+    let matrix_fast_path_speedup = full.ns_per_op / fast.ns_per_op.max(1.0);
+
+    // The service's cold matrix takes the same fast path to the same cells.
     let fast_service = EstimationService::for_device(GpuDevice::rtx3060());
     register_fleet(&fast_service);
-    let (fast, fast_matrix) = matrix_replay_fast(&fast_service);
-    let stats = fast_service.sim_stats();
-    assert_eq!(
-        stats.full_replays, 0,
-        "all-roomy fleet must serve every cell via the fast path"
-    );
-    assert_eq!(stats.unbounded_replays, jobs().len() as u64);
-
-    let full = matrix_replay_full(&fast_matrix);
-    let matrix_fast_path_speedup = full.ns_per_op / fast.ns_per_op.max(1.0);
+    {
+        let matrix = fast_service
+            .estimate_matrix_traced(&jobs(), &FLEET, &untraced)
+            .expect("fleet is registered");
+        for (row, expected) in matrix.rows.iter().zip(&fast_cells) {
+            for (cell, expected) in row.cells.iter().zip(expected) {
+                assert_eq!(cell.estimate.as_ref().expect("cell estimates"), expected);
+            }
+        }
+        let stats = fast_service.sim_stats();
+        assert_eq!(
+            stats.full_replays, 0,
+            "all-roomy fleet must serve every cell via the fast path"
+        );
+        assert_eq!(stats.unbounded_replays, jobs().len() as u64);
+    }
 
     // Warm matrix: every cell is a pure sim-shard hit.
     {
@@ -568,7 +589,6 @@ fn main() {
         full_replays: sims.full_replays,
         unbounded_replays: sims.unbounded_replays,
         sim_cache_hits: sims.cache.hits,
-        analysis_cache_hits: fast_service.cache_stats().hits,
         sweep_profile_runs: sweep_counters.0,
         sweep_param_replays: sweep_counters.1,
         sweep_incremental_cells: sweep_counters.2,

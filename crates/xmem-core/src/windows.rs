@@ -122,33 +122,6 @@ pub struct WindowIndex {
 }
 
 impl WindowIndex {
-    /// Approximate resident size of the index in bytes: the window
-    /// structs plus each distinct name allocation once, however many
-    /// windows share it — the window share of an analyzed trace's cache
-    /// cost.
-    #[must_use]
-    pub fn approx_bytes(&self) -> u64 {
-        let mut names: Vec<(*const u8, usize)> = self
-            .ops
-            .iter()
-            .map(|w| &w.name)
-            .chain(self.components.iter().map(|w| &w.name))
-            .map(|name| (name.as_ptr(), name.len()))
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        // An `Arc<str>` allocation holds two counters before the bytes.
-        let name_bytes: usize = names.iter().map(|&(_, len)| 16 + len).sum();
-        let a = &self.annotations;
-        let spans =
-            a.zero_grads.len() + a.optimizer_steps.len() + a.dataloads.len() + a.backwards.len();
-        let windows = std::mem::size_of::<OpWindow>() * self.ops.len()
-            + std::mem::size_of::<ComponentWindow>() * self.components.len()
-            + std::mem::size_of::<(u32, u64, u64)>() * a.iterations.len()
-            + std::mem::size_of::<(u64, u64)>() * spans;
-        (name_bytes + windows) as u64
-    }
-
     /// Makes the windows of one name share one string, as
     /// [`build`](Self::build) leaves them; a decoded index holds a copy
     /// per window.

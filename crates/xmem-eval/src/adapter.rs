@@ -30,8 +30,7 @@ impl XMemEstimator {
     }
 
     /// Creates a service-backed adapter: estimates route through
-    /// `service`'s shared cache layers (analysis, unbounded replay,
-    /// per-device simulation shards).
+    /// `service`'s per-device simulation shards.
     #[must_use]
     pub fn with_service(service: Arc<EstimationService>) -> Self {
         XMemEstimator {

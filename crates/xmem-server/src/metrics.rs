@@ -260,7 +260,7 @@ impl ServerMetrics {
     }
 
     /// Renders the Prometheus text exposition: every server counter above
-    /// plus the estimation service's own counters (stage cache,
+    /// plus the estimation service's own counters (cache tiers,
     /// single-flight, negative cache, simulation shards, replay-strategy
     /// split, profile runs).
     #[must_use]
@@ -367,28 +367,8 @@ impl ServerMetrics {
             );
         }
 
-        // --- the estimation service's own counters --------------------
-        let cache = service.cache_stats();
-        let _ = writeln!(
-            out,
-            "# HELP xmem_stage_cache_events_total Stage-cache counter events"
-        );
-        let _ = writeln!(out, "# TYPE xmem_stage_cache_events_total counter");
-        for (event, value) in [
-            ("hit", cache.hits),
-            ("miss", cache.misses),
-            ("insert", cache.insertions),
-            ("evict", cache.evictions),
-            ("promote", cache.promoted),
-        ] {
-            let _ = writeln!(
-                out,
-                "xmem_stage_cache_events_total{{event=\"{event}\"}} {value}"
-            );
-        }
-        // --- cache tiering, one row per cache tier ----------------------
+        // --- the estimation service's own counters: one row per tier ---
         let tiers = [
-            ("stage", service.cache_stats(), service.stage_tier_stats()),
             (
                 "param",
                 service.param_cache_stats(),
@@ -431,11 +411,6 @@ impl ServerMetrics {
                 "xmem_cache_protected_capacity",
                 "Protected-segment entry cap per cache tier",
                 |t| t.protected_cap,
-            ),
-            (
-                "xmem_cache_bytes_in_use",
-                "Resident bytes per cache tier: the stage tier prices its analyses, param and sim price nothing (0)",
-                |t| t.bytes_in_use,
             ),
             (
                 "xmem_cache_protected_frac_permille",

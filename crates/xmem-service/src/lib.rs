@@ -10,11 +10,12 @@
 //! optimizer, batch)` question for every queued job. This crate serves
 //! that traffic shape:
 //!
-//! * [`EstimationService`] memoizes the expensive stages in a sharded
-//!   (mutex-per-shard) LRU cache keyed by [`JobKey`] — model, optimizer,
-//!   batch, iterations, `zero_grad` placement (plus sequence length and
-//!   precision, which also shape the trace), and caches each job's
-//!   simulation per device (a *sim cell*). Every query route is one
+//! * [`EstimationService`] caches each job's simulation per device (a
+//!   *sim cell*) in sharded (mutex-per-shard) LRU tiers keyed by
+//!   [`JobKey`] — model, optimizer, batch, iterations, `zero_grad`
+//!   placement (plus sequence length and precision, which also shape the
+//!   trace). The expensive stages run for the request whose cell
+//!   missed, and its cells share that one analysis; no tier keeps it. Every query route is one
 //!   blocking method that takes the request's [`TraceContext`] (an
 //!   untraced caller passes [`TraceContext::disabled`]), except
 //!   [`EstimationService::estimate_for_device`], which answers for an
@@ -62,7 +63,7 @@
 //! of whichever device a cell is for ([`ServiceConfig::estimator`] only
 //! names the primary device). Ablations of the estimator call
 //! [`Estimator`](xmem_core::Estimator) directly. Estimates are
-//! **bit-identical** to that sequential path: the memoized stages are
+//! **bit-identical** to that sequential path: profiling and analysis are
 //! pure functions of the job key, and the simulation stages run
 //! unchanged.
 

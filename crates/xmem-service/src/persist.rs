@@ -81,14 +81,13 @@ pub(crate) struct PersistedDevice {
 }
 
 /// One journal/snapshot record: a single cache insert.
-///
-/// Traces are deliberately excluded from `Stage` records — they are
-/// re-derivable and dominate `approx_bytes`; a recovered stage entry
-/// serves analysis-dependent paths with zero profile runs but carries
-/// `trace: None`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum StateRecord {
-    /// A stage-cache insert (analyzed trace only; raw trace excluded).
+    /// An insert into the tier of analyses older binaries kept. No
+    /// service writes it any more; it stays decodable, its analysis
+    /// through the same checked decode, so their state dirs boot (an
+    /// undecodable frame would end recovery like a torn tail), and it is
+    /// dropped at import, counted as skipped.
     Stage {
         job: JobKey,
         analyzed: AnalyzedTrace,
@@ -109,7 +108,7 @@ pub(crate) enum StateRecord {
     },
     /// A parameterized-replay (incremental sweep) fit for one job
     /// family. Exported after every other record kind so binaries that
-    /// predate the variant still recover the full Stage/Sim prefix.
+    /// predate the variant still recover the full prefix before it.
     Param {
         family: SweepKey,
         replay: ParamReplay,
@@ -610,9 +609,9 @@ mod tests {
         );
     }
 
-    /// The journal and snapshot bytes of a stage record are a persisted
-    /// format: a state directory written by one build must recover in the
-    /// next. This pins the exact payload the golden fixture's analysis
+    /// The journal and snapshot bytes of a stage record, which older
+    /// builds wrote and this one still decodes, are a persisted format: a
+    /// state directory written by one build must recover in the next. This pins the exact payload the golden fixture's analysis
     /// encodes to, so a change to how analyses hold their names in memory
     /// cannot move what goes to disk.
     #[test]

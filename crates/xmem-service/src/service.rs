@@ -14,6 +14,7 @@ use crate::singleflight::{FlightStats, SingleFlight};
 use crate::telemetry::TraceContext;
 use crate::tiering::TierStats;
 use crate::timer::DeadlineTimer;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -33,41 +34,45 @@ type SimKey = (JobKey, DeviceFingerprint);
 /// [`EstimationService::simulate_cell`]).
 type SharedReplay = OnceLock<UnboundedReplay>;
 
-/// What a single-estimate probe read and could not answer from: the
-/// stage entry (`None` when it missed) and the device whose cell to fill.
+/// One job's analysis, loaded at most once for the cells of that job one
+/// request fills, by the first of them to lead a sim flight (see
+/// [`EstimationService::simulate_cell`]). No tier keeps it: it lives for
+/// the request that computed it.
+type SharedAnalysis = OnceLock<Result<Arc<ProfiledStages>, EstimateError>>;
+
+/// What a single-estimate probe could not answer from: the device whose
+/// cell to fill.
 #[derive(Debug)]
 struct EstimateFill {
     key: JobKey,
-    stages: Option<Arc<ProfiledStages>>,
     device: GpuDevice,
 }
 
-/// What a matrix probe read: every row's stage entry and every cell,
-/// column-major (cell `c` is device `c / jobs`, job `c % jobs`), with
-/// `None` for each one that missed.
+/// What a matrix probe read: every cell, column-major (cell `c` is
+/// device `c / jobs`, job `c % jobs`), with `None` for each one that
+/// missed.
 #[derive(Debug)]
 struct MatrixFill {
     devices: Vec<GpuDevice>,
     keys: Vec<JobKey>,
-    stages: Vec<Option<Arc<ProfiledStages>>>,
     cells: Vec<Option<Result<Estimate, EstimateError>>>,
 }
 
-/// What a placement probe read: the stage entry (`None` when it missed)
-/// and the fleet in capacity order from the first device whose cell
-/// missed, a read already counted.
+/// What a placement probe read: the fleet in capacity order from the
+/// first device whose cell missed, a read already counted.
 #[derive(Debug)]
 struct PlacementFill {
     key: JobKey,
-    stages: Option<Arc<ProfiledStages>>,
     fleet: Vec<(String, GpuDevice)>,
 }
 
-/// The memoized (device-independent) front half of the pipeline: the
-/// Analyzer's output over the job's CPU profiling run. Orchestration +
-/// simulation are device-dependent, so they run once per sim cell (a job
-/// on one device) and their result is cached in that device's shard.
-/// The service analyzes the run's events as the engine reports them
+/// A job's analysis: the Analyzer's output over its CPU profiling run,
+/// the device-independent front half of the pipeline. No tier keeps it;
+/// it lives for the request that computed it, whose cells share it, and
+/// what is cached is each cell it replays into. It stays a public type
+/// because [`EstimationService::stages_traced`] returns it, and
+/// perfbench's in-process trace replays its `analyzed` field. The
+/// service analyzes the run's events as the engine reports them
 /// ([`Analyzer::sink`]), so no trace is ever recorded.
 #[derive(Debug)]
 pub struct ProfiledStages {
@@ -75,19 +80,15 @@ pub struct ProfiledStages {
     pub analyzed: AnalyzedTrace,
 }
 
-impl ProfiledStages {
-    /// Approximate resident bytes of this entry — what the stage cache
-    /// charges for it.
-    #[must_use]
-    pub fn approx_bytes(&self) -> u64 {
-        self.analyzed.approx_bytes()
-    }
-}
-
-/// Weigher pricing stage-cache entries for the byte gauge
-/// (`xmem_cache_bytes_in_use{cache="stage"}`).
-fn stages_weight(stages: &Arc<ProfiledStages>) -> u64 {
-    stages.approx_bytes()
+/// How a request answers a batch grid (a sweep's rows, a plan's probes):
+/// from one proven fit, or one cell per batch. A per-batch grid carries
+/// the analyses the request already holds, the anchors of a rejected
+/// fit, so a cell at one of those batches replays it instead of
+/// profiling again.
+#[derive(Debug)]
+enum BatchGrid {
+    Fitted(Arc<ParamReplay>),
+    PerBatch(Vec<(usize, Arc<ProfiledStages>)>),
 }
 
 /// The cached outcome of one parameterized-replay fit attempt over a
@@ -114,7 +115,7 @@ const PARAM_CACHE_CAPACITY: usize = 32;
 /// Bound on remembered Analyzer failures (oldest evicted beyond it).
 const NEGATIVE_CAPACITY: usize = 256;
 
-/// Lock shards of the stage, negative and per-device sim tiers. A cache
+/// Lock shards of the negative and per-device sim tiers. A cache
 /// smaller than this gets one shard per entry
 /// ([`ShardedLruCache::new`] clamps).
 const LOCK_SHARDS: usize = 16;
@@ -126,8 +127,8 @@ const MAX_DEVICE_SHARDS: usize = 64;
 
 /// Configuration of an [`EstimationService`].
 ///
-/// Every cache tier the service owns (stage, param, and the per-device
-/// sim shards) runs the same policy: a segmented LRU at a fixed split
+/// Every cache tier the service owns (param, and the per-device sim
+/// shards) runs the same policy: a segmented LRU at a fixed split
 /// behind a frequency-sketch admission gate (see
 /// [`ShardedLruCache::with_gated_slru`]).
 #[derive(Debug, Clone)]
@@ -140,8 +141,7 @@ pub struct ServiceConfig {
     /// [`EstimationService::new`] refuses any other setting (ablations
     /// of the estimator run [`Estimator`] directly).
     pub estimator: EstimatorConfig,
-    /// Total cached `(job key → profiled stages)` entries, the only bound
-    /// on the stage tier. Each device's sim tier holds as many cells.
+    /// Sim cells each device's tier holds, its only bound.
     pub cache_capacity: usize,
     /// Worker threads one blocking query fans its misses out across (0 =
     /// all cores): sweep rows, the rows and cells a matrix missed, the
@@ -160,8 +160,8 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Service defaults (16-way sharded 256-entry cache, all cores,
-    /// built-in device registry) for a target device.
+    /// Service defaults (16-way sharded 256-cell tier per device, all
+    /// cores, built-in device registry) for a target device.
     #[must_use]
     pub fn for_device(device: GpuDevice) -> Self {
         ServiceConfig {
@@ -180,7 +180,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the cache capacity.
+    /// Overrides the cache capacity: the sim cells each device's tier
+    /// holds.
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
@@ -207,12 +208,13 @@ impl ServiceConfig {
 
 /// A shared, thread-safe estimation front end for scheduler-scale traffic.
 ///
-/// The expensive, device-independent stages (CPU profiling and trace
-/// analysis) are memoized in a sharded LRU cache keyed by [`JobKey`];
-/// orchestration and allocator simulation run once per sim cell (a job
-/// on one device), whose result each device's shard caches. All methods
-/// take `&self`, so one service instance can serve many scheduler
-/// threads concurrently.
+/// What is cached is the answer: each sim cell (a job on one device) that
+/// orchestration and allocator simulation computed, in that device's
+/// shard. The expensive, device-independent stages (CPU profiling and
+/// analysis) run for the request whose cell missed, single-flighted by
+/// [`JobKey`], and the cells of that request share the one analysis; no
+/// tier keeps it. All methods take `&self`, so one service instance can
+/// serve many scheduler threads concurrently.
 ///
 /// Each query route is one blocking method that takes the request's
 /// [`TraceContext`] (an untraced caller passes
@@ -233,15 +235,15 @@ impl ServiceConfig {
 ///     .with_iterations(2);
 /// let untraced = TraceContext::disabled();
 /// let first = service.estimate_traced(&spec, None, &untraced).unwrap();
-/// let second = service.estimate_traced(&spec, None, &untraced).unwrap(); // served from cache
+/// let second = service.estimate_traced(&spec, None, &untraced).unwrap(); // a sim-cell hit
 /// assert_eq!(first, second);
-/// assert_eq!(service.cache_stats().hits, 1);
+/// assert_eq!(service.profile_runs(), 1);
+/// assert_eq!(service.sim_stats().cache.hits, 1);
 /// ```
 #[derive(Debug)]
 pub struct EstimationService {
     config: ServiceConfig,
-    cache: ShardedLruCache<JobKey, Arc<ProfiledStages>>,
-    /// In-flight dedup: concurrent misses for one key coalesce onto a
+    /// In-flight dedup: concurrent analyses of one key coalesce onto a
     /// single profile/analyze run.
     flights: SingleFlight<JobKey, Result<Arc<ProfiledStages>, EstimateError>>,
     /// Memory of Analyzer failures for degenerate jobs. A failure is a
@@ -255,10 +257,10 @@ pub struct EstimationService {
     /// exactly one copy: `registry()` and `config()` agree by
     /// construction).
     sims: SimShards,
-    /// In-flight dedup of simulation cells, mirroring `flights` one level
-    /// down: concurrent identical `(analysis, device)` replays coalesce
-    /// onto one simulation.
-    sim_flights: SingleFlight<SimKey, Estimate>,
+    /// In-flight dedup of simulation cells: concurrent identical
+    /// `(job, device)` cells coalesce onto one analysis load and one
+    /// simulation.
+    sim_flights: SingleFlight<SimKey, Result<Estimate, EstimateError>>,
     /// The incremental sweep's fit cache: one parameterized replay (or a
     /// remembered rejection) per batch-invariant job family.
     params: ShardedLruCache<SweepKey, Arc<ParamOutcome>>,
@@ -287,15 +289,11 @@ impl EstimationService {
             "a service runs the paper-default estimator of its device, not {:?}",
             config.estimator
         );
-        let cache = ShardedLruCache::new(config.cache_capacity, LOCK_SHARDS)
-            .with_gated_slru()
-            .with_weigher(stages_weight);
         let negative = ShardedLruCache::new(NEGATIVE_CAPACITY, LOCK_SHARDS);
         let sims =
             SimShards::new(config.cache_capacity, LOCK_SHARDS).with_max_devices(MAX_DEVICE_SHARDS);
         let mut service = EstimationService {
             config,
-            cache,
             flights: SingleFlight::new(),
             negative,
             sims,
@@ -339,8 +337,9 @@ impl EstimationService {
     /// re-journaling them), returning `(imported, skipped)`. Sim cells
     /// are re-attached by matching their persisted device fingerprint
     /// field-for-field against the boot-time registry; cells for devices
-    /// no longer registered are skipped. `Replay` records, which older
-    /// binaries wrote for a retired unbounded-replay cache, and `Tuner`
+    /// no longer registered are skipped. `Stage` records, which older
+    /// binaries wrote for a retired tier of analyses, `Replay` records,
+    /// which they wrote for a retired unbounded-replay cache, and `Tuner`
     /// records, which they wrote for a learned protected split, are
     /// skipped too.
     fn import_records(&self, records: Vec<StateRecord>) -> (u64, u64) {
@@ -358,11 +357,6 @@ impl EstimationService {
         let mut skipped = 0u64;
         for record in records {
             match record {
-                StateRecord::Stage { job, analyzed } => {
-                    self.cache
-                        .insert(job, Arc::new(ProfiledStages { analyzed }));
-                    imported += 1;
-                }
                 StateRecord::Sim {
                     device,
                     job,
@@ -394,26 +388,21 @@ impl EstimationService {
                     );
                     imported += 1;
                 }
-                StateRecord::Replay { .. } | StateRecord::Tuner { .. } => skipped += 1,
+                StateRecord::Stage { .. }
+                | StateRecord::Replay { .. }
+                | StateRecord::Tuner { .. } => skipped += 1,
             }
         }
         (imported, skipped)
     }
 
     /// Every resident cache entry as persistence records, in snapshot
-    /// order: stage entries, sim cells, then parameterized-replay fits
-    /// (each cache layer LRU-first, so replaying the sequence restores
-    /// recency).
+    /// order: sim cells, then parameterized-replay fits (each cache layer
+    /// LRU-first, so replaying the sequence restores recency).
     /// Newer record variants sort after older ones so binaries that
     /// predate them still recover the whole preceding prefix.
     fn export_records(&self) -> Vec<StateRecord> {
         let mut records = Vec::new();
-        for (job, stages) in self.cache.export() {
-            records.push(StateRecord::Stage {
-                job,
-                analyzed: stages.analyzed.clone(),
-            });
-        }
         for (fingerprint, cells) in self.sims.export() {
             let device = PersistedDevice {
                 name: fingerprint.name.to_owned(),
@@ -477,11 +466,19 @@ impl EstimationService {
         &self.config
     }
 
-    /// Cache hit/miss/insert/evict counters. A fully cached sweep performs
-    /// zero re-profiling: its queries all land in `hits`.
+    /// The analysis counters, in the shape perfbench's in-process trace
+    /// reads them: with no tier behind them, `misses` counts analyses
+    /// computed (every profile run) and `hits` analyses coalesced onto
+    /// another caller's in-flight run; every other field is 0. What the
+    /// service caches is counted in [`sim_stats`](Self::sim_stats) and
+    /// [`param_cache_stats`](Self::param_cache_stats).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            hits: self.flights.stats().coalesced,
+            misses: self.profile_runs(),
+            ..CacheStats::default()
+        }
     }
 
     /// Counters of the parameterized-replay fit cache (the incremental
@@ -489,13 +486,6 @@ impl EstimationService {
     #[must_use]
     pub fn param_cache_stats(&self) -> CacheStats {
         self.params.stats()
-    }
-
-    /// Tier geometry and occupancy of the stage cache: segment
-    /// occupancy, bytes in use, and the protected fraction.
-    #[must_use]
-    pub fn stage_tier_stats(&self) -> TierStats {
-        self.cache.tier_stats()
     }
 
     /// Tier geometry and occupancy of the parameterized-replay fit cache.
@@ -524,9 +514,10 @@ impl EstimationService {
         self.negative.stats()
     }
 
-    /// How many times the job was actually profiled on the CPU. Under any mix of
-    /// cache hits and coalesced concurrent queries, this is at most one
-    /// per distinct [`JobKey`] still covered by the cache/flight layers.
+    /// How many times a job was actually profiled on the CPU: once per
+    /// request that had to compute a cell of a job no concurrent caller
+    /// was analyzing (coalesced queries share one run), plus a fit's
+    /// anchors.
     #[must_use]
     pub fn profile_runs(&self) -> u64 {
         self.profiles.load(Ordering::Relaxed)
@@ -546,8 +537,7 @@ impl EstimationService {
     /// Registers (or reconfigures) a named simulation target. Replacing a
     /// device with a *different* configuration invalidates exactly that
     /// configuration's simulation shard — every other device keeps its
-    /// warm entries, and the device-independent analysis cache is never
-    /// touched. Returns the previous configuration for `name`, if any.
+    /// warm entries. Returns the previous configuration for `name`, if any.
     ///
     /// Two names registered with an *identical* configuration share one
     /// simulation shard; the shard is only invalidated once no remaining
@@ -590,15 +580,16 @@ impl EstimationService {
         self.sims.stats().sim_runs
     }
 
-    /// The memoized profile+analysis stages for `spec`, computing them on
-    /// a cache miss. Cache hits, single-flight coalescing and the
-    /// profile/analyze stages record spans into `ctx`; an untraced caller
-    /// passes [`TraceContext::disabled`].
-    ///
-    /// Concurrent misses for the same key are **single-flighted**: one
-    /// caller profiles, the rest block on its result. Analyzer failures
-    /// land in a negative cache so degenerate jobs are not re-profiled
-    /// on every query.
+    /// `spec`'s analysis, computed for this call: no tier keeps one, so
+    /// a call profiles and analyzes unless it coalesces onto a concurrent
+    /// caller's run or the negative cache remembers the job's failure.
+    /// Every route's cells load their analysis inside their own sim
+    /// flight instead (see [`simulate_cell`](Self::simulate_cell)), and a
+    /// fit loads its anchors here. It stays public because perfbench's
+    /// in-process trace replays default-device estimates through it. The
+    /// negative cache, coalescing and the profile/analyze stages record
+    /// spans into `ctx`; an untraced caller passes
+    /// [`TraceContext::disabled`].
     ///
     /// # Errors
     /// Propagates Analyzer failures for degenerate jobs (possibly from
@@ -609,24 +600,10 @@ impl EstimationService {
         ctx: &TraceContext,
     ) -> Result<Arc<ProfiledStages>, EstimateError> {
         let key = JobKey::of(spec);
-        match self.read_stages(&key, ctx)? {
-            Some(hit) => Ok(hit),
+        match self.remembered_failure(&key, ctx) {
+            Some(error) => Err(error),
             None => self.load_stages(spec, &key, ctx),
         }
-    }
-
-    /// One counted stage-cache read and, on a miss, the negative cache:
-    /// the resident entry, `None` for a miss, or the remembered failure.
-    fn read_stages(
-        &self,
-        key: &JobKey,
-        ctx: &TraceContext,
-    ) -> Result<Option<Arc<ProfiledStages>>, EstimateError> {
-        if let Some(hit) = self.cache.get(key) {
-            ctx.event("cache.stage", "hit");
-            return Ok(Some(hit));
-        }
-        self.remembered_failure(key, ctx).map_or(Ok(None), Err)
     }
 
     /// The negative cache's answer for `key`, if it remembers a failure.
@@ -636,25 +613,22 @@ impl EstimationService {
         Some(error)
     }
 
-    /// The miss half of [`stages_traced`](Self::stages_traced), for a
-    /// key whose stage-cache and negative-cache reads already missed
-    /// (and counted): a single-flighted profile + analysis.
+    /// A single-flighted profile + analysis of a job whose negative-cache
+    /// read already missed (and counted). Concurrent loads of one key
+    /// coalesce onto one run; a failure lands in the negative cache, so a
+    /// degenerate job is not re-profiled on every query.
     fn load_stages(
         &self,
         spec: &TrainJobSpec,
         key: &JobKey,
         ctx: &TraceContext,
     ) -> Result<Arc<ProfiledStages>, EstimateError> {
-        ctx.event("cache.stage", "miss");
         let mut leader = false;
         let result = self.flights.run(key, || {
             leader = true;
             // Winning leadership races a just-retired flight for the same
-            // key: its leader published before retiring, so re-check both
-            // caches before paying for a profile run.
-            if let Some(hit) = self.cache.peek(key) {
-                return Ok(hit);
-            }
+            // key: a failure it found is already remembered, so re-check
+            // before paying for a profile run.
             if let Some(error) = self.negative.peek(key) {
                 return Err(error);
             }
@@ -669,17 +643,7 @@ impl EstimationService {
             match sink.finish() {
                 Ok(analyzed) => {
                     analyze.set_outcome("ok");
-                    drop(analyze);
-                    let stages = Arc::new(ProfiledStages { analyzed });
-                    self.cache.insert(key.clone(), Arc::clone(&stages));
-                    if let Some(persister) = &self.persist {
-                        persister.append(&StateRecord::Stage {
-                            job: key.clone(),
-                            analyzed: stages.analyzed.clone(),
-                        });
-                        ctx.event("persist.journal", "stage");
-                    }
-                    Ok(stages)
+                    Ok(Arc::new(ProfiledStages { analyzed }))
                 }
                 Err(error) => {
                     analyze.set_outcome("error");
@@ -697,9 +661,8 @@ impl EstimationService {
 
     /// Estimates `spec`'s peak GPU memory on the primary device
     /// (`device_name` = `None`) or on the registered device
-    /// `device_name`, reusing cached stages when available; every stage
-    /// the query touches records under `ctx` (a cell hit is a `cache.sim`
-    /// `hit` event). Results are bit-identical to the sequential
+    /// `device_name`; every stage the query touches records under `ctx`
+    /// (a cell hit is a `cache.sim` `hit` event). Results are bit-identical to the sequential
     /// [`Estimator::estimate_job`] path over
     /// [`EstimatorConfig::for_device`] of that device: profiling and
     /// analysis are deterministic in the job key, and the simulation
@@ -710,7 +673,8 @@ impl EstimationService {
     /// the one a [`sweep_traced`](Self::sweep_traced) row at that batch
     /// holds — so a warm repeat is a cell hit with no allocator replay,
     /// and a cell an earlier matrix computed is a pure cache hit. A miss
-    /// fills the cell with one bounded replay.
+    /// profiles and analyzes the job, then fills the cell with one
+    /// bounded replay.
     ///
     /// # Errors
     /// [`EstimateError::UnknownDevice`] for an unregistered name;
@@ -743,11 +707,10 @@ impl EstimationService {
         }
     }
 
-    /// The read half of a single estimate: one counted stage read (on a
-    /// miss, the negative cache), then one counted read of `device`'s
-    /// cell. A cell hit or a remembered failure is the whole answer, and
-    /// a missing stage entry is not loaded for it; anything else is left
-    /// to [`fill_estimate`](Self::fill_estimate).
+    /// The read half of a single estimate: one counted read of
+    /// `device`'s cell and, on a miss, the negative cache. A cell hit or
+    /// a remembered failure is the whole answer; anything else is left to
+    /// [`fill_estimate`](Self::fill_estimate).
     fn probe_estimate(
         &self,
         spec: &TrainJobSpec,
@@ -755,35 +718,28 @@ impl EstimationService {
         ctx: &TraceContext,
     ) -> Probe<Result<Estimate, EstimateError>, EstimateFill> {
         let key = JobKey::of(spec);
-        let stages = match self.read_stages(&key, ctx) {
-            Ok(stages) => stages,
-            Err(error) => return Probe::Done(Err(error)),
-        };
         if let Some(hit) = self.sims.shard(&device).get(&key) {
             ctx.event("cache.sim", "hit");
             return Probe::Done(Ok(hit));
         }
-        Probe::Fill(EstimateFill {
-            key,
-            stages,
-            device,
-        })
+        match self.remembered_failure(&key, ctx) {
+            Some(error) => Probe::Done(Err(error)),
+            None => Probe::Fill(EstimateFill { key, device }),
+        }
     }
 
-    /// The compute half of a single estimate: loads the stages the probe
-    /// missed, then replays the missed cell. Reads nothing the probe
-    /// counted. A lone cell has no other cell of its job to share an
-    /// unbounded replay with, so it pays one bounded replay.
+    /// The compute half of a single estimate: the missed cell, which
+    /// analyzes the job and replays it. Reads nothing the probe counted.
+    /// A lone cell has no other cell of its job to share an unbounded
+    /// replay with, so it pays one bounded replay.
     fn fill_estimate(
         &self,
         spec: &TrainJobSpec,
         fill: EstimateFill,
         ctx: &TraceContext,
     ) -> Result<Estimate, EstimateError> {
-        let stages = fill
-            .stages
-            .map_or_else(|| self.load_stages(spec, &fill.key, ctx), Ok)?;
-        Ok(self.simulate_cell(&fill.key, &stages, fill.device, None, ctx))
+        let analysis = SharedAnalysis::new();
+        self.simulate_cell(spec, &fill.key, &analysis, fill.device, None, ctx)
     }
 
     /// One row of a single-device batch grid
@@ -792,44 +748,53 @@ impl EstimationService {
     /// [`max_batch_for_device_traced`](Self::max_batch_for_device_traced)):
     /// `base` at `batch` on `device`, a cell like any other. With a fit
     /// the cell is materialized from it; without one it is exactly the
-    /// [`estimate_traced`](Self::estimate_traced) cell.
+    /// [`estimate_traced`](Self::estimate_traced) cell, which replays the
+    /// grid's held analysis at `batch` when there is one.
     fn batch_cell(
         &self,
         base: &TrainJobSpec,
         batch: usize,
         device: GpuDevice,
-        param: Option<&ParamReplay>,
+        grid: &BatchGrid,
         ctx: &TraceContext,
     ) -> Result<Estimate, EstimateError> {
-        if let Some(param) = param {
-            return Ok(self.incremental_cell_on(base, batch, param, device, ctx));
-        }
+        let held = match grid {
+            BatchGrid::Fitted(param) => {
+                return Ok(self.incremental_cell_on(base, batch, param, device, ctx))
+            }
+            BatchGrid::PerBatch(held) => held,
+        };
         let spec = with_batch(base, batch);
-        self.probe_estimate(&spec, device, ctx)
-            .or_fill(|fill| self.fill_estimate(&spec, fill, ctx))
+        self.probe_estimate(&spec, device, ctx).or_fill(|fill| {
+            let analysis = held
+                .iter()
+                .find(|(anchor, _)| *anchor == batch)
+                .map_or_else(SharedAnalysis::new, |(_, stages)| {
+                    SharedAnalysis::from(Ok(Arc::clone(stages)))
+                });
+            self.simulate_cell(&spec, &fill.key, &analysis, fill.device, None, ctx)
+        })
     }
 
-    /// Replays already-analyzed stages against one device, through the
-    /// per-device simulation shard. The simulation uses the paper-default
-    /// [`EstimatorConfig::for_device`] for `device`, so results are
-    /// bit-identical to a sequential `Estimator` built the same way.
-    ///
-    /// Concurrent identical cells single-flight onto one simulation;
-    /// repeats hit the device's shard. See
-    /// [`simulate_cell`](Self::simulate_cell) for `shared`.
+    /// One cell of a job on `device`, through the per-device simulation
+    /// shard: a hit, or [`simulate_cell`](Self::simulate_cell). The
+    /// simulation uses the paper-default [`EstimatorConfig::for_device`]
+    /// for `device`, so results are bit-identical to a sequential
+    /// `Estimator` built the same way.
     fn simulate_on(
         &self,
+        spec: &TrainJobSpec,
         key: &JobKey,
-        stages: &ProfiledStages,
+        analysis: &SharedAnalysis,
         device: GpuDevice,
         shared: Option<&SharedReplay>,
         ctx: &TraceContext,
-    ) -> Estimate {
+    ) -> Result<Estimate, EstimateError> {
         if let Some(hit) = self.sims.shard(&device).get(key) {
             ctx.event("cache.sim", "hit");
-            return hit;
+            return Ok(hit);
         }
-        self.simulate_cell(key, stages, device, shared, ctx)
+        self.simulate_cell(spec, key, analysis, device, shared, ctx)
     }
 
     /// The miss half of [`simulate_on`](Self::simulate_on):
@@ -837,6 +802,12 @@ impl EstimationService {
     /// probe counted the miss; this half only peeks).
     /// [`estimate_matrix_traced`](Self::estimate_matrix_traced), which
     /// probes its cells in bulk, enters here.
+    ///
+    /// Concurrent identical cells single-flight onto one leader, which
+    /// re-checks the shard and only then takes the job's analysis from
+    /// `analysis`: the request's cells of one job share it, and the first
+    /// leader among them loads it ([`load_stages`](Self::load_stages)).
+    /// A cell another request filled meanwhile therefore costs no profile.
     ///
     /// **Pressure-aware fast path**: `shared` is the job's unbounded
     /// replay for the cells of one request (a matrix row, a placement
@@ -851,22 +822,25 @@ impl EstimationService {
     /// split).
     fn simulate_cell(
         &self,
+        spec: &TrainJobSpec,
         key: &JobKey,
-        stages: &ProfiledStages,
+        analysis: &SharedAnalysis,
         device: GpuDevice,
         shared: Option<&SharedReplay>,
         ctx: &TraceContext,
-    ) -> Estimate {
+    ) -> Result<Estimate, EstimateError> {
         let sim_key = (key.clone(), DeviceFingerprint::of(&device));
         let mut leader = false;
         let estimate = self.sim_flights.run(&sim_key, || {
             leader = true;
-            // Re-fetch the shard inside the flight — same re-check as
-            // `stages`: a just-retired flight for this cell published
-            // before retiring.
+            // A just-retired flight for this cell published before
+            // retiring: re-check the shard before loading anything.
             if let Some(hit) = self.sims.shard(&device).peek(key) {
-                return hit;
+                return Ok(hit);
             }
+            let stages = analysis
+                .get_or_init(|| self.load_stages(spec, key, ctx))
+                .clone()?;
             let mut replay_span = ctx.span("sim.replay");
             let estimator = Estimator::new(EstimatorConfig::for_device(device));
             // Every cell's estimator shares the orchestrator and allocator
@@ -909,7 +883,7 @@ impl EstimationService {
                 .shard(&device)
                 .insert(key.clone(), estimate.clone());
             self.journal_sim(&sim_key.1, key, &estimate);
-            estimate
+            Ok(estimate)
         });
         if !leader {
             ctx.event("cache.sim", "coalesced");
@@ -933,29 +907,36 @@ impl EstimationService {
         }
     }
 
-    /// The parameterized replay proven over `[lo, hi]` for `base`'s job
-    /// family, fitting (and caching) it on first use. Every cell the
-    /// service computes uses a paper-default [`EstimatorConfig`], which
-    /// admits the fit by construction ([`Estimator::incremental_exact`]
-    /// with the default orchestrator). `None` means the fit was rejected
-    /// (the delta model could not be proven exact) or an anchor failed
-    /// to profile — callers fall back to per-batch cells, where errors
-    /// surface per cell.
+    /// How a request answers `base`'s batch grid over `[lo, hi]`: from
+    /// the parameterized replay proven over the range for `base`'s job
+    /// family, fitting (and caching) it on first use, or per batch. Every
+    /// cell the service computes uses a paper-default [`EstimatorConfig`],
+    /// which admits the fit by construction
+    /// ([`Estimator::incremental_exact`] with the default orchestrator).
+    /// The grid is per batch when the fit was rejected (the delta model
+    /// could not be proven exact) or an anchor failed to profile, and
+    /// then errors surface per cell. A fit this call attempted hands its
+    /// anchors' analyses to that per-batch grid, so the request profiles
+    /// no anchor batch twice.
     fn param_for(
         &self,
         base: &TrainJobSpec,
         lo: usize,
         hi: usize,
         ctx: &TraceContext,
-    ) -> Option<Arc<ParamReplay>> {
+    ) -> BatchGrid {
         let family = SweepKey::of(base);
         let covering =
             |outcome: &Arc<ParamOutcome>| outcome.batch_lo <= lo && hi <= outcome.batch_hi;
+        let grid = |fit: Option<Arc<ParamReplay>>, held| {
+            fit.map_or(BatchGrid::PerBatch(held), BatchGrid::Fitted)
+        };
         if let Some(hit) = self.params.get(&family) {
             if covering(&hit) {
-                return hit.fit.clone();
+                return grid(hit.fit.clone(), Vec::new());
             }
         }
+        let mut held = Vec::new();
         let outcome = self.param_flights.run(&family, || {
             if let Some(hit) = self.params.peek(&family) {
                 if covering(&hit) {
@@ -966,13 +947,12 @@ impl EstimationService {
             fit_span.set_outcome("rejected");
             // Three anchors pin the affine size model: the endpoints fit
             // it, the midpoint validates it (plus full structural
-            // identity across all three). Anchor profiles go through the
-            // normal stage cache, so they are shared, journaled, and
-            // counted like any other profile run — and they fan out
-            // across the worker threads, so the fit costs one wall-clock
-            // profile (the largest anchor), not three.
+            // identity across all three). Anchor profiles are counted
+            // like any other profile run, and they fan out across the
+            // worker threads, so the fit costs one wall-clock profile
+            // (the largest anchor), not three.
             let mid = lo + (hi - lo) / 2;
-            let anchors: Vec<(usize, Arc<ProfiledStages>)> = self
+            held = self
                 .parallel_fill(3, |i| {
                     let batch = [lo, mid, hi][i];
                     self.stages_traced(&with_batch(base, batch), ctx)
@@ -980,8 +960,12 @@ impl EstimationService {
                         .map(|stages| (batch, stages))
                 })
                 .into_iter()
-                .collect::<Option<Vec<_>>>()?;
-            let refs: Vec<(usize, &AnalyzedTrace)> = anchors
+                .flatten()
+                .collect();
+            if held.len() < 3 {
+                return None;
+            }
+            let refs: Vec<(usize, &AnalyzedTrace)> = held
                 .iter()
                 .map(|(batch, stages)| (*batch, &stages.analyzed))
                 .collect();
@@ -1009,23 +993,19 @@ impl EstimationService {
             }
             Some(outcome)
         });
-        outcome.and_then(|outcome| outcome.fit.clone())
+        grid(outcome.and_then(|outcome| outcome.fit.clone()), held)
     }
 
-    /// The fit for a sweep over `batches`, when the sweep qualifies for
-    /// the incremental path: enough distinct points to beat the
-    /// three-anchor cost, and valid batches.
-    fn sweep_param(
-        &self,
-        base: &TrainJobSpec,
-        batches: &[usize],
-        ctx: &TraceContext,
-    ) -> Option<Arc<ParamReplay>> {
+    /// How a sweep over `batches` is answered: through
+    /// [`param_for`](Self::param_for) when the sweep qualifies for the
+    /// incremental path (enough distinct points to beat the three-anchor
+    /// cost, and valid batches), per batch otherwise.
+    fn sweep_grid(&self, base: &TrainJobSpec, batches: &[usize], ctx: &TraceContext) -> BatchGrid {
         let mut distinct: Vec<usize> = batches.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
         if distinct.len() < MIN_INCREMENTAL_POINTS || distinct[0] == 0 {
-            return None;
+            return BatchGrid::PerBatch(Vec::new());
         }
         self.param_for(base, distinct[0], *distinct.last().expect("non-empty"), ctx)
     }
@@ -1063,13 +1043,13 @@ impl EstimationService {
         estimate
     }
 
-    /// Estimates `spec` on an explicit device configuration through the
-    /// shared cache layers — the analysis cache and `device`'s simulation
-    /// shard — without requiring the device to be registered by name.
-    /// This is the entry point batch consumers (evaluation campaigns,
-    /// benchmark harnesses) use to share one analysis across devices; a
-    /// missed cell pays one bounded replay, like
-    /// [`estimate_traced`](Self::estimate_traced). Results are
+    /// Estimates `spec` on an explicit device configuration through
+    /// `device`'s simulation shard, without requiring the device to be
+    /// registered by name: the entry point batch consumers (evaluation
+    /// campaigns, benchmark harnesses) read the cells of a prewarmed
+    /// matrix through. A missed cell profiles the job and pays one
+    /// bounded replay, like [`estimate_traced`](Self::estimate_traced).
+    /// Results are
     /// bit-identical to a sequential [`Estimator`] over
     /// [`EstimatorConfig::for_device`].
     ///
@@ -1155,8 +1135,8 @@ impl EstimationService {
 
     /// Batched replay: estimates every job in `specs` on every named
     /// device, running the expensive profile + analyze stages **once per
-    /// distinct job** and fanning the cached analyses out to concurrent
-    /// per-device allocator simulations ("1 analysis, N simulations" —
+    /// distinct job** whose row missed a cell and fanning that analysis
+    /// out to concurrent per-device allocator simulations ("1 analysis, N simulations" —
     /// provable via [`profile_runs`](Self::profile_runs) and
     /// [`sim_stats`](Self::sim_stats)). Hits, misses and replays record
     /// under `ctx`.
@@ -1165,8 +1145,8 @@ impl EstimationService {
     /// single-device query ([`estimate_traced`](Self::estimate_traced))
     /// for any cell is a cache hit — and so is a repeated matrix: every
     /// cell is probed first, on the calling thread, and only misses are
-    /// computed (a warm matrix reads one stage entry per row and one
-    /// cell per device, and does nothing else). Every cell is
+    /// computed (a warm matrix reads one cell per job and device, and
+    /// does nothing else). Every cell is
     /// bit-identical to a sequential
     /// [`Estimator::estimate_job`] against
     /// [`EstimatorConfig::for_device`] of its device.
@@ -1205,13 +1185,11 @@ impl EstimationService {
             .or_fill(|fill| self.fill_matrix(specs, devices, fill, ctx))
     }
 
-    /// The read half of a matrix: one counted stage read per row,
-    /// whatever the cells hold, so the stage tier's access stream (its
-    /// counters, its admission sketch) follows the query alone; then every
-    /// cell, column-major; then, for each row that missed both its stage
-    /// entry and a cell, the negative cache. A warm matrix ends here.
-    /// Hits are recorded as one event per tier, not one per cell, so a
-    /// large matrix cannot crowd its own spans out of the trace.
+    /// The read half of a matrix: every cell, column-major; then, for
+    /// each row that missed a cell, the negative cache. A warm matrix
+    /// ends here. Hits are recorded as one event per tier, not one per
+    /// cell, so a large matrix cannot crowd its own spans out of the
+    /// trace.
     fn probe_matrix(
         &self,
         specs: &[TrainJobSpec],
@@ -1223,16 +1201,11 @@ impl EstimationService {
             Err(error) => return Probe::Done(Err(error)),
         };
         let keys: Vec<JobKey> = specs.iter().map(JobKey::of).collect();
-        let stages: Vec<Option<Arc<ProfiledStages>>> =
-            keys.iter().map(|key| self.cache.get(key)).collect();
         let mut cells: Vec<Option<Result<Estimate, EstimateError>>> =
             Vec::with_capacity(keys.len() * resolved.len());
         for device in &resolved {
             let shard = self.sims.shard(device);
             cells.extend(keys.iter().map(|key| shard.get(key).map(Ok)));
-        }
-        if stages.iter().any(Option::is_some) {
-            ctx.event("cache.stage", "hit");
         }
         if cells.iter().any(Option::is_some) {
             ctx.event("cache.sim", "hit");
@@ -1240,7 +1213,7 @@ impl EstimationService {
         let jobs = keys.len();
         for (j, key) in keys.iter().enumerate() {
             let row = (j..cells.len()).step_by(jobs);
-            if stages[j].is_some() || row.clone().all(|c| cells[c].is_some()) {
+            if row.clone().all(|c| cells[c].is_some()) {
                 continue;
             }
             if let Some(error) = self.remembered_failure(key, ctx) {
@@ -1255,17 +1228,15 @@ impl EstimationService {
         Probe::Fill(MatrixFill {
             devices: resolved,
             keys,
-            stages,
             cells,
         })
     }
 
-    /// The compute half of a matrix: rows a missed cell needs but the
-    /// stage cache lacks profile once each, in parallel (distinct jobs
-    /// profile side by side); then only the missed cells replay. The
-    /// missed cells of one row share one unbounded replay, which the
-    /// first of them to lead a sim flight computes: a row whose cells all
-    /// coalesce onto other requests' flights computes none.
+    /// The compute half of a matrix: only the missed cells replay, in
+    /// parallel. The missed cells of one job share one analysis and one
+    /// unbounded replay, which the first of them to lead a sim flight
+    /// computes: distinct jobs profile side by side, and a job whose
+    /// cells all coalesce onto other requests' flights computes neither.
     fn fill_matrix(
         &self,
         specs: &[TrainJobSpec],
@@ -1276,39 +1247,32 @@ impl EstimationService {
         let MatrixFill {
             devices: resolved,
             keys,
-            stages: resident,
             mut cells,
         } = fill;
         let jobs = keys.len();
         let misses: Vec<usize> = (0..cells.len()).filter(|&c| cells[c].is_none()).collect();
-        let mut cold: Vec<usize> = misses
+        // Rows naming one job share its slot.
+        let mut slot_of: HashMap<&JobKey, usize> = HashMap::with_capacity(jobs);
+        let slots: Vec<usize> = keys
             .iter()
-            .map(|&c| c % jobs)
-            .filter(|&j| resident[j].is_none())
+            .map(|key| {
+                let next = slot_of.len();
+                *slot_of.entry(key).or_insert(next)
+            })
             .collect();
-        cold.sort_unstable();
-        cold.dedup();
-        let loaded = self.parallel_fill(cold.len(), |i| {
-            self.load_stages(&specs[cold[i]], &keys[cold[i]], ctx)
-        });
-        let mut stages: Vec<Option<Result<Arc<ProfiledStages>, EstimateError>>> =
-            resident.into_iter().map(|hit| hit.map(Ok)).collect();
-        for (j, outcome) in cold.into_iter().zip(loaded) {
-            stages[j] = Some(outcome);
-        }
-        let row_replays: Vec<SharedReplay> = (0..jobs).map(|_| OnceLock::new()).collect();
+        let analyses: Vec<SharedAnalysis> = (0..slot_of.len()).map(|_| OnceLock::new()).collect();
+        let replays: Vec<SharedReplay> = (0..slot_of.len()).map(|_| OnceLock::new()).collect();
         let filled = self.parallel_fill(misses.len(), |i| {
             let (device_index, job_index) = (misses[i] / jobs, misses[i] % jobs);
-            match stages[job_index].as_ref().expect("read or loaded above") {
-                Ok(stages) => Ok(self.simulate_cell(
-                    &keys[job_index],
-                    stages,
-                    resolved[device_index],
-                    Some(&row_replays[job_index]),
-                    ctx,
-                )),
-                Err(error) => Err(error.clone()),
-            }
+            let slot = slots[job_index];
+            self.simulate_cell(
+                &specs[job_index],
+                &keys[job_index],
+                &analyses[slot],
+                resolved[device_index],
+                Some(&replays[slot]),
+                ctx,
+            )
         });
         for (c, outcome) in misses.into_iter().zip(filled) {
             cells[c] = Some(outcome);
@@ -1337,13 +1301,13 @@ impl EstimationService {
             .or_fill(|fill| self.fill_placement(spec, fill, ctx))
     }
 
-    /// The read half of a placement: one counted stage read (on a miss,
-    /// the negative cache), then the cells in `(capacity, name)` order up
-    /// to the first fit or the first miss, so the first fit is the answer
-    /// and ties go to name order — a small job on a large fleet reads one
-    /// cell, not one per device. The walk runs under the registry's read
-    /// lock, which clones the answer's name and, on a miss, the names the
-    /// fill still walks.
+    /// The read half of a placement: the cells in `(capacity, name)`
+    /// order up to the first fit or the first miss, so the first fit is
+    /// the answer and ties go to name order — a small job on a large
+    /// fleet reads one cell, not one per device — and, after a miss, the
+    /// negative cache. The walk runs under the registry's read lock,
+    /// which clones the answer's name and, on a miss, the names the fill
+    /// still walks.
     fn probe_placement(
         &self,
         spec: &TrainJobSpec,
@@ -1353,50 +1317,52 @@ impl EstimationService {
             return Probe::Done(Ok(None));
         }
         let key = JobKey::of(spec);
-        let stages = match self.read_stages(&key, ctx) {
-            Ok(stages) => stages,
-            Err(error) => return Probe::Done(Err(error)),
-        };
         // Only the cell walk and the answer's name clone run under the
         // registry's read lock; an empty fleet here lost a race and
         // places nothing, as it would have a moment earlier.
-        self.registry().with_capacity_order(|fleet| {
+        let walked = self.registry().with_capacity_order(|fleet| {
             for (i, &(name, device)) in fleet.iter().enumerate() {
                 let Some(estimate) = self.sims.shard(&device).get(&key) else {
-                    let fleet = fleet[i..]
+                    return Err(fleet[i..]
                         .iter()
                         .map(|&(name, device)| (name.to_owned(), device))
-                        .collect();
-                    return Probe::Fill(PlacementFill { key, stages, fleet });
+                        .collect());
                 };
                 ctx.event("cache.sim", "hit");
                 if !estimate.oom_predicted {
                     let device = name.to_owned();
-                    return Probe::Done(Ok(Some(DevicePlacement { device, estimate })));
+                    return Ok(Some(DevicePlacement { device, estimate }));
                 }
             }
-            Probe::Done(Ok(None))
-        })
+            Ok(None)
+        });
+        match walked {
+            Ok(placement) => Probe::Done(Ok(placement)),
+            Err(fleet) => match self.remembered_failure(&key, ctx) {
+                Some(error) => Probe::Done(Err(error)),
+                None => Probe::Fill(PlacementFill { key, fleet }),
+            },
+        }
     }
 
-    /// The compute half of a placement: loads the stages the probe
-    /// missed, replays the missed cell, then walks on through the rest
-    /// of the fleet (reading before replaying) to the first fit. The
-    /// cells the walk replays share one unbounded replay.
+    /// The compute half of a placement: replays the missed cell, then
+    /// walks on through the rest of the fleet (reading before replaying)
+    /// to the first fit. The cells the walk replays share one analysis
+    /// and one unbounded replay.
     fn fill_placement(
         &self,
         spec: &TrainJobSpec,
         fill: PlacementFill,
         ctx: &TraceContext,
     ) -> Result<Option<DevicePlacement>, EstimateError> {
-        let PlacementFill { key, stages, fleet } = fill;
-        let stages = stages.map_or_else(|| self.load_stages(spec, &key, ctx), Ok)?;
+        let PlacementFill { key, fleet } = fill;
+        let analysis = SharedAnalysis::new();
         let replay = SharedReplay::new();
         for (i, (name, device)) in fleet.into_iter().enumerate() {
             let estimate = if i == 0 {
-                self.simulate_cell(&key, &stages, device, Some(&replay), ctx)
+                self.simulate_cell(spec, &key, &analysis, device, Some(&replay), ctx)?
             } else {
-                self.simulate_on(&key, &stages, device, Some(&replay), ctx)
+                self.simulate_on(spec, &key, &analysis, device, Some(&replay), ctx)?
             };
             if !estimate.oom_predicted {
                 return Ok(Some(DevicePlacement {
@@ -1464,18 +1430,19 @@ impl EstimationService {
     /// parameterized replay, and every missing cell — anchors included —
     /// is materialized from it in ~O(events) with no further profiling.
     /// The fit is proven exact before use, so cells are bit-identical to
-    /// the per-batch cells everything else falls back to, whose profile
-    /// and analysis are shared through the stage cache.
+    /// the per-batch cells everything else falls back to, each of which
+    /// profiles and analyzes its batch (an anchor the rejected fit
+    /// analyzed is not profiled again).
     pub fn sweep_traced(
         &self,
         base: &TrainJobSpec,
         batches: &[usize],
         ctx: &TraceContext,
     ) -> Vec<(usize, Result<Estimate, EstimateError>)> {
-        let param = self.sweep_param(base, batches, ctx);
+        let grid = self.sweep_grid(base, batches, ctx);
         let device = self.config.estimator.device;
         let estimates = self.parallel_fill(batches.len(), |i| {
-            self.batch_cell(base, batches[i], device, param.as_deref(), ctx)
+            self.batch_cell(base, batches[i], device, &grid, ctx)
         });
         batches.iter().copied().zip(estimates).collect()
     }
@@ -1485,10 +1452,10 @@ impl EstimationService {
     /// does not fit.
     ///
     /// A coarse parallel sweep first brackets the fit/OOM frontier (warming
-    /// the cache), then bisection pins it down; probe batches hit both
-    /// shared cache layers (the analysis cache and `device`'s simulation
-    /// shard) on repeat queries — including repeats for *other* devices,
-    /// which reuse the analyses and pay only for their own simulations.
+    /// the cache), then bisection pins it down; probe batches hit
+    /// `device`'s simulation shard on repeat queries. A range wide enough
+    /// for a fit rides the family's cached fit on every device, so a
+    /// repeat for *another* device pays only for its own simulations.
     /// Every probe records under `ctx`.
     ///
     /// # Panics
@@ -1513,25 +1480,27 @@ impl EstimationService {
         // are cells of `EstimatorConfig::for_device(device)` either way,
         // so the bisection walks identical estimates and lands on the
         // identical answer.
-        let param = if hi - lo + 1 >= MIN_INCREMENTAL_POINTS {
+        let grid = if hi - lo + 1 >= MIN_INCREMENTAL_POINTS {
             self.param_for(base, lo, hi, ctx)
         } else {
-            None
+            BatchGrid::PerBatch(Vec::new())
         };
-        let param = param.as_deref();
 
         // Coarse bracket: a parallel sweep over an evenly spaced grid
         // warms the cache and narrows the frontier. The grid is capped —
         // on many-core hosts an uncapped grid would degenerate into an
         // exhaustive profile of the whole range, where bracket + bisect
         // needs only a handful of probes.
-        let points = self.worker_count(usize::MAX).min(MAX_BRACKET_POINTS);
-        let grid = coarse_grid(lo, hi, points);
-        let mut coarse = Vec::with_capacity(grid.len());
-        let probes = self.parallel_fill(grid.len(), |i| {
-            self.batch_cell(base, grid[i], device, param, ctx)
+        let points = coarse_grid(
+            lo,
+            hi,
+            self.worker_count(usize::MAX).min(MAX_BRACKET_POINTS),
+        );
+        let mut coarse = Vec::with_capacity(points.len());
+        let probes = self.parallel_fill(points.len(), |i| {
+            self.batch_cell(base, points[i], device, &grid, ctx)
         });
-        for (&batch, estimate) in grid.iter().zip(probes) {
+        for (&batch, estimate) in points.iter().zip(probes) {
             coarse.push((batch, !estimate?.oom_predicted));
         }
         if !coarse.first().map(|&(_, fits)| fits).unwrap_or(false) {
@@ -1552,7 +1521,7 @@ impl EstimationService {
         // Bisect the remaining bracket; probes land in the shared caches.
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let estimate = self.batch_cell(base, mid, device, param, ctx)?;
+            let estimate = self.batch_cell(base, mid, device, &grid, ctx)?;
             if !estimate.oom_predicted {
                 lo = mid;
             } else {
@@ -1772,11 +1741,11 @@ impl AsyncEstimationService {
     /// Submits one estimation query against the primary device, or a
     /// *named* registered device when `device_name` is given (see
     /// [`EstimationService::estimate_traced`]; a named device's answer shares
-    /// the analysis cache and its simulation shard with every matrix
-    /// query). Every pipeline stage the query touches records under
-    /// `ctx`'s trace id.
+    /// its simulation shard with every matrix query). Every pipeline stage
+    /// the query touches records under `ctx`'s trace id.
     ///
-    /// The stage and cell reads happen on the calling thread. A cell hit
+    /// The cell read, and after a miss the negative-cache read, happen on
+    /// the calling thread. A cell hit
     /// (or an unknown device, or a remembered failure) is the whole
     /// answer: the returned future is already settled, the trace has a
     /// `service.call` span and no `pool.queue` span, and the submit never
@@ -2036,10 +2005,11 @@ mod tests {
         let cold = service.estimate_traced(&spec, None, &untraced).unwrap();
         let warm = service.estimate_traced(&spec, None, &untraced).unwrap();
         assert_eq!(cold, warm);
-        let stats = service.cache_stats();
+        let stats = service.sim_stats().cache;
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.insertions, 1);
+        assert_eq!(service.profile_runs(), 1);
     }
 
     #[test]
@@ -2049,14 +2019,13 @@ mod tests {
         let batches = [1, 2, 4, 8];
         let first = service.sweep_traced(&small_spec(1), &batches, &untraced);
         // The incremental path profiles only its three anchors.
-        let insertions_after_first = service.cache_stats().insertions;
-        assert_eq!(insertions_after_first, 3);
+        assert_eq!(service.profile_runs(), 3);
         assert_eq!(service.sim_stats().param_replays, 1);
 
         let second = service.sweep_traced(&small_spec(1), &batches, &untraced);
-        let stats = service.cache_stats();
         assert_eq!(
-            stats.insertions, insertions_after_first,
+            service.profile_runs(),
+            3,
             "a repeated sweep re-profiles nothing"
         );
         assert_eq!(
@@ -2421,7 +2390,6 @@ mod tests {
             .unwrap();
         assert_eq!(service.sim_stats().device_shards, 1);
         for (tier, stats) in [
-            ("stage", service.stage_tier_stats()),
             ("param", service.param_tier_stats()),
             ("sim", service.sim_tier_stats()),
         ] {

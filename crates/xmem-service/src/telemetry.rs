@@ -41,10 +41,9 @@ pub const TRACE_HEADER: &str = "x-xmem-trace-id";
 /// Every span name the service records. Fixed so the `stage` label set
 /// on the Prometheus histograms is bounded; unknown names (from future
 /// callers) collapse into `"other"`.
-pub const STAGE_NAMES: [&str; 15] = [
+pub const STAGE_NAMES: [&str; 14] = [
     "pool.queue",
     "service.call",
-    "cache.stage",
     "cache.sim",
     "cache.negative",
     "flight.stage",
@@ -722,7 +721,7 @@ mod tests {
         assert!(span.start.is_none(), "a disabled span holds no instant");
         span.set_outcome("hit");
         drop(span);
-        ctx.event("cache.stage", "hit");
+        ctx.event("cache.sim", "hit");
         // Nothing to snapshot.
         assert!(ctx.snapshot().is_none());
     }
@@ -731,7 +730,7 @@ mod tests {
     fn spans_and_events_land_in_the_completed_trace() {
         let telemetry = Telemetry::new(TelemetryConfig::default());
         let ctx = telemetry.begin_trace(None);
-        ctx.event("cache.stage", "miss");
+        ctx.event("cache.sim", "miss");
         {
             let mut span = ctx.span("stage.profile");
             std::thread::sleep(Duration::from_millis(2));
@@ -747,7 +746,7 @@ mod tests {
         assert_eq!(trace.status, 200);
         assert!(!trace.forwarded);
         assert_eq!(trace.spans.len(), 2);
-        assert_eq!(trace.spans[0].name, "cache.stage");
+        assert_eq!(trace.spans[0].name, "cache.sim");
         assert_eq!(trace.spans[0].outcome, "miss");
         assert_eq!(trace.spans[0].duration_ns, 0);
         assert_eq!(trace.spans[1].name, "stage.profile");
@@ -785,7 +784,7 @@ mod tests {
         let telemetry = Telemetry::new(TelemetryConfig::default().with_capacity(8));
         for i in 0..50u16 {
             let ctx = telemetry.begin_trace(None);
-            ctx.event("cache.stage", "hit");
+            ctx.event("cache.sim", "hit");
             telemetry.finish(&ctx, "GET", "/healthz", 200 + i % 2, false);
         }
         let traces = telemetry.recent_traces(100, None);
@@ -872,7 +871,7 @@ mod tests {
     fn span_cap_bounds_a_pathological_trace() {
         let ctx = TraceContext::new();
         for _ in 0..(MAX_SPANS_PER_TRACE + 50) {
-            ctx.event("cache.stage", "hit");
+            ctx.event("cache.sim", "hit");
         }
         let (_, _, _, spans) = ctx.snapshot().expect("enabled context snapshots");
         assert_eq!(spans.len(), MAX_SPANS_PER_TRACE);

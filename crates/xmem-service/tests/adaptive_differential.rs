@@ -3,9 +3,9 @@
 //! an uncached computation returns — the sequential `Estimator`, which a
 //! plain LRU service reproduces too. The segmented split and the
 //! frequency-sketch admission gate only decide **what stays resident** —
-//! cached stages are pure functions of the job key, so re-deriving an
-//! entry the gate refused (or eviction squeezed out) reproduces the same
-//! bytes.
+//! cached cells are pure functions of the job key and the device, so
+//! re-deriving a cell the gate refused (or eviction squeezed out)
+//! reproduces the same bytes.
 
 use std::collections::HashMap;
 use xmem_core::{AnalyzedTrace, Analyzer, DevicePlacement, Estimate, Estimator, EstimatorConfig};
@@ -93,7 +93,6 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
     let gated = service_over(&fleet);
     let mut sequential = Sequential::default();
     let primary = GpuDevice::rtx3060();
-    assert!(gated.stage_tier_stats().segmented);
 
     // A pseudo-random query mix over more distinct jobs than the cache
     // holds: single estimates, per-device estimates, sweeps, matrices,
@@ -168,11 +167,8 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
     }
     // The equality above must not be vacuous: the service's tiering
     // machinery actually ran on this mix.
-    let stats = gated.cache_stats();
-    assert!(
-        stats.promoted > 0,
-        "re-hit stage entries must have been promoted"
-    );
+    let stats = gated.sim_stats().cache;
+    assert!(stats.promoted > 0, "re-hit cells must have been promoted");
     assert!(
         stats.evictions > 0,
         "the tight cache must have evicted entries"
@@ -181,7 +177,7 @@ fn adaptive_tiering_is_bit_identical_to_plain_lru_service_results() {
         stats.admission_denied > 0,
         "the gate must have refused cold keys"
     );
-    let tier = gated.stage_tier_stats();
+    let tier = gated.sim_tier_stats();
     assert!(tier.segmented);
     assert_eq!(
         tier.protected_cap * 2,

@@ -574,20 +574,16 @@ proptest! {
 }
 
 /// One real-pipeline anchor for the synthetic-peak modeling above: a key
-/// whose stages are computed, evicted and recomputed yields identical
+/// whose cell is computed, evicted and recomputed yields identical
 /// `peak_bytes` both times.
 #[test]
 fn eviction_and_recomputation_reproduce_identical_estimates() {
     let untraced = TraceContext::disabled();
-    // Capacity 1, so one shard. Each estimate reads the stages and
-    // replays them sequentially, so no sim cell can answer in their place.
+    // Capacity 1, so one shard: the primary device's tier holds one cell.
     let service = EstimationService::new(
         ServiceConfig::for_device(GpuDevice::rtx3060()).with_cache_capacity(1),
     );
-    let estimator = Estimator::new(EstimatorConfig::for_device(GpuDevice::rtx3060()));
-    let estimate = |spec: &TrainJobSpec| {
-        estimator.estimate_analyzed(&service.stages_traced(spec, &untraced).unwrap().analyzed)
-    };
+    let estimate = |spec: &TrainJobSpec| service.estimate_traced(spec, None, &untraced).unwrap();
 
     let a = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 2).with_iterations(2);
     let b = TrainJobSpec::new(ModelId::MobileNetV3Small, OptimizerKind::Adam, 4).with_iterations(2);
@@ -598,7 +594,7 @@ fn eviction_and_recomputation_reproduce_identical_estimates() {
     for _ in 0..4 {
         estimate(&b);
     }
-    assert!(service.cache_stats().evictions >= 1, "b displaced a");
+    assert!(service.sim_stats().cache.evictions >= 1, "b displaced a");
     let profiled = service.profile_runs();
     let second_a = estimate(&a); // recomputed
     assert_eq!(service.profile_runs(), profiled + 1, "a was re-profiled");

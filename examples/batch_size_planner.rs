@@ -7,10 +7,11 @@
 //! per (model, device) pair, all submitted as futures and answered
 //! through the shared service concurrently. Per question, a coarse sweep
 //! brackets the fit/OOM frontier and bisection pins it down. The pay-off
-//! of the multi-device layer shows in the counters: probe batches shared
-//! between devices are profiled **once** — the second and third device
-//! columns reuse the first column's analyses and pay only for their own
-//! allocator simulations.
+//! of the multi-device layer shows in the counters: a family whose fit is
+//! proven answers every device column from that **one** fit (three anchor
+//! profiles), and each column pays only for its own allocator
+//! simulations; a family whose fit is rejected profiles each column's
+//! probes.
 //!
 //! ```text
 //! cargo run --release --example batch_size_planner
@@ -86,16 +87,15 @@ fn main() {
         }
     }
     let inner = service.service();
-    let stats = inner.cache_stats();
     let sims = inner.sim_stats();
     println!(
         "\nService counters: {} profile runs for {} simulations across {} devices —\n\
-         analysis cache {} hits / {} misses; probe batches shared between device\n\
-         columns were profiled once and only re-simulated.",
+         sim cells {} hits / {} misses; each plan's probes rode its family's fit\n\
+         where one was proven, and were profiled per batch where it was not.",
         inner.profile_runs(),
         sims.sim_runs,
         sims.device_shards,
-        stats.hits,
-        stats.misses,
+        sims.cache.hits,
+        sims.cache.misses,
     );
 }

@@ -112,11 +112,11 @@ fn main() {
         .text()
         .contains("xmem_http_requests_total{route=\"best_device\"} 3"));
     println!(
-        "\nserver answered {} requests | stage cache: {} hits, {} misses | profile runs: {}",
+        "\nserver answered {} requests | profile runs: {} | sim cells: {} hits, {} misses",
         server.metrics().requests_total(),
-        direct.cache_stats().hits,
-        direct.cache_stats().misses,
         direct.profile_runs(),
+        direct.sim_stats().cache.hits,
+        direct.sim_stats().cache.misses,
     );
 
     let report = server.shutdown();

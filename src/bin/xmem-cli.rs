@@ -372,14 +372,14 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     let inner = service.service();
-    let cache = inner.cache_stats();
+    let cells = inner.sim_stats().cache;
     let flights = inner.flight_stats();
     let negative = inner.negative_stats();
     println!(
-        "cache: {} hits, {} misses | single-flight: {} executions, {} coalesced | \
+        "sim cells: {} hits, {} misses | single-flight: {} executions, {} coalesced | \
          negative: {} hits, {} insertions | profile runs: {}",
-        cache.hits,
-        cache.misses,
+        cells.hits,
+        cells.misses,
         flights.executions,
         flights.coalesced,
         negative.hits,
@@ -513,14 +513,25 @@ fn listen(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     println!(
-        "drained ({}): {} requests served | cache: {} hits, {} misses | profile runs: {}",
+        "drained ({}): {} requests served | profile runs: {} | sim cells: {} hits, {} misses",
         if report.clean { "clean" } else { "stragglers" },
         report.requests_served,
-        inner.cache_stats().hits,
-        inner.cache_stats().misses,
-        inner.profile_runs()
+        inner.profile_runs(),
+        inner.sim_stats().cache.hits,
+        inner.sim_stats().cache.misses
     );
     Ok(())
+}
+
+/// What a one-shot query cost: profile runs and sim-cell reads.
+fn print_work(service: &EstimationService) {
+    let cells = service.sim_stats().cache;
+    println!(
+        "profile runs: {} | sim cells: {} hits, {} misses",
+        service.profile_runs(),
+        cells.hits,
+        cells.misses
+    );
 }
 
 fn run() -> Result<(), String> {
@@ -575,8 +586,7 @@ fn run() -> Result<(), String> {
                     Err(e) => println!("{batch:<8} estimation failed: {e}"),
                 }
             }
-            let stats = service.cache_stats();
-            println!("cache: {} hits, {} misses", stats.hits, stats.misses);
+            print_work(&service);
             Ok(())
         }
         "plan" => {
@@ -607,8 +617,7 @@ fn run() -> Result<(), String> {
                 ),
                 Err(e) => return Err(format!("estimation failed: {e}")),
             }
-            let stats = service.cache_stats();
-            println!("cache: {} hits, {} misses", stats.hits, stats.misses);
+            print_work(&service);
             Ok(())
         }
         "matrix" => matrix(&flags),

@@ -88,7 +88,8 @@ fn a_thousand_concurrent_futures_match_the_sequential_estimator() {
         inner.profile_runs(),
         specs.len()
     );
-    let stats = inner.cache_stats();
+    // Every query read its cell once, on the submitting thread.
+    let stats = inner.sim_stats().cache;
     assert_eq!(stats.hits + stats.misses, IN_FLIGHT as u64);
 }
 
@@ -126,16 +127,14 @@ fn a_thundering_herd_of_identical_queries_profiles_exactly_once() {
         1,
         "one distinct key must cost exactly one profile/analyze execution"
     );
-    assert_eq!(inner.cache_stats().insertions, 1);
-    // Every query is exactly one of: a cache hit, a follower coalesced
-    // onto an in-flight leader, or a leader run (including the rare
-    // leader whose post-claim cache re-check short-circuits) — the three
-    // counters partition the herd exactly.
+    let cells = inner.sim_stats().cache;
+    assert_eq!(cells.insertions, 1);
+    assert_eq!(cells.hits + cells.misses, HERD as u64, "one read per query");
+    // A query whose cell missed coalesces onto the cell's flight, or
+    // leads it and finds the cell its predecessor filled: only the first
+    // leader reaches the analysis.
     let flights = inner.flight_stats();
-    assert_eq!(
-        inner.cache_stats().hits + flights.coalesced + flights.executions,
-        HERD as u64
-    );
+    assert_eq!((flights.executions, flights.coalesced), (1, 0));
 }
 
 #[test]
@@ -330,15 +329,15 @@ fn a_resident_estimate_is_answered_without_the_pool() {
     }
     assert!(busy, "the pool is saturated");
 
-    let stage_hits = service.service().cache_stats().hits;
+    let cell_hits = service.service().sim_stats().cache.hits;
     let hit = service
         .submit(&warm, None, None, &TraceContext::disabled())
         .expect("a resident read needs no queue slot");
     assert_eq!(hit.wait(), expected);
     assert_eq!(
-        service.service().cache_stats().hits,
-        stage_hits + 1,
-        "the read counts one stage hit, like a pooled hit"
+        service.service().sim_stats().cache.hits,
+        cell_hits + 1,
+        "the read counts one cell hit, like a pooled hit"
     );
 
     // An expired deadline still wins over a resident read.
@@ -381,7 +380,7 @@ fn a_resident_estimate_on_an_idle_service_is_read_on_the_calling_thread() {
     telemetry.finish(&ctx, "POST", "/v1/estimate", 200, false);
     let traces = telemetry.recent_traces(1, None);
     let names: Vec<&str> = traces[0].spans.iter().map(|s| s.name).collect();
-    assert_eq!(names, ["cache.stage", "cache.sim", "service.call"]);
+    assert_eq!(names, ["cache.sim", "service.call"]);
 }
 
 #[test]
@@ -409,8 +408,8 @@ fn degenerate_jobs_are_answered_from_the_negative_cache() {
     let negative = service.negative_stats();
     assert_eq!(negative.insertions, 1);
     assert_eq!(negative.hits, 2);
-    // Failures never pollute the positive cache.
-    assert_eq!(service.cache_stats().insertions, 0);
+    // Failures never pollute the cells.
+    assert_eq!(service.sim_stats().cache.insertions, 0);
 }
 
 #[test]

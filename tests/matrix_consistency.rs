@@ -183,9 +183,15 @@ fn concurrent_matrix_and_single_device_queries_never_disagree() {
     }
 
     // Under all that concurrency, the single-flight layers still bound
-    // the work exactly: one analysis per job, one simulation per cell.
+    // the work: one simulation per cell, and at most one analysis per
+    // cell computed, at least one per job. No analysis outlives its
+    // request, so requests that did not overlap analyzed a job apart.
     let inner = service.service();
-    assert_eq!(inner.profile_runs(), jobs.len() as u64);
+    let profiles = inner.profile_runs();
+    assert!(
+        jobs.len() as u64 <= profiles && profiles <= (jobs.len() * DEVICES.len()) as u64,
+        "{profiles} profile runs"
+    );
     assert_eq!(
         inner.sim_runs(),
         (jobs.len() * DEVICES.len()) as u64,
@@ -271,13 +277,13 @@ fn device_reconfiguration_invalidates_only_that_device() {
     assert_eq!(service.sim_runs(), sim_runs, "no re-simulation for `big`");
     assert_eq!(service.sim_stats().cache.hits, hits_before + 1);
 
-    // ...while `small` re-simulates under its new configuration — without
-    // re-profiling: the analysis cache is device-independent.
+    // ...while `small` re-simulates under its new configuration, which
+    // profiles the job once more: no analysis outlives its request.
     let small = service
         .estimate_traced(&jobs[0], Some("small"), &untraced)
         .expect("estimates");
     assert_eq!(service.sim_runs(), sim_runs + 1);
-    assert_eq!(service.profile_runs(), analyses, "analyses survive");
+    assert_eq!(service.profile_runs(), analyses + 1, "one new analysis");
     assert_ne!(
         &small,
         matrix.cell(0, "small").unwrap().estimate.as_ref().unwrap(),

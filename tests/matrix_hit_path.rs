@@ -1,6 +1,6 @@
 //! The hit-first matrix path and the warm placement path: a matrix reads
-//! each row's stage entry once and each cell once, only missed cells fan
-//! out, and a warm query does nothing but read — while every answer stays
+//! each cell once, only missed cells fan out, and a warm query does
+//! nothing but read its cells — while every answer stays
 //! bit-identical to the sequential `Estimator` and a warm trace keeps its
 //! own spans.
 
@@ -23,12 +23,6 @@ fn sequential_cell(spec: &TrainJobSpec, device: GpuDevice) -> Estimate {
     Estimator::new(EstimatorConfig::for_device(device))
         .estimate_job(spec)
         .expect("sequential estimate succeeds")
-}
-
-/// Stage-cache reads so far: `(hits, misses)`.
-fn stage_reads(service: &EstimationService) -> (u64, u64) {
-    let stats = service.cache_stats();
-    (stats.hits, stats.misses)
 }
 
 #[test]
@@ -60,9 +54,11 @@ fn mixed_hit_miss_matrix_is_bit_identical_to_the_sequential_estimator() {
             );
         }
     }
-    // One analysis per job, one simulation per cell: the two pre-warmed
-    // cells were hits, the other seven misses, each counted once.
-    assert_eq!(service.profile_runs(), jobs.len() as u64);
+    // One analysis per row, one simulation per cell: the two pre-warmed
+    // cells were hits, the other seven misses, each counted once. No tier
+    // keeps an analysis past its request, so the rows whose other cells
+    // were pre-warmed profile again.
+    assert_eq!(service.profile_runs(), 2 + jobs.len() as u64);
     let sims = service.sim_stats();
     assert_eq!(sims.sim_runs, matrix.num_cells() as u64);
     assert_eq!(sims.cache.hits, 2);
@@ -78,10 +74,10 @@ fn all_hit_matrix_only_reads_its_cells() {
     let cold = service
         .estimate_matrix_traced(&jobs, &DEVICES, &untraced)
         .expect("resolve");
-    let (profiles, sims, (stage_hits, stage_misses)) = (
+    let (profiles, sims, negative) = (
         service.profile_runs(),
         service.sim_stats(),
-        stage_reads(&service),
+        service.negative_stats(),
     );
 
     let warm = service
@@ -94,9 +90,9 @@ fn all_hit_matrix_only_reads_its_cells() {
     assert_eq!(after.sim_runs, sims.sim_runs);
     assert_eq!(service.profile_runs(), profiles);
     assert_eq!(
-        stage_reads(&service),
-        (stage_hits + jobs.len() as u64, stage_misses),
-        "one stage read per row, not one per cell"
+        service.negative_stats(),
+        negative,
+        "a row whose cells all hit reads no negative cache"
     );
 }
 
@@ -105,7 +101,8 @@ fn resident_cells_answer_rows_whose_stages_were_evicted() {
     let untraced = TraceContext::disabled();
     // Every cell is relayed (the sequential `Estimator`'s answer, filled
     // the way a cluster peer's forwarded answer is), so no analysis was
-    // ever loaded — but every cell is resident.
+    // ever loaded — but every cell is resident. No tier keeps analyses,
+    // so this is every resident row's state.
     let service = EstimationService::for_device(GpuDevice::rtx3060());
     let jobs = job_grid();
     for spec in &jobs {
@@ -119,18 +116,21 @@ fn resident_cells_answer_rows_whose_stages_were_evicted() {
     let cold = service
         .estimate_matrix_traced(&jobs, &["rtx3060"], &untraced)
         .expect("resolve");
-    // The first read already finds no stage entry: it must answer from the
-    // resident cells without profiling or replaying.
+    // The first read already holds no analysis: it must answer from the
+    // resident cells without profiling, replaying or reading the
+    // negative cache.
     assert_eq!(service.profile_runs(), 0, "no re-profile");
     assert_eq!(service.sim_runs(), 0);
-    assert_eq!(stage_reads(&service), (0, rows), "every row's stage absent");
+    assert_eq!(service.sim_stats().cache.hits, rows);
+    assert_eq!(service.negative_stats().misses, 0);
     let warm = service
         .estimate_matrix_traced(&jobs, &["rtx3060"], &untraced)
         .expect("resolve");
     assert_eq!(warm, cold);
     assert_eq!(service.profile_runs(), 0, "no re-profile");
     assert_eq!(service.sim_runs(), 0);
-    assert_eq!(stage_reads(&service), (0, 2 * rows));
+    assert_eq!(service.sim_stats().cache.hits, 2 * rows);
+    assert_eq!(service.negative_stats().misses, 0);
 }
 
 #[test]
@@ -174,10 +174,10 @@ fn warm_best_device_gives_the_same_answer_and_counts() {
             cold.estimate,
             sequential_cell(spec, DeviceRegistry::builtin().get(device).unwrap())
         );
-        let (profiles, sims, (stage_hits, stage_misses)) = (
+        let (profiles, sims, negative) = (
             service.profile_runs(),
             service.sim_stats(),
-            stage_reads(&service),
+            service.negative_stats(),
         );
         let warm = service
             .best_device_for_job_traced(spec, &untraced)
@@ -188,7 +188,7 @@ fn warm_best_device_gives_the_same_answer_and_counts() {
         assert_eq!(after.cache.misses, sims.cache.misses);
         assert_eq!(after.sim_runs, sims.sim_runs);
         assert_eq!(service.profile_runs(), profiles);
-        assert_eq!(stage_reads(&service), (stage_hits + 1, stage_misses));
+        assert_eq!(service.negative_stats(), negative, "a fit is the answer");
     }
 
     // A job that fits nowhere re-simulates nothing when warm.
@@ -221,7 +221,8 @@ fn warm_best_device_gives_the_same_answer_and_counts() {
     );
     assert_eq!(cramped.sim_runs(), sim_runs);
 
-    // Errors still come from the stage lookup, cold and warm.
+    // Errors still come from the analysis, cold, and the negative cache,
+    // warm.
     let degenerate = small.clone().with_iterations(0);
     for _ in 0..2 {
         assert_eq!(
@@ -284,7 +285,6 @@ fn warm_matrix_trace_keeps_its_service_call_span() {
     let count = |name: &str| names.iter().filter(|&&n| n == name).count();
     assert_eq!(count("service.call"), 1, "{} spans: {names:?}", names.len());
     assert_eq!(count("pool.queue"), 0, "a warm matrix is read, not pooled");
-    assert_eq!(count("cache.stage"), 1, "one stage hit event per request");
     assert_eq!(count("cache.sim"), 1, "one cell hit event per request");
-    assert_eq!(names.len(), 3);
+    assert_eq!(names.len(), 2);
 }

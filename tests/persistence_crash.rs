@@ -14,7 +14,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use xmem::prelude::*;
-use xmem::service::{ServiceConfig, JOURNAL_FILE, SNAPSHOT_FILE, SNAPSHOT_TMP_FILE};
+use xmem::service::{JobKey, ServiceConfig, JOURNAL_FILE, SNAPSHOT_FILE, SNAPSHOT_TMP_FILE};
 
 /// A unique, self-cleaning state directory per test.
 struct StateDir(PathBuf);
@@ -48,8 +48,7 @@ fn spec(batch: usize) -> TrainJobSpec {
 /// Populates a fresh service on `dir` and returns the expected
 /// estimates. Uses both the primary-device path (`estimate_traced` with
 /// no device) and a named-device path (`estimate_traced` with a device
-/// name) so stage records and the sim cells
-/// of two devices hit the journal.
+/// name) so the sim cells of two devices hit the journal.
 fn populate(dir: &Path, batches: &[usize]) -> Vec<Estimate> {
     let untraced = TraceContext::disabled();
     let service = EstimationService::new(config(dir));
@@ -439,6 +438,81 @@ fn record_frames(data: &[u8]) -> Vec<(usize, String)> {
     frames
 }
 
+/// The payload of a `Stage` record, which older binaries journaled and
+/// snapshotted for a tier of analyses: job `spec(batch)` and its analysis.
+fn stage_payload(batch: usize) -> String {
+    let job = serde_json::to_string(&JobKey::of(&spec(batch))).expect("a key encodes");
+    let analyzed = xmem::core::Analyzer::new()
+        .analyze(&profile_on_cpu(&spec(batch)))
+        .expect("analysis succeeds");
+    let analyzed = serde_json::to_string(&analyzed).expect("an analysis encodes");
+    format!(r#"{{"Stage":{{"job":{job},"analyzed":{analyzed}}}}}"#)
+}
+
+/// A state dir written by a binary that still kept a tier of analyses:
+/// its snapshot holds `Stage` frames before every `Sim` and `Param`
+/// frame. The service boots from it with no torn tail, decodes and drops
+/// those frames (counted as skipped), recovers every other record, serves
+/// a recovered cell with no profile run and no replay, and writes no
+/// `Stage` frame back.
+#[test]
+fn a_state_dir_with_stage_records_boots_and_drops_them() {
+    let untraced = TraceContext::disabled();
+    let dir = StateDir::new("stage-upgrade");
+    let batches = [4usize];
+    let expected = populate(dir.path(), &batches);
+    {
+        // A `Param` record, from a sweep long enough to fit.
+        let service = EstimationService::new(config(dir.path()));
+        for (_, outcome) in service.sweep_traced(&spec(1), &[1, 2, 4, 8, 16], &untraced) {
+            outcome.expect("sweep estimates");
+        }
+    }
+    // One more boot compacts everything into the snapshot.
+    drop(EstimationService::new(config(dir.path())));
+    let snapshot = fs::read(dir.path().join(SNAPSHOT_FILE)).expect("snapshot");
+    let frames = record_frames(&snapshot);
+    for variant in ["Sim", "Param"] {
+        assert!(
+            frames.iter().any(|(_, v)| v == variant),
+            "no {variant} frame"
+        );
+    }
+    let (first, _) = frames[0];
+    let mut state = snapshot[..first].to_vec();
+    for batch in [batches[0], 1] {
+        push_frame(&mut state, stage_payload(batch).as_bytes());
+    }
+    state.extend_from_slice(&snapshot[first..]);
+    let old = StateDir::new("stage-upgrade-old");
+    fs::create_dir_all(old.path()).expect("state dir");
+    fs::write(old.path().join(SNAPSHOT_FILE), &state).expect("old snapshot");
+
+    let service = EstimationService::new(config(old.path()));
+    let stats = service.persist_stats();
+    assert_eq!(stats.recovery_truncated, 0, "{stats:?}");
+    assert_eq!(stats.recovery_skipped, 2, "the two Stage frames: {stats:?}");
+    assert_eq!(
+        stats.recovered_entries,
+        frames.len() as u64,
+        "every Sim and Param record: {stats:?}"
+    );
+    for (&b, want) in batches.iter().zip(&expected) {
+        let got = service
+            .estimate_traced(&spec(b), None, &untraced)
+            .expect("warm estimate");
+        assert_eq!(&got, want, "batch {b} diverged after the upgrade");
+    }
+    assert_eq!(service.profile_runs(), 0);
+    assert_eq!(service.sim_runs(), 0, "a recovered cell is not replayed");
+    drop(service);
+    // The boot compaction writes no Stage frame back.
+    let compacted = fs::read(old.path().join(SNAPSHOT_FILE)).expect("snapshot");
+    assert!(record_frames(&compacted)
+        .iter()
+        .all(|(_, variant)| variant != "Stage"));
+}
+
 /// A state dir written by a binary whose cache tiers tuned their
 /// protected split online: its journal ends in `Tuner` frames for the
 /// stage, param and sim tiers, and one for a tier name no binary has.
@@ -475,10 +549,10 @@ fn a_state_dir_with_tuner_records_boots_and_drops_them() {
     );
     assert_eq!(
         stats.recovered_entries, recorded,
-        "every Stage and Sim record: {stats:?}"
+        "every Sim record: {stats:?}"
     );
     assert_eq!(
-        service.stage_tier_stats().protected_frac_permille,
+        service.sim_tier_stats().protected_frac_permille,
         875,
         "no tier takes a persisted split"
     );
@@ -515,7 +589,7 @@ fn tuner_records_for_unknown_tiers_are_skipped() {
         "unknown tier names must be counted, not fatal: {stats:?}"
     );
     assert_eq!(
-        service.stage_tier_stats().protected_frac_permille,
+        service.sim_tier_stats().protected_frac_permille,
         875,
         "no known tier may have absorbed the unknown record"
     );
@@ -564,23 +638,14 @@ fn a_state_dir_with_replay_records_boots_and_drops_them() {
         .find(|(_, variant)| variant == "Sim")
         .map(|&(start, _)| start)
         .expect("populate journals sim cells");
-    for variant in ["Stage", "Param"] {
-        assert!(
-            frames.iter().any(|(_, v)| v == variant),
-            "no {variant} frame"
-        );
-    }
+    assert!(frames.iter().any(|(_, v)| v == "Param"), "no Param frame");
 
-    // The old binary's Replay record for the first stage entry's job.
-    let (stage_start, _) = frames
-        .iter()
-        .find(|(_, variant)| variant == "Stage")
-        .expect("a Stage frame");
-    let serde::Value::Object(stage) = payload(*stage_start) else {
+    // The old binary's Replay record for the first sim cell's job.
+    let serde::Value::Object(sim) = payload(first_sim) else {
         panic!("records are objects")
     };
-    let serde::Value::Object(fields) = &stage[0].1 else {
-        panic!("a Stage record is an object")
+    let serde::Value::Object(fields) = &sim[0].1 else {
+        panic!("a Sim record is an object")
     };
     let (_, job) = fields
         .iter()
@@ -624,7 +689,7 @@ fn a_state_dir_with_replay_records_boots_and_drops_them() {
     assert_eq!(
         stats.recovered_entries,
         frames.len() as u64,
-        "every Stage, Sim and Param record: {stats:?}"
+        "every Sim and Param record: {stats:?}"
     );
     for (&b, want) in batches.iter().zip(&expected) {
         let got = service
@@ -663,13 +728,13 @@ fn sim_cells_for_unregistered_devices_are_skipped() {
         stats.recovery_skipped > 0,
         "orphaned sim cells must be counted: {stats:?}"
     );
-    // Stage records are device-independent and still recover.
+    // The primary device's cells still match and recover.
     assert!(stats.recovered_entries > 0, "{stats:?}");
     assert_eq!(service.profile_runs(), 0);
     let _ = service
         .estimate_traced(&spec(4), None, &untraced)
         .expect("warm estimate");
-    // The analysis was recovered, so serving still pays no profile run.
+    // The cell was recovered, so serving still pays no profile run.
     assert_eq!(service.profile_runs(), 0);
 }
 
@@ -834,7 +899,8 @@ const STAGE_CORRUPTIONS: [(&str, StageEdit); 5] = [
 /// A `Stage` record the compact analysis cannot hold is a torn record, not
 /// a panic: the service boots, recovery stops at the record and counts it,
 /// and the job's next estimate re-profiles and serves what a fresh service
-/// serves.
+/// serves. The record sits first, where older binaries wrote their stage
+/// entries, so every sim cell after it is lost with it.
 #[test]
 fn hostile_stage_record_is_torn_and_the_job_reprofiles() {
     let untraced = TraceContext::disabled();
@@ -844,14 +910,9 @@ fn hostile_stage_record_is_torn_and_the_job_reprofiles() {
     // One more boot compacts everything into the snapshot.
     drop(EstimationService::new(config(dir.path())));
     let snapshot = fs::read(dir.path().join(SNAPSHOT_FILE)).expect("snapshot");
-    let (start, _) = record_frames(&snapshot)
-        .into_iter()
-        .find(|(_, variant)| variant == "Stage")
-        .expect("populate journals a Stage record");
-    let len = u32::from_le_bytes(snapshot[start..start + 4].try_into().expect("4 bytes")) as usize;
-    let end = start + 12 + len;
-    let payload = std::str::from_utf8(&snapshot[start + 12..end]).expect("JSON payload");
-    let record: serde::Value = serde_json::from_str(payload).expect("record decodes");
+    let (start, _) = record_frames(&snapshot)[0];
+    let record: serde::Value =
+        serde_json::from_str(&stage_payload(batches[0])).expect("record decodes");
 
     for (name, edit) in STAGE_CORRUPTIONS {
         let mut corrupt = record.clone();
@@ -887,7 +948,7 @@ fn hostile_stage_record_is_torn_and_the_job_reprofiles() {
         let mut state = snapshot[..start].to_vec();
         let json = serde_json::to_string(&corrupt).expect("re-encodes");
         push_frame(&mut state, json.as_bytes());
-        state.extend_from_slice(&snapshot[end..]);
+        state.extend_from_slice(&snapshot[start..]);
         let scratch = StateDir::new("stage-fields-corrupt");
         fs::create_dir_all(scratch.path()).expect("scratch dir");
         fs::write(scratch.path().join(SNAPSHOT_FILE), &state).expect("corrupt snapshot");

@@ -5,7 +5,7 @@
 //! sequential `Estimator` and move every counter by the same amount as
 //! the blocking service; a resident query answers while the pool is
 //! saturated; an expired deadline still wins; and a resident cell is
-//! never re-profiled, whether or not its stage entry is still cached.
+//! never re-profiled, though no analysis outlives its request.
 //! Both front ends record the same spans for the same query, apart from
 //! the async front end's own `service.call` and `pool.queue`.
 
@@ -34,12 +34,11 @@ fn builtin(name: &str) -> GpuDevice {
         .expect("a built-in device")
 }
 
-/// Every counter the dispatch rule must leave alone: stage-cache and
+/// Every counter the dispatch rule must leave alone: negative-cache and
 /// sim-cell reads, profile runs and sim runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Counters {
-    stage_hits: u64,
-    stage_misses: u64,
+    negative_reads: u64,
     sim_hits: u64,
     sim_misses: u64,
     profile_runs: u64,
@@ -48,10 +47,9 @@ struct Counters {
 
 impl Counters {
     fn of(service: &EstimationService) -> Self {
-        let (stage, sims) = (service.cache_stats(), service.sim_stats());
+        let (negative, sims) = (service.negative_stats(), service.sim_stats());
         Counters {
-            stage_hits: stage.hits,
-            stage_misses: stage.misses,
+            negative_reads: negative.hits + negative.misses,
             sim_hits: sims.cache.hits,
             sim_misses: sims.cache.misses,
             profile_runs: service.profile_runs(),
@@ -61,8 +59,7 @@ impl Counters {
 
     fn since(self, before: Counters) -> Counters {
         Counters {
-            stage_hits: self.stage_hits - before.stage_hits,
-            stage_misses: self.stage_misses - before.stage_misses,
+            negative_reads: self.negative_reads - before.negative_reads,
             sim_hits: self.sim_hits - before.sim_hits,
             sim_misses: self.sim_misses - before.sim_misses,
             profile_runs: self.profile_runs - before.profile_runs,
@@ -283,8 +280,9 @@ fn blocker_service() -> Arc<EstimationService> {
 
 /// Work that holds a one-worker pool busy for a while and that no fit
 /// can shorten: a cold matrix of 48 distinct jobs, profiled one after
-/// another. Its cells are read when it is submitted; the pool then only
-/// profiles and replays, and reads no stage entry or cell. On [`TIGHT`]
+/// another. Its cells and negative-cache entries are read when it is
+/// submitted; the pool then only profiles and replays, and reads neither.
+/// On [`TIGHT`]
 /// every cell is capacity-pressured, so none derives from the fast path.
 fn blocker_matrix() -> Vec<TrainJobSpec> {
     (1..=48)
@@ -337,14 +335,14 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
     }
 
     // The blocker computes on the same service meanwhile, so only the
-    // counters it never touches are compared: stage hits (its jobs are
-    // all new), sim-cell reads (it read its cells when submitted) and
-    // fast-path derivations (its device is pressured).
+    // counters it never touches are compared: negative-cache and sim-cell
+    // reads (it read both when submitted) and fast-path derivations (its
+    // device is pressured).
     let reads = || {
-        let stage = service.cache_stats();
+        let negative = service.negative_stats();
         let sims = service.sim_stats();
         (
-            stage.hits,
+            negative.hits + negative.misses,
             sims.cache.hits,
             sims.cache.misses,
             sims.fast_path_hits,
@@ -361,8 +359,11 @@ fn resident_queries_answer_while_the_pool_is_saturated() {
             .wait(),
         placement
     );
-    let (stage_hits, sim_hits, sim_misses, derived) = reads();
-    assert_eq!(stage_hits - before.0, 4, "one stage read per query");
+    let (negative_reads, sim_hits, sim_misses, derived) = reads();
+    assert_eq!(
+        negative_reads, before.0,
+        "a resident query reads no failure"
+    );
     assert_eq!(sim_hits - before.1, 1 + 1 + 3 + 1, "one cell read per cell");
     assert_eq!((sim_misses, derived), (before.2, before.3));
 
@@ -457,14 +458,13 @@ fn a_matrix_with_one_evicted_cell_is_pooled_and_replays_only_that_cell() {
     assert_eq!(
         delta,
         Counters {
-            stage_hits: 1,
-            stage_misses: 0,
+            negative_reads: 1,
             sim_hits: 3,
             sim_misses: 1,
-            profile_runs: 0,
+            profile_runs: 1,
             sim_runs: 1,
         },
-        "each lookup counted once, one cell replayed"
+        "each lookup counted once, one cell profiled and replayed"
     );
     let names: Vec<&str> = telemetry.recent_traces(1, None)[0]
         .spans
@@ -475,6 +475,7 @@ fn a_matrix_with_one_evicted_cell_is_pooled_and_replays_only_that_cell() {
     assert_eq!(count("pool.queue"), 1, "{names:?}");
     assert_eq!(count("service.call"), 1, "{names:?}");
     assert_eq!(count("sim.replay"), 1, "{names:?}");
+    assert_eq!(count("stage.profile"), 1, "{names:?}");
 }
 
 /// A service that holds `spec`'s cell on every registered device but
@@ -505,7 +506,7 @@ fn a_resident_cell_answers_an_estimate_without_re_profiling() {
     assert_eq!(service.estimate_traced(&spec, None, &untraced), Ok(cold));
     let delta = Counters::of(&service).since(before);
     assert_eq!(delta.profile_runs, 0, "the cell answered");
-    assert_eq!((delta.stage_misses, delta.sim_hits), (1, 1));
+    assert_eq!((delta.negative_reads, delta.sim_hits), (0, 1));
 }
 
 #[test]
@@ -528,7 +529,7 @@ fn a_resident_cell_answers_estimate_on_without_re_profiling() {
     );
     let delta = Counters::of(&service).since(before);
     assert_eq!(delta.profile_runs, 0, "the cell answered");
-    assert_eq!((delta.stage_misses, delta.sim_hits), (2, 2));
+    assert_eq!((delta.negative_reads, delta.sim_hits), (0, 2));
 }
 
 #[test]

@@ -657,20 +657,19 @@ fn health_and_metrics_expose_the_counter_surface() {
         "xmem_http_requests_total{route=\"estimate\"} 1",
         "xmem_http_responses_total{code=\"200\"} 2",
         "xmem_http_request_duration_seconds_bucket{route=\"estimate\",le=\"+Inf\"} 1",
-        "xmem_stage_cache_events_total{event=\"miss\"} 1",
         "xmem_profile_runs_total 1",
         "xmem_sim_runs_total",
         "xmem_server_draining 0",
-        // Cache tiering families: the estimated job sits in the stage
-        // cache's probation segment, and every tier holds a fixed 875‰
+        // Cache tiering families: the estimate's cell sits in the sim
+        // tier's probation segment, and every tier holds a fixed 875‰
         // protected split.
-        "xmem_cache_entries{cache=\"stage\",segment=\"probation\"} 1",
-        "xmem_cache_entries{cache=\"stage\",segment=\"protected\"} 0",
+        "xmem_cache_entries{cache=\"sim\",segment=\"probation\"} 1",
+        "xmem_cache_entries{cache=\"sim\",segment=\"protected\"} 0",
         "xmem_cache_segmented{cache=\"param\"} 1",
-        "xmem_cache_protected_frac_permille{cache=\"stage\"} 875",
+        "xmem_cache_protected_frac_permille{cache=\"sim\"} 875",
         "xmem_cache_capacity{cache=\"param\"}",
-        "xmem_cache_sketch_resets_total{cache=\"stage\"} 0",
-        "xmem_cache_admission_denied_total{cache=\"stage\"} 0",
+        "xmem_cache_sketch_resets_total{cache=\"sim\"} 0",
+        "xmem_cache_admission_denied_total{cache=\"sim\"} 0",
         // Per-stage latency histograms from the tracing layer: the
         // estimate rode the pool queue and the service call.
         "# TYPE xmem_stage_duration_seconds histogram",
@@ -680,10 +679,19 @@ fn health_and_metrics_expose_the_counter_surface() {
     ] {
         assert!(text.contains(needle), "metrics missing `{needle}`:\n{text}");
     }
-    assert!(
-        !text.contains("cache=\"replay\""),
-        "the service has no replay tier:\n{text}"
-    );
+    for tier in ["replay", "stage"] {
+        assert!(
+            !text.contains(&format!("cache=\"{tier}\"")),
+            "the service has no {tier} tier:\n{text}"
+        );
+    }
+    for gone in [
+        "xmem_stage_cache_events_total",
+        "xmem_cache_bytes_in_use",
+        "stage=\"cache.stage\"",
+    ] {
+        assert!(!text.contains(gone), "no tier keeps analyses: `{gone}`");
+    }
     for gone in [
         "xmem_cache_adaptive",
         "xmem_cache_ghost_hits_total",
@@ -872,7 +880,7 @@ fn debug_traces_expose_request_span_timelines() {
             "cold trace missing `{needle}`: {cold_names:?}"
         );
     }
-    // The repeats answered from the stage cache.
+    // The repeats answered from the sim cell.
     let warm_hits = estimates
         .iter()
         .filter(|trace| {
@@ -885,7 +893,7 @@ fn debug_traces_expose_request_span_timelines() {
                 .any(|span| {
                     let entries = span.as_object().expect("span object");
                     serde::obj_get(entries, "name").and_then(serde::Value::as_str)
-                        == Some("cache.stage")
+                        == Some("cache.sim")
                         && serde::obj_get(entries, "outcome").and_then(serde::Value::as_str)
                             == Some("hit")
                 })
@@ -894,7 +902,7 @@ fn debug_traces_expose_request_span_timelines() {
     assert_eq!(
         warm_hits,
         2,
-        "both repeats must show the stage-cache hit: {}",
+        "both repeats must show the cell hit: {}",
         traces.text()
     );
     // The pinned trace id survived ingress.
@@ -1123,35 +1131,6 @@ fn iterations_past_the_cap_are_a_400_and_the_cap_is_served() {
     assert_eq!(response.status, 200, "{}", response.text());
     let report = server.shutdown();
     assert!(report.clean);
-}
-
-/// The stage tier's byte gauge prices what the tier holds: after one
-/// cold estimate it reads the retained analysis's size.
-#[test]
-fn stage_bytes_gauge_reads_the_retained_analysis_without_a_budget() {
-    let (server, service) = start_server(ServerConfig::default());
-    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
-    let spec = small_spec(4);
-    let estimate = client
-        .post_json("/v1/estimate", &job_json(&spec))
-        .expect("estimate");
-    assert_eq!(estimate.status, 200);
-    let text = client.get("/metrics").expect("metrics").text().to_string();
-    let gauge = |name: &str| -> u64 {
-        text.lines()
-            .find_map(|line| line.strip_prefix(&format!("{name}{{cache=\"stage\"}} ")))
-            .and_then(|value| value.parse().ok())
-            .unwrap_or_else(|| panic!("{name} is exported for the stage tier"))
-    };
-    let analyzed = xmem::core::Analyzer::new()
-        .analyze(&profile_on_cpu(&spec))
-        .expect("job analyzes");
-    assert!(gauge("xmem_cache_bytes_in_use") > 0);
-    assert_eq!(gauge("xmem_cache_bytes_in_use"), analyzed.approx_bytes());
-    assert_eq!(
-        service.service().stage_tier_stats().bytes_in_use,
-        analyzed.approx_bytes()
-    );
 }
 
 /// The default-device route is a sim cell: a repeated `POST

@@ -74,11 +74,12 @@ fn concurrent_calls_match_the_sequential_estimator_bit_for_bit() {
         }
     }
 
-    // All 16 queries answered; at most one cold profiling per spec plus
-    // possible concurrent-miss duplicates, never more than one per query.
-    let stats = service.cache_stats();
+    // Every query read its cell once, and concurrent misses of one cell
+    // coalesced: at most one profile per spec.
+    let stats = service.sim_stats().cache;
     assert_eq!(stats.hits + stats.misses, (THREADS * specs.len()) as u64);
     assert!(stats.hits > 0, "warm lookups must hit the cache");
+    assert!(service.profile_runs() <= specs.len() as u64);
 }
 
 #[test]
@@ -95,9 +96,10 @@ fn cache_hit_path_returns_the_same_estimate_as_the_cold_path() {
             .expect("warm estimate");
         assert_eq!(cold, warm, "cache must not perturb {}", spec.label());
     }
-    let stats = service.cache_stats();
+    let stats = service.sim_stats().cache;
     assert_eq!(stats.misses, 2);
     assert_eq!(stats.hits, 2);
+    assert_eq!(service.profile_runs(), 2);
 }
 
 #[test]
@@ -131,11 +133,11 @@ fn sweep_matches_a_sequential_estimator_loop() {
     }
 
     // A repeated sweep is answered entirely from cache: no new profiling.
-    let insertions_before = service.cache_stats().insertions;
+    let profiles_before = service.profile_runs();
     let again = service.sweep_traced(&base, &batches, &untraced);
-    let stats = service.cache_stats();
     assert_eq!(
-        stats.insertions, insertions_before,
+        service.profile_runs(),
+        profiles_before,
         "repeated sweep must not re-profile"
     );
     for ((b1, e1), (b2, e2)) in swept.iter().zip(&again) {
