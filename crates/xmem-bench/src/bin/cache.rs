@@ -178,8 +178,8 @@ const MIN_COST: u64 = 64;
 const MAX_COST: u64 = MIN_COST + 119 * 8;
 
 /// Deterministic synthetic entry cost in bytes, varied (64..=1016, mean
-/// ≈540). Every policy prices its entries with it the way the service's
-/// stage tier prices its analyses: a gauge, never an eviction bound.
+/// ≈540). Every policy prices its entries with it: a gauge, never an
+/// eviction bound.
 fn cost_of(index: u64) -> u64 {
     let mut h = index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= h >> 33;

@@ -10,7 +10,8 @@
 //! * `--uncached` — run xMem standalone (full pipeline per record) instead
 //!   of routing the campaign through the estimation service's batched
 //!   replay. The default (service-routed) collapses a campaign's xMem cost
-//!   to one profile/analyze per distinct job; per-record
+//!   to one profile/analyze per distinct job while the prewarmed cells
+//!   stay resident; per-record
 //!   `estimator_runtime_us` then measures the *serving* path (cache-hit
 //!   latency), so pass `--uncached` when reproducing the paper's
 //!   standalone runtime numbers (Table 4).

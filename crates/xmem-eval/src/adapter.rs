@@ -15,8 +15,11 @@ use xmem_service::EstimationService;
 ///   request, exactly as the paper times it;
 /// * **service-backed** ([`XMemEstimator::with_service`]) — requests go
 ///   through a shared [`EstimationService`], so campaign workloads collapse
-///   onto one profile/analyze per distinct job and one replay per
-///   `(job, device)` cell (the counters on the service prove it).
+///   onto one replay per `(job, device)` cell. A job profiles once per
+///   request that computes one of its cells; after a prewarm that is once
+///   per distinct job for as long as the prewarmed cells stay resident
+///   (an evicted cell or an unprewarmed device profiles again; the
+///   counters on the service show it).
 #[derive(Debug, Clone, Default)]
 pub struct XMemEstimator {
     service: Option<Arc<EstimationService>>,

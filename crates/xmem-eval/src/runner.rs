@@ -49,8 +49,10 @@ impl EstimatorSet {
     /// Like [`standard`](Self::standard), but xMem routes through a
     /// shared [`EstimationService`]: combined with
     /// [`prewarm_matrix`], a whole campaign's estimation cost collapses
-    /// to one profile/analyze per distinct job and one replay per
-    /// `(job, device)` cell — bit-identical to the standalone adapter.
+    /// to one replay per `(job, device)` cell, and to one profile/analyze
+    /// per distinct job while the prewarmed cells stay resident (a job
+    /// profiles again for each request that must compute one of its
+    /// cells) — bit-identical to the standalone adapter.
     #[must_use]
     pub fn service_backed(seed: u64, service: Arc<EstimationService>) -> Self {
         EstimatorSet {

@@ -47,8 +47,8 @@
 //!   JSON fleet file), per-device simulation shards ([`SimStats`]), and
 //!   batched replay — [`EstimationService::estimate_matrix_traced`] /
 //!   [`AsyncEstimationService::matrix`] answer an M-jobs ×
-//!   D-devices grid with exactly one profile/analyze per job fanned out
-//!   to concurrent per-device simulations, and
+//!   D-devices grid with one profile/analyze per job whose row has a
+//!   missing cell, fanned out to concurrent per-device simulations, and
 //!   [`EstimationService::best_device_for_job_traced`] turns the matrix into a
 //!   best-fit placement decision.
 //!

@@ -584,8 +584,8 @@ impl EstimationService {
     /// a call profiles and analyzes unless it coalesces onto a concurrent
     /// caller's run or the negative cache remembers the job's failure.
     /// Every route's cells load their analysis inside their own sim
-    /// flight instead (see [`simulate_cell`](Self::simulate_cell)), and a
-    /// fit loads its anchors here. It stays public because perfbench's
+    /// flight instead (the private `simulate_cell`), and a fit loads its
+    /// anchors here. It stays public because perfbench's
     /// in-process trace replays default-device estimates through it. The
     /// negative cache, coalescing and the profile/analyze stages record
     /// spans into `ctx`; an untraced caller passes

@@ -92,8 +92,8 @@ fn jobs() -> Vec<TrainJobSpec> {
 
 /// The bytes one cold `stages` call may allocate for the golden-trace job
 /// (MobileNetV3-Small, Adam, batch 2, 2 iterations). It allocates
-/// 981 702: the engine's own state, the blocks and windows the analysis
-/// keeps (153 846 bytes) and their growth. Recording the run's trace and
+/// 981 702: the engine's own state, the blocks and windows the finished
+/// analysis holds until the call returns (153 846 bytes) and their growth. Recording the run's trace and
 /// analyzing it afterwards allocated 2 040 267.
 const COLD_STAGES_BYTES: u64 = 1_100_000;
 
